@@ -26,28 +26,10 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def vec(entries) -> tuple:
-    return tuple(frac(x) for x in entries)
-
-
-def zero_vec(n: int) -> tuple:
-    return (F0,) * n
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(c, a):
-    return tuple(c * x for x in a)
-
-
 def vec_dot(a, b):
-    return sum((x * y for x, y in zip(a, b)), F0)
+    # zero factors are skipped: 97-98% of the products on the benchmark
+    # workloads have one, and a Fraction product costs a gcd even then
+    return sum((x * y for x, y in zip(a, b) if x and y), F0)
 
 
 def vec_is_zero(a) -> bool:
@@ -274,8 +256,6 @@ class Qi:
 
 
 QI0 = Qi(0, 0)
-QI1 = Qi(1, 0)
-QI_I = Qi(0, 1)
 
 
 def _as_qi(x) -> Qi:
@@ -287,15 +267,6 @@ def _as_qi(x) -> Qi:
 def qmat(entries):
     """Build a Qi matrix from any nest of ints/Fractions/Qi."""
     return tuple(tuple(_as_qi(x) for x in row) for row in entries)
-
-
-def qmat_zero(n: int, m: int | None = None):
-    m = n if m is None else m
-    return tuple((QI0,) * m for _ in range(n))
-
-
-def qmat_eye(n: int):
-    return tuple(tuple(QI1 if i == j else QI0 for j in range(n)) for i in range(n))
 
 
 def qmat_add(a, b):

@@ -28,7 +28,6 @@ import numpy as np
 
 from . import rng
 from .errors import LemmaFalsified
-from .exactla import F0, mat_vec
 from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, float_tol
 from .subspaces import Subspace
 
@@ -146,18 +145,25 @@ def _require_pair(s: Subspace, x: AlgebraVector, check_lts=True):
             raise ValueError("s is not a Lie triple system; witness: %r" % (witness,))
 
 
-def _normal_warning(s: Subspace, x: AlgebraVector):
+_NOT_NORMAL = {
+    MODE_EXACT: "X has a nonzero component along s (B(X, s) != 0); "
+                "the geometric statement wants X normal",
+    MODE_FLOAT: "X has a nonzero component along s within float tolerance",
+}
+
+
+def _normal_pairing(s: Subspace, x: AlgebraVector):
+    """First pairing B(b, X) over the basis of s that is nonzero (exact) or
+    above the float tolerance; None when X is B-orthogonal to s."""
     a = s.algebra
     for b in s.basis:
         val = a.killing_form(b, x)
         if s.mode == MODE_EXACT:
             if val != 0:
-                return ("X has a nonzero component along s "
-                        "(B(X, s) != 0); the geometric statement wants X normal",)
-        else:
-            if abs(val) > float_tol(a.btheta_norm(b) * a.btheta_norm(x)):
-                return ("X has a nonzero component along s within float tolerance",)
-    return ()
+                return val
+        elif abs(val) > float_tol(a.btheta_norm(b) * a.btheta_norm(x)):
+            return val
+    return None
 
 
 def _clear_denominators(coeffs):
@@ -180,19 +186,9 @@ def _sample_y(s: Subspace, gen) -> AlgebraVector:
 def condition_terms(s: Subspace, x: AlgebraVector, y: AlgebraVector, n_max: int):
     """Yield (n, [X, ad_Y^{2n+1} X]) for n = 0..n_max."""
     a = s.algebra
-    ad = a.ad_matrix(y)
-    if x.mode == MODE_FLOAT:
-        w = ad @ x.to_array()
-        for n in range(n_max + 1):
-            term = a.bracket(x, AlgebraVector(tuple(w), MODE_FLOAT))
-            yield n, term
-            w = ad @ (ad @ w)
-    else:
-        w = mat_vec(ad, x.coeffs)
-        for n in range(n_max + 1):
-            term = a.bracket(x, AlgebraVector(w, MODE_EXACT))
-            yield n, term
-            w = mat_vec(ad, mat_vec(ad, w))
+    chain = a.ad_chain(y, x, 2 * n_max + 1)
+    for n in range(n_max + 1):
+        yield n, a.bracket(x, chain[2 * n + 1])
 
 
 def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
@@ -202,7 +198,7 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     a = s.algebra
     if n_max is None:
         n_max = len(a.p_basis)
-    warnings = _normal_warning(s, x)
+    warnings = () if _normal_pairing(s, x) is None else (_NOT_NORMAL[s.mode],)
     mode = "exact-sampled" if s.mode == MODE_EXACT else "float-sampled"
     verdict = ConditionVerdict(holds=True, mode=mode, n_max=n_max,
                                samples=samples, seed=seed,
@@ -245,16 +241,7 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     check = LemmaCheck(status="passed",
                        mode=s.mode, n_max=n_max, m_max=m_max)
 
-    powers = {}
-    top = 2 * (n_max + m_max) + 1
-    ad = a.ad_matrix(y)
-    v = x
-    for k in range(top + 1):
-        powers[k] = v
-        if s.mode == MODE_EXACT:
-            v = AlgebraVector(mat_vec(ad, v.coeffs), MODE_EXACT)
-        else:
-            v = AlgebraVector(tuple(ad @ v.to_array()), MODE_FLOAT)
+    powers = a.ad_chain(y, x, 2 * (n_max + m_max) + 1)
 
     for m in range(n_max + m_max + 1):
         term = a.bracket(x, powers[2 * m + 1])
@@ -299,19 +286,8 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, y: AlgebraVector,
 
 def _series_terms(a, x: AlgebraVector, y: AlgebraVector, top: int):
     """u_j = (-ad_Y)^j X / j! for j = 0..top."""
-    ad = a.ad_matrix(y)
-    terms = [x]
-    if x.mode == MODE_FLOAT:
-        u = x.to_array()
-        for j in range(1, top + 1):
-            u = -(ad @ u) / j
-            terms.append(AlgebraVector(tuple(u), MODE_FLOAT))
-    else:
-        u = x.coeffs
-        for j in range(1, top + 1):
-            u = tuple(-c / j for c in mat_vec(ad, u))
-            terms.append(AlgebraVector(u, MODE_EXACT))
-    return terms
+    return [v.scale(Fraction((-1) ** j, math.factorial(j)))
+            for j, v in enumerate(a.ad_chain(y, x, top))]
 
 
 def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
@@ -353,7 +329,7 @@ def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
             double = double + a.bracket(terms[2 * m + 1], terms[2 * n])
     route_difference = a.btheta_norm(value - double)
 
-    ad_f = a.ad_matrix(y.astype(MODE_FLOAT) if y.mode == MODE_EXACT else y)
+    ad_f = a.ad_matrix(y.astype(MODE_FLOAT))
     ad_norm = float(np.linalg.norm(ad_f, 2))
     x_norm = float(np.linalg.norm(x.to_array()))
     tail_bound = ad_norm ** (2 * K + 2) / math.factorial(2 * K + 2) * x_norm
@@ -377,13 +353,9 @@ def normal_field_check(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     """
     _require_pair(s, x)
     a = s.algebra
-    for b in s.basis:
-        val = a.killing_form(b, x)
-        if s.mode == MODE_EXACT:
-            if val != 0:
-                raise ValueError("X is not B-orthogonal to s (exact pairing %s)" % val)
-        elif abs(val) > float_tol(a.btheta_norm(b) * a.btheta_norm(x)):
-            raise ValueError("X is not B-orthogonal to s (pairing %g)" % val)
+    pairing = _normal_pairing(s, x)
+    if pairing is not None:
+        raise ValueError("X is not B-orthogonal to s (pairing %s)" % _num_str(pairing))
 
     terms = _series_terms(a, x, y, 2 * truncation)
     zp = terms[0]

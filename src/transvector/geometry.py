@@ -44,9 +44,7 @@ def _p_images(a: StructuredLieAlgebra):
     """Stacked complex images of the p-basis plus the re-expression pinv."""
     _require_realized(a)
     imgs = a.realization.images_complex          # (d, N, N)
-    pb = np.asarray(a.p_basis_float, dtype=float)
-    if pb.shape[0] != a.dim:
-        pb = pb.T                                # (d, dim_p)
+    pb = a.p_basis_float                         # (d, dim_p)
     p_im = np.einsum("ij,ikl->jkl", pb, imgs)    # (dim_p, N, N)
     flat = np.concatenate([p_im.real.reshape(p_im.shape[0], -1),
                            p_im.imag.reshape(p_im.shape[0], -1)], axis=1)
@@ -57,9 +55,7 @@ def _p_images(a: StructuredLieAlgebra):
 def _p_geometry(a: StructuredLieAlgebra):
     """(Pb, pinv(Pb), Gram of B on the p-basis) as float arrays; Pb has one
     column per p-basis vector."""
-    pbm = np.asarray(a.p_basis_float, dtype=float)
-    if pbm.shape[0] != a.dim:
-        pbm = pbm.T
+    pbm = a.p_basis_float
     k = a.killing_float
     gram = pbm.T @ k @ pbm
     return pbm, np.linalg.pinv(pbm), gram

@@ -35,6 +35,7 @@ from .exactla import (
     is_negative_definite,
     is_positive_definite,
     mat_mul,
+    mat_transpose,
     mat_vec,
     nullspace,
     qmat,
@@ -388,27 +389,30 @@ class StructuredLieAlgebra:
                     rows[k][j] += ci * c
         return [tuple(r) for r in rows]
 
-    def ad_power(self, y: AlgebraVector, k: int, x: AlgebraVector) -> AlgebraVector:
-        """ad_y^k x by iterated bracket."""
-        if k < 0:
+    def ad_chain(self, y: AlgebraVector, x: AlgebraVector, top: int) -> list:
+        """[x, ad_y x, ..., ad_y^top x], in the shared scalar mode of x and y.
+
+        ad_y is built once and applied top times: exact rows through mat_vec,
+        float64 as a matrix product.
+        """
+        if top < 0:
             raise ValueError("power must be nonnegative")
-        if k == 0:
-            return x
-        if k == 1:
-            return self.bracket(y, x)
         self._own(x)
         if y.mode != x.mode:
-            raise ValueError("mixed scalar modes in ad_power")
+            raise ValueError("mixed scalar modes in ad_chain")
         ad = self.ad_matrix(y)
-        if y.mode == MODE_FLOAT:
+        chain = [x]
+        if x.mode == MODE_FLOAT:
             v = x.to_array()
-            for _ in range(k):
+            for _ in range(top):
                 v = ad @ v
-            return AlgebraVector(tuple(v), MODE_FLOAT)
-        v = x.coeffs
-        for _ in range(k):
-            v = mat_vec(ad, v)
-        return AlgebraVector(v, MODE_EXACT)
+                chain.append(AlgebraVector(tuple(v), MODE_FLOAT))
+        else:
+            v = x.coeffs
+            for _ in range(top):
+                v = mat_vec(ad, v)
+                chain.append(AlgebraVector(v, MODE_EXACT))
+        return chain
 
     def killing_form(self, x: AlgebraVector, y: AlgebraVector):
         self._own(x), self._own(y)
@@ -542,7 +546,7 @@ class StructuredLieAlgebra:
         b = self.killing
         rep.residuals["killing_symmetry"] = float(
             max((abs(b[i][j] - b[j][i]) for i in range(d) for j in range(d)), default=F0))
-        bt = mat_mul(mat_mul(mat_transposed(self.theta), [list(r) for r in b]),
+        bt = mat_mul(mat_mul(mat_transpose(self.theta), [list(r) for r in b]),
                      [list(r) for r in self.theta])
         rep.residuals["killing_theta_invariance"] = float(
             max((abs(bt[i][j] - b[i][j]) for i in range(d) for j in range(d)), default=F0))
@@ -653,32 +657,6 @@ class StructuredLieAlgebra:
         rep.checks["killing_nondegenerate"] = bool(
             np.linalg.matrix_rank(b, tol=1e-10) == d)
         return rep
-
-
-def mat_transposed(m):
-    return [list(col) for col in zip(*m)]
-
-
-# Module-level op aliases matching the documented interface.
-
-def bracket(a: StructuredLieAlgebra, x, y):
-    return a.bracket(x, y)
-
-
-def ad_power(a: StructuredLieAlgebra, y, k: int, x):
-    return a.ad_power(y, k, x)
-
-
-def killing_form(a: StructuredLieAlgebra, x, y):
-    return a.killing_form(x, y)
-
-
-def cartan_split(a: StructuredLieAlgebra, v):
-    return a.cartan_split(v)
-
-
-def curvature_tensor(a: StructuredLieAlgebra, u, v, w):
-    return a.curvature_tensor(u, v, w)
 
 
 def validate_algebra(a: StructuredLieAlgebra, mode=MODE_EXACT) -> ValidationReport:

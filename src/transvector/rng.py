@@ -48,11 +48,3 @@ def odd_int_vector(gen: np.random.Generator, n: int, max_abs: int = 9) -> tuple:
     ks = gen.integers(-half, half, size=n)
     return tuple(Fraction(2 * int(k) + 1) for k in ks)
 
-
-def unit_float_vector(gen: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform direction on the Euclidean unit sphere."""
-    while True:
-        v = gen.standard_normal(n)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm

@@ -15,14 +15,14 @@ exactly; if the exact certification cannot account for the full dimension
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import rng
 from .exactla import F0, F1, SpanSolver, mat_vec, nullspace
-from .extension import ConditionVerdict, condition_holds, _clear_denominators, _num_str
+from .extension import ConditionVerdict, _num_str, _sample_y, condition_holds
 from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra
 from .subspaces import Subspace
 
@@ -86,10 +86,6 @@ class RootDatum:
     mode: str
     generic_h: AlgebraVector
     seed: int
-
-    def space_pair(self, lam):
-        lam = tuple(lam)
-        return self.k_spaces[lam], self.p_spaces[lam]
 
     def as_dict(self) -> dict:
         return {
@@ -483,20 +479,15 @@ def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
     odd_ok = even_ok = True
     odd_worst = even_worst = 0.0
     for _ in range(samples):
-        if rd.mode == MODE_EXACT:
-            coords = rng.rational_vector(gen, s.dim)
-            y = a.vector(_clear_denominators(s.member_from_coordinates(coords).coeffs))
-        else:
-            y = s.member_from_coordinates(tuple(gen.standard_normal(s.dim)))
-        w = x
-        for k in range(2 * n_max + 2):
-            w = a.bracket(y, w)
-            if k % 2 == 0:  # ad^{2n+1} X after an odd number of applications
-                mem, res = odd_target.contains(w)
+        y = _sample_y(s, gen)
+        chain = a.ad_chain(y, x, 2 * n_max + 2)
+        for k in range(1, 2 * n_max + 3):
+            if k % 2:
+                mem, res = odd_target.contains(chain[k])
                 odd_worst = max(odd_worst, res)
                 odd_ok = odd_ok and mem
             else:
-                mem, res = even_target.contains(w)
+                mem, res = even_target.contains(chain[k])
                 even_worst = max(even_worst, res)
                 even_ok = even_ok and mem
 

@@ -9,7 +9,6 @@ B_theta, so they are meaningful for vectors anywhere in g, not just in p.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -283,24 +282,3 @@ def _coeff_strings(v: AlgebraVector):
         return [str(c) for c in v.coeffs]
     return [repr(float(c)) for c in v.coeffs]
 
-
-# Module-level op aliases.
-
-def contains(s: Subspace, v: AlgebraVector):
-    return s.contains(v)
-
-
-def orthocomplement_in_p(s: Subspace) -> Subspace:
-    return s.orthocomplement_in_p()
-
-
-def is_lie_triple_system(s: Subspace):
-    return s.is_lie_triple_system()
-
-
-def is_reflective(b: Subspace):
-    return b.is_reflective()
-
-
-def is_totally_real(b: Subspace, jmat) -> bool:
-    return b.is_totally_real(jmat)

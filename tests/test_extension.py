@@ -167,6 +167,18 @@ def test_non_orthogonal_x_is_flagged_but_still_checked(sl2_pair):
     assert verdict.holds  # ad_H H = 0, all terms vanish
 
 
+def test_float_non_orthogonal_x_is_flagged_and_rejected(sl2_pair_float):
+    # B(H, H) = 8 is far outside the float tolerance; a pairing of 8e-13 is not
+    a, s, x = sl2_pair_float
+    verdict = condition_holds(s, s.basis[0], samples=2, seed=0)
+    assert verdict.warnings and verdict.holds
+    nearly_normal = x + s.basis[0].scale(1e-13)
+    assert not condition_holds(s, nearly_normal, samples=2, seed=0).warnings
+    with pytest.raises(ValueError, match="not B-orthogonal"):
+        normal_field_check(s, s.basis[0], s.basis[0])
+    assert normal_field_check(s, nearly_normal, s.basis[0]) <= 1e-9
+
+
 def test_mode_mismatch_is_an_error(sl2_pair):
     a, s, x = sl2_pair
     with pytest.raises(ValueError):

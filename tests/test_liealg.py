@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,10 +88,32 @@ def test_theta_is_an_exact_involutive_automorphism(sl2r, data):
 def test_ad_power_matches_repeated_bracket(sl2r):
     H = sl2r.basis_vector(0)
     x = sl2r.basis_vector(1) + sl2r.basis_vector(2)
+    y = sl2r.vector([Fraction(1, 2), 3, Fraction(-2, 3)])
     w = x
     for k in range(1, 6):
         w = sl2r.bracket(H, w)
-        assert sl2r.ad_power(H, k, x).coeffs == w.coeffs
+        assert sl2r.ad_chain(H, x, k)[k].coeffs == w.coeffs
+
+    # the exact chain is the repeated bracket, entry by entry
+    chain = sl2r.ad_chain(y, x, 6)
+    assert len(chain) == 7 and chain[0] == x
+    w = x
+    for k in range(1, 7):
+        w = sl2r.bracket(y, w)
+        assert chain[k] == w
+
+    # the float chain agrees with the exact chain converted to float
+    fchain = sl2r.ad_chain(y.astype(MODE_FLOAT), x.astype(MODE_FLOAT), 6)
+    for exact, approx in zip(chain, fchain):
+        assert approx.mode == MODE_FLOAT
+        want = exact.to_array()
+        assert np.max(np.abs(approx.to_array() - want)) <= 1e-12 * np.max(np.abs(want))
+    assert sl2r.ad_chain(y.astype(MODE_FLOAT), x.astype(MODE_FLOAT), 6)[6] == fchain[6]
+
+    with pytest.raises(ValueError):
+        sl2r.ad_chain(y, x.astype(MODE_FLOAT), 3)
+    with pytest.raises(ValueError):
+        sl2r.ad_chain(y.astype(MODE_FLOAT), x, 2)
 
 
 def test_validation_is_exact_zero(sl2r):

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import pytest
 
+from transvector import rng, roots
 from transvector.catalog import build_space
+from transvector.extension import _sample_y
 from transvector.liealg import MODE_EXACT, MODE_FLOAT
 from transvector.roots import (_decompose_float, build_root_space_example,
                                maximal_abelian, restricted_root_decomposition,
@@ -97,6 +99,44 @@ def test_root_space_example_bundles_pass():
         bundle = build_root_space_example(rd, lam, x, samples=4, seed=2)
         assert bundle.passed
         assert bundle.verdict.holds
+
+
+def test_root_space_example_checks_every_chain_power(monkeypatch):
+    """Per Y draw, ad_Y^k X goes to k_lambda for odd k = 1..2n+1 and to
+    a + p_{2 lambda} for even k = 2..2n+2, with n = dim p."""
+    a = build_space("su21")
+    _, rd = _decomp(a)
+    lam = rd.positive[0]
+    x = rd.a.member_from_coordinates((Fraction(3, 2),))
+    odd_seen, even_seen = [], []
+
+    class EvenTarget(Subspace):
+        # the only Subspace build_root_space_example constructs itself
+        def contains(self, v):
+            even_seen.append(v)
+            return super().contains(v)
+
+    odd_target = rd.k_spaces[lam]
+    odd_contains = odd_target.contains
+
+    def record_odd(v):
+        odd_seen.append(v)
+        return odd_contains(v)
+
+    monkeypatch.setattr(roots, "Subspace", EvenTarget)
+    monkeypatch.setattr(odd_target, "contains", record_odd)
+    build_root_space_example(rd, lam, x, samples=2, seed=5)
+
+    n_max = len(a.p_basis)
+    gen = rng.stream(5, rng.STREAM_LEMMA)
+    want_odd, want_even = [], []
+    for _ in range(2):
+        chain = a.ad_chain(_sample_y(rd.p_spaces[lam], gen), x, 2 * n_max + 2)
+        want_odd += chain[1::2]
+        want_even += chain[2::2]
+    assert len(want_even) == 2 * (n_max + 1)
+    assert odd_seen == want_odd
+    assert even_seen == want_even
 
 
 def test_example_rejects_x_outside_a():
