@@ -10,15 +10,15 @@ Sections, in any order, one per line header in brackets:
                  entries "a", "a/b", "bi", or "a/b+c/di"; optional lines
                  "signature s1 ... sN" and "unimodular true|false"
 
-'#' starts a comment.  Parsing is exact (Fractions all the way down), and a
-parsed algebra is validated immediately: a Jacobi or involution failure is
-rejected as hard as a syntax error, with its witness in the message.
+'#' starts a comment.  Parsing is exact (canonical ints and Fractions, see
+exactla.frac), and a parsed algebra is validated immediately: a Jacobi or
+involution failure is rejected as hard as a syntax error, with its witness in
+the message.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .errors import ConfigError
 from .exactla import Qi, frac
@@ -38,12 +38,12 @@ def _fail(path, lineno, msg):
     raise ConfigError("%s:%d: %s" % (path, lineno, msg))
 
 
-def _im_value(tok: str) -> Fraction:
+def _im_value(tok: str):
     body = tok[:-1]
     if body in ("", "+"):
-        return Fraction(1)
+        return 1
     if body == "-":
-        return Fraction(-1)
+        return -1
     return frac(body)
 
 
@@ -51,9 +51,9 @@ def parse_qi(token: str) -> Qi:
     """Parse 'a', 'a/b', 'ci', '-i', or 'a/b+c/di' into a Gaussian rational."""
     text = token.replace(" ", "")
     if _REAL_RE.fullmatch(text):
-        return Qi(frac(text), Fraction(0))
+        return Qi(frac(text))
     if _IMAG_RE.fullmatch(text):
-        return Qi(Fraction(0), _im_value(text))
+        return Qi(0, _im_value(text))
     m = _BOTH_RE.fullmatch(text)
     if m:
         return Qi(frac(m.group("re")), _im_value(m.group("im")))
@@ -225,7 +225,7 @@ def serialize_algebra(a: StructuredLieAlgebra, path: str):
     """Inverse of parse_algebra_file, modulo comments and spacing."""
     out = ["[basis]", " ".join(a.labels), "", "[bracket]"]
     for (i, j), entry in sorted(a.table.items()):
-        coeffs = [str(entry.get(k, Fraction(0))) for k in range(a.dim)]
+        coeffs = [str(entry.get(k, 0)) for k in range(a.dim)]
         out.append("%d %d -> %s" % (i + 1, j + 1, " ".join(coeffs)))
     out += ["", "[theta]"]
     for row in a.theta:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigError
-from .exactla import F0, F1, Qi, SpanSolver, qmat_comm, qmat_realify
+from .exactla import Qi, SpanSolver, qmat_comm, qmat_realify
 from .liealg import MODE_EXACT, AlgebraVector, MatrixRealization, StructuredLieAlgebra
 from .subspaces import Subspace
 
@@ -153,8 +153,7 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
             entry = {k: c for k, c in enumerate(coords) if c != 0}
             if entry:
                 brackets[(i, j)] = entry
-    theta = tuple(tuple((F1 if i == j else F0) if j < k_dim else
-                        (Fraction(-1) if i == j else F0)
+    theta = tuple(tuple((1 if j < k_dim else -1) if i == j else 0
                         for j in range(d)) for i in range(d))
     real = MatrixRealization(size=size, images=tuple(mats),
                              signature=signature, unimodular=True)
@@ -224,9 +223,13 @@ def _x_grid(frame):
     return (v1, v2, v1 + v2, v1 + v2.scale(-1), v1.scale(2) + v2.scale(3))
 
 
+@lru_cache(maxsize=None)
 def build_pair(space_id: str, pair_name: str) -> CatalogEntry:
     """Construct a named reflective pair; the reflectivity certificate runs
-    at build time so a bad table cannot escape into downstream checks."""
+    at build time so a bad table cannot escape into downstream checks.
+
+    Cached per (space, pair) like build_space, so the certificates run once
+    per process; a build that raises is not cached."""
     sid = space_id.strip().lower()
     parse_space_id(sid)  # surfaces the unsupported-family message first
     pairs = _PAIR_TABLE.get(sid)

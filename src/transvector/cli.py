@@ -12,7 +12,7 @@ import argparse
 import re
 import sys
 import time
-from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,10 +58,10 @@ def parse_x_expression(a, expr: str):
         if label not in a.labels:
             raise ConfigError("unknown basis label %r (space %s has %s)"
                               % (label, a.name, ", ".join(a.labels)))
-        c = frac(coeff) if coeff else Fraction(1)
+        c = frac(coeff) if coeff else 1
         if sign == "-":
             c = -c
-        combo[label] = combo.get(label, Fraction(0)) + c
+        combo[label] = combo.get(label, 0) + c
     return a.from_labels(combo)
 
 
@@ -286,7 +286,10 @@ def _cmd_catalog(args):
     return results, True
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse_args returns a fresh
+    namespace, and subcommand defaults are applied per parse."""
     ap = argparse.ArgumentParser(
         prog="transvector",
         description="certificates and measurements for minimal extensions "

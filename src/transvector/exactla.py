@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists (or tuples) of row tuples of fractions.Fraction; vectors
-are tuples.  Catalog algebras have dimension <= 15, so everything here is
-plain dense Gauss-Jordan: clarity and exactness over asymptotics.  Nothing in
-this module touches floating point.
+Matrices are lists (or tuples) of row tuples of exact scalars; vectors are
+tuples.  An exact scalar is canonical: a Python int whenever it is integral,
+a fractions.Fraction only when a real denominator remains (frac is the one
+normaliser, div the one exact division).  Every catalog algebra has integer
+structure constants, so its exact paths run on ints alone; rational inputs
+run the same code in mixed int/Fraction arithmetic.  Catalog algebras have
+dimension <= 15, so everything here is plain dense Gauss-Jordan: clarity and
+exactness over asymptotics.  Nothing in this module touches floating point.
 
 Complex scalars appear only through Gaussian rationals (the Qi class), used
 by matrix realizations with entries a + b*i, a and b rational.
@@ -11,25 +15,36 @@ by matrix realizations with entries a + b*i, a and b rational.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
-F0 = Fraction(0)
-F1 = Fraction(1)
 
-
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/2', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def frac(x):
+    """Canonical exact scalar of an int, a string like '3/2' or a Fraction:
+    an int when the denominator is 1, else a Fraction.  Floats are refused."""
+    if type(x) is int:
         return x
     if isinstance(x, float):
         raise TypeError("refusing silent float -> Fraction coercion: %r" % (x,))
-    return Fraction(x)
+    q = x if isinstance(x, Fraction) else Fraction(x)
+    return int(q.numerator) if q.denominator == 1 else q
+
+
+def div(a, b):
+    """Exact quotient a / b of exact scalars, canonical (never a float)."""
+    return frac(Fraction(a, b))
 
 
 def vec_dot(a, b):
-    # zero factors are skipped: 97-98% of the products on the benchmark
-    # workloads have one, and a Fraction product costs a gcd even then
-    return sum((x * y for x, y in zip(a, b) if x and y), F0)
+    return sum(map(operator.mul, a, b))
+
+
+def clear_denominators(v):
+    """v times the lcm of its denominators, as Python ints: the same span
+    and the same kernel, so membership and sign tests may use it."""
+    lcm = math.lcm(*(c.denominator for c in v))
+    return tuple(c.numerator * (lcm // c.denominator) for c in v)
 
 
 def vec_is_zero(a) -> bool:
@@ -37,7 +52,7 @@ def vec_is_zero(a) -> bool:
 
 
 def identity(n: int):
-    return [tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)]
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def mat_vec(m, v):
@@ -54,7 +69,8 @@ def mat_transpose(m):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
+    """Reduced row echelon form, canonical scalars.  Returns (rows, pivot
+    column indices)."""
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -67,7 +83,8 @@ def rref(rows):
             continue
         m[r], m[pivot] = m[pivot], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        if pv != 1:
+            m[r] = [div(x, pv) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
@@ -76,7 +93,7 @@ def rref(rows):
         r += 1
         if r == len(m):
             break
-    return [tuple(row) for row in m], pivots
+    return [tuple(map(frac, row)) for row in m], pivots
 
 
 def rank(rows) -> int:
@@ -93,8 +110,8 @@ def nullspace(rows):
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [F0] * ncols
-        v[fc] = F1
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
         basis.append(tuple(v))
@@ -104,7 +121,7 @@ def nullspace(rows):
 def invert(m):
     """Exact inverse, or None if singular."""
     n = len(m)
-    aug = [tuple(m[i]) + tuple(F1 if j == i else F0 for j in range(n)) for i in range(n)]
+    aug = [tuple(m[i]) + tuple(int(j == i) for j in range(n)) for i in range(n)]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None
@@ -118,7 +135,7 @@ def solve(m, b):
     ncols = len(m[0]) if m else 0
     if ncols in pivots:  # pivot in the augmented column
         return None
-    x = [F0] * ncols
+    x = [0] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return tuple(x)
@@ -139,7 +156,7 @@ def is_positive_definite(sym) -> bool:
             return False
         for i in range(k + 1, n):
             if m[i][k] != 0:
-                f = m[i][k] / p
+                f = div(m[i][k], p)
                 for j in range(k, n):
                     m[i][j] -= f * m[k][j]
     return True
@@ -154,7 +171,10 @@ class SpanSolver:
 
     Precomputes row operations T with T*A in reduced echelon form, so each
     query is a single matrix-vector product.  Columns need not be
-    independent; coordinates() is only offered when they are.
+    independent; coordinates() is only offered when they are.  Membership
+    needs only the rows of T past the rank, which annihilate the columns;
+    scaling a row does not change its kernel, so each is stored scaled to
+    integers and a membership test is integer dot products against zero.
     """
 
     def __init__(self, columns):
@@ -166,13 +186,13 @@ class SpanSolver:
                 raise ValueError("ragged columns")
         d, k = self.dim, self.ncols
         aug = [tuple(columns[j][i] for j in range(k))
-               + tuple(F1 if j == i else F0 for j in range(d))
+               + tuple(int(j == i) for j in range(d))
                for i in range(d)]
         red, pivots = rref(aug)
         self.pivots = [p for p in pivots if p < k]
         self.rank = len(self.pivots)
         self._t = [row[k:] for row in red]
-        self._r = [row[:k] for row in red]
+        self._null_rows = [clear_denominators(row) for row in self._t[self.rank:]]
         self.independent = self.rank == k
 
     def transform(self, v):
@@ -181,8 +201,9 @@ class SpanSolver:
         return tuple(vec_dot(row, v) for row in self._t)
 
     def contains(self, v) -> bool:
-        w = self.transform(v)
-        return all(x == 0 for x in w[self.rank:])
+        if len(v) != self.dim:
+            raise ValueError("dimension mismatch")
+        return not any(vec_dot(row, v) for row in self._null_rows)
 
     def coordinates(self, v):
         """Coefficients c with A c = v, or None if v is outside the span."""
@@ -191,7 +212,7 @@ class SpanSolver:
         w = self.transform(v)
         if any(x != 0 for x in w[self.rank:]):
             return None
-        c = [F0] * self.ncols
+        c = [0] * self.ncols
         for r, pc in enumerate(self.pivots):
             c[pc] = w[r]
         return tuple(c)
@@ -201,7 +222,7 @@ class SpanSolver:
 # Gaussian rationals and exact complex matrices.
 
 class Qi:
-    """Gaussian rational a + b*i with Fraction parts."""
+    """Gaussian rational a + b*i with canonical exact parts (see frac)."""
 
     __slots__ = ("re", "im")
 
@@ -261,7 +282,7 @@ QI0 = Qi(0, 0)
 def _as_qi(x) -> Qi:
     if isinstance(x, Qi):
         return x
-    return Qi(frac(x), F0)
+    return Qi(x)
 
 
 def qmat(entries):

@@ -15,7 +15,9 @@ n >= dim p is a rational combination of the tested ones; N_max = dim p.
 
 Scaling note: [X, ad_{cY}^{2n+1} X] = c^{2n+1} [X, ad_Y^{2n+1} X], so
 membership is invariant under rescaling Y.  Exact sampling exploits this by
-clearing denominators, keeping iterated brackets in integer arithmetic.
+clearing denominators: Y is a vector of Python ints, so on an algebra with
+integer structure constants and an integral X every iterated bracket and
+every membership test runs on ints (exactla.frac keeps scalars canonical).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from . import rng
 from .errors import LemmaFalsified
+from .exactla import clear_denominators
 from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, float_tol
 from .subspaces import Subspace
 
@@ -128,7 +131,8 @@ class SeriesReport:
 
 
 def _num_str(c):
-    return str(c) if isinstance(c, Fraction) else repr(float(c))
+    """Exact scalars (int or Fraction) print exactly, floats through repr."""
+    return repr(float(c)) if isinstance(c, float) else str(c)
 
 
 def _require_pair(s: Subspace, x: AlgebraVector, check_lts=True):
@@ -166,19 +170,11 @@ def _normal_pairing(s: Subspace, x: AlgebraVector):
     return None
 
 
-def _clear_denominators(coeffs):
-    """Scale a rational vector to integers; membership is scaling-invariant."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return tuple(c * lcm for c in coeffs)
-
-
 def _sample_y(s: Subspace, gen) -> AlgebraVector:
     if s.mode == MODE_EXACT:
         coords = rng.rational_vector(gen, s.dim)
         y = s.member_from_coordinates(coords)
-        return s.algebra.vector(_clear_denominators(y.coeffs))
+        return s.algebra.vector(clear_denominators(y.coeffs))
     coords = gen.standard_normal(s.dim)
     return s.member_from_coordinates(tuple(float(c) for c in coords))
 

@@ -4,10 +4,12 @@ The algebra is the data (basis labels, sparse bracket table, involution
 matrix Theta); everything else (Killing form, eigenspace bases k and p,
 adjoint matrices, curvature) is derived from it, never entered by hand.
 
-Scalar discipline: two modes.  "exact" keeps every coefficient a
-fractions.Fraction so algebraic predicates are certificates; "float64" is
-reserved for the geometry layer and explicit conversions.  Mixing modes in
-one operation is an error, not a coercion.
+Scalar discipline: two modes.  "exact" keeps every coefficient a canonical
+exact scalar (exactla.frac: a Python int when integral, else a
+fractions.Fraction), so algebraic predicates are certificates; on the
+catalog's integer structure constants the exact paths never build a
+Fraction.  "float64" is reserved for the geometry layer and explicit
+conversions.  Mixing modes in one operation is an error, not a coercion.
 
 Conventions fixed here and asserted by tests:
   - theta-eigenspaces: k for +1, p for -1; B = trace(ad . ad) is negative
@@ -28,8 +30,6 @@ from functools import cached_property
 import numpy as np
 
 from .exactla import (
-    F0,
-    F1,
     SpanSolver,
     frac,
     is_negative_definite,
@@ -49,6 +49,7 @@ from .exactla import (
     qmat_to_complex,
     qmat_trace,
     rank,
+    vec_dot,
 )
 
 MODE_EXACT = "exact"
@@ -74,7 +75,7 @@ class AlgebraVector:
             raise ValueError("unknown scalar mode %r" % (self.mode,))
         if self.mode == MODE_EXACT:
             object.__setattr__(
-                self, "coeffs", tuple(frac(c) for c in self.coeffs))
+                self, "coeffs", tuple(map(frac, self.coeffs)))
         else:
             object.__setattr__(
                 self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -262,10 +263,10 @@ class StructuredLieAlgebra:
         """Killing matrix B_ij = trace(ad_i ad_j), exact."""
         d = self.dim
         ad = self.ad_columns
-        b = [[F0] * d for _ in range(d)]
+        b = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
-                s = F0
+                s = 0
                 for a, vec_i in ad[i].items():
                     col_j = ad[j]
                     for bb, c in vec_i.items():
@@ -287,20 +288,20 @@ class StructuredLieAlgebra:
     @cached_property
     def theta_squared_is_identity(self) -> bool:
         sq = mat_mul([list(r) for r in self.theta], [list(r) for r in self.theta])
-        return all(sq[i][j] == (F1 if i == j else F0)
+        return all(sq[i][j] == int(i == j)
                    for i in range(self.dim) for j in range(self.dim))
 
     @cached_property
     def k_basis(self):
         """Basis of the +1 eigenspace of theta (exact coefficient vectors)."""
-        rows = [tuple(self.theta[i][j] - (F1 if i == j else F0) for j in range(self.dim))
+        rows = [tuple(self.theta[i][j] - int(i == j) for j in range(self.dim))
                 for i in range(self.dim)]
         return tuple(nullspace(rows))
 
     @cached_property
     def p_basis(self):
         """Basis of the -1 eigenspace of theta."""
-        rows = [tuple(self.theta[i][j] + (F1 if i == j else F0) for j in range(self.dim))
+        rows = [tuple(self.theta[i][j] + int(i == j) for j in range(self.dim))
                 for i in range(self.dim)]
         return tuple(nullspace(rows))
 
@@ -356,7 +357,7 @@ class StructuredLieAlgebra:
         return AlgebraVector(self._bracket_exact(x.coeffs, y.coeffs), MODE_EXACT)
 
     def _bracket_exact(self, u, v):
-        acc = [F0] * self.dim
+        acc = [0] * self.dim
         nzu = [(i, c) for i, c in enumerate(u) if c != 0]
         nzv = [(j, c) for j, c in enumerate(v) if c != 0]
         for i, ci in nzu:
@@ -377,7 +378,7 @@ class StructuredLieAlgebra:
         if y.mode == MODE_FLOAT:
             return np.einsum("i,ijk->kj", y.to_array(), self.structure_tensor)
         d = self.dim
-        rows = [[F0] * d for _ in range(d)]
+        rows = [[0] * d for _ in range(d)]
         for (i, j), entry in self.table.items():
             ci, cj = y.coeffs[i], y.coeffs[j]
             if cj != 0:
@@ -420,18 +421,16 @@ class StructuredLieAlgebra:
             raise ValueError("mixed scalar modes in killing_form")
         if x.mode == MODE_FLOAT:
             return float(x.to_array() @ self.killing_float @ y.to_array())
-        return sum((x.coeffs[i] * sum((self.killing[i][j] * y.coeffs[j]
-                                       for j in range(self.dim)), F0)
-                    for i in range(self.dim)), F0)
+        return sum(c * vec_dot(row, y.coeffs)
+                   for c, row in zip(x.coeffs, self.killing))
 
     def btheta_form(self, x: AlgebraVector, y: AlgebraVector):
         """Positive definite form -B(x, theta y)."""
         self._own(x), self._own(y)
         if x.mode == MODE_FLOAT:
             return float(x.to_array() @ self.btheta_float @ y.to_array())
-        return sum((x.coeffs[i] * sum((self.btheta[i][j] * y.coeffs[j]
-                                       for j in range(self.dim)), F0)
-                    for i in range(self.dim)), F0)
+        return sum(c * vec_dot(row, y.coeffs)
+                   for c, row in zip(x.coeffs, self.btheta))
 
     def btheta_norm(self, x: AlgebraVector) -> float:
         return math.sqrt(max(0.0, float(self.btheta_form(x, x))))
@@ -506,7 +505,7 @@ class StructuredLieAlgebra:
         # as an explicit zero so reports always carry the entry.
         rep.residuals["antisymmetry"] = 0.0
 
-        worst = F0
+        worst = 0
         witness = None
         basis = [self.basis_vector(i) for i in range(d)]
         for i in range(d):
@@ -520,7 +519,7 @@ class StructuredLieAlgebra:
                     s = tuple(a + b for a, b in zip(
                         s, self._bracket_exact(basis[k].coeffs,
                                                self._bracket_exact(basis[i].coeffs, basis[j].coeffs))))
-                    m = max((abs(x) for x in s), default=F0)
+                    m = max((abs(x) for x in s), default=0)
                     if m > worst:
                         worst = m
                         witness = {
@@ -533,32 +532,32 @@ class StructuredLieAlgebra:
 
         rep.checks["theta_involution"] = self.theta_squared_is_identity
 
-        worst = F0
+        worst = 0
         for (i, j) in [(i, j) for i in range(d) for j in range(i + 1, d)]:
             lhs = mat_vec(self.theta, self._bracket_exact(basis[i].coeffs, basis[j].coeffs))
             ti = tuple(self.theta[r][i] for r in range(d))
             tj = tuple(self.theta[r][j] for r in range(d))
             rhs = self._bracket_exact(ti, tj)
-            m = max((abs(a - b) for a, b in zip(lhs, rhs)), default=F0)
+            m = max((abs(a - b) for a, b in zip(lhs, rhs)), default=0)
             worst = max(worst, m)
         rep.residuals["theta_automorphism"] = float(worst)
 
         b = self.killing
         rep.residuals["killing_symmetry"] = float(
-            max((abs(b[i][j] - b[j][i]) for i in range(d) for j in range(d)), default=F0))
+            max((abs(b[i][j] - b[j][i]) for i in range(d) for j in range(d)), default=0))
         bt = mat_mul(mat_mul(mat_transpose(self.theta), [list(r) for r in b]),
                      [list(r) for r in self.theta])
         rep.residuals["killing_theta_invariance"] = float(
-            max((abs(bt[i][j] - b[i][j]) for i in range(d) for j in range(d)), default=F0))
+            max((abs(bt[i][j] - b[i][j]) for i in range(d) for j in range(d)), default=0))
 
-        worst = F0
+        worst = 0
         for i in range(d):
             adi = self.ad_columns[i]
             for j in range(d):
                 lhs_vec = adi.get(j, {})
                 for k in range(j, d):
-                    term1 = sum((c * b[kk][k] for kk, c in lhs_vec.items()), F0)
-                    term2 = sum((c * b[j][kk] for kk, c in adi.get(k, {}).items()), F0)
+                    term1 = sum(c * b[kk][k] for kk, c in lhs_vec.items())
+                    term2 = sum(c * b[j][kk] for kk, c in adi.get(k, {}).items())
                     worst = max(worst, abs(term1 + term2))
         rep.residuals["killing_invariance"] = float(worst)
 
@@ -574,7 +573,7 @@ class StructuredLieAlgebra:
             rep.checks["killing_negdef_on_k"] = is_negative_definite(bk) if kb else True
             rep.checks["killing_posdef_on_p"] = is_positive_definite(bp) if pb else False
 
-            worst = F0
+            worst = 0
             pairs = [("kk", kb, kb, self.k_solver), ("kp", kb, pb, self.p_solver),
                      ("pp", pb, pb, self.k_solver)]
             for tag, left, right, solver in pairs:
@@ -582,7 +581,7 @@ class StructuredLieAlgebra:
                     for y in right:
                         z = self._bracket_exact(x, y)
                         w = solver.transform(z)
-                        tail = max((abs(t) for t in w[solver.rank:]), default=F0)
+                        tail = max((abs(t) for t in w[solver.rank:]), default=0)
                         worst = max(worst, tail)
             rep.residuals["bracket_parity"] = float(worst)
         else:
@@ -596,7 +595,7 @@ class StructuredLieAlgebra:
         real = self.realization
         d = self.dim
         ims = real.images
-        worst_comm = F0
+        worst_comm = 0
         for (i, j) in [(i, j) for i in range(d) for j in range(i + 1, d)]:
             expect = None
             for k, c in self.table.get((i, j), {}).items():
@@ -604,14 +603,14 @@ class StructuredLieAlgebra:
                 expect = scaled if expect is None else qmat_add(expect, scaled)
             got = qmat_comm(ims[i], ims[j])
             diff = got if expect is None else qmat_sub(got, expect)
-            m = max((max(abs(x.re), abs(x.im)) for row in diff for x in row), default=F0)
+            m = max((max(abs(x.re), abs(x.im)) for row in diff for x in row), default=0)
             worst_comm = max(worst_comm, m)
         rep.residuals["realization_commutators"] = float(worst_comm)
 
         # d(theta)(X) = -X^dagger must match the declared Theta columnwise.
-        worst = F0
+        worst = 0
         for i in range(d):
-            lhs = qmat_scale(Fraction(-1), qmat_conj_t(ims[i]))
+            lhs = qmat_scale(-1, qmat_conj_t(ims[i]))
             rhs = None
             for r in range(d):
                 c = self.theta[r][i]
@@ -619,7 +618,7 @@ class StructuredLieAlgebra:
                     scaled = qmat_scale(c, ims[r])
                     rhs = scaled if rhs is None else qmat_add(rhs, scaled)
             diff = lhs if rhs is None else qmat_sub(lhs, rhs)
-            m = max((max(abs(x.re), abs(x.im)) for row in diff for x in row), default=F0)
+            m = max((max(abs(x.re), abs(x.im)) for row in diff for x in row), default=0)
             worst = max(worst, m)
         rep.residuals["realization_involution"] = float(worst)
 

@@ -8,9 +8,9 @@ seed reproduces every sample bit for bit regardless of thread count.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
+
+from .exactla import div
 
 # Fixed stream ids; adding new consumers means appending here, never renumbering.
 STREAM_CONDITION_Y = 1
@@ -30,7 +30,8 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
 
 def rational_vector(gen: np.random.Generator, n: int,
                     max_num: int = 4, denominators=(1, 2, 3)) -> tuple:
-    """Small random rational vector, never the zero vector.
+    """Small random rational vector of canonical exact scalars, never the
+    zero vector.
 
     Entries p/q with |p| <= max_num, q from `denominators`.  Small entries keep
     exact-arithmetic blowup in iterated brackets manageable.
@@ -39,12 +40,12 @@ def rational_vector(gen: np.random.Generator, n: int,
         nums = gen.integers(-max_num, max_num + 1, size=n)
         dens = gen.choice(denominators, size=n)
         if np.any(nums != 0):
-            return tuple(Fraction(int(p), int(q)) for p, q in zip(nums, dens))
+            return tuple(div(int(p), int(q)) for p, q in zip(nums, dens))
 
 
 def odd_int_vector(gen: np.random.Generator, n: int, max_abs: int = 9) -> tuple:
-    """Vector of odd integers in [-max_abs, max_abs], as Fractions."""
+    """Vector of odd Python ints in [-max_abs, max_abs]."""
     half = (max_abs + 1) // 2
     ks = gen.integers(-half, half, size=n)
-    return tuple(Fraction(2 * int(k) + 1) for k in ks)
+    return tuple(2 * int(k) + 1 for k in ks)
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .exactla import F0, F1, SpanSolver, mat_vec, nullspace
+from .exactla import SpanSolver, div, frac, mat_vec, nullspace
 from .extension import ConditionVerdict, _num_str, _sample_y, condition_holds
 from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra
 from .subspaces import Subspace
@@ -54,7 +54,7 @@ def maximal_abelian(a: StructuredLieAlgebra) -> Subspace:
                     mats.append(tuple(cols[j][r] for j in range(len(a.p_basis))))
             null = nullspace(mats)
         else:
-            null = [tuple(F1 if i == j else F0 for i in range(len(a.p_basis)))
+            null = [tuple(int(i == j) for i in range(len(a.p_basis)))
                     for j in range(len(a.p_basis))]
         span = SpanSolver([c.coeffs for c in chosen]) if chosen else None
         picked = None
@@ -112,13 +112,13 @@ def _eigen_candidates(ad_float: np.ndarray, max_den: int = 64):
     eigs = np.linalg.eigvals(ad_float)
     cands = set()
     for e in eigs:
-        cands.add(Fraction(float(e.real)).limit_denominator(max_den))
+        cands.add(frac(Fraction(float(e.real)).limit_denominator(max_den)))
     return sorted(cands)
 
 
-def _exact_kernel(a: StructuredLieAlgebra, ad_rows, mu: Fraction):
+def _exact_kernel(a: StructuredLieAlgebra, ad_rows, mu):
     d = a.dim
-    rows = [tuple(ad_rows[i][j] - (mu if i == j else F0) for j in range(d))
+    rows = [tuple(ad_rows[i][j] - (mu if i == j else 0) for j in range(d))
             for i in range(d)]
     return nullspace(rows)
 
@@ -132,14 +132,14 @@ def _scalar_action(a: StructuredLieAlgebra, basis_vecs, space):
         for v in space:
             w = mat_vec(ad, v)
             pivot = next((i for i, c in enumerate(v) if c != 0), None)
-            cand = w[pivot] / v[pivot]
+            cand = div(w[pivot], v[pivot])
             if any(w[i] != cand * v[i] for i in range(len(v))):
                 return None
             if lam is None:
                 lam = cand
             elif lam != cand:
                 return None
-        values.append(lam if lam is not None else F0)
+        values.append(lam if lam is not None else 0)
     return tuple(values)
 
 
@@ -188,7 +188,7 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
         # exact certification cannot account for the whole space
         raise _NeedsFloat()
 
-    zero_space = spaces.get(Fraction(0), [])
+    zero_space = spaces.get(0, [])
     k_zero, p_zero = _split_zero_space(a, zero_space)
     if len(p_zero) != asub.dim:
         raise _NotGeneric("centralizer of H meets p in dimension %d > dim a = %d"
@@ -206,7 +206,7 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
             raise _NotGeneric("eigenvalue %s mixes distinct roots" % mu)
         # consistency: the functional must reproduce mu on H
         hcoords = asub.solver.coordinates(h.coeffs)
-        if sum((c * l for c, l in zip(hcoords, lam)), F0) != mu:
+        if sum(c * l for c, l in zip(hcoords, lam)) != mu:
             raise _NotGeneric("scalar action inconsistent with eigenvalue")
         functionals[mu] = lam
 
@@ -251,17 +251,17 @@ def _split_zero_space(a, zero_space):
         return [], []
     k_list, p_list = [], []
     solver = SpanSolver(zero_space)
-    for sign, target in ((F1, k_list), (Fraction(-1), p_list)):
+    for sign, target in ((1, k_list), (-1, p_list)):
         # vectors v in V_0 with theta v = sign * v
         rows = []
         dim = a.dim
         # parametrize v = sum c_i z_i, impose (theta - sign) v = 0
         for r in range(dim):
             rows.append(tuple(
-                sum((a.theta[r][i] * z[i] for i in range(dim)), F0) - sign * z[r]
+                sum(a.theta[r][i] * z[i] for i in range(dim)) - sign * z[r]
                 for z in zero_space))
         for co in nullspace(rows):
-            v = tuple(sum((c * z[i] for c, z in zip(co, zero_space)), F0)
+            v = tuple(sum(c * z[i] for c, z in zip(co, zero_space))
                       for i in range(dim))
             target.append(v)
     return k_list, p_list

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactla import F0, SpanSolver, invert, mat_vec, nullspace
+from .exactla import SpanSolver, invert, mat_vec, nullspace
 from .liealg import (
     MODE_EXACT,
     MODE_FLOAT,
@@ -72,7 +72,7 @@ class Subspace:
     def _gram_exact(self):
         bt = self.algebra.btheta
         pair = [tuple(mat_vec(bt, b.coeffs)) for b in self.basis]  # k rows of length d
-        gram = [tuple(sum((row[i] * b.coeffs[i] for i in range(self.algebra.dim)), F0)
+        gram = [tuple(sum(row[i] * b.coeffs[i] for i in range(self.algebra.dim))
                       for b in self.basis) for row in pair]
         ginv = invert([list(r) for r in gram])
         return pair, ginv
@@ -90,7 +90,7 @@ class Subspace:
             return v
         if self.mode == MODE_EXACT:
             pair, ginv = self._gram_exact
-            rhs = tuple(sum((row[i] * v.coeffs[i] for i in range(len(row))), F0)
+            rhs = tuple(sum(row[i] * v.coeffs[i] for i in range(len(row)))
                         for row in pair)
             coords = mat_vec(ginv, rhs)
             proj = self.algebra.zero()
@@ -149,10 +149,10 @@ class Subspace:
                 rows = []
             else:
                 bk = a.killing
-                rows = [tuple(sum((mat_vec(bk, b.coeffs)[i] * p[i] for i in range(a.dim)), F0)
+                rows = [tuple(sum(mat_vec(bk, b.coeffs)[i] * p[i] for i in range(a.dim))
                               for p in pb)
                         for b in self.basis]
-            coords = nullspace(rows) if rows else [tuple(F0 if i != j else 1 for i in range(len(pb)))
+            coords = nullspace(rows) if rows else [tuple(int(i == j) for i in range(len(pb)))
                                                    for j in range(len(pb))]
             vectors = []
             for co in coords:

@@ -128,3 +128,12 @@ def test_complex_structure_refused_outside_su():
         complex_structure_matrix(build_space("so31"))
     with pytest.raises(ConfigError):
         complex_structure_matrix(build_space("sl3r"))
+
+
+def test_build_pair_is_cached_per_pair():
+    entry = build_pair("su21", "real-form")
+    assert build_pair("su21", "real-form") is entry
+    assert build_pair("su21", "complex-hyperplane") is not entry
+    for _ in range(2):  # a failing build is not cached: it raises every time
+        with pytest.raises(ConfigError):
+            build_pair("su21", "no-such-pair")

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from transvector.cli import load_subspace_file, parse_x_expression, run
+from transvector.cli import (build_parser, load_subspace_file,
+                             parse_x_expression, run)
 from transvector.errors import ConfigError
 from transvector.report import render, strip_wall_time
 
@@ -156,3 +157,24 @@ def test_subspace_file_loader_rejects_garbage(tmp_path, su21):
     p.write_text(json.dumps([{"P1": "1"}, {"Nope": "1"}]))
     with pytest.raises(ConfigError):
         load_subspace_file(su21, str(p))
+
+
+def test_cached_parser_keeps_subcommand_defaults_apart(tmp_path):
+    """verify defaults to 16 samples, lemma to 4 and check to 64; reusing one
+    parser must not carry one command's defaults or options into the next."""
+    assert build_parser() is build_parser()
+    status, rep = _run(tmp_path, "lemma", "--space", "sp21",
+                       "--pair", "real-form")
+    assert status == 2
+    assert rep["config"]["samples"] == 4 and rep["config"]["m_max"] == 4
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps([{"S12": "1"}]))
+    status, rep = _run(tmp_path, "verify", "--space", "sl3r",
+                       "--s", str(custom), "--X", "bad")
+    assert status == 1
+    assert rep["config"]["samples"] == 16
+    status, rep = _run(tmp_path, "check", "--space", "sp21",
+                       "--pair", "real-form")
+    assert status == 2
+    assert rep["config"]["samples"] == 64
+    assert "m_max" not in rep["config"] and "s_file" not in rep["config"]
