@@ -162,7 +162,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
                                        name=path.rsplit("/", 1)[-1].rsplit(".", 1)[0])
     except ValueError as e:
         raise ConfigError("%s: inconsistent algebra data: %s" % (path, e))
-    report = algebra.validate("exact")
+    report = algebra.validate()
     if not report.passed:
         bad = {k: v for k, v in report.residuals.items()
                if (isinstance(v, float) and v != 0.0)}

@@ -64,10 +64,6 @@ def mat_mul(a, b):
     return [tuple(vec_dot(row, col) for col in bt) for row in a]
 
 
-def mat_transpose(m):
-    return [tuple(col) for col in zip(*m)]
-
-
 def rref(rows):
     """Reduced row echelon form, canonical scalars.  Returns (rows, pivot
     column indices)."""
@@ -256,9 +252,6 @@ class Qi:
     def __neg__(self):
         return Qi(-self.re, -self.im)
 
-    def conj(self):
-        return Qi(self.re, -self.im)
-
     def __eq__(self, o):
         o = _as_qi(o)
         return self.re == o.re and self.im == o.im
@@ -268,9 +261,6 @@ class Qi:
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return "Qi(%s, %s)" % (self.re, self.im)
@@ -285,22 +275,8 @@ def _as_qi(x) -> Qi:
     return Qi(x)
 
 
-def qmat(entries):
-    """Build a Qi matrix from any nest of ints/Fractions/Qi."""
-    return tuple(tuple(_as_qi(x) for x in row) for row in entries)
-
-
-def qmat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def qmat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def qmat_scale(c, a):
-    c = _as_qi(c)
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def qmat_mul(a, b):
@@ -324,29 +300,8 @@ def qmat_comm(a, b):
     return qmat_sub(qmat_mul(a, b), qmat_mul(b, a))
 
 
-def qmat_conj_t(a):
-    return tuple(tuple(a[j][i].conj() for j in range(len(a))) for i in range(len(a[0])))
-
-
-def qmat_trace(a):
-    s = QI0
-    for i in range(len(a)):
-        s = s + a[i][i]
-    return s
-
-
-def qmat_is_zero(a) -> bool:
-    return all(not x for row in a for x in row)
-
-
 def qmat_realify(a):
     """Flatten to a real coordinate vector (all re parts, then all im parts)."""
     res = [x.re for row in a for x in row]
     ims = [x.im for row in a for x in row]
     return tuple(res + ims)
-
-
-def qmat_to_complex(a):
-    import numpy as np
-
-    return np.array([[complex(x) for x in row] for row in a], dtype=complex)

@@ -11,6 +11,11 @@ catalog's integer structure constants the exact paths never build a
 Fraction.  "float64" is reserved for the geometry layer and explicit
 conversions.  Mixing modes in one operation is an error, not a coercion.
 
+Validation is exact only.  The structure tensor C, Theta, the Killing
+matrix and the realified realization images are numpy arrays; their dtype follows from the data (exact_dtype): int64 when every
+entry is an int and no sum validate forms can overflow, object (Python ints
+and Fractions) otherwise.  The float64 caches are these arrays cast to float.
+
 Conventions fixed here and asserted by tests:
   - theta-eigenspaces: k for +1, p for -1; B = trace(ad . ad) is negative
     definite on k and positive definite on p (noncompact type).
@@ -34,20 +39,8 @@ from .exactla import (
     frac,
     is_negative_definite,
     is_positive_definite,
-    mat_mul,
-    mat_transpose,
     mat_vec,
     nullspace,
-    qmat,
-    qmat_add,
-    qmat_comm,
-    qmat_conj_t,
-    qmat_is_zero,
-    qmat_mul,
-    qmat_scale,
-    qmat_sub,
-    qmat_to_complex,
-    qmat_trace,
     rank,
     vec_dot,
 )
@@ -61,6 +54,19 @@ FLOAT_EPS = 1e-9
 
 def float_tol(scale: float) -> float:
     return FLOAT_EPS * (1.0 + scale)
+
+
+def _exact(x):
+    """Canonical exact scalar of an entry of an exact array (int64 or object)."""
+    return int(x) if isinstance(x, np.integer) else frac(x)
+
+
+def _canonical(m: np.ndarray) -> tuple:
+    return tuple(tuple(map(_exact, row)) for row in m)
+
+
+def _max_abs(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m), initial=0))
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,19 @@ class MatrixRealization:
     signature: tuple | None = None
     unimodular: bool = True
 
+    def realified(self, dtype) -> np.ndarray:
+        """Images as real 2N x 2N blocks [[A, -B], [B, A]] of A + iB: a ring
+        map under which the conjugate transpose becomes the transpose."""
+        re = np.array([[[q.re for q in row] for row in m] for m in self.images], dtype=dtype)
+        im = np.array([[[q.im for q in row] for row in m] for m in self.images], dtype=dtype)
+        return np.block([[re, -im], [im, re]])
+
     @cached_property
     def images_complex(self) -> np.ndarray:
-        return np.stack([qmat_to_complex(m) for m in self.images])
+        n, r = self.size, self.realified(float)
+        out = np.empty((len(self.images), n, n), dtype=complex)
+        out.real, out.imag = r[:, :n, :n], r[:, n:, :n]
+        return out
 
     @cached_property
     def j_matrix(self) -> np.ndarray | None:
@@ -154,33 +170,27 @@ class MatrixRealization:
 
 @dataclass
 class ValidationReport:
-    """Residuals and verdicts from validate_algebra."""
+    """Exact residuals (max |entry|, as floats) and verdicts from
+    validate_algebra; it passes when every check holds and every residual
+    is 0."""
 
     name: str
-    mode: str
     dims: dict
     residuals: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
 
     @property
-    def tolerance(self) -> float:
-        return 0.0 if self.mode == MODE_EXACT else 1e-12
-
-    @property
     def passed(self) -> bool:
-        return (all(self.checks.values())
-                and all(r <= self.tolerance for r in self.residuals.values()))
+        return all(self.checks.values()) and not any(self.residuals.values())
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "mode": self.mode,
             "dims": dict(self.dims),
             "residuals": dict(self.residuals),
             "checks": dict(self.checks),
             "witnesses": dict(self.witnesses),
-            "tolerance": self.tolerance,
             "passed": self.passed,
         }
 
@@ -250,46 +260,55 @@ class StructuredLieAlgebra:
     # -- derived structure ---------------------------------------------------
 
     @cached_property
-    def ad_columns(self):
-        """ad_columns[i][j] = sparse coefficient dict of [e_i, e_j]."""
-        cols = [dict() for _ in range(self.dim)]
+    def exact_dtype(self):
+        """int64 when every entry of the table, Theta and the realization is
+        an int and 4 n^4 m^4 < 2^63 (n = max(d, 2N), m = the largest |entry|,
+        at least 1), which bounds every sum validate forms; object otherwise
+        (rational or huge entries), so the exact arrays never round."""
+        entries = [c for entry in self.table.values() for c in entry.values()]
+        entries += [x for row in self.theta for x in row]
+        n = self.dim
+        real = self.realization
+        if real is not None:
+            n = max(n, 2 * real.size)
+            entries += [x for m in real.images for row in m for q in row
+                        for x in (q.re, q.im)]
+            entries += list(real.signature or ())
+        if not all(type(x) is int for x in entries):
+            return object
+        m = max(1, max(map(abs, entries), default=1))
+        return np.int64 if 4 * n ** 4 * m ** 4 < 2 ** 63 else object
+
+    @cached_property
+    def structure_exact(self) -> np.ndarray:
+        """C[i, j, k] = coefficient of e_k in [e_i, e_j], exact_dtype."""
+        d = self.dim
+        c = np.zeros((d, d, d), dtype=self.exact_dtype)
         for (i, j), entry in self.table.items():
-            cols[i][j] = entry
-            cols[j][i] = {k: -c for k, c in entry.items()}
-        return cols
+            for k, coef in entry.items():
+                c[i, j, k] = coef
+                c[j, i, k] = -coef
+        return c
+
+    @cached_property
+    def theta_exact(self) -> np.ndarray:
+        return np.array(self.theta, dtype=self.exact_dtype)
+
+    @cached_property
+    def killing_exact(self) -> np.ndarray:
+        """B_ij = trace(ad_i ad_j), with (ad_i)_ba = C[i, a, b]."""
+        c = self.structure_exact
+        return np.einsum("iab,jba->ij", c, c)
 
     @cached_property
     def killing(self):
-        """Killing matrix B_ij = trace(ad_i ad_j), exact."""
-        d = self.dim
-        ad = self.ad_columns
-        b = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
-                s = 0
-                for a, vec_i in ad[i].items():
-                    col_j = ad[j]
-                    for bb, c in vec_i.items():
-                        back = col_j.get(bb)
-                        if back is not None:
-                            ca = back.get(a)
-                            if ca is not None:
-                                s += c * ca
-                b[i][j] = s
-                b[j][i] = s
-        return tuple(tuple(row) for row in b)
+        """Killing matrix as rows of canonical exact scalars."""
+        return _canonical(self.killing_exact)
 
     @cached_property
     def btheta(self):
         """Matrix of B_theta(x, y) = -B(x, theta y), positive definite on g."""
-        bt = mat_mul([list(r) for r in self.killing], [list(r) for r in self.theta])
-        return tuple(tuple(-x for x in row) for row in bt)
-
-    @cached_property
-    def theta_squared_is_identity(self) -> bool:
-        sq = mat_mul([list(r) for r in self.theta], [list(r) for r in self.theta])
-        return all(sq[i][j] == int(i == j)
-                   for i in range(self.dim) for j in range(self.dim))
+        return _canonical(-(self.killing_exact @ self.theta_exact))
 
     @cached_property
     def k_basis(self):
@@ -318,25 +337,19 @@ class StructuredLieAlgebra:
     @cached_property
     def structure_tensor(self) -> np.ndarray:
         """C[i, j, :] = coefficients of [e_i, e_j], float64."""
-        d = self.dim
-        c = np.zeros((d, d, d))
-        for (i, j), entry in self.table.items():
-            for k, coef in entry.items():
-                c[i, j, k] = float(coef)
-                c[j, i, k] = -float(coef)
-        return c
+        return self.structure_exact.astype(float)
 
     @cached_property
     def killing_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.killing])
+        return self.killing_exact.astype(float)
 
     @cached_property
     def theta_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.theta])
+        return self.theta_exact.astype(float)
 
     @cached_property
     def btheta_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.btheta])
+        return np.array(self.btheta, dtype=float)
 
     @cached_property
     def p_basis_float(self) -> np.ndarray:
@@ -490,80 +503,36 @@ class StructuredLieAlgebra:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, mode=MODE_EXACT) -> ValidationReport:
-        if mode == MODE_EXACT:
-            return self._validate_exact()
-        if mode == MODE_FLOAT:
-            return self._validate_float()
-        raise ValueError("unknown mode %r" % (mode,))
+    def validate(self) -> ValidationReport:
+        """Every axiom the extension theorem presumes, checked exactly.
 
-    def _validate_exact(self) -> ValidationReport:
+        Each algebraic check is one tensor expression over the exact arrays
+        (dtype exact_dtype), and each residual is the exact max |entry| of
+        its expression, reported as a float.  Jacobi and the realization
+        commutators run one basis index at a time, so memory stays
+        O(d^3 + d N^2) whatever d a file declares.
+        """
         d = self.dim
-        rep = ValidationReport(name=self.name, mode=MODE_EXACT, dims={"d": d})
+        c, th, b = self.structure_exact, self.theta_exact, self.killing_exact
+        rep = ValidationReport(name=self.name, dims={"d": d})
 
         # Antisymmetry is structural (the table stores i < j only); recorded
         # as an explicit zero so reports always carry the entry.
         rep.residuals["antisymmetry"] = 0.0
+        self._check_jacobi(rep)
 
-        worst = 0
-        witness = None
-        basis = [self.basis_vector(i) for i in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                for k in range(j + 1, d):
-                    s = self._bracket_exact(basis[i].coeffs,
-                                            self._bracket_exact(basis[j].coeffs, basis[k].coeffs))
-                    s = tuple(a + b for a, b in zip(
-                        s, self._bracket_exact(basis[j].coeffs,
-                                               self._bracket_exact(basis[k].coeffs, basis[i].coeffs))))
-                    s = tuple(a + b for a, b in zip(
-                        s, self._bracket_exact(basis[k].coeffs,
-                                               self._bracket_exact(basis[i].coeffs, basis[j].coeffs))))
-                    m = max((abs(x) for x in s), default=0)
-                    if m > worst:
-                        worst = m
-                        witness = {
-                            "triple": [self.labels[i], self.labels[j], self.labels[k]],
-                            "residual": [str(x) for x in s],
-                        }
-        rep.residuals["jacobi"] = float(worst)
-        if witness:
-            rep.witnesses["jacobi"] = witness
+        involution = bool(np.array_equal(th @ th, np.eye(d, dtype=int)))
+        rep.checks["theta_involution"] = involution
+        rep.residuals["theta_automorphism"] = _max_abs(
+            np.einsum("ijk,lk->ijl", c, th)
+            - np.einsum("ri,sj,rsk->ijk", th, th, c, optimize=True))
+        rep.residuals["killing_symmetry"] = _max_abs(b - b.T)
+        rep.residuals["killing_theta_invariance"] = _max_abs(th.T @ b @ th - b)
+        rep.residuals["killing_invariance"] = _max_abs(
+            np.einsum("ija,ak->ijk", c, b) + np.einsum("ika,ja->ijk", c, b))
+        rep.checks["killing_nondegenerate"] = rank(self.killing) == d
 
-        rep.checks["theta_involution"] = self.theta_squared_is_identity
-
-        worst = 0
-        for (i, j) in [(i, j) for i in range(d) for j in range(i + 1, d)]:
-            lhs = mat_vec(self.theta, self._bracket_exact(basis[i].coeffs, basis[j].coeffs))
-            ti = tuple(self.theta[r][i] for r in range(d))
-            tj = tuple(self.theta[r][j] for r in range(d))
-            rhs = self._bracket_exact(ti, tj)
-            m = max((abs(a - b) for a, b in zip(lhs, rhs)), default=0)
-            worst = max(worst, m)
-        rep.residuals["theta_automorphism"] = float(worst)
-
-        b = self.killing
-        rep.residuals["killing_symmetry"] = float(
-            max((abs(b[i][j] - b[j][i]) for i in range(d) for j in range(d)), default=0))
-        bt = mat_mul(mat_mul(mat_transpose(self.theta), [list(r) for r in b]),
-                     [list(r) for r in self.theta])
-        rep.residuals["killing_theta_invariance"] = float(
-            max((abs(bt[i][j] - b[i][j]) for i in range(d) for j in range(d)), default=0))
-
-        worst = 0
-        for i in range(d):
-            adi = self.ad_columns[i]
-            for j in range(d):
-                lhs_vec = adi.get(j, {})
-                for k in range(j, d):
-                    term1 = sum(c * b[kk][k] for kk, c in lhs_vec.items())
-                    term2 = sum(c * b[j][kk] for kk, c in adi.get(k, {}).items())
-                    worst = max(worst, abs(term1 + term2))
-        rep.residuals["killing_invariance"] = float(worst)
-
-        rep.checks["killing_nondegenerate"] = rank([list(r) for r in b]) == d
-
-        if self.theta_squared_is_identity:
+        if involution:
             kb, pb = self.k_basis, self.p_basis
             rep.dims["k"] = len(kb)
             rep.dims["p"] = len(pb)
@@ -588,75 +557,58 @@ class StructuredLieAlgebra:
             rep.checks["eigenspace_split"] = False
 
         if self.realization is not None:
-            self._validate_realization_exact(rep)
+            self._check_realization(rep)
         return rep
 
-    def _validate_realization_exact(self, rep: ValidationReport):
-        real = self.realization
-        d = self.dim
-        ims = real.images
-        worst_comm = 0
-        for (i, j) in [(i, j) for i in range(d) for j in range(i + 1, d)]:
-            expect = None
-            for k, c in self.table.get((i, j), {}).items():
-                scaled = qmat_scale(c, ims[k])
-                expect = scaled if expect is None else qmat_add(expect, scaled)
-            got = qmat_comm(ims[i], ims[j])
-            diff = got if expect is None else qmat_sub(got, expect)
-            m = max((max(abs(x.re), abs(x.im)) for row in diff for x in row), default=0)
-            worst_comm = max(worst_comm, m)
-        rep.residuals["realization_commutators"] = float(worst_comm)
+    def _check_jacobi(self, rep: ValidationReport):
+        """Cyclic sum [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]],
+        one i at a time over j, k > i; the witness is the first worst
+        i < j < k triple in lexicographic order."""
+        c, d = self.structure_exact, self.dim
+        worst, witness = 0, None
+        for i in range(d - 2):
+            s = slice(i + 1, None)
+            jac = (c[s, s] @ c[i]
+                   + np.einsum("ka,jab->jkb", c[s, i], c[s])
+                   + np.einsum("ja,kab->jkb", c[i, s], c[s]))
+            # (k, j) mirrors (j, k), so the first row-major maximum has j < k
+            mags = np.abs(jac).max(axis=2)
+            at = int(np.argmax(mags))
+            if mags.flat[at] > worst:
+                worst = mags.flat[at]
+                j, k = divmod(at, d - i - 1)
+                witness = {
+                    "triple": [self.labels[i], self.labels[i + 1 + j],
+                               self.labels[i + 1 + k]],
+                    "residual": [str(_exact(x)) for x in jac[j, k]],
+                }
+        rep.residuals["jacobi"] = float(worst)
+        if witness:
+            rep.witnesses["jacobi"] = witness
 
-        # d(theta)(X) = -X^dagger must match the declared Theta columnwise.
+    def _check_realization(self, rep: ValidationReport):
+        real, d = self.realization, self.dim
+        c, th, r = self.structure_exact, self.theta_exact, real.realified(self.exact_dtype)
         worst = 0
         for i in range(d):
-            lhs = qmat_scale(-1, qmat_conj_t(ims[i]))
-            rhs = None
-            for r in range(d):
-                c = self.theta[r][i]
-                if c != 0:
-                    scaled = qmat_scale(c, ims[r])
-                    rhs = scaled if rhs is None else qmat_add(rhs, scaled)
-            diff = lhs if rhs is None else qmat_sub(lhs, rhs)
-            m = max((max(abs(x.re), abs(x.im)) for row in diff for x in row), default=0)
-            worst = max(worst, m)
-        rep.residuals["realization_involution"] = float(worst)
+            # [R_i, R_j] - sum_k C[i, j, k] R_k for every j
+            diff = r[i] @ r - r @ r[i] - np.einsum("jk,kab->jab", c[i], r)
+            worst = max(worst, np.max(np.abs(diff)))
+        rep.residuals["realization_commutators"] = float(worst)
 
-        ok = True
-        for im in ims:
-            if real.unimodular and qmat_trace(im):
-                ok = False
-            if real.signature is not None:
-                jm = qmat([[real.signature[r] if r == s else 0
-                            for s in range(real.size)] for r in range(real.size)])
-                rel = qmat_add(qmat_mul(qmat_conj_t(im), jm), qmat_mul(jm, im))
-                if not qmat_is_zero(rel):
-                    ok = False
-        rep.checks["realization_algebra_relations"] = ok
+        # d(theta)(X) = -X^dagger must match the declared Theta columnwise;
+        # on realified blocks the conjugate transpose is the transpose.
+        rep.residuals["realization_involution"] = _max_abs(
+            r.transpose(0, 2, 1) + np.einsum("ri,rab->iab", th, r))
 
-    def _validate_float(self) -> ValidationReport:
-        d = self.dim
-        rep = ValidationReport(name=self.name, mode=MODE_FLOAT, dims={"d": d})
-        c = self.structure_tensor
-        rep.residuals["antisymmetry"] = float(np.max(np.abs(c + c.transpose(1, 0, 2)), initial=0.0))
-        jac = (np.einsum("jka,iab->ijkb", c, c)
-               + np.einsum("kia,jab->ijkb", c, c)
-               + np.einsum("ija,kab->ijkb", c, c))
-        rep.residuals["jacobi"] = float(np.max(np.abs(jac), initial=0.0))
-        th = self.theta_float
-        rep.checks["theta_involution"] = bool(np.max(np.abs(th @ th - np.eye(d))) <= 1e-12)
-        lhs = np.einsum("ijk,lk->ijl", c, th)
-        rhs = np.einsum("ri,sj,rsk->ijk", th, th, c)
-        rep.residuals["theta_automorphism"] = float(np.max(np.abs(lhs - rhs), initial=0.0))
-        b = self.killing_float
-        rep.residuals["killing_symmetry"] = float(np.max(np.abs(b - b.T), initial=0.0))
-        rep.residuals["killing_theta_invariance"] = float(np.max(np.abs(th.T @ b @ th - b), initial=0.0))
-        inv = np.einsum("ija,ak->ijk", c, b) + np.einsum("ika,ja->ijk", c, b)
-        rep.residuals["killing_invariance"] = float(np.max(np.abs(inv), initial=0.0))
-        rep.checks["killing_nondegenerate"] = bool(
-            np.linalg.matrix_rank(b, tol=1e-10) == d)
-        return rep
+        n = real.size
+        re_im = r[:, :, :n].reshape(d, 2, n, n)      # the A and B of A + iB
+        ok = not (real.unimodular and np.einsum("kxaa->kx", re_im).any())
+        if real.signature is not None:
+            jm = np.diag(np.array(real.signature * 2, dtype=r.dtype))
+            ok = ok and not (r.transpose(0, 2, 1) @ jm + jm @ r).any()
+        rep.checks["realization_algebra_relations"] = bool(ok)
 
 
-def validate_algebra(a: StructuredLieAlgebra, mode=MODE_EXACT) -> ValidationReport:
-    return a.validate(mode)
+def validate_algebra(a: StructuredLieAlgebra) -> ValidationReport:
+    return a.validate()

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from transvector.exactla import (SpanSolver, frac, identity, invert,
                                  is_positive_definite, mat_mul, mat_vec,
-                                 nullspace, qmat_comm, qmat_conj_t,
-                                 qmat_realify, Qi, rank, rref, solve,
-                                 vec_is_zero)
+                                 nullspace, qmat_comm, qmat_realify, Qi,
+                                 rank, rref, solve, vec_is_zero)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -90,7 +89,6 @@ def test_gaussian_rationals_commutator_and_flattening():
     c = qmat_comm(a, b)
     # [a, b] = ab - ba with exact Gaussian entries
     assert c == ((Qi(0, 0), Qi(0, -2)), (Qi(0, 2), Qi(0, 0)))
-    assert qmat_conj_t(a) == ((Qi(0, 0), Qi(0, -1)), (Qi(0, -1), Qi(0, 0)))
     # coordinate flattening is linear and lays out re block then im block
     assert qmat_realify(((Qi(1, 2), Qi(3, -4)),)) == (1, 3, 2, -4)
     flat_sum = qmat_realify(tuple(

@@ -54,6 +54,13 @@ COMMANDS = {
     "roots-sl3r": ["roots", "--space", "sl3r", "--examples", "--samples", "1"],
     "construct-su21": ["construct", "--space", "su21", "--pair", "real-form",
                        "--t-steps", "3", "--y-steps", "3"],
+    # exit 2: corrupted copies of sl2r.alg; the message pins the residuals,
+    # the failed checks and the Jacobi witness
+    "roots-bad-jacobi": ["roots", "--algebra-file", "bad-jacobi.alg"],
+    "roots-bad-theta": ["roots", "--algebra-file", "bad-theta.alg"],
+    "roots-huge-commutator": ["roots", "--algebra-file", "huge-commutator.alg"],
+    "roots-huge-jacobi": ["roots", "--algebra-file", "huge-jacobi.alg"],
+    "roots-rational-jacobi": ["roots", "--algebra-file", "rational-jacobi.alg"],
 }
 
 

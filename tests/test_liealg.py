@@ -9,12 +9,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transvector.liealg import MODE_FLOAT, StructuredLieAlgebra, validate_algebra
+from transvector.catalog import build_space
+from transvector.exactla import Qi
+from transvector.liealg import (MODE_FLOAT, MatrixRealization,
+                                StructuredLieAlgebra, validate_algebra)
 
 small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -123,15 +129,22 @@ def test_validation_is_exact_zero(sl2r):
     assert rep.dims == {"d": 3, "k": 1, "p": 2}
 
 
-def _sl2_like(ef_bracket):
+SL2_THETA = ((-1, 0, 0), (0, 0, -1), (0, -1, 0))
+# the matrix model H = diag(1,-1), E = E12, F = E21
+SL2_REALIZATION = MatrixRealization(size=2, images=tuple(
+    tuple(tuple(Qi(x) for x in row) for row in m)
+    for m in (((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 0)))))
+
+
+def _sl2_like(ef_bracket, theta=SL2_THETA, realization=None):
     # [H,E] = 2E, [H,F] = -2F, [E,F] = ef_bracket as coefficients over (H,E,F)
     brackets = {
         (0, 1): {1: 2},
         (0, 2): {2: -2},
         (1, 2): ef_bracket,
     }
-    theta = ((-1, 0, 0), (0, 0, -1), (0, -1, 0))
-    return StructuredLieAlgebra(["H", "E", "F"], brackets, theta, name="probe")
+    return StructuredLieAlgebra(["H", "E", "F"], brackets, theta,
+                                realization=realization, name="probe")
 
 
 def test_rescaled_bracket_table_still_validates():
@@ -156,6 +169,150 @@ def test_non_involutive_theta_is_rejected():
     rep = validate_algebra(StructuredLieAlgebra(["H", "E", "F"], brackets,
                                                 theta, name="badtheta"))
     assert not rep.passed
+
+
+def test_huge_constants_validate_exactly_on_the_object_path():
+    # [E,F] = 2^70 H is sl(2,R) with F rescaled by 2^70; B(E,F) = 2^72 does
+    # not fit in an int64, so the exact arrays hold Python ints
+    a = _sl2_like({0: 2 ** 70})
+    assert a.exact_dtype is object
+    rep = validate_algebra(a)
+    assert rep.passed
+    assert all(r == 0 for r in rep.residuals.values())
+    assert all(type(x) is int for row in a.killing for x in row)
+    assert a.killing[1][2] == 2 ** 72 and a.killing[0][0] == 8
+
+
+def test_exact_dtype_follows_the_overflow_bound():
+    # d = 3, no realization: int64 iff 4 * 3^4 * m^4 < 2^63, i.e. m <= 12990
+    for m, dtype in ((2 ** 13, np.int64), (2 ** 14, object)):
+        a = _sl2_like({0: m})
+        assert a.exact_dtype is dtype
+        assert validate_algebra(a).passed
+        assert a.killing[1][2] == 4 * m and type(a.killing[1][2]) is int
+    assert _sl2_like({0: Fraction(1, 2)}).exact_dtype is object
+    assert _sl2_like({0: 1}, realization=SL2_REALIZATION).exact_dtype is np.int64
+
+
+def _fresh(a, dtype=None):
+    """An uncached copy of a, its exact dtype pre-seeded when given."""
+    b = StructuredLieAlgebra(a.labels, a.table, a.theta, a.realization, a.name)
+    if dtype is not None:
+        b.__dict__["exact_dtype"] = dtype
+    return b
+
+
+_SWAPPED_E = MatrixRealization(size=2, images=(
+    SL2_REALIZATION.images[0], SL2_REALIZATION.images[2], SL2_REALIZATION.images[2]))
+DIFFERENTIAL = {
+    "su21": lambda: build_space("su21"),
+    "su31": lambda: build_space("su31"),
+    "so31": lambda: build_space("so31"),
+    "sl3r": lambda: build_space("sl3r"),
+    "sl2r": lambda: _sl2_like({0: 1}, realization=SL2_REALIZATION),
+    "jacobi": lambda: _sl2_like({0: 1, 1: 1}, realization=SL2_REALIZATION),
+    "theta": lambda: _sl2_like({0: 1}, ((-1, 0, 0), (0, 0, 1), (0, -1, 0)),
+                               SL2_REALIZATION),
+    "commutator": lambda: _sl2_like({0: 2}, realization=SL2_REALIZATION),
+    "image": lambda: _sl2_like({0: 1}, realization=_SWAPPED_E),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_object_arrays_report_what_int64_reports(name):
+    a = DIFFERENTIAL[name]()
+    fast, slow = _fresh(a), _fresh(a, object)
+    assert fast.exact_dtype is np.int64
+    assert slow.killing_exact.dtype == object
+    want = fast.validate().as_dict()
+    assert slow.validate().as_dict() == want
+    assert slow.killing == fast.killing
+    assert want["passed"] == (name in ("su21", "su31", "so31", "sl3r", "sl2r"))
+
+
+def _corrupted_su21(value):
+    b = build_space("su21")
+    table = {k: dict(v) for k, v in b.table.items()}
+    first, fifth = sorted(table)[0], sorted(table)[4]
+    table[first][0] = table[first].get(0, 0) + value
+    table[fifth][b.dim - 1] = value
+    return StructuredLieAlgebra(b.labels, table, b.theta, b.realization, "bad")
+
+
+def _loop_reference(a):
+    """(Jacobi residual, first worst triple and cyclic sum, theta residual,
+    Killing matrix) from brackets, one basis pair or triple at a time."""
+    d = a.dim
+    e = [a.basis_vector(i) for i in range(d)]
+    worst, witness = 0, None
+    for i, j, k in itertools.combinations(range(d), 3):
+        s = (a.bracket(e[i], a.bracket(e[j], e[k]))
+             + a.bracket(e[j], a.bracket(e[k], e[i]))
+             + a.bracket(e[k], a.bracket(e[i], e[j])))
+        if max(map(abs, s.coeffs)) > worst:
+            worst = max(map(abs, s.coeffs))
+            witness = {"triple": [a.labels[t] for t in (i, j, k)],
+                       "residual": [str(x) for x in s.coeffs]}
+    auto = max(max(map(abs, (a.apply_theta(a.bracket(x, y))
+                             - a.bracket(a.apply_theta(x), a.apply_theta(y))).coeffs))
+               for x in e for y in e)
+    ad = [a.ad_matrix(x) for x in e]
+    killing = tuple(tuple(sum(ad[i][r][t] * ad[j][t][r] for r in range(d) for t in range(d))
+                          for j in range(d)) for i in range(d))
+    return worst, witness, auto, killing
+
+
+@pytest.mark.parametrize("build", [
+    DIFFERENTIAL["jacobi"], DIFFERENTIAL["theta"],
+    lambda: _sl2_like({0: 2 ** 70, 1: 2 ** 70}),
+    lambda: _sl2_like({0: Fraction(1, 3), 1: Fraction(1, 2)}),
+    lambda: _corrupted_su21(1), lambda: _corrupted_su21(Fraction(1, 3)),
+    lambda: _sl2_sum(2, ef_bracket={0: 1, 1: 1}),
+    lambda: build_space("so31"),
+], ids=["jacobi", "theta", "huge", "rational", "su21-int", "su21-rational",
+        "two-copies", "so31"])
+def test_tensor_checks_match_the_bracket_loops(build):
+    a = build()
+    worst, witness, auto, killing = _loop_reference(a)
+    rep = validate_algebra(a)
+    assert rep.residuals["jacobi"] == float(worst)
+    assert rep.witnesses.get("jacobi") == witness
+    assert rep.residuals["theta_automorphism"] == float(auto)
+    assert a.killing == killing
+
+
+def _sl2_sum(copies, ef_bracket={0: 1}):
+    """Direct sum of sl(2,R) copies, realized block-diagonally; [E,F] is
+    ef_bracket over (H, E, F) in every copy."""
+    d, n = 3 * copies, 2 * copies
+    labels, brackets, images = [], {}, []
+    theta = [[0] * d for _ in range(d)]
+    for c in range(copies):
+        h, e, f = 3 * c, 3 * c + 1, 3 * c + 2
+        labels += ["H%d" % c, "E%d" % c, "F%d" % c]
+        brackets.update({(h, e): {e: 2}, (h, f): {f: -2},
+                         (e, f): {h + k: c for k, c in ef_bracket.items()}})
+        theta[h][h] = theta[e][f] = theta[f][e] = -1
+        for m in SL2_REALIZATION.images:
+            images.append(tuple(
+                tuple(m[r - 2 * c][s - 2 * c] if 0 <= r - 2 * c < 2 and 0 <= s - 2 * c < 2
+                      else Qi(0) for s in range(n)) for r in range(n)))
+    real = MatrixRealization(size=n, images=tuple(images))
+    return StructuredLieAlgebra(labels, brackets, theta, realization=real, name="sl2sum")
+
+
+def test_validation_memory_stays_below_any_unsliced_tensor():
+    # d = 30, N = 20: one unsliced Jacobi tensor alone is d^4 int64 = 6.5 MB,
+    # one unsliced commutator stack d^2 (2N)^2 int64 = 11.5 MB
+    a = _sl2_sum(10)
+    tracemalloc.start()
+    try:
+        rep = a.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.dims == {"d": 30, "k": 10, "p": 20}
+    assert peak < 4_000_000
 
 
 def test_float_mode_round_trips_through_exact_table(sl2r):
