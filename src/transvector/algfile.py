@@ -207,6 +207,8 @@ def _parse_realization(path, lines, d):
             rows.append(tuple(parse_qi(c) for c in cells))
         except ValueError as e:
             _fail(path, lineno, str(e))
+        except ZeroDivisionError:
+            _fail(path, lineno, "zero denominator in a matrix entry")
     if size is None:
         _fail(path, lines[0][0] if lines else 1, "realization without size")
     if signature is not None and len(signature) != size:

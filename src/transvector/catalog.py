@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from .errors import ConfigError
 from .exactla import Qi, SpanSolver, qmat_comm, qmat_realify
@@ -317,8 +318,7 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     base_gap = abs(distance(a, base, z_plus) - distance(a, base, z_minus))
     max_delta = 0.0
     witness = None
-    ys = np.meshgrid(*([grid.y_axis()] * entry.s.dim), indexing="ij")
-    y_nodes = np.stack([m.ravel() for m in ys], axis=-1)
+    y_nodes = list(product(grid.y_axis(), repeat=entry.s.dim))
     for t in grid.t_axis():
         for y in y_nodes:
             q = immersion_point(spec, float(t), y)
@@ -337,7 +337,7 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
         "max_delta": max_delta,
         "witness": witness,
         "equidistant": max_delta <= tol,
-        "samples": int(len(grid.t_axis()) * y_nodes.shape[0]),
+        "samples": len(grid.t_axis()) * len(y_nodes),
     }
 
 

@@ -9,6 +9,7 @@ expectation failed, 2 configuration/input error, 3 numerical breakdown.
 from __future__ import annotations
 
 import argparse
+import json
 import re
 import sys
 import time
@@ -30,7 +31,8 @@ from .roots import (build_root_space_example, maximal_abelian,
                     restricted_root_decomposition, verify_commutation_rules)
 from .subspaces import Subspace
 
-_TERM_RE = re.compile(r"^([+-]?)(\d+(?:/\d+)?)?\*?([A-Za-z]\w*)$")
+# a coefficient is an integer or a fraction with a nonzero denominator
+_TERM_RE = re.compile(r"^([+-]?)(\d+(?:/0*[1-9]\d*)?)?\*?([A-Za-z]\w*)$")
 
 
 def parse_x_expression(a, expr: str):
@@ -53,7 +55,8 @@ def parse_x_expression(a, expr: str):
     for term in re.findall(r"[+-]?[^+-]+", compact):
         m = _TERM_RE.match(term)
         if not m:
-            raise ConfigError("cannot parse X term %r" % term)
+            raise ConfigError("cannot parse X term %r (a coefficient is an "
+                              "integer or a/b with b != 0)" % term)
         sign, coeff, label = m.groups()
         if label not in a.labels:
             raise ConfigError("unknown basis label %r (space %s has %s)"
@@ -66,9 +69,8 @@ def parse_x_expression(a, expr: str):
 
 
 def load_subspace_file(a, path: str) -> Subspace:
-    """JSON list of {label: rational} vectors spanning s."""
-    import json
-
+    """JSON list of {label: rational} vectors spanning s; a coefficient is an
+    integer or a rational string."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -85,6 +87,9 @@ def load_subspace_file(a, path: str) -> Subspace:
     for k, combo in enumerate(data):
         if not isinstance(combo, dict) or not combo:
             raise ConfigError("%s: vector %d is not a label mapping" % (path, k))
+        if any(type(c) not in (int, str) for c in combo.values()):
+            raise ConfigError("%s: vector %d has a coefficient that is not an "
+                              "integer or a rational string" % (path, k))
         try:
             vectors.append(a.from_labels({lab: frac(c) for lab, c in combo.items()}))
         except KeyError as e:

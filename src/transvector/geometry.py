@@ -3,15 +3,21 @@
 Points live in one global normal-coordinate chart (the space is nonpositively
 curved and simply connected, so exp at the base point is a diffeomorphism).
 Everything metric is derived from two primitives: the polar projection
-cartan_project (group element -> p-vector) and the pullback metric
+cartan_project (group element -> p-coordinates) and the pullback metric
 g_P(u,v) = B(S(P)u, S(P)v) with S(P) = sum_k ad_P^{2k}/(2k+1)! on p.
 
-Mean curvature is estimated with central finite differences in the chart:
-second derivatives of the immersion map, ambient Christoffel symbols from
-differenced metrics, trace against the induced metric, then a metric
-projection onto the normal space.  The estimator is O(h^2); with the default
-h = 1e-3 its error budget sits near 1e-6, two decades under the acceptance
-tolerance for the minimal cases.
+Both take stacks, (..., N, N) group elements and (..., dim_p) coordinates;
+one point is a stack of one.  Each slice gets the LAPACK/BLAS call it would
+get alone, so its result is the same bits in any stack, and a failed check
+raises what the first failing point of the stack would raise alone.
+
+Mean curvature comes from central finite differences in the chart: _stencil
+evaluates a stack-aware function once on the centre, x0 +- h e_i and the
+corners x0 +- h e_i +- h e_j.  On the chart that gives the derivatives of the
+immersion map, on the metric the ambient Christoffel symbols; the Hessian is
+traced against the induced metric and projected onto the normal space.  The
+estimator is O(h^2); with the default h = 1e-3 its error budget sits near
+1e-6, two decades under the acceptance tolerance for the minimal cases.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
@@ -56,85 +63,110 @@ def _p_geometry(a: StructuredLieAlgebra):
     """(Pb, pinv(Pb), Gram of B on the p-basis) as float arrays; Pb has one
     column per p-basis vector."""
     pbm = a.p_basis_float
-    k = a.killing_float
-    gram = pbm.T @ k @ pbm
-    return pbm, np.linalg.pinv(pbm), gram
+    return pbm, np.linalg.pinv(pbm), pbm.T @ a.killing_float @ pbm
+
+
+def _apply(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """mat @ v for every vector of the stack vecs (..., n), one
+    matrix-vector product per slice."""
+    return (mat @ vecs[..., None])[..., 0]
+
+
+def _raise_first_failure(checks):
+    """Raise error(i) for the first flat index i failing any check; checks
+    lists (failed mask over the stack, error) in the order one point's checks
+    run, so among one point's failures the first listed wins."""
+    firsts = [np.argmax(np.ravel(failed)) if np.any(failed) else np.inf
+              for failed, _ in checks]
+    k = int(np.argmin(firsts))             # the first of equal indices
+    if firsts[k] != np.inf:
+        raise checks[k][1](firsts[k])
 
 
 def realize(a: StructuredLieAlgebra, v: AlgebraVector) -> np.ndarray:
     """Matrix image of an algebra vector."""
     _require_realized(a)
-    coeffs = v.to_array()
-    return np.einsum("i,ikl->kl", coeffs, a.realization.images_complex)
+    return np.einsum("i,ikl->kl", v.to_array(), a.realization.images_complex)
+
+
+def _p_coords(a: StructuredLieAlgebra, arr: np.ndarray):
+    """p-basis coordinates of a stack of coefficient vectors (..., d), plus
+    the (failed, error) check for vectors with a k-component above
+    tolerance."""
+    pbm, pinv, _ = _p_geometry(a)
+    co = _apply(pinv, arr)
+    res = np.linalg.norm(_apply(pbm, co) - arr, axis=-1)
+    failed = res > 1e-9 * (1.0 + np.linalg.norm(arr, axis=-1))
+    return co, (failed, lambda i: ValueError(
+        "vector is not in p (residual %.3e)" % res.flat[i]))
 
 
 def p_coordinates(a: StructuredLieAlgebra, v: AlgebraVector) -> np.ndarray:
     """Coordinates of a p-vector over the p-basis; rejects vectors with a
     k-component above tolerance."""
-    pbm, pinv, _ = _p_geometry(a)
-    arr = v.to_array()
-    co = pinv @ arr
-    res = np.linalg.norm(pbm @ co - arr)
-    if res > 1e-9 * (1.0 + np.linalg.norm(arr)):
-        raise ValueError("vector is not in p (residual %.3e)" % res)
+    co, check = _p_coords(a, v.to_array())
+    _raise_first_failure([check])
     return co
 
 
-def p_vector(a: StructuredLieAlgebra, coords: np.ndarray) -> AlgebraVector:
-    pbm, _, _ = _p_geometry(a)
-    return AlgebraVector(tuple(float(x) for x in (pbm @ np.asarray(coords, dtype=float))),
-                         MODE_FLOAT)
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m.conj(), -1, -2)
 
 
-def b_norm_p(a: StructuredLieAlgebra, coords: np.ndarray) -> float:
-    """Killing norm of a p-vector given by p-basis coordinates."""
-    _, _, gram = _p_geometry(a)
-    co = np.asarray(coords, dtype=float)
-    return float(np.sqrt(max(0.0, co @ gram @ co)))
-
-
-def group_membership_residual(a: StructuredLieAlgebra, g: np.ndarray) -> float:
-    """Worst scaled residual of the realized group's defining relations."""
+def group_membership_residual(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
+    """Worst scaled residual of the realized group's defining relations, one
+    per matrix of the stack g (..., N, N)."""
     _require_realized(a)
-    scale = 1.0 + float(np.linalg.norm(g)) ** 2
-    worst = 0.0
+    norm = np.linalg.norm(g, axis=(-2, -1))
+    worst = np.zeros(g.shape[:-2])
     jm = a.realization.j_matrix
     if jm is not None:
-        worst = max(worst, float(np.max(np.abs(g.conj().T @ jm @ g - jm))) / scale)
+        rel = np.max(np.abs(_dagger(g) @ jm @ g - jm), axis=(-2, -1))
+        worst = np.maximum(worst, rel / (1.0 + norm ** 2))
     if a.realization.unimodular:
-        size = g.shape[0]
-        det_scale = max(1.0, float(np.linalg.norm(g))) ** size
-        worst = max(worst, abs(np.linalg.det(g) - 1.0) / det_scale)
+        det_scale = np.maximum(1.0, norm) ** g.shape[-1]
+        worst = np.maximum(worst, np.abs(np.linalg.det(g) - 1.0) / det_scale)
     return worst
 
 
-def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> AlgebraVector:
-    """Polar part of a group element: P = 1/2 log(g g^dagger), re-expressed in
-    the p-basis.  The logarithm goes through an eigendecomposition of the
-    positive-definite Hermitian factor; a non-positive eigenvalue or a failed
-    re-expression means g is not (numerically) in the realized group."""
+def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
+    """p-basis coordinates of the polar part P = 1/2 log(g g^dagger), one row
+    per matrix of the stack g (..., N, N).
+
+    The logarithm goes through an eigendecomposition of the positive-definite
+    Hermitian factor.  A group-relation residual, a non-positive eigenvalue
+    or a failed re-expression in p means g is not (numerically) in the
+    realized group: NumericalBreakdown, and ValueError when the coordinates
+    do not reproduce a p-vector."""
     g = np.asarray(g, dtype=complex)
     res = group_membership_residual(a, g)
-    if res > GROUP_TOL:
-        raise NumericalBreakdown("matrix is not in the realized group "
-                                 "(relation residual %.3e)" % res)
-    m = g @ g.conj().T
-    m = 0.5 * (m + m.conj().T)
+    m = g @ _dagger(g)
+    m = 0.5 * (m + _dagger(m))
     w, u = np.linalg.eigh(m)
-    if np.min(w) <= 0.0:
-        raise NumericalBreakdown("polar factor is not positive definite "
-                                 "(min eigenvalue %.3e)" % float(np.min(w)))
-    pmat = (u * (0.5 * np.log(w))) @ u.conj().T
-    _, pinv = _p_images(a)
-    flat = np.concatenate([pmat.real.ravel(), pmat.imag.ravel()])
-    co = pinv @ flat
-    p_im, _ = _p_images(a)
-    recon = np.einsum("j,jkl->kl", co, p_im)
-    err = float(np.linalg.norm(recon - pmat))
-    if err > REEXPRESS_TOL * (1.0 + float(np.linalg.norm(pmat))):
-        raise NumericalBreakdown("polar part is not in p (residual %.3e); "
-                                 "matrix outside the symmetric-space model" % err)
-    return p_vector(a, co)
+    w_min = np.min(w, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # w <= 0 fails below
+        pmat = (u * (0.5 * np.log(w))[..., None, :]) @ _dagger(u)
+    p_im, pinv = _p_images(a)
+    stack = pmat.shape[:-2] + (-1,)
+    co = _apply(pinv, np.concatenate([pmat.real.reshape(stack),
+                                      pmat.imag.reshape(stack)], axis=-1))
+    err = np.linalg.norm(np.einsum("...j,jkl->...kl", co, p_im) - pmat,
+                         axis=(-2, -1))
+    coords, p_check = _p_coords(a, _apply(_p_geometry(a)[0], co))
+    _raise_first_failure([
+        (res > GROUP_TOL, lambda i: NumericalBreakdown(
+            "matrix is not in the realized group "
+            "(relation residual %.3e)" % res.flat[i])),
+        (w_min <= 0.0, lambda i: NumericalBreakdown(
+            "polar factor is not positive definite "
+            "(min eigenvalue %.3e)" % w_min.flat[i])),
+        (err > REEXPRESS_TOL * (1.0 + np.linalg.norm(pmat, axis=(-2, -1))),
+         lambda i: NumericalBreakdown(
+             "polar part is not in p (residual %.3e); "
+             "matrix outside the symmetric-space model" % err.flat[i])),
+        p_check,
+    ])
+    return coords
 
 
 @dataclass
@@ -155,10 +187,9 @@ class SpacePoint:
 
     @classmethod
     def from_matrix(cls, a: StructuredLieAlgebra, g: np.ndarray) -> "SpacePoint":
-        v = cartan_project(a, g)
-        pt = cls(a, p_coordinates(a, v))
+        pt = cls(a, cartan_project(a, g))
         # round-trip consistency of the cached representative
-        back = p_coordinates(a, cartan_project(a, pt.representative))
+        back = cartan_project(a, pt.representative)
         if np.max(np.abs(back - pt.coords)) > ROUNDTRIP_TOL * (1.0 + np.max(np.abs(pt.coords))):
             raise NumericalBreakdown("normal-coordinate round trip failed")
         return pt
@@ -171,55 +202,57 @@ class SpacePoint:
         return self._representative
 
     def p_vector(self) -> AlgebraVector:
-        return p_vector(self.algebra, self.coords)
+        return AlgebraVector(tuple(_p_geometry(self.algebra)[0] @ self.coords),
+                             MODE_FLOAT)
 
 
 def distance(a: StructuredLieAlgebra, q1: SpacePoint, q2: SpacePoint) -> float:
     """Geodesic distance d(q1, q2) = ||cartan_project(g1^{-1} g2)||_B."""
-    g = np.linalg.solve(q1.representative, q2.representative)
-    v = cartan_project(a, g)
-    _, pinv, _ = _p_geometry(a)
-    return b_norm_p(a, pinv @ v.to_array())
+    co = cartan_project(a, np.linalg.solve(q1.representative, q2.representative))
+    return float(np.sqrt(max(0.0, co @ _p_geometry(a)[2] @ co)))
 
 
 def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray,
                   truncation: int = 60) -> np.ndarray:
-    """Gram matrix of the pullback metric at P over the p-basis:
-    G_ij = B(S(P) u_i, S(P) u_j), S(P) = sum ad_P^{2k}/(2k+1)! on p."""
+    """Gram matrices of the pullback metric over the p-basis, one per point
+    of the stack p_coords (..., dim_p): G_ij = B(S(P) u_i, S(P) u_j),
+    S(P) = sum ad_P^{2k}/(2k+1)! on p.  Each point's series stops at its own
+    first term of norm <= SERIES_EPS."""
     pbm, pinv, gram = _p_geometry(a)
-    pvec = p_vector(a, p_coords)
-    ad = np.asarray(a.ad_matrix(pvec), dtype=float)
+    pvec = _apply(pbm, np.asarray(p_coords, dtype=float))
+    ad = np.einsum("...i,ijk->...kj", pvec, a.structure_tensor)
     m = pinv @ (ad @ ad) @ pbm              # ad_P^2 restricted to p
-    restr_res = np.linalg.norm(ad @ (ad @ pbm) - pbm @ m)
-    if restr_res > 1e-9 * (1.0 + np.linalg.norm(ad) ** 2):
-        raise NumericalBreakdown("ad_P^2 does not preserve p numerically")
-    dim = m.shape[0]
-    s = np.eye(dim)
-    term = np.eye(dim)
+    restr_res = np.linalg.norm(ad @ (ad @ pbm) - pbm @ m, axis=(-2, -1))
+    restricts = restr_res <= 1e-9 * (1.0 + np.linalg.norm(ad, axis=(-2, -1)) ** 2)
+    s = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
+    term = s.copy()
+    tail = np.zeros(m.shape[:-2])
+    live = np.ones(m.shape[:-2], dtype=bool)  # points whose series still runs
     k = 0
-    while True:
+    while live.any():
         k += 1
-        term = term @ m / ((2 * k) * (2 * k + 1))
-        tn = float(np.linalg.norm(term))
-        if tn <= SERIES_EPS:
-            break
-        s = s + term
+        term[live] = term[live] @ m[live] / ((2 * k) * (2 * k + 1))
+        tail[live] = np.linalg.norm(term[live], axis=(-2, -1))
+        live &= ~(tail <= SERIES_EPS)
+        s[live] = s[live] + term[live]
         if k >= truncation:
-            raise NumericalBreakdown(
-                "pullback metric series kept a %.3e tail after %d terms; "
-                "increase the truncation" % (tn, k))
-    return s.T @ gram @ s
+            break
+    _raise_first_failure([
+        (~restricts, lambda i: NumericalBreakdown(
+            "ad_P^2 does not preserve p numerically")),
+        (live, lambda i: NumericalBreakdown(
+            "pullback metric series kept a %.3e tail after %d terms; "
+            "increase the truncation" % (tail.flat[i], k))),
+    ])
+    return np.swapaxes(s, -1, -2) @ gram @ s
 
 
 def pullback_metric(a: StructuredLieAlgebra, p: AlgebraVector,
                     u: AlgebraVector, v: AlgebraVector,
                     truncation: int = 60) -> float:
     """g_P(u, v) for p-vectors, via the restricted sinh-type series."""
-    _, pinv, _ = _p_geometry(a)
     g = metric_matrix(a, p_coordinates(a, p), truncation)
-    cu = pinv @ u.to_array()
-    cv = pinv @ v.to_array()
-    return float(cu @ g @ cv)
+    return float(p_coordinates(a, u) @ g @ p_coordinates(a, v))
 
 
 @dataclass
@@ -301,13 +334,17 @@ class ImmersionSpec:
         return float(np.sqrt(max(0.0, v)))
 
     def y_matrix(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(self._s_matrices[0])
-        for c, m in zip(np.asarray(y, dtype=float), self._s_matrices):
-            out = out + c * m
+        """Matrices of Y(y), one per row of the stack y (..., dim s)."""
+        y = np.asarray(y, dtype=float)
+        out = np.zeros(y.shape[:-1] + self._s_matrices[0].shape, dtype=complex)
+        for c, m in zip(np.moveaxis(y, -1, 0), self._s_matrices):
+            out = out + c[..., None, None] * m
         return out
 
-    def group_element(self, t: float, y: np.ndarray) -> np.ndarray:
-        return expm(float(t) * self._x_matrix) @ expm(self.y_matrix(y))
+    def group_element(self, t, y: np.ndarray) -> np.ndarray:
+        """exp(tX) exp(Y(y)); t (...) and y (..., dim s) broadcast as stacks."""
+        tx = np.asarray(t, dtype=float)[..., None, None] * self._x_matrix
+        return expm(tx) @ expm(self.y_matrix(y))
 
 
 def transvection(spec: ImmersionSpec, t: float, q: SpacePoint) -> SpacePoint:
@@ -316,15 +353,22 @@ def transvection(spec: ImmersionSpec, t: float, q: SpacePoint) -> SpacePoint:
     return SpacePoint.from_matrix(spec.algebra, g)
 
 
-def immersion_point(spec: ImmersionSpec, t: float, y) -> SpacePoint:
-    """f(t, y) = exp(tX) exp(Y(y)) o as a SpacePoint; at t = 0 the projected
-    coordinates are recertified to lie in s within 1e-9."""
+def _grid_point(spec: ImmersionSpec, t: float, y) -> np.ndarray:
+    """y as a float vector, once it has dim s entries and (t, y) lies in the
+    declared grid ranges."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape[0] != spec.s.dim:
         raise ConfigError("expected %d Y-coordinates, got %d"
                           % (spec.s.dim, y.shape[0]))
     if not spec.grid.contains(float(t), y):
         raise ConfigError("(t, Y) lies outside the declared grid ranges")
+    return y
+
+
+def immersion_point(spec: ImmersionSpec, t: float, y) -> SpacePoint:
+    """f(t, y) = exp(tX) exp(Y(y)) o as a SpacePoint; at t = 0 the projected
+    coordinates are recertified to lie in s within 1e-9."""
+    y = _grid_point(spec, t, y)
     pt = SpacePoint.from_matrix(spec.algebra, spec.group_element(t, y))
     if t == 0.0:
         member, res = spec._s_float.contains(pt.p_vector())
@@ -333,30 +377,51 @@ def immersion_point(spec: ImmersionSpec, t: float, y) -> SpacePoint:
     return pt
 
 
-def _chart(spec: ImmersionSpec, t: float, y: np.ndarray) -> np.ndarray:
-    """Normal coordinates of f(t, y) without grid-range enforcement (the FD
-    stencil may poke h past the declared range)."""
-    v = cartan_project(spec.algebra, spec.group_element(t, y))
-    return p_coordinates(spec.algebra, v)
+def _chart(spec: ImmersionSpec, t, y: np.ndarray) -> np.ndarray:
+    """Normal coordinates of f(t, y) for stacks of parameters, without
+    grid-range enforcement (the FD stencil may poke h past the declared
+    range)."""
+    return cartan_project(spec.algebra, spec.group_element(t, y))
+
+
+def _stencil(fn, x0: np.ndarray, h: float, corners: bool = True):
+    """Central differences of a stack-aware fn at x0, from one call of fn.
+
+    The stack lists x0, then x0 + h e_i and x0 - h e_i for each i, then, with
+    corners, x0 + h(+-e_i +- e_j) for i < j in the sign order ++, +-, -+, --.
+    Returns (f(x0), first, second): first[i] = (f+ - f-) / 2h,
+    second[i, i] = (f+ - 2 f(x0) + f-) / h^2 and
+    second[i, j] = (f++ - f+- - f-+ + f--) / 4h^2; second is None without
+    corners."""
+    m = x0.shape[0]
+    e = h * np.eye(m)
+    iu = np.triu_indices(m, 1) if corners else ((), ())
+    offsets = ([np.zeros(m)] + [d for i in range(m) for d in (e[i], -e[i])]
+               + [d for i, j in zip(*iu)
+                  for d in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])])
+    vals = fn(x0 + np.array(offsets))
+    f0, plus, minus = vals[0], vals[1:2 * m + 1:2], vals[2:2 * m + 1:2]
+    first = (plus - minus) / (2.0 * h)
+    if not corners:
+        return f0, first, None
+    second = np.empty((m, m) + f0.shape)
+    second[np.arange(m), np.arange(m)] = (plus - 2.0 * f0 + minus) / (h * h)
+    quad = vals[2 * m + 1:].reshape((-1, 4) + f0.shape)
+    mixed = (quad[:, 0] - quad[:, 1] - quad[:, 2] + quad[:, 3]) / (4.0 * h * h)
+    second[iu] = second[iu[::-1]] = mixed
+    return f0, first, second
 
 
 def _christoffels(a: StructuredLieAlgebra, p0: np.ndarray, h: float,
-                  truncation: int) -> np.ndarray:
-    """Gamma^k_{ij} of the ambient metric at P by central differences."""
-    dim = p0.shape[0]
-    dg = np.zeros((dim, dim, dim))
-    for k in range(dim):
-        e = np.zeros(dim)
-        e[k] = h
-        gp = metric_matrix(a, p0 + e, truncation)
-        gm = metric_matrix(a, p0 - e, truncation)
-        dg[k] = (gp - gm) / (2.0 * h)
-    g0 = metric_matrix(a, p0, truncation)
-    ginv = np.linalg.inv(g0)
+                  truncation: int):
+    """(G, Gamma): the ambient metric at P and its Gamma^k_{ij}, from central
+    differences of the metric."""
+    g0, dg, _ = _stencil(lambda p: metric_matrix(a, p, truncation), p0, h,
+                         corners=False)
     # Gamma_{lij} = (dG_{lj}/dx_i + dG_{li}/dx_j - dG_{ij}/dx_l) / 2
     low = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
                  - np.einsum("lij->lij", dg))
-    return np.einsum("kl,lij->kij", ginv, low)
+    return g0, np.einsum("kl,lij->kij", np.linalg.inv(g0), low)
 
 
 def mean_curvature_estimate(spec: ImmersionSpec, t: float, y,
@@ -366,59 +431,24 @@ def mean_curvature_estimate(spec: ImmersionSpec, t: float, y,
 
     baseline=True freezes t and measures the slice Y -> exp(tX) exp(Y) o on
     its own (a totally geodesic submanifold, so the result doubles as a noise
-    floor).  Returns (vector in ambient p-coordinates, g-norm).
+    floor).  Returns (vector in ambient p-coordinates, g-norm, chart
+    coordinates of the point).
     """
     a = spec.algebra
     if spec.codimension < 2 and not baseline:
         raise ConfigError("mean curvature of the extension needs codimension "
                           ">= 2; this spec has %d" % spec.codimension)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape[0] != spec.s.dim:
-        raise ConfigError("expected %d Y-coordinates, got %d"
-                          % (spec.s.dim, y.shape[0]))
-    if not spec.grid.contains(float(t), y):
-        raise ConfigError("(t, Y) lies outside the declared grid ranges")
+    y = _grid_point(spec, t, y)
     h = spec.h if h is None else float(h)
 
     if baseline:
-        def chart(xi):
-            return _chart(spec, t, xi)
-        xi0 = y.copy()
+        c0, first, second = _stencil(lambda xi: _chart(spec, t, xi), y, h)
     else:
-        def chart(xi):
-            return _chart(spec, xi[0], xi[1:])
-        xi0 = np.concatenate([[float(t)], y])
-
-    m = xi0.shape[0]
-    c0 = chart(xi0)
-    dim = c0.shape[0]
-
-    def at(offset):
-        return chart(xi0 + offset)
-
-    first = np.zeros((m, dim))
-    second = np.zeros((m, m, dim))
-    plus, minus = [], []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        cp, cm = at(e), at(-e)
-        plus.append(cp)
-        minus.append(cm)
-        first[i] = (cp - cm) / (2.0 * h)
-        second[i, i] = (cp - 2.0 * c0 + cm) / (h * h)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ei, ej = np.zeros(m), np.zeros(m)
-            ei[i], ej[j] = h, h
-            cpp = at(ei + ej)
-            cpm = at(ei - ej)
-            cmp_ = at(-ei + ej)
-            cmm = at(-ei - ej)
-            second[i, j] = second[j, i] = (cpp - cpm - cmp_ + cmm) / (4.0 * h * h)
-
-    g_amb = metric_matrix(a, c0, spec.truncation)
-    gamma = _christoffels(a, c0, h, spec.truncation)
+        c0, first, second = _stencil(
+            lambda xi: _chart(spec, xi[:, 0], xi[:, 1:]),
+            np.concatenate([[float(t)], y]), h)
+    m = first.shape[0]
+    g_amb, gamma = _christoffels(a, c0, h, spec.truncation)
     induced = first @ g_amb @ first.T
     cond = np.linalg.cond(induced)
     if not np.isfinite(cond) or cond > 1e12:
@@ -430,12 +460,10 @@ def mean_curvature_estimate(spec: ImmersionSpec, t: float, y,
     hess = second + np.einsum("kab,ia,jb->ijk", gamma, first, first)
     trace = np.einsum("ij,ijk->k", ginv, hess)
     # metric projection off the tangent span
-    rhs = first @ g_amb @ trace
-    beta = ginv @ rhs
-    normal = trace - first.T @ beta
-    normal = normal / m
+    beta = ginv @ (first @ g_amb @ trace)
+    normal = (trace - first.T @ beta) / m
     norm = float(np.sqrt(max(0.0, normal @ g_amb @ normal)))
-    return p_vector(a, normal), norm
+    return normal, norm, c0
 
 
 @dataclass
@@ -463,21 +491,8 @@ class CurvatureReport:
             "max_norm": self.max_norm,
             "discretization_error_estimate": self.discretization_error_estimate,
             "passed": self.passed,
-            "entries": [
-                {"t": e["t"], "y": list(e["y"]), "norm": e["norm"],
-                 "point": list(e["point"])}
-                for e in self.entries
-            ],
+            "entries": [dict(e) for e in self.entries],
         }
-
-
-def _y_nodes(spec: ImmersionSpec):
-    axes = [spec.grid.y_axis()] * spec.s.dim
-    if not axes:
-        return [np.zeros(0)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    return [flat[i] for i in range(flat.shape[0])]
 
 
 def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,
@@ -485,25 +500,18 @@ def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,
     """Sweep the declared grid; the error estimate is the change of the worst
     entry under h -> h/2 (plain Richardson difference)."""
     nodes = [(float(t), y) for t in spec.grid.t_axis()
-             for y in _y_nodes(spec)]
-
-    def _measure(node):
-        t, y = node
-        vec, norm = mean_curvature_estimate(spec, t, y, baseline=baseline)
-        return vec, norm, _chart(spec, t, y)
-
+             for y in product(spec.grid.y_axis(), repeat=spec.s.dim)]
+    estimates = pmap(lambda node: mean_curvature_estimate(
+        spec, *node, baseline=baseline), nodes)
     entries = []
     worst = (-1.0, None, None)
-    for (t, y), (vec, norm, point) in zip(nodes, pmap(_measure, nodes)):
-        entries.append({"t": t, "y": [float(c) for c in y],
-                        "norm": norm,
-                        "point": [float(c) for c in point],
-                        "vector": [float(c) for c in
-                                   p_coordinates(spec.algebra, vec)]})
+    for (t, y), (_, norm, point) in zip(nodes, estimates):
+        entries.append({"t": t, "y": [float(c) for c in y], "norm": norm,
+                        "point": [float(c) for c in point]})
         if norm > worst[0]:
             worst = (norm, t, y)
-    _, half_norm = mean_curvature_estimate(spec, worst[1], worst[2],
-                                           baseline=baseline, h=spec.h / 2.0)
+    _, half_norm, _ = mean_curvature_estimate(spec, worst[1], worst[2],
+                                              baseline=baseline, h=spec.h / 2.0)
     est = abs(worst[0] - half_norm)
     return CurvatureReport(entries=entries, max_norm=worst[0], h=spec.h,
                            baseline=baseline,
@@ -529,17 +537,15 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples,
     if 0.0 not in t_samples:
         t_samples = sorted(t_samples + [0.0])
 
-    geo_worst = 0.0
-    for t in t_samples:
-        qt = SpacePoint.from_matrix(a, expm(t * spec._x_matrix))
-        geo_worst = max(geo_worst, abs(distance(a, o, qt) - abs(t) * xn))
+    geo_worst = max(abs(distance(a, o, SpacePoint.from_matrix(
+        a, expm(t * spec._x_matrix))) - abs(t) * xn) for t in t_samples)
     geodesic = {"worst_residual": geo_worst, "tolerance": 1e-9,
                 "holds": geo_worst <= 1e-9}
 
     s_points = [SpacePoint.from_matrix(a, spec.group_element(0.0, y))
                 for y in y_samples]
-    has_origin = any(float(np.max(np.abs(np.asarray(y)))) == 0.0
-                     for y in y_samples)
+    at_foot = [not np.any(y) for y in y_samples]
+    has_origin = any(at_foot)
 
     sep_violation = 0.0
     eq_gap = 0.0
@@ -547,11 +553,11 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples,
         if t == 0.0:
             continue
         bound = abs(t) * xn
-        for y in y_samples:
+        for y, foot in zip(y_samples, at_foot):
             q = SpacePoint.from_matrix(a, spec.group_element(t, y))
             dmin = min(distance(a, q, sp) for sp in s_points)
             sep_violation = max(sep_violation, bound - slack - dmin)
-            if float(np.max(np.abs(np.asarray(y)))) == 0.0:
+            if foot:
                 eq_gap = max(eq_gap, abs(dmin - bound))
     separation = {"worst_violation": max(0.0, sep_violation), "slack": slack,
                   "equality_gap_at_foot": eq_gap if has_origin else None,
@@ -560,12 +566,8 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples,
 
     mono_ok = True
     mono_worst = 0.0
-    for y in y_samples:
-        q0 = SpacePoint.from_matrix(a, spec.group_element(0.0, y))
-        vals = []
-        for t in t_samples:
-            qt = transvection(spec, t, q0)
-            vals.append((t, distance(a, o, qt)))
+    for q0 in s_points:
+        vals = [(t, distance(a, o, transvection(spec, t, q0))) for t in t_samples]
         base = dict(vals)[0.0]
         for (t1, d1), (t2, d2) in zip(vals, vals[1:]):
             if t2 <= 0.0 and d2 > d1 + 1e-12:
@@ -591,26 +593,12 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples,
 def normal_pairing_residual(spec: ImmersionSpec, y, h: float | None = None) -> float:
     """Ambient pairing of the transported X direction against the tangent
     frame of S at exp(Y) o; zero means X stays normal along S."""
-    a = spec.algebra
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h = spec.h if h is None else float(h)
-    xi0 = np.concatenate([[0.0], y])
-
-    def chart(xi):
-        return _chart(spec, xi[0], xi[1:])
-
-    m = xi0.shape[0]
-    dim_p = _p_geometry(a)[2].shape[0]
-    first = np.zeros((m, dim_p))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = h
-        first[i] = (chart(xi0 + e) - chart(xi0 - e)) / (2.0 * h)
-    g_amb = metric_matrix(a, chart(xi0), spec.truncation)
-    worst = 0.0
-    for j in range(1, m):
-        worst = max(worst, abs(float(first[0] @ g_amb @ first[j])))
-    return worst
+    c0, first, _ = _stencil(lambda xi: _chart(spec, xi[:, 0], xi[:, 1:]),
+                            np.concatenate([[0.0], y]), h, corners=False)
+    g_amb = metric_matrix(spec.algebra, c0, spec.truncation)
+    return float(np.max(np.abs(first[0] @ g_amb @ first[1:].T), initial=0.0))
 
 
 def export_point_cloud(report: CurvatureReport, csv_path: str | None = None,

@@ -3,7 +3,7 @@ Lie triple system, reflective, totally real.
 
 Membership in exact mode is a rational linear solve (a certificate);
 in float mode a least-squares residual against the scale-aware tolerance
-eps * (1 + ||v||).  Residuals are measured in the positive definite form
+liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).  Residuals are measured in the positive definite form
 B_theta, so they are meaningful for vectors anywhere in g, not just in p.
 """
 
@@ -26,7 +26,7 @@ from .liealg import (
 class Subspace:
     """Span of independent columns inside a fixed ambient algebra."""
 
-    def __init__(self, algebra: StructuredLieAlgebra, basis, mode=None, eps=1e-9):
+    def __init__(self, algebra: StructuredLieAlgebra, basis, mode=None):
         self.algebra = algebra
         vectors = []
         for b in basis:
@@ -42,7 +42,6 @@ class Subspace:
                 raise ValueError("basis vector has wrong ambient dimension")
         self.basis = tuple(vectors)
         self.mode = mode
-        self.eps = eps
         if self.dim > algebra.dim:
             raise ValueError("more basis vectors than ambient dimensions")
         if mode == MODE_EXACT:
@@ -118,7 +117,7 @@ class Subspace:
             return False, self.algebra.btheta_norm(self._residual_vector(v))
         res = self.algebra.btheta_norm(self._residual_vector(v))
         scale = self.algebra.btheta_norm(v)
-        return res <= self.eps * (1.0 + scale), res
+        return res <= float_tol(scale), res
 
     def coordinates(self, v: AlgebraVector):
         if self.mode == MODE_EXACT:
@@ -160,7 +159,7 @@ class Subspace:
                 for c, p in zip(co, pb):
                     v = v + a.vector(p).scale(c)
                 vectors.append(v)
-            return Subspace(a, vectors, MODE_EXACT, self.eps)
+            return Subspace(a, vectors, MODE_EXACT)
         pb_f = a.p_basis_float
         pairing = self.basis_array.T @ a.killing_float @ pb_f
         if pairing.size == 0:
@@ -171,7 +170,7 @@ class Subspace:
             null = ns
         vectors = [AlgebraVector(tuple(pb_f @ null[:, j]), MODE_FLOAT)
                    for j in range(null.shape[1])]
-        return Subspace(a, vectors, MODE_FLOAT, self.eps)
+        return Subspace(a, vectors, MODE_FLOAT)
 
     def is_lie_triple_system(self):
         """(verdict, witness): [[s,s],s] inside s on basis triples.

@@ -82,6 +82,15 @@ def test_realization_image_mismatch_is_rejected(tmp_path):
         parse_algebra_file(_write(tmp_path, text))
 
 
+def test_zero_denominator_in_a_realization_entry_names_its_line(tmp_path):
+    text = BASE.replace("# E\n0 1\n", "# E\n0 1/0\n")
+    lineno = text.splitlines().index("0 1/0") + 1
+    with pytest.raises(ConfigError) as err:
+        parse_algebra_file(_write(tmp_path, text))
+    assert "probe.alg:%d: " % lineno in str(err.value)
+    assert "zero denominator" in str(err.value)
+
+
 def test_file_without_realization_still_loads(tmp_path):
     text = BASE.split("[realization]")[0]
     a = parse_algebra_file(_write(tmp_path, text))

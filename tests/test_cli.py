@@ -159,6 +159,27 @@ def test_subspace_file_loader_rejects_garbage(tmp_path, su21):
         load_subspace_file(su21, str(p))
 
 
+def test_zero_denominator_in_x_exits_2(tmp_path):
+    status, rep = _run(tmp_path, "check", "--space", "su21",
+                       "--pair", "real-form", "--X", "1/0*Q1")
+    assert status == 2
+    assert rep["results"]["kind"] == "config"
+    assert "1/0*Q1" in rep["results"]["error"]
+
+
+@pytest.mark.parametrize("coeff", [0.5, None, True])
+def test_non_rational_json_coefficient_exits_2(tmp_path, coeff):
+    """Coefficients are integers or rational strings; a float, null or a
+    boolean (which would read as 1) is an input error."""
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps([{"S12": coeff}]))
+    status, rep = _run(tmp_path, "verify", "--space", "sl3r",
+                       "--s", str(custom), "--X", "S13")
+    assert status == 2
+    assert rep["results"]["kind"] == "config"
+    assert "not an integer or a rational string" in rep["results"]["error"]
+
+
 def test_cached_parser_keeps_subcommand_defaults_apart(tmp_path):
     """verify defaults to 16 samples, lemma to 4 and check to 64; reusing one
     parser must not carry one command's defaults or options into the next."""

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from transvector.catalog import build_pair
+from transvector.catalog import build_pair, build_space
 from transvector.errors import ConfigError, NumericalBreakdown
 from transvector.geometry import (CurvatureReport, GridSpec, ImmersionSpec,
                                   SpacePoint, cartan_project, distance,
@@ -91,6 +91,89 @@ def test_group_elements_off_the_model_are_rejected(sl2r):
         cartan_project(sl2r, g)
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _series_terms(a, c):
+    """Terms the pullback series of metric_matrix takes at c: the smallest
+    truncation it accepts."""
+    for k in range(1, 61):
+        try:
+            metric_matrix(a, c, truncation=k)
+            return k
+        except NumericalBreakdown:
+            pass
+    raise AssertionError("no truncation up to 60 accepted")
+
+
+def _stack_of_points(a):
+    rng = np.random.default_rng(11)
+    radii = np.array([0.0, 0.01, 0.2, 0.7, 1.3, 0.05, 1.0])
+    coords = rng.standard_normal((len(radii), len(a.p_basis)))
+    coords *= (radii / np.linalg.norm(coords, axis=1))[:, None]
+    return coords
+
+
+@pytest.mark.parametrize("space", ["sl2r", "su21", "su31"])
+def test_stacked_chart_and_metric_equal_single_points_bit_for_bit(space):
+    a = build_space(space)
+    coords = _stack_of_points(a)
+    # the series stop after different numbers of terms across the stack
+    assert len({_series_terms(a, c) for c in coords}) >= 3
+    g = np.stack([SpacePoint(a, c).representative for c in coords])
+    stacked = cartan_project(a, g)
+    single = np.stack([cartan_project(a, m) for m in g])
+    assert stacked.shape == coords.shape
+    assert np.array_equal(_bits(stacked), _bits(single))
+    assert np.allclose(stacked, coords, atol=1e-12)
+    # a stack of stacks charts each slice as the flat stack does
+    nested = cartan_project(a, g.reshape((1,) + g.shape))
+    assert np.array_equal(_bits(nested[0]), _bits(single))
+    stacked = metric_matrix(a, coords)
+    single = np.stack([metric_matrix(a, c) for c in coords])
+    assert np.array_equal(_bits(stacked), _bits(single))
+
+
+@pytest.mark.parametrize("space", ["sl2r", "su21", "su31"])
+def test_a_stack_raises_what_its_first_failing_point_raises(space):
+    a = build_space(space)
+    coords = _stack_of_points(a)
+    g = np.stack([SpacePoint(a, c).representative for c in coords])
+    g[3] *= 1.5      # off the group: fails the relation check
+    g[5] *= 3.0
+    with pytest.raises(NumericalBreakdown) as alone:
+        cartan_project(a, g[3])
+    with pytest.raises(NumericalBreakdown) as stacked:
+        cartan_project(a, g)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(NumericalBreakdown):
+        cartan_project(a, g[5:])
+    cartan_project(a, g[:3])      # the points before it still chart
+    # the metric series: the first point needing more terms than allowed
+    terms = [_series_terms(a, c) for c in coords]
+    cut = sorted(set(terms))[-2]
+    first_long = next(i for i, k in enumerate(terms) if k > cut)
+    with pytest.raises(NumericalBreakdown) as alone:
+        metric_matrix(a, coords[first_long], truncation=cut)
+    with pytest.raises(NumericalBreakdown) as stacked:
+        metric_matrix(a, coords, truncation=cut)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_stack_order_beats_check_order(sl2r):
+    """A point failing a late check ahead of a point failing an early check
+    raises the late check: the error the points give one at a time."""
+    rot = np.array([[math.cos(0.3), -math.sin(0.3)],
+                    [math.sin(0.3), math.cos(0.3)]])
+    skewed = rot @ np.diag([1e6, 1e-6]) @ rot.T   # det 1, polar factor lost
+    scaled = 2.0 * np.eye(2)                      # det 4
+    with pytest.raises(NumericalBreakdown, match="positive definite"):
+        cartan_project(sl2r, np.stack([skewed, scaled]))
+    with pytest.raises(NumericalBreakdown, match="realized group"):
+        cartan_project(sl2r, np.stack([scaled, skewed]))
+
+
 def test_immersion_spec_invariants(sl2r, su21_real_form):
     s = Subspace(sl2r, [sl2r.basis_vector(0).astype(MODE_FLOAT)])
     x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
@@ -158,8 +241,8 @@ def test_su21_extension_is_minimal_on_a_coarse_grid(su21_real_form):
 
 def test_baseline_slice_is_minimal_too(su21_real_form):
     spec = _su21_spec(su21_real_form)
-    _, norm = mean_curvature_estimate(spec, 0.0, np.array([0.3, -0.2]),
-                                      baseline=True)
+    _, norm, _ = mean_curvature_estimate(spec, 0.0, np.array([0.3, -0.2]),
+                                         baseline=True)
     assert norm <= 1e-5
 
 
@@ -168,8 +251,8 @@ def test_curvature_estimate_refuses_codimension_one(sl2r):
     with pytest.raises(ConfigError):
         mean_curvature_estimate(spec, 0.1, np.array([0.2]))
     # but the frozen-t baseline is well-posed: s itself is totally geodesic
-    _, norm = mean_curvature_estimate(spec, 0.1, np.array([0.2]),
-                                      baseline=True)
+    _, norm, _ = mean_curvature_estimate(spec, 0.1, np.array([0.2]),
+                                         baseline=True)
     assert norm <= 1e-6
 
 

@@ -54,6 +54,19 @@ COMMANDS = {
     "roots-sl3r": ["roots", "--space", "sl3r", "--examples", "--samples", "1"],
     "construct-su21": ["construct", "--space", "su21", "--pair", "real-form",
                        "--t-steps", "3", "--y-steps", "3"],
+    # the frozen-t stencil (m = dim s), the Christoffel path on the second
+    # pair, SpacePoint/distance and the t = 0 recertification
+    "construct-su21-baseline": ["construct", "--space", "su21", "--pair",
+                                "complex-hyperplane", "--baseline",
+                                "--tolerance", "1e-5",
+                                "--t-steps", "3", "--y-steps", "3"],
+    "construct-su21-distance-law": ["construct", "--space", "su21", "--pair",
+                                    "complex-hyperplane", "--distance-law",
+                                    "--t-steps", "3", "--y-steps", "3"],
+    "bisector-su21-complex-hyperplane": ["bisector", "--space", "su21", "--pair",
+                                         "complex-hyperplane", "--grid-steps", "3"],
+    "bisector-su21-real-form": ["bisector", "--space", "su21", "--pair",
+                                "real-form", "--grid-steps", "3"],
     # exit 2: corrupted copies of sl2r.alg; the message pins the residuals,
     # the failed checks and the Jacobi witness
     "roots-bad-jacobi": ["roots", "--algebra-file", "bad-jacobi.alg"],
@@ -83,6 +96,13 @@ def test_report_matches_golden(name, tmp_path):
         golden = fh.read()
     assert status == int(re.search(r'"exit_status": (\d+)', golden).group(1))
     assert text == golden
+
+
+def test_threaded_grid_sweep_matches_golden(tmp_path, monkeypatch):
+    """TRANSVECTOR_THREADS only changes how grid nodes are scheduled, never
+    the report."""
+    monkeypatch.setenv("TRANSVECTOR_THREADS", "2")
+    test_report_matches_golden("construct-su21", tmp_path)
 
 
 def _regenerate():
