@@ -22,7 +22,7 @@ from .catalog import (bisector_equidistance_check, build_pair, build_space,
                       list_pairs, negative_control, parse_space_id)
 from .errors import ConfigError, LemmaFalsified, NumericalBreakdown
 from .exactla import frac
-from .extension import _sample_y, condition_holds, verify_lemma_conclusion
+from .extension import condition_holds, sample_ys, verify_lemma_conclusion
 from .geometry import (GridSpec, ImmersionSpec, distance_law_check,
                        export_point_cloud, mean_curvature_report)
 from .liealg import MODE_EXACT
@@ -31,15 +31,20 @@ from .roots import (build_root_space_example, maximal_abelian,
                     restricted_root_decomposition, verify_commutation_rules)
 from .subspaces import Subspace
 
-# a coefficient is an integer or a fraction with a nonzero denominator
-_TERM_RE = re.compile(r"^([+-]?)(\d+(?:/0*[1-9]\d*)?)?\*?([A-Za-z]\w*)$")
+# X := [sign] term {sign term}; term := [coefficient ['*']] label, where a
+# coefficient is an integer or a/b with b != 0; blanks may stand between
+# tokens, not inside them
+_SIGN_RE = re.compile(r"\s*([+-]?)\s*")
+_TERM_RE = re.compile(r"(?:(\d+(?:/0*[1-9]\d*)?)\s*\*?\s*)?([A-Za-z]\w*)")
 
 
 def parse_x_expression(a, expr: str):
-    """Parse 'P1 + 2*Q1 - 1/2*D1' over the algebra's labels.
+    """Parse 'P1 + 2*Q1 - 1/2*D1' over the algebra's labels into a nonzero X.
 
-    The single token 'bad' names the bundled sl(3,R) counterexample normal,
-    so the shipped negative control is reachable from the shell.
+    A malformed expression, an unknown label and a zero X are configuration
+    errors; a parse error names its column (1-based).  The single token 'bad'
+    names the bundled sl(3,R) counterexample normal, so the shipped negative
+    control is reachable from the shell.
     """
     text = expr.strip()
     if text == "bad":
@@ -48,24 +53,35 @@ def parse_x_expression(a, expr: str):
                               "space is %s" % a.name)
         _, _, x = negative_control()
         return x
-    combo: dict = {}
-    compact = text.replace(" ", "")
-    if not compact:
+    if not text:
         raise ConfigError("empty X expression")
-    for term in re.findall(r"[+-]?[^+-]+", compact):
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ConfigError("cannot parse X term %r (a coefficient is an "
-                              "integer or a/b with b != 0)" % term)
-        sign, coeff, label = m.groups()
+    combo: dict = {}
+    pos = 0
+    while pos < len(text):
+        sign = _SIGN_RE.match(text, pos)
+        if combo and not sign.group(1):
+            _bad_x(text, sign.end(), "expected '+' or '-'")
+        term = _TERM_RE.match(text, sign.end())
+        if not term:
+            _bad_x(text, sign.end(), "expected a term: an integer or a/b with "
+                                     "b != 0, then '*' and a basis label")
+        coeff, label = term.groups()
         if label not in a.labels:
             raise ConfigError("unknown basis label %r (space %s has %s)"
                               % (label, a.name, ", ".join(a.labels)))
         c = frac(coeff) if coeff else 1
-        if sign == "-":
-            c = -c
-        combo[label] = combo.get(label, 0) + c
-    return a.from_labels(combo)
+        combo[label] = combo.get(label, 0) + (-c if sign.group(1) == "-" else c)
+        pos = term.end()
+    x = a.from_labels(combo)
+    if x.is_zero():
+        raise ConfigError("X expression %r is the zero vector; X must be a "
+                          "nonzero normal direction" % expr)
+    return x
+
+
+def _bad_x(text, pos, what):
+    where = "column %d" % (pos + 1) if pos < len(text) else "the end"
+    raise ConfigError("cannot parse X expression %r at %s: %s" % (text, where, what))
 
 
 def load_subspace_file(a, path: str) -> Subspace:
@@ -173,20 +189,13 @@ def _cmd_verify(args):
 
 def _cmd_lemma(args):
     a, s, x, meta = _pair_from_args(args)
-    gen = rng.stream(args.seed, rng.STREAM_LEMMA)
-    checks = []
-    ok = True
-    for _ in range(args.samples):
-        y = _sample_y(s, gen)
-        check = verify_lemma_conclusion(s, x, y, n_max=args.n_max,
-                                        m_max=args.m_max)
-        checks.append(check.as_dict())
-        ok = ok and check.passed
+    ys = sample_ys(s, rng.stream(args.seed, rng.STREAM_LEMMA), args.samples)
+    checks = verify_lemma_conclusion(s, x, ys, n_max=args.n_max, m_max=args.m_max)
     results = dict(meta)
-    results["lemma_checks"] = checks
+    results["lemma_checks"] = [c.as_dict() for c in checks]
     results["n_max"] = args.n_max
     results["m_max"] = args.m_max
-    return results, ok
+    return results, all(c.passed for c in checks)
 
 
 def _default_a_grid(dim: int):
@@ -250,6 +259,9 @@ def _cmd_construct(args):
 
 
 def _cmd_bisector(args):
+    if args.x:
+        raise ConfigError("bisector measures the catalog pair with its own "
+                          "normal; --X is not accepted")
     entry = build_pair(args.space, args.pair)
     grid = GridSpec(t_steps=args.grid_steps, y_steps=args.grid_steps)
     rep = bisector_equidistance_check(entry, r=args.r, grid=grid,

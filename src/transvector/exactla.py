@@ -47,10 +47,6 @@ def clear_denominators(v):
     return tuple(c.numerator * (lcm // c.denominator) for c in v)
 
 
-def vec_is_zero(a) -> bool:
-    return all(x == 0 for x in a)
-
-
 def identity(n: int):
     return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 

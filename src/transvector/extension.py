@@ -30,7 +30,6 @@ import numpy as np
 
 from . import rng
 from .errors import LemmaFalsified
-from .exactla import clear_denominators
 from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, float_tol
 from .subspaces import Subspace
 
@@ -162,34 +161,40 @@ def _normal_pairing(s: Subspace, x: AlgebraVector):
     a = s.algebra
     for b in s.basis:
         val = a.killing_form(b, x)
-        if s.mode == MODE_EXACT:
-            if val != 0:
-                return val
-        elif abs(val) > float_tol(a.btheta_norm(b) * a.btheta_norm(x)):
+        tol = 0 if s.mode == MODE_EXACT else float_tol(a.btheta_norm(b) * a.btheta_norm(x))
+        if abs(val) > tol:
             return val
     return None
 
 
-def _sample_y(s: Subspace, gen) -> AlgebraVector:
-    if s.mode == MODE_EXACT:
-        coords = rng.rational_vector(gen, s.dim)
-        y = s.member_from_coordinates(coords)
-        return s.algebra.vector(clear_denominators(y.coeffs))
-    coords = gen.standard_normal(s.dim)
-    return s.member_from_coordinates(tuple(float(c) for c in coords))
+def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
+    """(samples, d) stack of random Y in s, each drawn in turn from gen.
 
-
-def condition_terms(s: Subspace, x: AlgebraVector, y: AlgebraVector, n_max: int):
-    """Yield (n, [X, ad_Y^{2n+1} X]) for n = 0..n_max."""
-    a = s.algebra
-    chain = a.ad_chain(y, x, 2 * n_max + 1)
-    for n in range(n_max + 1):
-        yield n, a.bracket(x, chain[2 * n + 1])
+    Exact Y are integer rows: the rational draw with its denominators
+    cleared, assembled as one product with the integer-scaled basis of s.
+    Float Y are standard normal in the s-coordinates.
+    """
+    if s.mode == MODE_FLOAT:
+        coords = [gen.standard_normal(s.dim) for _ in range(samples)]
+        return np.reshape(coords, (samples, s.dim)) @ s.basis_rows
+    den = math.lcm(*(c.denominator for b in s.basis for c in b.coeffs))
+    basis = np.array([[int(c * den) for c in b.coeffs] for b in s.basis], dtype=object)
+    coords = [rng.rational_vector(gen, s.dim) for _ in range(samples)]
+    w = np.array(coords, dtype=object).reshape(samples, s.dim) @ basis
+    # Y = w / (den * RATIONAL_SCALE); dividing w by its gcd with that scale
+    # leaves Y times the lcm of its denominators
+    g = np.gcd(np.gcd.reduce(w, axis=1), den * rng.RATIONAL_SCALE)
+    return w // g[:, None]
 
 
 def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
                     seed: int = 0, n_max: int | None = None) -> ConditionVerdict:
-    """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s."""
+    """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s.
+
+    Every (sample, n) term is evaluated in one stacked pass; the verdict
+    reads them in sample-major order and stops at the first term outside s,
+    which is the witness, so `checked` counts the terms up to it.
+    """
     _require_pair(s, x)
     a = s.algebra
     if n_max is None:
@@ -202,88 +207,101 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
                                warnings=warnings)
     if s.dim == 0:
         return verdict
-    gen = rng.stream(seed, rng.STREAM_CONDITION_Y)
-    for _ in range(samples):
-        y = _sample_y(s, gen)
-        for n, term in condition_terms(s, x, y, n_max):
-            member, res = s.contains(term)
-            verdict.checked += 1
-            verdict.per_n_worst_residual[n] = max(verdict.per_n_worst_residual[n], res)
-            if not member:
-                verdict.holds = False
-                verdict.witness = {
-                    "y": [_num_str(c) for c in y.coeffs],
-                    "n": n,
-                    "vector": [_num_str(c) for c in term.coeffs],
-                    "residual": res,
-                }
-                return verdict
+    ys = sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
+    xrow = x.row()
+    odd = a.ad_chain(ys, xrow, 2 * n_max + 1)[:, 1::2]
+    adx = a.ad_stack(xrow[None])[0]              # [X, v] = v @ adx
+    if s.mode == MODE_EXACT:
+        # one product with M = adx (null rows of s)^T, formed once per (s, X);
+        # members have residual 0, and only the witness's is computed below
+        outside = (odd @ (adx @ s.null_rows.T) != 0).any(axis=-1)
+        res = np.zeros(outside.shape)
+    else:
+        outside, res = s.membership(odd @ adx)
+    hits = np.flatnonzero(outside)
+    verdict.checked = int(hits[0]) + 1 if hits.size else outside.size
+    if hits.size:
+        i, n = divmod(int(hits[0]), n_max + 1)
+        term = a.vector(odd[i, n] @ adx, s.mode)
+        _, res[i, n] = s.contains(term)
+        verdict.holds = False
+        verdict.witness = {
+            "y": [_num_str(c) for c in a.vector(ys[i], s.mode).coeffs],
+            "n": n,
+            "vector": [_num_str(c) for c in term.coeffs],
+            "residual": float(res[i, n]),
+        }
+    seen = np.arange(outside.size).reshape(outside.shape) < verdict.checked
+    worst = np.where(seen, res, 0.0).max(axis=0, initial=0.0)
+    verdict.per_n_worst_residual = [float(r) for r in worst]
     return verdict
 
 
-def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, y: AlgebraVector,
-                            n_max: int = 4, m_max: int = 4) -> LemmaCheck:
-    """Brute-force the lemma: hypothesis [X, ad_Y^{2m+1}X] in s for
-    m <= n_max + m_max, then conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X] in s and
-    the auxiliary chain ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.
+def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
+                            n_max: int = 4, m_max: int = 4) -> list:
+    """Brute-force the lemma for every row Y of the stack ys (S, d): the
+    hypothesis [X, ad_Y^{2m+1}X] in s for m <= n_max + m_max, then the
+    conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X] in s and the auxiliary chain
+    ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.  Returns one LemmaCheck per row.
 
     A conclusion or auxiliary failure while the hypothesis held raises
-    LemmaFalsified; nothing in this package catches it.
+    LemmaFalsified, for the first such row; nothing in this package
+    catches it.
     """
     _require_pair(s, x)
-    if y.mode != s.mode:
-        raise ValueError("Y mode does not match subspace mode")
-    a = s.algebra
-    check = LemmaCheck(status="passed",
-                       mode=s.mode, n_max=n_max, m_max=m_max)
+    a, d = s.algebra, s.algebra.dim
+    xrow = x.row()
+    chain = a.ad_chain(ys, xrow, 2 * (n_max + m_max) + 1)
+    even, odd = chain[:, 0::2], chain[:, 1::2]
+    # [ad_Y^{2n}X, v] = v @ ad_even[:, n], for n <= n_max
+    ad_even = a.ad_stack(even[:, :n_max + 1].reshape(-1, d)).reshape(
+        len(ys), n_max + 1, d, d)
+    hypothesis = odd @ a.ad_stack(xrow[None])[0]
+    conclusion = odd[:, None, :m_max + 1] @ ad_even
+    auxiliary = (even[:, None, :m_max + 1] @ ad_even) @ a.ad_stack(ys)[:, None]
+    (hyp_out, hyp_res), (con_out, con_res), (aux_out, aux_res) = (
+        s.membership(v) for v in (hypothesis, conclusion, auxiliary))
 
-    powers = a.ad_chain(y, x, 2 * (n_max + m_max) + 1)
-
-    for m in range(n_max + m_max + 1):
-        term = a.bracket(x, powers[2 * m + 1])
-        member, res = s.contains(term)
-        check.hypothesis_residuals.append(res)
-        if not member:
-            check.hypothesis_failures.append({"m": m, "residual": res})
-    if check.hypothesis_failures:
-        check.status = "hypothesis_violated"
-        return check
-
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            term = a.bracket(powers[2 * n], powers[2 * m + 1])
-            member, res = s.contains(term)
-            check.conclusion_residuals["%d,%d" % (n, m)] = res
-            if not member:
-                raise LemmaFalsified(
-                    "bracket [ad_Y^%dX, ad_Y^%dX] escaped s with the hypothesis "
-                    "satisfied (residual %g); this contradicts the bracket lemma"
-                    % (2 * n, 2 * m + 1, res),
-                    detail={"n": n, "m": m,
-                            "y": [_num_str(c) for c in y.coeffs],
-                            "vector": [_num_str(c) for c in term.coeffs],
-                            "residual": res})
-
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            inner = a.bracket(powers[2 * n], powers[2 * m])
-            term = a.bracket(y, inner)
-            member, res = s.contains(term)
-            check.aux_residuals["%d,%d" % (n, m)] = res
-            if not member:
-                raise LemmaFalsified(
-                    "auxiliary chain ad_Y[ad_Y^%dX, ad_Y^%dX] escaped s with the "
-                    "hypothesis satisfied (residual %g)" % (2 * n, 2 * m, res),
-                    detail={"n": n, "m": m, "kind": "auxiliary",
-                            "y": [_num_str(c) for c in y.coeffs],
-                            "residual": res})
-    return check
+    keys = ["%d,%d" % nm for nm in np.ndindex(n_max + 1, m_max + 1)]
+    checks = []
+    for i, y in enumerate(ys):
+        check = LemmaCheck(status="passed", mode=s.mode, n_max=n_max, m_max=m_max)
+        checks.append(check)
+        check.hypothesis_residuals = [float(r) for r in hyp_res[i]]
+        check.hypothesis_failures = [{"m": int(m), "residual": float(hyp_res[i, m])}
+                                     for m in np.flatnonzero(hyp_out[i])]
+        if check.hypothesis_failures:
+            check.status = "hypothesis_violated"
+            continue
+        check.conclusion_residuals = dict(zip(keys, map(float, con_res[i].flat)))
+        check.aux_residuals = dict(zip(keys, map(float, aux_res[i].flat)))
+        y_str = [_num_str(c) for c in a.vector(y, s.mode).coeffs]
+        if con_out[i].any():
+            n, m = divmod(int(np.argmax(con_out[i])), m_max + 1)
+            term = a.vector(conclusion[i, n, m], s.mode)
+            raise LemmaFalsified(
+                "bracket [ad_Y^%dX, ad_Y^%dX] escaped s with the hypothesis "
+                "satisfied (residual %g); this contradicts the bracket lemma"
+                % (2 * n, 2 * m + 1, con_res[i, n, m]),
+                detail={"n": n, "m": m, "y": y_str,
+                        "vector": [_num_str(c) for c in term.coeffs],
+                        "residual": float(con_res[i, n, m])})
+        if aux_out[i].any():
+            n, m = divmod(int(np.argmax(aux_out[i])), m_max + 1)
+            raise LemmaFalsified(
+                "auxiliary chain ad_Y[ad_Y^%dX, ad_Y^%dX] escaped s with the "
+                "hypothesis satisfied (residual %g)" % (2 * n, 2 * m, aux_res[i, n, m]),
+                detail={"n": n, "m": m, "kind": "auxiliary",
+                        "y": y_str, "residual": float(aux_res[i, n, m])})
+    return checks
 
 
-def _series_terms(a, x: AlgebraVector, y: AlgebraVector, top: int):
-    """u_j = (-ad_Y)^j X / j! for j = 0..top."""
-    return [v.scale(Fraction((-1) ** j, math.factorial(j)))
-            for j, v in enumerate(a.ad_chain(y, x, top))]
+def _series_terms(a, x: AlgebraVector, y: AlgebraVector, top: int) -> np.ndarray:
+    """u_j = (-ad_Y)^j X / j! for j = 0..top, as a (top + 1, d) array."""
+    chain = a.ad_chain(y.row()[None], x.row(), top)[0]
+    coeffs = np.array([Fraction((-1) ** j, math.factorial(j)) for j in range(top + 1)],
+                      dtype=chain.dtype)
+    return chain * coeffs[:, None]
 
 
 def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
@@ -300,15 +318,13 @@ def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     K = truncation
     terms = _series_terms(a, x, y, 2 * K + 1)
 
-    z = terms[0]
-    for t in terms[1:]:
-        z = z + t
+    z = a.vector(terms.sum(axis=0), x.mode)
     zk, zp = a.cartan_split(z)
     value = a.bracket(zk, zp)
 
     warnings = []
     z_norm = a.btheta_norm(z)
-    last_norm = a.btheta_norm(terms[-1])
+    last_norm = a.btheta_norm(a.vector(terms[-1], x.mode))
     converged = last_norm <= 1e-14 * max(z_norm, 1e-300)
     if not converged:
         warnings.append(
@@ -319,10 +335,8 @@ def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     # Signs: Z^k = -sum odd terms, Z^p = sum even terms, so
     # [Z^k, Z^p] = sum_{n,m} [ad^{2n}X, ad^{2m+1}X] / ((2n)! (2m+1)!).
     # terms[j] carries (-1)^j, hence [terms[2n], -terms[2m+1]] sums to it.
-    double = a.zero(x.mode)
-    for n in range(K + 1):
-        for m in range(K + 1):
-            double = double + a.bracket(terms[2 * m + 1], terms[2 * n])
+    pairs = terms[None, 0::2] @ a.ad_stack(terms[1::2])   # [terms[2m+1], terms[2n]] at (m, n)
+    double = a.vector(pairs.transpose(1, 0, 2).reshape(-1, a.dim).sum(axis=0), x.mode)
     route_difference = a.btheta_norm(value - double)
 
     ad_f = a.ad_matrix(y.astype(MODE_FLOAT))
@@ -353,31 +367,5 @@ def normal_field_check(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     if pairing is not None:
         raise ValueError("X is not B-orthogonal to s (pairing %s)" % _num_str(pairing))
 
-    terms = _series_terms(a, x, y, 2 * truncation)
-    zp = terms[0]
-    for n in range(1, truncation + 1):
-        zp = zp + terms[2 * n]
-    worst = 0.0
-    for b in s.basis:
-        worst = max(worst, abs(float(a.killing_form(zp, b))))
-    return worst
-
-
-def search_counterexample(a, candidates, x_grid, samples: int = 16,
-                          seed: int = 0, n_max: int | None = None):
-    """Condition check over a candidate x grid; returns the failing pairs.
-
-    Each candidate must be a Lie triple system (the condition is only
-    meaningful there).  Deterministic for fixed seed.
-    """
-    failures = []
-    for ci, s in enumerate(candidates):
-        if s.algebra is not a:
-            raise ValueError("candidate %d belongs to a different algebra" % ci)
-        for xi, x in enumerate(x_grid):
-            verdict = condition_holds(s, x, samples=samples, seed=seed, n_max=n_max)
-            if not verdict.holds:
-                failures.append({"candidate": ci, "x_index": xi,
-                                 "x": [_num_str(c) for c in x.coeffs],
-                                 "verdict": verdict})
-    return failures
+    zp = _series_terms(a, x, y, 2 * truncation)[0::2].sum(axis=0)
+    return max((abs(float(p)) for p in zp @ a.killing_exact @ s.basis_rows.T), default=0.0)

@@ -122,6 +122,10 @@ class AlgebraVector:
     def to_array(self) -> np.ndarray:
         return np.array([float(c) for c in self.coeffs], dtype=float)
 
+    def row(self) -> np.ndarray:
+        """Coefficients as a stack row: dtype=object exact, float64 float."""
+        return np.array(self.coeffs, dtype=object if self.mode == MODE_EXACT else float)
+
     def _check(self, other):
         if not isinstance(other, AlgebraVector):
             raise TypeError("expected AlgebraVector")
@@ -386,46 +390,54 @@ class StructuredLieAlgebra:
         return tuple(acc)
 
     def ad_matrix(self, y: AlgebraVector):
-        """Matrix of ad_y on coefficient columns (exact rows or float array)."""
+        """Matrix of ad_y on coefficient columns, m[k][j] = [y, e_j]_k: rows
+        of exact scalars in exact mode, a float64 array in float mode."""
         self._own(y)
-        if y.mode == MODE_FLOAT:
-            return np.einsum("i,ijk->kj", y.to_array(), self.structure_tensor)
+        m = self.ad_stack(y.row()[None])[0].T
+        return m.tolist() if y.mode == MODE_EXACT else m
+
+    @cached_property
+    def _structure_columns(self):
+        """The nonzero C[i, j, k] as (i, C[i, j, k]) pairs sorted by the
+        column j*d + k, the start of each column's run, and its column."""
         d = self.dim
-        rows = [[0] * d for _ in range(d)]
-        for (i, j), entry in self.table.items():
-            ci, cj = y.coeffs[i], y.coeffs[j]
-            if cj != 0:
-                # column i picks up -cj * [e_i, e_j]
-                for k, c in entry.items():
-                    rows[k][i] -= cj * c
-            if ci != 0:
-                for k, c in entry.items():
-                    rows[k][j] += ci * c
-        return [tuple(r) for r in rows]
+        c = self.structure_exact.reshape(d, d * d)
+        cols, rows = np.nonzero(c.T)
+        starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])[:len(cols)]
+        return rows, c[rows, cols], starts, cols[starts]
 
-    def ad_chain(self, y: AlgebraVector, x: AlgebraVector, top: int) -> list:
-        """[x, ad_y x, ..., ad_y^top x], in the shared scalar mode of x and y.
+    def ad_stack(self, ys: np.ndarray) -> np.ndarray:
+        """ad_y of every row y of the stack ys (S, d), as an (S, d, d) array
+        with [y, v] = v @ ad[s], in the dtype of ys: one product of ys with
+        the nonzero structure constants, summed per (j, k)."""
+        rows, vals, starts, cols = self._structure_columns
+        out = np.zeros((len(ys), self.dim ** 2), dtype=ys.dtype)
+        if len(rows):
+            out[:, cols] = np.add.reduceat(ys[:, rows] * vals, starts, axis=1)
+        return out.reshape(-1, self.dim, self.dim)
 
-        ad_y is built once and applied top times: exact rows through mat_vec,
-        float64 as a matrix product.
+    def ad_chain(self, ys: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
+        """The chains x, ad_y x, ..., ad_y^top x for every row y of the stack
+        ys (S, d), as one (S, top + 1, d) array.
+
+        Exact stacks are dtype=object (Python ints and Fractions; the entries
+        outgrow int64 within a few steps), float stacks float64; ys and x
+        share the kind.  One Y is a stack of one, and its row is the same
+        alone or in a stack.
         """
         if top < 0:
             raise ValueError("power must be nonnegative")
-        self._own(x)
-        if y.mode != x.mode:
-            raise ValueError("mixed scalar modes in ad_chain")
-        ad = self.ad_matrix(y)
-        chain = [x]
-        if x.mode == MODE_FLOAT:
-            v = x.to_array()
-            for _ in range(top):
-                v = ad @ v
-                chain.append(AlgebraVector(tuple(v), MODE_FLOAT))
-        else:
-            v = x.coeffs
-            for _ in range(top):
-                v = mat_vec(ad, v)
-                chain.append(AlgebraVector(v, MODE_EXACT))
+        if ys.ndim != 2 or ys.shape[1] != self.dim or x.shape != (self.dim,):
+            raise ValueError("ad_chain takes an (S, %d) stack and a %d-vector"
+                             % (self.dim, self.dim))
+        if {ys.dtype.kind, x.dtype.kind} not in ({"O"}, {"f"}):
+            raise ValueError("ad_chain takes two dtype=object (exact) or two "
+                             "float64 arrays, got %s and %s" % (ys.dtype, x.dtype))
+        ad = self.ad_stack(ys)
+        chain = np.empty((len(ys), top + 1, self.dim), dtype=ys.dtype)
+        chain[:, 0] = x
+        for t in range(top):
+            chain[:, t + 1] = (chain[:, t, None] @ ad)[:, 0]
         return chain
 
     def killing_form(self, x: AlgebraVector, y: AlgebraVector):
@@ -472,13 +484,6 @@ class StructuredLieAlgebra:
             return all(a == -b for a, b in zip(tv.coeffs, v.coeffs))
         arr, tarr = v.to_array(), tv.to_array()
         return bool(np.max(np.abs(tarr + arr)) <= float_tol(float(np.max(np.abs(arr), initial=0.0))))
-
-    def in_k(self, v: AlgebraVector) -> bool:
-        tv = self.apply_theta(v)
-        if v.mode == MODE_EXACT:
-            return tv.coeffs == v.coeffs
-        arr, tarr = v.to_array(), tv.to_array()
-        return bool(np.max(np.abs(tarr - arr)) <= float_tol(float(np.max(np.abs(arr), initial=0.0))))
 
     def curvature_tensor(self, u: AlgebraVector, v: AlgebraVector,
                          w: AlgebraVector) -> AlgebraVector:
@@ -537,21 +542,20 @@ class StructuredLieAlgebra:
             rep.dims["k"] = len(kb)
             rep.dims["p"] = len(pb)
             rep.checks["eigenspace_split"] = len(kb) + len(pb) == d
-            bk = [[self.killing_form(self.vector(x), self.vector(y)) for y in kb] for x in kb]
-            bp = [[self.killing_form(self.vector(x), self.vector(y)) for y in pb] for x in pb]
-            rep.checks["killing_negdef_on_k"] = is_negative_definite(bk) if kb else True
-            rep.checks["killing_posdef_on_p"] = is_positive_definite(bp) if pb else False
+            kb_m, pb_m = (np.array(v, dtype=object).reshape(-1, d) for v in (kb, pb))
+            rep.checks["killing_negdef_on_k"] = (
+                is_negative_definite(kb_m @ b @ kb_m.T) if kb else True)
+            rep.checks["killing_posdef_on_p"] = (
+                is_positive_definite(pb_m @ b @ pb_m.T) if pb else False)
 
+            # [k, k] and [p, p] lie in k, [k, p] in p: the solver rows past
+            # the rank (unscaled) annihilate the target on every bracket
             worst = 0
-            pairs = [("kk", kb, kb, self.k_solver), ("kp", kb, pb, self.p_solver),
-                     ("pp", pb, pb, self.k_solver)]
-            for tag, left, right, solver in pairs:
-                for x in left:
-                    for y in right:
-                        z = self._bracket_exact(x, y)
-                        w = solver.transform(z)
-                        tail = max((abs(t) for t in w[solver.rank:]), default=0)
-                        worst = max(worst, tail)
+            for left, right, solver in ((kb_m, kb_m, self.k_solver),
+                                        (kb_m, pb_m, self.p_solver),
+                                        (pb_m, pb_m, self.k_solver)):
+                tail = np.array(solver._t[solver.rank:], dtype=object).reshape(-1, d)
+                worst = max(worst, _max_abs(right @ self.ad_stack(left) @ tail.T))
             rep.residuals["bracket_parity"] = float(worst)
         else:
             rep.checks["eigenspace_split"] = False

@@ -8,18 +8,21 @@ seed reproduces every sample bit for bit regardless of thread count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .exactla import div
-
-# Fixed stream ids; adding new consumers means appending here, never renumbering.
+# Fixed stream ids; adding new consumers means appending here, never
+# renumbering (ids 2, 4, 6 and 7 belonged to retired consumers).
 STREAM_CONDITION_Y = 1
-STREAM_CONDITION_X = 2
 STREAM_LEMMA = 3
-STREAM_SERIES = 4
 STREAM_ROOTS_GENERIC = 5
-STREAM_SEARCH = 6
-STREAM_GEOMETRY = 7
+
+# rational_vector draws p/q with |p| <= RATIONAL_NUM and q in
+# RATIONAL_DENOMINATORS, returned as integers over RATIONAL_SCALE
+RATIONAL_NUM = 4
+RATIONAL_DENOMINATORS = np.array((1, 2, 3))
+RATIONAL_SCALE = math.lcm(*RATIONAL_DENOMINATORS.tolist())
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -28,19 +31,19 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
         [np.uint64(seed), np.uint64(stream_id)], dtype=np.uint64)))
 
 
-def rational_vector(gen: np.random.Generator, n: int,
-                    max_num: int = 4, denominators=(1, 2, 3)) -> tuple:
-    """Small random rational vector of canonical exact scalars, never the
-    zero vector.
+def rational_vector(gen: np.random.Generator, n: int) -> np.ndarray:
+    """Small random rational vector q, never zero, returned as the integer
+    vector RATIONAL_SCALE * q.
 
-    Entries p/q with |p| <= max_num, q from `denominators`.  Small entries keep
-    exact-arithmetic blowup in iterated brackets manageable.
+    Small entries keep exact-arithmetic blowup in iterated brackets
+    manageable.
     """
     while True:
-        nums = gen.integers(-max_num, max_num + 1, size=n)
-        dens = gen.choice(denominators, size=n)
+        nums = gen.integers(-RATIONAL_NUM, RATIONAL_NUM + 1, size=n)
+        # the same draws as gen.choice(RATIONAL_DENOMINATORS, size=n)
+        dens = RATIONAL_DENOMINATORS[gen.integers(0, len(RATIONAL_DENOMINATORS), size=n)]
         if np.any(nums != 0):
-            return tuple(div(int(p), int(q)) for p, q in zip(nums, dens))
+            return nums * (RATIONAL_SCALE // dens)
 
 
 def odd_int_vector(gen: np.random.Generator, n: int, max_abs: int = 9) -> tuple:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .exactla import SpanSolver, div, frac, mat_vec, nullspace
-from .extension import ConditionVerdict, _num_str, _sample_y, condition_holds
+from .extension import ConditionVerdict, _num_str, condition_holds, sample_ys
 from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra
 from .subspaces import Subspace
 
@@ -386,19 +386,15 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
                 for nu in (tuple(x + y for x, y in zip(lam, mu)),
                            tuple(x - y for x, y in zip(lam, mu))):
                     target_basis.extend(_space_basis_for(rd, targets, zero_target, nu))
-                target = Subspace(rd.algebra, target_basis, rd.mode) if target_basis \
-                    else Subspace(rd.algebra, [], rd.mode)
-                for x in left[lam].basis:
-                    for y in right[mu].basis:
-                        v = rd.algebra.bracket(x, y)
-                        member, res = target.contains(v)
-                        worst = max(worst, res)
-                        if not member and witness is None:
-                            holds = False
-                            witness = {"rule": name,
-                                       "lambda": root_label(lam),
-                                       "mu": root_label(mu),
-                                       "residual": res}
+                target = Subspace(rd.algebra, target_basis, rd.mode)
+                # [x, y] for x in the left space, y in the right one
+                brackets = right[mu].basis_rows @ rd.algebra.ad_stack(left[lam].basis_rows)
+                outside, res = target.membership(brackets)
+                worst = max(worst, float(res.max(initial=0.0)))
+                if outside.any() and witness is None:
+                    holds = False
+                    witness = {"rule": name, "lambda": root_label(lam),
+                               "mu": root_label(mu), "residual": float(res[outside][0])}
         report["rules"][name] = {"holds": holds, "worst_residual": worst,
                                  "witness": witness}
         report["passed"] = report["passed"] and holds
@@ -475,21 +471,14 @@ def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
     odd_target = rd.k_spaces[lam]
 
     n_max = len(a.p_basis)
-    gen = rng.stream(seed, rng.STREAM_LEMMA)
-    odd_ok = even_ok = True
-    odd_worst = even_worst = 0.0
-    for _ in range(samples):
-        y = _sample_y(s, gen)
-        chain = a.ad_chain(y, x, 2 * n_max + 2)
-        for k in range(1, 2 * n_max + 3):
-            if k % 2:
-                mem, res = odd_target.contains(chain[k])
-                odd_worst = max(odd_worst, res)
-                odd_ok = odd_ok and mem
-            else:
-                mem, res = even_target.contains(chain[k])
-                even_worst = max(even_worst, res)
-                even_ok = even_ok and mem
+    ys = sample_ys(s, rng.stream(seed, rng.STREAM_LEMMA), samples)
+    chain = a.ad_chain(ys, x.row(), 2 * n_max + 2)
+    odd, even = chain[:, 1::2], chain[:, 2::2]
+    odd_out, odd_res = odd_target.membership(odd)
+    even_out, even_res = even_target.membership(even)
+    odd_ok, even_ok = not odd_out.any(), not even_out.any()
+    odd_worst = float(odd_res.max(initial=0.0))
+    even_worst = float(even_res.max(initial=0.0))
 
     verdict = condition_holds(s, x, samples=samples, seed=seed)
     return RootExampleBundle(lam=lam, x=x, lts_holds=lts_holds,

@@ -1,10 +1,12 @@
 """Subspaces of the algebra and the structural predicates on them:
 Lie triple system, reflective, totally real.
 
-Membership in exact mode is a rational linear solve (a certificate);
-in float mode a least-squares residual against the scale-aware tolerance
-liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).  Residuals are measured in the positive definite form
-B_theta, so they are meaningful for vectors anywhere in g, not just in p.
+Membership takes stacks of coefficient rows.  In exact mode it is one
+product with integer rows whose common kernel is the span (a certificate);
+in float mode the B_theta-orthogonal residual is held against the
+scale-aware tolerance liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).
+Residuals are measured in the positive definite form B_theta, so they are
+meaningful for vectors anywhere in g, not just in p.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactla import SpanSolver, invert, mat_vec, nullspace
+from .exactla import SpanSolver, frac, invert, mat_vec, nullspace
 from .liealg import (
     MODE_EXACT,
     MODE_FLOAT,
@@ -48,7 +50,7 @@ class Subspace:
             if self.dim and not self.solver.independent:
                 raise ValueError("subspace basis is linearly dependent")
         else:
-            if self.dim and np.linalg.matrix_rank(self.basis_array, tol=1e-12) < self.dim:
+            if self.dim and np.linalg.matrix_rank(self.basis_rows, tol=1e-12) < self.dim:
                 raise ValueError("subspace basis is numerically dependent")
 
     @property
@@ -60,45 +62,57 @@ class Subspace:
         return SpanSolver([b.coeffs for b in self.basis])
 
     @cached_property
-    def basis_array(self) -> np.ndarray:
-        """d x k float column matrix."""
-        if not self.basis:
-            return np.zeros((self.algebra.dim, 0))
-        return np.stack([b.to_array() for b in self.basis], axis=1)
-
-    # Gram data in B_theta for residual computation.
-    @cached_property
-    def _gram_exact(self):
-        bt = self.algebra.btheta
-        pair = [tuple(mat_vec(bt, b.coeffs)) for b in self.basis]  # k rows of length d
-        gram = [tuple(sum(row[i] * b.coeffs[i] for i in range(self.algebra.dim))
-                      for b in self.basis) for row in pair]
-        ginv = invert([list(r) for r in gram])
-        return pair, ginv
+    def basis_rows(self) -> np.ndarray:
+        """(k, d) stack of the basis: dtype=object exact, float64 float."""
+        kind = object if self.mode == MODE_EXACT else float
+        return np.array([b.coeffs for b in self.basis], dtype=kind).reshape(-1, self.algebra.dim)
 
     @cached_property
-    def _gram_float(self):
-        bt = self.algebra.btheta_float
-        pair = self.basis_array.T @ bt            # k x d
-        gram = pair @ self.basis_array            # k x k
-        return pair, gram
+    def _projector(self) -> np.ndarray:
+        """Q with v @ Q the B_theta-orthogonal component of v off the span:
+        d x d, dtype=object in exact mode, float64 in float mode."""
+        a = self.algebra
+        kind = object if self.mode == MODE_EXACT else float
+        eye = np.eye(a.dim, dtype=kind)
+        if not self.dim:
+            return eye
+        basis = self.basis_rows
+        pair = basis @ np.array(a.btheta, dtype=kind)
+        gram = pair @ basis.T
+        inv = invert(gram) if kind is object else np.linalg.inv(gram)
+        q = eye - pair.T @ np.array(inv, dtype=kind) @ basis
+        return np.frompyfunc(frac, 1, 1)(q) if kind is object else q
 
-    def _residual_vector(self, v: AlgebraVector) -> AlgebraVector:
-        """B_theta-orthogonal component of v relative to the span."""
-        if self.dim == 0:
-            return v
+    @cached_property
+    def null_rows(self) -> np.ndarray:
+        """(r, d) dtype=object integer rows whose common kernel is the span
+        (exact mode): the solver's rows past the rank, or the identity for
+        the zero subspace."""
+        d = self.algebra.dim
+        if not self.dim:
+            return np.eye(d, dtype=object)
+        return np.array(self.solver._null_rows, dtype=object).reshape(-1, d)
+
+    def _norms(self, vs: np.ndarray) -> np.ndarray:
+        """B_theta norms of the rows of vs, as floats."""
+        q = np.einsum("...i,ij,...j->...", vs, np.array(self.algebra.btheta, dtype=vs.dtype), vs)
+        return np.sqrt(np.maximum(q.astype(float), 0.0))
+
+    def membership(self, vs: np.ndarray):
+        """(outside, residuals) for the rows of the stack vs (..., d): the
+        mask of the rows that leave the span, and their B_theta residual
+        norms as floats.  Exact rows are decided by one product with the
+        integer null rows; members read exactly 0.0 and only the rows outside
+        are projected.  Float rows are all projected, and a row is outside
+        when its residual exceeds float_tol of its norm."""
         if self.mode == MODE_EXACT:
-            pair, ginv = self._gram_exact
-            rhs = tuple(sum(row[i] * v.coeffs[i] for i in range(len(row)))
-                        for row in pair)
-            coords = mat_vec(ginv, rhs)
-            proj = self.algebra.zero()
-            for c, b in zip(coords, self.basis):
-                proj = proj + b.scale(c)
-            return v - proj
-        pair, gram = self._gram_float
-        coords = np.linalg.solve(gram, pair @ v.to_array())
-        return AlgebraVector(tuple(v.to_array() - self.basis_array @ coords), MODE_FLOAT)
+            outside = (vs @ self.null_rows.T != 0).any(axis=-1)
+            res = np.zeros(outside.shape)
+            if outside.any():
+                res[outside] = self._norms(vs[outside] @ self._projector)
+            return outside, res
+        res = self._norms(vs @ self._projector)
+        return res > float_tol(self._norms(vs)), res
 
     def contains(self, v: AlgebraVector):
         """(member, residual): exact-mode members have residual exactly 0."""
@@ -107,22 +121,13 @@ class Subspace:
                              % (v.mode, self.mode))
         if len(v.coeffs) != self.algebra.dim:
             raise ValueError("ambient dimension mismatch")
-        if self.mode == MODE_EXACT:
-            if self.dim == 0:
-                ok = v.is_zero()
-            else:
-                ok = self.solver.contains(v.coeffs)
-            if ok:
-                return True, 0.0
-            return False, self.algebra.btheta_norm(self._residual_vector(v))
-        res = self.algebra.btheta_norm(self._residual_vector(v))
-        scale = self.algebra.btheta_norm(v)
-        return res <= float_tol(scale), res
+        outside, res = self.membership(v.row()[None])
+        return not outside[0], float(res[0])
 
     def coordinates(self, v: AlgebraVector):
         if self.mode == MODE_EXACT:
             return self.solver.coordinates(v.coeffs)
-        coords, *_ = np.linalg.lstsq(self.basis_array, v.to_array(), rcond=None)
+        coords, *_ = np.linalg.lstsq(self.basis_rows.T, v.to_array(), rcond=None)
         return tuple(coords)
 
     def member_from_coordinates(self, coords) -> AlgebraVector:
@@ -161,7 +166,7 @@ class Subspace:
                 vectors.append(v)
             return Subspace(a, vectors, MODE_EXACT)
         pb_f = a.p_basis_float
-        pairing = self.basis_array.T @ a.killing_float @ pb_f
+        pairing = self.basis_rows @ a.killing_float @ pb_f
         if pairing.size == 0:
             null = np.eye(pb_f.shape[1])
         else:
@@ -173,57 +178,50 @@ class Subspace:
         return Subspace(a, vectors, MODE_FLOAT)
 
     def is_lie_triple_system(self):
-        """(verdict, witness): [[s,s],s] inside s on basis triples.
+        """(verdict, witness): [[s,s],s] inside s on basis triples, all in one
+        stacked pass; the witness is the first failing (i < j, k).
 
         Multilinearity makes basis triples complete, in contrast to the
         extension condition handled elsewhere.
         """
         self._require_p("is_lie_triple_system")
-        a = self.algebra
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                inner = a.bracket(self.basis[i], self.basis[j])
-                for k in range(self.dim):
-                    v = a.bracket(inner, self.basis[k])
-                    ok, res = self.contains(v)
-                    if not ok:
-                        return False, {
-                            "triple": (i, j, k),
-                            "vector": _coeff_strings(v),
-                            "residual": res,
-                        }
+        a, b = self.algebra, self.basis_rows
+        i, j = np.triu_indices(self.dim, 1)
+        inner = (b[j, None] @ a.ad_stack(b[i]))[:, 0]       # [b_i, b_j], i < j
+        triples = b @ a.ad_stack(inner)                     # [[b_i, b_j], b_c]
+        outside, res = self.membership(triples)
+        for p, c in zip(*np.nonzero(outside)):
+            return False, {"triple": (int(i[p]), int(j[p]), int(c)),
+                           "vector": _coeff_strings(a.vector(triples[p, c], self.mode)),
+                           "residual": float(res[p, c])}
         return True, None
 
     def is_reflective(self):
         """(verdict, report): b and its complement are triple systems and the
         mixed double brackets land crosswise: [[b,c],b] in c, [[b,c],c] in b."""
         self._require_p("is_reflective")
+        a = self.algebra
         comp = self.orthocomplement_in_p()
         report = {"dim": self.dim, "codim": comp.dim}
         ok_b, wit_b = self.is_lie_triple_system()
         ok_c, wit_c = comp.is_lie_triple_system()
         report["triple_system"] = {"holds": ok_b, "witness": wit_b}
         report["complement_triple_system"] = {"holds": ok_c, "witness": wit_c}
+        inner = (comp.basis_rows @ a.ad_stack(self.basis_rows)).reshape(-1, a.dim)
 
-        def mixed(target, tag):
-            worst = 0.0
+        def mixed(target, sources):
+            v = sources @ a.ad_stack(inner)       # [[x, y], z] at (x*codim + y, z)
+            outside, res = target.membership(v)
             witness = None
-            holds = True
-            for x in self.basis:
-                for y in comp.basis:
-                    inner = self.algebra.bracket(x, y)
-                    sources = self.basis if tag == "into_complement" else comp.basis
-                    for z in sources:
-                        v = self.algebra.bracket(inner, z)
-                        member, res = target.contains(v)
-                        worst = max(worst, res)
-                        if not member and witness is None:
-                            holds = False
-                            witness = {"vector": _coeff_strings(v), "residual": res}
-            return {"holds": holds, "worst_residual": worst, "witness": witness}
+            for at in zip(*np.nonzero(outside)):
+                witness = {"vector": _coeff_strings(a.vector(v[at], self.mode)),
+                           "residual": float(res[at])}
+                break
+            return {"holds": not outside.any(), "worst_residual": float(res.max(initial=0.0)),
+                    "witness": witness}
 
-        report["mixed_into_complement"] = mixed(comp, "into_complement")
-        report["mixed_into_subspace"] = mixed(self, "into_subspace")
+        report["mixed_into_complement"] = mixed(comp, self.basis_rows)
+        report["mixed_into_subspace"] = mixed(self, comp.basis_rows)
         verdict = (ok_b and ok_c
                    and report["mixed_into_complement"]["holds"]
                    and report["mixed_into_subspace"]["holds"])
@@ -249,8 +247,7 @@ class Subspace:
 
 def _apply_matrix(a: StructuredLieAlgebra, m, v: AlgebraVector) -> AlgebraVector:
     if v.mode == MODE_FLOAT:
-        arr = np.asarray(m, dtype=float) if not isinstance(m, np.ndarray) else m
-        return AlgebraVector(tuple(arr @ v.to_array()), MODE_FLOAT)
+        return AlgebraVector(tuple(np.asarray(m, dtype=float) @ v.to_array()), MODE_FLOAT)
     return AlgebraVector(mat_vec(m, v.coeffs), MODE_EXACT)
 
 

@@ -28,8 +28,12 @@ from transvector.report import strip_wall_time
 from transvector.roots import (build_root_space_example, maximal_abelian,
                                restricted_root_decomposition,
                                verify_commutation_rules)
-from transvector.rng import STREAM_SERIES, stream
+from transvector.rng import stream
 from transvector.subspaces import Subspace
+
+# the stream id these draws have always used; the package itself no longer
+# draws from it
+TEST_STREAM = 4
 
 CONDITION_PAIRS = [("su21", "real-form"), ("su21", "complex-hyperplane"),
                    ("su31", "real-form"), ("su31", "complex-hyperplane")]
@@ -79,17 +83,18 @@ def test_criterion_3_lemma_certified_on_all_pairs_and_sl2r(sl2r):
     residuals on every criterion-2 pair and on the sl(2,R) worked example."""
     for space_id, pair_name in CONDITION_PAIRS:
         entry = build_pair(space_id, pair_name)
-        gen = stream(11, STREAM_SERIES)
+        gen = stream(11, TEST_STREAM)
         for k in range(3):
             coords = tuple(Fraction(int(gen.integers(-3, 4)) * 2 + 1, 2)
                            for _ in range(entry.s.dim))
             y = entry.s.member_from_coordinates(coords)
-            check = verify_lemma_conclusion(entry.s, entry.x_default, y,
-                                            n_max=4, m_max=4)
+            check, = verify_lemma_conclusion(entry.s, entry.x_default,
+                                             y.row()[None], n_max=4, m_max=4)
             assert check.passed, (space_id, pair_name, k)
             assert check.worst_residual == 0.0
     s, x = _sl2_h_pair(sl2r)
-    check = verify_lemma_conclusion(s, x, s.basis[0].scale(2), n_max=4, m_max=4)
+    check, = verify_lemma_conclusion(s, x, s.basis[0].scale(2).row()[None],
+                                     n_max=4, m_max=4)
     assert check.passed and check.worst_residual == 0.0
 
 
@@ -99,7 +104,7 @@ def test_criterion_4_series_routes_agree_within_ten_tails(sl2r):
     ||ad_Y||_2 = 5.0 so the bound sits far above float64 roundoff and the
     comparison is sharp.  Anchor: [Z^k, Z^p] = -sinh(4) H at Y = H in
     sl(2,R), within 1e-12."""
-    gen = stream(4, STREAM_SERIES)
+    gen = stream(4, TEST_STREAM)
     entries = [build_pair(sid, p) for sid, p in CONDITION_PAIRS[:2]]
     specs = []
     for entry in entries:

@@ -1,0 +1,199 @@
+"""The stacked chain against a reference built from single brackets.
+
+`ad_chain` evaluates x, ad_y x, ..., ad_y^top x for a whole stack of Y at
+once, and the extension condition, the lemma and the root examples read
+their terms and memberships off that one array.  Every test here rebuilds
+the same quantities one bracket and one membership test at a time, in the
+order the condition has always used: sample by sample, n = 0, 1, ... within
+a sample, stopping at the first term outside s.
+"""
+
+from __future__ import annotations
+
+import os
+
+import numpy as np
+import pytest
+
+from transvector import rng
+from transvector.algfile import parse_algebra_file
+from transvector.catalog import build_pair, negative_control
+from transvector.cli import load_subspace_file
+from transvector.extension import (condition_holds, sample_ys,
+                                   verify_lemma_conclusion)
+from transvector.liealg import MODE_FLOAT
+from transvector.subspaces import Subspace
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def _rational_pair():
+    """su21 with every structure constant halved (rational algebra)."""
+    a = parse_algebra_file(os.path.join(GOLDEN, "su21half.alg"))
+    s = load_subspace_file(a, os.path.join(GOLDEN, "su21-real-form.json"))
+    return s, a.from_labels({"Q1": 1})
+
+
+def _float(s, x):
+    return (Subspace(s.algebra, [b.astype(MODE_FLOAT) for b in s.basis]),
+            x.astype(MODE_FLOAT))
+
+
+def _cases():
+    su21 = build_pair("su21", "real-form")
+    su31 = build_pair("su31", "complex-hyperplane")
+    _, control_s, control_x = negative_control()
+    exact = {"su21": (su21.s, su21.x_default),
+             "su31": (su31.s, su31.x_default),
+             "control": (control_s, control_x),
+             "rational": _rational_pair()}
+    cases = dict(exact)
+    cases["su21-float"] = _float(*exact["su21"])
+    cases["control-float"] = _float(*exact["control"])
+    return cases
+
+
+CASES = _cases()
+
+
+def _reference_chain(a, y, x, top):
+    chain = [x]
+    for _ in range(top):
+        chain.append(a.bracket(y, chain[-1]))
+    return chain
+
+
+def _reference_condition(s, x, ys, n_max):
+    """(checked, witness (sample, n, term, residual) or None, per-n worst
+    residual) from iterated a.bracket and s.contains."""
+    a = s.algebra
+    worst = [0.0] * (n_max + 1)
+    checked = 0
+    for i, row in enumerate(ys):
+        chain = _reference_chain(a, a.vector(row, s.mode), x, 2 * n_max + 1)
+        for n in range(n_max + 1):
+            term = a.bracket(x, chain[2 * n + 1])
+            member, res = s.contains(term)
+            checked += 1
+            worst[n] = max(worst[n], res)
+            if not member:
+                return checked, (i, n, term, res), worst
+    return checked, None, worst
+
+
+def _close(u, v, exact):
+    if exact:
+        return u == v
+    return np.max(np.abs(u.to_array() - v.to_array()), initial=0.0) <= 1e-9 * (
+        1.0 + np.max(np.abs(v.to_array()), initial=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stacked_chain_is_the_iterated_bracket(name):
+    s, x = CASES[name]
+    a = s.algebra
+    ys = sample_ys(s, rng.stream(2, rng.STREAM_CONDITION_Y), 5)
+    top = 2 * len(a.p_basis) + 1
+    chain = a.ad_chain(ys, x.row(), top)
+    assert chain.shape == (5, top + 1, a.dim)
+    assert chain.dtype == (object if s.mode != MODE_FLOAT else np.float64)
+    exact = s.mode != MODE_FLOAT
+    for row, y in zip(chain, ys):
+        want = _reference_chain(a, a.vector(y, s.mode), x, top)
+        assert all(_close(a.vector(v, s.mode), w, exact) for v, w in zip(row, want))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_membership_masks_match_single_contains(name):
+    """Stacked membership of the bracket terms [X, ad_Y^(2n+1) X] agrees
+    with s.contains term by term, mask and residual."""
+    s, x = CASES[name]
+    a = s.algebra
+    n_max = len(a.p_basis)
+    ys = sample_ys(s, rng.stream(3, rng.STREAM_CONDITION_Y), 4)
+    odd = a.ad_chain(ys, x.row(), 2 * n_max + 1)[:, 1::2]
+    outside, res = s.membership(odd @ a.ad_stack(x.row()[None])[0])
+    assert outside.shape == res.shape == (4, n_max + 1)
+    for i, row in enumerate(ys):
+        chain = _reference_chain(a, a.vector(row, s.mode), x, 2 * n_max + 1)
+        for n in range(n_max + 1):
+            member, r = s.contains(a.bracket(x, chain[2 * n + 1]))
+            assert outside[i, n] == (not member), (i, n)
+            if s.mode != MODE_FLOAT:
+                assert res[i, n] == r
+            else:
+                assert res[i, n] == pytest.approx(r, rel=1e-6, abs=1e-8)
+    # the control's terms leave s: the masks above were not trivially False
+    assert outside.any() == name.startswith("control")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("samples", [0, 1, 6])
+def test_condition_verdict_matches_the_term_by_term_reference(name, samples):
+    s, x = CASES[name]
+    a = s.algebra
+    n_max = len(a.p_basis)
+    verdict = condition_holds(s, x, samples=samples, seed=5)
+    ys = sample_ys(s, rng.stream(5, rng.STREAM_CONDITION_Y), samples)
+    checked, witness, worst = _reference_condition(s, x, ys, n_max)
+    assert verdict.checked == checked
+    assert verdict.holds == (witness is None)
+    if s.mode != MODE_FLOAT:
+        assert verdict.per_n_worst_residual == worst
+    else:
+        # members' float residuals are roundoff: each route has its own
+        assert np.allclose(verdict.per_n_worst_residual, worst, rtol=1e-6, atol=1e-8)
+    if witness is not None:
+        i, n, term, res = witness
+        w = verdict.witness
+        assert w["n"] == n
+        if s.mode != MODE_FLOAT:
+            assert w["residual"] == res
+            assert w["y"] == [str(c) for c in a.vector(ys[i]).coeffs]
+            assert w["vector"] == [str(c) for c in term.coeffs]
+        else:
+            assert w["residual"] == pytest.approx(res, rel=1e-9)
+            assert w["y"] == [repr(float(c)) for c in ys[i]]
+            assert np.allclose([float(c) for c in w["vector"]], term.to_array(),
+                               rtol=1e-9, atol=1e-12)
+
+
+def test_control_witness_is_the_first_failing_sample():
+    """Every sample of the sl(3,R) control fails at n = 0, so the witness
+    must come from sample 0 and `checked` must be 1."""
+    s, x = CASES["control"]
+    verdict = condition_holds(s, x, samples=16, seed=0)
+    ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 16)
+    assert verdict.checked == 1
+    assert verdict.witness["y"] == [str(c) for c in ys[0]]
+    assert len({tuple(y) for y in ys}) > 1     # a later sample would differ
+
+
+def test_lemma_hypothesis_failures_match_the_reference():
+    s, x = CASES["control"]
+    a = s.algebra
+    ys = sample_ys(s, rng.stream(1, rng.STREAM_LEMMA), 3)
+    checks = verify_lemma_conclusion(s, x, ys, n_max=2, m_max=1)
+    assert len(checks) == 3
+    for check, row in zip(checks, ys):
+        chain = _reference_chain(a, a.vector(row), x, 7)
+        want = [s.contains(a.bracket(x, chain[2 * m + 1])) for m in range(4)]
+        assert check.hypothesis_residuals == [r for _, r in want]
+        assert check.hypothesis_failures == [{"m": m, "residual": r}
+                                             for m, (ok, r) in enumerate(want) if not ok]
+        assert check.status == "hypothesis_violated"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_y_alone_gives_the_row_it_gives_in_a_stack(name):
+    s, x = CASES[name]
+    a = s.algebra
+    ys = sample_ys(s, rng.stream(7, rng.STREAM_CONDITION_Y), 6)
+    top = 2 * len(a.p_basis) + 1
+    stacked = a.ad_chain(ys, x.row(), top)
+    for i in range(len(ys)):
+        alone = a.ad_chain(ys[i:i + 1], x.row(), top)[0]
+        if s.mode == MODE_FLOAT:
+            assert np.array_equal(alone.view(np.uint64), stacked[i].view(np.uint64))
+        else:
+            assert np.array_equal(alone, stacked[i])

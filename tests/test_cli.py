@@ -199,3 +199,38 @@ def test_cached_parser_keeps_subcommand_defaults_apart(tmp_path):
     assert status == 2
     assert rep["config"]["samples"] == 64
     assert "m_max" not in rep["config"] and "s_file" not in rep["config"]
+
+
+@pytest.mark.parametrize("x, where", [("-", "at the end"), ("Q1+", "at the end"),
+                                      ("Q1--Q2", "at column 4"),
+                                      ("Q1 Q2", "at column 4"),
+                                      ("P1 + 2*", "at column 6")])
+def test_malformed_x_exits_2_naming_the_position(tmp_path, x, where):
+    """A stray sign or a missing term is a parse error, never a dropped
+    token: each of these once certified a pair with exit 0."""
+    status, rep = _run(tmp_path, "check", "--space", "su21", "--pair",
+                       "real-form", "--X", x)
+    assert status == 2
+    assert rep["results"]["kind"] == "config"
+    assert where in rep["results"]["error"] and repr(x) in rep["results"]["error"]
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "lemma", "construct",
+                                     "bisector"])
+@pytest.mark.parametrize("x", ["0*Q1", "Q1 - Q1"])
+def test_zero_x_exits_2_in_every_command(tmp_path, command, x):
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps([{"P1": 1}, {"P2": 1}]))
+    source = ["--s", str(custom)] if command == "verify" else ["--pair", "real-form"]
+    status, rep = _run(tmp_path, command, "--space", "su21", *source, "--X", x)
+    assert status == 2
+    assert rep["results"]["kind"] == "config"
+
+
+def test_every_golden_x_still_parses(su21, sl3r):
+    for a, x in ((su21, "Q1"), (su21, "1/2*Q1 + 1/3*Q2"), (sl3r, "bad"),
+                 (sl3r, "1/2*H1 + 1/3*S13"), (sl3r, "S13")):
+        assert not parse_x_expression(a, x).is_zero()
+    v = parse_x_expression(su21, " -Q1+ 2 * P1 -1/3*P2 ")
+    combo = dict(zip(su21.labels, v.coeffs))
+    assert (combo["Q1"], combo["P1"], str(combo["P2"])) == (-1, 2, "-1/3")

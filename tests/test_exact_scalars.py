@@ -14,7 +14,7 @@ from transvector import rng
 from transvector.catalog import (build_pair, build_space, list_pairs,
                                  negative_control)
 from transvector.exactla import SpanSolver, div, frac, nullspace, rank, rref
-from transvector.extension import _sample_y
+from transvector.extension import sample_ys
 from transvector.liealg import AlgebraVector
 from transvector.subspaces import Subspace
 
@@ -53,12 +53,12 @@ def test_catalog_exact_path_runs_on_ints(space_id):
         assert all(_all_ints(row) for row in solver._null_rows)
     gen = rng.stream(5, rng.STREAM_CONDITION_Y)
     for s in _subspaces(space_id):
-        y = _sample_y(s, gen)
+        ys = sample_ys(s, gen, 2)
         x = a.vector(a.p_basis[-1])
-        assert _all_ints(y.coeffs)
-        for v in a.ad_chain(y, x, 2 * len(a.p_basis) + 1):
-            assert _all_ints(v.coeffs)
-            assert _all_ints(a.bracket(x, v).coeffs)
+        assert _all_ints(ys.flat)
+        chain = a.ad_chain(ys, x.row(), 2 * len(a.p_basis) + 1)
+        assert _all_ints(chain.flat)
+        assert _all_ints((chain @ a.ad_stack(x.row()[None])[0]).flat)
 
 
 @given(scalars)
@@ -113,8 +113,8 @@ def test_rational_data_stays_exact():
     x = a.from_labels({"Q1": Fraction(1, 2), "Q2": Fraction(1, 3)})
     assert type(x.coeffs[a.labels.index("Q1")]) is Fraction
     y = s.basis[0] + s.basis[1]
-    for v in a.ad_chain(y, x, 7)[1::2]:   # [X, ad_Y^(2n+1) X] lies in s
-        term = a.bracket(x, v)
+    for v in a.ad_chain(y.row()[None], x.row(), 7)[0, 1::2]:   # [X, ad_Y^(2n+1) X] lies in s
+        term = a.bracket(x, a.vector(v))
         assert s.contains(term) == (True, 0.0)
         assert s.contains(term.scale(6)) == (True, 0.0)
         assert all(_canonical(c) for c in term.coeffs)

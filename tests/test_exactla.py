@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from transvector.exactla import (SpanSolver, frac, identity, invert,
                                  is_positive_definite, mat_mul, mat_vec,
                                  nullspace, qmat_comm, qmat_realify, Qi,
-                                 rank, rref, solve, vec_is_zero)
+                                 rank, rref, solve)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -27,7 +27,7 @@ def matrices(n_rows, n_cols):
 def test_nullspace_vectors_are_in_the_kernel(m):
     basis = nullspace(m)
     for v in basis:
-        assert vec_is_zero(mat_vec(m, v))
+        assert not any(mat_vec(m, v))
     # rank-nullity on the same matrix
     assert rank(m) + len(basis) == 5
 

@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transvector.catalog import build_pair, negative_control
-from transvector.extension import (condition_holds, condition_terms, nabla_zz,
-                                   normal_field_check, search_counterexample,
+from transvector.extension import (condition_holds, nabla_zz, normal_field_check,
                                    verify_lemma_conclusion)
 from transvector.liealg import MODE_FLOAT
 from transvector.subspaces import Subspace
@@ -53,13 +52,19 @@ def test_negative_control_fails_at_the_first_bracket(sl3r):
     assert not member and res > 0
 
 
+def _condition_terms(a, x, y, n_max):
+    """[X, ad_Y^{2n+1} X] for n = 0..n_max, read off the stacked chain."""
+    odd = a.ad_chain(y.row()[None], x.row(), 2 * n_max + 1)[0, 1::2]
+    return [a.vector(t @ a.ad_stack(x.row()[None])[0], x.mode) for t in odd]
+
+
 def test_condition_terms_scale_quadratically_in_x(sl2_pair):
     a, s, x = sl2_pair
     y = s.basis[0].scale(Fraction(3, 2))
-    base = {n: t for n, t in condition_terms(s, x, y, 3)}
-    scaled = {n: t for n, t in condition_terms(s, x.scale(Fraction(5, 2)), y, 3)}
-    for n, t in base.items():
-        assert scaled[n].coeffs == t.scale(Fraction(25, 4)).coeffs
+    base = _condition_terms(a, x, y, 3)
+    scaled = _condition_terms(a, x.scale(Fraction(5, 2)), y, 3)
+    for t, u in zip(base, scaled):
+        assert u.coeffs == t.scale(Fraction(25, 4)).coeffs
 
 
 @given(st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -68,7 +73,7 @@ def test_condition_terms_scale_quadratically_in_x(sl2_pair):
 def test_odd_brackets_stay_in_s_for_su21_real_form(c1, c2):
     entry = build_pair("su21", "real-form")
     y = entry.s.basis[0].scale(c1) + entry.s.basis[1].scale(c2)
-    for n, term in condition_terms(entry.s, entry.x_default, y, 3):
+    for term in _condition_terms(entry.algebra, entry.x_default, y, 3):
         member, res = entry.s.contains(term)
         assert member and res == 0
 
@@ -76,7 +81,7 @@ def test_odd_brackets_stay_in_s_for_su21_real_form(c1, c2):
 def test_lemma_conclusion_certified_on_sl2r(sl2_pair):
     a, s, x = sl2_pair
     y = s.basis[0].scale(2)
-    check = verify_lemma_conclusion(s, x, y, n_max=4, m_max=4)
+    check, = verify_lemma_conclusion(s, x, y.row()[None], n_max=4, m_max=4)
     assert check.passed
     assert check.worst_residual == 0.0
     # every conclusion pair (n, m) up to the declared bounds was exercised
@@ -87,7 +92,7 @@ def test_lemma_conclusion_certified_on_sl2r(sl2_pair):
 def test_lemma_reports_hypothesis_violation_not_falsification(sl3r):
     _, s, x = negative_control()
     y = s.basis[0]
-    check = verify_lemma_conclusion(s, x, y, n_max=2, m_max=2)
+    check, = verify_lemma_conclusion(s, x, y.row()[None], n_max=2, m_max=2)
     assert check.status == "hypothesis_violated"
     assert not check.passed
     assert check.hypothesis_failures
@@ -146,16 +151,6 @@ def test_normal_field_check_rejects_non_orthogonal_x(sl2_pair):
     a, s, x = sl2_pair
     with pytest.raises(ValueError):
         normal_field_check(s, s.basis[0], s.basis[0])
-
-
-def test_search_finds_the_shipped_counterexample(sl3r):
-    _, s, x = negative_control()
-    good = Subspace(sl3r, [sl3r.from_labels({"S12": 1})])
-    x_good = sl3r.from_labels({"S13": 1})
-    failures = search_counterexample(
-        sl3r, [good], [x_good, x], samples=4, seed=1)
-    assert [f["x_index"] for f in failures] == [1]
-    assert not failures[0]["verdict"].holds
 
 
 def test_non_orthogonal_x_is_flagged_but_still_checked(sl2_pair):

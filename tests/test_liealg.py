@@ -53,7 +53,7 @@ def test_cartan_split_and_membership(sl2r):
     assert p_part.coeffs == (0, Fraction(1, 2), Fraction(1, 2))
     assert sl2r.in_p(H)
     assert sl2r.in_p(E + F)
-    assert sl2r.in_k(E - F)
+    assert sl2r.apply_theta(E - F) == E - F
     assert not sl2r.in_p(E)
 
 
@@ -95,31 +95,30 @@ def test_ad_power_matches_repeated_bracket(sl2r):
     H = sl2r.basis_vector(0)
     x = sl2r.basis_vector(1) + sl2r.basis_vector(2)
     y = sl2r.vector([Fraction(1, 2), 3, Fraction(-2, 3)])
-    w = x
-    for k in range(1, 6):
-        w = sl2r.bracket(H, w)
-        assert sl2r.ad_chain(H, x, k)[k].coeffs == w.coeffs
 
-    # the exact chain is the repeated bracket, entry by entry
-    chain = sl2r.ad_chain(y, x, 6)
-    assert len(chain) == 7 and chain[0] == x
-    w = x
-    for k in range(1, 7):
-        w = sl2r.bracket(y, w)
-        assert chain[k] == w
+    # every row of an exact stack is the repeated bracket, entry by entry
+    chain = sl2r.ad_chain(np.array([H.coeffs, y.coeffs], dtype=object), x.row(), 6)
+    assert chain.shape == (2, 7, 3) and chain.dtype == object
+    for row, yv in zip(chain, (H, y)):
+        w = x
+        for k in range(7):
+            assert sl2r.vector(row[k]) == w
+            w = sl2r.bracket(yv, w)
 
     # the float chain agrees with the exact chain converted to float
-    fchain = sl2r.ad_chain(y.astype(MODE_FLOAT), x.astype(MODE_FLOAT), 6)
-    for exact, approx in zip(chain, fchain):
-        assert approx.mode == MODE_FLOAT
-        want = exact.to_array()
-        assert np.max(np.abs(approx.to_array() - want)) <= 1e-12 * np.max(np.abs(want))
-    assert sl2r.ad_chain(y.astype(MODE_FLOAT), x.astype(MODE_FLOAT), 6)[6] == fchain[6]
+    fchain = sl2r.ad_chain(y.to_array()[None], x.to_array(), 6)[0]
+    assert fchain.dtype == np.float64
+    want = chain[1].astype(float)
+    assert np.max(np.abs(fchain - want)) <= 1e-12 * np.max(np.abs(want))
 
     with pytest.raises(ValueError):
-        sl2r.ad_chain(y, x.astype(MODE_FLOAT), 3)
+        sl2r.ad_chain(y.row()[None], x.to_array(), 3)
     with pytest.raises(ValueError):
-        sl2r.ad_chain(y.astype(MODE_FLOAT), x, 2)
+        sl2r.ad_chain(y.to_array()[None], x.row(), 2)
+    with pytest.raises(ValueError):
+        sl2r.ad_chain(y.row(), x.row(), 2)      # a single Y is a stack of one
+    with pytest.raises(ValueError):             # int64 would wrap within a few steps
+        sl2r.ad_chain(np.array([[1, 2, 3]]), np.array([0, 1, 1]), 2)
 
 
 def test_validation_is_exact_zero(sl2r):
@@ -330,3 +329,34 @@ def test_format_vector_round_trip_label_text(sl2r):
     v = sl2r.from_labels({"H": Fraction(3, 2), "F": -1})
     assert sl2r.format_vector(v) == "3/2*H - F"
     assert sl2r.format_vector(sl2r.zero()) == "0"
+
+
+def _skewed_theta(c):
+    """theta(H) = -H, theta(E) = -c F, theta(F) = -E / c: an involutive
+    automorphism of sl(2,R) whose k = span(E - c F) gives the k solver
+    rational rows past the rank."""
+    c = Fraction(c)
+    return ((-1, 0, 0), (0, 0, -1 / c), (0, -c, 0))
+
+
+@pytest.mark.parametrize("build", [
+    DIFFERENTIAL["jacobi"],
+    lambda: _sl2_like({0: 1, 1: 1}, _skewed_theta(2)),
+    lambda: _sl2_like({0: 1, 2: 1}, _skewed_theta(Fraction(3, 2))),
+    lambda: _corrupted_su21(Fraction(1, 3)),
+    lambda: build_space("su31"),
+], ids=["jacobi", "skewed-2", "skewed-3/2", "su21-rational", "su31"])
+def test_bracket_parity_matches_the_solver_transform_loop(build):
+    """The parity residual is the largest entry, over every [k, k], [k, p]
+    and [p, p] basis bracket, of the solver transform past the rank, with
+    the rows unscaled (scaling them to integers would change the value)."""
+    a = build()
+    worst = 0
+    for left, right, solver in ((a.k_basis, a.k_basis, a.k_solver),
+                                (a.k_basis, a.p_basis, a.p_solver),
+                                (a.p_basis, a.p_basis, a.k_solver)):
+        for x in left:
+            for y in right:
+                w = solver.transform(a._bracket_exact(x, y))
+                worst = max([worst] + [abs(t) for t in w[solver.rank:]])
+    assert a.validate().residuals["bracket_parity"] == float(worst)

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from transvector import rng, roots
+from transvector import rng
 from transvector.catalog import build_space
-from transvector.extension import _sample_y
+from transvector.extension import sample_ys
 from transvector.liealg import MODE_EXACT, MODE_FLOAT
 from transvector.roots import (_decompose_float, build_root_space_example,
                                maximal_abelian, restricted_root_decomposition,
@@ -108,35 +108,32 @@ def test_root_space_example_checks_every_chain_power(monkeypatch):
     _, rd = _decomp(a)
     lam = rd.positive[0]
     x = rd.a.member_from_coordinates((Fraction(3, 2),))
-    odd_seen, even_seen = [], []
+    n_max = len(a.p_basis)
+    seen = []
+    membership = Subspace.membership
 
-    class EvenTarget(Subspace):
-        # the only Subspace build_root_space_example constructs itself
-        def contains(self, v):
-            even_seen.append(v)
-            return super().contains(v)
+    def record(self, vs):
+        if vs.shape[:2] == (2, n_max + 1):       # the chain stacks of 2 draws
+            seen.append((self, vs))
+        return membership(self, vs)
 
-    odd_target = rd.k_spaces[lam]
-    odd_contains = odd_target.contains
-
-    def record_odd(v):
-        odd_seen.append(v)
-        return odd_contains(v)
-
-    monkeypatch.setattr(roots, "Subspace", EvenTarget)
-    monkeypatch.setattr(odd_target, "contains", record_odd)
+    monkeypatch.setattr(Subspace, "membership", record)
     build_root_space_example(rd, lam, x, samples=2, seed=5)
 
-    n_max = len(a.p_basis)
-    gen = rng.stream(5, rng.STREAM_LEMMA)
+    ys = sample_ys(rd.p_spaces[lam], rng.stream(5, rng.STREAM_LEMMA), 2)
     want_odd, want_even = [], []
-    for _ in range(2):
-        chain = a.ad_chain(_sample_y(rd.p_spaces[lam], gen), x, 2 * n_max + 2)
-        want_odd += chain[1::2]
-        want_even += chain[2::2]
+    for row in ys:
+        y, w = a.vector(row), x
+        for k in range(1, 2 * n_max + 3):
+            w = a.bracket(y, w)
+            (want_odd if k % 2 else want_even).append(w)
+    (odd_target, odd), (even_target, even) = seen
+    assert odd_target is rd.k_spaces[lam]
+    assert even_target.dim == rd.a.dim + rd.p_spaces.get(
+        tuple(2 * c for c in lam), Subspace(a, [])).dim
     assert len(want_even) == 2 * (n_max + 1)
-    assert odd_seen == want_odd
-    assert even_seen == want_even
+    assert [a.vector(v) for v in odd.reshape(-1, a.dim)] == want_odd
+    assert [a.vector(v) for v in even.reshape(-1, a.dim)] == want_even
 
 
 def test_example_rejects_x_outside_a():
