@@ -119,24 +119,24 @@ def load_subspace_file(a, path: str) -> Subspace:
 
 
 def _algebra_from_args(args):
-    if getattr(args, "algebra_file", None):
+    if args.algebra_file:
         from .algfile import parse_algebra_file
 
         return parse_algebra_file(args.algebra_file)
-    if not getattr(args, "space", None):
+    if not args.space:
         raise ConfigError("--space (or --algebra-file) is required")
     return build_space(args.space)
 
 
 def _pair_from_args(args):
     """(algebra, s, x, meta) from --pair or --s/--X."""
-    if getattr(args, "pair", None):
+    if args.pair:
         entry = build_pair(args.space, args.pair)
         a = entry.algebra
-        x = parse_x_expression(a, args.x) if getattr(args, "x", None) else entry.x_default
+        x = entry.x_default if args.x is None else parse_x_expression(a, args.x)
         return a, entry.s, x, {"pair": entry.pair_name, "space": entry.space_id}
     a = _algebra_from_args(args)
-    if not getattr(args, "s_file", None) or not getattr(args, "x", None):
+    if not args.s_file or args.x is None:
         raise ConfigError("need either --pair or both --s and --X")
     s = load_subspace_file(a, args.s_file)
     x = parse_x_expression(a, args.x)
@@ -235,7 +235,7 @@ def _cmd_roots(args):
 
 def _cmd_construct(args):
     entry = build_pair(args.space, args.pair)
-    x = parse_x_expression(entry.algebra, args.x) if args.x else entry.x_default
+    x = entry.x_default if args.x is None else parse_x_expression(entry.algebra, args.x)
     spec = ImmersionSpec(entry.algebra, entry.s, x, truncation=args.truncation,
                          grid=_grid_from_args(args), h=args.h)
     rep = mean_curvature_report(spec, tolerance=args.tolerance,
@@ -259,9 +259,6 @@ def _cmd_construct(args):
 
 
 def _cmd_bisector(args):
-    if args.x:
-        raise ConfigError("bisector measures the catalog pair with its own "
-                          "normal; --X is not accepted")
     entry = build_pair(args.space, args.pair)
     grid = GridSpec(t_steps=args.grid_steps, y_steps=args.grid_steps)
     rep = bisector_equidistance_check(entry, r=args.r, grid=grid,
@@ -313,13 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "of reflective submanifolds")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, pair=True, sampled=True):
+    # a subcommand declares only the inputs it reads
+    inputs = {
+        "--algebra-file": dict(help="algebra definition file instead of --space"),
+        "--pair": dict(help="catalog pair name"),
+        "--s": dict(dest="s_file", help="JSON file with s basis vectors"),
+        "--X": dict(dest="x", help="normal vector expression, e.g. 'P1+2*Q1'"),
+    }
+
+    def common(p, takes=tuple(inputs), sampled=True):
         p.add_argument("--space", help="catalog space id (su21, su31, so31, sl3r, ...)")
-        p.add_argument("--algebra-file", help="algebra definition file instead of --space")
-        if pair:
-            p.add_argument("--pair", help="catalog pair name")
-            p.add_argument("--s", dest="s_file", help="JSON file with s basis vectors")
-            p.add_argument("--X", dest="x", help="normal vector expression, e.g. 'P1+2*Q1'")
+        for flag in takes:
+            p.add_argument(flag, **inputs[flag])
         if sampled:
             p.add_argument("--samples", type=int, default=64)
         p.add_argument("--seed", type=int, default=0)
@@ -342,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lemma, samples=4)
 
     p = sub.add_parser("roots", help="restricted root decomposition")
-    common(p, pair=False, sampled=True)
+    common(p, takes=("--algebra-file",))
     p.add_argument("--examples", action="store_true",
                    help="also certify the root-space examples")
     p.set_defaults(func=_cmd_roots, samples=8)
 
     p = sub.add_parser("construct", help="build the immersion and measure it")
-    common(p, sampled=False)
+    common(p, takes=("--pair", "--X"), sampled=False)
     p.add_argument("--t-steps", type=int, default=5)
     p.add_argument("--y-steps", type=int, default=5)
     p.add_argument("--t-range", default="-0.75,0.75")
@@ -364,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("bisector", help="equidistance of the extension")
-    common(p, sampled=False)
+    common(p, takes=("--pair",), sampled=False)
     p.add_argument("--r", type=float, default=0.5)
     p.add_argument("--grid-steps", type=int, default=7)
     p.add_argument("--tolerance", type=float, default=1e-8)

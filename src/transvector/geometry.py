@@ -220,7 +220,8 @@ def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray,
     first term of norm <= SERIES_EPS."""
     pbm, pinv, gram = _p_geometry(a)
     pvec = _apply(pbm, np.asarray(p_coords, dtype=float))
-    ad = np.einsum("...i,ijk->...kj", pvec, a.structure_tensor)
+    ad = a.ad_stack(pvec.reshape(-1, a.dim)).reshape(pvec.shape + (a.dim,))
+    ad = ad.swapaxes(-1, -2)                # ad[..., :, j] = [P, e_j]
     m = pinv @ (ad @ ad) @ pbm              # ad_P^2 restricted to p
     restr_res = np.linalg.norm(ad @ (ad @ pbm) - pbm @ m, axis=(-2, -1))
     restricts = restr_res <= 1e-9 * (1.0 + np.linalg.norm(ad, axis=(-2, -1)) ** 2)

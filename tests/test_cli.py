@@ -201,7 +201,8 @@ def test_cached_parser_keeps_subcommand_defaults_apart(tmp_path):
     assert "m_max" not in rep["config"] and "s_file" not in rep["config"]
 
 
-@pytest.mark.parametrize("x, where", [("-", "at the end"), ("Q1+", "at the end"),
+@pytest.mark.parametrize("x, where", [("", "empty X expression"),
+                                      ("-", "at the end"), ("Q1+", "at the end"),
                                       ("Q1--Q2", "at column 4"),
                                       ("Q1 Q2", "at column 4"),
                                       ("P1 + 2*", "at column 6")])
@@ -212,12 +213,12 @@ def test_malformed_x_exits_2_naming_the_position(tmp_path, x, where):
                        "real-form", "--X", x)
     assert status == 2
     assert rep["results"]["kind"] == "config"
-    assert where in rep["results"]["error"] and repr(x) in rep["results"]["error"]
+    assert where in rep["results"]["error"]
+    assert not x or repr(x) in rep["results"]["error"]
 
 
-@pytest.mark.parametrize("command", ["check", "verify", "lemma", "construct",
-                                     "bisector"])
-@pytest.mark.parametrize("x", ["0*Q1", "Q1 - Q1"])
+@pytest.mark.parametrize("command", ["check", "verify", "lemma", "construct"])
+@pytest.mark.parametrize("x", ["0*Q1", "Q1 - Q1", ""])
 def test_zero_x_exits_2_in_every_command(tmp_path, command, x):
     custom = tmp_path / "custom.json"
     custom.write_text(json.dumps([{"P1": 1}, {"P2": 1}]))
@@ -225,6 +226,21 @@ def test_zero_x_exits_2_in_every_command(tmp_path, command, x):
     status, rep = _run(tmp_path, command, "--space", "su21", *source, "--X", x)
     assert status == 2
     assert rep["results"]["kind"] == "config"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("construct", ("--s", "s.json")), ("construct", ("--algebra-file", "a.alg")),
+    ("bisector", ("--X", "Q1")), ("bisector", ("--s", "s.json")),
+    ("bisector", ("--algebra-file", "a.alg")),
+    ("roots", ("--X", "Q1")), ("roots", ("--s", "s.json"))])
+def test_inputs_a_command_does_not_read_are_refused(tmp_path, command, extra):
+    """An input a command would ignore is an argument error (exit 2, no
+    report), not a silently different request."""
+    pair = () if command == "roots" else ("--pair", "real-form")
+    build_parser().parse_args([command, "--space", "su21", *pair])
+    out = tmp_path / "report.json"
+    status = run([command, "--space", "su21", *pair, *extra, "--out", str(out)])
+    assert status == 2 and not out.exists()
 
 
 def test_every_golden_x_still_parses(su21, sl3r):
