@@ -63,6 +63,10 @@ COMMANDS = {
     "construct-su21-distance-law": ["construct", "--space", "su21", "--pair",
                                     "complex-hyperplane", "--distance-law",
                                     "--t-steps", "3", "--y-steps", "3"],
+    "construct-su21-real-form-distance-law": ["construct", "--space", "su21",
+                                              "--pair", "real-form",
+                                              "--distance-law", "--t-steps",
+                                              "3", "--y-steps", "3"],
     "bisector-su21-complex-hyperplane": ["bisector", "--space", "su21", "--pair",
                                          "complex-hyperplane", "--grid-steps", "3"],
     "bisector-su21-real-form": ["bisector", "--space", "su21", "--pair",
