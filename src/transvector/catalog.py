@@ -311,21 +311,20 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     jx = np.array([[float(c) for c in row] for row in jm]) @ x_unit.to_array()
     jx_vec = a.vector(tuple(jx), "float64")
     spec = ImmersionSpec(a, entry.s, x_unit, grid=grid)
-    z_plus = SpacePoint.from_matrix(a, expm(float(r) * realize(a, jx_vec)))
-    z_minus = SpacePoint.from_matrix(a, expm(-float(r) * realize(a, jx_vec)))
-
-    base = SpacePoint.base(a)
-    base_gap = abs(distance(a, base, z_plus) - distance(a, base, z_minus))
-    max_delta = 0.0
+    z = SpacePoint.from_matrix(a, expm(np.array([r, -r], dtype=float)[:, None, None]
+                                       * realize(a, jx_vec)))    # z_+, z_-
+    d0 = distance(a, SpacePoint.base(a), z)
+    t_nodes = grid.t_axis()
+    y_nodes = np.array(list(product(grid.y_axis(), repeat=entry.s.dim)))
+    d = distance(a, immersion_point(spec, t_nodes[:, None, None],
+                                    y_nodes[:, None, :]), z)
+    delta = np.abs(d[..., 0] - d[..., 1]).ravel()     # t-major
+    k = int(np.argmax(delta))                         # its first maximum
     witness = None
-    y_nodes = list(product(grid.y_axis(), repeat=entry.s.dim))
-    for t in grid.t_axis():
-        for y in y_nodes:
-            q = immersion_point(spec, float(t), y)
-            delta = abs(distance(a, q, z_plus) - distance(a, q, z_minus))
-            if delta > max_delta:
-                max_delta = delta
-                witness = {"t": float(t), "y": [float(c) for c in y]}
+    if delta[k] > 0.0:
+        ti, yi = divmod(k, len(y_nodes))
+        witness = {"t": float(t_nodes[ti]), "y": [float(c) for c in y_nodes[yi]]}
+    max_delta = float(delta[k]) if witness else 0.0
     return {
         "mode": "float64",
         "space": entry.space_id,
@@ -333,21 +332,23 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
         "r": float(r),
         "x_norm": xn,
         "tolerance": tol,
-        "base_point_gap": base_gap,
+        "base_point_gap": float(abs(d0[0] - d0[1])),
         "max_delta": max_delta,
         "witness": witness,
         "equidistant": max_delta <= tol,
-        "samples": len(grid.t_axis()) * len(y_nodes),
+        "samples": len(delta),
     }
 
 
+@lru_cache(maxsize=None)
 def negative_control():
     """A (subspace, X) pair in sl(3,R) that genuinely violates the extension
     condition at the first odd bracket: s = span(S12), X = H1 + S13 gives
     [X,[S12,X]] with an S23 component, which is neither in s nor zero.
 
     Kept out of build_pair on purpose: the pair is not reflective and exists
-    to prove the detectors can say no.
+    to prove the detectors can say no.  Cached like build_pair, so the
+    subspace and its span solver are built once per process.
     """
     a = build_space("sl3r")
     s = Subspace(a, [a.from_labels({"S12": 1})], MODE_EXACT)

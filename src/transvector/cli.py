@@ -300,6 +300,17 @@ def _cmd_catalog(args):
     return results, True
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float options: a nan or an infinity is an
+    argument error naming the option, not a failed run."""
+    try:
+        if np.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; each parse_args returns a fresh
@@ -355,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-steps", type=int, default=5)
     p.add_argument("--t-range", default="-0.75,0.75")
     p.add_argument("--y-range", default="-0.75,0.75")
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--h", type=_finite_float, default=1e-3)
     p.add_argument("--truncation", type=int, default=60)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-4)
     p.add_argument("--baseline", action="store_true",
                    help="measure the frozen-t slice instead of the extension")
     p.add_argument("--distance-law", action="store_true")
@@ -367,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bisector", help="equidistance of the extension")
     common(p, takes=("--pair",), sampled=False)
-    p.add_argument("--r", type=float, default=0.5)
+    p.add_argument("--r", type=_finite_float, default=0.5)
     p.add_argument("--grid-steps", type=int, default=7)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=_finite_float, default=1e-8)
     p.set_defaults(func=_cmd_bisector)
 
     p = sub.add_parser("catalog", help="list built-in spaces and pairs")

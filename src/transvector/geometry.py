@@ -4,12 +4,14 @@ Points live in one global normal-coordinate chart (the space is nonpositively
 curved and simply connected, so exp at the base point is a diffeomorphism).
 Everything metric is derived from two primitives: the polar projection
 cartan_project (group element -> p-coordinates) and the pullback metric
-g_P(u,v) = B(S(P)u, S(P)v) with S(P) = sum_k ad_P^{2k}/(2k+1)! on p.
+metric_matrix, g_P(u,v) = B(S(P)u, S(P)v), S(P) = sum_k ad_P^{2k}/(2k+1)! on p.
 
-Both take stacks, (..., N, N) group elements and (..., dim_p) coordinates;
-one point is a stack of one.  Each slice gets the LAPACK/BLAS call it would
-get alone, so its result is the same bits in any stack, and a failed check
-raises what the first failing point of the stack would raise alone.
+Both take stacks, (..., N, N) group elements and (..., dim_p) coordinates, and
+so do the points built on them: SpacePoint, distance, transvection and
+immersion_point broadcast stacks, and one point is a stack of one.  Each slice
+gets the LAPACK/BLAS call it would get alone, so its result is the same bits in
+any stack.  Checks run in the order one point runs them, and each raises what
+the first failing point of the stack would raise alone.
 
 Mean curvature comes from central finite differences in the chart: _stencil
 evaluates a stack-aware function once on the centre, x0 +- h e_i and the
@@ -101,14 +103,6 @@ def _p_coords(a: StructuredLieAlgebra, arr: np.ndarray):
         "vector is not in p (residual %.3e)" % res.flat[i]))
 
 
-def p_coordinates(a: StructuredLieAlgebra, v: AlgebraVector) -> np.ndarray:
-    """Coordinates of a p-vector over the p-basis; rejects vectors with a
-    k-component above tolerance."""
-    co, check = _p_coords(a, v.to_array())
-    _raise_first_failure([check])
-    return co
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
@@ -147,7 +141,7 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):  # w <= 0 fails below
         pmat = (u * (0.5 * np.log(w))[..., None, :]) @ _dagger(u)
     p_im, pinv = _p_images(a)
-    stack = pmat.shape[:-2] + (-1,)
+    stack = pmat.shape[:-2] + (pmat.shape[-2] * pmat.shape[-1],)
     co = _apply(pinv, np.concatenate([pmat.real.reshape(stack),
                                       pmat.imag.reshape(stack)], axis=-1))
     err = np.linalg.norm(np.einsum("...j,jkl->...kl", co, p_im) - pmat,
@@ -171,7 +165,8 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SpacePoint:
-    """A point of M in global normal coordinates over the p-basis."""
+    """A stack of points of M in global normal coordinates over the p-basis:
+    coords is (..., dim_p), one point is a stack of one."""
 
     algebra: StructuredLieAlgebra
     coords: np.ndarray                      # p-basis coordinates, float
@@ -182,34 +177,36 @@ class SpacePoint:
         return cls(a, np.zeros(len(a.p_basis)))
 
     @classmethod
-    def from_p_vector(cls, a: StructuredLieAlgebra, v: AlgebraVector) -> "SpacePoint":
-        return cls(a, p_coordinates(a, v))
-
-    @classmethod
     def from_matrix(cls, a: StructuredLieAlgebra, g: np.ndarray) -> "SpacePoint":
-        pt = cls(a, cartan_project(a, g))
-        # round-trip consistency of the cached representative
-        back = cartan_project(a, pt.representative)
-        if np.max(np.abs(back - pt.coords)) > ROUNDTRIP_TOL * (1.0 + np.max(np.abs(pt.coords))):
-            raise NumericalBreakdown("normal-coordinate round trip failed")
+        """The points of the stack g (..., N, N), once their representatives
+        chart back to the same coordinates."""
+        pt, round_trip = _chart_points(a, g)
+        _raise_first_failure([round_trip])
         return pt
 
     @property
     def representative(self) -> np.ndarray:
         if self._representative is None:
             p_im, _ = _p_images(self.algebra)
-            self._representative = expm(np.einsum("j,jkl->kl", self.coords, p_im))
+            self._representative = expm(np.einsum("...j,jkl->...kl", self.coords, p_im))
         return self._representative
 
-    def p_vector(self) -> AlgebraVector:
-        return AlgebraVector(tuple(_p_geometry(self.algebra)[0] @ self.coords),
-                             MODE_FLOAT)
+
+def _chart_points(a: StructuredLieAlgebra, g: np.ndarray):
+    """(SpacePoint of the stack g, its round-trip check): one cartan_project
+    of g, one expm of the representatives and one cartan_project of them."""
+    pt = SpacePoint(a, cartan_project(a, g))
+    off = np.max(np.abs(cartan_project(a, pt.representative) - pt.coords), axis=-1)
+    return pt, (off > ROUNDTRIP_TOL * (1.0 + np.max(np.abs(pt.coords), axis=-1)),
+                lambda i: NumericalBreakdown("normal-coordinate round trip failed"))
 
 
-def distance(a: StructuredLieAlgebra, q1: SpacePoint, q2: SpacePoint) -> float:
-    """Geodesic distance d(q1, q2) = ||cartan_project(g1^{-1} g2)||_B."""
+def distance(a: StructuredLieAlgebra, q1: SpacePoint, q2: SpacePoint) -> np.ndarray:
+    """Geodesic distances d(q1, q2) = ||cartan_project(g1^{-1} g2)||_B, with
+    the two stacks of points broadcast against each other."""
     co = cartan_project(a, np.linalg.solve(q1.representative, q2.representative))
-    return float(np.sqrt(max(0.0, co @ _p_geometry(a)[2] @ co)))
+    sq = (co[..., None, :] @ _p_geometry(a)[2] @ co[..., :, None])[..., 0, 0]
+    return np.sqrt(np.where(sq > 0.0, sq, 0.0))
 
 
 def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray,
@@ -248,14 +245,6 @@ def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray,
     return np.swapaxes(s, -1, -2) @ gram @ s
 
 
-def pullback_metric(a: StructuredLieAlgebra, p: AlgebraVector,
-                    u: AlgebraVector, v: AlgebraVector,
-                    truncation: int = 60) -> float:
-    """g_P(u, v) for p-vectors, via the restricted sinh-type series."""
-    g = metric_matrix(a, p_coordinates(a, p), truncation)
-    return float(p_coordinates(a, u) @ g @ p_coordinates(a, v))
-
-
 @dataclass
 class GridSpec:
     """Ranges and node counts for the chart parameters (t, Y-coordinates)."""
@@ -278,10 +267,10 @@ class GridSpec:
     def y_axis(self) -> np.ndarray:
         return np.linspace(self.y_range[0], self.y_range[1], self.y_steps)
 
-    def contains(self, t: float, y: np.ndarray) -> bool:
-        return (self.t_range[0] <= t <= self.t_range[1]
-                and bool(np.all(y >= self.y_range[0]))
-                and bool(np.all(y <= self.y_range[1])))
+    def contains(self, t, y: np.ndarray) -> np.ndarray:
+        """Mask of the nodes, stacks t (...) and y (..., dim s), in range."""
+        return ((self.t_range[0] <= t) & (t <= self.t_range[1])
+                & np.all((self.y_range[0] <= y) & (y <= self.y_range[1]), axis=-1))
 
 
 @dataclass
@@ -348,33 +337,37 @@ class ImmersionSpec:
         return expm(tx) @ expm(self.y_matrix(y))
 
 
-def transvection(spec: ImmersionSpec, t: float, q: SpacePoint) -> SpacePoint:
-    """psi_t(q): left multiplication by exp(tX)."""
-    g = expm(float(t) * spec._x_matrix) @ q.representative
-    return SpacePoint.from_matrix(spec.algebra, g)
+def transvection(spec: ImmersionSpec, t, q: SpacePoint) -> SpacePoint:
+    """psi_t(q): left multiplication by exp(tX); the stack t (...) broadcasts
+    against the stack of points q."""
+    tx = np.asarray(t, dtype=float)[..., None, None] * spec._x_matrix
+    return SpacePoint.from_matrix(spec.algebra, expm(tx) @ q.representative)
 
 
-def _grid_point(spec: ImmersionSpec, t: float, y) -> np.ndarray:
-    """y as a float vector, once it has dim s entries and (t, y) lies in the
-    declared grid ranges."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape[0] != spec.s.dim:
+def _grid_point(spec: ImmersionSpec, t, y):
+    """(t, y) as float stacks, once y has dim s entries per node and every
+    node lies in the declared grid ranges."""
+    t, y = np.asarray(t, dtype=float), np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape[-1] != spec.s.dim:
         raise ConfigError("expected %d Y-coordinates, got %d"
-                          % (spec.s.dim, y.shape[0]))
-    if not spec.grid.contains(float(t), y):
-        raise ConfigError("(t, Y) lies outside the declared grid ranges")
-    return y
+                          % (spec.s.dim, y.shape[-1]))
+    _raise_first_failure([(~spec.grid.contains(t, y), lambda i: ConfigError(
+        "(t, Y) lies outside the declared grid ranges"))])
+    return t, y
 
 
-def immersion_point(spec: ImmersionSpec, t: float, y) -> SpacePoint:
-    """f(t, y) = exp(tX) exp(Y(y)) o as a SpacePoint; at t = 0 the projected
-    coordinates are recertified to lie in s within 1e-9."""
-    y = _grid_point(spec, t, y)
-    pt = SpacePoint.from_matrix(spec.algebra, spec.group_element(t, y))
-    if t == 0.0:
-        member, res = spec._s_float.contains(pt.p_vector())
-        if not member or res > 1e-9 * (1.0 + float(np.max(np.abs(pt.coords)))):
-            raise NumericalBreakdown("t = 0 point left s (residual %.3e)" % res)
+def immersion_point(spec: ImmersionSpec, t, y) -> SpacePoint:
+    """f(t, y) = exp(tX) exp(Y(y)) o for the stacks t (...) and y (..., dim s);
+    the coordinates of the t = 0 nodes are recertified to lie in s within
+    1e-9.  Every node is range-checked before any is charted."""
+    t, y = _grid_point(spec, t, y)
+    pt, round_trip = _chart_points(spec.algebra, spec.group_element(t, y))
+    outside, res = spec._s_float.membership(_apply(_p_geometry(spec.algebra)[0],
+                                                   pt.coords))
+    scale = 1.0 + np.max(np.abs(pt.coords), axis=-1)
+    left = (t == 0.0) & (outside | (res > 1e-9 * scale))
+    _raise_first_failure([round_trip, (left, lambda i: NumericalBreakdown(
+        "t = 0 point left s (residual %.3e)" % res.flat[i]))])
     return pt
 
 
@@ -439,7 +432,7 @@ def mean_curvature_estimate(spec: ImmersionSpec, t: float, y,
     if spec.codimension < 2 and not baseline:
         raise ConfigError("mean curvature of the extension needs codimension "
                           ">= 2; this spec has %d" % spec.codimension)
-    y = _grid_point(spec, t, y)
+    t, y = _grid_point(spec, t, y)
     h = spec.h if h is None else float(h)
 
     if baseline:
@@ -534,52 +527,40 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples,
     a = spec.algebra
     xn = spec.x_norm
     o = SpacePoint.base(a)
-    t_samples = sorted(float(t) for t in t_samples)
-    if 0.0 not in t_samples:
-        t_samples = sorted(t_samples + [0.0])
+    ts = [float(t) for t in t_samples]
+    ts = np.array(sorted(ts if 0.0 in ts else ts + [0.0]))
+    bound = np.abs(ts) * xn
 
-    geo_worst = max(abs(distance(a, o, SpacePoint.from_matrix(
-        a, expm(t * spec._x_matrix))) - abs(t) * xn) for t in t_samples)
+    orbit = SpacePoint.from_matrix(a, expm(ts[:, None, None] * spec._x_matrix))
+    geo_worst = float(np.max(np.abs(distance(a, o, orbit) - bound)))
     geodesic = {"worst_residual": geo_worst, "tolerance": 1e-9,
                 "holds": geo_worst <= 1e-9}
 
-    s_points = [SpacePoint.from_matrix(a, spec.group_element(0.0, y))
-                for y in y_samples]
-    at_foot = [not np.any(y) for y in y_samples]
-    has_origin = any(at_foot)
+    ys = np.array(y_samples, dtype=float)
+    s_points = SpacePoint.from_matrix(a, spec.group_element(0.0, ys))
+    foot = ~np.any(ys, axis=-1)
 
-    sep_violation = 0.0
-    eq_gap = 0.0
-    for t in t_samples:
-        if t == 0.0:
-            continue
-        bound = abs(t) * xn
-        for y, foot in zip(y_samples, at_foot):
-            q = SpacePoint.from_matrix(a, spec.group_element(t, y))
-            dmin = min(distance(a, q, sp) for sp in s_points)
-            sep_violation = max(sep_violation, bound - slack - dmin)
-            if foot:
-                eq_gap = max(eq_gap, abs(dmin - bound))
-    separation = {"worst_violation": max(0.0, sep_violation), "slack": slack,
-                  "equality_gap_at_foot": eq_gap if has_origin else None,
+    # distance from f(t, y), t != 0, to the nearest S-sample
+    off = ts != 0.0
+    q = SpacePoint.from_matrix(a, spec.group_element(ts[off, None, None],
+                                                     ys[:, None, :]))
+    dmin = np.min(distance(a, q, s_points), axis=-1)
+    sep_violation = float(np.max(bound[off, None] - slack - dmin, initial=0.0))
+    eq_gap = float(np.max(np.abs(dmin - bound[off, None])[:, foot], initial=0.0))
+    separation = {"worst_violation": sep_violation, "slack": slack,
+                  "equality_gap_at_foot": eq_gap if foot.any() else None,
                   "holds": sep_violation <= 0.0
-                  and (not has_origin or eq_gap <= slack)}
+                  and (not foot.any() or eq_gap <= slack)}
 
-    mono_ok = True
-    mono_worst = 0.0
-    for q0 in s_points:
-        vals = [(t, distance(a, o, transvection(spec, t, q0))) for t in t_samples]
-        base = dict(vals)[0.0]
-        for (t1, d1), (t2, d2) in zip(vals, vals[1:]):
-            if t2 <= 0.0 and d2 > d1 + 1e-12:
-                mono_ok = False
-                mono_worst = max(mono_worst, d2 - d1)
-            if t1 >= 0.0 and d1 > d2 + 1e-12:
-                mono_ok = False
-                mono_worst = max(mono_worst, d1 - d2)
-        if min(d for _, d in vals) < base - 1e-12:
-            mono_ok = False
-    global_min = {"holds": mono_ok, "worst_increase_toward_zero": mono_worst}
+    # d(o, psi_t(q)) over (t, S-sample): no step toward t = 0 may climb
+    d = distance(a, o, transvection(spec, ts[:, None], s_points))
+    step = np.diff(d, axis=0)
+    left = (ts[1:, None] <= 0.0) & (d[1:] > d[:-1] + 1e-12)
+    right = (ts[:-1, None] >= 0.0) & (d[:-1] > d[1:] + 1e-12)
+    below = np.min(d, axis=0) < d[ts == 0.0][-1] - 1e-12
+    global_min = {"holds": not (left.any() or right.any() or below.any()),
+                  "worst_increase_toward_zero": float(np.max(np.concatenate(
+                      [step[left], -step[right]]), initial=0.0))}
 
     return {
         "mode": MODE_FLOAT,

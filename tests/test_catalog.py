@@ -7,6 +7,7 @@ import pytest
 from transvector.catalog import (bisector_equidistance_check, build_pair,
                                  build_space, complex_structure_matrix,
                                  list_pairs, negative_control, parse_space_id)
+from transvector.cli import parse_x_expression
 from transvector.errors import ConfigError
 from transvector.extension import condition_holds
 from transvector.geometry import GridSpec
@@ -80,6 +81,15 @@ def test_pair_entry_serializes_with_labels(su21_real_form):
     assert d["pair"] == "real-form"
     assert d["s_basis"] == ["P1", "P2"]
     assert d["x_default"] == "Q1"
+
+
+def test_the_bad_alias_reuses_one_cached_control(sl3r):
+    """negative_control is cached like build_pair: two parses of --X bad give
+    the same X, and the control's subspace is built once."""
+    first = parse_x_expression(sl3r, "bad")
+    assert parse_x_expression(sl3r, " bad ") is first
+    assert negative_control() is negative_control()
+    assert negative_control()[2] is first
 
 
 def test_negative_control_violates_the_condition(sl3r):

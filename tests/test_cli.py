@@ -243,6 +243,24 @@ def test_inputs_a_command_does_not_read_are_refused(tmp_path, command, extra):
     assert status == 2 and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("bisector", "--pair", "complex-hyperplane", "--r", "nan"),
+    ("bisector", "--pair", "complex-hyperplane", "--r", "inf"),
+    ("construct", "--pair", "real-form", "--h", "nan"),
+    ("construct", "--pair", "real-form", "--h", "inf"),
+    ("construct", "--pair", "real-form", "--tolerance", "nan"),
+    ("bisector", "--pair", "real-form", "--tolerance", "nan"),
+    ("bisector", "--pair", "real-form", "--r", "half")])
+def test_non_finite_float_options_exit_2_naming_the_option(tmp_path, capsys, argv):
+    """A nan or an infinity once ended in a LinAlgError or a JSON ValueError
+    traceback with exit 1, the status of a failed condition."""
+    out = tmp_path / "report.json"
+    status = run([argv[0], "--space", "su21", *argv[1:], "--out", str(out)])
+    assert status == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "argument %s: expected a finite number, got %r" % argv[-2:] in err
+
+
 def test_every_golden_x_still_parses(su21, sl3r):
     for a, x in ((su21, "Q1"), (su21, "1/2*Q1 + 1/3*Q2"), (sl3r, "bad"),
                  (sl3r, "1/2*H1 + 1/3*S13"), (sl3r, "S13")):

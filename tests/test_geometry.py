@@ -24,8 +24,8 @@ from transvector.geometry import (CurvatureReport, GridSpec, ImmersionSpec,
                                   distance_law_check, export_point_cloud,
                                   immersion_point, mean_curvature_estimate,
                                   mean_curvature_report, metric_matrix,
-                                  normal_pairing_residual, p_coordinates,
-                                  pullback_metric, realize, transvection)
+                                  normal_pairing_residual, realize,
+                                  transvection)
 from transvector.liealg import MODE_FLOAT
 from transvector.subspaces import Subspace
 
@@ -56,12 +56,13 @@ def test_rotation_part_projects_to_base_point(sl2r):
 
 
 def test_distance_along_the_flat_is_linear(sl2r):
-    o = SpacePoint.base(sl2r)
-    h = sl2r.basis_vector(0).astype(MODE_FLOAT)
-    for t in (0.25, 0.5, 1.0, 2.0):
-        q = SpacePoint.from_p_vector(sl2r, h.scale(t))
-        assert distance(sl2r, o, q) == pytest.approx(t * math.sqrt(8.0),
-                                                     rel=1e-12)
+    assert sl2r.p_basis[0] == (1, 0, 0)       # H is the first p-basis vector
+    ts = np.array([0.25, 0.5, 1.0, 2.0])
+    q = SpacePoint(sl2r, ts[:, None] * np.array([1.0, 0.0]))
+    d = distance(sl2r, SpacePoint.base(sl2r), q)
+    assert d.shape == ts.shape
+    for t, dt in zip(ts, d):
+        assert dt == pytest.approx(t * math.sqrt(8.0), rel=1e-12)
 
 
 def test_metric_at_the_origin_is_the_killing_gram(sl2r):
@@ -73,16 +74,15 @@ def test_metric_at_the_origin_is_the_killing_gram(sl2r):
 
 
 def test_pullback_matches_sinh_closed_form(sl2r):
-    h = sl2r.basis_vector(0).astype(MODE_FLOAT)
-    epf = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
+    assert sl2r.p_basis == ((1, 0, 0), (0, 1, 1))   # (H, E+F)
     bee = 8.0
-    for r in (0.3, 0.75, 1.5):
-        got = pullback_metric(sl2r, h.scale(r), epf, epf)
+    radii = np.array([0.3, 0.75, 1.5])
+    g = metric_matrix(sl2r, radii[:, None] * np.array([1.0, 0.0]))  # P = rH
+    for r, gr in zip(radii, g):
         want = (math.sinh(2 * r) / (2 * r)) ** 2 * bee
-        assert got == pytest.approx(want, rel=1e-12)
+        assert gr[1, 1] == pytest.approx(want, rel=1e-12)
         # the flat direction itself is unstretched
-        assert pullback_metric(sl2r, h.scale(r), h, h) == pytest.approx(
-            8.0, rel=1e-12)
+        assert gr[0, 0] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_group_elements_off_the_model_are_rejected(sl2r):
@@ -172,6 +172,97 @@ def test_stack_order_beats_check_order(sl2r):
         cartan_project(sl2r, np.stack([skewed, scaled]))
     with pytest.raises(NumericalBreakdown, match="realized group"):
         cartan_project(sl2r, np.stack([scaled, skewed]))
+
+
+def _spec_on(space):
+    """An immersion spec over the catalog space: the su real-form pair, or
+    span(H1) with X = S12 in sl(2,R)."""
+    if space == "sl2r":
+        a = build_space(space)
+        return ImmersionSpec(a, Subspace(a, [a.from_labels({"H1": 1}, MODE_FLOAT)]),
+                             a.from_labels({"S12": 1}, MODE_FLOAT),
+                             allow_codimension_one=True)
+    return _su21_spec(build_pair(space, "real-form"))
+
+
+@pytest.mark.parametrize("space", ["sl2r", "su21", "su31"])
+def test_stacked_points_equal_single_points_bit_for_bit(space):
+    spec = _spec_on(space)
+    a = spec.algebra
+    coords = _stack_of_points(a)
+    g = np.stack([SpacePoint(a, c).representative for c in coords])
+    stacked = SpacePoint.from_matrix(a, g)
+    single = [SpacePoint.from_matrix(a, m) for m in g]
+    assert stacked.coords.shape == coords.shape
+    assert np.array_equal(_bits(stacked.coords),
+                          _bits(np.stack([q.coords for q in single])))
+    assert np.array_equal(_bits(stacked.representative),
+                          _bits(np.stack([q.representative for q in single])))
+    # every pair at once: a column stack against the row stack
+    d = distance(a, SpacePoint.from_matrix(a, g[:, None]), stacked)
+    assert d.shape == (len(g), len(g))
+    assert np.array_equal(_bits(d), _bits(np.array(
+        [[distance(a, q1, q2) for q2 in single] for q1 in single])))
+    ts = np.array([-0.6, 0.0, 0.35])
+    moved = transvection(spec, ts[:, None], stacked)
+    assert moved.coords.shape == (len(ts),) + coords.shape
+    assert np.array_equal(_bits(moved.coords), _bits(np.array(
+        [[transvection(spec, t, q).coords for q in single] for t in ts])))
+    ys = np.linspace(-0.7, 0.7, 3 * spec.s.dim).reshape(3, spec.s.dim)
+    grid = immersion_point(spec, ts[:, None], ys)
+    assert np.array_equal(_bits(grid.coords), _bits(np.array(
+        [[immersion_point(spec, t, y).coords for y in ys] for t in ts])))
+
+
+def _bump_representatives(monkeypatch, spec, coords):
+    """Move the representative of the point at coords by exp(1e-6 X): still
+    in the group, but off the round trip."""
+    plain = SpacePoint.representative.fget
+    nudge = expm(1e-6 * spec._x_matrix)
+
+    def bumped(self):
+        rep = plain(self)
+        hit = np.all(self.coords == coords, axis=-1)[..., None, None]
+        return np.where(hit, rep @ nudge, rep)
+
+    monkeypatch.setattr(SpacePoint, "representative", property(bumped))
+
+
+def _raised(exc, fn, *args):
+    with pytest.raises(exc) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("space", ["sl2r", "su21", "su31"])
+def test_a_stack_of_nodes_raises_what_its_first_failing_node_raises(
+        space, monkeypatch):
+    spec = _spec_on(space)
+    t = np.array([0.5, -0.25, 0.0, 0.7, 0.0, -0.5])
+    y = np.outer([0.1, -0.2, 0.6, 0.3, -0.5, 0.0], np.ones(spec.s.dim))
+    # node 3 lies outside the grid
+    t_out = t.copy()
+    t_out[3] = 2.0
+    assert (_raised(ConfigError, immersion_point, spec, t_out, y)
+            == _raised(ConfigError, immersion_point, spec, t_out[3], y[3]))
+    immersion_point(spec, t_out[:3], y[:3])    # the nodes before it chart
+    # node 3 fails the round trip
+    _bump_representatives(monkeypatch, spec, immersion_point(spec, t[3], y[3]).coords)
+    message = _raised(NumericalBreakdown, immersion_point, spec, t[3], y[3])
+    assert message == "normal-coordinate round trip failed"
+    assert _raised(NumericalBreakdown, immersion_point, spec, t, y) == message
+    immersion_point(spec, t[:3], y[:3])
+    # the t = 0 nodes 2 and 4 leave a wrong s: each stack raises the
+    # recertification or the round trip, whichever node comes first
+    spec._s_float = Subspace(spec.algebra, [spec._x_float])
+    message = _raised(NumericalBreakdown, immersion_point, spec, t[2], y[2])
+    assert message.startswith("t = 0 point left s")
+    assert message != _raised(NumericalBreakdown, immersion_point, spec, t[4], y[4])
+    assert _raised(NumericalBreakdown, immersion_point, spec, t, y) == message
+    assert (_raised(NumericalBreakdown, immersion_point, spec, t[3:], y[3:])
+            == "normal-coordinate round trip failed")
+    assert (_raised(NumericalBreakdown, immersion_point, spec, t[4:], y[4:])
+            == _raised(NumericalBreakdown, immersion_point, spec, t[4], y[4]))
 
 
 def test_immersion_spec_invariants(sl2r, su21_real_form):
