@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .errors import ConfigError
 from .exactla import Qi, SpanSolver, qmat_comm, qmat_realify
@@ -315,7 +314,7 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
                                        * realize(a, jx_vec)))    # z_+, z_-
     d0 = distance(a, SpacePoint.base(a), z)
     t_nodes = grid.t_axis()
-    y_nodes = np.array(list(product(grid.y_axis(), repeat=entry.s.dim)))
+    y_nodes = grid.y_nodes(entry.s.dim)
     d = distance(a, immersion_point(spec, t_nodes[:, None, None],
                                     y_nodes[:, None, :]), z)
     delta = np.abs(d[..., 0] - d[..., 1]).ravel()     # t-major

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng
+from .algfile import parse_algebra_file
 from .catalog import (bisector_equidistance_check, build_pair, build_space,
                       list_pairs, negative_control, parse_space_id)
 from .errors import ConfigError, LemmaFalsified, NumericalBreakdown
@@ -120,8 +121,6 @@ def load_subspace_file(a, path: str) -> Subspace:
 
 def _algebra_from_args(args):
     if args.algebra_file:
-        from .algfile import parse_algebra_file
-
         return parse_algebra_file(args.algebra_file)
     if not args.space:
         raise ConfigError("--space (or --algebra-file) is required")

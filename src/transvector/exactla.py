@@ -47,17 +47,8 @@ def clear_denominators(v):
     return tuple(c.numerator * (lcm // c.denominator) for c in v)
 
 
-def identity(n: int):
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-
-
 def mat_vec(m, v):
     return tuple(vec_dot(row, v) for row in m)
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return [tuple(vec_dot(row, col) for col in bt) for row in a]
 
 
 def rref(rows):

@@ -15,11 +15,17 @@ the first failing point of the stack would raise alone.
 
 Mean curvature comes from central finite differences in the chart: _stencil
 evaluates a stack-aware function once on the centre, x0 +- h e_i and the
-corners x0 +- h e_i +- h e_j.  On the chart that gives the derivatives of the
-immersion map, on the metric the ambient Christoffel symbols; the Hessian is
-traced against the induced metric and projected onto the normal space.  The
-estimator is O(h^2); with the default h = 1e-3 its error budget sits near
-1e-6, two decades under the acceptance tolerance for the minimal cases.
+corners x0 +- h e_i +- h e_j of every node of a stack.  On the chart that
+gives the derivatives of the immersion map, on the metric the ambient
+Christoffel symbols; the Hessian is traced against the induced metric and
+projected onto the normal space.  The estimator is O(h^2); with the default
+h = 1e-3 its error budget sits near 1e-6, two decades under the acceptance
+tolerance for the minimal cases.
+
+mean_curvature_report sweeps the grid in blocks of CURVATURE_BLOCK nodes, so
+memory stays bounded on any grid: one chart and one metric stack per block,
+then a per-node tail.  A block raises at its first failing stage, for the
+first node failing it; each node gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -27,20 +33,20 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import ConfigError, NumericalBreakdown
 from .liealg import MODE_FLOAT, AlgebraVector, StructuredLieAlgebra
-from .parallel import pmap
+from .parallel import pmap  # noqa: F401  (only perfbench/tracing.py reads it)
 from .subspaces import Subspace
 
 SERIES_EPS = 1e-13         # absolute tail cutoff; leading term is the identity
 GROUP_TOL = 1e-10          # scale-aware group membership tolerance
 REEXPRESS_TOL = 1e-8       # p-basis re-expression residual allowance
 ROUNDTRIP_TOL = 1e-10      # SpacePoint representative consistency
+CURVATURE_BLOCK = 128      # grid nodes per stacked mean-curvature block
 
 
 def _require_realized(a: StructuredLieAlgebra):
@@ -128,14 +134,19 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
     per matrix of the stack g (..., N, N).
 
     The logarithm goes through an eigendecomposition of the positive-definite
-    Hermitian factor.  A group-relation residual, a non-positive eigenvalue
-    or a failed re-expression in p means g is not (numerically) in the
-    realized group: NumericalBreakdown, and ValueError when the coordinates
-    do not reproduce a p-vector."""
+    Hermitian factor.  A non-finite factor (g overflowed float64), a
+    group-relation residual, a non-positive eigenvalue or a failed
+    re-expression in p means g is not (numerically) in the realized group:
+    NumericalBreakdown, and ValueError when the coordinates do not reproduce
+    a p-vector."""
     g = np.asarray(g, dtype=complex)
-    res = group_membership_residual(a, g)
-    m = g @ _dagger(g)
-    m = 0.5 * (m + _dagger(m))
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
+        res = group_membership_residual(a, g)
+        m = g @ _dagger(g)
+        m = 0.5 * (m + _dagger(m))
+    finite = np.all(np.isfinite(m), axis=(-2, -1))
+    if not finite.all():     # eigh would refuse the whole stack
+        m = np.where(finite[..., None, None], m, np.eye(m.shape[-1]))
     w, u = np.linalg.eigh(m)
     w_min = np.min(w, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # w <= 0 fails below
@@ -148,6 +159,8 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
                          axis=(-2, -1))
     coords, p_check = _p_coords(a, _apply(_p_geometry(a)[0], co))
     _raise_first_failure([
+        (~finite, lambda i: NumericalBreakdown(
+            "polar factor is not finite: the matrix overflows float64")),
         (res > GROUP_TOL, lambda i: NumericalBreakdown(
             "matrix is not in the realized group "
             "(relation residual %.3e)" % res.flat[i])),
@@ -267,6 +280,11 @@ class GridSpec:
     def y_axis(self) -> np.ndarray:
         return np.linspace(self.y_range[0], self.y_range[1], self.y_steps)
 
+    def y_nodes(self, dim: int) -> np.ndarray:
+        """Every Y-node, (y_steps**dim, dim), the last coordinate fastest."""
+        axes = np.meshgrid(*[self.y_axis()] * dim, indexing="ij")
+        return np.stack(axes, axis=-1).reshape(-1, dim)
+
     def contains(self, t, y: np.ndarray) -> np.ndarray:
         """Mask of the nodes, stacks t (...) and y (..., dim s), in range."""
         return ((self.t_range[0] <= t) & (t <= self.t_range[1])
@@ -332,9 +350,22 @@ class ImmersionSpec:
         return out
 
     def group_element(self, t, y: np.ndarray) -> np.ndarray:
-        """exp(tX) exp(Y(y)); t (...) and y (..., dim s) broadcast as stacks."""
-        tx = np.asarray(t, dtype=float)[..., None, None] * self._x_matrix
-        return expm(tx) @ expm(self.y_matrix(y))
+        """exp(tX) exp(Y(y)); t (...) and y (..., dim s) broadcast as stacks.
+        expm runs once per distinct t and once per distinct y row."""
+        t = np.asarray(t, dtype=float)
+        return (_expm_distinct(t[..., None], lambda c: c[..., None] * self._x_matrix)
+                @ _expm_distinct(np.asarray(y, dtype=float), self.y_matrix))
+
+
+def _expm_distinct(keys: np.ndarray, build) -> np.ndarray:
+    """expm(build(k)) for every row k of the stack keys (..., w): one expm
+    slice per distinct row, gathered back.  Rows are told apart by their bit
+    patterns, so 0.0 and -0.0 get their own slices."""
+    flat = np.ascontiguousarray(keys).reshape(-1, keys.shape[-1])
+    _, first, inverse = np.unique(flat.view(np.uint64), axis=0,
+                                  return_index=True, return_inverse=True)
+    out = expm(build(flat[first]))
+    return out[inverse.reshape(-1)].reshape(keys.shape[:-1] + out.shape[-2:])
 
 
 def transvection(spec: ImmersionSpec, t, q: SpacePoint) -> SpacePoint:
@@ -379,85 +410,86 @@ def _chart(spec: ImmersionSpec, t, y: np.ndarray) -> np.ndarray:
 
 
 def _stencil(fn, x0: np.ndarray, h: float, corners: bool = True):
-    """Central differences of a stack-aware fn at x0, from one call of fn.
+    """Central differences of a stack-aware fn at each row of x0 (n, m), from
+    one call of fn on the (n, K, m) stack of stencil points.
 
-    The stack lists x0, then x0 + h e_i and x0 - h e_i for each i, then, with
-    corners, x0 + h(+-e_i +- e_j) for i < j in the sign order ++, +-, -+, --.
-    Returns (f(x0), first, second): first[i] = (f+ - f-) / 2h,
-    second[i, i] = (f+ - 2 f(x0) + f-) / h^2 and
-    second[i, j] = (f++ - f+- - f-+ + f--) / 4h^2; second is None without
-    corners."""
-    m = x0.shape[0]
+    Each node's K points are x0, then x0 + h e_i and x0 - h e_i for each i,
+    then, with corners, x0 + h(+-e_i +- e_j) for i < j in the sign order ++,
+    +-, -+, --.  Returns (f(x0), first, second), each with the node axis in
+    front: first[:, i] = (f+ - f-) / 2h, second[:, i, i] = (f+ - 2 f(x0) +
+    f-) / h^2 and second[:, i, j] = (f++ - f+- - f-+ + f--) / 4h^2; second is
+    None without corners."""
+    n, m = x0.shape
     e = h * np.eye(m)
     iu = np.triu_indices(m, 1) if corners else ((), ())
     offsets = ([np.zeros(m)] + [d for i in range(m) for d in (e[i], -e[i])]
                + [d for i, j in zip(*iu)
                   for d in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])])
-    vals = fn(x0 + np.array(offsets))
-    f0, plus, minus = vals[0], vals[1:2 * m + 1:2], vals[2:2 * m + 1:2]
+    vals = fn(x0[:, None, :] + np.array(offsets))
+    f0, plus, minus = vals[:, 0], vals[:, 1:2 * m + 1:2], vals[:, 2:2 * m + 1:2]
     first = (plus - minus) / (2.0 * h)
     if not corners:
         return f0, first, None
-    second = np.empty((m, m) + f0.shape)
-    second[np.arange(m), np.arange(m)] = (plus - 2.0 * f0 + minus) / (h * h)
-    quad = vals[2 * m + 1:].reshape((-1, 4) + f0.shape)
-    mixed = (quad[:, 0] - quad[:, 1] - quad[:, 2] + quad[:, 3]) / (4.0 * h * h)
-    second[iu] = second[iu[::-1]] = mixed
+    second = np.empty((n, m, m) + f0.shape[1:])
+    second[:, np.arange(m), np.arange(m)] = (plus - 2.0 * f0[:, None] + minus) / (h * h)
+    quad = vals[:, 2 * m + 1:].reshape((n, len(iu[0]), 4) + f0.shape[1:])
+    mixed = (quad[:, :, 0] - quad[:, :, 1] - quad[:, :, 2] + quad[:, :, 3]) / (4.0 * h * h)
+    second[:, iu[0], iu[1]] = second[:, iu[1], iu[0]] = mixed
     return f0, first, second
 
 
-def _christoffels(a: StructuredLieAlgebra, p0: np.ndarray, h: float,
-                  truncation: int):
-    """(G, Gamma): the ambient metric at P and its Gamma^k_{ij}, from central
-    differences of the metric."""
-    g0, dg, _ = _stencil(lambda p: metric_matrix(a, p, truncation), p0, h,
-                         corners=False)
-    # Gamma_{lij} = (dG_{lj}/dx_i + dG_{li}/dx_j - dG_{ij}/dx_l) / 2
-    low = 0.5 * (np.einsum("ilj->lij", dg) + np.einsum("jli->lij", dg)
-                 - np.einsum("lij->lij", dg))
-    return g0, np.einsum("kl,lij->kij", np.linalg.inv(g0), low)
-
-
-def mean_curvature_estimate(spec: ImmersionSpec, t: float, y,
+def mean_curvature_estimate(spec: ImmersionSpec, t, y,
                             baseline: bool = False,
                             h: float | None = None):
-    """Finite-difference mean curvature vector of the immersion at (t, y).
+    """Finite-difference mean curvature vectors of the immersion at the nodes
+    of the stacks t (...) and y (..., dim s), broadcast.
 
     baseline=True freezes t and measures the slice Y -> exp(tX) exp(Y) o on
     its own (a totally geodesic submanifold, so the result doubles as a noise
-    floor).  Returns (vector in ambient p-coordinates, g-norm, chart
-    coordinates of the point).
+    floor).  Returns (vectors in ambient p-coordinates, g-norms, chart
+    coordinates of the points), one per node.
     """
     a = spec.algebra
     if spec.codimension < 2 and not baseline:
         raise ConfigError("mean curvature of the extension needs codimension "
                           ">= 2; this spec has %d" % spec.codimension)
     t, y = _grid_point(spec, t, y)
+    t, y = np.broadcast_arrays(t[..., None], y)
+    shape = t.shape[:-1]
+    t, y = t[..., 0].reshape(-1), y.reshape(-1, y.shape[-1])
     h = spec.h if h is None else float(h)
 
     if baseline:
-        c0, first, second = _stencil(lambda xi: _chart(spec, t, xi), y, h)
+        c0, first, second = _stencil(lambda xi: _chart(spec, t[:, None], xi), y, h)
     else:
         c0, first, second = _stencil(
-            lambda xi: _chart(spec, xi[:, 0], xi[:, 1:]),
-            np.concatenate([[float(t)], y]), h)
-    m = first.shape[0]
-    g_amb, gamma = _christoffels(a, c0, h, spec.truncation)
-    induced = first @ g_amb @ first.T
-    cond = np.linalg.cond(induced)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalBreakdown("induced metric is ill-conditioned "
-                                 "(cond %.3e): degenerate parametrization" % cond)
-    ginv = np.linalg.inv(induced)
+            lambda xi: _chart(spec, xi[..., 0], xi[..., 1:]),
+            np.concatenate([t[:, None], y], axis=1), h)
+    m = first.shape[1]
+    g_amb, dg, _ = _stencil(lambda p: metric_matrix(a, p, spec.truncation), c0, h,
+                            corners=False)
+    # Gamma_{lij} = (dG_{lj}/dx_i + dG_{li}/dx_j - dG_{ij}/dx_l) / 2, raised by G^-1
+    low = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
+    g_inv = np.linalg.inv(g_amb)
+    normals, norms = np.empty_like(c0), np.empty(len(c0))
+    for k in range(len(c0)):
+        gamma = np.einsum("kl,lij->kij", g_inv[k], low[k])
+        induced = first[k] @ g_amb[k] @ first[k].T
+        cond = np.linalg.cond(induced)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise NumericalBreakdown("induced metric is ill-conditioned "
+                                     "(cond %.3e): degenerate parametrization" % cond)
+        ginv = np.linalg.inv(induced)
 
-    # covariant second derivative, traced against the induced metric
-    hess = second + np.einsum("kab,ia,jb->ijk", gamma, first, first)
-    trace = np.einsum("ij,ijk->k", ginv, hess)
-    # metric projection off the tangent span
-    beta = ginv @ (first @ g_amb @ trace)
-    normal = (trace - first.T @ beta) / m
-    norm = float(np.sqrt(max(0.0, normal @ g_amb @ normal)))
-    return normal, norm, c0
+        # covariant second derivative, traced against the induced metric
+        hess = second[k] + np.einsum("kab,ia,jb->ijk", gamma, first[k], first[k])
+        trace = np.einsum("ij,ijk->k", ginv, hess)
+        # metric projection off the tangent span
+        beta = ginv @ (first[k] @ g_amb[k] @ trace)
+        normals[k] = (trace - first[k].T @ beta) / m
+        norms[k] = np.sqrt(max(0.0, normals[k] @ g_amb[k] @ normals[k]))
+    return (normals.reshape(shape + c0.shape[1:]), norms.reshape(shape),
+            c0.reshape(shape + c0.shape[1:]))
 
 
 @dataclass
@@ -491,25 +523,25 @@ class CurvatureReport:
 
 def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,
                           baseline: bool = False) -> CurvatureReport:
-    """Sweep the declared grid; the error estimate is the change of the worst
-    entry under h -> h/2 (plain Richardson difference)."""
-    nodes = [(float(t), y) for t in spec.grid.t_axis()
-             for y in product(spec.grid.y_axis(), repeat=spec.s.dim)]
-    estimates = pmap(lambda node: mean_curvature_estimate(
-        spec, *node, baseline=baseline), nodes)
-    entries = []
-    worst = (-1.0, None, None)
-    for (t, y), (_, norm, point) in zip(nodes, estimates):
-        entries.append({"t": t, "y": [float(c) for c in y], "norm": norm,
-                        "point": [float(c) for c in point]})
-        if norm > worst[0]:
-            worst = (norm, t, y)
-    _, half_norm, _ = mean_curvature_estimate(spec, worst[1], worst[2],
-                                              baseline=baseline, h=spec.h / 2.0)
-    est = abs(worst[0] - half_norm)
-    return CurvatureReport(entries=entries, max_norm=worst[0], h=spec.h,
+    """Sweep the declared grid, t-major, in blocks of CURVATURE_BLOCK nodes;
+    the error estimate is the change of the worst entry under h -> h/2 (plain
+    Richardson difference)."""
+    y_nodes = spec.grid.y_nodes(spec.s.dim)
+    ts = np.repeat(spec.grid.t_axis(), len(y_nodes))
+    ys = np.tile(y_nodes, (spec.grid.t_steps, 1))
+    norms, points = (np.concatenate(v) for v in zip(*(
+        mean_curvature_estimate(spec, ts[i:i + CURVATURE_BLOCK],
+                                ys[i:i + CURVATURE_BLOCK], baseline=baseline)[1:]
+        for i in range(0, len(ts), CURVATURE_BLOCK))))
+    entries = [{"t": t, "y": y, "norm": norm, "point": point}
+               for t, y, norm, point in zip(ts.tolist(), ys.tolist(),
+                                            norms.tolist(), points.tolist())]
+    k = int(np.argmax(norms))                        # the first worst node
+    worst, (_, half, _) = float(norms[k]), mean_curvature_estimate(
+        spec, ts[k], ys[k], baseline=baseline, h=spec.h / 2.0)
+    return CurvatureReport(entries=entries, max_norm=worst, h=spec.h,
                            baseline=baseline,
-                           discretization_error_estimate=est,
+                           discretization_error_estimate=abs(worst - float(half)),
                            tolerance=tolerance)
 
 
@@ -577,10 +609,10 @@ def normal_pairing_residual(spec: ImmersionSpec, y, h: float | None = None) -> f
     frame of S at exp(Y) o; zero means X stays normal along S."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     h = spec.h if h is None else float(h)
-    c0, first, _ = _stencil(lambda xi: _chart(spec, xi[:, 0], xi[:, 1:]),
-                            np.concatenate([[0.0], y]), h, corners=False)
-    g_amb = metric_matrix(spec.algebra, c0, spec.truncation)
-    return float(np.max(np.abs(first[0] @ g_amb @ first[1:].T), initial=0.0))
+    c0, first, _ = _stencil(lambda xi: _chart(spec, xi[..., 0], xi[..., 1:]),
+                            np.concatenate([[0.0], y])[None], h, corners=False)
+    g_amb = metric_matrix(spec.algebra, c0[0], spec.truncation)
+    return float(np.max(np.abs(first[0, 0] @ g_amb @ first[0, 1:].T), initial=0.0))
 
 
 def export_point_cloud(report: CurvatureReport, csv_path: str | None = None,

@@ -489,17 +489,14 @@ class StructuredLieAlgebra:
                          w: AlgebraVector) -> AlgebraVector:
         """R(u,v)w = [[u,v],w] on p.
 
-        Sign fixed so that the Jacobi operator jacobi(c,v) = R(c,v)c equals
-        -ad_c^2 v, which is B-negative-semidefinite on p (nonpositive
-        curvature); asserted by tests on the catalog algebras.
+        Sign fixed so that the Jacobi operator R(c,v)c equals -ad_c^2 v,
+        which is B-negative-semidefinite on p (nonpositive curvature);
+        asserted by tests on the catalog algebras.
         """
         for z in (u, v, w):
             if not self.in_p(z):
                 raise ValueError("curvature_tensor operands must lie in p")
         return self.bracket(self.bracket(u, v), w)
-
-    def jacobi_operator(self, c: AlgebraVector, v: AlgebraVector) -> AlgebraVector:
-        return self.curvature_tensor(c, v, c)
 
     def _own(self, v):
         if len(v.coeffs) != self.dim:

@@ -1,34 +1,14 @@
-"""Bounded parallel map.
+"""Order-preserving map with no caller left in the package.
 
-TRANSVECTOR_THREADS caps the worker pool for embarrassingly parallel loops
-(independent Y-samples, grid nodes).  Work is split deterministically and
-results are returned in input order, so thread count never changes output.
-Default is 1: exact arithmetic dominated by Fraction allocation gains little
-from threads under the GIL, so parallelism is strictly opt-in.
+The curvature grid runs as stacked blocks, so nothing maps over grid nodes
+any more and no thread knob remains.  The module stays only because
+perfbench/tracing.py patches transvector.parallel.pmap by name; delete it
+once the tracer no longer names it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_count() -> int:
-    raw = os.environ.get("TRANSVECTOR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError("TRANSVECTOR_THREADS must be an integer, got %r" % raw)
-    if n < 1:
-        raise ValueError("TRANSVECTOR_THREADS must be >= 1, got %d" % n)
-    return n
-
 
 def pmap(fn, items):
-    """Map preserving order; threads only if TRANSVECTOR_THREADS > 1."""
-    items = list(items)
-    n = thread_count()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items]."""
+    return [fn(x) for x in items]

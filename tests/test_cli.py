@@ -261,6 +261,21 @@ def test_non_finite_float_options_exit_2_naming_the_option(tmp_path, capsys, arg
     assert "argument %s: expected a finite number, got %r" % argv[-2:] in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--pair", "real-form", "--h=1e300"),
+    ("bisector", "--pair", "real-form", "--grid-steps", "2", "--r=1e300"),
+    ("construct", "--pair", "real-form", "--t-range", "0,1e308")])
+def test_huge_finite_bounds_exit_3_with_a_message(tmp_path, capsys, argv):
+    """A finite bound whose group elements overflow float64 once ended in a
+    LinAlgError traceback from eigh with exit 1."""
+    status, rep = _run(tmp_path, argv[0], "--space", "su21", *argv[1:])
+    assert status == 3
+    assert rep["results"] == {
+        "error": "polar factor is not finite: the matrix overflows float64",
+        "kind": "numerical"}
+    assert capsys.readouterr().err == ""
+
+
 def test_every_golden_x_still_parses(su21, sl3r):
     for a, x in ((su21, "Q1"), (su21, "1/2*Q1 + 1/3*Q2"), (sl3r, "bad"),
                  (sl3r, "1/2*H1 + 1/3*S13"), (sl3r, "S13")):

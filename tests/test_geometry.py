@@ -17,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from transvector import geometry
 from transvector.catalog import build_pair, build_space
 from transvector.errors import ConfigError, NumericalBreakdown
-from transvector.geometry import (CurvatureReport, GridSpec, ImmersionSpec,
+from transvector.geometry import (CURVATURE_BLOCK, CurvatureReport, GridSpec,
+                                  ImmersionSpec,
                                   SpacePoint, cartan_project, distance,
                                   distance_law_check, export_point_cloud,
                                   immersion_point, mean_curvature_estimate,
@@ -174,6 +176,27 @@ def test_stack_order_beats_check_order(sl2r):
         cartan_project(sl2r, np.stack([scaled, skewed]))
 
 
+@pytest.mark.parametrize("space", ["sl2r", "su21"])
+def test_a_non_finite_slice_raises_instead_of_aborting_eigh(space):
+    """An overflowed matrix gets its own NumericalBreakdown: eigh would
+    otherwise refuse the whole stack with a LinAlgError."""
+    a = build_space(space)
+    coords = _stack_of_points(a)
+    g = np.stack([SpacePoint(a, c).representative for c in coords])
+    g[2, 0, 0] = np.inf
+    g[4, -1, 0] = np.nan
+    message = "polar factor is not finite: the matrix overflows float64"
+    assert _raised(NumericalBreakdown, cartan_project, a, g[2]) == message
+    assert _raised(NumericalBreakdown, cartan_project, a, g[4]) == message
+    assert _raised(NumericalBreakdown, cartan_project, a, g) == message
+    assert np.array_equal(_bits(cartan_project(a, g[:2])),
+                          _bits(cartan_project(a, np.delete(g, [2, 4], axis=0))[:2]))
+    # stack order still beats check order
+    g[1] *= 1.5
+    assert _raised(NumericalBreakdown, cartan_project, a, g).startswith(
+        "matrix is not in the realized group")
+
+
 def _spec_on(space):
     """An immersion spec over the catalog space: the su real-form pair, or
     span(H1) with X = S12 in sl(2,R)."""
@@ -263,6 +286,75 @@ def test_a_stack_of_nodes_raises_what_its_first_failing_node_raises(
             == "normal-coordinate round trip failed")
     assert (_raised(NumericalBreakdown, immersion_point, spec, t[4:], y[4:])
             == _raised(NumericalBreakdown, immersion_point, spec, t[4], y[4]))
+
+
+def _signed_expm(m):
+    """A per-slice stand-in for expm that tells -0.0 from 0.0 in the real
+    parts of its input."""
+    return expm(m) + np.sum(np.signbit(m.real), axis=(-2, -1))[..., None, None]
+
+
+@pytest.mark.parametrize("fake", [False, True])
+def test_group_element_computes_distinct_slices_once_with_the_same_bits(
+        su21_real_form, monkeypatch, fake):
+    spec = _su21_spec(su21_real_form)
+    ts = np.array([0.25, -0.0, 0.0, 0.25, -0.5, -0.0, 0.25])
+    ys = np.array([[0.1, -0.0], [0.1, 0.0], [0.1, -0.0], [-0.3, 0.2],
+                   [0.1, -0.0], [-0.0, -0.0], [0.0, 0.0]])
+    ref = _signed_expm if fake else expm
+    if fake:
+        monkeypatch.setattr(geometry, "expm", _signed_expm)
+    sizes = []
+    counted = geometry.expm
+
+    def count(m):
+        sizes.append(len(m))
+        return counted(m)
+
+    monkeypatch.setattr(geometry, "expm", count)
+    g = spec.group_element(ts, ys)
+    assert sizes == [4, 5]     # the distinct bit patterns of t and of y rows
+    single = np.stack([ref(t * spec._x_matrix) @ ref(spec.y_matrix(y))
+                       for t, y in zip(ts, ys)])
+    assert np.array_equal(_bits(g), _bits(single))
+    # a stack of stacks gathers each node back to its place
+    nested = spec.group_element(ts[:, None], ys[None, :, :])
+    assert nested.shape == (len(ts), len(ys)) + spec._x_matrix.shape
+    assert np.array_equal(_bits(nested), _bits(np.array(
+        [[ref(t * spec._x_matrix) @ ref(spec.y_matrix(y)) for y in ys]
+         for t in ts])))
+
+
+@pytest.mark.parametrize("pair", ["real-form", "complex-hyperplane"])
+@pytest.mark.parametrize("baseline", [False, True])
+def test_the_blocked_sweep_equals_each_node_alone_bit_for_bit(
+        pair, baseline, monkeypatch):
+    """One block plus one node: each node of the report's sweep gets the
+    (normal, norm, point) it gets alone, on both sides of the seam."""
+    spec = _su21_spec(build_pair("su21", pair),
+                      grid=GridSpec(t_steps=CURVATURE_BLOCK + 1, y_steps=1))
+    alone = geometry.mean_curvature_estimate
+    blocks = []
+
+    def record(spec, t, y, baseline=False, h=None):
+        out = alone(spec, t, y, baseline=baseline, h=h)
+        if h is None:
+            blocks.append((np.copy(t), np.copy(y), out))
+        return out
+
+    monkeypatch.setattr(geometry, "mean_curvature_estimate", record)
+    rep = mean_curvature_report(spec, tolerance=1.0, baseline=baseline)
+    assert [len(t) for t, _, _ in blocks] == [CURVATURE_BLOCK, 1]
+    ts, ys = (np.concatenate(v) for v in list(zip(*blocks))[:2])
+    normal, norm, point = (np.concatenate(v) for v in zip(*(o for _, _, o in blocks)))
+    assert len(rep.entries) == len(ts) == CURVATURE_BLOCK + 1
+    for k, entry in enumerate(rep.entries):
+        assert (entry["t"], entry["y"]) == (ts[k], list(ys[k]))
+        one = alone(spec, ts[k], ys[k], baseline=baseline)
+        assert one[0].shape == normal[k].shape and one[1].shape == ()
+        for got, want in zip((normal[k], norm[k], point[k]), one):
+            assert np.array_equal(_bits(got), _bits(want))
+        assert entry["norm"] == norm[k] and entry["point"] == list(point[k])
 
 
 def test_immersion_spec_invariants(sl2r, su21_real_form):

@@ -102,13 +102,6 @@ def test_report_matches_golden(name, tmp_path):
     assert text == golden
 
 
-def test_threaded_grid_sweep_matches_golden(tmp_path, monkeypatch):
-    """TRANSVECTOR_THREADS only changes how grid nodes are scheduled, never
-    the report."""
-    monkeypatch.setenv("TRANSVECTOR_THREADS", "2")
-    test_report_matches_golden("construct-su21", tmp_path)
-
-
 def _regenerate():
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(COMMANDS):
