@@ -132,7 +132,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         if len(coeffs) != d:
             _fail(path, lineno, "expected %d coefficients, got %d" % (d, len(coeffs)))
         try:
-            entry = {k: frac(c) for k, c in enumerate(coeffs) if frac(c) != 0}
+            entry = {k: q for k, q in enumerate(map(frac, coeffs)) if q != 0}
         except (ValueError, ZeroDivisionError) as e:
             _fail(path, lineno, "bad rational: %s" % e)
         if entry:

@@ -292,9 +292,8 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     negative control distinguishing the two congruence classes.
     """
     import numpy as np
-    from scipy.linalg import expm
 
-    from .geometry import (GridSpec, ImmersionSpec, SpacePoint, distance,
+    from .geometry import (GridSpec, ImmersionSpec, SpacePoint, distance, expm,
                            immersion_point, realize)
 
     a = entry.algebra

@@ -17,7 +17,9 @@ Scaling note: [X, ad_{cY}^{2n+1} X] = c^{2n+1} [X, ad_Y^{2n+1} X], so
 membership is invariant under rescaling Y.  Exact sampling exploits this by
 clearing denominators: Y is a vector of Python ints, so on an algebra with
 integer structure constants and an integral X every iterated bracket and
-every membership test runs on ints (exactla.frac keeps scalars canonical).
+every membership test runs on ints (exactla.frac keeps scalars canonical):
+int64 where liealg's product rule (exact_dtype) proves it exact, Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ import numpy as np
 
 from . import rng
 from .errors import LemmaFalsified
-from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, float_tol
+from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, abs_col_sum,
+                     float_tol, int64_exact)
 from .subspaces import Subspace
 
 
@@ -170,17 +173,16 @@ def _normal_pairing(s: Subspace, x: AlgebraVector):
 def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
     """(samples, d) stack of random Y in s, each drawn in turn from gen.
 
-    Exact Y are integer rows: the rational draw with its denominators
-    cleared, assembled as one product with the integer-scaled basis of s.
-    Float Y are standard normal in the s-coordinates.
+    Exact Y are dtype=object rows of Python ints: the rational block draw
+    with its denominators cleared, assembled as one product with the
+    integer-scaled basis of s.  Float Y are standard normal in the
+    s-coordinates.
     """
     if s.mode == MODE_FLOAT:
-        coords = [gen.standard_normal(s.dim) for _ in range(samples)]
-        return np.reshape(coords, (samples, s.dim)) @ s.basis_rows
+        return gen.standard_normal((samples, s.dim)) @ s.basis_rows
     den = math.lcm(*(c.denominator for b in s.basis for c in b.coeffs))
     basis = np.array([[int(c * den) for c in b.coeffs] for b in s.basis], dtype=object)
-    coords = [rng.rational_vector(gen, s.dim) for _ in range(samples)]
-    w = np.array(coords, dtype=object).reshape(samples, s.dim) @ basis
+    w = rng.rational_vectors(gen, s.dim, samples).astype(object) @ basis
     # Y = w / (den * RATIONAL_SCALE); dividing w by its gcd with that scale
     # leaves Y times the lcm of its denominators
     g = np.gcd(np.gcd.reduce(w, axis=1), den * rng.RATIONAL_SCALE)
@@ -212,9 +214,15 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     odd = a.ad_chain(ys, xrow, 2 * n_max + 1)[:, 1::2]
     adx = a.ad_stack(xrow[None])[0]              # [X, v] = v @ adx
     if s.mode == MODE_EXACT:
-        # one product with M = adx (null rows of s)^T, formed once per (s, X);
-        # members have residual 0, and only the witness's is computed below
-        outside = (odd @ (adx @ s.null_rows.T) != 0).any(axis=-1)
+        # one product with M = adx (null rows of s)^T, formed once per (s, X),
+        # in int64 under liealg's int64 rule: odd is int64 only for an X of
+        # Python ints, so M holds Python ints then.  Members have residual 0,
+        # and only the witness's is computed below
+        m = adx @ s.null_rows.T
+        if odd.dtype == np.int64 and int64_exact(int(np.abs(odd).max(initial=0)),
+                                                 abs_col_sum(m)):
+            m = m.astype(np.int64)
+        outside = (odd @ m != 0).any(axis=-1)
         res = np.zeros(outside.shape)
     else:
         outside, res = s.membership(odd @ adx)
@@ -251,7 +259,9 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     _require_pair(s, x)
     a, d = s.algebra, s.algebra.dim
     xrow = x.row()
-    chain = a.ad_chain(ys, xrow, 2 * (n_max + m_max) + 1)
+    # the products of chain terms below have no int64 bound: they run on the
+    # dtype of ys
+    chain = a.ad_chain(ys, xrow, 2 * (n_max + m_max) + 1).astype(ys.dtype, copy=False)
     even, odd = chain[:, 0::2], chain[:, 1::2]
     # [ad_Y^{2n}X, v] = v @ ad_even[:, n], for n <= n_max
     ad_even = a.ad_stack(even[:, :n_max + 1].reshape(-1, d)).reshape(
@@ -300,7 +310,7 @@ def _series_terms(a, x: AlgebraVector, y: AlgebraVector, top: int) -> np.ndarray
     """u_j = (-ad_Y)^j X / j! for j = 0..top, as a (top + 1, d) array."""
     chain = a.ad_chain(y.row()[None], x.row(), top)[0]
     coeffs = np.array([Fraction((-1) ** j, math.factorial(j)) for j in range(top + 1)],
-                      dtype=chain.dtype)
+                      dtype=float if x.mode == MODE_FLOAT else object)
     return chain * coeffs[:, None]
 
 

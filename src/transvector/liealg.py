@@ -69,6 +69,17 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m), initial=0))
 
 
+def abs_col_sum(m: np.ndarray) -> int:
+    """max_k sum_j |m[..., j, k]| of an integer array, as a Python int."""
+    return int(np.abs(m).sum(axis=-2).max(initial=0))
+
+
+def int64_exact(u_max: int, col_sum: int) -> bool:
+    """The int64 product rule of StructuredLieAlgebra.exact_dtype, for
+    u_max = max|u| and col_sum = abs_col_sum(m)."""
+    return max(1, u_max) * col_sum < 2 ** 63
+
+
 @dataclass(frozen=True)
 class AlgebraVector:
     """Coefficient vector over the algebra basis, tagged with its scalar mode."""
@@ -268,7 +279,14 @@ class StructuredLieAlgebra:
         """int64 when every entry of the table, Theta and the realization is
         an int and 4 n^4 m^4 < 2^63 (n = max(d, 2N), m = the largest |entry|,
         at least 1), which bounds every sum validate forms; object otherwise
-        (rational or huge entries), so the exact arrays never round."""
+        (rational or huge entries), so the exact arrays never round.
+
+        Past validate, int64 is used under one product rule (int64_exact): a
+        product u @ m of integer arrays runs in int64 only when
+        max(1, max|u|) times the largest absolute column sum of m is below
+        2^63, which bounds every product, every partial sum and every entry
+        of m, and in dtype=object otherwise.  ad_chain steps under it, and
+        so does the membership product of extension.condition_holds."""
         entries = [c for entry in self.table.values() for c in entry.values()]
         entries += [x for row in self.theta for x in row]
         n = self.dim
@@ -282,6 +300,14 @@ class StructuredLieAlgebra:
             return object
         m = max(1, max(map(abs, entries), default=1))
         return np.int64 if 4 * n ** 4 * m ** 4 < 2 ** 63 else object
+
+    @cached_property
+    def _structure_col_sum(self) -> int | None:
+        """max_k sum_{i,j} |C[i, j, k]| when C is int64, else None: for
+        int Y with int64_exact(max|Y|, this), ad_Y and the absolute column
+        sums of ad_Y are exact in int64."""
+        c = self.structure_exact
+        return abs_col_sum(c.reshape(-1, self.dim)) if c.dtype == np.int64 else None
 
     @cached_property
     def structure_exact(self) -> np.ndarray:
@@ -420,10 +446,15 @@ class StructuredLieAlgebra:
         """The chains x, ad_y x, ..., ad_y^top x for every row y of the stack
         ys (S, d), as one (S, top + 1, d) array.
 
-        Exact stacks are dtype=object (Python ints and Fractions; the entries
-        outgrow int64 within a few steps), float stacks float64; ys and x
-        share the kind.  One Y is a stack of one, and its row is the same
-        alone or in a stack.
+        Exact stacks come in as dtype=object.  When structure_exact is int64,
+        every entry of ys and x is a Python int, x fits int64 and
+        int64_exact(max|y|, _structure_col_sum) holds, the chain steps in
+        int64 for as long as int64_exact(max|chain_t|, abs_col_sum(ad)) holds
+        over the stack, and in dtype=object (Python ints and Fractions) from
+        the first step that fails it.  The result is int64 only when every
+        step fit, dtype=object otherwise; float stacks are float64.  ys and x
+        share the kind.  One Y is a stack of one, and its row has the same
+        values alone or in a stack.
         """
         if top < 0:
             raise ValueError("power must be nonnegative")
@@ -433,12 +464,28 @@ class StructuredLieAlgebra:
         if {ys.dtype.kind, x.dtype.kind} not in ({"O"}, {"f"}):
             raise ValueError("ad_chain takes two dtype=object (exact) or two "
                              "float64 arrays, got %s and %s" % (ys.dtype, x.dtype))
+        if self._int64_chain_fits(ys, x):
+            ys = ys.astype(np.int64)
         ad = self.ad_stack(ys)
+        col_sum = abs_col_sum(ad) if ys.dtype == np.int64 else None
         chain = np.empty((len(ys), top + 1, self.dim), dtype=ys.dtype)
         chain[:, 0] = x
         for t in range(top):
+            if col_sum is not None and not int64_exact(
+                    int(np.abs(chain[:, t]).max(initial=0)), col_sum):
+                chain, ad, col_sum = chain.astype(object), ad.astype(object), None
             chain[:, t + 1] = (chain[:, t, None] @ ad)[:, 0]
         return chain
+
+    def _int64_chain_fits(self, ys: np.ndarray, x: np.ndarray) -> bool:
+        """The preconditions of the int64 chain, see ad_chain."""
+        if ys.dtype.kind != "O" or self._structure_col_sum is None:
+            return False
+        if not {type(v) for v in ys.flat} | {type(v) for v in x} <= {int}:
+            return False
+        return (max(map(abs, x), default=0) < 2 ** 63
+                and int64_exact(max(map(abs, ys.flat), default=0),
+                                self._structure_col_sum))
 
     def killing_form(self, x: AlgebraVector, y: AlgebraVector):
         self._own(x), self._own(y)

@@ -4,6 +4,9 @@ Every random draw in the package flows from a single 64-bit seed through
 counter-based Philox streams keyed by (seed, stream id), so independent
 subsystems can draw without sharing mutable state and a rerun with the same
 seed reproduces every sample bit for bit regardless of thread count.
+Random Y for the exact checks come from rational_vectors, one block draw per
+round, bit for bit the vectors and the generator state of drawing them one at
+a time.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ STREAM_CONDITION_Y = 1
 STREAM_LEMMA = 3
 STREAM_ROOTS_GENERIC = 5
 
-# rational_vector draws p/q with |p| <= RATIONAL_NUM and q in
+# rational_vectors draws p/q with |p| <= RATIONAL_NUM and q in
 # RATIONAL_DENOMINATORS, returned as integers over RATIONAL_SCALE
 RATIONAL_NUM = 4
 RATIONAL_DENOMINATORS = np.array((1, 2, 3))
@@ -31,19 +34,32 @@ def stream(seed: int, stream_id: int) -> np.random.Generator:
         [np.uint64(seed), np.uint64(stream_id)], dtype=np.uint64)))
 
 
-def rational_vector(gen: np.random.Generator, n: int) -> np.ndarray:
-    """Small random rational vector q, never zero, returned as the integer
-    vector RATIONAL_SCALE * q.
+def rational_vectors(gen: np.random.Generator, n: int, samples: int) -> np.ndarray:
+    """(samples, n) int64 stack of small random rational vectors q, none of
+    them zero, each row returned as the integer vector RATIONAL_SCALE * q.
 
-    Small entries keep exact-arithmetic blowup in iterated brackets
-    manageable.
+    A draw is a row of n numerators in [-RATIONAL_NUM, RATIONAL_NUM] and n
+    indices into RATIONAL_DENOMINATORS.  Each round draws the rows still
+    needed with one array-bounded gen.integers call, keeps in order the rows
+    with a nonzero numerator, and draws the deficit again.  numpy fills
+    array-bounded integers element by element in C order with the same
+    bounded 32-bit draw as a scalar-bounded call, so the rows and the
+    generator state afterwards are those of drawing one vector at a time and
+    redrawing a zero vector on the spot.  Small entries keep exact-arithmetic
+    blowup in iterated brackets manageable.
     """
-    while True:
-        nums = gen.integers(-RATIONAL_NUM, RATIONAL_NUM + 1, size=n)
-        # the same draws as gen.choice(RATIONAL_DENOMINATORS, size=n)
-        dens = RATIONAL_DENOMINATORS[gen.integers(0, len(RATIONAL_DENOMINATORS), size=n)]
-        if np.any(nums != 0):
-            return nums * (RATIONAL_SCALE // dens)
+    if n == 0 and samples:
+        raise ValueError("cannot draw a nonzero vector of length 0")
+    lo = np.repeat((-RATIONAL_NUM, 0), n)
+    hi = np.repeat((RATIONAL_NUM + 1, len(RATIONAL_DENOMINATORS)), n)
+    blocks, need = [np.zeros((0, n), dtype=np.int64)], samples
+    while need:
+        draw = gen.integers(lo, hi, size=(need, 2 * n))
+        nums, dens = draw[:, :n], RATIONAL_DENOMINATORS[draw[:, n:]]
+        keep = nums.any(axis=1)
+        blocks.append((nums * (RATIONAL_SCALE // dens))[keep])
+        need -= int(keep.sum())
+    return np.concatenate(blocks)
 
 
 def odd_int_vector(gen: np.random.Generator, n: int, max_abs: int = 9) -> tuple:

@@ -179,11 +179,16 @@ class Subspace:
 
     def is_lie_triple_system(self):
         """(verdict, witness): [[s,s],s] inside s on basis triples, all in one
-        stacked pass; the witness is the first failing (i < j, k).
+        stacked pass; the witness is the first failing (i < j, k).  A
+        subspace does not change, so the pass runs once per instance.
 
         Multilinearity makes basis triples complete, in contrast to the
         extension condition handled elsewhere.
         """
+        return self._lie_triple_system
+
+    @cached_property
+    def _lie_triple_system(self):
         self._require_p("is_lie_triple_system")
         a, b = self.algebra, self.basis_rows
         i, j = np.triu_indices(self.dim, 1)

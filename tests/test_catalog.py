@@ -147,3 +147,18 @@ def test_build_pair_is_cached_per_pair():
     for _ in range(2):  # a failing build is not cached: it raises every time
         with pytest.raises(ConfigError):
             build_pair("su21", "no-such-pair")
+
+
+def test_bisector_expm_goes_through_geometry(monkeypatch, su21_complex_hyperplane):
+    """The endpoints z_pm = exp(+-r J X_hat) o come from geometry.expm,
+    where the benchmark's tracer counts expm calls; scipy's expm is never
+    looked up around it."""
+    import scipy.linalg
+
+    def refuse(m):
+        raise AssertionError("expm called around geometry.expm")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    rep = bisector_equidistance_check(
+        su21_complex_hyperplane, r=0.5, grid=GridSpec(t_steps=3, y_steps=3), tol=1e-8)
+    assert rep["equidistant"]

@@ -96,7 +96,7 @@ def test_stacked_chain_is_the_iterated_bracket(name):
     top = 2 * len(a.p_basis) + 1
     chain = a.ad_chain(ys, x.row(), top)
     assert chain.shape == (5, top + 1, a.dim)
-    assert chain.dtype == (object if s.mode != MODE_FLOAT else np.float64)
+    assert chain.dtype in ((np.int64, object) if s.mode != MODE_FLOAT else (np.float64,))
     exact = s.mode != MODE_FLOAT
     for row, y in zip(chain, ys):
         want = _reference_chain(a, a.vector(y, s.mode), x, top)
@@ -197,3 +197,45 @@ def test_one_y_alone_gives_the_row_it_gives_in_a_stack(name):
             assert np.array_equal(alone.view(np.uint64), stacked[i].view(np.uint64))
         else:
             assert np.array_equal(alone, stacked[i])
+
+
+def test_int64_chain_matches_the_object_oracle_across_2_63():
+    """su21 lemma chains (top 17) pass 2^63: the steps that fit run in int64
+    and the rest in Python ints, with the values of iterated brackets."""
+    s, x = CASES["su21"]
+    a = s.algebra
+    ys = sample_ys(s, rng.stream(1, rng.STREAM_LEMMA), 4)
+    want = [_reference_chain(a, a.vector(y), x, 17) for y in ys]
+    assert max(abs(c) for row in want for v in row for c in v.coeffs).bit_length() > 63
+    for top, dtype in ((9, np.int64), (17, object)):
+        chain = a.ad_chain(ys, x.row(), top)
+        assert chain.dtype == dtype
+        if dtype is object:
+            assert all(type(c) is int for c in chain.flat)
+        for row, ref in zip(chain, want):
+            assert [a.vector(v) for v in row] == ref[:top + 1]
+
+
+def test_rational_algebra_chain_stays_on_object():
+    s, x = CASES["rational"]
+    a = s.algebra
+    ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 3)
+    chain = a.ad_chain(ys, x.row(), 5)
+    assert a.structure_exact.dtype == object and chain.dtype == object
+    for row, y in zip(chain, ys):
+        assert [a.vector(v) for v in row] == _reference_chain(a, a.vector(y), x, 5)
+
+
+def test_condition_membership_leaves_int64_when_the_product_outgrows_it():
+    """X scaled by 2^32 keeps the n = 0 chain in int64, but scales the
+    membership product by 2^64, which int64 would wrap to exactly 0 and so
+    let the control pass."""
+    s, x = CASES["control"]
+    big = x.scale(2 ** 32)
+    ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 4)
+    assert s.algebra.ad_chain(ys, big.row(), 1).dtype == np.int64
+    verdict = condition_holds(s, big, samples=4, seed=0, n_max=0)
+    checked, (_, n, term, res), _ = _reference_condition(s, big, ys, 0)
+    assert not verdict.holds and verdict.checked == checked == 1
+    assert verdict.witness["vector"] == [str(c) for c in term.coeffs]
+    assert verdict.witness["residual"] == res > 0

@@ -77,3 +77,18 @@ def test_non_triple_system_reports_a_witness(sl3r):
     ok, report = s.is_lie_triple_system()
     assert not ok
     assert report  # witness triple with the escaping bracket
+
+
+def test_cached_triple_system_verdict_equals_a_fresh_one(sl3r, su21_real_form):
+    """The pass runs once per subspace; what each subspace keeps is the
+    verdict and witness a fresh instance computes, and two subspaces on one
+    algebra keep their own."""
+    bad = Subspace(sl3r, [sl3r.from_labels({lab: 1}) for lab in ("S12", "S13", "S23")])
+    good = Subspace(sl3r, [sl3r.from_labels({"S12": 1})])
+    for s in (bad, good, su21_real_form.s, bad, good, su21_real_form.s):
+        assert s.is_lie_triple_system() == Subspace(s.algebra, s.basis).is_lie_triple_system()
+    assert [s.is_lie_triple_system()[0] for s in (bad, good)] == [False, True]
+    outside_p = Subspace(sl3r, [sl3r.vector(sl3r.k_basis[0])])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            outside_p.is_lie_triple_system()
