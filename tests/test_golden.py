@@ -52,6 +52,11 @@ COMMANDS = {
     "roots-su21": ["roots", "--space", "su21", "--examples", "--samples", "1"],
     "roots-so31": ["roots", "--space", "so31", "--examples", "--samples", "1"],
     "roots-sl3r": ["roots", "--space", "sl3r", "--examples", "--samples", "1"],
+    # the largest exact eliminations of a freshly parsed file: su31.alg is
+    # the catalog su(3,1) written by algfile.serialize_algebra
+    "roots-su31-file": ["roots", "--algebra-file", "su31.alg"],
+    "verify-su31-file": ["verify", "--algebra-file", "su31.alg",
+                         "--s", "su31-real-form.json", "--X", "Q1"],
     "construct-su21": ["construct", "--space", "su21", "--pair", "real-form",
                        "--t-steps", "3", "--y-steps", "3"],
     # the frozen-t stencil (m = dim s), the Christoffel path on the second
