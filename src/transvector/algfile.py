@@ -13,7 +13,8 @@ Sections, in any order, one per line header in brackets:
 '#' starts a comment.  Parsing is exact (canonical ints and Fractions, see
 exactla.frac), and a parsed algebra is validated immediately: a Jacobi or
 involution failure is rejected as hard as a syntax error, with its witness in
-the message.
+the message.  Each distinct token is parsed once per file (most coefficients
+are "0"); nothing is kept between files.
 """
 
 from __future__ import annotations
@@ -36,6 +37,21 @@ _BOTH_RE = re.compile(
 
 def _fail(path, lineno, msg):
     raise ConfigError("%s:%d: %s" % (path, lineno, msg))
+
+
+def _memo(parse):
+    """parse, run once per distinct token; only successful parses are kept,
+    so a bad token fails on every line that holds it."""
+    seen = {}
+
+    def value(tok):
+        try:
+            return seen[tok]
+        except KeyError:
+            q = seen[tok] = parse(tok)
+            return q
+
+    return value
 
 
 def _im_value(tok: str):
@@ -110,6 +126,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         _fail(path, sections["basis"][0][0], "duplicate basis labels")
     d = len(labels)
 
+    num = _memo(frac)
     brackets = {}
     for lineno, text in sections["bracket"]:
         if "->" not in text:
@@ -132,7 +149,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         if len(coeffs) != d:
             _fail(path, lineno, "expected %d coefficients, got %d" % (d, len(coeffs)))
         try:
-            entry = {k: q for k, q in enumerate(map(frac, coeffs)) if q != 0}
+            entry = {k: q for k, q in enumerate(map(num, coeffs)) if q != 0}
         except (ValueError, ZeroDivisionError) as e:
             _fail(path, lineno, "bad rational: %s" % e)
         if entry:
@@ -144,7 +161,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         if len(cells) != d:
             _fail(path, lineno, "theta row needs %d entries, got %d" % (d, len(cells)))
         try:
-            theta_rows.append(tuple(frac(c) for c in cells))
+            theta_rows.append(tuple(map(num, cells)))
         except (ValueError, ZeroDivisionError) as e:
             _fail(path, lineno, "bad rational: %s" % e)
     if len(theta_rows) != d:
@@ -173,6 +190,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
 
 
 def _parse_realization(path, lines, d):
+    qi = _memo(parse_qi)
     size = None
     signature = None
     unimodular = True
@@ -204,7 +222,7 @@ def _parse_realization(path, lines, d):
             _fail(path, lineno, "matrix row needs %d entries, got %d"
                   % (size, len(cells)))
         try:
-            rows.append(tuple(parse_qi(c) for c in cells))
+            rows.append(tuple(map(qi, cells)))
         except ValueError as e:
             _fail(path, lineno, str(e))
         except ZeroDivisionError:

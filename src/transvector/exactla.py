@@ -6,8 +6,12 @@ a fractions.Fraction only when a real denominator remains (frac is the one
 normaliser, div the one exact division).  Every catalog algebra has integer
 structure constants, so its exact paths run on ints alone; rational inputs
 run the same code in mixed int/Fraction arithmetic.  Catalog algebras have
-dimension <= 15, so everything here is plain dense Gauss-Jordan: clarity and
-exactness over asymptotics.  Nothing in this module touches floating point.
+dimension <= 15, so everything here is dense Gauss-Jordan: clarity and
+exactness over asymptotics.  Elimination is fraction-free: each row is
+scaled to Python ints once (scaling a row keeps its reduced form), rows are
+combined on ints and kept primitive by their gcd, and each pivot row is
+divided by its pivot once at the end.  Nothing in this module touches
+floating point.
 
 Complex scalars appear only through Gaussian rationals (the Qi class), used
 by matrix realizations with entries a + b*i, a and b rational.
@@ -40,11 +44,19 @@ def vec_dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
+_INT = frozenset((int,))
+
+
 def clear_denominators(v):
     """v times the lcm of its denominators, as Python ints: the same span
-    and the same kernel, so membership and sign tests may use it."""
+    and the same kernel, so membership and sign tests may use it.  Entries
+    go through frac, so floats are refused."""
+    v = tuple(v)
+    if _INT.issuperset(map(type, v)):
+        return v
+    v = tuple(map(frac, v))
     lcm = math.lcm(*(c.denominator for c in v))
-    return tuple(c.numerator * (lcm // c.denominator) for c in v)
+    return v if lcm == 1 else tuple(c.numerator * (lcm // c.denominator) for c in v)
 
 
 def mat_vec(m, v):
@@ -53,30 +65,39 @@ def mat_vec(m, v):
 
 def rref(rows):
     """Reduced row echelon form, canonical scalars.  Returns (rows, pivot
-    column indices)."""
-    m = [list(r) for r in rows]
+    column indices).
+
+    Fraction-free: each step replaces a row by pv * row - f * pivot_row and
+    divides it by its gcd, so every entry stays a Python int until each
+    pivot row is divided by its pivot once at the end."""
+    m = [clear_denominators(r) for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [div(x, pv) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        pv = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                row = [pv * x - f * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return [tuple(map(frac, row)) for row in m], pivots
+    for i, c in enumerate(pivots):
+        pv = m[i][c]
+        if pv != 1:
+            m[i] = [x // pv if x % pv == 0 else Fraction(x, pv) for x in m[i]]
+    return [tuple(row) for row in m], pivots
 
 
 def rank(rows) -> int:
@@ -168,9 +189,8 @@ class SpanSolver:
             if len(c) != self.dim:
                 raise ValueError("ragged columns")
         d, k = self.dim, self.ncols
-        aug = [tuple(columns[j][i] for j in range(k))
-               + tuple(int(j == i) for j in range(d))
-               for i in range(d)]
+        aug = [row + (0,) * i + (1,) + (0,) * (d - 1 - i)
+               for i, row in enumerate(zip(*columns))]
         red, pivots = rref(aug)
         self.pivots = [p for p in pivots if p < k]
         self.rank = len(self.pivots)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from transvector.algfile import (format_qi, parse_algebra_file, parse_qi,
                                  serialize_algebra)
+from transvector.catalog import build_space
 from transvector.data import algebra_path
 from transvector.errors import ConfigError
 from transvector.exactla import Qi
@@ -114,3 +116,94 @@ small = st.fractions(min_value=-9, max_value=9, max_denominator=12)
 def test_qi_tokens_round_trip(re, im):
     q = Qi(re, im)
     assert parse_qi(format_qi(q)) == q
+
+
+# sl(2,R) in the basis H' = cH, E' = aE, F' = bF with a/b = -1/2 and
+# ab/c = 3: [H',E'] = 2c E', [H',F'] = -2c F', [E',F'] = 3 H', and theta maps
+# E' to F'/2 and F' to 2 E'.  The tokens spell each number a different way.
+def _scaled_sl2r(c_tok, half_tok, three_tok="+3"):
+    return ("[basis]\nH E F\n\n[bracket]\n"
+            "1 2 -> -0 -%s 0\n1 3 -> 0 0 %s\n2 3 -> %s -0 0\n\n"
+            "[theta]\n-1 -0 0\n0 0 2\n0 %s 0\n" % (c_tok, c_tok, three_tok, half_tok))
+
+
+@pytest.mark.parametrize("c_tok,two_c,half_tok", [
+    ("2_0", 20, "0.5"), ("1e2", 100, "3/6")])
+def test_token_spellings_keep_their_values_and_types(tmp_path, c_tok, two_c,
+                                                     half_tok):
+    a = parse_algebra_file(_write(tmp_path, _scaled_sl2r(c_tok, half_tok)))
+    assert a.table == {(0, 1): {1: -two_c}, (0, 2): {2: two_c}, (1, 2): {0: 3}}
+    assert {type(q) for entry in a.table.values() for q in entry.values()} == {int}
+    assert a.theta == ((-1, 0, 0), (0, 0, 2), (0, Fraction(1, 2), 0))
+    assert [[type(q) for q in row] for row in a.theta] == [
+        [int] * 3, [int] * 3, [int, Fraction, int]]
+
+
+@pytest.mark.parametrize("good,bad,message", [
+    ("0 0 2", "0 0 2/0", "bad rational: Fraction(2, 0)"),
+    ("0 0 2", "0 0 two", "bad rational: Invalid literal for Fraction: 'two'"),
+    ("-1 -0 0", "-1 -0 0 0", "theta row needs 3 entries, got 4"),
+])
+def test_bad_token_after_good_ones_reports_its_own_line(tmp_path, good, bad,
+                                                         message):
+    text = _scaled_sl2r("2_0", "0.5").replace("\n%s\n" % good, "\n%s\n" % bad)
+    path = _write(tmp_path, text)
+    lineno = text.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_algebra_file(path)
+    assert str(err.value) == "%s:%d: %s" % (path, lineno, message)
+
+
+def test_bad_matrix_entry_after_good_ones_reports_its_own_line(tmp_path):
+    text = BASE.replace("# F\n0 0\n1 0", "# F\n0 0\n1 q")
+    path = _write(tmp_path, text)
+    lineno = text.splitlines().index("1 q") + 1
+    with pytest.raises(ConfigError) as err:
+        parse_algebra_file(path)
+    assert str(err.value) == "%s:%d: bad matrix entry 'q'" % (path, lineno)
+
+
+def test_reparsing_an_edited_file_sees_the_edit(tmp_path):
+    path = _write(tmp_path, _scaled_sl2r("2_0", "0.5"))
+    first = parse_algebra_file(path)
+    assert first.table[(1, 2)] == {0: 3}
+    # ab/c = 5 is the same algebra in another basis; the same path must
+    # read the new token, so no parse outlives its file
+    _write(tmp_path, _scaled_sl2r("2_0", "0.5", three_tok="5"))
+    second = parse_algebra_file(path)
+    assert second.table[(1, 2)] == {0: 5}
+    # the unchanged token "0.5" is parsed afresh: no token memo is shared
+    # between parses
+    assert second.theta[2][1] == first.theta[2][1] == Fraction(1, 2)
+    assert second.theta[2][1] is not first.theta[2][1]
+
+
+def _typed(x):
+    """x with the type of every exact scalar spelled out."""
+    if isinstance(x, dict):
+        return {k: _typed(v) for k, v in x.items()}
+    if isinstance(x, (tuple, list)):
+        return tuple(_typed(v) for v in x)
+    if isinstance(x, Qi):
+        return ("Qi", _typed(x.re), _typed(x.im))
+    return (type(x).__name__, x)
+
+
+@pytest.mark.parametrize("source", ["su21", "so31", "sl3r", "su31", "su21half.alg"])
+def test_serialize_parse_round_trips_exactly(tmp_path, source):
+    if source.endswith(".alg"):
+        here = os.path.dirname(os.path.abspath(__file__))
+        a = parse_algebra_file(os.path.join(here, "golden", source))
+    else:
+        a = build_space(source)
+    out = str(tmp_path / "echo.alg")
+    serialize_algebra(a, out)
+    again = parse_algebra_file(out)
+    assert _typed(again.table) == _typed(a.table)
+    assert _typed(again.theta) == _typed(a.theta)
+    real, real2 = a.realization, again.realization
+    assert (real is None) == (real2 is None)
+    if real is not None:
+        assert (real2.size, real2.signature, real2.unimodular) == (
+            real.size, real.signature, real.unimodular)
+        assert _typed(real2.images) == _typed(real.images)

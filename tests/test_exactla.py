@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,6 +68,90 @@ def test_span_solver_coordinates_reproduce_members(m, coeffs):
             sum(c * col[i] for c, col in zip(coords, cols))
             for i in range(5))
         assert rebuilt == v
+
+
+def _reference_rref(rows):
+    """Plain Fraction Gauss-Jordan: normalise the pivot row, clear the
+    column everywhere else.  The oracle the fraction-free rref must match."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    if not m:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return [tuple(int(x) if x.denominator == 1 else x for x in row)
+            for row in m], pivots
+
+
+_huge = st.tuples(st.sampled_from((-1, 1)), st.integers(2 ** 64, 2 ** 80)).map(
+    lambda t: t[0] * t[1])
+mixed_scalars = st.one_of(
+    st.just(0), st.integers(-4, 4), rationals, _huge,
+    st.builds(Fraction, _huge, st.integers(1, 2 ** 70)))
+
+
+@st.composite
+def mixed_matrices(draw):
+    """Wide, tall and square int/Fraction matrices, some entries past 2^64,
+    with an optional zero column, zero row and dependent row."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    m = [[draw(mixed_scalars) for _ in range(k)] for _ in range(n)]
+    if n and k:
+        if draw(st.booleans()):
+            j = draw(st.integers(0, k - 1))
+            for row in m:
+                row[j] = 0
+        if draw(st.booleans()):
+            m[draw(st.integers(0, n - 1))] = [0] * k
+        if n > 1 and draw(st.booleans()):
+            a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            fa, fb = draw(rationals), draw(st.integers(-3, 3))
+            m[draw(st.integers(0, n - 1))] = [
+                fa * x + fb * y for x, y in zip(m[a], m[b])]
+    return m
+
+
+@given(mixed_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rref_matches_fraction_gauss_jordan(m):
+    red, pivots = rref(m)
+    ref, ref_pivots = _reference_rref(m)
+    assert pivots == ref_pivots
+    assert red == ref
+    # canonical scalars: an int whenever the value is integral
+    assert [[type(x) for x in row] for row in red] == [
+        [type(x) for x in row] for row in ref]
+
+
+def test_rref_divides_each_pivot_row_by_a_signed_pivot():
+    assert rref([[-2, 1, 4]]) == ([(1, Fraction(-1, 2), -2)], [0])
+    assert rref([[2, 1], [6, 4]]) == ([(1, 0), (0, 1)], [0, 1])
+    assert rref([[np.int64(3), np.int64(1)]]) == ([(1, Fraction(1, 3))], [0])
+    assert type(rref([[np.int64(2), np.int64(4)]])[0][0][1]) is int
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(1.0)])
+def test_float_entries_are_refused(bad):
+    with pytest.raises(TypeError):
+        rref([[1, 2], [3, bad]])
+    with pytest.raises(TypeError):
+        nullspace([[Fraction(1, 3), bad, 1]])
+    with pytest.raises(TypeError):
+        SpanSolver([(1, 0, 2), (0, bad, 1)])
 
 
 def test_solve_certifies_by_substitution():

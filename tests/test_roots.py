@@ -10,16 +10,18 @@ Pinned structures (positive roots as multisets of p-multiplicities):
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from transvector import rng
+from transvector import rng, roots
 from transvector.catalog import build_space
 from transvector.extension import sample_ys
 from transvector.liealg import MODE_EXACT, MODE_FLOAT
-from transvector.roots import (_decompose_float, build_root_space_example,
-                               maximal_abelian, restricted_root_decomposition,
+from transvector.roots import (_decompose_float, _space_basis_for,
+                               build_root_space_example, maximal_abelian,
+                               restricted_root_decomposition, root_label,
                                verify_commutation_rules)
 from transvector.subspaces import Subspace
 
@@ -172,3 +174,57 @@ def test_maximal_abelian_is_really_abelian_and_in_p():
         for u in asub.basis:
             for v in asub.basis:
                 assert a.bracket(u, v).is_zero()
+
+
+def _rules_without_memo(rd):
+    """verify_commutation_rules with a fresh target Subspace for every rule
+    and pair: the oracle for its one-target-per-basis memo."""
+    report = {"mode": rd.mode, "rules": {}, "passed": True}
+    rules = (("k.p->p", rd.k_spaces, rd.p_spaces, rd.p_spaces, rd.a),
+             ("k.k->k", rd.k_spaces, rd.k_spaces, rd.k_spaces, rd.m),
+             ("p.p->k", rd.p_spaces, rd.p_spaces, rd.k_spaces, rd.m))
+    for name, left, right, targets, zero_target in rules:
+        worst, witness, holds = 0.0, None, True
+        for lam in rd.positive:
+            for mu in rd.positive:
+                basis = []
+                for nu in (tuple(x + y for x, y in zip(lam, mu)),
+                           tuple(x - y for x, y in zip(lam, mu))):
+                    basis.extend(_space_basis_for(rd, targets, zero_target, nu))
+                target = Subspace(rd.algebra, basis, rd.mode)
+                brackets = right[mu].basis_rows @ rd.algebra.ad_stack(left[lam].basis_rows)
+                outside, res = target.membership(brackets)
+                worst = max(worst, float(res.max(initial=0.0)))
+                if outside.any() and witness is None:
+                    holds = False
+                    witness = {"rule": name, "lambda": root_label(lam),
+                               "mu": root_label(mu), "residual": float(res[outside][0])}
+        report["rules"][name] = {"holds": holds, "worst_residual": worst,
+                                 "witness": witness}
+        report["passed"] = report["passed"] and holds
+    return report
+
+
+@pytest.mark.parametrize("space_id,targets", [("sl3r", 8), ("su21", 6)])
+def test_commutation_rules_build_each_target_once(monkeypatch, space_id, targets):
+    a = build_space(space_id)
+    _, rd = _decomp(a)
+    # k and p swapped and m dropped: the rules fail, so witnesses appear
+    broken = dataclasses.replace(rd, k_spaces=rd.p_spaces, p_spaces=rd.k_spaces,
+                                 m=Subspace(a, []))
+    built = []
+
+    class Counting(Subspace):
+        def __init__(self, *args, **kwargs):
+            built.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    for datum in (rd, broken):
+        monkeypatch.setattr(roots, "Subspace", Counting)
+        built.clear()
+        report = verify_commutation_rules(datum)
+        monkeypatch.setattr(roots, "Subspace", Subspace)
+        assert len(built) == targets
+        assert report == _rules_without_memo(datum)
+    assert not report["passed"]
+    assert all(r["witness"] for r in report["rules"].values())
