@@ -310,6 +310,20 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
 
 
+def _int_at_least(floor: int):
+    """argparse type of a count option: an integer below floor is an
+    argument error naming the option, not a failed or vacuous run."""
+    def count(text: str) -> int:
+        try:
+            if (value := int(text)) >= floor:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError("expected an integer >= %d, got %r"
+                                         % (floor, text))
+    return count
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; each parse_args returns a fresh
@@ -333,24 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in takes:
             p.add_argument(flag, **inputs[flag])
         if sampled:
-            p.add_argument("--samples", type=int, default=64)
+            p.add_argument("--samples", type=_int_at_least(1), default=64)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="write the JSON report here (atomic)")
 
     p = sub.add_parser("check", help="extension condition on a catalog pair")
     common(p)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="extension condition on a custom (s, X)")
     common(p)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_int_at_least(0), default=None)
     p.set_defaults(func=_cmd_verify, samples=16)
 
     p = sub.add_parser("lemma", help="bracket-chain lemma certificates")
     common(p)
-    p.add_argument("--n-max", type=int, default=4)
-    p.add_argument("--m-max", type=int, default=4)
+    p.add_argument("--n-max", type=_int_at_least(0), default=4)
+    p.add_argument("--m-max", type=_int_at_least(0), default=4)
     p.set_defaults(func=_cmd_lemma, samples=4)
 
     p = sub.add_parser("roots", help="restricted root decomposition")

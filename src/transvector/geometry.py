@@ -24,8 +24,10 @@ tolerance for the minimal cases.
 
 mean_curvature_report sweeps the grid in blocks of CURVATURE_BLOCK nodes, so
 memory stays bounded on any grid: one chart and one metric stack per block,
-then a per-node tail.  A block raises at its first failing stage, for the
-first node failing it; each node gets the bits it gets alone.
+then one stacked tail (Christoffel contraction, induced metric and its
+condition check, Hessian trace, normal projection) over the block's nodes.  A
+block raises at its first failing stage (chart, metric, induced metric), for
+the first node failing it; each node gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -235,17 +237,16 @@ def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray,
     m = pinv @ (ad @ ad) @ pbm              # ad_P^2 restricted to p
     restr_res = np.linalg.norm(ad @ (ad @ pbm) - pbm @ m, axis=(-2, -1))
     restricts = restr_res <= 1e-9 * (1.0 + np.linalg.norm(ad, axis=(-2, -1)) ** 2)
-    s = np.broadcast_to(np.eye(m.shape[-1]), m.shape).copy()
-    term = s.copy()
+    s = term = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
     tail = np.zeros(m.shape[:-2])
     live = np.ones(m.shape[:-2], dtype=bool)  # points whose series still runs
     k = 0
     while live.any():
         k += 1
-        term[live] = term[live] @ m[live] / ((2 * k) * (2 * k + 1))
-        tail[live] = np.linalg.norm(term[live], axis=(-2, -1))
+        term = term @ m / ((2 * k) * (2 * k + 1))
+        tail = np.where(live, np.linalg.norm(term, axis=(-2, -1)), tail)
         live &= ~(tail <= SERIES_EPS)
-        s[live] = s[live] + term[live]
+        s = np.where(live[..., None, None], s + term, s)
         if k >= truncation:
             break
     _raise_first_failure([
@@ -470,24 +471,26 @@ def mean_curvature_estimate(spec: ImmersionSpec, t, y,
                             corners=False)
     # Gamma_{lij} = (dG_{lj}/dx_i + dG_{li}/dx_j - dG_{ij}/dx_l) / 2, raised by G^-1
     low = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
-    g_inv = np.linalg.inv(g_amb)
-    normals, norms = np.empty_like(c0), np.empty(len(c0))
-    for k in range(len(c0)):
-        gamma = np.einsum("kl,lij->kij", g_inv[k], low[k])
-        induced = first[k] @ g_amb[k] @ first[k].T
-        cond = np.linalg.cond(induced)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise NumericalBreakdown("induced metric is ill-conditioned "
-                                     "(cond %.3e): degenerate parametrization" % cond)
-        ginv = np.linalg.inv(induced)
+    gamma = np.einsum("nkl,nlij->nkij", np.linalg.inv(g_amb), low)
+    first_t = first.swapaxes(-1, -2)
+    induced = first @ g_amb @ first_t
+    finite = np.all(np.isfinite(induced), axis=(-2, -1))
+    if not finite.all():     # cond and inv would refuse the whole stack
+        induced = np.where(finite[:, None, None], induced, np.eye(m))
+    cond = np.where(finite, np.linalg.cond(induced), np.nan)
+    _raise_first_failure([(~(cond <= 1e12), lambda i: NumericalBreakdown(
+        "induced metric is ill-conditioned (cond %.3e): "
+        "degenerate parametrization" % cond[i]))])
+    ginv = np.linalg.inv(induced)
 
-        # covariant second derivative, traced against the induced metric
-        hess = second[k] + np.einsum("kab,ia,jb->ijk", gamma, first[k], first[k])
-        trace = np.einsum("ij,ijk->k", ginv, hess)
-        # metric projection off the tangent span
-        beta = ginv @ (first[k] @ g_amb[k] @ trace)
-        normals[k] = (trace - first[k].T @ beta) / m
-        norms[k] = np.sqrt(max(0.0, normals[k] @ g_amb[k] @ normals[k]))
+    # covariant second derivative, traced against the induced metric
+    hess = second + np.einsum("nkab,nia,njb->nijk", gamma, first, first)
+    trace = np.einsum("nij,nijk->nk", ginv, hess)
+    # metric projection off the tangent span
+    beta = _apply(ginv, _apply(first @ g_amb, trace))
+    normals = (trace - _apply(first_t, beta)) / m
+    sq = (normals[:, None, :] @ g_amb @ normals[:, :, None])[:, 0, 0]
+    norms = np.sqrt(np.where(sq > 0.0, sq, 0.0))
     return (normals.reshape(shape + c0.shape[1:]), norms.reshape(shape),
             c0.reshape(shape + c0.shape[1:]))
 

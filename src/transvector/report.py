@@ -8,10 +8,11 @@ atomic (temp file + rename in the target directory).
 
 from __future__ import annotations
 
-import json
+import math
 import os
 import tempfile
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 
@@ -32,7 +33,47 @@ def envelope(command: str, config: dict, results: dict, passed: bool,
 
 
 def render(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The bytes of json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False) plus a newline, from C string escaping and the int and
+    float reprs; json.dumps runs its pure-Python encoder whenever indent is
+    set."""
+    return _encode(report, "\n") + "\n"
+
+
+def _encode(o, newline: str) -> str:
+    """JSON text of o, its nested lines starting with newline plus two
+    spaces; NaN and infinities raise ValueError, non-str keys and other
+    types TypeError."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if not math.isfinite(o):
+            raise ValueError("Out of range float values are not JSON compliant: %r" % o)
+        return float.__repr__(o)
+    inner = newline + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        for key in o:
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+        return "{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner)
+             for k, v in sorted(o.items())]) + newline + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join(
+            [_encode(v, inner) for v in o]) + newline + "]"
+    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
 def strip_wall_time(text: str) -> str:

@@ -367,16 +367,19 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
     Any failure here indicates a decomposition bug, so the report carries a
     witness; residuals are exactly zero in exact mode.  k.k->k and p.p->k
     share their targets, and (lambda, mu) and (mu, lambda) give the same
-    one, so each distinct target basis is built into a Subspace once.
+    one, so each distinct target basis is built into a Subspace once, and
+    ad of each left space once per lambda.
     """
     report = {"mode": rd.mode, "rules": {}, "passed": True}
     spans = {}
+    ad_k, ad_p = ({lam: rd.algebra.ad_stack(spaces[lam].basis_rows)
+                   for lam in rd.positive} for spaces in (rd.k_spaces, rd.p_spaces))
     rules = (
-        ("k.p->p", rd.k_spaces, rd.p_spaces, rd.p_spaces, rd.a),
-        ("k.k->k", rd.k_spaces, rd.k_spaces, rd.k_spaces, rd.m),
-        ("p.p->k", rd.p_spaces, rd.p_spaces, rd.k_spaces, rd.m),
+        ("k.p->p", ad_k, rd.p_spaces, rd.p_spaces, rd.a),
+        ("k.k->k", ad_k, rd.k_spaces, rd.k_spaces, rd.m),
+        ("p.p->k", ad_p, rd.p_spaces, rd.k_spaces, rd.m),
     )
-    for name, left, right, targets, zero_target in rules:
+    for name, ad_left, right, targets, zero_target in rules:
         worst = 0.0
         witness = None
         holds = True
@@ -391,7 +394,7 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
                 if target is None:
                     target = spans[key] = Subspace(rd.algebra, target_basis, rd.mode)
                 # [x, y] for x in the left space, y in the right one
-                brackets = right[mu].basis_rows @ rd.algebra.ad_stack(left[lam].basis_rows)
+                brackets = right[mu].basis_rows @ ad_left[lam]
                 outside, res = target.membership(brackets)
                 worst = max(worst, float(res.max(initial=0.0)))
                 if outside.any() and witness is None:

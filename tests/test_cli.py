@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -283,3 +284,42 @@ def test_every_golden_x_still_parses(su21, sl3r):
     v = parse_x_expression(su21, " -Q1+ 2 * P1 -1/3*P2 ")
     combo = dict(zip(su21.labels, v.coeffs))
     assert (combo["Q1"], combo["P1"], str(combo["P2"])) == (-1, 2, "-1/3")
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+CONTROL = ("--space", "sl3r", "--s", os.path.join(GOLDEN, "control.json"),
+           "--X", "bad")
+
+
+@pytest.mark.parametrize("argv", [
+    ("lemma", "--space", "su21", "--pair", "real-form", "--m-max", "-2"),
+    ("lemma", "--space", "su21", "--pair", "real-form", "--n-max", "-1"),
+    ("check", "--space", "su21", "--pair", "real-form", "--samples", "-3"),
+    ("check", "--space", "su21", "--pair", "real-form", "--samples", "0"),
+    ("verify", "--space", "su21", "--s", os.path.join(GOLDEN, "su21-real-form.json"),
+     "--X", "Q1", "--samples", "0"),
+    ("lemma", "--space", "su21", "--pair", "real-form", "--samples", "0"),
+    ("roots", "--space", "su21", "--examples", "--samples", "0"),
+    ("verify", *CONTROL, "--samples", "0"),
+    ("check", "--space", "su21", "--pair", "real-form", "--n-max", "two")])
+def test_count_options_below_their_floor_exit_2_naming_the_option(
+        tmp_path, capsys, argv):
+    """A negative count once ended in a reshape traceback (--m-max), a
+    numpy message (--samples) or a vacuous pass (--n-max -1 and
+    --samples 0, which certified the sl3r negative control)."""
+    out = tmp_path / "report.json"
+    status = run([*argv, "--out", str(out)])
+    assert status == 2 and not out.exists()
+    floor = 1 if argv[-2] == "--samples" else 0
+    assert ("argument %s: expected an integer >= %d, got %r"
+            % (argv[-2], floor, argv[-1])) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("lemma", "--space", "su21", "--pair", "real-form", "--samples", "1",
+      "--n-max", "0", "--m-max", "0"), 0),
+    (("check", "--space", "su21", "--pair", "real-form", "--samples", "1",
+      "--n-max", "0"), 0),
+    (("verify", *CONTROL, "--samples", "1"), 1)])
+def test_count_options_at_their_floor_run(tmp_path, argv, status):
+    assert _run(tmp_path, *argv)[0] == status

@@ -288,6 +288,65 @@ def test_a_stack_of_nodes_raises_what_its_first_failing_node_raises(
             == _raised(NumericalBreakdown, immersion_point, spec, t[4], y[4]))
 
 
+def _squeeze_charts(monkeypatch, spec, squeeze, spoil=None):
+    """Chart every stencil point of the node at (t, y) = key of squeeze with
+    its first Y-coordinate pulled toward the node's by the factor
+    squeeze[key]: the induced metric of that node loses a direction.  The
+    stencil points at t + h of the node at spoil chart to nan."""
+    plain = geometry._chart
+    h = spec.h
+
+    def near(t, y, key):
+        return (np.abs(t - key[0]) <= 1.5 * h) & np.all(
+            np.abs(y - np.array(key[1:])) <= 1.5 * h, axis=-1)
+
+    def chart(spec, t, y):
+        t, y = np.broadcast_to(t, y.shape[:-1]), np.array(y)
+        for key, f in squeeze.items():
+            hit = near(t, y, key)
+            y[..., 0] = np.where(hit, key[1] + f * (y[..., 0] - key[1]), y[..., 0])
+        out = plain(spec, t, y)
+        if spoil is not None:
+            out[near(t - h, y, spoil) & (np.abs(t - spoil[0] - h) < 0.5 * h)] = np.nan
+        return out
+
+    monkeypatch.setattr(geometry, "_chart", chart)
+
+
+@pytest.mark.parametrize("space", ["su21", "su31"])
+def test_a_degenerate_node_raises_for_the_first_failing_node_of_its_stack(
+        space, monkeypatch):
+    spec = _spec_on(space)
+    t = np.array([0.5, -0.25, 0.0, 0.7, 0.0, -0.5])
+    y = np.outer([0.1, -0.2, 0.6, 0.3, -0.5, 0.0], np.ones(spec.s.dim))
+    mean_curvature_estimate(spec, t, y)
+    # nodes 3 and 5 lose a direction, each to its own condition number
+    _squeeze_charts(monkeypatch, spec, {(t[3], *y[3]): 1e-7, (t[5], *y[5]): 1e-9})
+    message = _raised(NumericalBreakdown, mean_curvature_estimate, spec, t[3], y[3])
+    assert message.startswith("induced metric is ill-conditioned (cond ")
+    assert message != _raised(NumericalBreakdown, mean_curvature_estimate,
+                              spec, t[5], y[5])
+    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t, y) == message
+    for k in range(3):    # the nodes before it compute, alone and stacked
+        mean_curvature_estimate(spec, t[k], y[k])
+    mean_curvature_estimate(spec, t[:3], y[:3])
+
+
+@pytest.mark.parametrize("space", ["su21", "su31"])
+def test_a_non_finite_induced_metric_raises_instead_of_aborting_cond(
+        space, monkeypatch):
+    """cond and inv would refuse the whole stack with a LinAlgError."""
+    spec = _spec_on(space)
+    t = np.array([0.5, -0.25, 0.0, 0.7, 0.0, -0.5])
+    y = np.outer([0.1, -0.2, 0.6, 0.3, -0.5, 0.0], np.ones(spec.s.dim))
+    _squeeze_charts(monkeypatch, spec, {}, spoil=(t[3], *y[3]))
+    message = ("induced metric is ill-conditioned (cond nan): "
+               "degenerate parametrization")
+    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t[3], y[3]) == message
+    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t, y) == message
+    mean_curvature_estimate(spec, np.delete(t, 3), np.delete(y, 3, axis=0))
+
+
 def _signed_expm(m):
     """A per-slice stand-in for expm that tells -0.0 from 0.0 in the real
     parts of its input."""
