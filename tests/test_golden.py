@@ -40,6 +40,12 @@ COMMANDS = {
                                       "complex-hyperplane", "--samples", "1"],
     "lemma-so31": ["lemma", "--space", "so31", "--pair", "geodesic-plane",
                    "--samples", "1"],
+    # the only lemma report with nonzero hypothesis residuals (exit 1)
+    "lemma-sl3r-control": ["lemma", "--space", "sl3r", "--s", "control.json",
+                           "--X", "bad", "--samples", "2"],
+    # the widest lemma chains of the catalog
+    "lemma-su31-real-form": ["lemma", "--space", "su31", "--pair", "real-form",
+                             "--samples", "1"],
     "verify-su21": ["verify", "--space", "su21", "--s", "su21-real-form.json",
                     "--X", "Q1", "--samples", "8"],
     "verify-sl3r-control": ["verify", "--space", "sl3r", "--s", "control.json",
