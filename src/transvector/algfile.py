@@ -11,7 +11,7 @@ Sections, in any order, one per line header in brackets:
                  "signature s1 ... sN" and "unimodular true|false"
 
 '#' starts a comment.  Parsing is exact (canonical ints and Fractions, see
-exactla.frac), and a parsed algebra is validated immediately: a Jacobi or
+exactla.parse_rational, which caps their size), and a parsed algebra is validated immediately: a Jacobi or
 involution failure is rejected as hard as a syntax error, with its witness in
 the message.  Each distinct token is parsed once per file (most coefficients
 are "0"); nothing is kept between files.
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .errors import ConfigError
-from .exactla import Qi, frac
+from .exactla import Qi, parse_rational
 from .liealg import MatrixRealization, StructuredLieAlgebra
 
 _SECTIONS = ("basis", "bracket", "theta", "realization")
@@ -60,19 +60,19 @@ def _im_value(tok: str):
         return 1
     if body == "-":
         return -1
-    return frac(body)
+    return parse_rational(body)
 
 
 def parse_qi(token: str) -> Qi:
     """Parse 'a', 'a/b', 'ci', '-i', or 'a/b+c/di' into a Gaussian rational."""
     text = token.replace(" ", "")
     if _REAL_RE.fullmatch(text):
-        return Qi(frac(text))
+        return Qi(parse_rational(text))
     if _IMAG_RE.fullmatch(text):
         return Qi(0, _im_value(text))
     m = _BOTH_RE.fullmatch(text)
     if m:
-        return Qi(frac(m.group("re")), _im_value(m.group("im")))
+        return Qi(parse_rational(m.group("re")), _im_value(m.group("im")))
     raise ValueError("bad matrix entry %r" % token)
 
 
@@ -126,7 +126,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         _fail(path, sections["basis"][0][0], "duplicate basis labels")
     d = len(labels)
 
-    num = _memo(frac)
+    num = _memo(parse_rational)
     brackets = {}
     for lineno, text in sections["bracket"]:
         if "->" not in text:
@@ -201,7 +201,9 @@ def _parse_realization(path, lines, d):
             try:
                 size = int(text.split()[1])
             except (IndexError, ValueError):
-                _fail(path, lineno, "size line needs one integer")
+                size = 0
+            if size < 1:
+                _fail(path, lineno, "size line needs one integer >= 1")
             continue
         if low.startswith("signature"):
             try:

@@ -22,7 +22,7 @@ from .algfile import parse_algebra_file
 from .catalog import (bisector_equidistance_check, build_pair, build_space,
                       list_pairs, negative_control, parse_space_id)
 from .errors import ConfigError, LemmaFalsified, NumericalBreakdown
-from .exactla import frac
+from .exactla import bounded, parse_rational
 from .extension import condition_holds, sample_ys, verify_lemma_conclusion
 from .geometry import (GridSpec, ImmersionSpec, distance_law_check,
                        export_point_cloud, mean_curvature_report)
@@ -70,9 +70,17 @@ def parse_x_expression(a, expr: str):
         if label not in a.labels:
             raise ConfigError("unknown basis label %r (space %s has %s)"
                               % (label, a.name, ", ".join(a.labels)))
-        c = frac(coeff) if coeff else 1
+        try:
+            c = parse_rational(coeff) if coeff else 1
+        except ValueError as e:
+            _bad_x(text, term.start(), str(e))
         combo[label] = combo.get(label, 0) + (-c if sign.group(1) == "-" else c)
         pos = term.end()
+    for label, c in combo.items():
+        try:
+            bounded(c)
+        except ValueError as e:
+            raise ConfigError("X expression: the summed coefficient of %s: %s" % (label, e))
     x = a.from_labels(combo)
     if x.is_zero():
         raise ConfigError("X expression %r is the zero vector; X must be a "
@@ -93,7 +101,7 @@ def load_subspace_file(a, path: str) -> Subspace:
             data = json.load(fh)
     except OSError as e:
         raise ConfigError("cannot read %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
+    except ValueError as e:         # JSONDecodeError, or an int past 4300 digits
         raise ConfigError("%s is not valid JSON: %s" % (path, e))
     if isinstance(data, dict):
         data = data.get("vectors")
@@ -108,7 +116,7 @@ def load_subspace_file(a, path: str) -> Subspace:
             raise ConfigError("%s: vector %d has a coefficient that is not an "
                               "integer or a rational string" % (path, k))
         try:
-            vectors.append(a.from_labels({lab: frac(c) for lab, c in combo.items()}))
+            vectors.append(a.from_labels({lab: parse_rational(c) for lab, c in combo.items()}))
         except KeyError as e:
             raise ConfigError("%s: vector %d uses unknown label %s" % (path, k, e))
         except (ValueError, ZeroDivisionError) as e:
@@ -310,6 +318,19 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
 
 
+def _finite_float_at_least(floor: float, strict: bool = False):
+    """argparse type of a bound option: a finite number below floor (or at
+    it, when strict) is an argument error naming the option, not a vacuous
+    or failed run."""
+    def bound(text: str) -> float:
+        value = _finite_float(text)
+        if value > floor or (value == floor and not strict):
+            return value
+        raise argparse.ArgumentTypeError("expected a number %s %g, got %r"
+                                         % (">" if strict else ">=", floor, text))
+    return bound
+
+
 def _int_at_least(floor: int):
     """argparse type of a count option: an integer below floor is an
     argument error naming the option, not a failed or vacuous run."""
@@ -380,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-range", default="-0.75,0.75")
     p.add_argument("--y-range", default="-0.75,0.75")
     p.add_argument("--h", type=_finite_float, default=1e-3)
-    p.add_argument("--truncation", type=int, default=60)
-    p.add_argument("--tolerance", type=_finite_float, default=1e-4)
+    p.add_argument("--truncation", type=_int_at_least(1), default=60)
+    p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-4)
     p.add_argument("--baseline", action="store_true",
                    help="measure the frozen-t slice instead of the extension")
     p.add_argument("--distance-law", action="store_true")
@@ -391,9 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bisector", help="equidistance of the extension")
     common(p, takes=("--pair",), sampled=False)
-    p.add_argument("--r", type=_finite_float, default=0.5)
+    # r = 0 puts both endpoints at the origin, where equidistance is vacuous
+    p.add_argument("--r", type=_finite_float_at_least(0, strict=True), default=0.5)
     p.add_argument("--grid-steps", type=int, default=7)
-    p.add_argument("--tolerance", type=_finite_float, default=1e-8)
+    p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-8)
     p.set_defaults(func=_cmd_bisector)
 
     p = sub.add_parser("catalog", help="list built-in spaces and pairs")

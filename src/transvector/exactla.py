@@ -21,7 +21,16 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from fractions import Fraction
+
+# The most bits a numerator or a denominator read from an input (algebra
+# files, --s, --X) may have.  It admits the 2^70 constants of the golden
+# huge-*.alg files; a digit run or an exponent that could pass it is refused
+# before any int is built from it.
+RATIONAL_BITS = 256
+_DIGIT_RUN_RE = re.compile(r"[\d_]+")
+_EXPONENT_RE = re.compile(r"[eE]([+-]?[\d_]+)")
 
 
 def frac(x):
@@ -33,6 +42,29 @@ def frac(x):
         raise TypeError("refusing silent float -> Fraction coercion: %r" % (x,))
     q = x if isinstance(x, Fraction) else Fraction(x)
     return int(q.numerator) if q.denominator == 1 else q
+
+
+def bounded(q):
+    """q, when its numerator and denominator have at most RATIONAL_BITS
+    bits; a ValueError (with no digits of q) otherwise."""
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) > RATIONAL_BITS:
+        raise ValueError("a rational has a numerator or denominator of more "
+                         "than %d bits" % RATIONAL_BITS)
+    return q
+
+
+def parse_rational(x):
+    """The canonical exact scalar of an input rational: an int, or a string
+    that Fraction reads ('-3', '3/4', '1.5', '2e-3'), within bounded.  A
+    digit run of more than RATIONAL_BITS digits or an exponent past
+    RATIONAL_BITS raises ValueError before Fraction builds anything."""
+    if type(x) is not int:
+        if any(len(run) > RATIONAL_BITS for run in _DIGIT_RUN_RE.findall(x)):
+            raise ValueError("a rational has more than %d digits in a row" % RATIONAL_BITS)
+        exponent = _EXPONENT_RE.search(x)
+        if exponent and abs(int(exponent.group(1))) > RATIONAL_BITS:
+            raise ValueError("a rational has an exponent past %d" % RATIONAL_BITS)
+    return bounded(frac(x))
 
 
 def div(a, b):

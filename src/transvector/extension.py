@@ -173,19 +173,27 @@ def _normal_pairing(s: Subspace, x: AlgebraVector):
 def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
     """(samples, d) stack of random Y in s, each drawn in turn from gen.
 
-    Exact Y are dtype=object rows of Python ints: the rational block draw
-    with its denominators cleared, assembled as one product with the
-    integer-scaled basis of s.  Float Y are standard normal in the
-    s-coordinates.
+    Exact Y are integer rows: the rational block draw with its denominators
+    cleared, assembled as one product with the integer-scaled basis of s.
+    They are int64 when int64_exact bounds that product and the scale fits,
+    which holds for every catalog subspace, and dtype=object Python ints
+    otherwise.  Float Y are standard normal in the s-coordinates.
     """
     if s.mode == MODE_FLOAT:
         return gen.standard_normal((samples, s.dim)) @ s.basis_rows
     den = math.lcm(*(c.denominator for b in s.basis for c in b.coeffs))
     basis = np.array([[int(c * den) for c in b.coeffs] for b in s.basis], dtype=object)
-    w = rng.rational_vectors(gen, s.dim, samples).astype(object) @ basis
-    # Y = w / (den * RATIONAL_SCALE); dividing w by its gcd with that scale
-    # leaves Y times the lcm of its denominators
-    g = np.gcd(np.gcd.reduce(w, axis=1), den * rng.RATIONAL_SCALE)
+    draws = rng.rational_vectors(gen, s.dim, samples)
+    scale = den * rng.RATIONAL_SCALE
+    if scale < 2 ** 63 and int64_exact(rng.RATIONAL_NUM * rng.RATIONAL_SCALE,
+                                       abs_col_sum(basis)):
+        basis = basis.astype(np.int64)
+    else:
+        draws = draws.astype(object)
+    w = draws @ basis
+    # Y = w / scale; dividing w by its gcd with that scale leaves Y times
+    # the lcm of its denominators
+    g = np.gcd(np.gcd.reduce(w, axis=1), scale)
     return w // g[:, None]
 
 
@@ -193,9 +201,10 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
                     seed: int = 0, n_max: int | None = None) -> ConditionVerdict:
     """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s.
 
-    Every (sample, n) term is evaluated in one stacked pass; the verdict
-    reads them in sample-major order and stops at the first term outside s,
-    which is the witness, so `checked` counts the terms up to it.
+    Every (sample, n) term is evaluated in one stacked pass, in exact mode
+    on chain_residues; the verdict reads them in sample-major order and
+    stops at the first term outside s, which is the witness, so `checked`
+    counts the terms up to it.  The witness alone is evaluated exactly.
     """
     _require_pair(s, x)
     a = s.algebra
@@ -211,26 +220,18 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
         return verdict
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
     xrow = x.row()
-    odd = a.ad_chain(ys, xrow, 2 * n_max + 1)[:, 1::2]
     adx = a.ad_stack(xrow[None])[0]              # [X, v] = v @ adx
     if s.mode == MODE_EXACT:
-        # one product with M = adx (null rows of s)^T, formed once per (s, X),
-        # in int64 under liealg's int64 rule: odd is int64 only for an X of
-        # Python ints, so M holds Python ints then.  Members have residual 0,
-        # and only the witness's is computed below
-        m = adx @ s.null_rows.T
-        if odd.dtype == np.int64 and int64_exact(int(np.abs(odd).max(initial=0)),
-                                                 abs_col_sum(m)):
-            m = m.astype(np.int64)
-        outside = (odd @ m != 0).any(axis=-1)
+        r = a.chain_residues(ys, xrow, 2 * n_max + 1, s.null_rows)
+        outside = r.outside(r.chain[:, :, 1::2], r.ad(r.x))
         res = np.zeros(outside.shape)
     else:
-        outside, res = s.membership(odd @ adx)
+        outside, res = s.membership(a.ad_chain(ys, xrow, 2 * n_max + 1)[:, 1::2] @ adx)
     hits = np.flatnonzero(outside)
     verdict.checked = int(hits[0]) + 1 if hits.size else outside.size
     if hits.size:
         i, n = divmod(int(hits[0]), n_max + 1)
-        term = a.vector(odd[i, n] @ adx, s.mode)
+        term = a.vector(a.ad_chain(ys[i:i + 1], xrow, 2 * n + 1)[0, -1] @ adx, s.mode)
         _, res[i, n] = s.contains(term)
         verdict.holds = False
         verdict.witness = {
@@ -245,6 +246,20 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     return verdict
 
 
+def _lemma_terms(chain, x, ad_y, ad, mul, n_max: int, m_max: int):
+    """The hypothesis [X, ad_Y^{2m+1}X] (m <= n_max + m_max), the conclusion
+    [ad_Y^{2n}X, ad_Y^{2m+1}X] and the auxiliary ad_Y [ad_Y^{2n}X,
+    ad_Y^{2m}X] (n <= n_max, m <= m_max) of every chain of the stack chain
+    (..., S, top + 1, d), given x (..., d), ad_y (..., S, d, d) of its Y, ad
+    (the stack of ad_u) and mul (the product): exact, float or residue."""
+    even, odd = chain[..., 0::2, :], chain[..., 1::2, :]
+    ad_even = ad(even[..., :n_max + 1, :])       # [ad_Y^{2n}X, v] = v @ ad_even[..., n]
+    hypothesis = mul(odd, ad(x))
+    conclusion = mul(odd[..., None, :m_max + 1, :], ad_even)
+    auxiliary = mul(mul(even[..., None, :m_max + 1, :], ad_even), ad_y[..., None, :, :])
+    return hypothesis, conclusion, auxiliary
+
+
 def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
                             n_max: int = 4, m_max: int = 4) -> list:
     """Brute-force the lemma for every row Y of the stack ys (S, d): the
@@ -252,25 +267,36 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X] in s and the auxiliary chain
     ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.  Returns one LemmaCheck per row.
 
+    Exact membership is decided on chain_residues; only the rows with a
+    term outside s are evaluated exactly, for their residuals.
+
     A conclusion or auxiliary failure while the hypothesis held raises
     LemmaFalsified, for the first such row; nothing in this package
     catches it.
     """
     _require_pair(s, x)
-    a, d = s.algebra, s.algebra.dim
+    a = s.algebra
     xrow = x.row()
-    # the products of chain terms below have no int64 bound: they run on the
-    # dtype of ys
-    chain = a.ad_chain(ys, xrow, 2 * (n_max + m_max) + 1).astype(ys.dtype, copy=False)
-    even, odd = chain[:, 0::2], chain[:, 1::2]
-    # [ad_Y^{2n}X, v] = v @ ad_even[:, n], for n <= n_max
-    ad_even = a.ad_stack(even[:, :n_max + 1].reshape(-1, d)).reshape(
-        len(ys), n_max + 1, d, d)
-    hypothesis = odd @ a.ad_stack(xrow[None])[0]
-    conclusion = odd[:, None, :m_max + 1] @ ad_even
-    auxiliary = (even[:, None, :m_max + 1] @ ad_even) @ a.ad_stack(ys)[:, None]
-    (hyp_out, hyp_res), (con_out, con_res), (aux_out, aux_res) = (
-        s.membership(v) for v in (hypothesis, conclusion, auxiliary))
+    top = 2 * (n_max + m_max) + 1
+
+    def exact_terms(rows):
+        return _lemma_terms(a.ad_chain(rows, xrow, top), xrow,
+                            a.ad_stack(rows.astype(xrow.dtype)), a.ad_stack, np.matmul,
+                            n_max, m_max)
+
+    if s.mode == MODE_EXACT:
+        r = a.chain_residues(ys, xrow, top, s.null_rows)
+        outs = [r.outside(v) for v in _lemma_terms(r.chain, r.x, r.ad_y, r.ad, r.mul,
+                                                   n_max, m_max)]
+        ress = [np.zeros(out.shape) for out in outs]
+        hit = outs[0].any(axis=-1) | outs[1].any(axis=(1, 2)) | outs[2].any(axis=(1, 2))
+        for i in np.flatnonzero(hit):
+            for res, v in zip(ress, exact_terms(ys[i:i + 1])):
+                res[i] = s.membership(v[0])[1]
+        (hyp_out, con_out, aux_out), (hyp_res, con_res, aux_res) = outs, ress
+    else:
+        (hyp_out, hyp_res), (con_out, con_res), (aux_out, aux_res) = (
+            s.membership(v) for v in exact_terms(ys))
 
     keys = ["%d,%d" % nm for nm in np.ndindex(n_max + 1, m_max + 1)]
     checks = []
@@ -285,10 +311,12 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
             continue
         check.conclusion_residuals = dict(zip(keys, map(float, con_res[i].flat)))
         check.aux_residuals = dict(zip(keys, map(float, aux_res[i].flat)))
+        if not (con_out[i].any() or aux_out[i].any()):
+            continue
         y_str = [_num_str(c) for c in a.vector(y, s.mode).coeffs]
         if con_out[i].any():
             n, m = divmod(int(np.argmax(con_out[i])), m_max + 1)
-            term = a.vector(conclusion[i, n, m], s.mode)
+            term = a.vector(exact_terms(ys[i:i + 1])[1][0, n, m], s.mode)
             raise LemmaFalsified(
                 "bracket [ad_Y^%dX, ad_Y^%dX] escaped s with the hypothesis "
                 "satisfied (residual %g); this contradicts the bracket lemma"

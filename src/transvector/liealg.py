@@ -27,6 +27,7 @@ Conventions fixed here and asserted by tests:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,6 +37,7 @@ import numpy as np
 
 from .exactla import (
     SpanSolver,
+    clear_denominators,
     frac,
     is_negative_definite,
     is_positive_definite,
@@ -78,6 +80,43 @@ def int64_exact(u_max: int, col_sum: int) -> bool:
     """The int64 product rule of StructuredLieAlgebra.exact_dtype, for
     u_max = max|u| and col_sum = abs_col_sum(m)."""
     return max(1, u_max) * col_sum < 2 ** 63
+
+
+# Residue arithmetic runs modulo primes below 2^26: d (p - 1)^2 < 2^63 for
+# every d <= 2^11, so a dot product of two residue vectors of length d never
+# leaves int64.  An algebra of larger d could not hold its d^3 table anyway.
+RESIDUE_PRIME_LIMIT = 2 ** 26
+
+
+def _primes_below(n: int):
+    """The primes between sqrt(n) and n, largest first: the numbers with no
+    prime factor up to sqrt(n)."""
+    sieve = np.ones(math.isqrt(n) + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, math.isqrt(len(sieve)) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    small = np.flatnonzero(sieve)
+    return (m for m in range(n - 1, len(sieve), -1) if (m % small).all())
+
+
+_PRIMES = tuple(itertools.islice(_primes_below(RESIDUE_PRIME_LIMIT), 16))
+
+
+def residue_primes(bound: int) -> tuple:
+    """The moduli for integers r with |r| <= bound: () when bound < 2^63,
+    where int64 holds r exactly, else the fewest primes below
+    RESIDUE_PRIME_LIMIT, largest first, whose product P exceeds 2 bound.
+    Then r = 0 exactly when r = 0 modulo every one of them: P divides r and
+    |r| < P (Chinese remainder theorem)."""
+    primes, product = [], 1
+    if bound >= 2 ** 63:
+        for p in itertools.chain(_PRIMES, _primes_below(_PRIMES[-1])):
+            primes.append(p)
+            product *= p
+            if product > 2 * bound:
+                break
+    return tuple(primes)
 
 
 @dataclass(frozen=True)
@@ -302,12 +341,19 @@ class StructuredLieAlgebra:
         return np.int64 if 4 * n ** 4 * m ** 4 < 2 ** 63 else object
 
     @cached_property
-    def _structure_col_sum(self) -> int | None:
-        """max_k sum_{i,j} |C[i, j, k]| when C is int64, else None: for
-        int Y with int64_exact(max|Y|, this), ad_Y and the absolute column
-        sums of ad_Y are exact in int64."""
-        c = self.structure_exact
-        return abs_col_sum(c.reshape(-1, self.dim)) if c.dtype == np.int64 else None
+    def _integer_structure(self):
+        """(vals, col_sum): the nonzero constants of _structure_columns
+        times the lcm L of their denominators (int64 for an int64 table,
+        else Python ints), and max_k sum_{i,j} |L C[i, j, k]| as a Python
+        int.  The table L C has ad_y^t x scaled by L^t, a nonzero constant,
+        so every zero test on its chains and brackets is that of C."""
+        _, vals, _, _ = self._structure_columns
+        scale = 1
+        if vals.dtype == object:
+            scale = math.lcm(*(v.denominator for v in vals))
+            vals = np.array([int(v * scale) for v in vals], dtype=object)
+        col_sum = np.abs(self.structure_exact.reshape(-1, self.dim)).sum(axis=0)
+        return vals, int(col_sum.max(initial=0) * scale)
 
     @cached_property
     def structure_exact(self) -> np.ndarray:
@@ -432,28 +478,29 @@ class StructuredLieAlgebra:
         starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])[:len(cols)]
         return rows, c[rows, cols], starts, cols[starts]
 
-    def ad_stack(self, ys: np.ndarray) -> np.ndarray:
-        """ad_y of every row y of the stack ys (S, d), as an (S, d, d) array
-        with [y, v] = v @ ad[s], in the dtype of ys: one product of ys with
-        the nonzero structure constants, summed per (j, k)."""
-        rows, vals, starts, cols = self._structure_columns
-        out = np.zeros((len(ys), self.dim ** 2), dtype=ys.dtype)
+    def ad_stack(self, ys: np.ndarray, vals=None) -> np.ndarray:
+        """ad_y of every row y of the stack ys (..., d), as a (..., d, d)
+        array with [y, v] = v @ ad[...], in the dtype of ys: one product of
+        ys with the nonzero structure constants, summed per (j, k).  vals
+        replaces those constants (in the order of _structure_columns, with
+        leading axes that broadcast against ys), as ChainResidues does."""
+        rows, exact_vals, starts, cols = self._structure_columns
+        vals = exact_vals if vals is None else vals
+        out = np.zeros(ys.shape[:-1] + (self.dim ** 2,), dtype=ys.dtype)
         if len(rows):
-            out[:, cols] = np.add.reduceat(ys[:, rows] * vals, starts, axis=1)
-        return out.reshape(-1, self.dim, self.dim)
+            out[..., cols] = np.add.reduceat(ys[..., rows] * vals, starts, axis=-1)
+        return out.reshape(ys.shape[:-1] + (self.dim, self.dim))
 
     def ad_chain(self, ys: np.ndarray, x: np.ndarray, top: int) -> np.ndarray:
         """The chains x, ad_y x, ..., ad_y^top x for every row y of the stack
         ys (S, d), as one (S, top + 1, d) array.
 
-        Exact stacks come in as dtype=object.  When structure_exact is int64,
-        every entry of ys and x is a Python int, x fits int64 and
-        int64_exact(max|y|, _structure_col_sum) holds, the chain steps in
-        int64 for as long as int64_exact(max|chain_t|, abs_col_sum(ad)) holds
-        over the stack, and in dtype=object (Python ints and Fractions) from
-        the first step that fails it.  The result is int64 only when every
-        step fit, dtype=object otherwise; float stacks are float64.  ys and x
-        share the kind.  One Y is a stack of one, and its row has the same
+        An exact x (dtype=object) gives an exact chain on Python ints and
+        Fractions; its ys are dtype=object or the int64 rows of
+        extension.sample_ys.  Float64 ys and x give a float64 chain.  The
+        zero tests of the condition and the lemma run on chain_residues
+        instead; this chain serves witnesses, residuals, the series and the
+        root examples.  One Y is a stack of one, and its row has the same
         values alone or in a stack.
         """
         if top < 0:
@@ -461,31 +508,23 @@ class StructuredLieAlgebra:
         if ys.ndim != 2 or ys.shape[1] != self.dim or x.shape != (self.dim,):
             raise ValueError("ad_chain takes an (S, %d) stack and a %d-vector"
                              % (self.dim, self.dim))
-        if {ys.dtype.kind, x.dtype.kind} not in ({"O"}, {"f"}):
-            raise ValueError("ad_chain takes two dtype=object (exact) or two "
-                             "float64 arrays, got %s and %s" % (ys.dtype, x.dtype))
-        if self._int64_chain_fits(ys, x):
-            ys = ys.astype(np.int64)
+        if (ys.dtype.kind, x.dtype.kind) not in (("O", "O"), ("i", "O"), ("f", "f")):
+            raise ValueError("ad_chain takes an exact (dtype=object) x with "
+                             "dtype=object or int64 ys, or two float64 arrays, "
+                             "got %s and %s" % (ys.dtype, x.dtype))
+        ys = ys.astype(x.dtype, copy=False)
         ad = self.ad_stack(ys)
-        col_sum = abs_col_sum(ad) if ys.dtype == np.int64 else None
         chain = np.empty((len(ys), top + 1, self.dim), dtype=ys.dtype)
         chain[:, 0] = x
         for t in range(top):
-            if col_sum is not None and not int64_exact(
-                    int(np.abs(chain[:, t]).max(initial=0)), col_sum):
-                chain, ad, col_sum = chain.astype(object), ad.astype(object), None
             chain[:, t + 1] = (chain[:, t, None] @ ad)[:, 0]
         return chain
 
-    def _int64_chain_fits(self, ys: np.ndarray, x: np.ndarray) -> bool:
-        """The preconditions of the int64 chain, see ad_chain."""
-        if ys.dtype.kind != "O" or self._structure_col_sum is None:
-            return False
-        if not {type(v) for v in ys.flat} | {type(v) for v in x} <= {int}:
-            return False
-        return (max(map(abs, x), default=0) < 2 ** 63
-                and int64_exact(max(map(abs, ys.flat), default=0),
-                                self._structure_col_sum))
+    def chain_residues(self, ys: np.ndarray, x: np.ndarray, top: int,
+                       null: np.ndarray) -> "ChainResidues":
+        """The exact chains of ad_chain(ys, x, top) as residues, with the
+        membership rows null of a subspace: see ChainResidues."""
+        return ChainResidues(self, ys, x, top, null)
 
     def killing_form(self, x: AlgebraVector, y: AlgebraVector):
         self._own(x), self._own(y)
@@ -657,6 +696,89 @@ class StructuredLieAlgebra:
             ok = ok and not (r.transpose(0, 2, 1) @ jm + jm @ r).any()
         rep.checks["realization_algebra_relations"] = bool(ok)
 
+
+class ChainResidues:
+    """The chains x, ad_y x, ..., ad_y^top x (top >= 1) of an exact stack ys
+    (S, d) as int64 residues, and the test of vectors built from them
+    against the integer rows null (r, d) whose common kernel is a subspace.
+
+    Rational data is made integral first: each row of ys and x is scaled by
+    the lcm of its denominators, and the table by that of its constants
+    (_integer_structure).  Every chain term, and every bracket of terms,
+    is then a nonzero multiple of the unscaled one, with the same membership.
+
+    bound majorises every |[u, v] @ null.T| for u = ad_y^a x, v = ad_y^b x
+    with a + b <= top, every |[y, [u, v]] @ null.T| with a + b < top, and
+    every entry and partial sum formed on the way: for c = abs_col_sum(ad_y)
+    over the stack, |ad_y^t x| <= |x| c^t; ad_u has column sums at most
+    |u| C_1, C_1 the table's column sum; the null rows have absolute row
+    sums at most n_1.  So bound = |x| c^top * |x| C_1 n_1, each factor at
+    least 1.
+
+    primes = residue_primes(bound).  When it is empty the arrays hold the
+    exact values in plain int64 and nothing is reduced; otherwise each array
+    has a leading axis with one residue per prime, every entry in [0, p),
+    and a vector is zero exactly when all its residues are.  Arrays lead
+    with that axis (length 1 when plain): x (k, d), chain (k, S, top + 1,
+    d), ad_y (k, S, d, d).
+    """
+
+    def __init__(self, algebra: StructuredLieAlgebra, ys: np.ndarray,
+                 x: np.ndarray, top: int, null: np.ndarray):
+        if top < 1:
+            raise ValueError("chain_residues takes top >= 1")
+        if ys.dtype == object:
+            ys = np.array([clear_denominators(y) for y in ys],
+                          dtype=object).reshape(ys.shape)
+        x = np.array(clear_denominators(x), dtype=object)
+        vals, col_sum = algebra._integer_structure
+        kind = np.int64 if int64_exact(int(np.abs(ys).max(initial=0)), col_sum) else object
+        ad_y = algebra.ad_stack(ys.astype(kind, copy=False), vals.astype(kind, copy=False))
+        x_max = max(1, max(map(abs, x)))
+        self.bound = (x_max * max(1, abs_col_sum(ad_y)) ** top
+                      * x_max * max(1, col_sum) * max(1, abs_col_sum(null.T)))
+        self.primes = residue_primes(self.bound)
+        self._mods = np.array(self.primes, dtype=np.int64)
+        self.algebra = algebra
+        self.ad_y, self.vals, self.null = map(self._lift, (ad_y, vals, null.T))
+        self.chain = np.empty((len(self.vals), len(ys), top + 1, algebra.dim),
+                              dtype=np.int64)
+        self.x = self._lift(x)
+        self.chain[:, :, 0] = self.x[:, None]
+        for t in range(top):
+            self.chain[:, :, t + 1] = self.mul(self.chain[:, :, t, None], self.ad_y)[:, :, 0]
+
+    def _lift(self, a: np.ndarray) -> np.ndarray:
+        """An exact integer array as a (k, ...) int64 residue stack."""
+        if not self.primes:
+            return a.astype(np.int64)[None]
+        return (a[None] % self._mods.reshape((-1,) + (1,) * a.ndim)).astype(np.int64)
+
+    def _reduce(self, a: np.ndarray) -> np.ndarray:
+        if not self.primes:
+            return a
+        return a % self._mods.reshape((-1,) + (1,) * (a.ndim - 1))
+
+    def mul(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """u @ m of two residue stacks, reduced.  A matrix shared by every
+        row (m of shape (k, d, e)) takes one product per prime."""
+        if m.ndim == 3:
+            flat = u.reshape(len(u), -1, u.shape[-1]) @ m
+            return self._reduce(flat).reshape(u.shape[:-1] + m.shape[-1:])
+        return self._reduce(u @ m)
+
+    def ad(self, v: np.ndarray) -> np.ndarray:
+        """ad_u of every vector u of the residue stack v (k, ..., d), as
+        (k, ..., d, d) with [u, w] = w @ ad_u, reduced."""
+        vals = self.vals.reshape((len(self.vals),) + (1,) * (v.ndim - 2) + (-1,))
+        return self._reduce(self.algebra.ad_stack(v, vals))
+
+    def outside(self, v: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+        """The mask (...) of the vectors of the residue stack v (k, ..., d),
+        or of v @ m for a matrix m (k, d, d) shared by every row, outside
+        the subspace: those with a nonzero residue of v @ null.T."""
+        null = self.null if m is None else self.mul(m, self.null)
+        return (self.mul(v, null) != 0).any(axis=-1).any(axis=0)
 
 def validate_algebra(a: StructuredLieAlgebra) -> ValidationReport:
     return a.validate()

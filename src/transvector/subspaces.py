@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactla import SpanSolver, frac, invert, mat_vec, nullspace
+from .exactla import SpanSolver, invert, mat_vec, nullspace
 from .liealg import (
     MODE_EXACT,
     MODE_FLOAT,
@@ -68,20 +68,22 @@ class Subspace:
         return np.array([b.coeffs for b in self.basis], dtype=kind).reshape(-1, self.algebra.dim)
 
     @cached_property
-    def _projector(self) -> np.ndarray:
-        """Q with v @ Q the B_theta-orthogonal component of v off the span:
-        d x d, dtype=object in exact mode, float64 in float mode."""
-        a = self.algebra
+    def _pairing(self):
+        """(P, G^-1): P = basis @ B_theta (k, d) and the inverse of the Gram
+        matrix G = P @ basis^T, dtype=object exact, float64 float."""
         kind = object if self.mode == MODE_EXACT else float
-        eye = np.eye(a.dim, dtype=kind)
-        if not self.dim:
-            return eye
-        basis = self.basis_rows
-        pair = basis @ np.array(a.btheta, dtype=kind)
-        gram = pair @ basis.T
-        inv = invert(gram) if kind is object else np.linalg.inv(gram)
-        q = eye - pair.T @ np.array(inv, dtype=kind) @ basis
-        return np.frompyfunc(frac, 1, 1)(q) if kind is object else q
+        pair = self.basis_rows @ np.array(self.algebra.btheta, dtype=kind)
+        gram = pair @ self.basis_rows.T
+        if kind is object:
+            return pair, np.array(invert(gram), dtype=object).reshape(gram.shape)
+        return pair, np.linalg.inv(gram)
+
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        """Q (d, d, float64) with v @ Q the B_theta-orthogonal component of v
+        off the span."""
+        pair, inv = self._pairing
+        return np.eye(self.algebra.dim) - pair.T @ inv @ self.basis_rows
 
     @cached_property
     def null_rows(self) -> np.ndarray:
@@ -93,9 +95,14 @@ class Subspace:
             return np.eye(d, dtype=object)
         return np.array(self.solver._null_rows, dtype=object).reshape(-1, d)
 
-    def _norms(self, vs: np.ndarray) -> np.ndarray:
-        """B_theta norms of the rows of vs, as floats."""
+    def _norms(self, vs: np.ndarray, pairing=None) -> np.ndarray:
+        """B_theta norms of the rows of vs, as floats; with pairing = (P,
+        G^-1), of their components off the span, |v|^2 - w G^-1 w^T for
+        w = v @ P^T, which exact arithmetic gives exactly."""
         q = np.einsum("...i,ij,...j->...", vs, np.array(self.algebra.btheta, dtype=vs.dtype), vs)
+        if pairing is not None:
+            w = vs @ pairing[0].T
+            q = q - np.einsum("...i,ij,...j->...", w, pairing[1], w)
         return np.sqrt(np.maximum(q.astype(float), 0.0))
 
     def membership(self, vs: np.ndarray):
@@ -103,13 +110,13 @@ class Subspace:
         mask of the rows that leave the span, and their B_theta residual
         norms as floats.  Exact rows are decided by one product with the
         integer null rows; members read exactly 0.0 and only the rows outside
-        are projected.  Float rows are all projected, and a row is outside
+        are measured.  Float rows are all projected, and a row is outside
         when its residual exceeds float_tol of its norm."""
         if self.mode == MODE_EXACT:
             outside = (vs @ self.null_rows.T != 0).any(axis=-1)
             res = np.zeros(outside.shape)
             if outside.any():
-                res[outside] = self._norms(vs[outside] @ self._projector)
+                res[outside] = self._norms(vs[outside], self._pairing if self.dim else None)
             return outside, res
         res = self._norms(vs @ self._projector)
         return res > float_tol(self._norms(vs)), res

@@ -200,23 +200,28 @@ def test_one_y_alone_gives_the_row_it_gives_in_a_stack(name):
 
 
 def test_int64_chain_matches_the_object_oracle_across_2_63():
-    """su21 lemma chains (top 17) pass 2^63: the steps that fit run in int64
-    and the rest in Python ints, with the values of iterated brackets."""
+    """su21 lemma chains (top 17) pass 2^63: under the kernel's bound the
+    top-9 chains run in plain int64 and the top-17 ones modulo primes, and
+    every residue is that of the iterated brackets."""
     s, x = CASES["su21"]
     a = s.algebra
     ys = sample_ys(s, rng.stream(1, rng.STREAM_LEMMA), 4)
     want = [_reference_chain(a, a.vector(y), x, 17) for y in ys]
     assert max(abs(c) for row in want for v in row for c in v.coeffs).bit_length() > 63
-    for top, dtype in ((9, np.int64), (17, object)):
-        chain = a.ad_chain(ys, x.row(), top)
-        assert chain.dtype == dtype
-        if dtype is object:
-            assert all(type(c) is int for c in chain.flat)
-        for row, ref in zip(chain, want):
-            assert [a.vector(v) for v in row] == ref[:top + 1]
+    for top, modular in ((9, False), (17, True)):
+        r = a.chain_residues(ys, x.row(), top, s.null_rows)
+        assert bool(r.primes) == modular and r.chain.dtype == np.int64
+        assert r.bound >= max(abs(c) for row in want for v in row[:top + 1] for c in v.coeffs)
+        for k, p in enumerate(r.primes or (None,)):
+            for row, ref in zip(r.chain[k], want):
+                exact = np.array([v.coeffs for v in ref[:top + 1]], dtype=object)
+                assert np.array_equal(row, exact if p is None else exact % p)
 
 
 def test_rational_algebra_chain_stays_on_object():
+    """ad_chain keeps Fractions on a rational table; the kernel runs on
+    L C (L = 2 for su21half), whose chain terms are L^t times the exact
+    ones."""
     s, x = CASES["rational"]
     a = s.algebra
     ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 3)
@@ -224,6 +229,10 @@ def test_rational_algebra_chain_stays_on_object():
     assert a.structure_exact.dtype == object and chain.dtype == object
     for row, y in zip(chain, ys):
         assert [a.vector(v) for v in row] == _reference_chain(a, a.vector(y), x, 5)
+    r = a.chain_residues(ys, x.row(), 5, s.null_rows)
+    scaled = chain * np.array([2 ** t for t in range(6)], dtype=object)[:, None]
+    assert all(c.denominator == 1 for c in scaled.flat)
+    assert np.array_equal(r.chain[0], scaled if not r.primes else scaled % r.primes[0])
 
 
 def test_condition_membership_leaves_int64_when_the_product_outgrows_it():
@@ -233,7 +242,7 @@ def test_condition_membership_leaves_int64_when_the_product_outgrows_it():
     s, x = CASES["control"]
     big = x.scale(2 ** 32)
     ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 4)
-    assert s.algebra.ad_chain(ys, big.row(), 1).dtype == np.int64
+    assert s.algebra.chain_residues(ys, big.row(), 1, s.null_rows).primes
     verdict = condition_holds(s, big, samples=4, seed=0, n_max=0)
     checked, (_, n, term, res), _ = _reference_condition(s, big, ys, 0)
     assert not verdict.holds and verdict.checked == checked == 1

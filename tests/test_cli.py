@@ -323,3 +323,39 @@ def test_count_options_below_their_floor_exit_2_naming_the_option(
     (("verify", *CONTROL, "--samples", "1"), 1)])
 def test_count_options_at_their_floor_run(tmp_path, argv, status):
     assert _run(tmp_path, *argv)[0] == status
+
+
+@pytest.mark.parametrize("argv, floor", [
+    (("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
+      "--truncation", "0"), "an integer >= 1"),
+    (("construct", "--pair", "real-form", "--truncation", "-4"), "an integer >= 1"),
+    (("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
+      "--tolerance=-1"), "a number >= 0"),
+    (("bisector", "--pair", "real-form", "--grid-steps", "2", "--tolerance=-1e-9"),
+     "a number >= 0"),
+    (("bisector", "--pair", "complex-hyperplane", "--grid-steps", "2", "--r", "0"),
+     "a number > 0"),
+    (("bisector", "--pair", "complex-hyperplane", "--grid-steps", "2", "--r=-0.5"),
+     "a number > 0")])
+def test_bound_options_below_their_floor_exit_2_naming_the_option(tmp_path, capsys,
+                                                                  argv, floor):
+    """--truncation 0 once ran the grid and exited 3 on the metric series, a
+    negative --tolerance failed (construct) or passed (bisector real-form)
+    any measurement, and --r 0 put both bisector endpoints at the origin,
+    where equidistance is vacuous (exit 0)."""
+    out = tmp_path / "report.json"
+    status = run([argv[0], "--space", "su21", *argv[1:], "--out", str(out)])
+    assert status == 2 and not out.exists()
+    option, _, value = argv[-1].partition("=")
+    if not value:
+        option, value = argv[-2:]
+    assert ("argument %s: expected %s, got %r" % (option, floor, value)
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, status", [
+    (("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
+      "--tolerance", "0"), 1),
+    (("bisector", "--pair", "complex-hyperplane", "--grid-steps", "2", "--r", "1e-3"), 0)])
+def test_bound_options_at_their_floor_run(tmp_path, argv, status):
+    assert _run(tmp_path, argv[0], "--space", "su21", *argv[1:])[0] == status

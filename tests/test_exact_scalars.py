@@ -59,7 +59,7 @@ def test_catalog_exact_path_runs_on_ints(space_id):
     for s in _subspaces(space_id):
         ys = sample_ys(s, gen, 2)
         x = a.vector(a.p_basis[-1])
-        assert _all_ints(ys.flat)
+        assert _all_ints(ys)
         chain = a.ad_chain(ys, x.row(), 2 * len(a.p_basis) + 1)
         assert _all_ints(chain)
         assert _all_ints((chain @ a.ad_stack(x.row()[None])[0]).flat)

@@ -117,7 +117,7 @@ def test_ad_power_matches_repeated_bracket(sl2r):
         sl2r.ad_chain(y.to_array()[None], x.row(), 2)
     with pytest.raises(ValueError):
         sl2r.ad_chain(y.row(), x.row(), 2)      # a single Y is a stack of one
-    with pytest.raises(ValueError):             # ad_chain alone decides when int64 is exact
+    with pytest.raises(ValueError):             # an exact X is dtype=object
         sl2r.ad_chain(np.array([[1, 2, 3]]), np.array([0, 1, 1]), 2)
 
 

@@ -83,7 +83,7 @@ def test_sample_ys_matches_the_per_sample_loop(s):
         want, r = _reference_ys(s, ref_gen, 64)
         redraws += r
         assert _state(gen) == _state(ref_gen)
-        assert got.dtype == object and all(type(c) is int for c in got.flat)
+        assert got.dtype == np.int64
         for g, w in zip(got, want):
             # g is w divided by a positive integer: the same direction
             k = next(i for i, c in enumerate(w) if c != 0)
