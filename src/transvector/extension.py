@@ -15,11 +15,14 @@ n >= dim p is a rational combination of the tested ones; N_max = dim p.
 
 Scaling note: [X, ad_{cY}^{2n+1} X] = c^{2n+1} [X, ad_Y^{2n+1} X], so
 membership is invariant under rescaling Y.  Exact sampling exploits this by
-clearing denominators: Y is a vector of Python ints, so on an algebra with
-integer structure constants and an integral X every iterated bracket and
-every membership test runs on ints (exactla.frac keeps scalars canonical):
-int64 where liealg's product rule (exact_dtype) proves it exact, Python ints
-otherwise.
+clearing denominators: Y is an integer row (int64 from sample_ys).  The
+exact zero tests of the condition and the lemma run on machine integers
+through liealg.ChainResidues, which scales X and a rational table to
+integers the same way: in plain int64 when its proven bound on every
+residual fits, and modulo enough primes that "every residue is 0" proves
+"the residual is 0" otherwise (multimodular arithmetic, von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 5).  Only what a report prints, the
+witness and the residuals of terms outside s, is evaluated on Python ints.
 """
 
 from __future__ import annotations
@@ -220,18 +223,19 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
         return verdict
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
     xrow = x.row()
-    adx = a.ad_stack(xrow[None])[0]              # [X, v] = v @ adx
     if s.mode == MODE_EXACT:
         r = a.chain_residues(ys, xrow, 2 * n_max + 1, s.null_rows)
         outside = r.outside(r.chain[:, :, 1::2], r.ad(r.x))
         res = np.zeros(outside.shape)
     else:
-        outside, res = s.membership(a.ad_chain(ys, xrow, 2 * n_max + 1)[:, 1::2] @ adx)
+        outside, res = s.membership(
+            a.ad_chain(ys, xrow, 2 * n_max + 1)[:, 1::2] @ a.ad_stack(xrow))
     hits = np.flatnonzero(outside)
     verdict.checked = int(hits[0]) + 1 if hits.size else outside.size
     if hits.size:
         i, n = divmod(int(hits[0]), n_max + 1)
-        term = a.vector(a.ad_chain(ys[i:i + 1], xrow, 2 * n + 1)[0, -1] @ adx, s.mode)
+        odd = a.ad_chain(ys[i:i + 1], xrow, 2 * n + 1)[0, -1]
+        term = a.vector(odd @ a.ad_stack(xrow), s.mode)     # [X, v] = v @ ad_X
         _, res[i, n] = s.contains(term)
         verdict.holds = False
         verdict.witness = {

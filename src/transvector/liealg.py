@@ -97,7 +97,9 @@ def _primes_below(n: int):
         if sieve[i]:
             sieve[i * i::i] = False
     small = np.flatnonzero(sieve)
-    return (m for m in range(n - 1, len(sieve), -1) if (m % small).all())
+    for m in range(n - 1, len(sieve), -1):
+        if (m % small).all():
+            yield m
 
 
 _PRIMES = tuple(itertools.islice(_primes_below(RESIDUE_PRIME_LIMIT), 16))
@@ -324,8 +326,10 @@ class StructuredLieAlgebra:
         product u @ m of integer arrays runs in int64 only when
         max(1, max|u|) times the largest absolute column sum of m is below
         2^63, which bounds every product, every partial sum and every entry
-        of m, and in dtype=object otherwise.  ad_chain steps under it, and
-        so does the membership product of extension.condition_holds."""
+        of m.  ChainResidues forms ad_Y in int64 under it, and runs its
+        chains and products in plain int64 when its residual bound passes
+        it, modulo primes otherwise; extension.sample_ys assembles Y under
+        it."""
         entries = [c for entry in self.table.values() for c in entry.values()]
         entries += [x for row in self.theta for x in row]
         n = self.dim
@@ -715,12 +719,15 @@ class ChainResidues:
     sums at most n_1.  So bound = |x| c^top * |x| C_1 n_1, each factor at
     least 1.
 
-    primes = residue_primes(bound).  When it is empty the arrays hold the
-    exact values in plain int64 and nothing is reduced; otherwise each array
-    has a leading axis with one residue per prime, every entry in [0, p),
-    and a vector is zero exactly when all its residues are.  Arrays lead
-    with that axis (length 1 when plain): x (k, d), chain (k, S, top + 1,
-    d), ad_y (k, S, d, d).
+    primes = residue_primes(bound).  When it is empty every array holds
+    exact values in plain int64 and nothing is reduced.  Otherwise the
+    arrays have a leading axis with one residue per prime, each entry in
+    [0, p), and a vector is zero exactly when all its residues are: x (k,
+    d) and chain (k, S, top + 1, d).  The right operands ad_y (S, d, d), the
+    table and null.T keep their exact int64 values, on a leading axis of
+    length 1, when int64_exact(p - 1, abs_col_sum) holds for them, so that
+    a residue row times them stays in int64; else they are residues too.
+    Products of two residue arrays sum d terms below (p - 1)^2.
     """
 
     def __init__(self, algebra: StructuredLieAlgebra, ys: np.ndarray,
@@ -734,18 +741,26 @@ class ChainResidues:
         vals, col_sum = algebra._integer_structure
         kind = np.int64 if int64_exact(int(np.abs(ys).max(initial=0)), col_sum) else object
         ad_y = algebra.ad_stack(ys.astype(kind, copy=False), vals.astype(kind, copy=False))
-        x_max = max(1, max(map(abs, x)))
-        self.bound = (x_max * max(1, abs_col_sum(ad_y)) ** top
-                      * x_max * max(1, col_sum) * max(1, abs_col_sum(null.T)))
+        x_max, c, null_sum = max(1, max(map(abs, x))), abs_col_sum(ad_y), abs_col_sum(null.T)
+        self.bound = (x_max * max(1, c) ** top
+                      * x_max * max(1, col_sum) * max(1, null_sum))
         self.primes = residue_primes(self.bound)
         self._mods = np.array(self.primes, dtype=np.int64)
         self.algebra = algebra
-        self.ad_y, self.vals, self.null = map(self._lift, (ad_y, vals, null.T))
-        self.chain = np.empty((len(self.vals), len(ys), top + 1, algebra.dim),
-                              dtype=np.int64)
+        self.ad_y = self._operand(ad_y, c)
+        self.vals = self._operand(vals, col_sum)
+        self.null = self._operand(null.T, null_sum)
         self.x = self._lift(x)
-        self.chain[:, :, 0] = self.x[:, None]
-        for t in range(top):
+        # steps run on the exact terms, in plain int64, while int64_exact
+        # bounds them (every step when there are no primes), then on residues
+        steps = [np.tile(x, (len(ys), 1))]
+        if kind is np.int64 and x_max < 2 ** 63:
+            steps[0] = steps[0].astype(np.int64)
+            while len(steps) <= top and int64_exact(int(np.abs(steps[-1]).max(initial=0)), c):
+                steps.append((steps[-1][:, None] @ ad_y)[:, 0])
+        self.chain = np.empty((len(self.x), len(ys), top + 1, algebra.dim), dtype=np.int64)
+        self.chain[:, :, :len(steps)] = self._lift(np.stack(steps, axis=1))
+        for t in range(len(steps) - 1, top):
             self.chain[:, :, t + 1] = self.mul(self.chain[:, :, t, None], self.ad_y)[:, :, 0]
 
     def _lift(self, a: np.ndarray) -> np.ndarray:
@@ -754,14 +769,24 @@ class ChainResidues:
             return a.astype(np.int64)[None]
         return (a[None] % self._mods.reshape((-1,) + (1,) * a.ndim)).astype(np.int64)
 
+    def _operand(self, a: np.ndarray, col_sum: int) -> np.ndarray:
+        """An exact integer matrix, of absolute column sums at most col_sum,
+        as the right operand of products with residues: itself on a leading
+        axis of length 1 when int64_exact(p - 1, col_sum) for every prime
+        (always when there are none), its residues otherwise."""
+        if not self.primes or int64_exact(self.primes[0] - 1, col_sum):
+            return a.astype(np.int64)[None]
+        return self._lift(a)
+
     def _reduce(self, a: np.ndarray) -> np.ndarray:
         if not self.primes:
             return a
         return a % self._mods.reshape((-1,) + (1,) * (a.ndim - 1))
 
     def mul(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """u @ m of two residue stacks, reduced.  A matrix shared by every
-        row (m of shape (k, d, e)) takes one product per prime."""
+        """u @ m of a residue stack and a right operand, reduced.  A matrix
+        shared by every row (m of shape (k or 1, d, e)) takes one product
+        per prime."""
         if m.ndim == 3:
             flat = u.reshape(len(u), -1, u.shape[-1]) @ m
             return self._reduce(flat).reshape(u.shape[:-1] + m.shape[-1:])
