@@ -35,8 +35,8 @@ import numpy as np
 
 from . import rng
 from .errors import LemmaFalsified
-from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, abs_col_sum,
-                     float_tol, int64_exact)
+from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, ChainResidues,
+                     abs_col_sum, float_tol, int64_exact)
 from .subspaces import Subspace
 
 
@@ -205,7 +205,7 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s.
 
     Every (sample, n) term is evaluated in one stacked pass, in exact mode
-    on chain_residues; the verdict reads them in sample-major order and
+    on ChainResidues; the verdict reads them in sample-major order and
     stops at the first term outside s, which is the witness, so `checked`
     counts the terms up to it.  The witness alone is evaluated exactly.
     """
@@ -224,7 +224,7 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
     xrow = x.row()
     if s.mode == MODE_EXACT:
-        r = a.chain_residues(ys, xrow, 2 * n_max + 1, s.null_rows)
+        r = ChainResidues(a, ys, xrow, 2 * n_max + 1, s.null_rows)
         outside = r.outside(r.chain[:, :, 1::2], r.ad(r.x))
         res = np.zeros(outside.shape)
     else:
@@ -271,7 +271,7 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X] in s and the auxiliary chain
     ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.  Returns one LemmaCheck per row.
 
-    Exact membership is decided on chain_residues; only the rows with a
+    Exact membership is decided on ChainResidues; only the rows with a
     term outside s are evaluated exactly, for their residuals.
 
     A conclusion or auxiliary failure while the hypothesis held raises
@@ -289,7 +289,7 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
                             n_max, m_max)
 
     if s.mode == MODE_EXACT:
-        r = a.chain_residues(ys, xrow, top, s.null_rows)
+        r = ChainResidues(a, ys, xrow, top, s.null_rows)
         outs = [r.outside(v) for v in _lemma_terms(r.chain, r.x, r.ad_y, r.ad, r.mul,
                                                    n_max, m_max)]
         ress = [np.zeros(out.shape) for out in outs]

@@ -502,7 +502,7 @@ class StructuredLieAlgebra:
         An exact x (dtype=object) gives an exact chain on Python ints and
         Fractions; its ys are dtype=object or the int64 rows of
         extension.sample_ys.  Float64 ys and x give a float64 chain.  The
-        zero tests of the condition and the lemma run on chain_residues
+        zero tests of the condition and the lemma run on ChainResidues
         instead; this chain serves witnesses, residuals, the series and the
         root examples.  One Y is a stack of one, and its row has the same
         values alone or in a stack.
@@ -523,12 +523,6 @@ class StructuredLieAlgebra:
         for t in range(top):
             chain[:, t + 1] = (chain[:, t, None] @ ad)[:, 0]
         return chain
-
-    def chain_residues(self, ys: np.ndarray, x: np.ndarray, top: int,
-                       null: np.ndarray) -> "ChainResidues":
-        """The exact chains of ad_chain(ys, x, top) as residues, with the
-        membership rows null of a subspace: see ChainResidues."""
-        return ChainResidues(self, ys, x, top, null)
 
     def killing_form(self, x: AlgebraVector, y: AlgebraVector):
         self._own(x), self._own(y)
@@ -733,7 +727,7 @@ class ChainResidues:
     def __init__(self, algebra: StructuredLieAlgebra, ys: np.ndarray,
                  x: np.ndarray, top: int, null: np.ndarray):
         if top < 1:
-            raise ValueError("chain_residues takes top >= 1")
+            raise ValueError("ChainResidues takes top >= 1")
         if ys.dtype == object:
             ys = np.array([clear_denominators(y) for y in ys],
                           dtype=object).reshape(ys.shape)
@@ -752,11 +746,13 @@ class ChainResidues:
         self.null = self._operand(null.T, null_sum)
         self.x = self._lift(x)
         # steps run on the exact terms, in plain int64, while int64_exact
-        # bounds them (every step when there are no primes), then on residues
+        # bounds them (every step when there are no primes, by the bound),
+        # then on residues
         steps = [np.tile(x, (len(ys), 1))]
         if kind is np.int64 and x_max < 2 ** 63:
             steps[0] = steps[0].astype(np.int64)
-            while len(steps) <= top and int64_exact(int(np.abs(steps[-1]).max(initial=0)), c):
+            while len(steps) <= top and (not self.primes or int64_exact(
+                    int(np.abs(steps[-1]).max(initial=0)), c)):
                 steps.append((steps[-1][:, None] @ ad_y)[:, 0])
         self.chain = np.empty((len(self.x), len(ys), top + 1, algebra.dim), dtype=np.int64)
         self.chain[:, :, :len(steps)] = self._lift(np.stack(steps, axis=1))
@@ -804,6 +800,7 @@ class ChainResidues:
         the subspace: those with a nonzero residue of v @ null.T."""
         null = self.null if m is None else self.mul(m, self.null)
         return (self.mul(v, null) != 0).any(axis=-1).any(axis=0)
+
 
 def validate_algebra(a: StructuredLieAlgebra) -> ValidationReport:
     return a.validate()

@@ -23,7 +23,7 @@ from transvector import liealg, rng
 from transvector.catalog import build_pair, negative_control
 from transvector.extension import (condition_holds, sample_ys,
                                    verify_lemma_conclusion)
-from transvector.liealg import StructuredLieAlgebra, residue_primes
+from transvector.liealg import ChainResidues, StructuredLieAlgebra, residue_primes
 from transvector.subspaces import Subspace
 
 
@@ -138,8 +138,8 @@ def _check_against_the_oracle(name, scale, x_seed, x_magnitude, y_magnitude):
         got = check.as_dict()
         want = _reference_lemma(s, x, y, 1, 1)
         assert {k: got[k] for k in want} == want
-    return max(a.chain_residues(ys, x.row(), 5, s.null_rows).bound,
-               a.chain_residues(ys, x.row(), 2 * n_max + 1, s.null_rows).bound)
+    return max(ChainResidues(a, ys, x.row(), 5, s.null_rows).bound,
+               ChainResidues(a, ys, x.row(), 2 * n_max + 1, s.null_rows).bound)
 
 
 @pytest.mark.parametrize("scale, past", [
@@ -203,7 +203,7 @@ def test_the_bound_majorises_every_residual(name, scale, x_scale, y_scale,
     ys = np.array([[sum(int(gen.integers(-3, 4)) * y_scale * b[k] for b in basis)
                     for k in range(a.dim)] for _ in range(2)], dtype=object)
     null = s.null_rows * null_scale
-    r = a.chain_residues(ys, x.row(), top, null)
+    r = ChainResidues(a, ys, x.row(), top, null)
     assert r.bound >= _exact_residuals(a, ys, x.row(), top, null)
     product = math.prod(r.primes)
     assert (not r.primes and r.bound < 2 ** 63) or product > 2 * r.bound
@@ -232,7 +232,7 @@ def test_dropping_a_prime_misses_a_residual_divisible_by_the_rest(k):
     s, x = PAIRS["control"]
     a = s.algebra
     f = math.prod(liealg._PRIMES[:k - 1])
-    r = a.chain_residues(s.basis_rows, x.row(), 1, s.null_rows * f)
+    r = ChainResidues(a, s.basis_rows, x.row(), 1, s.null_rows * f)
     assert r.primes == liealg._PRIMES[:k]
     term = r.mul(r.chain[:, :, 1:], r.ad(r.x))
     assert r.outside(term).all()
