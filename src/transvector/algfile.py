@@ -202,8 +202,10 @@ def _parse_realization(path, lines, d):
                 size = int(text.split()[1])
             except (IndexError, ValueError):
                 size = 0
-            if size < 1:
-                _fail(path, lineno, "size line needs one integer >= 1")
+            # d matrices of size rows each follow, one row per line
+            if not 1 <= size <= len(lines):
+                _fail(path, lineno, "size line needs one integer from 1 to %d, the "
+                      "number of [realization] lines" % len(lines))
             continue
         if low.startswith("signature"):
             try:

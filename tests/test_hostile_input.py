@@ -75,12 +75,14 @@ def test_hostile_rationals_exit_2_with_a_message(tmp_path, capsys, argv, needle)
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("size", ["0", "-1", "x", ""])
-def test_a_realization_size_below_1_is_a_config_error(tmp_path, size):
+@pytest.mark.parametrize("size", ["0", "-1", "x", "", "2", "9" * 4299],
+                         ids=["0", "-1", "x", "empty", "2", "4299-digits"])
+def test_a_realization_size_out_of_range_is_a_config_error(tmp_path, size):
     """size 0 once reached validate with empty images and ended in a
-    matmul ValueError traceback."""
+    matmul ValueError traceback; a size that no file can fill was printed
+    times d, past the 4300-digit int->str limit for d >= 12."""
     text = BASE.split("[realization]")[0] + "[realization]\nsize %s\n" % size
-    with pytest.raises(ConfigError, match=r":\d+: size line needs one integer >= 1"):
+    with pytest.raises(ConfigError, match=r":\d+: size line needs one integer from 1 to 1,"):
         parse_algebra_file(_write(tmp_path, "size.alg", text))
 
 
