@@ -11,10 +11,11 @@ Sections, in any order, one per line header in brackets:
                  "signature s1 ... sN" and "unimodular true|false"
 
 '#' starts a comment.  Parsing is exact (canonical ints and Fractions, see
-exactla.parse_rational, which caps their size), and a parsed algebra is validated immediately: a Jacobi or
-involution failure is rejected as hard as a syntax error, with its witness in
-the message.  Each distinct token is parsed once per file (most coefficients
-are "0"); nothing is kept between files.
+exactla.parse_rational, which caps their size), and a parsed algebra is
+validated immediately: a Jacobi or involution failure is rejected as hard as
+a syntax error, with its witness in the message.  Each distinct token is
+parsed once per file (most coefficients are "0"); nothing is kept between
+files.
 """
 
 from __future__ import annotations

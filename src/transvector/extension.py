@@ -290,14 +290,15 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
 
     if s.mode == MODE_EXACT:
         r = ChainResidues(a, ys, xrow, top, s.null_rows)
-        outs = [r.outside(v) for v in _lemma_terms(r.chain, r.x, r.ad_y, r.ad, r.mul,
-                                                   n_max, m_max)]
-        ress = [np.zeros(out.shape) for out in outs]
-        hit = outs[0].any(axis=-1) | outs[1].any(axis=(1, 2)) | outs[2].any(axis=(1, 2))
-        for i in np.flatnonzero(hit):
-            for res, v in zip(ress, exact_terms(ys[i:i + 1])):
-                res[i] = s.membership(v[0])[1]
-        (hyp_out, con_out, aux_out), (hyp_res, con_res, aux_res) = outs, ress
+        hyp_out, con_out, aux_out = (r.outside(v) for v in _lemma_terms(
+            r.chain, r.x, r.ad_y, r.ad, r.mul, n_max, m_max))
+        hyp_res, con_res, aux_res = (np.zeros(o.shape) for o in (hyp_out, con_out, aux_out))
+        # a report prints the hypothesis residuals of the rows that fail it;
+        # a conclusion or auxiliary one is measured below, for the row raised
+        bad = np.flatnonzero(hyp_out.any(axis=-1))
+        if bad.size:
+            odd = a.ad_chain(ys[bad], xrow, top)[:, 1::2]
+            hyp_res[bad] = s.membership(odd @ a.ad_stack(xrow))[1]
     else:
         (hyp_out, hyp_res), (con_out, con_res), (aux_out, aux_res) = (
             s.membership(v) for v in exact_terms(ys))
@@ -317,10 +318,13 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
         check.aux_residuals = dict(zip(keys, map(float, aux_res[i].flat)))
         if not (con_out[i].any() or aux_out[i].any()):
             continue
+        _, con, aux = exact_terms(ys[i:i + 1])
+        if s.mode == MODE_EXACT:
+            con_res[i], aux_res[i] = s.membership(con[0])[1], s.membership(aux[0])[1]
         y_str = [_num_str(c) for c in a.vector(y, s.mode).coeffs]
         if con_out[i].any():
             n, m = divmod(int(np.argmax(con_out[i])), m_max + 1)
-            term = a.vector(exact_terms(ys[i:i + 1])[1][0, n, m], s.mode)
+            term = a.vector(con[0, n, m], s.mode)
             raise LemmaFalsified(
                 "bracket [ad_Y^%dX, ad_Y^%dX] escaped s with the hypothesis "
                 "satisfied (residual %g); this contradicts the bracket lemma"

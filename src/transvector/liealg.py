@@ -713,15 +713,13 @@ class ChainResidues:
     sums at most n_1.  So bound = |x| c^top * |x| C_1 n_1, each factor at
     least 1.
 
-    primes = residue_primes(bound).  When it is empty every array holds
-    exact values in plain int64 and nothing is reduced.  Otherwise the
-    arrays have a leading axis with one residue per prime, each entry in
-    [0, p), and a vector is zero exactly when all its residues are: x (k,
-    d) and chain (k, S, top + 1, d).  The right operands ad_y (S, d, d), the
-    table and null.T keep their exact int64 values, on a leading axis of
-    length 1, when int64_exact(p - 1, abs_col_sum) holds for them, so that
-    a residue row times them stays in int64; else they are residues too.
-    Products of two residue arrays sum d terms below (p - 1)^2.
+    primes = residue_primes(bound).  Every array has a leading axis with
+    one residue per prime, each entry in [0, p), and a vector is zero
+    exactly when all its residues are: x (k, d), chain (k, S, top + 1, d),
+    ad_y (k, S, d, d), the table and null.T.  Products of two residue
+    arrays sum d terms below (p - 1)^2.  When there are no primes that axis
+    has length 1 and holds the exact values in plain int64, which the
+    bound keeps from overflowing, and nothing is reduced.
     """
 
     def __init__(self, algebra: StructuredLieAlgebra, ys: np.ndarray,
@@ -741,22 +739,13 @@ class ChainResidues:
         self.primes = residue_primes(self.bound)
         self._mods = np.array(self.primes, dtype=np.int64)
         self.algebra = algebra
-        self.ad_y = self._operand(ad_y, c)
-        self.vals = self._operand(vals, col_sum)
-        self.null = self._operand(null.T, null_sum)
+        self.ad_y = self._lift(ad_y)
+        self.vals = self._lift(vals)
+        self.null = self._lift(null.T)
         self.x = self._lift(x)
-        # steps run on the exact terms, in plain int64, while int64_exact
-        # bounds them (every step when there are no primes, by the bound),
-        # then on residues
-        steps = [np.tile(x, (len(ys), 1))]
-        if kind is np.int64 and x_max < 2 ** 63:
-            steps[0] = steps[0].astype(np.int64)
-            while len(steps) <= top and (not self.primes or int64_exact(
-                    int(np.abs(steps[-1]).max(initial=0)), c)):
-                steps.append((steps[-1][:, None] @ ad_y)[:, 0])
         self.chain = np.empty((len(self.x), len(ys), top + 1, algebra.dim), dtype=np.int64)
-        self.chain[:, :, :len(steps)] = self._lift(np.stack(steps, axis=1))
-        for t in range(len(steps) - 1, top):
+        self.chain[:, :, 0] = self.x[:, None]
+        for t in range(top):
             self.chain[:, :, t + 1] = self.mul(self.chain[:, :, t, None], self.ad_y)[:, :, 0]
 
     def _lift(self, a: np.ndarray) -> np.ndarray:
@@ -765,15 +754,6 @@ class ChainResidues:
             return a.astype(np.int64)[None]
         return (a[None] % self._mods.reshape((-1,) + (1,) * a.ndim)).astype(np.int64)
 
-    def _operand(self, a: np.ndarray, col_sum: int) -> np.ndarray:
-        """An exact integer matrix, of absolute column sums at most col_sum,
-        as the right operand of products with residues: itself on a leading
-        axis of length 1 when int64_exact(p - 1, col_sum) for every prime
-        (always when there are none), its residues otherwise."""
-        if not self.primes or int64_exact(self.primes[0] - 1, col_sum):
-            return a.astype(np.int64)[None]
-        return self._lift(a)
-
     def _reduce(self, a: np.ndarray) -> np.ndarray:
         if not self.primes:
             return a
@@ -781,7 +761,7 @@ class ChainResidues:
 
     def mul(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         """u @ m of a residue stack and a right operand, reduced.  A matrix
-        shared by every row (m of shape (k or 1, d, e)) takes one product
+        shared by every row (m of shape (k, d, e)) takes one product
         per prime."""
         if m.ndim == 3:
             flat = u.reshape(len(u), -1, u.shape[-1]) @ m
