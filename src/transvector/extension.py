@@ -271,8 +271,9 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X] in s and the auxiliary chain
     ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.  Returns one LemmaCheck per row.
 
-    Exact membership is decided on ChainResidues; only the rows with a
-    term outside s are evaluated exactly, for their residuals.
+    Exact membership is decided on ChainResidues.  Only what a report
+    prints is evaluated exactly: the hypothesis terms of the rows that fail
+    it, in one stacked pass, and the terms of the row raised below.
 
     A conclusion or auxiliary failure while the hypothesis held raises
     LemmaFalsified, for the first such row; nothing in this package
@@ -293,8 +294,6 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
         hyp_out, con_out, aux_out = (r.outside(v) for v in _lemma_terms(
             r.chain, r.x, r.ad_y, r.ad, r.mul, n_max, m_max))
         hyp_res, con_res, aux_res = (np.zeros(o.shape) for o in (hyp_out, con_out, aux_out))
-        # a report prints the hypothesis residuals of the rows that fail it;
-        # a conclusion or auxiliary one is measured below, for the row raised
         bad = np.flatnonzero(hyp_out.any(axis=-1))
         if bad.size:
             odd = a.ad_chain(ys[bad], xrow, top)[:, 1::2]

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transvector import liealg, rng
+from transvector import extension, liealg, rng
 from transvector.catalog import build_pair, negative_control
+from transvector.errors import LemmaFalsified
 from transvector.extension import (condition_holds, sample_ys,
                                    verify_lemma_conclusion)
 from transvector.liealg import ChainResidues, StructuredLieAlgebra, residue_primes
@@ -237,3 +238,46 @@ def test_dropping_a_prime_misses_a_residual_divisible_by_the_rest(k):
     term = r.mul(r.chain[:, :, 1:], r.ad(r.x))
     assert r.outside(term).all()
     assert not r.mul(term, r.null)[:-1].any()   # zero modulo the rest
+
+
+@pytest.mark.parametrize("scale", [1, 2 ** 40])
+def test_a_term_outside_s_with_the_hypothesis_held_raises_it_exactly(monkeypatch, scale):
+    """The lemma is a theorem, so its raise is reached by blinding the
+    hypothesis: on the control every row then passes it, and the first row
+    with a conclusion (else auxiliary) term outside s must raise that term
+    and its exact residual, on the plain path and modulo primes."""
+    s, x = _scaled(*PAIRS["control"], scale)
+    a = s.algebra
+    terms = extension._lemma_terms
+
+    def blind(*args):
+        hypothesis, conclusion, auxiliary = terms(*args)
+        return hypothesis * 0, conclusion, auxiliary
+
+    monkeypatch.setattr(extension, "_lemma_terms", blind)
+    ys = sample_ys(s, rng.stream(3, rng.STREAM_CONDITION_Y), 3)
+    assert bool(ChainResidues(a, ys, x.row(), 5, s.null_rows).primes) == (scale > 1)
+    with pytest.raises(LemmaFalsified) as raised:
+        verify_lemma_conclusion(s, x, ys, n_max=1, m_max=1)
+
+    want = None
+    for y in ys:
+        chain = _chain(a, a.vector(y), x, 5)
+        nm = list(np.ndindex(2, 2))
+        con = [a.bracket(chain[2 * n], chain[2 * m + 1]) for n, m in nm]
+        aux = [a.bracket(a.vector(y), a.bracket(chain[2 * n], chain[2 * m])) for n, m in nm]
+        for kind, vs in (("conclusion", con), ("auxiliary", aux)):
+            out = [k for k, v in enumerate(vs) if not s.contains(v)[0]]
+            if out:
+                n, m = nm[out[0]]
+                want = {"n": n, "m": m, "y": [str(c) for c in a.vector(y).coeffs],
+                        "residual": s.contains(vs[out[0]])[1]}
+                if kind == "conclusion":
+                    want["vector"] = [str(c) for c in vs[out[0]].coeffs]
+                else:
+                    want["kind"] = "auxiliary"
+                break
+        if want:
+            break
+    assert want is not None
+    assert raised.value.detail == want
