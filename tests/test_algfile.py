@@ -207,3 +207,21 @@ def test_serialize_parse_round_trips_exactly(tmp_path, source):
         assert (real2.size, real2.signature, real2.unimodular) == (
             real.size, real.signature, real.unimodular)
         assert _typed(real2.images) == _typed(real.images)
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def test_su31_serializes_to_its_golden_file(tmp_path):
+    out = tmp_path / "su31.alg"
+    serialize_algebra(build_space("su31"), str(out))
+    with open(os.path.join(GOLDEN, "su31.alg"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("space", ["su21", "so31", "sl3r"])
+def test_catalog_files_round_trip_byte_for_byte(tmp_path, space):
+    first, second = tmp_path / "first.alg", tmp_path / "second.alg"
+    serialize_algebra(build_space(space), str(first))
+    serialize_algebra(parse_algebra_file(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from transvector.catalog import complex_structure_matrix
-from transvector.liealg import MODE_EXACT
+from transvector.liealg import MODE_EXACT, MODE_FLOAT
 from transvector.subspaces import Subspace
 
 
@@ -92,3 +94,24 @@ def test_cached_triple_system_verdict_equals_a_fresh_one(sl3r, su21_real_form):
     for _ in range(2):
         with pytest.raises(ValueError):
             outside_p.is_lie_triple_system()
+
+
+def test_a_j_that_is_not_b_orthogonal_is_refused(su21):
+    """J P1 = 2 Q1, J Q1 = -1/2 P1, J P2 = Q2, J Q2 = -P2 squares to -1 on p
+    but stretches P1 and shrinks Q1, so B(J v, J v) != B(v, v)."""
+    at = {lab: i for i, lab in enumerate(su21.labels)}
+    jm = [[0] * su21.dim for _ in range(su21.dim)]
+    for src, dst, c in (("P1", "Q1", 2), ("Q1", "P1", Fraction(-1, 2)),
+                        ("P2", "Q2", 1), ("Q2", "P2", -1)):
+        jm[at[dst]][at[src]] = c
+    s = Subspace(su21, [su21.from_labels({"P1": 1})])
+    with pytest.raises(ValueError, match="J is not B-orthogonal"):
+        s.is_totally_real(jm)
+
+
+def test_float_subspaces_get_the_exact_totally_real_verdicts(
+        su21_real_form, su21_complex_hyperplane):
+    jm = complex_structure_matrix(su21_real_form.algebra)
+    for entry, verdict in ((su21_real_form, True), (su21_complex_hyperplane, False)):
+        s = Subspace(entry.algebra, [b.astype(MODE_FLOAT) for b in entry.s.basis])
+        assert s.is_totally_real(jm) is verdict
