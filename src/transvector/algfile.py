@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .errors import ConfigError
-from .exactla import Qi, parse_rational
+from .exactla import parse_rational
 from .liealg import MatrixRealization, StructuredLieAlgebra
 
 _SECTIONS = ("basis", "bracket", "theta", "realization")
@@ -64,26 +66,28 @@ def _im_value(tok: str):
     return parse_rational(body)
 
 
-def parse_qi(token: str) -> Qi:
-    """Parse 'a', 'a/b', 'ci', '-i', or 'a/b+c/di' into a Gaussian rational."""
+def parse_entry(token: str) -> tuple:
+    """Parse 'a', 'a/b', 'ci', '-i', or 'a/b+c/di' into the pair (re, im)
+    of canonical exact scalars."""
     text = token.replace(" ", "")
     if _REAL_RE.fullmatch(text):
-        return Qi(parse_rational(text))
+        return parse_rational(text), 0
     if _IMAG_RE.fullmatch(text):
-        return Qi(0, _im_value(text))
+        return 0, _im_value(text)
     m = _BOTH_RE.fullmatch(text)
     if m:
-        return Qi(parse_rational(m.group("re")), _im_value(m.group("im")))
+        return parse_rational(m.group("re")), _im_value(m.group("im"))
     raise ValueError("bad matrix entry %r" % token)
 
 
-def format_qi(q: Qi) -> str:
-    if q.im == 0:
-        return str(q.re)
-    im = "%si" % q.im if q.im not in (1, -1) else ("i" if q.im == 1 else "-i")
-    if q.re == 0:
+def format_entry(re, im) -> str:
+    """The token parse_entry reads back as (re, im)."""
+    if im == 0:
+        return str(re)
+    im = "%si" % im if im not in (1, -1) else ("i" if im == 1 else "-i")
+    if re == 0:
         return im
-    return "%s%s%s" % (q.re, "" if im.startswith("-") else "+", im)
+    return "%s%s%s" % (re, "" if im.startswith("-") else "+", im)
 
 
 def parse_algebra_file(path: str) -> StructuredLieAlgebra:
@@ -191,7 +195,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
 
 
 def _parse_realization(path, lines, d):
-    qi = _memo(parse_qi)
+    entry = _memo(parse_entry)
     size = None
     signature = None
     unimodular = True
@@ -227,7 +231,7 @@ def _parse_realization(path, lines, d):
             _fail(path, lineno, "matrix row needs %d entries, got %d"
                   % (size, len(cells)))
         try:
-            rows.append(tuple(map(qi, cells)))
+            rows.append(tuple(map(entry, cells)))
         except ValueError as e:
             _fail(path, lineno, str(e))
         except ZeroDivisionError:
@@ -240,10 +244,9 @@ def _parse_realization(path, lines, d):
         _fail(path, lines[-1][0] if lines else 1,
               "realization needs %d rows (%d matrices of %d), got %d"
               % (d * size, d, size, len(rows)))
-    images = tuple(tuple(rows[k * size + r] for r in range(size))
-                   for k in range(d))
-    return MatrixRealization(size=size, images=images, signature=signature,
-                             unimodular=unimodular)
+    parts = np.array(rows, dtype=object).reshape(d, size, size, 2)
+    return MatrixRealization(size=size, re=parts[..., 0], im=parts[..., 1],
+                             signature=signature, unimodular=unimodular)
 
 
 def serialize_algebra(a: StructuredLieAlgebra, path: str):
@@ -261,8 +264,8 @@ def serialize_algebra(a: StructuredLieAlgebra, path: str):
         if real.signature is not None:
             out.append("signature %s" % " ".join(str(s) for s in real.signature))
         out.append("unimodular %s" % ("true" if real.unimodular else "false"))
-        for img in real.images:
-            for row in img:
-                out.append(" ".join(format_qi(q) for q in row))
+        for re_rows, im_rows in zip(real.re.tolist(), real.im.tolist()):
+            for re_row, im_row in zip(re_rows, im_rows):
+                out.append(" ".join(map(format_entry, re_row, im_row)))
     with open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")

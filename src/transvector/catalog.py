@@ -14,12 +14,15 @@ error, not a numerical failure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ConfigError
-from .exactla import Qi, SpanSolver, qmat_comm, qmat_realify
+from .exactla import SpanSolver
 from .liealg import MODE_EXACT, AlgebraVector, MatrixRealization, StructuredLieAlgebra
 from .subspaces import Subspace
 
@@ -58,71 +61,36 @@ def parse_space_id(space_id: str):
                       % (space_id, ", ".join(SPACE_IDS)))
 
 
-def _e(n: int, i: int, j: int, val=1):
-    m = [[Qi(0)] * n for _ in range(n)]
-    m[i][j] = val if isinstance(val, Qi) else Qi(val)
-    return tuple(tuple(row) for row in m)
-
-
-def _madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
+# A basis matrix is written as its label and its nonzero entries
+# (part, row, column, value), part 0 for the real and 1 for the imaginary part.
 
 def _su_basis(n: int):
     """k first (F_jk, iS_jk, D_j), then p (P_j, Q_j); size n+1 matrices."""
-    size = n + 1
-    labels, mats = [], []
-    i1 = Qi(0, 1)
-    for j in range(n):
-        for k in range(j + 1, n):
-            labels.append("F%d%d" % (j + 1, k + 1))
-            mats.append(_madd(_e(size, j, k), _e(size, k, j, -1)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            labels.append("iS%d%d" % (j + 1, k + 1))
-            mats.append(_madd(_e(size, j, k, i1), _e(size, k, j, i1)))
-    for j in range(n):
-        labels.append("D%d" % (j + 1))
-        mats.append(_madd(_e(size, j, j, i1), _e(size, n, n, Qi(0, -1))))
-    k_dim = len(labels)
-    for j in range(n):
-        labels.append("P%d" % (j + 1))
-        mats.append(_madd(_e(size, j, n), _e(size, n, j)))
-    for j in range(n):
-        labels.append("Q%d" % (j + 1))
-        mats.append(_madd(_e(size, j, n, i1), _e(size, n, j, Qi(0, -1))))
-    return labels, mats, k_dim, tuple([1] * n + [-1])
+    pairs = list(itertools.combinations(range(n), 2))
+    basis = ([("F%d%d" % (j + 1, k + 1), [(0, j, k, 1), (0, k, j, -1)]) for j, k in pairs]
+             + [("iS%d%d" % (j + 1, k + 1), [(1, j, k, 1), (1, k, j, 1)]) for j, k in pairs]
+             + [("D%d" % (j + 1), [(1, j, j, 1), (1, n, n, -1)]) for j in range(n)])
+    k_dim = len(basis)
+    basis += [("P%d" % (j + 1), [(0, j, n, 1), (0, n, j, 1)]) for j in range(n)]
+    basis += [("Q%d" % (j + 1), [(1, j, n, 1), (1, n, j, -1)]) for j in range(n)]
+    return basis, n + 1, k_dim, (1,) * n + (-1,)
 
 
 def _so_basis(n: int):
-    size = n + 1
-    labels, mats = [], []
-    for j in range(n):
-        for k in range(j + 1, n):
-            labels.append("A%d%d" % (j + 1, k + 1))
-            mats.append(_madd(_e(size, j, k), _e(size, k, j, -1)))
-    k_dim = len(labels)
-    for j in range(n):
-        labels.append("P%d" % (j + 1))
-        mats.append(_madd(_e(size, j, n), _e(size, n, j)))
-    return labels, mats, k_dim, tuple([1] * n + [-1])
+    basis = [("A%d%d" % (j + 1, k + 1), [(0, j, k, 1), (0, k, j, -1)])
+             for j, k in itertools.combinations(range(n), 2)]
+    k_dim = len(basis)
+    basis += [("P%d" % (j + 1), [(0, j, n, 1), (0, n, j, 1)]) for j in range(n)]
+    return basis, n + 1, k_dim, (1,) * n + (-1,)
 
 
 def _sl_basis(n: int):
-    labels, mats = [], []
-    for j in range(n):
-        for k in range(j + 1, n):
-            labels.append("A%d%d" % (j + 1, k + 1))
-            mats.append(_madd(_e(n, j, k), _e(n, k, j, -1)))
-    k_dim = len(labels)
-    for i in range(n - 1):
-        labels.append("H%d" % (i + 1))
-        mats.append(_madd(_e(n, i, i), _e(n, i + 1, i + 1, -1)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            labels.append("S%d%d" % (j + 1, k + 1))
-            mats.append(_madd(_e(n, j, k), _e(n, k, j)))
-    return labels, mats, k_dim, None
+    pairs = list(itertools.combinations(range(n), 2))
+    basis = [("A%d%d" % (j + 1, k + 1), [(0, j, k, 1), (0, k, j, -1)]) for j, k in pairs]
+    k_dim = len(basis)
+    basis += [("H%d" % (i + 1), [(0, i, i, 1), (0, i + 1, i + 1, -1)]) for i in range(n - 1)]
+    basis += [("S%d%d" % (j + 1, k + 1), [(0, j, k, 1), (0, k, j, 1)]) for j, k in pairs]
+    return basis, n, k_dim, None
 
 
 @lru_cache(maxsize=None)
@@ -131,34 +99,36 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
 
     The span solver run here proves the listed matrices are independent and
     close under commutators; any failure is a programming error in the basis
-    tables, so it raises immediately.
+    tables, so it raises immediately.  Every commutator is one stacked
+    product of the realified blocks [[A, -B], [B, A]] of A + iB, whose left
+    column flattens to the real coordinates of A + iB.
     """
     fam, n = parse_space_id(space_id)
-    if fam == "su":
-        labels, mats, k_dim, signature = _su_basis(n)
-    elif fam == "so":
-        labels, mats, k_dim, signature = _so_basis(n)
-    else:
-        labels, mats, k_dim, signature = _sl_basis(n)
-    size = len(mats[0])
-    solver = SpanSolver([qmat_realify(m) for m in mats])
+    basis, size, k_dim, signature = {"su": _su_basis, "so": _so_basis,
+                                     "sl": _sl_basis}[fam](n)
+    d = len(basis)
+    parts = np.zeros((2, d, size, size), dtype=np.int64)
+    for b, (_, entries) in enumerate(basis):
+        for part, i, j, value in entries:
+            parts[part, b, i, j] = value
+    real = MatrixRealization(size=size, re=parts[0], im=parts[1],
+                             signature=signature, unimodular=True)
+    r = real.realified(np.int64)
+    solver = SpanSolver(r[:, :, :size].reshape(d, -1).tolist())
     if not solver.independent:
         raise RuntimeError("basis table for %s is dependent" % space_id)
-    d = len(mats)
-    brackets = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = qmat_comm(mats[i], mats[j])
-            coords = solver.coordinates(qmat_realify(comm))
-            entry = {k: c for k, c in enumerate(coords) if c != 0}
-            if entry:
-                brackets[(i, j)] = entry
+    lo, hi = np.triu_indices(d, 1)
+    comm = (r[lo] @ r[hi] - r[hi] @ r[lo])[:, :, :size].reshape(len(lo), -1)
+    coords = np.array(solver._t, dtype=object) @ comm.T      # (2 N^2, pairs)
+    if coords[d:].any():
+        raise RuntimeError("basis table for %s does not close under commutators"
+                           % space_id)
+    brackets = {(int(lo[p]), int(hi[p])): {k: c for k, c in enumerate(col) if c != 0}
+                for p, col in enumerate(coords[:d].T) if col.any()}
     theta = tuple(tuple((1 if j < k_dim else -1) if i == j else 0
                         for j in range(d)) for i in range(d))
-    real = MatrixRealization(size=size, images=tuple(mats),
-                             signature=signature, unimodular=True)
-    return StructuredLieAlgebra(labels=tuple(labels), brackets=brackets,
-                                theta=theta, realization=real,
+    return StructuredLieAlgebra(labels=tuple(label for label, _ in basis),
+                                brackets=brackets, theta=theta, realization=real,
                                 name=space_id.strip().lower())
 
 
@@ -291,8 +261,6 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     same construction fails by a margin on the order of 2r: that run is the
     negative control distinguishing the two congruence classes.
     """
-    import numpy as np
-
     from .geometry import (GridSpec, ImmersionSpec, SpacePoint, distance, expm,
                            immersion_point, realize)
 
@@ -306,7 +274,7 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     x = entry.x_default.astype("float64")
     xn = float(np.sqrt(float(a.killing_form(x, x))))
     x_unit = x.scale(1.0 / xn)
-    jx = np.array([[float(c) for c in row] for row in jm]) @ x_unit.to_array()
+    jx = jm.astype(float) @ x_unit.to_array()
     jx_vec = a.vector(tuple(jx), "float64")
     spec = ImmersionSpec(a, entry.s, x_unit, grid=grid)
     z = SpacePoint.from_matrix(a, expm(np.array([r, -r], dtype=float)[:, None, None]

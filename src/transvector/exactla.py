@@ -12,9 +12,6 @@ scaled to Python ints once (scaling a row keeps its reduced form), rows are
 combined on ints and kept primitive by their gcd, and each pivot row is
 divided by its pivot once at the end.  Nothing in this module touches
 floating point.
-
-Complex scalars appear only through Gaussian rationals (the Qi class), used
-by matrix realizations with entries a + b*i, a and b rational.
 """
 
 from __future__ import annotations
@@ -164,19 +161,6 @@ def invert(m):
     return [red[i][n:] for i in range(n)]
 
 
-def solve(m, b):
-    """One solution of M x = b, or None if inconsistent."""
-    aug = [tuple(row) + (bv,) for row, bv in zip(m, b)]
-    red, pivots = rref(aug)
-    ncols = len(m[0]) if m else 0
-    if ncols in pivots:  # pivot in the augmented column
-        return None
-    x = [0] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
-
-
 def is_positive_definite(sym) -> bool:
     """Sylvester test via symmetric elimination without pivoting.
 
@@ -251,96 +235,3 @@ class SpanSolver:
         for r, pc in enumerate(self.pivots):
             c[pc] = w[r]
         return tuple(c)
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals and exact complex matrices.
-
-class Qi:
-    """Gaussian rational a + b*i with canonical exact parts (see frac)."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", frac(re))
-        object.__setattr__(self, "im", frac(im))
-
-    def __setattr__(self, *_):
-        raise AttributeError("Qi is immutable")
-
-    def __add__(self, o):
-        o = _as_qi(o)
-        return Qi(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        o = _as_qi(o)
-        return Qi(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, o):
-        return _as_qi(o) - self
-
-    def __mul__(self, o):
-        o = _as_qi(o)
-        return Qi(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Qi(-self.re, -self.im)
-
-    def __eq__(self, o):
-        o = _as_qi(o)
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __repr__(self):
-        return "Qi(%s, %s)" % (self.re, self.im)
-
-
-QI0 = Qi(0, 0)
-
-
-def _as_qi(x) -> Qi:
-    if isinstance(x, Qi):
-        return x
-    return Qi(x)
-
-
-def qmat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def qmat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = QI0
-            for t in range(k):
-                x = a[i][t]
-                if x:
-                    s = s + x * b[t][j]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def qmat_comm(a, b):
-    return qmat_sub(qmat_mul(a, b), qmat_mul(b, a))
-
-
-def qmat_realify(a):
-    """Flatten to a real coordinate vector (all re parts, then all im parts)."""
-    res = [x.re for row in a for x in row]
-    ims = [x.im for row in a for x in row]
-    return tuple(res + ims)

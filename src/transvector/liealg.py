@@ -12,9 +12,10 @@ Fraction.  "float64" is reserved for the geometry layer and explicit
 conversions.  Mixing modes in one operation is an error, not a coercion.
 
 Validation is exact only.  The structure tensor C, Theta, the Killing
-matrix and the realified realization images are numpy arrays; their dtype follows from the data (exact_dtype): int64 when every
-entry is an int and no sum validate forms can overflow, object (Python ints
-and Fractions) otherwise.  The float64 caches are these arrays cast to float.
+matrix and the realified realization images are numpy arrays; their dtype
+follows from the data (exact_dtype): int64 when every entry is an int and
+no sum validate forms can overflow, object (Python ints and Fractions)
+otherwise.  The float64 caches are these arrays cast to float.
 
 Conventions fixed here and asserted by tests:
   - theta-eigenspaces: k for +1, p for -1; B = trace(ad . ad) is negative
@@ -41,10 +42,8 @@ from .exactla import (
     frac,
     is_negative_definite,
     is_positive_definite,
-    mat_vec,
     nullspace,
     rank,
-    vec_dot,
 )
 
 MODE_EXACT = "exact"
@@ -69,6 +68,15 @@ def _canonical(m: np.ndarray) -> tuple:
 
 def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m), initial=0))
+
+
+def kernel_rows(m: np.ndarray) -> np.ndarray:
+    """Basis of {c : m @ c = 0} for an exact matrix m (r, n), as the rows of
+    a dtype=object array (k, n); the identity when m has no rows."""
+    if not len(m):
+        return np.eye(m.shape[1], dtype=object)
+    null = nullspace(m.tolist())
+    return np.array(null, dtype=object).reshape(len(null), m.shape[1])
 
 
 def abs_col_sum(m: np.ndarray) -> int:
@@ -187,9 +195,13 @@ class AlgebraVector:
             raise ValueError("dimension mismatch")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixRealization:
     """Concrete matrices for the basis, with the group-level involution data.
+
+    `re` and `im` hold the real and imaginary parts of the basis images as
+    (d, N, N) exact arrays: int64, or dtype=object of canonical exact
+    scalars.  Validation casts them to the algebra's exact_dtype.
 
     `signature`, when present, is the diagonal of the invariance matrix J:
     group elements satisfy g^dagger J g = J (su(n,1), so(n,1)).  When absent
@@ -199,22 +211,21 @@ class MatrixRealization:
     """
 
     size: int
-    images: tuple          # Qi matrices, one per basis element
+    re: np.ndarray
+    im: np.ndarray
     signature: tuple | None = None
     unimodular: bool = True
 
     def realified(self, dtype) -> np.ndarray:
         """Images as real 2N x 2N blocks [[A, -B], [B, A]] of A + iB: a ring
         map under which the conjugate transpose becomes the transpose."""
-        re = np.array([[[q.re for q in row] for row in m] for m in self.images], dtype=dtype)
-        im = np.array([[[q.im for q in row] for row in m] for m in self.images], dtype=dtype)
+        re, im = self.re.astype(dtype), self.im.astype(dtype)
         return np.block([[re, -im], [im, re]])
 
     @cached_property
     def images_complex(self) -> np.ndarray:
-        n, r = self.size, self.realified(float)
-        out = np.empty((len(self.images), n, n), dtype=complex)
-        out.real, out.imag = r[:, :n, :n], r[:, n:, :n]
+        out = np.empty(self.re.shape, dtype=complex)
+        out.real, out.imag = self.re.astype(float), self.im.astype(float)
         return out
 
     @cached_property
@@ -336,8 +347,7 @@ class StructuredLieAlgebra:
         real = self.realization
         if real is not None:
             n = max(n, 2 * real.size)
-            entries += [x for m in real.images for row in m for q in row
-                        for x in (q.re, q.im)]
+            entries += real.re.ravel().tolist() + real.im.ravel().tolist()
             entries += list(real.signature or ())
         if not all(type(x) is int for x in entries):
             return object
@@ -386,9 +396,14 @@ class StructuredLieAlgebra:
         return _canonical(self.killing_exact)
 
     @cached_property
-    def btheta(self):
+    def btheta_exact(self) -> np.ndarray:
         """Matrix of B_theta(x, y) = -B(x, theta y), positive definite on g."""
-        return _canonical(-(self.killing_exact @ self.theta_exact))
+        return -(self.killing_exact @ self.theta_exact)
+
+    @cached_property
+    def btheta(self):
+        """B_theta matrix as rows of canonical exact scalars."""
+        return _canonical(self.btheta_exact)
 
     @cached_property
     def k_basis(self):
@@ -429,7 +444,7 @@ class StructuredLieAlgebra:
 
     @cached_property
     def btheta_float(self) -> np.ndarray:
-        return np.array(self.btheta, dtype=float)
+        return self.btheta_exact.astype(float)
 
     @cached_property
     def p_basis_float(self) -> np.ndarray:
@@ -465,12 +480,11 @@ class StructuredLieAlgebra:
                     acc[k] += f * c
         return tuple(acc)
 
-    def ad_matrix(self, y: AlgebraVector):
-        """Matrix of ad_y on coefficient columns, m[k][j] = [y, e_j]_k: rows
-        of exact scalars in exact mode, a float64 array in float mode."""
+    def ad_matrix(self, y: AlgebraVector) -> np.ndarray:
+        """Matrix of ad_y on coefficient columns, m[k, j] = [y, e_j]_k, in
+        the dtype of y.row()."""
         self._own(y)
-        m = self.ad_stack(y.row()[None])[0].T
-        return m.tolist() if y.mode == MODE_EXACT else m
+        return self.ad_stack(y.row()[None])[0].T
 
     @cached_property
     def _structure_columns(self):
@@ -524,31 +538,31 @@ class StructuredLieAlgebra:
             chain[:, t + 1] = (chain[:, t, None] @ ad)[:, 0]
         return chain
 
-    def killing_form(self, x: AlgebraVector, y: AlgebraVector):
+    def _form(self, exact: np.ndarray, floats: np.ndarray, x: AlgebraVector,
+              y: AlgebraVector):
+        """x^T m y for the exact or float64 matrix m of the vectors' mode: a
+        canonical exact scalar, or a float."""
         self._own(x), self._own(y)
         if x.mode != y.mode:
-            raise ValueError("mixed scalar modes in killing_form")
+            raise ValueError("mixed scalar modes in a bilinear form")
         if x.mode == MODE_FLOAT:
-            return float(x.to_array() @ self.killing_float @ y.to_array())
-        return sum(c * vec_dot(row, y.coeffs)
-                   for c, row in zip(x.coeffs, self.killing))
+            return float(x.row() @ floats @ y.row())
+        return _exact(x.row() @ exact @ y.row())
+
+    def killing_form(self, x: AlgebraVector, y: AlgebraVector):
+        return self._form(self.killing_exact, self.killing_float, x, y)
 
     def btheta_form(self, x: AlgebraVector, y: AlgebraVector):
         """Positive definite form -B(x, theta y)."""
-        self._own(x), self._own(y)
-        if x.mode == MODE_FLOAT:
-            return float(x.to_array() @ self.btheta_float @ y.to_array())
-        return sum(c * vec_dot(row, y.coeffs)
-                   for c, row in zip(x.coeffs, self.btheta))
+        return self._form(self.btheta_exact, self.btheta_float, x, y)
 
     def btheta_norm(self, x: AlgebraVector) -> float:
         return math.sqrt(max(0.0, float(self.btheta_form(x, x))))
 
     def apply_theta(self, v: AlgebraVector) -> AlgebraVector:
         self._own(v)
-        if v.mode == MODE_FLOAT:
-            return AlgebraVector(tuple(self.theta_float @ v.to_array()), MODE_FLOAT)
-        return AlgebraVector(mat_vec(self.theta, v.coeffs), MODE_EXACT)
+        theta = self.theta_float if v.mode == MODE_FLOAT else self.theta_exact
+        return AlgebraVector(tuple(theta @ v.row()), v.mode)
 
     def cartan_split(self, v: AlgebraVector):
         """(k_part, p_part) with respect to theta."""

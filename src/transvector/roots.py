@@ -21,9 +21,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .exactla import SpanSolver, div, frac, mat_vec, nullspace
+from .exactla import SpanSolver, div, frac
 from .extension import ConditionVerdict, _num_str, condition_holds, sample_ys
-from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra
+from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra,
+                     kernel_rows)
 from .subspaces import Subspace
 
 GENERIC_RETRIES = 8
@@ -35,40 +36,24 @@ def maximal_abelian(a: StructuredLieAlgebra) -> Subspace:
 
     Each round solves the full commutation system against the current basis,
     so the loop ends exactly when the centralizer of the span inside p equals
-    the span; that is the maximality certificate.
+    the span; that is the maximality certificate.  The first round's
+    centralizer is all of p, so the greedy pick starts at the first p-basis
+    vector.
     """
-    d = a.dim
-    pb = [a.vector(v) for v in a.p_basis]
-    if not pb:
+    p = np.array(a.p_basis, dtype=object).reshape(-1, a.dim)
+    if not len(p):
         raise ValueError("algebra has no p part")
-    chosen: list[AlgebraVector] = []
+    chosen = p[:1]
     while True:
-        # centralizer of the current span inside p: stack [b_i, sum_j c_j p_j] = 0
-        # as a linear system in the p-basis coordinates c
-        if chosen:
-            mats = []
-            for b in chosen:
-                ad = a.ad_matrix(b)
-                cols = [mat_vec(ad, pvec) for pvec in a.p_basis]
-                for r in range(d):
-                    mats.append(tuple(cols[j][r] for j in range(len(a.p_basis))))
-            null = nullspace(mats)
-        else:
-            null = [tuple(int(i == j) for i in range(len(a.p_basis)))
-                    for j in range(len(a.p_basis))]
-        span = SpanSolver([c.coeffs for c in chosen]) if chosen else None
-        picked = None
-        for co in null:
-            v = a.zero()
-            for c, pvec in zip(co, a.p_basis):
-                v = v + a.vector(pvec).scale(c)
-            if span is None or not span.contains(v.coeffs):
-                picked = v
-                break
+        # the centralizer of the span inside p: the coordinates c over the
+        # p-basis with [b, c @ p] = 0, one row per chosen b and entry
+        brackets = p @ a.ad_stack(chosen)                   # [b, p_j] at (b, j)
+        centralizer = kernel_rows(brackets.transpose(0, 2, 1).reshape(-1, len(p))) @ p
+        span = SpanSolver(chosen.tolist())
+        picked = next((v for v in centralizer if not span.contains(v)), None)
         if picked is None:
-            break
-        chosen.append(picked)
-    return Subspace(a, chosen, MODE_EXACT)
+            return Subspace(a, chosen, MODE_EXACT)
+        chosen = np.vstack([chosen, picked])
 
 
 @dataclass
@@ -116,31 +101,17 @@ def _eigen_candidates(ad_float: np.ndarray, max_den: int = 64):
     return sorted(cands)
 
 
-def _exact_kernel(a: StructuredLieAlgebra, ad_rows, mu):
-    d = a.dim
-    rows = [tuple(ad_rows[i][j] - (mu if i == j else 0) for j in range(d))
-            for i in range(d)]
-    return nullspace(rows)
-
-
-def _scalar_action(a: StructuredLieAlgebra, basis_vecs, space):
-    """Exact scalar eigenvalue of ad_b on `space` for each b, or None."""
-    values = []
-    for b in basis_vecs:
-        ad = a.ad_matrix(b)
-        lam = None
-        for v in space:
-            w = mat_vec(ad, v)
-            pivot = next((i for i, c in enumerate(v) if c != 0), None)
-            cand = div(w[pivot], v[pivot])
-            if any(w[i] != cand * v[i] for i in range(len(v))):
-                return None
-            if lam is None:
-                lam = cand
-            elif lam != cand:
-                return None
-        values.append(lam if lam is not None else 0)
-    return tuple(values)
+def _scalar_action(a: StructuredLieAlgebra, asub: Subspace, space: np.ndarray):
+    """Exact scalar eigenvalue of ad_b on the rows of `space` for each basis
+    vector b of asub, or None.  Each [b, v] is compared with v at the first
+    nonzero entry of v, by cross-multiplication."""
+    w = space @ a.ad_stack(asub.basis_rows)               # [b, v] at (b, v)
+    rows, pivots = np.arange(len(space)), (space != 0).argmax(axis=1)
+    den, num = space[rows, pivots], w[:, rows, pivots]
+    if not ((w * den[:, None] == num[..., None] * space).all()
+            and (num * den[0] == num[:, :1] * den).all()):
+        return None
+    return tuple(div(n, den[0]) for n in num[:, 0])
 
 
 def restricted_root_decomposition(a: StructuredLieAlgebra, asub: Subspace,
@@ -175,21 +146,19 @@ class _NeedsFloat(Exception):
 
 def _decompose_with_h(a, asub, h, seed) -> RootDatum:
     d = a.dim
-    ad_rows = a.ad_matrix(h)
-    ad_float = np.array([[float(x) for x in row] for row in ad_rows])
+    ad = a.ad_matrix(h)
     spaces = {}
     total = 0
-    for mu in _eigen_candidates(ad_float):
-        ker = _exact_kernel(a, ad_rows, mu)
-        if ker:
+    for mu in _eigen_candidates(ad.astype(float)):
+        ker = kernel_rows(ad - mu * np.eye(d, dtype=object))
+        if len(ker):
             spaces[mu] = ker
             total += len(ker)
     if total != d:
         # exact certification cannot account for the whole space
         raise _NeedsFloat()
 
-    zero_space = spaces.get(0, [])
-    k_zero, p_zero = _split_zero_space(a, zero_space)
+    k_zero, p_zero = _split_zero_space(a, spaces.get(0, np.zeros((0, d), dtype=object)))
     if len(p_zero) != asub.dim:
         raise _NotGeneric("centralizer of H meets p in dimension %d > dim a = %d"
                           % (len(p_zero), asub.dim))
@@ -201,7 +170,7 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
     for mu, ker in spaces.items():
         if mu == 0:
             continue
-        lam = _scalar_action(a, asub.basis, ker)
+        lam = _scalar_action(a, asub, ker)
         if lam is None:
             raise _NotGeneric("eigenvalue %s mixes distinct roots" % mu)
         # consistency: the functional must reproduce mu on H
@@ -224,18 +193,14 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
     k_spaces, p_spaces, mult = {}, {}, {}
     for lam in positive:
         basis = by_func[lam]
-        kvecs, pvecs = [], []
-        for v in basis:
-            tv = mat_vec(a.theta, v)
-            kvecs.append(tuple(x + y for x, y in zip(v, tv)))
-            pvecs.append(tuple(x - y for x, y in zip(v, tv)))
-        k_spaces[lam] = Subspace(a, [a.vector(v) for v in kvecs], MODE_EXACT)
-        p_spaces[lam] = Subspace(a, [a.vector(v) for v in pvecs], MODE_EXACT)
+        tv = basis @ a.theta_exact.T
+        k_spaces[lam] = Subspace(a, basis + tv, MODE_EXACT)
+        p_spaces[lam] = Subspace(a, basis - tv, MODE_EXACT)
         if k_spaces[lam].dim != p_spaces[lam].dim:
             raise ValueError("k/p multiplicity mismatch at %s" % (lam,))
         mult[lam] = len(basis)
 
-    m_sub = Subspace(a, [a.vector(v) for v in k_zero], MODE_EXACT)
+    m_sub = Subspace(a, k_zero, MODE_EXACT)
     roots = tuple(sorted(by_func.keys(), reverse=True))
     datum = RootDatum(algebra=a, a=asub, m=m_sub, roots=roots,
                       positive=tuple(positive), k_spaces=k_spaces,
@@ -245,23 +210,13 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
     return datum
 
 
-def _split_zero_space(a, zero_space):
-    """Exact bases of V_0 ∩ k and V_0 ∩ p (V_0 is theta-stable)."""
-    if not zero_space:
-        return [], []
-    k_list, p_list = [], []
-    dim = a.dim
-    theta_z = [mat_vec(a.theta, z) for z in zero_space]
-    for sign, target in ((1, k_list), (-1, p_list)):
-        # vectors v in V_0 with theta v = sign * v: parametrize
-        # v = sum c_i z_i, impose (theta - sign) v = 0
-        rows = [tuple(tz[r] - sign * z[r] for tz, z in zip(theta_z, zero_space))
-                for r in range(dim)]
-        for co in nullspace(rows):
-            v = tuple(sum(c * z[i] for c, z in zip(co, zero_space))
-                      for i in range(dim))
-            target.append(v)
-    return k_list, p_list
+def _split_zero_space(a, zero_space: np.ndarray):
+    """Exact bases of V_0 ∩ k and V_0 ∩ p (V_0 is theta-stable), as rows.
+
+    A vector v = c @ z of V_0 (rows z) has theta v = sign * v exactly when
+    its coordinates c solve (z theta^T - sign z)^T c = 0."""
+    tz = zero_space @ a.theta_exact.T
+    return tuple(kernel_rows((tz - sign * zero_space).T) @ zero_space for sign in (1, -1))
 
 
 def _lex_positive(lam) -> bool:
@@ -284,7 +239,7 @@ def _check_dimensions(rd: RootDatum):
 
 def _decompose_float(a, asub, h, seed) -> RootDatum:
     """Clustering fallback when exact certification fails; verdicts downgrade."""
-    ad = np.array([[float(x) for x in row] for row in a.ad_matrix(h)])
+    ad = a.ad_matrix(h).astype(float)
     eigs = np.linalg.eigvals(ad).real
     clusters: list[list[float]] = []
     for e in sorted(eigs):
@@ -298,8 +253,7 @@ def _decompose_float(a, asub, h, seed) -> RootDatum:
     functionals = []
     m_basis = None
     a_float = Subspace(a, [b.astype(MODE_FLOAT) for b in asub.basis], MODE_FLOAT)
-    ad_basis = [np.array([[float(x) for x in row] for row in a.ad_matrix(b)])
-                for b in asub.basis]
+    ad_basis = [a.ad_matrix(b).astype(float) for b in asub.basis]
     for cl in clusters:
         mu = float(np.mean(cl))
         _, s, vt = np.linalg.svd(ad - mu * np.eye(a.dim))

@@ -11,17 +11,19 @@ meaningful for vectors anywhere in g, not just in p.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .exactla import SpanSolver, invert, mat_vec, nullspace
+from .exactla import SpanSolver, clear_denominators, frac, invert
 from .liealg import (
     MODE_EXACT,
     MODE_FLOAT,
     AlgebraVector,
     StructuredLieAlgebra,
     float_tol,
+    kernel_rows,
 )
 
 
@@ -71,10 +73,11 @@ class Subspace:
     def _pairing(self):
         """(P, G^-1): P = basis @ B_theta (k, d) and the inverse of the Gram
         matrix G = P @ basis^T, dtype=object exact, float64 float."""
-        kind = object if self.mode == MODE_EXACT else float
-        pair = self.basis_rows @ np.array(self.algebra.btheta, dtype=kind)
+        exact = self.mode == MODE_EXACT
+        a = self.algebra
+        pair = self.basis_rows @ (a.btheta_exact if exact else a.btheta_float)
         gram = pair @ self.basis_rows.T
-        if kind is object:
+        if exact:
             return pair, np.array(invert(gram), dtype=object).reshape(gram.shape)
         return pair, np.linalg.inv(gram)
 
@@ -99,7 +102,7 @@ class Subspace:
         """B_theta norms of the rows of vs, as floats; with pairing = (P,
         G^-1), of their components off the span, |v|^2 - w G^-1 w^T for
         w = v @ P^T, which exact arithmetic gives exactly."""
-        q = np.einsum("...i,ij,...j->...", vs, np.array(self.algebra.btheta, dtype=vs.dtype), vs)
+        q = np.einsum("...i,ij,...j->...", vs, self.algebra.btheta_exact.astype(vs.dtype), vs)
         if pairing is not None:
             w = vs @ pairing[0].T
             q = q - np.einsum("...i,ij,...j->...", w, pairing[1], w)
@@ -138,10 +141,8 @@ class Subspace:
         return tuple(coords)
 
     def member_from_coordinates(self, coords) -> AlgebraVector:
-        out = self.algebra.zero(self.mode)
-        for c, b in zip(coords, self.basis):
-            out = out + b.scale(c)
-        return out
+        kind = object if self.mode == MODE_EXACT else float
+        return self.algebra.vector(np.array(coords, dtype=kind) @ self.basis_rows, self.mode)
 
     def in_p(self) -> bool:
         return all(self.algebra.in_p(b) for b in self.basis)
@@ -151,38 +152,20 @@ class Subspace:
             raise ValueError("%s requires a subspace of p" % what)
 
     def orthocomplement_in_p(self) -> "Subspace":
-        """B-orthogonal complement inside p; B restricted to p is definite."""
+        """B-orthogonal complement inside p; B restricted to p is definite.
+        Its basis is c @ p for the coordinates c over the p-basis that pair
+        to zero with every basis vector: an exact kernel, or the right
+        singular vectors of the float pairing past its numerical rank."""
         self._require_p("orthocomplement_in_p")
         a = self.algebra
-        pb = a.p_basis
-        if self.mode == MODE_EXACT:
-            if self.dim == 0:
-                rows = []
-            else:
-                bk = a.killing
-                rows = [tuple(sum(mat_vec(bk, b.coeffs)[i] * p[i] for i in range(a.dim))
-                              for p in pb)
-                        for b in self.basis]
-            coords = nullspace(rows) if rows else [tuple(int(i == j) for i in range(len(pb)))
-                                                   for j in range(len(pb))]
-            vectors = []
-            for co in coords:
-                v = a.zero()
-                for c, p in zip(co, pb):
-                    v = v + a.vector(p).scale(c)
-                vectors.append(v)
-            return Subspace(a, vectors, MODE_EXACT)
-        pb_f = a.p_basis_float
-        pairing = self.basis_rows @ a.killing_float @ pb_f
-        if pairing.size == 0:
-            null = np.eye(pb_f.shape[1])
+        p, killing = _p_rows(a, self.mode), _killing(a, self.mode)
+        pairing = self.basis_rows @ killing @ p.T          # B(b_i, p_j)
+        if self.mode == MODE_EXACT or not self.dim:
+            null = kernel_rows(pairing)
         else:
-            _, s, vt = np.linalg.svd(pairing)
-            ns = vt[(s > 1e-12).sum():].T
-            null = ns
-        vectors = [AlgebraVector(tuple(pb_f @ null[:, j]), MODE_FLOAT)
-                   for j in range(null.shape[1])]
-        return Subspace(a, vectors, MODE_FLOAT)
+            _, sv, vt = np.linalg.svd(pairing)
+            null = vt[(sv > 1e-12).sum():]
+        return Subspace(a, null @ p, self.mode)
 
     def is_lie_triple_system(self):
         """(verdict, witness): [[s,s],s] inside s on basis triples, all in one
@@ -240,49 +223,50 @@ class Subspace:
         return verdict, report
 
     def is_totally_real(self, jmat) -> bool:
-        """True when B(J x, y) = 0 for all basis pairs x, y of this subspace."""
+        """True when B(J x, y) = 0 for all basis pairs x, y of this subspace,
+        exactly or within float_tol of |J x| |y| in B_theta."""
         self._require_p("is_totally_real")
-        a = self.algebra
-        _check_complex_structure(a, jmat, self.mode)
-        for x in self.basis:
-            jx = _apply_matrix(a, jmat, x)
-            for y in self.basis:
-                val = a.killing_form(jx, y)
-                if self.mode == MODE_EXACT:
-                    if val != 0:
-                        return False
-                else:
-                    if abs(val) > float_tol(a.btheta_norm(jx) * a.btheta_norm(y)):
-                        return False
-        return True
+        a, b = self.algebra, self.basis_rows
+        jb = b @ _complex_structure(a, jmat, self.mode).T
+        pairing = np.abs(jb @ _killing(a, self.mode) @ b.T)
+        tol = 0 if self.mode == MODE_EXACT else float_tol(np.outer(self._norms(jb),
+                                                                  self._norms(b)))
+        return bool((pairing <= tol).all())
 
 
-def _apply_matrix(a: StructuredLieAlgebra, m, v: AlgebraVector) -> AlgebraVector:
-    if v.mode == MODE_FLOAT:
-        return AlgebraVector(tuple(np.asarray(m, dtype=float) @ v.to_array()), MODE_FLOAT)
-    return AlgebraVector(mat_vec(m, v.coeffs), MODE_EXACT)
+def _p_rows(a: StructuredLieAlgebra, mode) -> np.ndarray:
+    """The p-basis as rows (dim p, d): dtype=object exact, float64 float."""
+    if mode == MODE_EXACT:
+        return np.array(a.p_basis, dtype=object).reshape(-1, a.dim)
+    return a.p_basis_float.T
 
 
-def _check_complex_structure(a: StructuredLieAlgebra, jmat, mode):
-    """J^2 = -id on p and J orthogonal for B; raises when violated."""
-    for p in a.p_basis:
-        v = a.vector(p) if mode == MODE_EXACT else a.vector(p).astype(MODE_FLOAT)
-        jjv = _apply_matrix(a, jmat, _apply_matrix(a, jmat, v))
-        s = jjv + v
-        if mode == MODE_EXACT:
-            if not s.is_zero():
-                raise ValueError("J^2 is not -identity on p")
-        else:
-            if np.max(np.abs(s.to_array())) > 1e-9:
-                raise ValueError("J^2 is not -identity on p within tolerance")
-        jv = _apply_matrix(a, jmat, v)
-        diff = a.killing_form(jv, jv) - a.killing_form(v, v)
-        if mode == MODE_EXACT:
-            if diff != 0:
-                raise ValueError("J is not B-orthogonal")
-        else:
-            if abs(diff) > 1e-9 * (1.0 + abs(a.killing_form(v, v))):
-                raise ValueError("J is not B-orthogonal within tolerance")
+def _killing(a: StructuredLieAlgebra, mode) -> np.ndarray:
+    return a.killing_exact if mode == MODE_EXACT else a.killing_float
+
+
+def _complex_structure(a: StructuredLieAlgebra, jmat, mode) -> np.ndarray:
+    """c J for jmat = J, once J^2 = -id on p and J is orthogonal for B there
+    (exactly, or within 1e-9); raises otherwise.  In exact mode c is the
+    lcm of J's denominators, so c J is an integer matrix (and B(c J x, y)
+    vanishes with B(J x, y)); in float mode c = 1."""
+    exact = mode == MODE_EXACT
+    jm = np.array(jmat, dtype=object if exact else float)
+    scale = 1
+    if exact:
+        scale = math.lcm(*(frac(x).denominator for x in jm.flat))
+        jm = np.array(clear_denominators(jm.flat), dtype=object).reshape(jm.shape)
+    p, killing = _p_rows(a, mode), _killing(a, mode)
+    jp = p @ jm.T
+    square = np.abs(jp @ jm.T + scale ** 2 * p)
+    norms = np.einsum("ij,jk,ik->i", p, killing, p)        # B(v, v)
+    stretch = np.abs(np.einsum("ij,jk,ik->i", jp, killing, jp) - scale ** 2 * norms)
+    tol, within = (0, "") if exact else (1e-9, " within tolerance")
+    if square.max(initial=0) > tol:
+        raise ValueError("J^2 is not -identity on p" + within)
+    if (stretch > tol * (1 + np.abs(norms))).any():
+        raise ValueError("J is not B-orthogonal" + within)
+    return jm
 
 
 def _coeff_strings(v: AlgebraVector):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from transvector.exactla import (SpanSolver, frac, invert,
                                  is_positive_definite, mat_vec,
-                                 nullspace, qmat_comm, qmat_realify, Qi,
-                                 rank, rref, solve)
+                                 nullspace, rank, rref)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -154,31 +153,9 @@ def test_float_entries_are_refused(bad):
         SpanSolver([(1, 0, 2), (0, bad, 1)])
 
 
-def test_solve_certifies_by_substitution():
-    m = ((frac(2), frac(1)), (frac(1), frac(3)))
-    b = (frac(1), frac(0))
-    x = solve(m, b)
-    assert mat_vec(m, x) == b
-    assert x == (Fraction(3, 5), Fraction(-1, 5))
-
-
 def test_definiteness_uses_exact_pivots():
     assert is_positive_definite(((frac(2), frac(1)), (frac(1), frac(2))))
     assert not is_positive_definite(((frac(1), frac(2)), (frac(2), frac(1))))
     # semidefinite is not definite
     assert not is_positive_definite(((frac(1), frac(1)), (frac(1), frac(1))))
 
-
-def test_gaussian_rationals_commutator_and_flattening():
-    i = Qi(0, 1)
-    a = ((Qi(0, 0), i), (i, Qi(0, 0)))
-    b = ((Qi(1, 0), Qi(0, 0)), (Qi(0, 0), Qi(-1, 0)))
-    c = qmat_comm(a, b)
-    # [a, b] = ab - ba with exact Gaussian entries
-    assert c == ((Qi(0, 0), Qi(0, -2)), (Qi(0, 2), Qi(0, 0)))
-    # coordinate flattening is linear and lays out re block then im block
-    assert qmat_realify(((Qi(1, 2), Qi(3, -4)),)) == (1, 3, 2, -4)
-    flat_sum = qmat_realify(tuple(
-        tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
-    assert flat_sum == tuple(
-        x + y for x, y in zip(qmat_realify(a), qmat_realify(b)))

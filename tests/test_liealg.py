@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transvector.catalog import build_space
-from transvector.exactla import Qi
 from transvector.liealg import (MODE_FLOAT, MatrixRealization,
                                 StructuredLieAlgebra, validate_algebra)
 
@@ -130,9 +129,8 @@ def test_validation_is_exact_zero(sl2r):
 
 SL2_THETA = ((-1, 0, 0), (0, 0, -1), (0, -1, 0))
 # the matrix model H = diag(1,-1), E = E12, F = E21
-SL2_REALIZATION = MatrixRealization(size=2, images=tuple(
-    tuple(tuple(Qi(x) for x in row) for row in m)
-    for m in (((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 0)))))
+SL2_IMAGES = np.array([((1, 0), (0, -1)), ((0, 1), (0, 0)), ((0, 0), (1, 0))])
+SL2_REALIZATION = MatrixRealization(size=2, re=SL2_IMAGES, im=np.zeros_like(SL2_IMAGES))
 
 
 def _sl2_like(ef_bracket, theta=SL2_THETA, realization=None):
@@ -201,8 +199,8 @@ def _fresh(a, dtype=None):
     return b
 
 
-_SWAPPED_E = MatrixRealization(size=2, images=(
-    SL2_REALIZATION.images[0], SL2_REALIZATION.images[2], SL2_REALIZATION.images[2]))
+_SWAPPED_E = MatrixRealization(size=2, re=SL2_IMAGES[[0, 2, 2]],
+                               im=np.zeros_like(SL2_IMAGES))
 DIFFERENTIAL = {
     "su21": lambda: build_space("su21"),
     "su31": lambda: build_space("su31"),
@@ -284,7 +282,8 @@ def _sl2_sum(copies, ef_bracket={0: 1}):
     """Direct sum of sl(2,R) copies, realized block-diagonally; [E,F] is
     ef_bracket over (H, E, F) in every copy."""
     d, n = 3 * copies, 2 * copies
-    labels, brackets, images = [], {}, []
+    labels, brackets = [], {}
+    images = np.zeros((d, n, n), dtype=np.int64)
     theta = [[0] * d for _ in range(d)]
     for c in range(copies):
         h, e, f = 3 * c, 3 * c + 1, 3 * c + 2
@@ -292,11 +291,8 @@ def _sl2_sum(copies, ef_bracket={0: 1}):
         brackets.update({(h, e): {e: 2}, (h, f): {f: -2},
                          (e, f): {h + k: c for k, c in ef_bracket.items()}})
         theta[h][h] = theta[e][f] = theta[f][e] = -1
-        for m in SL2_REALIZATION.images:
-            images.append(tuple(
-                tuple(m[r - 2 * c][s - 2 * c] if 0 <= r - 2 * c < 2 and 0 <= s - 2 * c < 2
-                      else Qi(0) for s in range(n)) for r in range(n)))
-    real = MatrixRealization(size=n, images=tuple(images))
+        images[h:f + 1, 2 * c:2 * c + 2, 2 * c:2 * c + 2] = SL2_IMAGES
+    real = MatrixRealization(size=n, re=images, im=np.zeros_like(images))
     return StructuredLieAlgebra(labels, brackets, theta, realization=real, name="sl2sum")
 
 
