@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NumericalBreakdown
 from .exactla import SpanSolver, clear_denominators, frac, invert
 from .liealg import (
     MODE_EXACT,
@@ -101,12 +102,19 @@ class Subspace:
     def _norms(self, vs: np.ndarray, pairing=None) -> np.ndarray:
         """B_theta norms of the rows of vs, as floats; with pairing = (P,
         G^-1), of their components off the span, |v|^2 - w G^-1 w^T for
-        w = v @ P^T, which exact arithmetic gives exactly."""
+        w = v @ P^T, which exact arithmetic gives exactly.  An exact square
+        past float64 raises NumericalBreakdown."""
         q = np.einsum("...i,ij,...j->...", vs, self.algebra.btheta_exact.astype(vs.dtype), vs)
         if pairing is not None:
             w = vs @ pairing[0].T
             q = q - np.einsum("...i,ij,...j->...", w, pairing[1], w)
-        return np.sqrt(np.maximum(q.astype(float), 0.0))
+        try:
+            q = q.astype(float)
+        except OverflowError:
+            bits = int(max(map(abs, q.ravel()))).bit_length()
+            raise NumericalBreakdown("a squared B_theta residual of about 2^%d "
+                                     "overflows float64" % bits) from None
+        return np.sqrt(np.maximum(q, 0.0))
 
     def membership(self, vs: np.ndarray):
         """(outside, residuals) for the rows of the stack vs (..., d): the
