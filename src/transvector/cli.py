@@ -331,18 +331,24 @@ def _finite_float_at_least(floor: float, strict: bool = False):
     return bound
 
 
-def _int_at_least(floor: int):
-    """argparse type of a count option: an integer below floor is an
-    argument error naming the option, not a failed or vacuous run."""
+def _int_at_least(floor: int, below: int | None = None):
+    """argparse type of a count option: an integer below floor (or at or
+    past below) is an argument error naming the option, not a failed or
+    vacuous run."""
+    want = ">= %d" % floor if below is None else "in [%d, %d)" % (floor, below)
+
     def count(text: str) -> int:
         try:
-            if (value := int(text)) >= floor:
+            if floor <= (value := int(text)) and (below is None or value < below):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError("expected an integer >= %d, got %r"
-                                         % (floor, text))
+        raise argparse.ArgumentTypeError("expected an integer %s, got %r" % (want, text))
     return count
+
+
+# rng.stream keys a numpy uint64 with the seed
+_SEED = dict(type=_int_at_least(0, 2 ** 64), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **inputs[flag])
         if sampled:
             p.add_argument("--samples", type=_int_at_least(1), default=64)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", **_SEED)
         p.add_argument("--out", help="write the JSON report here (atomic)")
 
     p = sub.add_parser("check", help="extension condition on a catalog pair")
@@ -421,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list built-in spaces and pairs")
     p.add_argument("--list", action="store_true", default=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", **_SEED)
     p.set_defaults(func=_cmd_catalog)
 
     return ap

@@ -359,3 +359,36 @@ def test_bound_options_below_their_floor_exit_2_naming_the_option(tmp_path, caps
     (("bisector", "--pair", "complex-hyperplane", "--grid-steps", "2", "--r", "1e-3"), 0)])
 def test_bound_options_at_their_floor_run(tmp_path, argv, status):
     assert _run(tmp_path, argv[0], "--space", "su21", *argv[1:])[0] == status
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--space", "su21", "--pair", "real-form", "--samples", "1"),
+    ("catalog",)])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seeds_outside_uint64_exit_2_naming_the_option(tmp_path, capsys, argv, seed):
+    """rng.stream keys a numpy uint64 with the seed; -1 and 2^64 once ended in
+    OverflowError tracebacks with exit 1."""
+    out = tmp_path / "report.json"
+    status = run([*argv, "--seed=" + seed, "--out", str(out)])
+    assert status == 2 and not out.exists()
+    assert ("argument --seed: expected an integer in [0, %d), got %r"
+            % (2 ** 64, seed)) in capsys.readouterr().err
+
+
+def test_the_largest_uint64_seed_runs(tmp_path):
+    status, rep = _run(tmp_path, "check", "--space", "su21", "--pair", "real-form",
+                       "--samples", "1", "--seed=%d" % (2 ** 64 - 1))
+    assert status == 0 and rep["config"]["seed"] == 2 ** 64 - 1
+
+
+def test_a_residual_past_float64_exits_3_naming_it(tmp_path):
+    """A basis coefficient of 2^200 (inside the input cap) drives the sl3r
+    control's hypothesis terms past float64; casting the squared residual
+    once ended in an OverflowError traceback with exit 1."""
+    s_file = tmp_path / "s.json"
+    s_file.write_text(json.dumps([{"S12": 2 ** 200}]))
+    status, rep = _run(tmp_path, "lemma", "--space", "sl3r", "--s", str(s_file),
+                       "--X", "bad", "--samples", "1")
+    assert status == 3 and rep["results"]["kind"] == "numerical"
+    assert "squared B_theta residual of about 2^" in rep["results"]["error"]
+    assert "overflows float64" in rep["results"]["error"]
