@@ -20,7 +20,6 @@ from .errors import NumericalBreakdown
 from .exactla import SpanSolver, clear_denominators, frac, invert
 from .liealg import (
     MODE_EXACT,
-    MODE_FLOAT,
     AlgebraVector,
     StructuredLieAlgebra,
     float_tol,
