@@ -27,6 +27,15 @@ from .liealg import (
 )
 
 
+def _exact_root(v) -> float:
+    """sqrt(max(v, 0)) of an exact scalar as a float, v scaled by an even
+    power of two below 2^1024 before the cast (the bits of
+    np.sqrt(float(v)) wherever float(v) is finite); OverflowError when the
+    root is past float64."""
+    k = max(0, int(v).bit_length() // 2 - 511)
+    return math.ldexp(math.sqrt(max(v / 4 ** k, 0)), k)
+
+
 class Subspace:
     """Span of independent columns inside a fixed ambient algebra."""
 
@@ -102,7 +111,8 @@ class Subspace:
         """B_theta norms of the rows of vs, as floats; with pairing = (P,
         G^-1), of their components off the span, |v|^2 - w G^-1 w^T for
         w = v @ P^T, which exact arithmetic gives exactly.  An exact square
-        past float64 raises NumericalBreakdown."""
+        past float64 is rooted before the cast; a norm past float64 raises
+        NumericalBreakdown."""
         q = np.einsum("...i,ij,...j->...", vs, self.algebra.btheta_exact.astype(vs.dtype), vs)
         if pairing is not None:
             w = vs @ pairing[0].T
@@ -110,9 +120,12 @@ class Subspace:
         try:
             q = q.astype(float)
         except OverflowError:
-            bits = int(max(map(abs, q.ravel()))).bit_length()
-            raise NumericalBreakdown("a squared B_theta residual of about 2^%d "
-                                     "overflows float64" % bits) from None
+            try:
+                return np.array([_exact_root(v) for v in q.ravel()]).reshape(q.shape)
+            except OverflowError:
+                bits = int(max(map(abs, q.ravel()))).bit_length()
+                raise NumericalBreakdown("a squared B_theta residual of about 2^%d "
+                                         "overflows float64" % bits) from None
         return np.sqrt(np.maximum(q, 0.0))
 
     def membership(self, vs: np.ndarray):

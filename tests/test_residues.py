@@ -165,6 +165,13 @@ def test_kernel_agrees_with_the_python_int_path_on_random_tables(
     _check_against_the_oracle(name, scale, x_seed, x_magnitude, y_magnitude)
 
 
+def test_kernel_agrees_where_a_squared_residual_passes_float64():
+    """A control example of the random-table search: a lemma residual of
+    about 2^512, whose square (about 2^1025) once raised NumericalBreakdown
+    on both paths."""
+    _check_against_the_oracle("control", 198_825_635_868, 0, 2 ** 50, 2 ** 30)
+
+
 def _exact_residuals(a, ys, x, top, null):
     """max |[u, v] @ null.T| over a + b <= top and |[y, [u, v]] @ null.T| over
     a + b < top, with every chain entry, on Python ints."""
