@@ -150,16 +150,35 @@ def _pair_from_args(args):
     return a, s, x, {"pair": None, "space": a.name, "s_file": args.s_file}
 
 
-def _grid_from_args(args) -> GridSpec:
-    def _range(text):
+# a 10^5-node su31 bisector peaks near 430 MB, a 10^5-node su21 construct
+# runs about 12 s
+MAX_GRID_NODES = 10 ** 5
+
+
+def _capped_grid(grid: GridSpec, dim: int, options: str) -> GridSpec:
+    """grid, once its t_steps * y_steps^dim nodes are at most MAX_GRID_NODES;
+    checked on the counts, before any array of the grid is built."""
+    if grid.t_steps * grid.y_steps ** dim > MAX_GRID_NODES:
+        raise ConfigError("%s: %d * %d^%d grid nodes are more than the %d allowed"
+                          % (options, grid.t_steps, grid.y_steps, dim, MAX_GRID_NODES))
+    return grid
+
+
+def _grid_from_args(args, dim: int) -> GridSpec:
+    def _range(option, text):
         try:
             lo, hi = (float(v) for v in text.split(","))
         except ValueError:
             raise ConfigError("ranges are written 'lo,hi', got %r" % text)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ConfigError("%s endpoints must be finite, got %r" % (option, text))
         return (lo, hi)
 
-    return GridSpec(t_range=_range(args.t_range), t_steps=args.t_steps,
-                    y_range=_range(args.y_range), y_steps=args.y_steps)
+    return _capped_grid(GridSpec(t_range=_range("--t-range", args.t_range),
+                                 t_steps=args.t_steps,
+                                 y_range=_range("--y-range", args.y_range),
+                                 y_steps=args.y_steps),
+                        dim, "--t-steps and --y-steps")
 
 
 def _config_echo(args) -> dict:
@@ -244,7 +263,7 @@ def _cmd_construct(args):
     entry = build_pair(args.space, args.pair)
     x = entry.x_default if args.x is None else parse_x_expression(entry.algebra, args.x)
     spec = ImmersionSpec(entry.algebra, entry.s, x, truncation=args.truncation,
-                         grid=_grid_from_args(args), h=args.h)
+                         grid=_grid_from_args(args, entry.s.dim), h=args.h)
     rep = mean_curvature_report(spec, tolerance=args.tolerance,
                                 baseline=args.baseline)
     results = {
@@ -267,7 +286,8 @@ def _cmd_construct(args):
 
 def _cmd_bisector(args):
     entry = build_pair(args.space, args.pair)
-    grid = GridSpec(t_steps=args.grid_steps, y_steps=args.grid_steps)
+    grid = _capped_grid(GridSpec(t_steps=args.grid_steps, y_steps=args.grid_steps),
+                        entry.s.dim, "--grid-steps")
     rep = bisector_equidistance_check(entry, r=args.r, grid=grid,
                                       tol=args.tolerance)
     expect_equidistant = args.pair == "complex-hyperplane"
@@ -402,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build the immersion and measure it")
     common(p, takes=("--pair", "--X"), sampled=False)
-    p.add_argument("--t-steps", type=int, default=5)
-    p.add_argument("--y-steps", type=int, default=5)
+    p.add_argument("--t-steps", type=_int_at_least(1), default=5)
+    p.add_argument("--y-steps", type=_int_at_least(1), default=5)
     p.add_argument("--t-range", default="-0.75,0.75")
     p.add_argument("--y-range", default="-0.75,0.75")
     p.add_argument("--h", type=_finite_float, default=1e-3)
@@ -420,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, takes=("--pair",), sampled=False)
     # r = 0 puts both endpoints at the origin, where equidistance is vacuous
     p.add_argument("--r", type=_finite_float_at_least(0, strict=True), default=0.5)
-    p.add_argument("--grid-steps", type=int, default=7)
+    p.add_argument("--grid-steps", type=_int_at_least(1), default=7)
     p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-8)
     p.set_defaults(func=_cmd_bisector)
 

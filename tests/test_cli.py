@@ -7,9 +7,11 @@ import os
 
 import pytest
 
-from transvector.cli import (build_parser, load_subspace_file,
+from transvector import cli
+from transvector.cli import (MAX_GRID_NODES, build_parser, load_subspace_file,
                              parse_x_expression, run)
 from transvector.errors import ConfigError
+from transvector.geometry import GridSpec
 from transvector.report import render, strip_wall_time
 
 
@@ -277,6 +279,79 @@ def test_huge_finite_bounds_exit_3_with_a_message(tmp_path, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
+     "--t-range=0,inf"),
+    ("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
+     "--y-range=-inf,inf"),
+    ("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
+     "--t-range=nan,nan"),
+    ("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
+     "--y-range=0,nan")])
+def test_non_finite_grid_ranges_exit_2_saying_so(tmp_path, capsys, argv):
+    """Non-finite endpoints once printed numpy RuntimeWarnings, then exited 2
+    saying the nodes lay outside the declared ranges or the ranges were not
+    ordered."""
+    status, rep = _run(tmp_path, argv[0], "--space", "su21", *argv[1:])
+    option, _, text = argv[-1].partition("=")
+    assert status == 2
+    assert rep["results"] == {
+        "error": "%s endpoints must be finite, got %r" % (option, text),
+        "kind": "config"}
+    assert capsys.readouterr().err == ""
+
+
+def _no_grid_arrays(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a grid array was built")
+
+    monkeypatch.setattr(GridSpec, "t_axis", refuse)
+    monkeypatch.setattr(GridSpec, "y_nodes", refuse)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("construct", "--pair", "real-form", "--y-steps", "100000"),
+     "--t-steps and --y-steps: 5 * 100000^2 grid nodes"),
+    (("construct", "--pair", "complex-hyperplane", "--t-steps", "100001",
+      "--y-steps", "1"), "--t-steps and --y-steps: 100001 * 1^2 grid nodes"),
+    (("bisector", "--pair", "real-form", "--grid-steps", "5000"),
+     "--grid-steps: 5000 * 5000^2 grid nodes"),
+    (("bisector", "--pair", "complex-hyperplane", "--grid-steps", "47"),
+     "--grid-steps: 47 * 47^2 grid nodes")])
+def test_grids_past_the_node_cap_exit_2_naming_the_options(tmp_path, monkeypatch,
+                                                         argv, error):
+    """--y-steps 100000 and --grid-steps 5000 once ended in _ArrayMemoryError
+    tracebacks with exit 1; the cap is checked before any grid array."""
+    _no_grid_arrays(monkeypatch)
+    status, rep = _run(tmp_path, argv[0], "--space", "su21", *argv[1:])
+    assert status == 2
+    assert rep["results"] == {
+        "error": error + " are more than the %d allowed" % MAX_GRID_NODES,
+        "kind": "config"}
+
+
+class _Admitted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--space", "su31", "--pair", "complex-hyperplane"),  # 5 * 5^4
+    ("bisector", "--space", "su31", "--pair", "complex-hyperplane"),   # 7 * 7^4
+    ("construct", "--space", "su21", "--pair", "real-form", "--t-steps", "10",
+     "--y-steps", "100"),
+    ("bisector", "--space", "su21", "--pair", "real-form", "--grid-steps", "46")])
+def test_grids_up_to_the_node_cap_are_admitted(monkeypatch, argv):
+    """The CLI defaults on the widest pair and grids at or just under the
+    cap reach the measurement."""
+    def admitted(*args, **kw):
+        raise _Admitted
+
+    monkeypatch.setattr(cli, "mean_curvature_report", admitted)
+    monkeypatch.setattr(cli, "bisector_equidistance_check", admitted)
+    with pytest.raises(_Admitted):
+        run(list(argv))
+
+
 def test_every_golden_x_still_parses(su21, sl3r):
     for a, x in ((su21, "Q1"), (su21, "1/2*Q1 + 1/3*Q2"), (sl3r, "bad"),
                  (sl3r, "1/2*H1 + 1/3*S13"), (sl3r, "S13")):
@@ -336,13 +411,17 @@ def test_count_options_at_their_floor_run(tmp_path, argv, status):
     (("bisector", "--pair", "complex-hyperplane", "--grid-steps", "2", "--r", "0"),
      "a number > 0"),
     (("bisector", "--pair", "complex-hyperplane", "--grid-steps", "2", "--r=-0.5"),
-     "a number > 0")])
+     "a number > 0"),
+    (("construct", "--pair", "real-form", "--t-steps", "0"), "an integer >= 1"),
+    (("construct", "--pair", "real-form", "--y-steps=-2"), "an integer >= 1"),
+    (("bisector", "--pair", "real-form", "--grid-steps", "0"), "an integer >= 1")])
 def test_bound_options_below_their_floor_exit_2_naming_the_option(tmp_path, capsys,
                                                                   argv, floor):
     """--truncation 0 once ran the grid and exited 3 on the metric series, a
     negative --tolerance failed (construct) or passed (bisector real-form)
-    any measurement, and --r 0 put both bisector endpoints at the origin,
-    where equidistance is vacuous (exit 0)."""
+    any measurement, --r 0 put both bisector endpoints at the origin,
+    where equidistance is vacuous (exit 0), and a grid step count below 1
+    was refused only by GridSpec, without naming the option."""
     out = tmp_path / "report.json"
     status = run([argv[0], "--space", "su21", *argv[1:], "--out", str(out)])
     assert status == 2 and not out.exists()
