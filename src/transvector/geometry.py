@@ -2,11 +2,15 @@
 
 Points live in one global normal-coordinate chart (the space is nonpositively
 curved and simply connected, so exp at the base point is a diffeomorphism).
-Everything metric is derived from two primitives: the polar projection
-cartan_project (group element -> p-coordinates) and the pullback metric
-metric_matrix, g_P(u,v) = B(S(P)u, S(P)v), S(P) = sum_k ad_P^{2k}/(2k+1)! on p.
+Everything metric is derived from three primitives: the exponential expm of
+p-images (group elements exp(X), X in p), the polar projection cartan_project
+(group element -> p-coordinates) and the pullback metric metric_matrix,
+g_P(u,v) = B(S(P)u, S(P)v), S(P) = sum_k ad_P^{2k}/(2k+1)! on p.  The
+realization maps p to Hermitian matrices (validate checks
+d theta(X) = -X^dagger exactly), so expm and cartan_project each go through
+one stacked eigh: exp and log of a Hermitian matrix act on its eigenvalues.
 
-Both take stacks, (..., N, N) group elements and (..., dim_p) coordinates, and
+All three take stacks, (..., N, N) matrices and (..., dim_p) coordinates, and
 so do the points built on them: SpacePoint, distance, transvection and
 immersion_point broadcast stacks, and one point is a stack of one.  Each slice
 gets the LAPACK/BLAS call it would get alone, so its result is the same bits in
@@ -37,7 +41,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, NumericalBreakdown
 from .liealg import MODE_FLOAT, AlgebraVector, StructuredLieAlgebra
@@ -113,6 +116,27 @@ def _p_coords(a: StructuredLieAlgebra, arr: np.ndarray):
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
+
+
+def expm(h: np.ndarray) -> np.ndarray:
+    """exp(h) = u diag(e^w) u^dagger for every Hermitian matrix of the stack
+    h (..., N, N), from one stacked eigh.
+
+    Every caller passes real combinations of p-images, Hermitian bit for bit;
+    a finite matrix that is not is a ValueError.  A non-finite matrix (its
+    exponent overflowed float64) gives a non-finite result, which
+    cartan_project refuses."""
+    h = np.asarray(h)
+    finite = np.all(np.isfinite(h), axis=(-2, -1))
+    if np.any(finite & ~np.all(h == _dagger(h), axis=(-2, -1))):
+        raise ValueError("expm takes Hermitian matrices only")
+    if not finite.all():     # eigh would refuse the whole stack
+        h = np.where(finite[..., None, None], h, 0.0)
+    w, u = np.linalg.eigh(h)
+    with np.errstate(over="ignore", invalid="ignore"):  # e^w = inf is kept
+        out = (u * np.exp(w)[..., None, :]) @ _dagger(u)
+    out[~finite] = np.nan
+    return out
 
 
 def group_membership_residual(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:

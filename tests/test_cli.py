@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -350,6 +352,24 @@ def test_grids_up_to_the_node_cap_are_admitted(monkeypatch, argv):
     monkeypatch.setattr(cli, "bisector_equidistance_check", admitted)
     with pytest.raises(_Admitted):
         run(list(argv))
+
+
+def test_the_cli_runs_without_importing_scipy(tmp_path):
+    """scipy is a test dependency only: importing the CLI and one construct
+    load no scipy module (its import was most of the CLI's import time)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    code = ("import sys\n"
+            "import transvector.cli\n"
+            "status = transvector.cli.run(['construct', '--space', 'su21', '--pair',"
+            " 'real-form', '--t-steps', '2', '--y-steps', '2', '--out', sys.argv[1]])\n"
+            "print(status, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_every_golden_x_still_parses(su21, sl3r):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,41 @@ def test_group_elements_off_the_model_are_rejected(sl2r):
     g = np.array([[1.0, 0.3], [0.0, 2.0]])  # det = 2: not in the group
     with pytest.raises(NumericalBreakdown):
         cartan_project(sl2r, g)
+
+
+@pytest.mark.parametrize("space", ["sl2r", "so21", "su21", "so31", "sl3r", "su31"])
+def test_expm_of_p_images_agrees_with_scipy(space):
+    """The eigh exponential against scipy's Pade expm on random p-image
+    stacks at coefficient scales 0.1 to 3."""
+    p_im, _ = geometry._p_images(build_space(space))
+    rng = np.random.default_rng(11)
+    for scale in (0.1, 1.0, 3.0):
+        h = np.einsum("nj,jkl->nkl", rng.uniform(-scale, scale, (50, len(p_im))), p_im)
+        want = expm(h)
+        err = (np.linalg.norm(geometry.expm(h) - want, axis=(-2, -1))
+               / np.linalg.norm(want, axis=(-2, -1)))
+        assert np.max(err) <= 1e-13
+
+
+def test_expm_refuses_a_matrix_that_is_not_hermitian(sl2r):
+    p = realize(sl2r, sl2r.basis_vector(0).astype(MODE_FLOAT))
+    k = realize(sl2r, (sl2r.basis_vector(1) - sl2r.basis_vector(2)).astype(
+        MODE_FLOAT))
+    geometry.expm(np.stack([p, 0.5 * p]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        geometry.expm(np.stack([p, 0.7 * k]))
+
+
+def test_expm_of_a_non_finite_matrix_is_nan_and_spares_the_stack(sl2r):
+    """An overflowed exponent gives nan quietly, for cartan_project to refuse;
+    the finite slices keep the bits they get alone."""
+    p = realize(sl2r, sl2r.basis_vector(0).astype(MODE_FLOAT))
+    stack = np.stack([0.3 * p, np.full_like(p, np.nan), 1e300 * p])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = geometry.expm(stack)
+    assert np.array_equal(_bits(out[0]), _bits(geometry.expm(0.3 * p)))
+    assert np.isnan(out[1]).all() and not np.isfinite(out[2]).all()
 
 
 def _bits(x):
@@ -360,7 +396,7 @@ def test_group_element_computes_distinct_slices_once_with_the_same_bits(
     ts = np.array([0.25, -0.0, 0.0, 0.25, -0.5, -0.0, 0.25])
     ys = np.array([[0.1, -0.0], [0.1, 0.0], [0.1, -0.0], [-0.3, 0.2],
                    [0.1, -0.0], [-0.0, -0.0], [0.0, 0.0]])
-    ref = _signed_expm if fake else expm
+    ref = _signed_expm if fake else geometry.expm   # before the patches below
     if fake:
         monkeypatch.setattr(geometry, "expm", _signed_expm)
     sizes = []
