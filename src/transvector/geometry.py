@@ -127,15 +127,17 @@ def expm(h: np.ndarray) -> np.ndarray:
     exponent overflowed float64) gives a non-finite result, which
     cartan_project refuses."""
     h = np.asarray(h)
-    finite = np.all(np.isfinite(h), axis=(-2, -1))
-    if np.any(finite & ~np.all(h == _dagger(h), axis=(-2, -1))):
-        raise ValueError("expm takes Hermitian matrices only")
-    if not finite.all():     # eigh would refuse the whole stack
-        h = np.where(finite[..., None, None], h, 0.0)
+    finite = None     # the usual stack: checked whole, without per-matrix masks
+    if not (np.isfinite(h).all() and (h == _dagger(h)).all()):
+        finite = np.all(np.isfinite(h), axis=(-2, -1))
+        if np.any(finite & ~np.all(h == _dagger(h), axis=(-2, -1))):
+            raise ValueError("expm takes Hermitian matrices only")
+        h = np.where(finite[..., None, None], h, 0.0)  # eigh refuses a whole stack
     w, u = np.linalg.eigh(h)
     with np.errstate(over="ignore", invalid="ignore"):  # e^w = inf is kept
         out = (u * np.exp(w)[..., None, :]) @ _dagger(u)
-    out[~finite] = np.nan
+    if finite is not None:
+        out[~finite] = np.nan
     return out
 
 

@@ -117,10 +117,11 @@ def test_expm_refuses_a_matrix_that_is_not_hermitian(sl2r):
         geometry.expm(np.stack([p, 0.7 * k]))
 
 
-def test_expm_of_a_non_finite_matrix_is_nan_and_spares_the_stack(sl2r):
+def test_expm_of_a_non_finite_matrix_is_nan_and_spares_the_stack(su21):
     """An overflowed exponent gives nan quietly, for cartan_project to refuse;
-    the finite slices keep the bits they get alone."""
-    p = realize(sl2r, sl2r.basis_vector(0).astype(MODE_FLOAT))
+    the finite slices keep the bits they get alone.  eigh refuses a whole
+    stack holding an all-nan 3 x 3 matrix."""
+    p = geometry._p_images(su21)[0][0]
     stack = np.stack([0.3 * p, np.full_like(p, np.nan), 1e300 * p])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
