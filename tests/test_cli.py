@@ -303,14 +303,6 @@ def test_non_finite_grid_ranges_exit_2_saying_so(tmp_path, capsys, argv):
     assert capsys.readouterr().err == ""
 
 
-def _no_grid_arrays(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a grid array was built")
-
-    monkeypatch.setattr(GridSpec, "t_axis", refuse)
-    monkeypatch.setattr(GridSpec, "y_nodes", refuse)
-
-
 @pytest.mark.parametrize("argv, error", [
     (("construct", "--pair", "real-form", "--y-steps", "100000"),
      "--t-steps and --y-steps: 5 * 100000^2 grid nodes"),
@@ -324,7 +316,11 @@ def test_grids_past_the_node_cap_exit_2_naming_the_options(tmp_path, monkeypatch
                                                          argv, error):
     """--y-steps 100000 and --grid-steps 5000 once ended in _ArrayMemoryError
     tracebacks with exit 1; the cap is checked before any grid array."""
-    _no_grid_arrays(monkeypatch)
+    def refuse(*args):
+        raise AssertionError("a grid array was built")
+
+    monkeypatch.setattr(GridSpec, "t_axis", refuse)
+    monkeypatch.setattr(GridSpec, "y_nodes", refuse)
     status, rep = _run(tmp_path, argv[0], "--space", "su21", *argv[1:])
     assert status == 2
     assert rep["results"] == {
