@@ -138,11 +138,8 @@ def complex_structure_matrix(a: StructuredLieAlgebra):
     fam, n = parse_space_id(a.name)
     if fam != "su":
         raise ConfigError("space %s has no invariant complex structure" % a.name)
-    zeta = a.zero()
-    scale = Fraction(1, n + 1)
-    for j in range(n):
-        zeta = zeta + a.from_labels({"D%d" % (j + 1): scale})
-    return a.ad_matrix(zeta)
+    return a.ad_matrix(a.from_labels({"D%d" % (j + 1): Fraction(1, n + 1)
+                                      for j in range(n)}))
 
 
 @dataclass(frozen=True)
@@ -272,7 +269,7 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
         grid = GridSpec(t_steps=7, y_steps=7)
     jm = complex_structure_matrix(a)
     x = entry.x_default.astype("float64")
-    xn = float(np.sqrt(float(a.killing_form(x, x))))
+    xn = a.btheta_norm(x)     # sqrt B(X, X) for X in p; ImmersionSpec refuses others
     x_unit = x.scale(1.0 / xn)
     jx = jm.astype(float) @ x_unit.to_array()
     jx_vec = a.vector(tuple(jx), "float64")

@@ -195,11 +195,8 @@ def _config_echo(args) -> dict:
 
 def _cmd_check(args):
     a, s, x, meta = _pair_from_args(args)
-    try:
-        verdict = condition_holds(s, x, samples=args.samples, seed=args.seed,
-                                  n_max=args.n_max)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    verdict = condition_holds(s, x, samples=args.samples, seed=args.seed,
+                              n_max=args.n_max)
     results = dict(meta)
     results["condition"] = verdict.as_dict()
     results["s_dim"] = s.dim

@@ -34,9 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .errors import LemmaFalsified
+from .errors import ConfigError, LemmaFalsified
+from .exactla import frac
 from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, ChainResidues,
-                     abs_col_sum, float_tol, int64_exact)
+                     abs_col_sum, coeff_strings, float_tol, int64_exact)
 from .subspaces import Subspace
 
 
@@ -108,10 +109,10 @@ class LemmaCheck:
 
 @dataclass
 class SeriesReport:
-    """Both evaluations of [Z^k, Z^p] for Z = e^{-ad_Y} X, with diagnostics."""
+    """[Z^k, Z^p] for Z = e^{-ad_Y} X, its distance from the double-series
+    evaluation, and diagnostics."""
 
     value: AlgebraVector
-    double_value: AlgebraVector
     route_difference: float
     tail_bound: float
     member: bool
@@ -123,7 +124,7 @@ class SeriesReport:
 
     def as_dict(self) -> dict:
         return {
-            "value": [_num_str(c) for c in self.value.coeffs],
+            "value": coeff_strings(self.value),
             "route_difference": self.route_difference,
             "tail_bound": self.tail_bound,
             "member": self.member,
@@ -135,23 +136,18 @@ class SeriesReport:
         }
 
 
-def _num_str(c):
-    """Exact scalars (int or Fraction) print exactly, floats through repr."""
-    return repr(float(c)) if isinstance(c, float) else str(c)
-
-
 def _require_pair(s: Subspace, x: AlgebraVector, check_lts=True):
     a = s.algebra
     if x.mode != s.mode:
-        raise ValueError("X mode %s does not match subspace mode %s" % (x.mode, s.mode))
+        raise ConfigError("X mode %s does not match subspace mode %s" % (x.mode, s.mode))
     if not s.in_p():
-        raise ValueError("s must be contained in p")
+        raise ConfigError("s must be contained in p")
     if not a.in_p(x):
-        raise ValueError("X must lie in p")
+        raise ConfigError("X must lie in p")
     if check_lts:
         ok, witness = s.is_lie_triple_system()
         if not ok:
-            raise ValueError("s is not a Lie triple system; witness: %r" % (witness,))
+            raise ConfigError("s is not a Lie triple system; witness: %r" % (witness,))
 
 
 _NOT_NORMAL = {
@@ -163,14 +159,14 @@ _NOT_NORMAL = {
 
 def _normal_pairing(s: Subspace, x: AlgebraVector):
     """First pairing B(b, X) over the basis of s that is nonzero (exact) or
-    above the float tolerance; None when X is B-orthogonal to s."""
-    a = s.algebra
-    for b in s.basis:
-        val = a.killing_form(b, x)
-        tol = 0 if s.mode == MODE_EXACT else float_tol(a.btheta_norm(b) * a.btheta_norm(x))
-        if abs(val) > tol:
-            return val
-    return None
+    above float_tol(|b| |X|) in B_theta (float), as a canonical exact scalar
+    or a float; None when X is B-orthogonal to s."""
+    exact = s.mode == MODE_EXACT
+    a, b = s.algebra, s.basis_rows
+    pairing = b @ (a.killing_exact if exact else a.killing_float) @ x.row()
+    tol = 0 if exact else float_tol(s._norms(b) * s._norms(x.row()))
+    hits = np.flatnonzero(np.abs(pairing) > tol)
+    return (frac if exact else float)(pairing[hits[0]]) if hits.size else None
 
 
 def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
@@ -239,9 +235,9 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
         _, res[i, n] = s.contains(term)
         verdict.holds = False
         verdict.witness = {
-            "y": [_num_str(c) for c in a.vector(ys[i], s.mode).coeffs],
+            "y": coeff_strings(a.vector(ys[i], s.mode)),
             "n": n,
-            "vector": [_num_str(c) for c in term.coeffs],
+            "vector": coeff_strings(term),
             "residual": float(res[i, n]),
         }
     seen = np.arange(outside.size).reshape(outside.shape) < verdict.checked
@@ -320,7 +316,7 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
         _, con, aux = exact_terms(ys[i:i + 1])
         if s.mode == MODE_EXACT:
             con_res[i], aux_res[i] = s.membership(con[0])[1], s.membership(aux[0])[1]
-        y_str = [_num_str(c) for c in a.vector(y, s.mode).coeffs]
+        y_str = coeff_strings(a.vector(y, s.mode))
         if con_out[i].any():
             n, m = divmod(int(np.argmax(con_out[i])), m_max + 1)
             term = a.vector(con[0, n, m], s.mode)
@@ -329,7 +325,7 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
                 "satisfied (residual %g); this contradicts the bracket lemma"
                 % (2 * n, 2 * m + 1, con_res[i, n, m]),
                 detail={"n": n, "m": m, "y": y_str,
-                        "vector": [_num_str(c) for c in term.coeffs],
+                        "vector": coeff_strings(term),
                         "residual": float(con_res[i, n, m])})
         if aux_out[i].any():
             n, m = divmod(int(np.argmax(aux_out[i])), m_max + 1)
@@ -390,8 +386,7 @@ def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     tail_bound = ad_norm ** (2 * K + 2) / math.factorial(2 * K + 2) * x_norm
 
     member, membership_residual = s.contains(value)
-    return SeriesReport(value=value, double_value=double,
-                        route_difference=route_difference,
+    return SeriesReport(value=value, route_difference=route_difference,
                         tail_bound=tail_bound, member=member,
                         membership_residual=membership_residual,
                         converged=converged, truncation=K, mode=x.mode,
@@ -410,7 +405,7 @@ def normal_field_check(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     a = s.algebra
     pairing = _normal_pairing(s, x)
     if pairing is not None:
-        raise ValueError("X is not B-orthogonal to s (pairing %s)" % _num_str(pairing))
+        raise ConfigError("X is not B-orthogonal to s (pairing %s)" % pairing)
 
     zp = _series_terms(a, x, y, 2 * truncation)[0::2].sum(axis=0)
     return max((abs(float(p)) for p in zp @ a.killing_exact @ s.basis_rows.T), default=0.0)

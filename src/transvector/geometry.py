@@ -4,11 +4,12 @@ Points live in one global normal-coordinate chart (the space is nonpositively
 curved and simply connected, so exp at the base point is a diffeomorphism).
 Everything metric is derived from three primitives: the exponential expm of
 p-images (group elements exp(X), X in p), the polar projection cartan_project
-(group element -> p-coordinates) and the pullback metric metric_matrix,
-g_P(u,v) = B(S(P)u, S(P)v), S(P) = sum_k ad_P^{2k}/(2k+1)! on p.  The
-realization maps p to Hermitian matrices (validate checks
-d theta(X) = -X^dagger exactly), so expm and cartan_project each go through
-one stacked eigh: exp and log of a Hermitian matrix act on its eigenvalues.
+(group element -> the p-coordinates that re-express its polar part) and the
+pullback metric metric_matrix, g_P(u,v) = B(S(P)u, S(P)v),
+S(P) = sum_k ad_P^{2k}/(2k+1)! on p.  The realization maps p to Hermitian
+matrices (validate checks d theta(X) = -X^dagger exactly), so expm and
+cartan_project each go through one stacked eigh: exp and log of a Hermitian
+matrix act on its eigenvalues.
 
 All three take stacks, (..., N, N) matrices and (..., dim_p) coordinates, and
 so do the points built on them: SpacePoint, distance, transvection and
@@ -102,18 +103,6 @@ def realize(a: StructuredLieAlgebra, v: AlgebraVector) -> np.ndarray:
     return np.einsum("i,ikl->kl", v.to_array(), a.realization.images_complex)
 
 
-def _p_coords(a: StructuredLieAlgebra, arr: np.ndarray):
-    """p-basis coordinates of a stack of coefficient vectors (..., d), plus
-    the (failed, error) check for vectors with a k-component above
-    tolerance."""
-    pbm, pinv, _ = _p_geometry(a)
-    co = _apply(pinv, arr)
-    res = np.linalg.norm(_apply(pbm, co) - arr, axis=-1)
-    failed = res > 1e-9 * (1.0 + np.linalg.norm(arr, axis=-1))
-    return co, (failed, lambda i: ValueError(
-        "vector is not in p (residual %.3e)" % res.flat[i]))
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
@@ -165,8 +154,8 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
     Hermitian factor.  A non-finite factor (g overflowed float64), a
     group-relation residual, a non-positive eigenvalue or a failed
     re-expression in p means g is not (numerically) in the realized group:
-    NumericalBreakdown, and ValueError when the coordinates do not reproduce
-    a p-vector."""
+    NumericalBreakdown.  The coordinates returned are those of the
+    re-expression."""
     g = np.asarray(g, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
         res = group_membership_residual(a, g)
@@ -185,7 +174,6 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
                                       pmat.imag.reshape(stack)], axis=-1))
     err = np.linalg.norm(np.einsum("...j,jkl->...kl", co, p_im) - pmat,
                          axis=(-2, -1))
-    coords, p_check = _p_coords(a, _apply(_p_geometry(a)[0], co))
     _raise_first_failure([
         (~finite, lambda i: NumericalBreakdown(
             "polar factor is not finite: the matrix overflows float64")),
@@ -199,9 +187,8 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
          lambda i: NumericalBreakdown(
              "polar part is not in p (residual %.3e); "
              "matrix outside the symmetric-space model" % err.flat[i])),
-        p_check,
     ])
-    return coords
+    return co
 
 
 @dataclass
@@ -322,9 +309,10 @@ class GridSpec:
 class ImmersionSpec:
     """The data of the extended immersion f(t, Y) = exp(tX) exp(Y(y)) o.
 
-    Invariants enforced at construction: X is B-orthogonal to s within 1e-10,
-    s is a Lie triple system, the codimension of s in p is at least 2 (the
-    minimality statement needs codimension > 1), and the grid is nonempty.
+    Invariants enforced at construction: h/2 squares to a normal float, X
+    lies in p and is B-orthogonal to s within 1e-10, s is a Lie triple
+    system, the codimension of s in p is at least 2 (the minimality
+    statement needs codimension > 1), and the grid is nonempty.
     """
 
     algebra: StructuredLieAlgebra
@@ -342,13 +330,18 @@ class ImmersionSpec:
         _require_realized(a)
         if self.h <= 0:
             raise ConfigError("finite-difference step must be positive")
+        if (self.h / 2.0) * (self.h / 2.0) < np.finfo(float).tiny:
+            raise ConfigError("finite-difference step %r is too small: the "
+                              "square of h/2 is not a normal float" % self.h)
+        if not a.in_p(self.x):
+            raise ConfigError("X must lie in p")
         xf = self.x.astype(MODE_FLOAT)
-        scale = float(np.max(np.abs(xf.to_array()))) + 1.0
-        for b in self.s.basis:
-            pairing = a.killing_form(xf, b.astype(MODE_FLOAT))
-            if abs(float(pairing)) > 1e-10 * scale:
-                raise ConfigError("X is not B-orthogonal to s "
-                                  "(pairing %.3e)" % float(pairing))
+        rows = self.s.basis_rows.astype(float)
+        pairing = xf.row() @ a.killing_float @ rows.T
+        off = np.flatnonzero(np.abs(pairing) > 1e-10 * (np.max(np.abs(xf.row())) + 1.0))
+        if off.size:
+            raise ConfigError("X is not B-orthogonal to s "
+                              "(pairing %.3e)" % pairing[off[0]])
         ok, witness = self.s.is_lie_triple_system()
         if not ok:
             raise ConfigError("s is not a Lie triple system: %s" % (witness,))
@@ -359,9 +352,8 @@ class ImmersionSpec:
         self.codimension = codim
         self._x_float = xf
         self._x_matrix = realize(a, xf)
-        self._s_float = Subspace(a, [b.astype(MODE_FLOAT) for b in self.s.basis],
-                                 MODE_FLOAT)
-        self._s_matrices = [realize(a, b.astype(MODE_FLOAT)) for b in self.s.basis]
+        self._s_float = Subspace(a, rows, MODE_FLOAT)
+        self._s_images = np.einsum("ij,jkl->ikl", rows, a.realization.images_complex)
 
     @property
     def x_norm(self) -> float:
@@ -370,11 +362,7 @@ class ImmersionSpec:
 
     def y_matrix(self, y: np.ndarray) -> np.ndarray:
         """Matrices of Y(y), one per row of the stack y (..., dim s)."""
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(y.shape[:-1] + self._s_matrices[0].shape, dtype=complex)
-        for c, m in zip(np.moveaxis(y, -1, 0), self._s_matrices):
-            out = out + c[..., None, None] * m
-        return out
+        return np.einsum("...j,jkl->...kl", np.asarray(y, dtype=float), self._s_images)
 
     def group_element(self, t, y: np.ndarray) -> np.ndarray:
         """exp(tX) exp(Y(y)); t (...) and y (..., dim s) broadcast as stacks.

@@ -195,6 +195,12 @@ class AlgebraVector:
             raise ValueError("dimension mismatch")
 
 
+def coeff_strings(v: AlgebraVector) -> list:
+    """The coefficients of v as report strings: exact scalars through str,
+    floats through repr."""
+    return [str(c) if v.mode == MODE_EXACT else repr(c) for c in v.coeffs]
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixRealization:
     """Concrete matrices for the basis, with the group-level involution data.
@@ -401,11 +407,6 @@ class StructuredLieAlgebra:
         return -(self.killing_exact @ self.theta_exact)
 
     @cached_property
-    def btheta(self):
-        """B_theta matrix as rows of canonical exact scalars."""
-        return _canonical(self.btheta_exact)
-
-    @cached_property
     def k_basis(self):
         """Basis of the +1 eigenspace of theta (exact coefficient vectors)."""
         rows = [tuple(self.theta[i][j] - int(i == j) for j in range(self.dim))
@@ -567,14 +568,7 @@ class StructuredLieAlgebra:
     def cartan_split(self, v: AlgebraVector):
         """(k_part, p_part) with respect to theta."""
         tv = self.apply_theta(v)
-        if v.mode == MODE_FLOAT:
-            k = (v + tv).scale(0.5)
-            p = (v - tv).scale(0.5)
-        else:
-            half = Fraction(1, 2)
-            k = (v + tv).scale(half)
-            p = (v - tv).scale(half)
-        return k, p
+        return (v + tv).scale(Fraction(1, 2)), (v - tv).scale(Fraction(1, 2))
 
     def in_p(self, v: AlgebraVector) -> bool:
         tv = self.apply_theta(v)

@@ -62,9 +62,8 @@ def rational_vectors(gen: np.random.Generator, n: int, samples: int) -> np.ndarr
     return np.concatenate(blocks)
 
 
-def odd_int_vector(gen: np.random.Generator, n: int, max_abs: int = 9) -> tuple:
-    """Vector of odd Python ints in [-max_abs, max_abs]."""
-    half = (max_abs + 1) // 2
-    ks = gen.integers(-half, half, size=n)
+def odd_int_vector(gen: np.random.Generator, n: int) -> tuple:
+    """Vector of odd Python ints in [-9, 9]."""
+    ks = gen.integers(-5, 5, size=n)
     return tuple(2 * int(k) + 1 for k in ks)
 

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import rng
 from .exactla import SpanSolver, div, frac
-from .extension import ConditionVerdict, _num_str, condition_holds, sample_ys
+from .extension import ConditionVerdict, condition_holds, sample_ys
 from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra,
-                     kernel_rows)
+                     coeff_strings, kernel_rows)
 from .subspaces import Subspace
 
 GENERIC_RETRIES = 8
@@ -84,7 +84,7 @@ class RootDatum:
             "p_dims": {root_label(r): self.p_spaces[r].dim for r in self.positive},
             "k_dims": {root_label(r): self.k_spaces[r].dim for r in self.positive},
             "seed": self.seed,
-            "generic_h": [_num_str(c) for c in self.generic_h.coeffs],
+            "generic_h": coeff_strings(self.generic_h),
         }
 
 
@@ -92,13 +92,11 @@ def root_label(functional) -> str:
     return "(" + ",".join(str(c) for c in functional) + ")"
 
 
-def _eigen_candidates(ad_float: np.ndarray, max_den: int = 64):
-    """Rational candidates for the (real) spectrum of an exact matrix."""
-    eigs = np.linalg.eigvals(ad_float)
-    cands = set()
-    for e in eigs:
-        cands.add(frac(Fraction(float(e.real)).limit_denominator(max_den)))
-    return sorted(cands)
+def _eigen_candidates(ad_float: np.ndarray):
+    """Rational candidates p/q, q <= 64, for the (real) spectrum of an exact
+    matrix."""
+    return sorted({frac(Fraction(float(e.real)).limit_denominator(64))
+                   for e in np.linalg.eigvals(ad_float)})
 
 
 def _scalar_action(a: StructuredLieAlgebra, asub: Subspace, space: np.ndarray):
@@ -392,7 +390,7 @@ class RootExampleBundle:
     def as_dict(self) -> dict:
         return {
             "lambda": root_label(self.lam),
-            "x": [_num_str(c) for c in self.x.coeffs],
+            "x": coeff_strings(self.x),
             "lts_holds": self.lts_holds,
             "odd_chain_in_k_lambda": self.odd_chain_in_k_lambda,
             "even_chain_in_a_plus_p2": self.even_chain_in_a_plus_p2,

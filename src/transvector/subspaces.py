@@ -22,6 +22,7 @@ from .liealg import (
     MODE_EXACT,
     AlgebraVector,
     StructuredLieAlgebra,
+    coeff_strings,
     float_tol,
     kernel_rows,
 )
@@ -207,7 +208,7 @@ class Subspace:
         outside, res = self.membership(triples)
         for p, c in zip(*np.nonzero(outside)):
             return False, {"triple": (int(i[p]), int(j[p]), int(c)),
-                           "vector": _coeff_strings(a.vector(triples[p, c], self.mode)),
+                           "vector": coeff_strings(a.vector(triples[p, c], self.mode)),
                            "residual": float(res[p, c])}
         return True, None
 
@@ -229,7 +230,7 @@ class Subspace:
             outside, res = target.membership(v)
             witness = None
             for at in zip(*np.nonzero(outside)):
-                witness = {"vector": _coeff_strings(a.vector(v[at], self.mode)),
+                witness = {"vector": coeff_strings(a.vector(v[at], self.mode)),
                            "residual": float(res[at])}
                 break
             return {"holds": not outside.any(), "worst_residual": float(res.max(initial=0.0)),
@@ -287,10 +288,3 @@ def _complex_structure(a: StructuredLieAlgebra, jmat, mode) -> np.ndarray:
     if (stretch > tol * (1 + np.abs(norms))).any():
         raise ValueError("J is not B-orthogonal" + within)
     return jm
-
-
-def _coeff_strings(v: AlgebraVector):
-    if v.mode == MODE_EXACT:
-        return [str(c) for c in v.coeffs]
-    return [repr(float(c)) for c in v.coeffs]
-

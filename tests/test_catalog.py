@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import warnings
+
 import pytest
 
 from transvector.catalog import (bisector_equidistance_check, build_pair,
@@ -115,6 +118,16 @@ def test_bisector_rejects_the_real_form(su21_real_form):
     assert not rep["equidistant"]
     assert rep["max_delta"] >= 1e-2
     assert rep["witness"] is not None
+
+
+@pytest.mark.parametrize("x", [{"F12": 1}, {"P2": 1, "F12": 1}])
+def test_bisector_refuses_an_x_outside_p(su21_complex_hyperplane, x):
+    a = su21_complex_hyperplane.algebra
+    entry = dataclasses.replace(su21_complex_hyperplane, x_default=a.from_labels(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^X must lie in p$"):
+            bisector_equidistance_check(entry, grid=GridSpec(t_steps=2, y_steps=2))
 
 
 def test_bisector_requires_a_hermitian_space():

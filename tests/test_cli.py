@@ -233,6 +233,30 @@ def test_zero_x_exits_2_in_every_command(tmp_path, command, x):
     assert rep["results"]["kind"] == "config"
 
 
+@pytest.mark.parametrize("command, source, x, error", [
+    *[(command, "pair", x, "X must lie in p")
+      for command in ("check", "verify", "lemma", "construct") for x in ("F12", "Q1+F12")],
+    *[(command, "k", "P1", "s must be contained in p")
+      for command in ("check", "verify", "lemma")]])
+def test_pairs_outside_p_exit_2_in_every_command(tmp_path, capsys, command, source,
+                                                 x, error):
+    """lemma once let these ValueErrors out as a traceback with exit 1, and
+    construct handed X = F12 to expm, which takes Hermitian matrices only
+    (a traceback with exit 1); check and verify wrapped them."""
+    k_file = tmp_path / "k.json"                  # s = span(F12), inside k
+    k_file.write_text(json.dumps([{"F12": 1}]))
+    if source == "k":
+        source = ["--s", str(k_file)]
+    elif command == "verify":
+        source = ["--s", os.path.join(GOLDEN, "su21-real-form.json")]
+    else:
+        source = ["--pair", "real-form"]
+    status, rep = _run(tmp_path, command, "--space", "su21", *source, "--X", x)
+    assert status == 2
+    assert rep["results"] == {"error": error, "kind": "config"}
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command, extra", [
     ("construct", ("--s", "s.json")), ("construct", ("--algebra-file", "a.alg")),
     ("bisector", ("--X", "Q1")), ("bisector", ("--s", "s.json")),
@@ -278,6 +302,19 @@ def test_huge_finite_bounds_exit_3_with_a_message(tmp_path, capsys, argv):
     assert rep["results"] == {
         "error": "polar factor is not finite: the matrix overflows float64",
         "kind": "numerical"}
+    assert capsys.readouterr().err == ""
+
+
+def test_a_step_too_small_to_square_exits_2_silently(tmp_path, capsys):
+    """--h 1e-200 once printed numpy RuntimeWarnings from the stencil's
+    division by h^2 = 0, then exited 3 saying the induced metric was
+    ill-conditioned."""
+    status, rep = _run(tmp_path, "construct", "--space", "su21", "--pair", "real-form",
+                       "--h", "1e-200", "--t-steps", "1", "--y-steps", "1")
+    assert status == 2
+    assert rep["results"] == {
+        "error": "finite-difference step 1e-200 is too small: the square of h/2 "
+                 "is not a normal float", "kind": "config"}
     assert capsys.readouterr().err == ""
 
 

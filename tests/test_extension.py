@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transvector.catalog import build_pair, negative_control
-from transvector.extension import (condition_holds, nabla_zz, normal_field_check,
-                                   verify_lemma_conclusion)
-from transvector.liealg import MODE_FLOAT
+from transvector.errors import ConfigError
+from transvector.extension import (_normal_pairing, condition_holds, nabla_zz,
+                                   normal_field_check, verify_lemma_conclusion)
+from transvector.liealg import MODE_EXACT, MODE_FLOAT
 from transvector.subspaces import Subspace
 
 
@@ -151,6 +152,22 @@ def test_normal_field_check_rejects_non_orthogonal_x(sl2_pair):
     a, s, x = sl2_pair
     with pytest.raises(ValueError):
         normal_field_check(s, s.basis[0], s.basis[0])
+
+
+@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
+def test_the_first_offending_pairing_in_basis_order_is_reported(mode):
+    """s = span(P1, P2, P3) in su(3,1) and X = Q1 + 2 P2 + 3 P3: P1 pairs to
+    0 with X, P2 to 2 B(P2, P2) = 32 and P3 to 48.  The first nonzero
+    pairing is the second one, and the refusal names it."""
+    entry = build_pair("su31", "real-form")
+    a = entry.algebra
+    s = Subspace(a, [b.astype(mode) for b in entry.s.basis], mode)
+    x = a.from_labels({"Q1": 1, "P2": 2, "P3": 3}, mode)
+    assert _normal_pairing(s, x) == 32
+    assert _normal_pairing(s, a.from_labels({"Q1": 1}, mode)) is None
+    with pytest.raises(ConfigError, match=r"^X is not B-orthogonal to s \(pairing %s\)$"
+                       % ("32" if mode == MODE_EXACT else r"32\.0")):
+        normal_field_check(s, x, s.basis[0])
 
 
 def test_non_orthogonal_x_is_flagged_but_still_checked(sl2_pair):

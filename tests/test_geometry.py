@@ -462,6 +462,10 @@ def test_immersion_spec_invariants(sl2r, su21_real_form):
         ImmersionSpec(sl2r, s, s.basis[0], allow_codimension_one=True)
     with pytest.raises(ConfigError):   # h must be positive
         _sl2_spec(sl2r, h=0.0)
+    for h in (1e-200, 2e-154):         # (h/2)^2 is not a normal float
+        with pytest.raises(ConfigError, match="too small"):
+            _sl2_spec(sl2r, h=h)
+    assert _sl2_spec(sl2r, h=3e-154).h == 3e-154
     entry = su21_real_form
     bad_s = Subspace(entry.algebra, [
         entry.algebra.from_labels({"P1": 1}, MODE_FLOAT),
@@ -471,6 +475,28 @@ def test_immersion_spec_invariants(sl2r, su21_real_form):
         with pytest.raises(ConfigError):
             ImmersionSpec(entry.algebra, bad_s,
                           entry.algebra.from_labels({"Q1": 1}, MODE_FLOAT))
+
+
+@pytest.mark.parametrize("x", [{"F12": 1}, {"Q1": 1, "F12": 1}])
+def test_immersion_spec_refuses_x_outside_p_before_any_matrix(monkeypatch,
+                                                              su21_real_form, x):
+    """F12 lies in k, so it passes the X-orthogonal-to-s test; it once
+    reached expm, which refused the non-Hermitian matrix."""
+    def unreachable(*args):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(geometry, "realize", unreachable)
+    a = su21_real_form.algebra
+    with pytest.raises(ConfigError, match="^X must lie in p$"):
+        ImmersionSpec(a, su21_real_form.s, a.from_labels(x))
+
+
+def test_immersion_spec_names_the_first_offending_pairing():
+    entry = build_pair("su31", "real-form")     # s = span(P1, P2, P3)
+    a = entry.algebra
+    x = a.from_labels({"Q1": 1, "P2": 2, "P3": 3})
+    with pytest.raises(ConfigError, match=r"^X is not B-orthogonal to s "
+                                          r"\(pairing 3\.200e\+01\)$"):
+        ImmersionSpec(a, entry.s, x)
 
 
 def test_so31_geodesic_plane_is_the_degenerate_input():
