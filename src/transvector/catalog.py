@@ -1,11 +1,11 @@
 """Built-in symmetric space catalog.
 
 Each space is constructed from an explicit matrix model: the basis matrices
-are written down, closure under commutators is certified by the exact span
-solver (which doubles as the structure constant extractor), and the abstract
-bracket table is what the rest of the package consumes.  The matrices are
-retained as a MatrixRealization so validation can cross-check the table
-against honest matrix commutators.
+are written down, closure under commutators is certified by the row
+operations of one exactla.SpanSolver (which double as the structure
+constant extractor), and the abstract bracket table is what the rest of
+the package consumes.  The matrices are retained as a MatrixRealization so
+validation can cross-check the table against honest matrix commutators.
 
 Supported families: su(n,1), so(n,1), sl(n,R).  The quaternionic and Cayley
 hyperbolic spaces are intentionally absent; asking for them is a config
@@ -119,7 +119,7 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
         raise RuntimeError("basis table for %s is dependent" % space_id)
     lo, hi = np.triu_indices(d, 1)
     comm = (r[lo] @ r[hi] - r[hi] @ r[lo])[:, :, :size].reshape(len(lo), -1)
-    coords = np.array(solver._t, dtype=object) @ comm.T      # (2 N^2, pairs)
+    coords = np.array(solver.row_ops, dtype=object) @ comm.T      # (2 N^2, pairs)
     if coords[d:].any():
         raise RuntimeError("basis table for %s does not close under commutators"
                            % space_id)

@@ -155,6 +155,17 @@ def _pair_from_args(args):
 MAX_GRID_NODES = 10 ** 5
 
 
+# Ceilings of the count options, each run at the cap on su31, the widest
+# catalog algebra: check --samples 1024 --n-max 32 peaks near 330 MB in
+# 1.5 s; lemma at 4096 terms (--samples 3 --n-max 32 --m-max 32) near 85 MB;
+# a pullback series that never converged would take 0.5 s per 128-node
+# block at --truncation 1000
+MAX_SAMPLES = 1024
+MAX_CHAIN = 32              # --n-max and --m-max
+MAX_LEMMA_TERMS = 4096      # lemma samples * (n_max + 1) * (m_max + 1)
+MAX_TRUNCATION = 1000
+
+
 def _capped_grid(grid: GridSpec, dim: int, options: str) -> GridSpec:
     """grid, once its t_steps * y_steps^dim nodes are at most MAX_GRID_NODES;
     checked on the counts, before any array of the grid is built."""
@@ -211,6 +222,11 @@ def _cmd_verify(args):
 
 
 def _cmd_lemma(args):
+    terms = args.samples * (args.n_max + 1) * (args.m_max + 1)
+    if terms > MAX_LEMMA_TERMS:
+        raise ConfigError("--samples, --n-max and --m-max: %d * %d * %d lemma terms are "
+                          "more than the %d allowed" % (args.samples, args.n_max + 1,
+                                                        args.m_max + 1, MAX_LEMMA_TERMS))
     a, s, x, meta = _pair_from_args(args)
     ys = sample_ys(s, rng.stream(args.seed, rng.STREAM_LEMMA), args.samples)
     checks = verify_lemma_conclusion(s, x, ys, n_max=args.n_max, m_max=args.m_max)
@@ -351,15 +367,16 @@ def _finite_float_at_least(floor: float, strict: bool = False):
 def _int_at_least(floor: int, below: int | None = None):
     """argparse type of a count option: an integer below floor (or at or
     past below) is an argument error naming the option, not a failed or
-    vacuous run."""
-    want = ">= %d" % floor if below is None else "in [%d, %d)" % (floor, below)
-
+    vacuous run.  The message states the floor, or the whole range [floor,
+    below) for a value at or past below."""
     def count(text: str) -> int:
+        value = floor - 1                  # a non-integer reads as below the floor
         try:
             if floor <= (value := int(text)) and (below is None or value < below):
                 return value
         except ValueError:
             pass
+        want = ">= %d" % floor if value < floor else "in [%d, %d)" % (floor, below)
         raise argparse.ArgumentTypeError("expected an integer %s, got %r" % (want, text))
     return count
 
@@ -391,24 +408,24 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in takes:
             p.add_argument(flag, **inputs[flag])
         if sampled:
-            p.add_argument("--samples", type=_int_at_least(1), default=64)
+            p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES + 1), default=64)
         p.add_argument("--seed", **_SEED)
         p.add_argument("--out", help="write the JSON report here (atomic)")
 
     p = sub.add_parser("check", help="extension condition on a catalog pair")
     common(p)
-    p.add_argument("--n-max", type=_int_at_least(0), default=None)
+    p.add_argument("--n-max", type=_int_at_least(0, MAX_CHAIN + 1), default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="extension condition on a custom (s, X)")
     common(p)
-    p.add_argument("--n-max", type=_int_at_least(0), default=None)
+    p.add_argument("--n-max", type=_int_at_least(0, MAX_CHAIN + 1), default=None)
     p.set_defaults(func=_cmd_verify, samples=16)
 
     p = sub.add_parser("lemma", help="bracket-chain lemma certificates")
     common(p)
-    p.add_argument("--n-max", type=_int_at_least(0), default=4)
-    p.add_argument("--m-max", type=_int_at_least(0), default=4)
+    p.add_argument("--n-max", type=_int_at_least(0, MAX_CHAIN + 1), default=4)
+    p.add_argument("--m-max", type=_int_at_least(0, MAX_CHAIN + 1), default=4)
     p.set_defaults(func=_cmd_lemma, samples=4)
 
     p = sub.add_parser("roots", help="restricted root decomposition")
@@ -424,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-range", default="-0.75,0.75")
     p.add_argument("--y-range", default="-0.75,0.75")
     p.add_argument("--h", type=_finite_float, default=1e-3)
-    p.add_argument("--truncation", type=_int_at_least(1), default=60)
+    p.add_argument("--truncation", type=_int_at_least(1, MAX_TRUNCATION + 1), default=60)
     p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-4)
     p.add_argument("--baseline", action="store_true",
                    help="measure the frozen-t slice instead of the extension")

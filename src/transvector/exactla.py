@@ -1,17 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists (or tuples) of row tuples of exact scalars; vectors are
-tuples.  An exact scalar is canonical: a Python int whenever it is integral,
-a fractions.Fraction only when a real denominator remains (frac is the one
-normaliser, div the one exact division).  Every catalog algebra has integer
-structure constants, so its exact paths run on ints alone; rational inputs
-run the same code in mixed int/Fraction arithmetic.  Catalog algebras have
-dimension <= 15, so everything here is dense Gauss-Jordan: clarity and
-exactness over asymptotics.  Elimination is fraction-free: each row is
-scaled to Python ints once (scaling a row keeps its reduced form), rows are
-combined on ints and kept primitive by their gcd, and each pivot row is
-divided by its pivot once at the end.  Nothing in this module touches
-floating point.
+Input matrices are exact: numpy arrays (int64 or dtype=object) or nested
+rows of exact scalars.  An exact scalar is canonical: a Python int whenever
+it is integral, a fractions.Fraction only when a real denominator remains
+(frac is the one normaliser, div the one exact division).  Every catalog
+algebra has integer structure constants, so its exact paths run on ints
+alone; rational inputs run the same code in mixed int/Fraction arithmetic.
+nullspace is the one exact kernel: it returns its basis as the rows of a
+dtype=object array, the form every caller stacks and multiplies.  Catalog
+algebras have dimension <= 15, so everything here is dense Gauss-Jordan:
+clarity and exactness over asymptotics.  Elimination is fraction-free:
+each row is scaled to Python ints once (scaling a row keeps its reduced
+form), rows are combined on ints and kept primitive by their gcd, and each
+pivot row is divided by its pivot once at the end.  Nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import math
 import operator
 import re
 from fractions import Fraction
+
+import numpy as np
 
 # The most bits a numerator or a denominator read from an input (algebra
 # files, --s, --X) may have.  It admits the 2^70 constants of the golden
@@ -133,22 +137,24 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows):
-    """Basis of {x : M x = 0} as a list of vectors, empty if trivial."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def nullspace(m) -> np.ndarray:
+    """Basis of {x : m x = 0} for an exact matrix m (r, n), an array or
+    nested rows, as the rows of a dtype=object array (k, n) of canonical
+    scalars: one row per free column, the identity when m has no rows."""
+    m = np.asarray(m, dtype=object)
+    n = m.shape[1]
+    if not len(m):
+        return np.eye(n, dtype=object)
+    red, pivots = rref(m.tolist())
+    free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        v = [0] * ncols
+        v = [0] * n
         v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][fc]
-        basis.append(tuple(v))
-    return basis
+        basis.append(v)
+    return np.array(basis, dtype=object).reshape(len(free), n)
 
 
 def invert(m):
@@ -187,51 +193,37 @@ def is_negative_definite(sym) -> bool:
 
 
 class SpanSolver:
-    """Membership and coordinates with respect to fixed spanning columns.
+    """Membership with respect to fixed spanning columns.
 
-    Precomputes row operations T with T*A in reduced echelon form, so each
-    query is a single matrix-vector product.  Columns need not be
-    independent; coordinates() is only offered when they are.  Membership
-    needs only the rows of T past the rank, which annihilate the columns;
-    scaling a row does not change its kernel, so each is stored scaled to
-    integers and a membership test is integer dot products against zero.
+    Precomputes the row operations row_ops = T with T*A in reduced echelon
+    form, so each query is a single matrix-vector product.  Columns need not
+    be independent.  Membership needs only the rows of T past the rank,
+    which annihilate the columns; scaling a row does not change its kernel,
+    so each is stored scaled to integers and a membership test is integer
+    dot products against zero.
     """
 
     def __init__(self, columns):
         columns = [tuple(c) for c in columns]
-        self.ncols = len(columns)
         self.dim = len(columns[0]) if columns else 0
         for c in columns:
             if len(c) != self.dim:
                 raise ValueError("ragged columns")
-        d, k = self.dim, self.ncols
+        d, k = self.dim, len(columns)
         aug = [row + (0,) * i + (1,) + (0,) * (d - 1 - i)
                for i, row in enumerate(zip(*columns))]
         red, pivots = rref(aug)
-        self.pivots = [p for p in pivots if p < k]
-        self.rank = len(self.pivots)
-        self._t = [row[k:] for row in red]
-        self._null_rows = [clear_denominators(row) for row in self._t[self.rank:]]
+        self.rank = sum(p < k for p in pivots)
         self.independent = self.rank == k
+        self.row_ops = [row[k:] for row in red]
+        self._null_rows = [clear_denominators(row) for row in self.row_ops[self.rank:]]
 
     def transform(self, v):
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(vec_dot(row, v) for row in self._t)
+        return tuple(vec_dot(row, v) for row in self.row_ops)
 
     def contains(self, v) -> bool:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
         return not any(vec_dot(row, v) for row in self._null_rows)
-
-    def coordinates(self, v):
-        """Coefficients c with A c = v, or None if v is outside the span."""
-        if not self.independent:
-            raise ValueError("columns are dependent; coordinates are not unique")
-        w = self.transform(v)
-        if any(x != 0 for x in w[self.rank:]):
-            return None
-        c = [0] * self.ncols
-        for r, pc in enumerate(self.pivots):
-            c[pc] = w[r]
-        return tuple(c)

@@ -65,7 +65,7 @@ def _p_images(a: StructuredLieAlgebra):
     """Stacked complex images of the p-basis plus the re-expression pinv."""
     _require_realized(a)
     imgs = a.realization.images_complex          # (d, N, N)
-    pb = a.p_basis_float                         # (d, dim_p)
+    pb = a.p_basis.T.astype(float)               # (d, dim_p)
     p_im = np.einsum("ij,ikl->jkl", pb, imgs)    # (dim_p, N, N)
     flat = np.concatenate([p_im.real.reshape(p_im.shape[0], -1),
                            p_im.imag.reshape(p_im.shape[0], -1)], axis=1)
@@ -76,7 +76,7 @@ def _p_images(a: StructuredLieAlgebra):
 def _p_geometry(a: StructuredLieAlgebra):
     """(Pb, pinv(Pb), Gram of B on the p-basis) as float arrays; Pb has one
     column per p-basis vector."""
-    pbm = a.p_basis_float
+    pbm = a.p_basis.T.astype(float)
     return pbm, np.linalg.pinv(pbm), pbm.T @ a.killing_float @ pbm
 
 
@@ -481,6 +481,9 @@ def mean_curvature_estimate(spec: ImmersionSpec, t, y,
             lambda xi: _chart(spec, xi[..., 0], xi[..., 1:]),
             np.concatenate([t[:, None], y], axis=1), h)
     m = first.shape[1]
+    if not first.any(axis=(1, 2)).all():
+        raise ConfigError("finite-difference step %r is below the chart's resolution: "
+                          "every first difference at a node is 0" % h)
     g_amb, dg, _ = _stencil(lambda p: metric_matrix(a, p, spec.truncation), c0, h,
                             corners=False)
     # Gamma_{lij} = (dG_{lj}/dx_i + dG_{li}/dx_j - dG_{ij}/dx_l) / 2, raised by G^-1

@@ -15,7 +15,10 @@ Validation is exact only.  The structure tensor C, Theta, the Killing
 matrix and the realified realization images are numpy arrays; their dtype
 follows from the data (exact_dtype): int64 when every entry is an int and
 no sum validate forms can overflow, object (Python ints and Fractions)
-otherwise.  The float64 caches are these arrays cast to float.
+otherwise.  The float64 caches are these arrays cast to float.  The
+eigenspace bases k_basis and p_basis are the dtype=object rows of
+exactla.nullspace of Theta - I and Theta + I; every exact kernel here and
+in the subspace and root layers comes from that one function.
 
 Conventions fixed here and asserted by tests:
   - theta-eigenspaces: k for +1, p for -1; B = trace(ad . ad) is negative
@@ -62,21 +65,8 @@ def _exact(x):
     return int(x) if isinstance(x, np.integer) else frac(x)
 
 
-def _canonical(m: np.ndarray) -> tuple:
-    return tuple(tuple(map(_exact, row)) for row in m)
-
-
 def _max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m), initial=0))
-
-
-def kernel_rows(m: np.ndarray) -> np.ndarray:
-    """Basis of {c : m @ c = 0} for an exact matrix m (r, n), as the rows of
-    a dtype=object array (k, n); the identity when m has no rows."""
-    if not len(m):
-        return np.eye(m.shape[1], dtype=object)
-    null = nullspace(m.tolist())
-    return np.array(null, dtype=object).reshape(len(null), m.shape[1])
 
 
 def abs_col_sum(m: np.ndarray) -> int:
@@ -397,36 +387,19 @@ class StructuredLieAlgebra:
         return np.einsum("iab,jba->ij", c, c)
 
     @cached_property
-    def killing(self):
-        """Killing matrix as rows of canonical exact scalars."""
-        return _canonical(self.killing_exact)
-
-    @cached_property
     def btheta_exact(self) -> np.ndarray:
         """Matrix of B_theta(x, y) = -B(x, theta y), positive definite on g."""
         return -(self.killing_exact @ self.theta_exact)
 
     @cached_property
-    def k_basis(self):
-        """Basis of the +1 eigenspace of theta (exact coefficient vectors)."""
-        rows = [tuple(self.theta[i][j] - int(i == j) for j in range(self.dim))
-                for i in range(self.dim)]
-        return tuple(nullspace(rows))
+    def k_basis(self) -> np.ndarray:
+        """Basis of the +1 eigenspace of theta, as exact rows (dim k, d)."""
+        return nullspace(self.theta_exact - np.eye(self.dim, dtype=int))
 
     @cached_property
-    def p_basis(self):
-        """Basis of the -1 eigenspace of theta."""
-        rows = [tuple(self.theta[i][j] + int(i == j) for j in range(self.dim))
-                for i in range(self.dim)]
-        return tuple(nullspace(rows))
-
-    @cached_property
-    def k_solver(self) -> SpanSolver:
-        return SpanSolver(self.k_basis)
-
-    @cached_property
-    def p_solver(self) -> SpanSolver:
-        return SpanSolver(self.p_basis)
+    def p_basis(self) -> np.ndarray:
+        """Basis of the -1 eigenspace of theta, as exact rows (dim p, d)."""
+        return nullspace(self.theta_exact + np.eye(self.dim, dtype=int))
 
     # float caches for the geometry layer
 
@@ -446,11 +419,6 @@ class StructuredLieAlgebra:
     @cached_property
     def btheta_float(self) -> np.ndarray:
         return self.btheta_exact.astype(float)
-
-    @cached_property
-    def p_basis_float(self) -> np.ndarray:
-        """d x dim_p column matrix of the p basis."""
-        return np.array([[float(x) for x in vecp] for vecp in self.p_basis]).T
 
     # -- core operations -----------------------------------------------------
 
@@ -624,26 +592,25 @@ class StructuredLieAlgebra:
         rep.residuals["killing_theta_invariance"] = _max_abs(th.T @ b @ th - b)
         rep.residuals["killing_invariance"] = _max_abs(
             np.einsum("ija,ak->ijk", c, b) + np.einsum("ika,ja->ijk", c, b))
-        rep.checks["killing_nondegenerate"] = rank(self.killing) == d
+        rep.checks["killing_nondegenerate"] = rank(b.tolist()) == d
 
         if involution:
             kb, pb = self.k_basis, self.p_basis
             rep.dims["k"] = len(kb)
             rep.dims["p"] = len(pb)
             rep.checks["eigenspace_split"] = len(kb) + len(pb) == d
-            kb_m, pb_m = (np.array(v, dtype=object).reshape(-1, d) for v in (kb, pb))
             rep.checks["killing_negdef_on_k"] = (
-                is_negative_definite(kb_m @ b @ kb_m.T) if kb else True)
+                is_negative_definite(kb @ b @ kb.T) if len(kb) else True)
             rep.checks["killing_posdef_on_p"] = (
-                is_positive_definite(pb_m @ b @ pb_m.T) if pb else False)
+                is_positive_definite(pb @ b @ pb.T) if len(pb) else False)
 
-            # [k, k] and [p, p] lie in k, [k, p] in p: the solver rows past
-            # the rank (unscaled) annihilate the target on every bracket
+            # [k, k] and [p, p] lie in k, [k, p] in p: the span solver's row
+            # operations past the rank (unscaled) annihilate the target on
+            # every bracket
+            k_tail, p_tail = (np.array(sv.row_ops[sv.rank:], dtype=object).reshape(-1, d)
+                              for sv in (SpanSolver(kb), SpanSolver(pb)))
             worst = 0
-            for left, right, solver in ((kb_m, kb_m, self.k_solver),
-                                        (kb_m, pb_m, self.p_solver),
-                                        (pb_m, pb_m, self.k_solver)):
-                tail = np.array(solver._t[solver.rank:], dtype=object).reshape(-1, d)
+            for left, right, tail in ((kb, kb, k_tail), (kb, pb, p_tail), (pb, pb, k_tail)):
                 worst = max(worst, _max_abs(right @ self.ad_stack(left) @ tail.T))
             rep.residuals["bracket_parity"] = float(worst)
         else:

@@ -21,10 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .exactla import SpanSolver, div, frac
+from .exactla import SpanSolver, div, frac, nullspace
 from .extension import ConditionVerdict, condition_holds, sample_ys
-from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra,
-                     coeff_strings, kernel_rows)
+from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra, coeff_strings
 from .subspaces import Subspace
 
 GENERIC_RETRIES = 8
@@ -40,7 +39,7 @@ def maximal_abelian(a: StructuredLieAlgebra) -> Subspace:
     centralizer is all of p, so the greedy pick starts at the first p-basis
     vector.
     """
-    p = np.array(a.p_basis, dtype=object).reshape(-1, a.dim)
+    p = a.p_basis
     if not len(p):
         raise ValueError("algebra has no p part")
     chosen = p[:1]
@@ -48,8 +47,8 @@ def maximal_abelian(a: StructuredLieAlgebra) -> Subspace:
         # the centralizer of the span inside p: the coordinates c over the
         # p-basis with [b, c @ p] = 0, one row per chosen b and entry
         brackets = p @ a.ad_stack(chosen)                   # [b, p_j] at (b, j)
-        centralizer = kernel_rows(brackets.transpose(0, 2, 1).reshape(-1, len(p))) @ p
-        span = SpanSolver(chosen.tolist())
+        centralizer = nullspace(brackets.transpose(0, 2, 1).reshape(-1, len(p))) @ p
+        span = SpanSolver(chosen)
         picked = next((v for v in centralizer if not span.contains(v)), None)
         if picked is None:
             return Subspace(a, chosen, MODE_EXACT)
@@ -123,7 +122,7 @@ def restricted_root_decomposition(a: StructuredLieAlgebra, asub: Subspace,
         coeffs = rng.odd_int_vector(gen, asub.dim)
         h = asub.member_from_coordinates(coeffs)
         try:
-            return _decompose_with_h(a, asub, h, seed)
+            return _decompose_with_h(a, asub, h, coeffs, seed)
         except _NotGeneric as e:
             last_error = e
             continue
@@ -142,13 +141,15 @@ class _NeedsFloat(Exception):
     pass
 
 
-def _decompose_with_h(a, asub, h, seed) -> RootDatum:
+def _decompose_with_h(a, asub, h, hcoords, seed) -> RootDatum:
+    """The exact decomposition by the eigenspaces of ad_H, for H =
+    hcoords @ asub.basis_rows."""
     d = a.dim
     ad = a.ad_matrix(h)
     spaces = {}
     total = 0
     for mu in _eigen_candidates(ad.astype(float)):
-        ker = kernel_rows(ad - mu * np.eye(d, dtype=object))
+        ker = nullspace(ad - mu * np.eye(d, dtype=object))
         if len(ker):
             spaces[mu] = ker
             total += len(ker)
@@ -160,9 +161,8 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
     if len(p_zero) != asub.dim:
         raise _NotGeneric("centralizer of H meets p in dimension %d > dim a = %d"
                           % (len(p_zero), asub.dim))
-    for v in p_zero:
-        if not asub.solver.contains(v):
-            raise _NotGeneric("centralizer p-part escapes a")
+    if asub.membership(p_zero)[0].any():
+        raise _NotGeneric("centralizer p-part escapes a")
 
     functionals = {}
     for mu, ker in spaces.items():
@@ -172,7 +172,6 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
         if lam is None:
             raise _NotGeneric("eigenvalue %s mixes distinct roots" % mu)
         # consistency: the functional must reproduce mu on H
-        hcoords = asub.solver.coordinates(h.coeffs)
         if sum(c * l for c, l in zip(hcoords, lam)) != mu:
             raise _NotGeneric("scalar action inconsistent with eigenvalue")
         functionals[mu] = lam
@@ -214,7 +213,7 @@ def _split_zero_space(a, zero_space: np.ndarray):
     A vector v = c @ z of V_0 (rows z) has theta v = sign * v exactly when
     its coordinates c solve (z theta^T - sign z)^T c = 0."""
     tz = zero_space @ a.theta_exact.T
-    return tuple(kernel_rows((tz - sign * zero_space).T) @ zero_space for sign in (1, -1))
+    return tuple(nullspace((tz - sign * zero_space).T) @ zero_space for sign in (1, -1))
 
 
 def _lex_positive(lam) -> bool:

@@ -2,9 +2,11 @@
 Lie triple system, reflective, totally real.
 
 Membership takes stacks of coefficient rows.  In exact mode it is one
-product with integer rows whose common kernel is the span (a certificate);
-in float mode the B_theta-orthogonal residual is held against the
-scale-aware tolerance liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).
+product with integer rows whose common kernel is the span (a certificate):
+the exactla.nullspace rows of the basis, each scaled to ints, whose count
+also proves the basis independent.  In float mode the B_theta-orthogonal
+residual is held against the scale-aware tolerance
+liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).
 Residuals are measured in the positive definite form B_theta, so they are
 meaningful for vectors anywhere in g, not just in p.
 """
@@ -17,15 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalBreakdown
-from .exactla import SpanSolver, clear_denominators, frac, invert
-from .liealg import (
-    MODE_EXACT,
-    AlgebraVector,
-    StructuredLieAlgebra,
-    coeff_strings,
-    float_tol,
-    kernel_rows,
-)
+from .exactla import clear_denominators, frac, invert, nullspace
+from .liealg import MODE_EXACT, AlgebraVector, StructuredLieAlgebra, coeff_strings, float_tol
 
 
 def _exact_root(v) -> float:
@@ -59,7 +54,7 @@ class Subspace:
         if self.dim > algebra.dim:
             raise ValueError("more basis vectors than ambient dimensions")
         if mode == MODE_EXACT:
-            if self.dim and not self.solver.independent:
+            if len(self.null_rows) != algebra.dim - self.dim:
                 raise ValueError("subspace basis is linearly dependent")
         else:
             if self.dim and np.linalg.matrix_rank(self.basis_rows, tol=1e-12) < self.dim:
@@ -68,10 +63,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def solver(self) -> SpanSolver:
-        return SpanSolver([b.coeffs for b in self.basis])
 
     @cached_property
     def basis_rows(self) -> np.ndarray:
@@ -101,12 +92,11 @@ class Subspace:
     @cached_property
     def null_rows(self) -> np.ndarray:
         """(r, d) dtype=object integer rows whose common kernel is the span
-        (exact mode): the solver's rows past the rank, or the identity for
-        the zero subspace."""
-        d = self.algebra.dim
-        if not self.dim:
-            return np.eye(d, dtype=object)
-        return np.array(self.solver._null_rows, dtype=object).reshape(-1, d)
+        (exact mode): the kernel of the basis rows, each row scaled to ints;
+        the identity for the zero subspace.  r = d - k exactly when the
+        basis is independent."""
+        null = nullspace(self.basis_rows)
+        return np.array([clear_denominators(v) for v in null], dtype=object).reshape(null.shape)
 
     def _norms(self, vs: np.ndarray, pairing=None) -> np.ndarray:
         """B_theta norms of the rows of vs, as floats; with pairing = (P,
@@ -155,12 +145,6 @@ class Subspace:
         outside, res = self.membership(v.row()[None])
         return not outside[0], float(res[0])
 
-    def coordinates(self, v: AlgebraVector):
-        if self.mode == MODE_EXACT:
-            return self.solver.coordinates(v.coeffs)
-        coords, *_ = np.linalg.lstsq(self.basis_rows.T, v.to_array(), rcond=None)
-        return tuple(coords)
-
     def member_from_coordinates(self, coords) -> AlgebraVector:
         kind = object if self.mode == MODE_EXACT else float
         return self.algebra.vector(np.array(coords, dtype=kind) @ self.basis_rows, self.mode)
@@ -179,10 +163,10 @@ class Subspace:
         singular vectors of the float pairing past its numerical rank."""
         self._require_p("orthocomplement_in_p")
         a = self.algebra
-        p, killing = _p_rows(a, self.mode), _killing(a, self.mode)
-        pairing = self.basis_rows @ killing @ p.T          # B(b_i, p_j)
+        p = a.p_basis.astype(self.basis_rows.dtype)
+        pairing = self.basis_rows @ _killing(a, self.mode) @ p.T      # B(b_i, p_j)
         if self.mode == MODE_EXACT or not self.dim:
-            null = kernel_rows(pairing)
+            null = nullspace(pairing)
         else:
             _, sv, vt = np.linalg.svd(pairing)
             null = vt[(sv > 1e-12).sum():]
@@ -255,13 +239,6 @@ class Subspace:
         return bool((pairing <= tol).all())
 
 
-def _p_rows(a: StructuredLieAlgebra, mode) -> np.ndarray:
-    """The p-basis as rows (dim p, d): dtype=object exact, float64 float."""
-    if mode == MODE_EXACT:
-        return np.array(a.p_basis, dtype=object).reshape(-1, a.dim)
-    return a.p_basis_float.T
-
-
 def _killing(a: StructuredLieAlgebra, mode) -> np.ndarray:
     return a.killing_exact if mode == MODE_EXACT else a.killing_float
 
@@ -272,12 +249,13 @@ def _complex_structure(a: StructuredLieAlgebra, jmat, mode) -> np.ndarray:
     lcm of J's denominators, so c J is an integer matrix (and B(c J x, y)
     vanishes with B(J x, y)); in float mode c = 1."""
     exact = mode == MODE_EXACT
-    jm = np.array(jmat, dtype=object if exact else float)
+    kind = object if exact else float
+    jm = np.array(jmat, dtype=kind)
     scale = 1
     if exact:
         scale = math.lcm(*(frac(x).denominator for x in jm.flat))
         jm = np.array(clear_denominators(jm.flat), dtype=object).reshape(jm.shape)
-    p, killing = _p_rows(a, mode), _killing(a, mode)
+    p, killing = a.p_basis.astype(kind), _killing(a, mode)
     jp = p @ jm.T
     square = np.abs(jp @ jm.T + scale ** 2 * p)
     norms = np.einsum("ij,jk,ik->i", p, killing, p)        # B(v, v)

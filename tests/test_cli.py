@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from transvector import cli
-from transvector.cli import (MAX_GRID_NODES, build_parser, load_subspace_file,
+from transvector.cli import (MAX_CHAIN, MAX_GRID_NODES, MAX_LEMMA_TERMS, MAX_SAMPLES,
+                             MAX_TRUNCATION, build_parser, load_subspace_file,
                              parse_x_expression, run)
 from transvector.errors import ConfigError
 from transvector.geometry import GridSpec
@@ -485,6 +486,84 @@ def test_bound_options_below_their_floor_exit_2_naming_the_option(tmp_path, caps
             in capsys.readouterr().err)
 
 
+SU21_REAL_FORM = ("--space", "su21", "--pair", "real-form")
+
+
+@pytest.mark.parametrize("argv, option, floor, cap", [
+    (("check", *SU21_REAL_FORM), "--samples", 1, MAX_SAMPLES),
+    (("verify", *CONTROL), "--samples", 1, MAX_SAMPLES),
+    (("lemma", *SU21_REAL_FORM), "--samples", 1, MAX_SAMPLES),
+    (("roots", "--space", "su21", "--examples"), "--samples", 1, MAX_SAMPLES),
+    (("check", *SU21_REAL_FORM), "--n-max", 0, MAX_CHAIN),
+    (("verify", *CONTROL), "--n-max", 0, MAX_CHAIN),
+    (("lemma", *SU21_REAL_FORM), "--n-max", 0, MAX_CHAIN),
+    (("lemma", *SU21_REAL_FORM), "--m-max", 0, MAX_CHAIN),
+    (("construct", *SU21_REAL_FORM), "--truncation", 1, MAX_TRUNCATION)])
+def test_count_options_past_their_ceiling_exit_2_naming_the_option(
+        tmp_path, capsys, argv, option, floor, cap):
+    """The value at the cap parses; one past it is refused at parse."""
+    assert getattr(build_parser().parse_args([*argv, option, str(cap)]),
+                   option[2:].replace("-", "_")) == cap
+    out = tmp_path / "report.json"
+    status = run([*argv, option, str(cap + 1), "--out", str(out)])
+    assert status == 2 and not out.exists()
+    assert ("argument %s: expected an integer in [%d, %d), got '%d'"
+            % (option, floor, cap + 1, cap + 1)) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("lemma", *SU21_REAL_FORM, "--n-max", "300", "--m-max", "300", "--samples", "1"),
+     "--n-max"),
+    (("check", *SU21_REAL_FORM, "--samples", "3000000"), "--samples")])
+def test_the_out_of_memory_counts_exit_2_naming_the_option(tmp_path, capsys, argv,
+                                                           option):
+    """Under a 3 GB address-space limit both once ended in an
+    _ArrayMemoryError traceback with exit 1."""
+    out = tmp_path / "report.json"
+    assert run([*argv, "--out", str(out)]) == 2 and not out.exists()
+    assert "argument %s: expected an integer in [" % option in capsys.readouterr().err
+
+
+def test_lemma_past_its_term_cap_exits_2_before_building_anything(tmp_path,
+                                                                 monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the pair was built")
+
+    monkeypatch.setattr(cli, "_pair_from_args", refuse)
+    status, rep = _run(tmp_path, "lemma", *SU21_REAL_FORM, "--samples", "241",
+                       "--n-max", "16", "--m-max", "0")            # 4097 terms
+    assert status == 2
+    assert rep["results"] == {
+        "error": "--samples, --n-max and --m-max: 241 * 17 * 1 lemma terms are more "
+                 "than the %d allowed" % MAX_LEMMA_TERMS, "kind": "config"}
+
+
+@pytest.mark.parametrize("counts", [("1024", "0", "3"), ("4", "31", "31"),
+                                    ("1", "32", "32")])
+def test_lemma_up_to_its_term_cap_is_admitted(monkeypatch, counts):
+    def admitted(*args, **kw):
+        raise _Admitted
+
+    monkeypatch.setattr(cli, "verify_lemma_conclusion", admitted)
+    samples, n_max, m_max = counts
+    with pytest.raises(_Admitted):
+        run(["lemma", *SU21_REAL_FORM, "--samples", samples, "--n-max", n_max,
+             "--m-max", m_max])
+
+
+@pytest.mark.parametrize("h", ["1e-30", "1e-120", "3e-154"])
+def test_a_step_below_the_charts_resolution_exits_2_naming_it(tmp_path, capsys, h):
+    """Every first difference of the stencil is exactly 0 at such a step; it
+    once exited 3 blaming a degenerate parametrization (cond inf)."""
+    status, rep = _run(tmp_path, "construct", *SU21_REAL_FORM, "--h", h,
+                       "--t-steps", "1", "--y-steps", "1")
+    assert status == 2
+    assert rep["results"] == {
+        "error": "finite-difference step %r is below the chart's resolution: every "
+                 "first difference at a node is 0" % float(h), "kind": "config"}
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv, status", [
     (("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
       "--tolerance", "0"), 1),
@@ -503,8 +582,9 @@ def test_seeds_outside_uint64_exit_2_naming_the_option(tmp_path, capsys, argv, s
     out = tmp_path / "report.json"
     status = run([*argv, "--seed=" + seed, "--out", str(out)])
     assert status == 2 and not out.exists()
-    assert ("argument --seed: expected an integer in [0, %d), got %r"
-            % (2 ** 64, seed)) in capsys.readouterr().err
+    want = ">= 0" if seed == "-1" else "in [0, %d)" % 2 ** 64
+    assert ("argument --seed: expected an integer %s, got %r"
+            % (want, seed)) in capsys.readouterr().err
 
 
 def test_the_largest_uint64_seed_runs(tmp_path):

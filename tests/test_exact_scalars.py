@@ -50,11 +50,11 @@ def test_catalog_exact_path_runs_on_ints(space_id):
     a = build_space(space_id)
     assert all(_all_ints(entry.values()) for entry in a.table.values())
     assert all(_all_ints(row) for row in a.theta)
-    assert all(_all_ints(row) for row in a.killing)
-    assert all(_all_ints(v) for v in a.k_basis + a.p_basis)
-    solvers = [a.k_solver, a.p_solver] + [s.solver for s in _subspaces(space_id)]
-    for solver in solvers:
-        assert all(_all_ints(row) for row in solver._null_rows)
+    assert _all_ints(a.killing_exact)
+    assert _all_ints(a.k_basis) and _all_ints(a.p_basis)
+    subspaces = [Subspace(a, a.k_basis), Subspace(a, a.p_basis)] + _subspaces(space_id)
+    for s in subspaces:
+        assert _all_ints(s.null_rows)
     gen = rng.stream(5, rng.STREAM_CONDITION_Y)
     for s in _subspaces(space_id):
         ys = sample_ys(s, gen, 2)

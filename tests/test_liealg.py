@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transvector.catalog import build_space
+from transvector.exactla import SpanSolver
 from transvector.liealg import (MODE_FLOAT, MatrixRealization,
                                 StructuredLieAlgebra, validate_algebra)
 
@@ -176,8 +177,8 @@ def test_huge_constants_validate_exactly_on_the_object_path():
     rep = validate_algebra(a)
     assert rep.passed
     assert all(r == 0 for r in rep.residuals.values())
-    assert all(type(x) is int for row in a.killing for x in row)
-    assert a.killing[1][2] == 2 ** 72 and a.killing[0][0] == 8
+    assert all(type(x) is int for x in a.killing_exact.flat)
+    assert a.killing_exact[1, 2] == 2 ** 72 and a.killing_exact[0, 0] == 8
 
 
 def test_exact_dtype_follows_the_overflow_bound():
@@ -186,7 +187,8 @@ def test_exact_dtype_follows_the_overflow_bound():
         a = _sl2_like({0: m})
         assert a.exact_dtype is dtype
         assert validate_algebra(a).passed
-        assert a.killing[1][2] == 4 * m and type(a.killing[1][2]) is int
+        b_ef = a.killing_form(a.basis_vector(1), a.basis_vector(2))
+        assert b_ef == 4 * m and type(b_ef) is int
     assert _sl2_like({0: Fraction(1, 2)}).exact_dtype is object
     assert _sl2_like({0: 1}, realization=SL2_REALIZATION).exact_dtype is np.int64
 
@@ -223,7 +225,7 @@ def test_object_arrays_report_what_int64_reports(name):
     assert slow.killing_exact.dtype == object
     want = fast.validate().as_dict()
     assert slow.validate().as_dict() == want
-    assert slow.killing == fast.killing
+    assert np.array_equal(slow.killing_exact, fast.killing_exact)
     assert want["passed"] == (name in ("su21", "su31", "so31", "sl3r", "sl2r"))
 
 
@@ -275,7 +277,7 @@ def test_tensor_checks_match_the_bracket_loops(build):
     assert rep.residuals["jacobi"] == float(worst)
     assert rep.witnesses.get("jacobi") == witness
     assert rep.residuals["theta_automorphism"] == float(auto)
-    assert a.killing == killing
+    assert a.killing_exact.tolist() == list(map(list, killing))
 
 
 def _sl2_sum(copies, ef_bracket={0: 1}):
@@ -347,10 +349,11 @@ def test_bracket_parity_matches_the_solver_transform_loop(build):
     and [p, p] basis bracket, of the solver transform past the rank, with
     the rows unscaled (scaling them to integers would change the value)."""
     a = build()
+    k_solver, p_solver = SpanSolver(a.k_basis), SpanSolver(a.p_basis)
     worst = 0
-    for left, right, solver in ((a.k_basis, a.k_basis, a.k_solver),
-                                (a.k_basis, a.p_basis, a.p_solver),
-                                (a.p_basis, a.p_basis, a.k_solver)):
+    for left, right, solver in ((a.k_basis, a.k_basis, k_solver),
+                                (a.k_basis, a.p_basis, p_solver),
+                                (a.p_basis, a.p_basis, k_solver)):
         for x in left:
             for y in right:
                 w = solver.transform(a._bracket_exact(x, y))

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transvector.catalog import complex_structure_matrix
+from transvector.exactla import rank
 from transvector.liealg import MODE_EXACT, MODE_FLOAT
 from transvector.subspaces import Subspace
 
@@ -18,7 +22,7 @@ def test_span_membership_and_coordinates(sl2r):
     assert member and res == 0
     member, res = s.contains(E)
     assert not member and res > 0
-    assert s.coordinates((E + F).scale(-2)) == (-2,)
+    assert s.member_from_coordinates((-2,)) == (E + F).scale(-2)
 
 
 def test_empty_subspace_is_a_valid_triple_system(sl2r):
@@ -115,3 +119,44 @@ def test_float_subspaces_get_the_exact_totally_real_verdicts(
     for entry, verdict in ((su21_real_form, True), (su21_complex_hyperplane, False)):
         s = Subspace(entry.algebra, [b.astype(MODE_FLOAT) for b in entry.s.basis])
         assert s.is_totally_real(jm) is verdict
+
+
+# Fraction(a, b) of two small ints: far cheaper to draw than st.fractions
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def _bases_and_vectors(draw, d=8):
+    """Rational rows (up to d of them, a combination of the others appended
+    now and then) and three test vectors: a random one, a combination of
+    the rows, and that combination moved along one coordinate."""
+    row = st.lists(rationals, min_size=d, max_size=d)
+    rows = draw(st.lists(row, max_size=d))
+    if 0 < len(rows) < d and draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)])
+    coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    member = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)]
+    at, step = draw(st.integers(0, d - 1)), draw(st.builds(Fraction, st.sampled_from((-2, -1, 1, 2)), st.integers(1, 4)))
+    moved = [m + step * (j == at) for j, m in enumerate(member)]
+    return rows, [draw(row), member, moved]
+
+
+@given(_bases_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_exact_membership_agrees_with_the_rank_oracle(su21, case):
+    """The null rows of an exact subspace decide v in span(basis) exactly
+    when rank(basis + [v]) == rank(basis); a dependent basis is refused."""
+    basis, vectors = case
+    if rank(basis) < len(basis):
+        with pytest.raises(ValueError, match="^subspace basis is linearly dependent$"):
+            Subspace(su21, basis)
+        return
+    s = Subspace(su21, basis)
+    assert s.null_rows.shape == (su21.dim - len(basis), su21.dim)
+    assert all(type(x) is int for x in s.null_rows.flat)
+    outside, res = s.membership(np.array(vectors, dtype=object))
+    for v, out, r in zip(vectors, outside, res):
+        member = rank(basis + [v]) == rank(basis)
+        assert out == (not member) and (r == 0) == member
+        assert s.contains(su21.vector(v))[0] == member
