@@ -218,11 +218,6 @@ class SpanSolver:
         self.row_ops = [row[k:] for row in red]
         self._null_rows = [clear_denominators(row) for row in self.row_ops[self.rank:]]
 
-    def transform(self, v):
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        return tuple(vec_dot(row, v) for row in self.row_ops)
-
     def contains(self, v) -> bool:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")

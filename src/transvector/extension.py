@@ -221,6 +221,7 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     xrow = x.row()
     if s.mode == MODE_EXACT:
         r = ChainResidues(a, ys, xrow, 2 * n_max + 1, s.null_rows)
+        r.fit("--samples and --n-max")
         outside = r.outside(r.chain[:, :, 1::2], r.ad(r.x))
         res = np.zeros(outside.shape)
     else:
@@ -287,6 +288,8 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
 
     if s.mode == MODE_EXACT:
         r = ChainResidues(a, ys, xrow, top, s.null_rows)
+        r.fit("--samples, --n-max and --m-max", vectors=(n_max + 1) * (m_max + 1),
+              ads=n_max + 1)
         hyp_out, con_out, aux_out = (r.outside(v) for v in _lemma_terms(
             r.chain, r.x, r.ad_y, r.ad, r.mul, n_max, m_max))
         hyp_res, con_res, aux_res = (np.zeros(o.shape) for o in (hyp_out, con_out, aux_out))

@@ -39,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
 from .exactla import (
     SpanSolver,
     clear_denominators,
@@ -101,6 +102,11 @@ def _primes_below(n: int):
 
 
 _PRIMES = tuple(itertools.islice(_primes_below(RESIDUE_PRIME_LIMIT), 16))
+
+# The most int64 elements one residue stack of ChainResidues may hold (256
+# MiB).  At every count cap the catalog needs at most 1.8e7: su31 check,
+# with 18 primes and a (18, 1024, 66, 15) chain.
+RESIDUE_BUDGET = 2 ** 25
 
 
 def residue_primes(bound: int) -> tuple:
@@ -404,11 +410,6 @@ class StructuredLieAlgebra:
     # float caches for the geometry layer
 
     @cached_property
-    def structure_tensor(self) -> np.ndarray:
-        """C[i, j, :] = coefficients of [e_i, e_j], float64."""
-        return self.structure_exact.astype(float)
-
-    @cached_property
     def killing_float(self) -> np.ndarray:
         return self.killing_exact.astype(float)
 
@@ -423,31 +424,11 @@ class StructuredLieAlgebra:
     # -- core operations -----------------------------------------------------
 
     def bracket(self, x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
-        """Commutator, bilinear extension of the table."""
+        """Commutator [x, y] = y @ ad_x, in the vectors' mode."""
         self._own(x), self._own(y)
         if x.mode != y.mode:
             raise ValueError("mixed scalar modes in bracket")
-        if x.mode == MODE_FLOAT:
-            out = np.einsum("i,j,ijk->k", x.to_array(), y.to_array(),
-                            self.structure_tensor)
-            return AlgebraVector(tuple(out), MODE_FLOAT)
-        return AlgebraVector(self._bracket_exact(x.coeffs, y.coeffs), MODE_EXACT)
-
-    def _bracket_exact(self, u, v):
-        acc = [0] * self.dim
-        nzu = [(i, c) for i, c in enumerate(u) if c != 0]
-        nzv = [(j, c) for j, c in enumerate(v) if c != 0]
-        for i, ci in nzu:
-            for j, cj in nzv:
-                if i == j:
-                    continue
-                entry = self.table.get((i, j) if i < j else (j, i))
-                if entry is None:
-                    continue
-                f = ci * cj if i < j else -ci * cj
-                for k, c in entry.items():
-                    acc[k] += f * c
-        return tuple(acc)
+        return AlgebraVector(tuple(y.row() @ self.ad_stack(x.row()[None])[0]), x.mode)
 
     def ad_matrix(self, y: AlgebraVector) -> np.ndarray:
         """Matrix of ad_y on coefficient columns, m[k, j] = [y, e_j]_k, in
@@ -695,6 +676,10 @@ class ChainResidues:
     arrays sum d terms below (p - 1)^2.  When there are no primes that axis
     has length 1 and holds the exact values in plain int64, which the
     bound keeps from overflowing, and nothing is reduced.
+
+    The constructor computes the primes and lifts only x, the table and
+    null; chain and ad_y are built on first use, so a caller can refuse
+    (fit) the stacks its options ask for before any of them exists.
     """
 
     def __init__(self, algebra: StructuredLieAlgebra, ys: np.ndarray,
@@ -713,15 +698,39 @@ class ChainResidues:
                       * x_max * max(1, col_sum) * max(1, null_sum))
         self.primes = residue_primes(self.bound)
         self._mods = np.array(self.primes, dtype=np.int64)
-        self.algebra = algebra
-        self.ad_y = self._lift(ad_y)
+        self.algebra, self.top, self._ad_y = algebra, top, ad_y
         self.vals = self._lift(vals)
         self.null = self._lift(null.T)
         self.x = self._lift(x)
-        self.chain = np.empty((len(self.x), len(ys), top + 1, algebra.dim), dtype=np.int64)
-        self.chain[:, :, 0] = self.x[:, None]
-        for t in range(top):
-            self.chain[:, :, t + 1] = self.mul(self.chain[:, :, t, None], self.ad_y)[:, :, 0]
+
+    def fit(self, options: str, vectors: int = 0, ads: int = 0):
+        """Refuse, with a ConfigError naming options, when the chain, ad_y,
+        a stack of `vectors` vectors per Y or one of `ads` ad matrices per Y
+        would hold more than RESIDUE_BUDGET elements.  An ad matrix counts
+        d^2 elements, or the table's nonzero constants when they are more
+        (ad_stack's product).  Decided on the shapes, before any is built."""
+        d, nonzero = self.algebra.dim, len(self.algebra._structure_columns[0])
+        for count, size in ((max(vectors, self.top + 1), d),
+                            (max(ads, 1), max(d * d, nonzero))):
+            shape = (len(self.x), len(self._ad_y), count, size)
+            if math.prod(shape) > RESIDUE_BUDGET:
+                raise ConfigError(
+                    "%s: a residue stack of shape %s holds %d int64 elements, "
+                    "more than the %d allowed"
+                    % (options, shape, math.prod(shape), RESIDUE_BUDGET))
+
+    @cached_property
+    def ad_y(self) -> np.ndarray:
+        return self._lift(self._ad_y)
+
+    @cached_property
+    def chain(self) -> np.ndarray:
+        chain = np.empty((len(self.x), len(self._ad_y), self.top + 1, self.algebra.dim),
+                         dtype=np.int64)
+        chain[:, :, 0] = self.x[:, None]
+        for t in range(self.top):
+            chain[:, :, t + 1] = self.mul(chain[:, :, t, None], self.ad_y)[:, :, 0]
+        return chain
 
     def _lift(self, a: np.ndarray) -> np.ndarray:
         """An exact integer array as a (k, ...) int64 residue stack."""

@@ -7,27 +7,34 @@ exact arithmetic: kernels are exact, scalar action is verified on every
 eigenspace basis vector, and the zero eigenspace must split as m + a (its
 p-part exceeding a proves the input was not maximal abelian).
 
-Eigenvalues are located by float64 eigensolve, rationalized, then re-verified
-exactly; if the exact certification cannot account for the full dimension
-(irrational roots), the decomposition falls back to float64 clustering at
-1e-8 and the datum is tagged float64.
+Eigenvalue candidates come from one float64 eigensolve of ad_H: each
+eigenvalue e gives p/q = e rationalized with q <= 64, and k/D, with D the
+lcm of the denominators of ad_H and k the integer nearest D e.  D ad_H is an
+integer matrix, so its characteristic polynomial is monic with integer
+coefficients and its rational eigenvalues are integers: every rational
+eigenvalue of ad_H whose float image lies within 1/(2D) of it is a
+candidate.  Each candidate's kernel is then computed exactly.  When those
+kernels do not account for all of g, the decomposition is refused with a
+ConfigError (CLI exit 2): the restricted roots are not rational on a (or
+one lies 1/(2D) or more from its float image).  There is no float64 datum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import rng
+from .errors import ConfigError
 from .exactla import SpanSolver, div, frac, nullspace
 from .extension import ConditionVerdict, condition_holds, sample_ys
-from .liealg import MODE_EXACT, MODE_FLOAT, AlgebraVector, StructuredLieAlgebra, coeff_strings
+from .liealg import MODE_EXACT, AlgebraVector, StructuredLieAlgebra, coeff_strings
 from .subspaces import Subspace
 
 GENERIC_RETRIES = 8
-FLOAT_CLUSTER_TOL = 1e-8
 
 
 def maximal_abelian(a: StructuredLieAlgebra) -> Subspace:
@@ -67,9 +74,9 @@ class RootDatum:
     k_spaces: dict               # functional -> Subspace (k_lambda)
     p_spaces: dict               # functional -> Subspace (p_lambda)
     multiplicities: dict         # functional -> dim g_lambda
-    mode: str
     generic_h: AlgebraVector
     seed: int
+    mode = MODE_EXACT            # every datum is certified exactly
 
     def as_dict(self) -> dict:
         return {
@@ -91,11 +98,14 @@ def root_label(functional) -> str:
     return "(" + ",".join(str(c) for c in functional) + ")"
 
 
-def _eigen_candidates(ad_float: np.ndarray):
-    """Rational candidates p/q, q <= 64, for the (real) spectrum of an exact
-    matrix."""
-    return sorted({frac(Fraction(float(e.real)).limit_denominator(64))
-                   for e in np.linalg.eigvals(ad_float)})
+def _eigen_candidates(ad: np.ndarray):
+    """Rational candidates for the (real) spectrum of an exact matrix: each
+    float eigenvalue e rationalized with denominator at most 64, and k/D for
+    D the lcm of the matrix's denominators and k the integer nearest D e."""
+    den = math.lcm(*(c.denominator for c in ad.flat))
+    eigs = [Fraction(float(e.real)) for e in np.linalg.eigvals(ad.astype(float))]
+    return sorted({frac(e.limit_denominator(64)) for e in eigs}
+                  | {div(round(den * e), den) for e in eigs})
 
 
 def _scalar_action(a: StructuredLieAlgebra, asub: Subspace, space: np.ndarray):
@@ -113,7 +123,8 @@ def _scalar_action(a: StructuredLieAlgebra, asub: Subspace, space: np.ndarray):
 
 def restricted_root_decomposition(a: StructuredLieAlgebra, asub: Subspace,
                                   seed: int = 0) -> RootDatum:
-    """Simultaneous eigenspace decomposition for ad of the a-basis."""
+    """Simultaneous eigenspace decomposition for ad of the a-basis; a
+    ConfigError when the restricted roots are not rational on asub."""
     if not asub.in_p():
         raise ValueError("a must be contained in p")
     gen = rng.stream(seed, rng.STREAM_ROOTS_GENERIC)
@@ -126,18 +137,12 @@ def restricted_root_decomposition(a: StructuredLieAlgebra, asub: Subspace,
         except _NotGeneric as e:
             last_error = e
             continue
-        except _NeedsFloat:
-            return _decompose_float(a, asub, h, seed)
     raise ValueError(
         "no generic element found after %d attempts; the subspace is not "
         "maximal abelian (%s)" % (GENERIC_RETRIES, last_error))
 
 
 class _NotGeneric(Exception):
-    pass
-
-
-class _NeedsFloat(Exception):
     pass
 
 
@@ -148,14 +153,16 @@ def _decompose_with_h(a, asub, h, hcoords, seed) -> RootDatum:
     ad = a.ad_matrix(h)
     spaces = {}
     total = 0
-    for mu in _eigen_candidates(ad.astype(float)):
+    for mu in _eigen_candidates(ad):
         ker = nullspace(ad - mu * np.eye(d, dtype=object))
         if len(ker):
             spaces[mu] = ker
             total += len(ker)
     if total != d:
-        # exact certification cannot account for the whole space
-        raise _NeedsFloat()
+        raise ConfigError(
+            "algebra %s: its restricted roots are not rational on the maximal "
+            "abelian subspace; the rational eigenvalues of ad_H account for %d "
+            "of the %d dimensions of g" % (a.name, total, d))
 
     k_zero, p_zero = _split_zero_space(a, spaces.get(0, np.zeros((0, d), dtype=object)))
     if len(p_zero) != asub.dim:
@@ -202,7 +209,7 @@ def _decompose_with_h(a, asub, h, hcoords, seed) -> RootDatum:
     datum = RootDatum(algebra=a, a=asub, m=m_sub, roots=roots,
                       positive=tuple(positive), k_spaces=k_spaces,
                       p_spaces=p_spaces, multiplicities=mult,
-                      mode=MODE_EXACT, generic_h=h, seed=seed)
+                      generic_h=h, seed=seed)
     _check_dimensions(datum)
     return datum
 
@@ -232,84 +239,6 @@ def _check_dimensions(rd: RootDatum):
     if k_sum != dim_k or p_sum != dim_p:
         raise ValueError("dimension bookkeeping failed: k %d vs %d, p %d vs %d"
                          % (k_sum, dim_k, p_sum, dim_p))
-
-
-def _decompose_float(a, asub, h, seed) -> RootDatum:
-    """Clustering fallback when exact certification fails; verdicts downgrade."""
-    ad = a.ad_matrix(h).astype(float)
-    eigs = np.linalg.eigvals(ad).real
-    clusters: list[list[float]] = []
-    for e in sorted(eigs):
-        if clusters and abs(e - clusters[-1][-1]) <= FLOAT_CLUSTER_TOL:
-            clusters[-1].append(e)
-        else:
-            clusters.append([e])
-    h_f = h.astype(MODE_FLOAT)
-    theta = a.theta_float
-    k_spaces, p_spaces, mult = {}, {}, {}
-    functionals = []
-    m_basis = None
-    a_float = Subspace(a, [b.astype(MODE_FLOAT) for b in asub.basis], MODE_FLOAT)
-    ad_basis = [a.ad_matrix(b).astype(float) for b in asub.basis]
-    for cl in clusters:
-        mu = float(np.mean(cl))
-        _, s, vt = np.linalg.svd(ad - mu * np.eye(a.dim))
-        ker = vt[(s > 1e-9 * max(1.0, abs(mu))).sum():].T
-        if ker.shape[1] == 0:
-            continue
-        if abs(mu) <= FLOAT_CLUSTER_TOL:
-            # zero block: split into m and the a certificate
-            kvecs = []
-            for j in range(ker.shape[1]):
-                v = ker[:, j]
-                kpart = 0.5 * (v + theta @ v)
-                if np.linalg.norm(kpart) > 1e-8:
-                    kvecs.append(kpart)
-            m_basis = kvecs
-            continue
-        lam = tuple(float(v.T @ (adb @ v)) / float(v.T @ v)
-                    for adb in ad_basis
-                    for v in [ker[:, 0]])
-        if not _lex_positive_float(lam):
-            continue
-        kvecs, pvecs = [], []
-        for j in range(ker.shape[1]):
-            v = ker[:, j]
-            kvecs.append(v + theta @ v)
-            pvecs.append(v - theta @ v)
-        lam_key = tuple(Fraction(x).limit_denominator(10 ** 6) for x in lam)
-        functionals.append(lam_key)
-        k_spaces[lam_key] = Subspace(
-            a, [AlgebraVector(tuple(v), MODE_FLOAT) for v in _orthonormal(kvecs)],
-            MODE_FLOAT)
-        p_spaces[lam_key] = Subspace(
-            a, [AlgebraVector(tuple(v), MODE_FLOAT) for v in _orthonormal(pvecs)],
-            MODE_FLOAT)
-        mult[lam_key] = 2 * ker.shape[1]  # g_lambda + g_-lambda halves
-    m_sub = Subspace(a, [AlgebraVector(tuple(v), MODE_FLOAT) for v in (m_basis or [])],
-                     MODE_FLOAT)
-    positive = tuple(sorted(functionals, reverse=True))
-    roots = positive + tuple(tuple(-c for c in lam) for lam in positive)
-    return RootDatum(algebra=a, a=a_float, m=m_sub, roots=roots,
-                     positive=positive, k_spaces=k_spaces, p_spaces=p_spaces,
-                     multiplicities={k: v // 2 for k, v in mult.items()},
-                     mode=MODE_FLOAT, generic_h=h_f, seed=seed)
-
-
-def _orthonormal(vecs):
-    if not vecs:
-        return []
-    m = np.stack(vecs, axis=1)
-    q, r = np.linalg.qr(m)
-    keep = np.abs(np.diag(r)) > 1e-9
-    return [q[:, j] for j in range(q.shape[1]) if keep[j]]
-
-
-def _lex_positive_float(lam) -> bool:
-    for c in lam:
-        if abs(c) > FLOAT_CLUSTER_TOL:
-            return c > 0
-    return False
 
 
 def verify_commutation_rules(rd: RootDatum) -> dict:

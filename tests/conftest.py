@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from transvector.algfile import parse_algebra_file
 from transvector.catalog import build_pair, build_space
 from transvector.data import algebra_path
+from transvector.exactla import invert
+from transvector.liealg import MatrixRealization, StructuredLieAlgebra
 
 # Every search draws the same examples on every run, and no run replays the
 # failures of an earlier one from a local database.  `pytest
@@ -54,3 +59,45 @@ def su21_complex_hyperplane():
 @pytest.fixture(scope="session")
 def sl3r():
     return build_space("sl3r")
+
+
+def rebased(a: StructuredLieAlgebra, m) -> StructuredLieAlgebra:
+    """a written in the basis b_i = sum_j M_ij e_j of an invertible exact
+    matrix M: [b_i, b_j] = (M_i (x) M_j . C) M^-1, Theta' = M^-T Theta M^T,
+    and the realization images M . images."""
+    m = np.array(m, dtype=object)
+    inv = np.array(invert(m.tolist()), dtype=object)
+    c = m @ (m @ a.structure_exact.astype(object).reshape(a.dim, -1)).reshape(
+        a.dim, a.dim, a.dim) @ inv
+    brackets = {(i, j): dict(enumerate(c[i, j])) for i in range(a.dim)
+                for j in range(i + 1, a.dim)}
+    theta = inv.T @ a.theta_exact.astype(object) @ m.T
+    real = a.realization
+    if real is not None:
+        real = MatrixRealization(
+            size=real.size, signature=real.signature, unimodular=real.unimodular,
+            **{part: np.tensordot(m, getattr(real, part).astype(object), axes=1)
+               for part in ("re", "im")})
+    return StructuredLieAlgebra(a.labels, brackets, theta.tolist(), real, a.name)
+
+
+def upper_ones(d: int) -> np.ndarray:
+    """The unimodular basis change b_i = e_i + e_(i+1) + ... + e_d."""
+    return np.triu(np.ones((d, d), dtype=int))
+
+
+def scaled_at(d: int, i: int, q: int) -> np.ndarray:
+    """The basis change that scales e_i by 1/q."""
+    m = np.eye(d, dtype=int).astype(object)
+    m[i, i] = Fraction(1, q)
+    return m
+
+
+# The committed rebased fixtures of tests/golden, by file stem: so(3,1) in
+# the basis upper_ones, whose restricted roots are then irrational on the
+# maximal abelian subspace found, and su(2,1) with its first p-basis vector
+# P1 scaled by 1/97.
+REBASED_FIXTURES = {
+    "rebased-so31": ("so31", upper_ones(6)),
+    "scaled-su21": ("su21", scaled_at(8, 4, 97)),
+}

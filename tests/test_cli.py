@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,7 @@ from transvector.cli import (MAX_CHAIN, MAX_GRID_NODES, MAX_LEMMA_TERMS, MAX_SAM
                              parse_x_expression, run)
 from transvector.errors import ConfigError
 from transvector.geometry import GridSpec
+from transvector.liealg import RESIDUE_BUDGET, ChainResidues
 from transvector.report import render, strip_wall_time
 
 
@@ -549,6 +552,64 @@ def test_lemma_up_to_its_term_cap_is_admitted(monkeypatch, counts):
     with pytest.raises(_Admitted):
         run(["lemma", *SU21_REAL_FORM, "--samples", samples, "--n-max", n_max,
              "--m-max", m_max])
+
+
+# 2^255 P1 and (2^255 - 1) P2, in decimal: every value inside its count cap
+# and inside the 256-bit input cap
+HUGE_S = [{"P1": str(2 ** 255)}, {"P2": str(2 ** 255 - 1)}]
+
+
+@pytest.mark.parametrize("argv, options, shape", [
+    (("verify", "--samples", "1024", "--n-max", "32"), "--samples and --n-max",
+     (651, 1024, 66, 8)),
+    (("lemma", "--samples", "3", "--n-max", "32", "--m-max", "32"),
+     "--samples, --n-max and --m-max", (1285, 3, 1089, 8))])
+def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, argv,
+                                                                     options, shape):
+    """The verify once ended in an _ArrayMemoryError traceback with exit 1
+    under a 3 GB address-space limit (a 2.62 GiB chain), and the lemma
+    peaked at 1175 MB.  Refused on the shapes, the run allocates far less
+    than the stack it names."""
+    s_file = tmp_path / "s.json"
+    s_file.write_text(json.dumps(HUGE_S))
+    tracemalloc.start()
+    try:
+        status, rep = _run(tmp_path, argv[0], "--space", "su21", "--s", str(s_file),
+                           "--X", "Q1", *argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert rep["results"] == {
+        "error": "%s: a residue stack of shape %s holds %d int64 elements, more than "
+                 "the %d allowed" % (options, shape, math.prod(shape), RESIDUE_BUDGET),
+        "kind": "config"}
+    assert peak < 8 * math.prod(shape) / 20
+
+
+@pytest.mark.parametrize("argv", [
+    *(("check", "--space", space, "--pair", pair, "--samples", "1024", "--n-max", "32")
+      for space, pair in (("su21", "real-form"), ("su21", "complex-hyperplane"),
+                          ("su31", "real-form"), ("su31", "complex-hyperplane"),
+                          ("so31", "geodesic-plane"))),
+    *(("lemma", "--space", "su31", "--pair", pair, "--samples", samples,
+       "--n-max", n_max, "--m-max", m_max)
+      for pair in ("real-form", "complex-hyperplane")
+      for samples, n_max, m_max in (("1024", "3", "0"), ("4", "31", "31"),
+                                    ("3", "32", "32")))])
+def test_every_catalog_pair_at_the_caps_fits_the_residue_budget(monkeypatch, argv):
+    """The widest residue stacks of the catalog (su31 check at the caps: 18
+    primes, a (18, 1024, 66, 15) chain) are admitted; the run stops once
+    its stacks are."""
+    fit = ChainResidues.fit
+
+    def admitted(*args, **kw):
+        fit(*args, **kw)
+        raise _Admitted
+
+    monkeypatch.setattr(ChainResidues, "fit", admitted)
+    with pytest.raises(_Admitted):
+        run(list(argv))
 
 
 @pytest.mark.parametrize("h", ["1e-30", "1e-120", "3e-154"])

@@ -10,16 +10,26 @@ Pinned structures (positive roots as multisets of p-multiplicities):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
+import json
+import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from conftest import rebased, scaled_at, upper_ones
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transvector import rng, roots
+from transvector.algfile import serialize_algebra
 from transvector.catalog import build_space
+from transvector.cli import run
 from transvector.extension import sample_ys
-from transvector.liealg import MODE_EXACT, MODE_FLOAT
-from transvector.roots import (_decompose_float, _space_basis_for,
+from transvector.liealg import MODE_EXACT
+from transvector.roots import (_space_basis_for,
                                build_root_space_example, maximal_abelian,
                                restricted_root_decomposition, root_label,
                                verify_commutation_rules)
@@ -154,18 +164,6 @@ def test_non_maximal_abelian_subspace_is_rejected(sl3r):
         restricted_root_decomposition(sl3r, small, seed=0)
 
 
-def test_float_fallback_reproduces_exact_dimensions():
-    a = build_space("su21")
-    asub = maximal_abelian(a)
-    _, rd_exact = _decomp(a)
-    gen_coords = (1,)
-    h = asub.member_from_coordinates(gen_coords)
-    rd = _decompose_float(a, asub, h, seed=0)
-    assert rd.mode == MODE_FLOAT
-    assert sorted(s.dim for s in rd.p_spaces.values()) == _p_mults(rd_exact)
-    assert rd.m.dim == rd_exact.m.dim
-
-
 def test_maximal_abelian_is_really_abelian_and_in_p():
     for space_id in ("su21", "so31", "sl3r"):
         a = build_space(space_id)
@@ -249,3 +247,75 @@ def test_commutation_rules_take_ad_of_each_root_space_once(monkeypatch, space_id
     monkeypatch.setattr(type(a), "ad_stack", plain)
     assert len(taken) == calls == 2 * len(rd.positive)
     assert report == _rules_without_memo(rd)
+
+
+# -- the roots contract on rebased catalog algebras --------------------------
+
+REFUSAL = "restricted roots are not rational on the maximal abelian subspace"
+
+
+def _roots_on(a, directory):
+    """(exit status, report, stderr) of roots --algebra-file on a written
+    through serialize_algebra into directory."""
+    path = os.path.join(str(directory), "rebased.alg")
+    serialize_algebra(a, path)
+    out, err = os.path.join(str(directory), "report.json"), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = run(["roots", "--algebra-file", path, "--out", out])
+    with open(out) as fh:
+        return status, json.load(fh), err.getvalue()
+
+
+def _exact_or_refused(status, report, err):
+    assert err == ""
+    assert status in (0, 2), report
+    if status == 0:
+        assert report["results"]["datum"]["mode"] == "exact"
+        assert report["results"]["rules"]["passed"]
+    else:
+        assert REFUSAL in report["results"]["error"]
+
+
+@st.composite
+def _rebased_catalog(draw):
+    """A catalog space in a unimodular upper triangular integer basis,
+    sometimes with one basis vector scaled by 1/q.  su31 is kept integral:
+    validating a rational file of dimension 15 takes seconds."""
+    a = build_space(draw(st.sampled_from(["sl2r", "so21", "sl3r", "su21", "so31", "su31"])))
+    d = a.dim
+    upper = draw(st.lists(st.integers(-1, 1), min_size=d * (d - 1) // 2,
+                          max_size=d * (d - 1) // 2))
+    m = np.eye(d, dtype=int).astype(object)
+    m[np.triu_indices(d, 1)] = upper
+    if d <= 8 and draw(st.booleans()):
+        m[draw(st.integers(0, d - 1))] *= Fraction(1, draw(st.integers(2, 200)))
+    return rebased(a, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_rebased_catalog())
+def test_roots_on_a_rebased_algebra_is_exact_or_refused(tmp_path_factory, a):
+    _exact_or_refused(*_roots_on(a, tmp_path_factory.mktemp("rebased")))
+
+
+@pytest.mark.parametrize("space_id", ["so31", "sl3r"])
+def test_irrational_roots_exit_2_with_the_refusal(tmp_path, space_id):
+    """so31 in this basis ended in a traceback from the float64 fallback,
+    and sl3r in failed commutation rules on rationalized float roots."""
+    a = build_space(space_id)
+    status, report, err = _roots_on(rebased(a, upper_ones(a.dim)), tmp_path)
+    assert (status, err) == (2, "")
+    assert report["results"]["kind"] == "config"
+    assert REFUSAL in report["results"]["error"]
+
+
+def test_roots_with_denominator_97_decompose_exactly(tmp_path):
+    """Scaling P1 by 1/97 puts 97 in the denominators of ad_H, past the 64
+    of the rationalized float eigenvalues: only the k/D candidates find
+    the roots."""
+    status, report, err = _roots_on(rebased(build_space("su21"), scaled_at(8, 4, 97)),
+                                    tmp_path)
+    assert (status, err) == (0, "")
+    assert report["results"]["datum"]["mode"] == "exact"
+    assert report["results"]["datum"]["positive"] == ["(2/97)", "(1/97)"]
+    assert report["results"]["rules"]["passed"]
