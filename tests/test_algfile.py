@@ -6,6 +6,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from conftest import REBASED_FIXTURES, rebased
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +217,15 @@ def test_su31_serializes_to_its_golden_file(tmp_path):
     out = tmp_path / "su31.alg"
     serialize_algebra(build_space("su31"), str(out))
     with open(os.path.join(GOLDEN, "su31.alg"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(REBASED_FIXTURES))
+def test_rebased_fixtures_are_what_the_helper_serializes(tmp_path, name):
+    space, m = REBASED_FIXTURES[name]
+    out = tmp_path / (name + ".alg")
+    serialize_algebra(rebased(build_space(space), m), str(out))
+    with open(os.path.join(GOLDEN, name + ".alg"), "rb") as fh:
         assert out.read_bytes() == fh.read()
 
 

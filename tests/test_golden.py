@@ -89,6 +89,11 @@ COMMANDS = {
     "roots-huge-commutator": ["roots", "--algebra-file", "huge-commutator.alg"],
     "roots-huge-jacobi": ["roots", "--algebra-file", "huge-jacobi.alg"],
     "roots-rational-jacobi": ["roots", "--algebra-file", "rational-jacobi.alg"],
+    # catalog algebras in other bases (tests/conftest.py REBASED_FIXTURES):
+    # so31 whose roots are irrational on the a found (exit 2), and su21 whose
+    # roots have denominator 97 (exact)
+    "roots-rebased-so31": ["roots", "--algebra-file", "rebased-so31.alg"],
+    "roots-scaled-su21": ["roots", "--algebra-file", "scaled-su21.alg"],
 }
 
 
