@@ -16,7 +16,10 @@ so do the points built on them: SpacePoint, distance, transvection and
 immersion_point broadcast stacks, and one point is a stack of one.  Each slice
 gets the LAPACK/BLAS call it would get alone, so its result is the same bits in
 any stack.  Checks run in the order one point runs them, and each raises what
-the first failing point of the stack would raise alone.
+the first failing point of the stack would raise alone.  expm, cartan_project
+and metric_matrix test the usual, good stack as a whole (one reduction per
+check); per-matrix failure masks are built only when one of those tests fails,
+to find the first failing point.
 
 Mean curvature comes from central finite differences in the chart: _stencil
 evaluates a stack-aware function once on the centre, x0 +- h e_i and the
@@ -137,8 +140,9 @@ def group_membership_residual(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndar
     norm = np.linalg.norm(g, axis=(-2, -1))
     worst = np.zeros(g.shape[:-2])
     jm = a.realization.j_matrix
-    if jm is not None:
-        rel = np.max(np.abs(_dagger(g) @ jm @ g - jm), axis=(-2, -1))
+    if jm is not None:        # J g: the rows of g scaled by J's diagonal
+        rel = np.max(np.abs(_dagger(g) @ (np.diag(jm)[:, None] * g) - jm),
+                     axis=(-2, -1))
         worst = np.maximum(worst, rel / (1.0 + norm ** 2))
     if a.realization.unimodular:
         det_scale = np.maximum(1.0, norm) ** g.shape[-1]
@@ -161,11 +165,11 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
         res = group_membership_residual(a, g)
         m = g @ _dagger(g)
         m = 0.5 * (m + _dagger(m))
-    finite = np.all(np.isfinite(m), axis=(-2, -1))
-    if not finite.all():     # eigh would refuse the whole stack
+    finite = np.isfinite(m).all()
+    if not finite:           # eigh would refuse the whole stack
+        finite = np.all(np.isfinite(m), axis=(-2, -1))
         m = np.where(finite[..., None, None], m, np.eye(m.shape[-1]))
     w, u = np.linalg.eigh(m)
-    w_min = np.min(w, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):  # w <= 0 fails below
         pmat = (u * (0.5 * np.log(w))[..., None, :]) @ _dagger(u)
     p_im, pinv = _p_images(a)
@@ -174,20 +178,23 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
                                       pmat.imag.reshape(stack)], axis=-1))
     err = np.linalg.norm(np.einsum("...j,jkl->...kl", co, p_im) - pmat,
                          axis=(-2, -1))
-    _raise_first_failure([
-        (~finite, lambda i: NumericalBreakdown(
-            "polar factor is not finite: the matrix overflows float64")),
-        (res > GROUP_TOL, lambda i: NumericalBreakdown(
-            "matrix is not in the realized group "
-            "(relation residual %.3e)" % res.flat[i])),
-        (w_min <= 0.0, lambda i: NumericalBreakdown(
-            "polar factor is not positive definite "
-            "(min eigenvalue %.3e)" % w_min.flat[i])),
-        (err > REEXPRESS_TOL * (1.0 + np.linalg.norm(pmat, axis=(-2, -1))),
-         lambda i: NumericalBreakdown(
-             "polar part is not in p (residual %.3e); "
-             "matrix outside the symmetric-space model" % err.flat[i])),
-    ])
+    outside = err > REEXPRESS_TOL * (1.0 + np.linalg.norm(pmat, axis=(-2, -1)))
+    w_min = w[..., 0]        # eigh sorts ascending
+    if (not np.all(finite) or (res > GROUP_TOL).any() or (w_min <= 0.0).any()
+            or outside.any()):
+        _raise_first_failure([
+            (~finite, lambda i: NumericalBreakdown(
+                "polar factor is not finite: the matrix overflows float64")),
+            (res > GROUP_TOL, lambda i: NumericalBreakdown(
+                "matrix is not in the realized group "
+                "(relation residual %.3e)" % res.flat[i])),
+            (w_min <= 0.0, lambda i: NumericalBreakdown(
+                "polar factor is not positive definite "
+                "(min eigenvalue %.3e)" % w_min.flat[i])),
+            (outside, lambda i: NumericalBreakdown(
+                "polar part is not in p (residual %.3e); "
+                "matrix outside the symmetric-space model" % err.flat[i])),
+        ])
     return co
 
 
@@ -262,13 +269,14 @@ def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray,
         s = np.where(live[..., None, None], s + term, s)
         if k >= truncation:
             break
-    _raise_first_failure([
-        (~restricts, lambda i: NumericalBreakdown(
-            "ad_P^2 does not preserve p numerically")),
-        (live, lambda i: NumericalBreakdown(
-            "pullback metric series kept a %.3e tail after %d terms; "
-            "increase the truncation" % (tail.flat[i], k))),
-    ])
+    if not restricts.all() or live.any():
+        _raise_first_failure([
+            (~restricts, lambda i: NumericalBreakdown(
+                "ad_P^2 does not preserve p numerically")),
+            (live, lambda i: NumericalBreakdown(
+                "pullback metric series kept a %.3e tail after %d terms; "
+                "increase the truncation" % (tail.flat[i], k))),
+        ])
     return np.swapaxes(s, -1, -2) @ gram @ s
 
 
@@ -377,10 +385,14 @@ def _expm_distinct(keys: np.ndarray, build) -> np.ndarray:
     slice per distinct row, gathered back.  Rows are told apart by their bit
     patterns, so 0.0 and -0.0 get their own slices."""
     flat = np.ascontiguousarray(keys).reshape(-1, keys.shape[-1])
-    _, first, inverse = np.unique(flat.view(np.uint64), axis=0,
-                                  return_index=True, return_inverse=True)
-    out = expm(build(flat[first]))
-    return out[inverse.reshape(-1)].reshape(keys.shape[:-1] + out.shape[-2:])
+    bits = flat.view(np.uint64)
+    order = np.lexsort(bits.T)              # stable: equal rows keep their order
+    new = np.ones(len(order), dtype=bool)   # each sorted row unlike the one before
+    new[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    out = expm(build(flat[order[new]]))
+    return out[inverse].reshape(keys.shape[:-1] + out.shape[-2:])
 
 
 def transvection(spec: ImmersionSpec, t, q: SpacePoint) -> SpacePoint:
@@ -424,6 +436,20 @@ def _chart(spec: ImmersionSpec, t, y: np.ndarray) -> np.ndarray:
     return cartan_project(spec.algebra, spec.group_element(t, y))
 
 
+@lru_cache(maxsize=64)
+def _stencil_offsets(m: int, h: float, corners: bool):
+    """_stencil's offsets (K, m) and the (i, j) pairs of its corners,
+    read-only: every call with the same (m, h, corners) shares them."""
+    e = h * np.eye(m)
+    iu = np.triu_indices(m, 1 if corners else m)
+    offsets = np.array([np.zeros(m)] + [d for i in range(m) for d in (e[i], -e[i])]
+                       + [d for i, j in zip(*iu)
+                          for d in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])])
+    for arr in (offsets, *iu):
+        arr.flags.writeable = False
+    return offsets, iu
+
+
 def _stencil(fn, x0: np.ndarray, h: float, corners: bool = True):
     """Central differences of a stack-aware fn at each row of x0 (n, m), from
     one call of fn on the (n, K, m) stack of stencil points.
@@ -435,12 +461,8 @@ def _stencil(fn, x0: np.ndarray, h: float, corners: bool = True):
     f-) / h^2 and second[:, i, j] = (f++ - f+- - f-+ + f--) / 4h^2; second is
     None without corners."""
     n, m = x0.shape
-    e = h * np.eye(m)
-    iu = np.triu_indices(m, 1) if corners else ((), ())
-    offsets = ([np.zeros(m)] + [d for i in range(m) for d in (e[i], -e[i])]
-               + [d for i, j in zip(*iu)
-                  for d in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])])
-    vals = fn(x0[:, None, :] + np.array(offsets))
+    offsets, iu = _stencil_offsets(m, h, corners)
+    vals = fn(x0[:, None, :] + offsets)
     f0, plus, minus = vals[:, 0], vals[:, 1:2 * m + 1:2], vals[:, 2:2 * m + 1:2]
     first = (plus - minus) / (2.0 * h)
     if not corners:

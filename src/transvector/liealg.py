@@ -15,7 +15,9 @@ Validation is exact only.  The structure tensor C, Theta, the Killing
 matrix and the realified realization images are numpy arrays; their dtype
 follows from the data (exact_dtype): int64 when every entry is an int and
 no sum validate forms can overflow, object (Python ints and Fractions)
-otherwise.  The float64 caches are these arrays cast to float.  The
+otherwise.  validate checks a rational table as the integer table L C (L the
+lcm of its denominators) and divides each residual back by its power of L.
+The float64 caches are these arrays cast to float.  The
 eigenspace bases k_basis and p_basis are the dtype=object rows of
 exactla.nullspace of Theta - I and Theta + I; every exact kernel here and
 in the subspace and root layers comes from that one function.
@@ -66,8 +68,21 @@ def _exact(x):
     return int(x) if isinstance(x, np.integer) else frac(x)
 
 
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m), initial=0))
+_canonical = np.frompyfunc(frac, 1, 1)     # elementwise frac, dtype=object
+
+
+def _unscaled(x, scale: int):
+    """The canonical exact scalar x / scale of an entry x of an exact array."""
+    return _exact(x) if scale == 1 else frac(Fraction(_exact(x), scale))
+
+
+def _as_float(x, scale: int = 1) -> float:
+    """x / scale for an exact scalar x, rounded once to a float."""
+    return float(x) if scale == 1 else float(_unscaled(x, scale))
+
+
+def _max_abs(m: np.ndarray, scale: int = 1) -> float:
+    return _as_float(np.max(np.abs(m), initial=0), scale)
 
 
 def abs_col_sum(m: np.ndarray) -> int:
@@ -343,13 +358,21 @@ class StructuredLieAlgebra:
         chains and products in plain int64 when its residual bound passes
         it, modulo primes otherwise; extension.sample_ys assembles Y under
         it."""
+        return self._dtype_at(1)
+
+    def _dtype_at(self, scale: int):
+        """exact_dtype's rule for the table and the realization images
+        scaled by scale, with Theta and the signature as they are."""
         entries = [c for entry in self.table.values() for c in entry.values()]
-        entries += [x for row in self.theta for x in row]
         n = self.dim
         real = self.realization
         if real is not None:
             n = max(n, 2 * real.size)
             entries += real.re.ravel().tolist() + real.im.ravel().tolist()
+        if scale != 1:
+            entries = [frac(x * scale) for x in entries]
+        entries += [x for row in self.theta for x in row]
+        if real is not None:
             entries += list(real.signature or ())
         if not all(type(x) is int for x in entries):
             return object
@@ -357,16 +380,24 @@ class StructuredLieAlgebra:
         return np.int64 if 4 * n ** 4 * m ** 4 < 2 ** 63 else object
 
     @cached_property
+    def structure_scale(self) -> int:
+        """L, the lcm of the structure constants' denominators: L C is an
+        integer table, and L = 1 for an integer one."""
+        if self.exact_dtype is np.int64:        # every entry is an int
+            return 1
+        return math.lcm(*(c.denominator for entry in self.table.values()
+                          for c in entry.values()))
+
+    @cached_property
     def _integer_structure(self):
         """(vals, col_sum): the nonzero constants of _structure_columns
-        times the lcm L of their denominators (int64 for an int64 table,
-        else Python ints), and max_k sum_{i,j} |L C[i, j, k]| as a Python
-        int.  The table L C has ad_y^t x scaled by L^t, a nonzero constant,
-        so every zero test on its chains and brackets is that of C."""
+        times L = structure_scale (int64 for an int64 table, else Python
+        ints), and max_k sum_{i,j} |L C[i, j, k]| as a Python int.  The
+        table L C has ad_y^t x scaled by L^t, a nonzero constant, so every
+        zero test on its chains and brackets is that of C."""
         _, vals, _, _ = self._structure_columns
-        scale = 1
-        if vals.dtype == object:
-            scale = math.lcm(*(v.denominator for v in vals))
+        scale = self.structure_scale
+        if scale != 1:
             vals = np.array([int(v * scale) for v in vals], dtype=object)
         col_sum = np.abs(self.structure_exact.reshape(-1, self.dim)).sum(axis=0)
         return vals, int(col_sum.max(initial=0) * scale)
@@ -374,10 +405,17 @@ class StructuredLieAlgebra:
     @cached_property
     def structure_exact(self) -> np.ndarray:
         """C[i, j, k] = coefficient of e_k in [e_i, e_j], exact_dtype."""
+        return self._structure_times(1, self.exact_dtype)
+
+    def _structure_times(self, scale: int, dtype) -> np.ndarray:
+        """scale C as a (d, d, d) array of dtype; scale is 1 or a multiple
+        of structure_scale."""
         d = self.dim
-        c = np.zeros((d, d, d), dtype=self.exact_dtype)
+        c = np.zeros((d, d, d), dtype=dtype)
         for (i, j), entry in self.table.items():
             for k, coef in entry.items():
+                if scale != 1:
+                    coef = int(coef * scale)
                 c[i, j, k] = coef
                 c[j, i, k] = -coef
         return c
@@ -554,25 +592,42 @@ class StructuredLieAlgebra:
         its expression, reported as a float.  Jacobi and the realization
         commutators run one basis index at a time, so memory stays
         O(d^3 + d N^2) whatever d a file declares.
+
+        A rational table is checked as the integer table L C, L =
+        structure_scale, with the realization images times L: a residual
+        of degree k in the table and the images is L^k times the
+        algebra's there, and is divided back exactly.  The arrays take
+        exact_dtype's rule on the scaled entries, so a small rational table
+        with L-integral images runs in int64.
         """
         d = self.dim
-        c, th, b = self.structure_exact, self.theta_exact, self.killing_exact
+        scale = self.structure_scale
+        if scale == 1:
+            dtype = self.exact_dtype
+            c, th, b = self.structure_exact, self.theta_exact, self.killing_exact
+        else:
+            dtype = self._dtype_at(scale)
+            c = self._structure_times(scale, dtype)
+            th = np.array(self.theta, dtype=dtype)
+            b = np.einsum("iab,jba->ij", c, c)          # L^2 B
         rep = ValidationReport(name=self.name, dims={"d": d})
 
         # Antisymmetry is structural (the table stores i < j only); recorded
         # as an explicit zero so reports always carry the entry.
         rep.residuals["antisymmetry"] = 0.0
-        self._check_jacobi(rep)
+        self._check_jacobi(rep, c, scale ** 2)
 
         involution = bool(np.array_equal(th @ th, np.eye(d, dtype=int)))
         rep.checks["theta_involution"] = involution
         rep.residuals["theta_automorphism"] = _max_abs(
             np.einsum("ijk,lk->ijl", c, th)
-            - np.einsum("ri,sj,rsk->ijk", th, th, c, optimize=True))
-        rep.residuals["killing_symmetry"] = _max_abs(b - b.T)
-        rep.residuals["killing_theta_invariance"] = _max_abs(th.T @ b @ th - b)
+            - np.einsum("ri,sj,rsk->ijk", th, th, c, optimize=True), scale)
+        rep.residuals["killing_symmetry"] = _max_abs(b - b.T, scale ** 2)
+        rep.residuals["killing_theta_invariance"] = _max_abs(th.T @ b @ th - b,
+                                                             scale ** 2)
         rep.residuals["killing_invariance"] = _max_abs(
-            np.einsum("ija,ak->ijk", c, b) + np.einsum("ika,ja->ijk", c, b))
+            np.einsum("ija,ak->ijk", c, b) + np.einsum("ika,ja->ijk", c, b),
+            scale ** 3)
         rep.checks["killing_nondegenerate"] = rank(b.tolist()) == d
 
         if involution:
@@ -590,22 +645,24 @@ class StructuredLieAlgebra:
             # every bracket
             k_tail, p_tail = (np.array(sv.row_ops[sv.rank:], dtype=object).reshape(-1, d)
                               for sv in (SpanSolver(kb), SpanSolver(pb)))
+            vals = None if scale == 1 else self._integer_structure[0]
             worst = 0
             for left, right, tail in ((kb, kb, k_tail), (kb, pb, p_tail), (pb, pb, k_tail)):
-                worst = max(worst, _max_abs(right @ self.ad_stack(left) @ tail.T))
+                worst = max(worst, _max_abs(right @ self.ad_stack(left, vals) @ tail.T,
+                                            scale))
             rep.residuals["bracket_parity"] = float(worst)
         else:
             rep.checks["eigenspace_split"] = False
 
         if self.realization is not None:
-            self._check_realization(rep)
+            self._check_realization(rep, c, th, scale, dtype)
         return rep
 
-    def _check_jacobi(self, rep: ValidationReport):
-        """Cyclic sum [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]],
-        one i at a time over j, k > i; the witness is the first worst
-        i < j < k triple in lexicographic order."""
-        c, d = self.structure_exact, self.dim
+    def _check_jacobi(self, rep: ValidationReport, c: np.ndarray, scale: int):
+        """Cyclic sum [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] of
+        the table c, divided by scale, one i at a time over j, k > i; the
+        witness is the first worst i < j < k triple in lexicographic order."""
+        d = self.dim
         worst, witness = 0, None
         for i in range(d - 2):
             s = slice(i + 1, None)
@@ -621,26 +678,32 @@ class StructuredLieAlgebra:
                 witness = {
                     "triple": [self.labels[i], self.labels[i + 1 + j],
                                self.labels[i + 1 + k]],
-                    "residual": [str(_exact(x)) for x in jac[j, k]],
+                    "residual": [str(_unscaled(x, scale)) for x in jac[j, k]],
                 }
-        rep.residuals["jacobi"] = float(worst)
+        rep.residuals["jacobi"] = _as_float(worst, scale)
         if witness:
             rep.witnesses["jacobi"] = witness
 
-    def _check_realization(self, rep: ValidationReport):
+    def _check_realization(self, rep: ValidationReport, c: np.ndarray,
+                           th: np.ndarray, scale: int, dtype):
+        """The realization against the table c = scale C and Theta th, both
+        of dtype, on the images times scale: the commutators scale by
+        scale^2, the involution residual by scale, and the group relations,
+        homogeneous linear equations, not at all."""
         real, d = self.realization, self.dim
-        c, th, r = self.structure_exact, self.theta_exact, real.realified(self.exact_dtype)
+        r = real.realified(dtype) if scale == 1 else _canonical(
+            real.realified(object) * scale).astype(dtype)
         worst = 0
         for i in range(d):
             # [R_i, R_j] - sum_k C[i, j, k] R_k for every j
             diff = r[i] @ r - r @ r[i] - np.einsum("jk,kab->jab", c[i], r)
             worst = max(worst, np.max(np.abs(diff)))
-        rep.residuals["realization_commutators"] = float(worst)
+        rep.residuals["realization_commutators"] = _as_float(worst, scale ** 2)
 
         # d(theta)(X) = -X^dagger must match the declared Theta columnwise;
         # on realified blocks the conjugate transpose is the transpose.
         rep.residuals["realization_involution"] = _max_abs(
-            r.transpose(0, 2, 1) + np.einsum("ri,rab->iab", th, r))
+            r.transpose(0, 2, 1) + np.einsum("ri,rab->iab", th, r), scale)
 
         n = real.size
         re_im = r[:, :, :n].reshape(d, 2, n, n)      # the A and B of A + iB

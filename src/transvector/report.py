@@ -71,8 +71,12 @@ def _encode(o, newline: str) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        return "[" + inner + ("," + inner).join(
-            [_encode(v, inner) for v in o]) + newline + "]"
+        if (type(o[0]) is float and all(type(v) is float for v in o)
+                and all(map(math.isfinite, o))):
+            items = map(float.__repr__, o)    # chart points and grid rows
+        else:
+            items = [_encode(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 

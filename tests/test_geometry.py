@@ -8,6 +8,7 @@ as 4 on span(E+F)).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import warnings
@@ -20,6 +21,7 @@ from scipy.linalg import expm
 
 from transvector import geometry
 from transvector.catalog import build_pair, build_space
+from transvector.cli import run
 from transvector.errors import ConfigError, NumericalBreakdown
 from transvector.geometry import (CURVATURE_BLOCK, CurvatureReport, GridSpec,
                                   ImmersionSpec,
@@ -29,7 +31,7 @@ from transvector.geometry import (CURVATURE_BLOCK, CurvatureReport, GridSpec,
                                   mean_curvature_report, metric_matrix,
                                   normal_pairing_residual, realize,
                                   transvection)
-from transvector.liealg import MODE_FLOAT
+from transvector.liealg import MODE_FLOAT, StructuredLieAlgebra
 from transvector.subspaces import Subspace
 
 
@@ -234,6 +236,59 @@ def test_a_non_finite_slice_raises_instead_of_aborting_eigh(space):
         "matrix is not in the realized group")
 
 
+def _so21_det_only():
+    """so(2,1) with its realization's signature dropped: det g = 1 is then the
+    only group relation, so a det-1 matrix whose polar part leaves p passes
+    every chart check before the re-expression."""
+    a = build_space("so21")
+    real = dataclasses.replace(a.realization, signature=None)
+    return StructuredLieAlgebra(a.labels, a.table, a.theta, real, name="so21-det")
+
+
+OUTSIDE_P = "polar part is not in p (residual 9.803e-01); " \
+    "matrix outside the symmetric-space model"
+
+
+def test_a_polar_part_outside_p_is_refused():
+    a = _so21_det_only()
+    g = np.diag([2.0, 1.0, 0.5])          # det 1; log(g g^T) / 2 is diagonal
+    assert geometry.group_membership_residual(a, g) == 0.0
+    assert _raised(NumericalBreakdown, cartan_project, a, g) == OUTSIDE_P
+    # the catalog so(2,1) refuses it earlier, at its J-relation
+    assert _raised(NumericalBreakdown, cartan_project, build_space("so21"),
+                   g).startswith("matrix is not in the realized group")
+
+
+def test_a_stack_refuses_its_first_polar_part_outside_p():
+    a = _so21_det_only()
+    good = np.stack([SpacePoint(a, c).representative
+                     for c in [[0.0, 0.0], [0.3, -0.2], [-1.1, 0.4]]])
+    bad = np.diag([2.0, 1.0, 0.5])
+    assert _raised(NumericalBreakdown, cartan_project, a,
+                   np.concatenate([good, bad[None], good])) == OUTSIDE_P
+    assert np.array_equal(_bits(cartan_project(a, good)), _bits(np.stack(
+        [cartan_project(a, m) for m in good])))
+    # each other check refuses a stack whose only failure it is, and stack
+    # order beats check order: a later matrix failing an earlier check (the
+    # group relation, a non-positive or a non-finite polar factor) does not
+    # mask the re-expression failure before it
+    rot = np.array([[math.cos(0.3), -math.sin(0.3), 0.0],
+                    [math.sin(0.3), math.cos(0.3), 0.0], [0.0, 0.0, 1.0]])
+    later = {"matrix is not in the realized group": np.diag([-1.0, 1.0, 1.0]),
+             "polar factor is not positive definite":
+                 rot @ np.diag([1e6, 1e-6, 1.0]) @ rot.T,   # det 1
+             "polar factor is not finite": np.full((3, 3), np.nan)}
+    for check, other in later.items():
+        message = _raised(NumericalBreakdown, cartan_project, a, other)
+        assert message.startswith(check)
+        assert _raised(NumericalBreakdown, cartan_project, a,
+                       np.stack([good[1], other, good[2]])) == message
+        assert _raised(NumericalBreakdown, cartan_project, a,
+                       np.stack([good[1], bad, other])) == OUTSIDE_P
+        assert _raised(NumericalBreakdown, cartan_project, a,
+                       np.stack([good[1], other, bad])) == message
+
+
 def _spec_on(space):
     """An immersion spec over the catalog space: the su real-form pair, or
     span(H1) with X = S12 in sl(2,R)."""
@@ -419,6 +474,27 @@ def test_group_element_computes_distinct_slices_once_with_the_same_bits(
     assert np.array_equal(_bits(nested), _bits(np.array(
         [[ref(t * spec._x_matrix) @ ref(spec.y_matrix(y)) for y in ys]
          for t in ts])))
+
+
+def test_one_construct_request_decomposes_a_fixed_count_of_matrices(
+        tmp_path, monkeypatch):
+    """The eigh work of one 3 x 3 x 3 construct request, as counts that repeat
+    exactly on any machine: the block's 9 distinct t and 81 distinct y
+    exponentials and its 27 x 19 stencil charts, then the h/2 re-estimate's
+    3 t, 9 y and 19 charts for one node.  A lost dedup or an extra chart
+    pass changes them."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def count(m):
+        sizes.append(int(np.prod(np.shape(m)[:-2])))
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", count)
+    assert run(["construct", "--space", "su21", "--pair", "real-form",
+                "--t-steps", "3", "--y-steps", "3",
+                "--out", str(tmp_path / "report.json")]) == 0
+    assert sizes == [9, 81, 513, 3, 9, 19]
 
 
 @pytest.mark.parametrize("pair", ["real-form", "complex-hyperplane"])

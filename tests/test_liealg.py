@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rebased, scaled_at
 from transvector.catalog import build_space
 from transvector.exactla import SpanSolver
 from transvector.liealg import (MODE_FLOAT, MatrixRealization,
@@ -227,6 +228,35 @@ def test_object_arrays_report_what_int64_reports(name):
     assert slow.validate().as_dict() == want
     assert np.array_equal(slow.killing_exact, fast.killing_exact)
     assert want["passed"] == (name in ("su21", "su31", "so31", "sl3r", "sl2r"))
+
+
+RATIONAL = {
+    "su21-half-p1": lambda: rebased(build_space("su21"), scaled_at(8, 4, 2)),
+    "su31-p1-over-97": lambda: rebased(build_space("su31"), scaled_at(15, 9, 97)),
+    "rational-theta": lambda: rebased(_sl2_like({0: 1}, realization=SL2_REALIZATION),
+                                      scaled_at(3, 2, 3)),
+    "jacobi": lambda: _sl2_like({0: Fraction(1, 3), 1: Fraction(1, 2)},
+                                realization=SL2_REALIZATION),
+    "su21-thirds": lambda: _corrupted_su21(Fraction(1, 3)),
+    "theta-half": lambda: _sl2_like({0: Fraction(1, 2)}, ((-1, 0, 0), (0, 0, 1), (0, -1, 0)),
+                                    SL2_REALIZATION),
+    "huge-denominator": lambda: _sl2_like({0: Fraction(1, 2 ** 70)},
+                                          realization=SL2_REALIZATION),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+def test_rational_tables_report_what_their_fraction_arrays_report(name):
+    """validate on the integer table L C, divided back by powers of L,
+    against the same checks run on the Fraction arrays (L taken as 1)."""
+    a = RATIONAL[name]()
+    assert a.structure_scale > 1
+    reference = _fresh(a)
+    reference.__dict__["structure_scale"] = 1
+    want = reference.validate().as_dict()
+    assert _fresh(a).validate().as_dict() == want
+    assert want["passed"] == (name in ("su21-half-p1", "su31-p1-over-97",
+                                       "rational-theta"))
 
 
 def _corrupted_su21(value):

@@ -38,8 +38,17 @@ def _oracle(o) -> str:
 @example({"é中\U0001f600": "\x00\x1f\t\n\"\\ "})
 @example([2 ** 64, -(2 ** 64) - 1, 10 ** 40, -0.0, 5e-324, 1e308, 1e16, 0.1])
 @example([True, False, None, 1, 0, 1.0])
+@example([-0.0, 5e-324, 1e16, 0.1, -2.5])
+@example({"a": [1.0, math.nan, math.inf], "b": (0.5, -math.inf)})
 def test_render_is_the_bytes_of_json_dumps(doc):
-    assert render(doc) == _oracle(doc)
+    try:
+        want = _oracle(doc)
+    except ValueError as refused:      # a non-finite float: the first one
+        with pytest.raises(ValueError) as info:
+            render(doc)
+        assert str(info.value) == str(refused)
+    else:
+        assert render(doc) == want
 
 
 @pytest.mark.parametrize("doc", [math.nan, math.inf, -math.inf, [1.0, math.nan],
