@@ -16,7 +16,6 @@ from .liealg import (
     MatrixRealization,
     StructuredLieAlgebra,
     ValidationReport,
-    validate_algebra,
 )
 from .subspaces import Subspace
 
@@ -26,6 +25,5 @@ __all__ = [
     "StructuredLieAlgebra",
     "Subspace",
     "ValidationReport",
-    "validate_algebra",
     "__version__",
 ]

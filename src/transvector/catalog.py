@@ -28,6 +28,11 @@ from .subspaces import Subspace
 
 SPACE_IDS = ("su21", "su31", "so21", "so31", "sl2r", "sl3r")
 
+# The largest n of an sl(n,R) id: build_space takes about 8 s on sl7r, near
+# su91 (roots 9 s), the slowest one-digit su/so id, then 22 s on sl8r and
+# 168 s on sl10r
+MAX_SL_N = 7
+
 _FAMILY_NAMES = {
     "su": "complex hyperbolic isometries su(n,1)",
     "so": "real hyperbolic isometries so(n,1)",
@@ -44,14 +49,21 @@ def parse_space_id(space_id: str):
     for fam in ("su", "so", "sl"):
         if s.startswith(fam):
             tail = s[len(fam):]
+            # isdecimal, not isdigit: exactly the digits int() reads
             if fam == "sl":
-                if not (tail.endswith("r") and tail[:-1].isdigit()):
+                if not (tail.endswith("r") and tail[:-1].isdecimal()):
                     break
-                n = int(tail[:-1])
+                # a run with more digits than the cap is past it; int() would
+                # refuse one of more than 4300
+                digits = tail[:-1].lstrip("0") or "0"
+                n = int(digits) if len(digits) <= len(str(MAX_SL_N)) else MAX_SL_N + 1
                 if n < 2:
                     break
+                if n > MAX_SL_N:
+                    raise ConfigError("space %r: sl(n,R) ids go up to n = %d"
+                                      % (space_id, MAX_SL_N))
                 return fam, n
-            if not (len(tail) == 2 and tail.isdigit() and tail[1] == "1"):
+            if not (len(tail) == 2 and tail.isdecimal() and tail[1] == "1"):
                 break
             n = int(tail[0])
             if n < 1:

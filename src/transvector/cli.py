@@ -132,6 +132,7 @@ def _algebra_from_args(args):
         return parse_algebra_file(args.algebra_file)
     if not args.space:
         raise ConfigError("--space (or --algebra-file) is required")
+    parse_space_id(args.space)      # refuses a bad or oversized id before any build
     return build_space(args.space)
 
 
@@ -156,14 +157,12 @@ MAX_GRID_NODES = 10 ** 5
 
 
 # Ceilings of the count options, each run at the cap on su31, the widest
-# catalog algebra: check --samples 1024 --n-max 32 peaks near 330 MB in
-# 1.5 s; lemma at 4096 terms (--samples 3 --n-max 32 --m-max 32) near 85 MB;
-# a pullback series that never converged would take 0.5 s per 128-node
-# block at --truncation 1000
+# catalog algebra: check --samples 1024 (n_max = dim p = 6) peaks near 60 MB
+# in 0.3 s; lemma at 4096 terms (--samples 4 --n-max 31 --m-max 31) near
+# 100 MB in 0.5 s
 MAX_SAMPLES = 1024
-MAX_CHAIN = 32              # --n-max and --m-max
+MAX_CHAIN = 32              # lemma --n-max and --m-max
 MAX_LEMMA_TERMS = 4096      # lemma samples * (n_max + 1) * (m_max + 1)
-MAX_TRUNCATION = 1000
 
 
 def _capped_grid(grid: GridSpec, dim: int, options: str) -> GridSpec:
@@ -206,8 +205,7 @@ def _config_echo(args) -> dict:
 
 def _cmd_check(args):
     a, s, x, meta = _pair_from_args(args)
-    verdict = condition_holds(s, x, samples=args.samples, seed=args.seed,
-                              n_max=args.n_max)
+    verdict = condition_holds(s, x, samples=args.samples, seed=args.seed)
     results = dict(meta)
     results["condition"] = verdict.as_dict()
     results["s_dim"] = s.dim
@@ -275,7 +273,7 @@ def _cmd_roots(args):
 def _cmd_construct(args):
     entry = build_pair(args.space, args.pair)
     x = entry.x_default if args.x is None else parse_x_expression(entry.algebra, args.x)
-    spec = ImmersionSpec(entry.algebra, entry.s, x, truncation=args.truncation,
+    spec = ImmersionSpec(entry.algebra, entry.s, x,
                          grid=_grid_from_args(args, entry.s.dim), h=args.h)
     rep = mean_curvature_report(spec, tolerance=args.tolerance,
                                 baseline=args.baseline)
@@ -381,10 +379,6 @@ def _int_at_least(floor: int, below: int | None = None):
     return count
 
 
-# rng.stream keys a numpy uint64 with the seed
-_SEED = dict(type=_int_at_least(0, 2 ** 64), default=0)
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; each parse_args returns a fresh
@@ -409,17 +403,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **inputs[flag])
         if sampled:
             p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES + 1), default=64)
-        p.add_argument("--seed", **_SEED)
+        # rng.stream keys a numpy uint64 with the seed
+        p.add_argument("--seed", type=_int_at_least(0, 2 ** 64), default=0)
         p.add_argument("--out", help="write the JSON report here (atomic)")
 
     p = sub.add_parser("check", help="extension condition on a catalog pair")
     common(p)
-    p.add_argument("--n-max", type=_int_at_least(0, MAX_CHAIN + 1), default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="extension condition on a custom (s, X)")
     common(p)
-    p.add_argument("--n-max", type=_int_at_least(0, MAX_CHAIN + 1), default=None)
     p.set_defaults(func=_cmd_verify, samples=16)
 
     p = sub.add_parser("lemma", help="bracket-chain lemma certificates")
@@ -441,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-range", default="-0.75,0.75")
     p.add_argument("--y-range", default="-0.75,0.75")
     p.add_argument("--h", type=_finite_float, default=1e-3)
-    p.add_argument("--truncation", type=_int_at_least(1, MAX_TRUNCATION + 1), default=60)
     p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-4)
     p.add_argument("--baseline", action="store_true",
                    help="measure the frozen-t slice instead of the extension")
@@ -459,9 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bisector)
 
     p = sub.add_parser("catalog", help="list built-in spaces and pairs")
-    p.add_argument("--list", action="store_true", default=True)
     p.add_argument("--out")
-    p.add_argument("--seed", **_SEED)
     p.set_defaults(func=_cmd_catalog)
 
     return ap

@@ -122,19 +122,6 @@ class SeriesReport:
     mode: str
     warnings: tuple = ()
 
-    def as_dict(self) -> dict:
-        return {
-            "value": coeff_strings(self.value),
-            "route_difference": self.route_difference,
-            "tail_bound": self.tail_bound,
-            "member": self.member,
-            "membership_residual": self.membership_residual,
-            "converged": self.converged,
-            "truncation": self.truncation,
-            "mode": self.mode,
-            "warnings": list(self.warnings),
-        }
-
 
 def _require_pair(s: Subspace, x: AlgebraVector, check_lts=True):
     a = s.algebra
@@ -197,8 +184,9 @@ def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
 
 
 def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
-                    seed: int = 0, n_max: int | None = None) -> ConditionVerdict:
-    """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s.
+                    seed: int = 0) -> ConditionVerdict:
+    """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s, for
+    n <= n_max = dim p (complete by the module docstring).
 
     Every (sample, n) term is evaluated in one stacked pass, in exact mode
     on ChainResidues; the verdict reads them in sample-major order and
@@ -207,8 +195,7 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     """
     _require_pair(s, x)
     a = s.algebra
-    if n_max is None:
-        n_max = len(a.p_basis)
+    n_max = len(a.p_basis)
     warnings = () if _normal_pairing(s, x) is None else (_NOT_NORMAL[s.mode],)
     mode = "exact-sampled" if s.mode == MODE_EXACT else "float-sampled"
     verdict = ConditionVerdict(holds=True, mode=mode, n_max=n_max,
@@ -221,7 +208,7 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     xrow = x.row()
     if s.mode == MODE_EXACT:
         r = ChainResidues(a, ys, xrow, 2 * n_max + 1, s.null_rows)
-        r.fit("--samples and --n-max")
+        r.fit("--samples")
         outside = r.outside(r.chain[:, :, 1::2], r.ad(r.x))
         res = np.zeros(outside.shape)
     else:

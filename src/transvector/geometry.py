@@ -52,9 +52,15 @@ from .parallel import pmap  # noqa: F401  (only perfbench/tracing.py reads it)
 from .subspaces import Subspace
 
 SERIES_EPS = 1e-13         # absolute tail cutoff; leading term is the identity
+# Most terms a pullback metric series may take, a safety bound for library
+# callers.  On the su21 and su31 pairs the default construct grids stop
+# within 13 terms, and grids out to t in [-3, 3], y in [-1.5, 1.5] within
+# 23; at t in [-4, 4], y in [-2, 2] the chart refuses before the metric runs.
+SERIES_MAX_TERMS = 60
 GROUP_TOL = 1e-10          # scale-aware group membership tolerance
 REEXPRESS_TOL = 1e-8       # p-basis re-expression residual allowance
 ROUNDTRIP_TOL = 1e-10      # SpacePoint representative consistency
+DISTANCE_SLACK = 1e-3      # grid slack of the distance law's separation bound
 CURVATURE_BLOCK = 128      # grid nodes per stacked mean-curvature block
 
 
@@ -244,12 +250,11 @@ def distance(a: StructuredLieAlgebra, q1: SpacePoint, q2: SpacePoint) -> np.ndar
     return np.sqrt(np.where(sq > 0.0, sq, 0.0))
 
 
-def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray,
-                  truncation: int = 60) -> np.ndarray:
+def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray) -> np.ndarray:
     """Gram matrices of the pullback metric over the p-basis, one per point
     of the stack p_coords (..., dim_p): G_ij = B(S(P) u_i, S(P) u_j),
     S(P) = sum ad_P^{2k}/(2k+1)! on p.  Each point's series stops at its own
-    first term of norm <= SERIES_EPS."""
+    first term of norm <= SERIES_EPS, within SERIES_MAX_TERMS terms."""
     pbm, pinv, gram = _p_geometry(a)
     pvec = _apply(pbm, np.asarray(p_coords, dtype=float))
     ad = a.ad_stack(pvec.reshape(-1, a.dim)).reshape(pvec.shape + (a.dim,))
@@ -267,15 +272,15 @@ def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray,
         tail = np.where(live, np.linalg.norm(term, axis=(-2, -1)), tail)
         live &= ~(tail <= SERIES_EPS)
         s = np.where(live[..., None, None], s + term, s)
-        if k >= truncation:
+        if k >= SERIES_MAX_TERMS:
             break
     if not restricts.all() or live.any():
         _raise_first_failure([
             (~restricts, lambda i: NumericalBreakdown(
                 "ad_P^2 does not preserve p numerically")),
             (live, lambda i: NumericalBreakdown(
-                "pullback metric series kept a %.3e tail after %d terms; "
-                "increase the truncation" % (tail.flat[i], k))),
+                "pullback metric series kept a %.3e tail after %d terms"
+                % (tail.flat[i], k))),
         ])
     return np.swapaxes(s, -1, -2) @ gram @ s
 
@@ -319,19 +324,16 @@ class ImmersionSpec:
 
     Invariants enforced at construction: h/2 squares to a normal float, X
     lies in p and is B-orthogonal to s within 1e-10, s is a Lie triple
-    system, the codimension of s in p is at least 2 (the minimality
-    statement needs codimension > 1), and the grid is nonempty.
+    system, and the grid is nonempty.  The minimality statement needs
+    codimension >= 2; mean_curvature_estimate refuses a smaller one unless
+    it measures the baseline.
     """
 
     algebra: StructuredLieAlgebra
     s: Subspace
     x: AlgebraVector
-    truncation: int = 60
     grid: GridSpec = field(default_factory=GridSpec)
     h: float = 1e-3
-    # codimension-1 pairs support the distance/transvection checks but carry
-    # no minimality claim; curvature estimation refuses them regardless
-    allow_codimension_one: bool = False
 
     def __post_init__(self):
         a = self.algebra
@@ -353,11 +355,7 @@ class ImmersionSpec:
         ok, witness = self.s.is_lie_triple_system()
         if not ok:
             raise ConfigError("s is not a Lie triple system: %s" % (witness,))
-        codim = len(a.p_basis) - self.s.dim
-        if codim < 2 and not self.allow_codimension_one:
-            raise ConfigError("s has codimension %d in p; the minimality "
-                              "construction needs codimension >= 2" % codim)
-        self.codimension = codim
+        self.codimension = len(a.p_basis) - self.s.dim
         self._x_float = xf
         self._x_matrix = realize(a, xf)
         self._s_float = Subspace(a, rows, MODE_FLOAT)
@@ -506,7 +504,7 @@ def mean_curvature_estimate(spec: ImmersionSpec, t, y,
     if not first.any(axis=(1, 2)).all():
         raise ConfigError("finite-difference step %r is below the chart's resolution: "
                           "every first difference at a node is 0" % h)
-    g_amb, dg, _ = _stencil(lambda p: metric_matrix(a, p, spec.truncation), c0, h,
+    g_amb, dg, _ = _stencil(lambda p: metric_matrix(a, p), c0, h,
                             corners=False)
     # Gamma_{lij} = (dG_{lj}/dx_i + dG_{li}/dx_j - dG_{ij}/dx_l) / 2, raised by G^-1
     low = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
@@ -587,13 +585,12 @@ def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,
                            tolerance=tolerance)
 
 
-def distance_law_check(spec: ImmersionSpec, t_samples, y_samples,
-                       slack: float = 1e-3) -> dict:
+def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
     """The three distance statements for the extended immersion.
 
     (i) the normal orbit through o is a geodesic with speed ||X||_B;
     (ii) points of psi_t(S) keep distance at least |t| ||X||_B from the
-        S-sample set, up to the declared grid slack, with equality at the
+        S-sample set, up to DISTANCE_SLACK, with equality at the
         foot point o;
     (iii) t -> d(o, psi_t(q)) is minimized at t = 0 and monotone on each side.
     Violations are report entries, not exceptions.
@@ -619,12 +616,12 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples,
     q = SpacePoint.from_matrix(a, spec.group_element(ts[off, None, None],
                                                      ys[:, None, :]))
     dmin = np.min(distance(a, q, s_points), axis=-1)
-    sep_violation = float(np.max(bound[off, None] - slack - dmin, initial=0.0))
+    sep_violation = float(np.max(bound[off, None] - DISTANCE_SLACK - dmin, initial=0.0))
     eq_gap = float(np.max(np.abs(dmin - bound[off, None])[:, foot], initial=0.0))
-    separation = {"worst_violation": sep_violation, "slack": slack,
+    separation = {"worst_violation": sep_violation, "slack": DISTANCE_SLACK,
                   "equality_gap_at_foot": eq_gap if foot.any() else None,
                   "holds": sep_violation <= 0.0
-                  and (not foot.any() or eq_gap <= slack)}
+                  and (not foot.any() or eq_gap <= DISTANCE_SLACK)}
 
     # d(o, psi_t(q)) over (t, S-sample): no step toward t = 0 may climb
     d = distance(a, o, transvection(spec, ts[:, None], s_points))
@@ -653,7 +650,7 @@ def normal_pairing_residual(spec: ImmersionSpec, y, h: float | None = None) -> f
     h = spec.h if h is None else float(h)
     c0, first, _ = _stencil(lambda xi: _chart(spec, xi[..., 0], xi[..., 1:]),
                             np.concatenate([[0.0], y])[None], h, corners=False)
-    g_amb = metric_matrix(spec.algebra, c0[0], spec.truncation)
+    g_amb = metric_matrix(spec.algebra, c0[0])
     return float(np.max(np.abs(first[0, 0] @ g_amb @ first[0, 1:].T), initial=0.0))
 
 

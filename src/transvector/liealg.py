@@ -119,8 +119,9 @@ def _primes_below(n: int):
 _PRIMES = tuple(itertools.islice(_primes_below(RESIDUE_PRIME_LIMIT), 16))
 
 # The most int64 elements one residue stack of ChainResidues may hold (256
-# MiB).  At every count cap the catalog needs at most 1.8e7: su31 check,
-# with 18 primes and a (18, 1024, 66, 15) chain.
+# MiB).  At every count cap the catalog needs at most 1.8e6: su31
+# complex-hyperplane lemma --samples 4 --n-max 31 --m-max 31, with 29 primes
+# and a (29, 4, 1024, 15) stack of conclusion terms.
 RESIDUE_BUDGET = 2 ** 25
 
 
@@ -255,8 +256,8 @@ class MatrixRealization:
 @dataclass
 class ValidationReport:
     """Exact residuals (max |entry|, as floats) and verdicts from
-    validate_algebra; it passes when every check holds and every residual
-    is 0."""
+    StructuredLieAlgebra.validate; it passes when every check holds and
+    every residual is 0."""
 
     name: str
     dims: dict
@@ -827,7 +828,3 @@ class ChainResidues:
         the subspace: those with a nonzero residue of v @ null.T."""
         null = self.null if m is None else self.mul(m, self.null)
         return (self.mul(v, null) != 0).any(axis=-1).any(axis=0)
-
-
-def validate_algebra(a: StructuredLieAlgebra) -> ValidationReport:
-    return a.validate()

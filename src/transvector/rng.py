@@ -62,8 +62,9 @@ def rational_vectors(gen: np.random.Generator, n: int, samples: int) -> np.ndarr
     return np.concatenate(blocks)
 
 
-def odd_int_vector(gen: np.random.Generator, n: int) -> tuple:
-    """Vector of odd Python ints in [-9, 9]."""
-    ks = gen.integers(-5, 5, size=n)
+def odd_int_vector(gen: np.random.Generator, n: int, half: int = 5) -> tuple:
+    """Vector of odd Python ints in [1 - 2 half, 2 half - 1], [-9, 9] by
+    default."""
+    ks = gen.integers(-half, half, size=n)
     return tuple(2 * int(k) + 1 for k in ks)
 

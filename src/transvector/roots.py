@@ -1,11 +1,12 @@
 """Restricted root decompositions relative to a maximal abelian subspace of p.
 
-Strategy: pick a generic H in a (random small odd integer coefficients,
-seeded), decompose g into exact eigenspaces of ad_H, read each root off as
-the scalar action of the a-basis, and certify everything after the fact in
-exact arithmetic: kernels are exact, scalar action is verified on every
-eigenspace basis vector, and the zero eigenspace must split as m + a (its
-p-part exceeding a proves the input was not maximal abelian).
+Strategy: pick a generic H in a (random odd integer coefficients, seeded,
+from a range that widens after GENERIC_RETRIES draws), decompose g into
+exact eigenspaces of ad_H, read each root off as the scalar action of the
+a-basis, and certify everything after the fact in exact arithmetic: kernels
+are exact, scalar action is verified on every eigenspace basis vector, and
+the zero eigenspace must split as m + a (its p-part exceeding a proves the
+input was not maximal abelian).
 
 Eigenvalue candidates come from one float64 eigensolve of ad_H: each
 eigenvalue e gives p/q = e rationalized with q <= 64, and k/D, with D the
@@ -124,22 +125,26 @@ def _scalar_action(a: StructuredLieAlgebra, asub: Subspace, space: np.ndarray):
 def restricted_root_decomposition(a: StructuredLieAlgebra, asub: Subspace,
                                   seed: int = 0) -> RootDatum:
     """Simultaneous eigenspace decomposition for ad of the a-basis; a
-    ConfigError when the restricted roots are not rational on asub."""
+    ConfigError when the restricted roots are not rational on asub, or
+    when no draw of H is generic (asub is not maximal abelian)."""
     if not asub.in_p():
         raise ValueError("a must be contained in p")
     gen = rng.stream(seed, rng.STREAM_ROOTS_GENERIC)
     last_error = None
-    for _ in range(GENERIC_RETRIES):
-        coeffs = rng.odd_int_vector(gen, asub.dim)
+    for attempt in range(2 * GENERIC_RETRIES):
+        # the first GENERIC_RETRIES draws have coefficients in [-9, 9]; each
+        # later draw doubles the range, since in higher rank a small range
+        # rarely separates every root
+        half = 5 << max(0, attempt + 1 - GENERIC_RETRIES)
+        coeffs = rng.odd_int_vector(gen, asub.dim, half)
         h = asub.member_from_coordinates(coeffs)
         try:
             return _decompose_with_h(a, asub, h, coeffs, seed)
         except _NotGeneric as e:
             last_error = e
-            continue
-    raise ValueError(
-        "no generic element found after %d attempts; the subspace is not "
-        "maximal abelian (%s)" % (GENERIC_RETRIES, last_error))
+    raise ConfigError(
+        "algebra %s: no generic element of a found in %d draws; the subspace is "
+        "not maximal abelian (%s)" % (a.name, 2 * GENERIC_RETRIES, last_error))
 
 
 class _NotGeneric(Exception):

@@ -14,7 +14,6 @@ from transvector.cli import parse_x_expression
 from transvector.errors import ConfigError
 from transvector.extension import condition_holds
 from transvector.geometry import GridSpec
-from transvector.liealg import validate_algebra
 
 
 @pytest.mark.parametrize("space_id,dim_p", [
@@ -32,7 +31,7 @@ def test_dimension_formulas(space_id, dim_p):
 
 @pytest.mark.parametrize("space_id", ["su21", "su31", "so31", "sl3r"])
 def test_catalog_spaces_validate_exactly(space_id):
-    rep = validate_algebra(build_space(space_id))
+    rep = build_space(space_id).validate()
     assert rep.passed
     assert all(r == 0 for r in rep.residuals.values())
 

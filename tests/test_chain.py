@@ -242,9 +242,11 @@ def test_condition_membership_leaves_int64_when_the_product_outgrows_it():
     s, x = CASES["control"]
     big = x.scale(2 ** 32)
     ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 4)
-    assert ChainResidues(s.algebra, ys, big.row(), 1, s.null_rows).primes
-    verdict = condition_holds(s, big, samples=4, seed=0, n_max=0)
-    checked, (_, n, term, res), _ = _reference_condition(s, big, ys, 0)
+    r = ChainResidues(s.algebra, ys, big.row(), 1, s.null_rows)
+    assert r.primes and r.outside(r.chain[:, :, 1::2], r.ad(r.x)).all()
+    verdict = condition_holds(s, big, samples=4, seed=0)
+    checked, (_, n, term, res), _ = _reference_condition(s, big, ys,
+                                                         len(s.algebra.p_basis))
     assert not verdict.holds and verdict.checked == checked == 1
     assert verdict.witness["vector"] == [str(c) for c in term.coeffs]
     assert verdict.witness["residual"] == res > 0

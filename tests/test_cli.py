@@ -13,8 +13,8 @@ import pytest
 
 from transvector import cli
 from transvector.cli import (MAX_CHAIN, MAX_GRID_NODES, MAX_LEMMA_TERMS, MAX_SAMPLES,
-                             MAX_TRUNCATION, build_parser, load_subspace_file,
-                             parse_x_expression, run)
+                             build_parser, load_subspace_file, parse_x_expression,
+                             run)
 from transvector.errors import ConfigError
 from transvector.geometry import GridSpec
 from transvector.liealg import RESIDUE_BUDGET, ChainResidues
@@ -39,7 +39,7 @@ def test_check_on_a_catalog_pair_passes(tmp_path):
 
 
 def test_catalog_listing_names_every_pair(tmp_path):
-    status, rep = _run(tmp_path, "catalog", "--list")
+    status, rep = _run(tmp_path, "catalog")
     assert status == 0
     spaces = rep["results"]["spaces"]
     assert len(spaces) == 3
@@ -77,7 +77,35 @@ def test_config_errors_exit_2(tmp_path):
     assert status == 2
     status, rep = _run(tmp_path, "construct", "--space", "so31",
                        "--pair", "geodesic-plane")
-    assert status == 2  # codimension-1 pair refused by the immersion builder
+    assert status == 2  # codimension-1 pair refused by the curvature estimator
+    assert rep["results"]["error"] == ("mean curvature of the extension needs "
+                                       "codimension >= 2; this spec has 1")
+
+
+def test_a_codimension_one_pair_measures_its_baseline(tmp_path):
+    """The frozen-t slice of so31 geodesic-plane is totally geodesic, so the
+    baseline and the distance law run on it; only the extension's mean
+    curvature, which needs codimension >= 2, is refused."""
+    status, rep = _run(tmp_path, "construct", "--space", "so31", "--pair",
+                       "geodesic-plane", "--baseline", "--distance-law",
+                       "--t-steps", "3", "--y-steps", "3")
+    assert status == 0
+    assert rep["results"]["curvature"]["max_norm"] <= 1e-6
+    assert rep["results"]["distance_law"]["passed"]
+
+
+@pytest.mark.parametrize("argv, retired", [
+    (("check", "--space", "su21", "--pair", "real-form"), ("--n-max", "3")),
+    (("verify", "--space", "su21", "--s", "s.json", "--X", "Q1"), ("--n-max", "3")),
+    (("construct", "--space", "su21", "--pair", "real-form"), ("--truncation", "60")),
+    (("catalog",), ("--list",)),
+    (("catalog",), ("--seed", "0"))])
+def test_retired_options_are_argument_errors(tmp_path, capsys, argv, retired):
+    """The condition always checks n <= dim p, the metric series stops by
+    itself, and catalog reads no option but --out."""
+    out = tmp_path / "report.json"
+    assert run([*argv, *retired, "--out", str(out)]) == 2 and not out.exists()
+    assert "unrecognized arguments: %s" % " ".join(retired) in capsys.readouterr().err
 
 
 def test_lemma_command_certifies_catalog_pair(tmp_path):
@@ -433,7 +461,7 @@ CONTROL = ("--space", "sl3r", "--s", os.path.join(GOLDEN, "control.json"),
     ("lemma", "--space", "su21", "--pair", "real-form", "--samples", "0"),
     ("roots", "--space", "su21", "--examples", "--samples", "0"),
     ("verify", *CONTROL, "--samples", "0"),
-    ("check", "--space", "su21", "--pair", "real-form", "--n-max", "two")])
+    ("lemma", "--space", "su21", "--pair", "real-form", "--n-max", "two")])
 def test_count_options_below_their_floor_exit_2_naming_the_option(
         tmp_path, capsys, argv):
     """A negative count once ended in a reshape traceback (--m-max), a
@@ -450,17 +478,13 @@ def test_count_options_below_their_floor_exit_2_naming_the_option(
 @pytest.mark.parametrize("argv, status", [
     (("lemma", "--space", "su21", "--pair", "real-form", "--samples", "1",
       "--n-max", "0", "--m-max", "0"), 0),
-    (("check", "--space", "su21", "--pair", "real-form", "--samples", "1",
-      "--n-max", "0"), 0),
+    (("check", "--space", "su21", "--pair", "real-form", "--samples", "1"), 0),
     (("verify", *CONTROL, "--samples", "1"), 1)])
 def test_count_options_at_their_floor_run(tmp_path, argv, status):
     assert _run(tmp_path, *argv)[0] == status
 
 
 @pytest.mark.parametrize("argv, floor", [
-    (("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
-      "--truncation", "0"), "an integer >= 1"),
-    (("construct", "--pair", "real-form", "--truncation", "-4"), "an integer >= 1"),
     (("construct", "--pair", "real-form", "--t-steps", "1", "--y-steps", "1",
       "--tolerance=-1"), "a number >= 0"),
     (("bisector", "--pair", "real-form", "--grid-steps", "2", "--tolerance=-1e-9"),
@@ -474,8 +498,7 @@ def test_count_options_at_their_floor_run(tmp_path, argv, status):
     (("bisector", "--pair", "real-form", "--grid-steps", "0"), "an integer >= 1")])
 def test_bound_options_below_their_floor_exit_2_naming_the_option(tmp_path, capsys,
                                                                   argv, floor):
-    """--truncation 0 once ran the grid and exited 3 on the metric series, a
-    negative --tolerance failed (construct) or passed (bisector real-form)
+    """A negative --tolerance failed (construct) or passed (bisector real-form)
     any measurement, --r 0 put both bisector endpoints at the origin,
     where equidistance is vacuous (exit 0), and a grid step count below 1
     was refused only by GridSpec, without naming the option."""
@@ -497,11 +520,8 @@ SU21_REAL_FORM = ("--space", "su21", "--pair", "real-form")
     (("verify", *CONTROL), "--samples", 1, MAX_SAMPLES),
     (("lemma", *SU21_REAL_FORM), "--samples", 1, MAX_SAMPLES),
     (("roots", "--space", "su21", "--examples"), "--samples", 1, MAX_SAMPLES),
-    (("check", *SU21_REAL_FORM), "--n-max", 0, MAX_CHAIN),
-    (("verify", *CONTROL), "--n-max", 0, MAX_CHAIN),
     (("lemma", *SU21_REAL_FORM), "--n-max", 0, MAX_CHAIN),
-    (("lemma", *SU21_REAL_FORM), "--m-max", 0, MAX_CHAIN),
-    (("construct", *SU21_REAL_FORM), "--truncation", 1, MAX_TRUNCATION)])
+    (("lemma", *SU21_REAL_FORM), "--m-max", 0, MAX_CHAIN)])
 def test_count_options_past_their_ceiling_exit_2_naming_the_option(
         tmp_path, capsys, argv, option, floor, cap):
     """The value at the cap parses; one past it is refused at parse."""
@@ -554,27 +574,30 @@ def test_lemma_up_to_its_term_cap_is_admitted(monkeypatch, counts):
              "--m-max", m_max])
 
 
-# 2^255 P1 and (2^255 - 1) P2, in decimal: every value inside its count cap
-# and inside the 256-bit input cap
-HUGE_S = [{"P1": str(2 ** 255)}, {"P2": str(2 ** 255 - 1)}]
+def _huge_s(n):
+    """2^255 P1, (2^255 - 1) P2, ..., (2^255 - n + 1) Pn in decimal, the real
+    form of su(n,1) at the 256-bit input cap."""
+    return [{"P%d" % (k + 1): str(2 ** 255 - k)} for k in range(n)]
 
 
-@pytest.mark.parametrize("argv, options, shape", [
-    (("verify", "--samples", "1024", "--n-max", "32"), "--samples and --n-max",
-     (651, 1024, 66, 8)),
-    (("lemma", "--samples", "3", "--n-max", "32", "--m-max", "32"),
+@pytest.mark.parametrize("argv, space, options, shape", [
+    (("verify", "--samples", "1024"), "su41", "--samples", (172, 1024, 18, 24)),
+    (("lemma", "--samples", "3", "--n-max", "32", "--m-max", "32"), "su21",
      "--samples, --n-max and --m-max", (1285, 3, 1089, 8))])
 def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, argv,
-                                                                     options, shape):
-    """The verify once ended in an _ArrayMemoryError traceback with exit 1
-    under a 3 GB address-space limit (a 2.62 GiB chain), and the lemma
-    peaked at 1175 MB.  Refused on the shapes, the run allocates far less
-    than the stack it names."""
+                                                                     space, options,
+                                                                     shape):
+    """A su21 verify once ended in an _ArrayMemoryError traceback with exit 1
+    under a 3 GB address-space limit (a 2.62 GiB chain at 33 values of n),
+    and the lemma peaked at 1175 MB.  The condition now checks n <= dim p,
+    where su21 fits the budget at every count, so the verify runs on
+    su(4,1).  Refused on the shapes, the run allocates far less than the
+    stack it names."""
     s_file = tmp_path / "s.json"
-    s_file.write_text(json.dumps(HUGE_S))
+    s_file.write_text(json.dumps(_huge_s(int(space[2]))))
     tracemalloc.start()
     try:
-        status, rep = _run(tmp_path, argv[0], "--space", "su21", "--s", str(s_file),
+        status, rep = _run(tmp_path, argv[0], "--space", space, "--s", str(s_file),
                            "--X", "Q1", *argv[1:])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -588,7 +611,7 @@ def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, a
 
 
 @pytest.mark.parametrize("argv", [
-    *(("check", "--space", space, "--pair", pair, "--samples", "1024", "--n-max", "32")
+    *(("check", "--space", space, "--pair", pair, "--samples", "1024")
       for space, pair in (("su21", "real-form"), ("su21", "complex-hyperplane"),
                           ("su31", "real-form"), ("su31", "complex-hyperplane"),
                           ("so31", "geodesic-plane"))),
@@ -598,9 +621,9 @@ def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, a
       for samples, n_max, m_max in (("1024", "3", "0"), ("4", "31", "31"),
                                     ("3", "32", "32")))])
 def test_every_catalog_pair_at_the_caps_fits_the_residue_budget(monkeypatch, argv):
-    """The widest residue stacks of the catalog (su31 check at the caps: 18
-    primes, a (18, 1024, 66, 15) chain) are admitted; the run stops once
-    its stacks are."""
+    """The widest residue stacks of the catalog (su31 complex-hyperplane
+    lemma at 4 samples, n_max = m_max = 31: 29 primes, a (29, 4, 1024, 15)
+    stack) are admitted; the run stops once its stacks are."""
     fit = ChainResidues.fit
 
     def admitted(*args, **kw):
@@ -635,7 +658,7 @@ def test_bound_options_at_their_floor_run(tmp_path, argv, status):
 
 @pytest.mark.parametrize("argv", [
     ("check", "--space", "su21", "--pair", "real-form", "--samples", "1"),
-    ("catalog",)])
+    ("roots", "--space", "su21")])
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_seeds_outside_uint64_exit_2_naming_the_option(tmp_path, capsys, argv, seed):
     """rng.stream keys a numpy uint64 with the seed; -1 and 2^64 once ended in

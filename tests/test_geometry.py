@@ -38,7 +38,6 @@ from transvector.subspaces import Subspace
 def _sl2_spec(sl2r, **kw):
     s = Subspace(sl2r, [sl2r.basis_vector(0).astype(MODE_FLOAT)])
     x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
-    kw.setdefault("allow_codimension_one", True)
     return ImmersionSpec(sl2r, s, x, **kw)
 
 
@@ -138,14 +137,16 @@ def _bits(x):
 
 def _series_terms(a, c):
     """Terms the pullback series of metric_matrix takes at c: the smallest
-    truncation it accepts."""
-    for k in range(1, 61):
-        try:
-            metric_matrix(a, c, truncation=k)
-            return k
-        except NumericalBreakdown:
-            pass
-    raise AssertionError("no truncation up to 60 accepted")
+    term bound it accepts."""
+    with pytest.MonkeyPatch.context() as mp:
+        for k in range(1, geometry.SERIES_MAX_TERMS + 1):
+            mp.setattr(geometry, "SERIES_MAX_TERMS", k)
+            try:
+                metric_matrix(a, c)
+                return k
+            except NumericalBreakdown:
+                pass
+    raise AssertionError("no term bound up to SERIES_MAX_TERMS accepted")
 
 
 def _stack_of_points(a):
@@ -177,7 +178,7 @@ def test_stacked_chart_and_metric_equal_single_points_bit_for_bit(space):
 
 
 @pytest.mark.parametrize("space", ["sl2r", "su21", "su31"])
-def test_a_stack_raises_what_its_first_failing_point_raises(space):
+def test_a_stack_raises_what_its_first_failing_point_raises(monkeypatch, space):
     a = build_space(space)
     coords = _stack_of_points(a)
     g = np.stack([SpacePoint(a, c).representative for c in coords])
@@ -195,10 +196,11 @@ def test_a_stack_raises_what_its_first_failing_point_raises(space):
     terms = [_series_terms(a, c) for c in coords]
     cut = sorted(set(terms))[-2]
     first_long = next(i for i, k in enumerate(terms) if k > cut)
+    monkeypatch.setattr(geometry, "SERIES_MAX_TERMS", cut)
     with pytest.raises(NumericalBreakdown) as alone:
-        metric_matrix(a, coords[first_long], truncation=cut)
+        metric_matrix(a, coords[first_long])
     with pytest.raises(NumericalBreakdown) as stacked:
-        metric_matrix(a, coords, truncation=cut)
+        metric_matrix(a, coords)
     assert str(stacked.value) == str(alone.value)
 
 
@@ -295,8 +297,7 @@ def _spec_on(space):
     if space == "sl2r":
         a = build_space(space)
         return ImmersionSpec(a, Subspace(a, [a.from_labels({"H1": 1}, MODE_FLOAT)]),
-                             a.from_labels({"S12": 1}, MODE_FLOAT),
-                             allow_codimension_one=True)
+                             a.from_labels({"S12": 1}, MODE_FLOAT))
     return _su21_spec(build_pair(space, "real-form"))
 
 
@@ -532,10 +533,9 @@ def test_the_blocked_sweep_equals_each_node_alone_bit_for_bit(
 def test_immersion_spec_invariants(sl2r, su21_real_form):
     s = Subspace(sl2r, [sl2r.basis_vector(0).astype(MODE_FLOAT)])
     x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
-    with pytest.raises(ConfigError):   # codim 1 needs the explicit opt-in
-        ImmersionSpec(sl2r, s, x)
+    assert ImmersionSpec(sl2r, s, x).codimension == 1   # refused by the estimator
     with pytest.raises(ConfigError):   # X not B-orthogonal to s
-        ImmersionSpec(sl2r, s, s.basis[0], allow_codimension_one=True)
+        ImmersionSpec(sl2r, s, s.basis[0])
     with pytest.raises(ConfigError):   # h must be positive
         _sl2_spec(sl2r, h=0.0)
     for h in (1e-200, 2e-154):         # (h/2)^2 is not a normal float
@@ -579,9 +579,9 @@ def test_so31_geodesic_plane_is_the_degenerate_input():
     entry = build_pair("so31", "geodesic-plane")
     s = Subspace(entry.algebra,
                  [v.astype(MODE_FLOAT) for v in entry.s.basis])
-    with pytest.raises(ConfigError):
-        ImmersionSpec(entry.algebra, s,
-                      entry.x_default.astype(MODE_FLOAT))
+    spec = ImmersionSpec(entry.algebra, s, entry.x_default.astype(MODE_FLOAT))
+    with pytest.raises(ConfigError, match="needs codimension >= 2; this spec has 1"):
+        mean_curvature_estimate(spec, 0.1, np.array([0.2, 0.1]))
 
 
 def test_immersion_point_respects_the_grid(sl2r):

@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from transvector.algfile import parse_algebra_file
-from transvector.catalog import build_space
+from transvector import catalog, cli
+from transvector.catalog import MAX_SL_N, build_space, parse_space_id
 from transvector.cli import load_subspace_file, parse_x_expression, run
 from transvector.data import algebra_path
 from transvector.errors import ConfigError
@@ -148,3 +149,37 @@ def test_fuzzed_subspace_files_load_or_raise_config_error(tmp_path, text):
         load_subspace_file(a, path)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("argv", [
+    ("roots", "--space", "sl%dr" % (MAX_SL_N + 1)),
+    ("roots", "--space", "sl12r", "--examples"),
+    ("roots", "--space", "sl" + "9" * 5000 + "r"),
+    ("check", "--space", "sl10r", "--pair", "real-form")])
+def test_sl_past_its_cap_exits_2_before_any_build(tmp_path, monkeypatch, argv):
+    """parse_space_id took any n for sl(n,R): building sl10r takes minutes,
+    and an id of 5000 digits ended in an int() traceback."""
+    def refuse(space_id):
+        raise AssertionError("%s was built" % space_id)
+
+    monkeypatch.setattr(cli, "build_space", refuse)
+    monkeypatch.setattr(catalog, "build_space", refuse)
+    out = tmp_path / "report.json"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["results"] == {
+        "error": "space %r: sl(n,R) ids go up to n = %d" % (argv[2], MAX_SL_N),
+        "kind": "config"}
+
+
+@pytest.mark.parametrize("space_id, parsed", [
+    ("sl%dr" % MAX_SL_N, ("sl", MAX_SL_N)), ("sl02r", ("sl", 2)), ("sl²r", None),
+    ("su²1", None), ("sl0r", None)])
+def test_space_ids_at_the_cap_parse_and_non_decimal_digits_are_refused(space_id,
+                                                                       parsed):
+    """'²' is a digit to str.isdigit but not to int(): both once ended in a
+    ValueError traceback."""
+    if parsed:
+        assert parse_space_id(space_id) == parsed
+    else:
+        with pytest.raises(ConfigError, match="unrecognized space id"):
+            parse_space_id(space_id)

@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from conftest import rebased, scaled_at
 from transvector.catalog import build_space
 from transvector.exactla import SpanSolver
-from transvector.liealg import (MODE_FLOAT, MatrixRealization,
-                                StructuredLieAlgebra, validate_algebra)
+from transvector.liealg import MODE_FLOAT, MatrixRealization, StructuredLieAlgebra
 
 small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -123,7 +122,7 @@ def test_ad_power_matches_repeated_bracket(sl2r):
 
 
 def test_validation_is_exact_zero(sl2r):
-    rep = validate_algebra(sl2r)
+    rep = sl2r.validate()
     assert rep.passed
     assert all(r == 0 for r in rep.residuals.values())
     assert rep.dims == {"d": 3, "k": 1, "p": 2}
@@ -148,14 +147,14 @@ def _sl2_like(ef_bracket, theta=SL2_THETA, realization=None):
 
 def test_rescaled_bracket_table_still_validates():
     # [E,F] = 2H is sl(2,R) with F rescaled; a correct validator accepts it
-    rep = validate_algebra(_sl2_like({0: 2}))
+    rep = _sl2_like({0: 2}).validate()
     assert rep.passed
 
 
 def test_jacobi_violation_is_rejected_with_witness():
     # [E,F] = H + E breaks the Jacobi identity: the cyclic sum over
     # (H, E, F) equals 2E
-    rep = validate_algebra(_sl2_like({0: 1, 1: 1}))
+    rep = _sl2_like({0: 1, 1: 1}).validate()
     assert not rep.passed
     assert any("jacobi" in k for k in rep.witnesses)
     witness = next(v for k, v in rep.witnesses.items() if "jacobi" in k)
@@ -165,8 +164,8 @@ def test_jacobi_violation_is_rejected_with_witness():
 def test_non_involutive_theta_is_rejected():
     brackets = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
     theta = ((-1, 0, 0), (0, 0, -1), (0, -2, 0))  # squares to diag(1,2,2)-ish
-    rep = validate_algebra(StructuredLieAlgebra(["H", "E", "F"], brackets,
-                                                theta, name="badtheta"))
+    rep = StructuredLieAlgebra(["H", "E", "F"], brackets, theta,
+                               name="badtheta").validate()
     assert not rep.passed
 
 
@@ -175,7 +174,7 @@ def test_huge_constants_validate_exactly_on_the_object_path():
     # not fit in an int64, so the exact arrays hold Python ints
     a = _sl2_like({0: 2 ** 70})
     assert a.exact_dtype is object
-    rep = validate_algebra(a)
+    rep = a.validate()
     assert rep.passed
     assert all(r == 0 for r in rep.residuals.values())
     assert all(type(x) is int for x in a.killing_exact.flat)
@@ -187,7 +186,7 @@ def test_exact_dtype_follows_the_overflow_bound():
     for m, dtype in ((2 ** 13, np.int64), (2 ** 14, object)):
         a = _sl2_like({0: m})
         assert a.exact_dtype is dtype
-        assert validate_algebra(a).passed
+        assert a.validate().passed
         b_ef = a.killing_form(a.basis_vector(1), a.basis_vector(2))
         assert b_ef == 4 * m and type(b_ef) is int
     assert _sl2_like({0: Fraction(1, 2)}).exact_dtype is object
@@ -303,7 +302,7 @@ def _loop_reference(a):
 def test_tensor_checks_match_the_bracket_loops(build):
     a = build()
     worst, witness, auto, killing = _loop_reference(a)
-    rep = validate_algebra(a)
+    rep = a.validate()
     assert rep.residuals["jacobi"] == float(worst)
     assert rep.witnesses.get("jacobi") == witness
     assert rep.residuals["theta_automorphism"] == float(auto)
