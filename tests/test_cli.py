@@ -580,12 +580,12 @@ def _huge_s(n):
     return [{"P%d" % (k + 1): str(2 ** 255 - k)} for k in range(n)]
 
 
-@pytest.mark.parametrize("argv, space, options, shape", [
-    (("verify", "--samples", "1024"), "su41", "--samples", (172, 1024, 18, 24)),
-    (("lemma", "--samples", "3", "--n-max", "32", "--m-max", "32"), "su21",
+@pytest.mark.parametrize("argv, space, n, options, shape", [
+    (("verify", "--samples", "1024"), "su41", 4, "--samples", (172, 1024, 18, 24)),
+    (("lemma", "--samples", "3", "--n-max", "32", "--m-max", "32"), "su21", 2,
      "--samples, --n-max and --m-max", (1285, 3, 1089, 8))])
 def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, argv,
-                                                                     space, options,
+                                                                     space, n, options,
                                                                      shape):
     """A su21 verify once ended in an _ArrayMemoryError traceback with exit 1
     under a 3 GB address-space limit (a 2.62 GiB chain at 33 values of n),
@@ -594,7 +594,7 @@ def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, a
     su(4,1).  Refused on the shapes, the run allocates far less than the
     stack it names."""
     s_file = tmp_path / "s.json"
-    s_file.write_text(json.dumps(_huge_s(int(space[2]))))
+    s_file.write_text(json.dumps(_huge_s(n)))
     tracemalloc.start()
     try:
         status, rep = _run(tmp_path, argv[0], "--space", space, "--s", str(s_file),

@@ -323,7 +323,7 @@ def test_roots_with_denominator_97_decompose_exactly(tmp_path):
 def test_roots_on_sl6r_finds_a_generic_element(tmp_path, seed):
     """In rank 5 the first GENERIC_RETRIES draws, with coefficients in [-9,
     9], rarely separate the 30 roots of sl(6,R): `roots --space sl6r` ended
-    in a ValueError traceback on 10 of the seeds 0-11.  The later draws
+    in a ValueError traceback on each of these seeds.  The later draws
     widen the range."""
     out = tmp_path / "report.json"
     err = io.StringIO()
