@@ -2,7 +2,7 @@
 
 Sections, in any order, one per line header in brackets:
 
-  [basis]        whitespace-separated basis labels (one or more lines)
+  [basis]        at most MAX_DIM whitespace-separated labels, on one or more lines
   [bracket]      lines "i j -> c1 c2 ... cd": full coefficient vector of
                  [e_i, e_j] as rationals, indices 1-based with i < j
   [theta]        d matrix rows of d rationals each
@@ -29,6 +29,10 @@ from .exactla import parse_rational
 from .liealg import MatrixRealization, StructuredLieAlgebra
 
 _SECTIONS = ("basis", "bracket", "theta", "realization")
+
+# The most basis labels a file may declare: d of su(9,1), the largest catalog
+# algebra, whose file parses in about 13 s (validate's Jacobi loop is O(d^5))
+MAX_DIM = 99
 
 # one pattern per unambiguous token shape; a combined optional-group regex
 # backtracks "2i" into re=2, im=i
@@ -124,6 +128,8 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
     labels = []
     for lineno, text in sections["basis"]:
         labels.extend(text.replace(",", " ").split())
+        if len(labels) > MAX_DIM:
+            _fail(path, lineno, "[basis] has more than %d labels" % MAX_DIM)
     if not labels:
         _fail(path, sections["basis"][0][0] if sections["basis"] else 1,
               "empty [basis] section")

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from transvector.algfile import parse_algebra_file
-from transvector import catalog, cli
+from transvector import algfile, catalog, cli
+from transvector.algfile import MAX_DIM, parse_algebra_file
 from transvector.catalog import MAX_SL_N, build_space, parse_space_id
 from transvector.cli import load_subspace_file, parse_x_expression, run
 from transvector.data import algebra_path
 from transvector.errors import ConfigError
 from transvector.exactla import RATIONAL_BITS, parse_rational
+from transvector.liealg import StructuredLieAlgebra
 
 BASE = open(algebra_path("sl2r")).read()
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -183,3 +184,38 @@ def test_space_ids_at_the_cap_parse_and_non_decimal_digits_are_refused(space_id,
     else:
         with pytest.raises(ConfigError, match="unrecognized space id"):
             parse_space_id(space_id)
+
+
+def _identity_file(tmp_path, d, theta_width=None):
+    """d labels ten to a line, an empty [bracket] and theta = -I, each row
+    theta_width wide (d by default)."""
+    labels = ["E%d" % i for i in range(d)]
+    rows = [" ".join("-1" if i == j else "0" for j in range(theta_width or d))
+            for i in range(d)]
+    text = "\n".join(["[basis]"] + [" ".join(labels[i:i + 10]) for i in range(0, d, 10)]
+                     + ["[bracket]", "[theta]"] + rows) + "\n"
+    return _write(tmp_path, "wide.alg", text)
+
+
+@pytest.mark.parametrize("d", [MAX_DIM + 1, 120])
+def test_algebra_files_past_the_dimension_cap_exit_2_before_any_token_is_parsed(
+        tmp_path, monkeypatch, d):
+    """algfile took any number of labels: 120 labels, an empty [bracket] and
+    theta = -I ran validate's O(d^5) Jacobi loop for half a minute."""
+    def refuse(*args):
+        raise AssertionError("parsed past the [basis] count")
+
+    monkeypatch.setattr(algfile, "parse_rational", refuse)
+    monkeypatch.setattr(StructuredLieAlgebra, "validate", refuse)
+    path = _identity_file(tmp_path, d)
+    out = tmp_path / "report.json"
+    assert run(["roots", "--algebra-file", path, "--out", str(out)]) == 2
+    # the 100th label is on line 11, after the header and nine full lines
+    assert json.loads(out.read_text())["results"] == {
+        "error": "%s:11: [basis] has more than %d labels" % (path, MAX_DIM),
+        "kind": "config"}
+
+
+def test_an_algebra_file_at_the_dimension_cap_passes_the_count(tmp_path):
+    with pytest.raises(ConfigError, match="theta row needs 99 entries, got 98"):
+        parse_algebra_file(_identity_file(tmp_path, MAX_DIM, theta_width=MAX_DIM - 1))

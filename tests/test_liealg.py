@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rebased, scaled_at
-from transvector.catalog import build_space
+from transvector import liealg
+from transvector.algfile import parse_algebra_file
+from transvector.catalog import SPACE_IDS, build_space
+from transvector.data import algebra_path
+from transvector.errors import ConfigError
 from transvector.exactla import SpanSolver
 from transvector.liealg import MODE_FLOAT, MatrixRealization, StructuredLieAlgebra
 
@@ -258,10 +263,13 @@ def test_rational_tables_report_what_their_fraction_arrays_report(name):
                                        "rational-theta"))
 
 
-def _corrupted_su21(value):
+def _corrupted_su21(value, at=(0, 4)):
+    """su21 with value added to the first coefficient of its first bracket
+    and set as the last coefficient of its fifth (the brackets at `at`, in
+    the table's sorted order)."""
     b = build_space("su21")
     table = {k: dict(v) for k, v in b.table.items()}
-    first, fifth = sorted(table)[0], sorted(table)[4]
+    first, fifth = (sorted(table)[n] for n in at)
     table[first][0] = table[first].get(0, 0) + value
     table[fifth][b.dim - 1] = value
     return StructuredLieAlgebra(b.labels, table, b.theta, b.realization, "bad")
@@ -372,7 +380,11 @@ def _skewed_theta(c):
     lambda: _sl2_like({0: 1, 2: 1}, _skewed_theta(Fraction(3, 2))),
     lambda: _corrupted_su21(Fraction(1, 3)),
     lambda: build_space("su31"),
-], ids=["jacobi", "skewed-2", "skewed-3/2", "su21-rational", "su31"])
+    # theta(H) = -H fixes E and F: an involution under which Jacobi holds but
+    # which is no automorphism ([H, E] = 2E, [theta H, theta E] = -2E), and
+    # whose k = span(E, F) has [E, F] = H in p
+    lambda: _sl2_like({0: 1}, ((-1, 0, 0), (0, 1, 0), (0, 0, 1))),
+], ids=["jacobi", "skewed-2", "skewed-3/2", "su21-rational", "su31", "not-automorphism"])
 def test_bracket_parity_matches_the_solver_transform_loop(build):
     """The parity residual is the largest entry, over every [k, k], [k, p]
     and [p, p] basis bracket, of the solver transform past the rank, with
@@ -389,3 +401,86 @@ def test_bracket_parity_matches_the_solver_transform_loop(build):
                 w = [sum(r * c for r, c in zip(row, b)) for row in solver.row_ops]
                 worst = max([worst] + [abs(t) for t in w[solver.rank:]])
     assert a.validate().residuals["bracket_parity"] == float(worst)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ALG = sorted(GOLDEN.glob("*.alg"))
+
+
+@pytest.mark.parametrize("source", list(SPACE_IDS) + [p.name for p in GOLDEN_ALG]
+                         + ["sl2r.alg"])
+def test_parity_builds_solvers_only_without_an_exact_automorphism(monkeypatch, source):
+    """theta^2 = I and a zero automorphism residual prove bracket parity, so
+    validate builds no SpanSolver for it: not on the catalog, nor on a
+    passing algebra file.  An involution that is no automorphism pays for
+    its two solvers; a theta that is no involution has no k and p to test."""
+    built, reports = [], []
+    validate = StructuredLieAlgebra.validate
+
+    def counting(*args):
+        built.append(args)
+        return SpanSolver(*args)
+
+    def recording(self):
+        reports.append(validate(self))
+        return reports[-1]
+
+    a = _fresh(build_space(source)) if source in SPACE_IDS else None
+    monkeypatch.setattr(liealg, "SpanSolver", counting)
+    monkeypatch.setattr(StructuredLieAlgebra, "validate", recording)
+    if a is not None:
+        a.validate()
+    else:
+        path = algebra_path("sl2r") if source == "sl2r.alg" else str(GOLDEN / source)
+        try:
+            parse_algebra_file(path)
+        except ConfigError:
+            pass
+    rep = reports[0].as_dict()
+    slow = rep["checks"]["theta_involution"] and rep["residuals"]["theta_automorphism"] != 0
+    assert len(built) == (2 if slow else 0)
+    if source in ("bad-jacobi.alg", "huge-jacobi.alg", "rational-jacobi.alg"):
+        assert len(built) == 2 and rep["residuals"]["bracket_parity"] != 0
+
+
+def _commutator_reference(a):
+    """max |entry| over the real and imaginary parts of [R_i, R_j] - sum_k
+    C[i, j, k] R_k, one (i, j) pair at a time, on the images and the table
+    as they are stored (small int64 entries, or Python ints and Fractions)."""
+    real, d = a.realization, a.dim
+    re, im, c = real.re, real.im, a.structure_exact
+    worst = 0
+    for i, j in itertools.product(range(d), repeat=2):
+        d_re = re[i] @ re[j] - im[i] @ im[j] - re[j] @ re[i] + im[j] @ im[i]
+        d_im = re[i] @ im[j] + im[i] @ re[j] - re[j] @ im[i] - im[j] @ re[i]
+        for k in np.flatnonzero(c[i, j]):
+            d_re, d_im = d_re - c[i, j, k] * re[k], d_im - c[i, j, k] * im[k]
+        worst = max([worst] + [abs(x) for x in itertools.chain(d_re.flat, d_im.flat)])
+    return float(worst)
+
+
+@pytest.mark.parametrize("name", ["diff:" + n for n in sorted(DIFFERENTIAL)]
+                         + ["rat:" + n for n in sorted(RATIONAL)])
+def test_realization_commutators_match_the_pair_loop(name):
+    kind, key = name.split(":")
+    a = (DIFFERENTIAL if kind == "diff" else RATIONAL)[key]()
+    assert a.validate().residuals["realization_commutators"] == _commutator_reference(a)
+
+
+@pytest.mark.parametrize("build, step", [
+    (lambda: _sl2_sum(10), 4),
+    # the one corrupted bracket, [Q1, Q2] (indices 6, 7), lies in the last
+    # block alone
+    (lambda: _corrupted_su21(1, at=(-1, -1)), 3),
+    (lambda: _corrupted_su21(Fraction(1, 3), at=(-1, -1)), 3),
+    (lambda: _corrupted_su21(1), 3),
+], ids=["sl2-sum-10", "su21-last-block", "su21-last-block-rational", "su21"])
+def test_realization_commutators_in_small_blocks_match_the_pair_loop(monkeypatch,
+                                                                     build, step):
+    """COMMUTATOR_BLOCK cut down to step basis indices a block, at least
+    three blocks, the last one short."""
+    a = build()
+    monkeypatch.setattr(liealg, "COMMUTATOR_BLOCK",
+                        step * a.dim * (2 * a.realization.size) ** 2)
+    assert -(-a.dim // step) >= 3 and a.dim % step > 1
+    assert a.validate().residuals["realization_commutators"] == _commutator_reference(a)
