@@ -35,9 +35,8 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, LemmaFalsified
-from .exactla import frac
 from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, ChainResidues,
-                     abs_col_sum, coeff_strings, float_tol, int64_exact)
+                     abs_col_sum, coeff_strings, int64_exact)
 from .subspaces import Subspace
 
 
@@ -45,8 +44,8 @@ from .subspaces import Subspace
 class ConditionVerdict:
     """Outcome of the sampled extension-condition check."""
 
+    mode = "exact-sampled"         # random Y, each term decided exactly
     holds: bool
-    mode: str                      # exact-sampled | float-sampled
     n_max: int
     samples: int
     seed: int
@@ -73,8 +72,8 @@ class ConditionVerdict:
 class LemmaCheck:
     """Brute-force certification of the bracket lemma for one (s, X, Y)."""
 
+    mode = MODE_EXACT
     status: str                    # passed | hypothesis_violated
-    mode: str
     n_max: int
     m_max: int
     hypothesis_residuals: list = field(default_factory=list)
@@ -123,37 +122,36 @@ class SeriesReport:
     warnings: tuple = ()
 
 
-def _require_pair(s: Subspace, x: AlgebraVector, check_lts=True):
+def _require_pair(s: Subspace, x: AlgebraVector, certify=True):
+    """Refuse a pair the callers cannot take.  certify (the condition and
+    the lemma) also wants s exact, tested before any array is built, and a
+    Lie triple system; the series takes a float pair too."""
     a = s.algebra
+    if certify and s.mode != MODE_EXACT:
+        raise ConfigError("the condition and the lemma are certified in exact "
+                          "arithmetic; s has mode %s" % s.mode)
     if x.mode != s.mode:
         raise ConfigError("X mode %s does not match subspace mode %s" % (x.mode, s.mode))
     if not s.in_p():
         raise ConfigError("s must be contained in p")
     if not a.in_p(x):
         raise ConfigError("X must lie in p")
-    if check_lts:
+    if certify:
         ok, witness = s.is_lie_triple_system()
         if not ok:
             raise ConfigError("s is not a Lie triple system; witness: %r" % (witness,))
 
 
-_NOT_NORMAL = {
-    MODE_EXACT: "X has a nonzero component along s (B(X, s) != 0); "
-                "the geometric statement wants X normal",
-    MODE_FLOAT: "X has a nonzero component along s within float tolerance",
-}
+_NOT_NORMAL = ("X has a nonzero component along s (B(X, s) != 0); "
+               "the geometric statement wants X normal")
 
 
 def _normal_pairing(s: Subspace, x: AlgebraVector):
-    """First pairing B(b, X) over the basis of s that is nonzero (exact) or
-    above float_tol(|b| |X|) in B_theta (float), as a canonical exact scalar
-    or a float; None when X is B-orthogonal to s."""
-    exact = s.mode == MODE_EXACT
-    a, b = s.algebra, s.basis_rows
-    pairing = b @ (a.killing_exact if exact else a.killing_float) @ x.row()
-    tol = 0 if exact else float_tol(s._norms(b) * s._norms(x.row()))
-    hits = np.flatnonzero(np.abs(pairing) > tol)
-    return (frac if exact else float)(pairing[hits[0]]) if hits.size else None
+    """First nonzero pairing B(b, X) over the basis of s; None when X is
+    B-orthogonal to s."""
+    pairing = s.basis_rows @ s.algebra.killing_exact @ x.row()
+    hits = np.flatnonzero(pairing)
+    return pairing[hits[0]] if hits.size else None
 
 
 def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
@@ -163,10 +161,8 @@ def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
     cleared, assembled as one product with the integer-scaled basis of s.
     They are int64 when int64_exact bounds that product and the scale fits,
     which holds for every catalog subspace, and dtype=object Python ints
-    otherwise.  Float Y are standard normal in the s-coordinates.
+    otherwise.
     """
-    if s.mode == MODE_FLOAT:
-        return gen.standard_normal((samples, s.dim)) @ s.basis_rows
     den = math.lcm(*(c.denominator for b in s.basis for c in b.coeffs))
     basis = np.array([[int(c * den) for c in b.coeffs] for b in s.basis], dtype=object)
     draws = rng.rational_vectors(gen, s.dim, samples)
@@ -188,17 +184,16 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s, for
     n <= n_max = dim p (complete by the module docstring).
 
-    Every (sample, n) term is evaluated in one stacked pass, in exact mode
-    on ChainResidues; the verdict reads them in sample-major order and
+    Every (sample, n) term is evaluated in one stacked pass on
+    ChainResidues; the verdict reads them in sample-major order and
     stops at the first term outside s, which is the witness, so `checked`
     counts the terms up to it.  The witness alone is evaluated exactly.
     """
     _require_pair(s, x)
     a = s.algebra
     n_max = len(a.p_basis)
-    warnings = () if _normal_pairing(s, x) is None else (_NOT_NORMAL[s.mode],)
-    mode = "exact-sampled" if s.mode == MODE_EXACT else "float-sampled"
-    verdict = ConditionVerdict(holds=True, mode=mode, n_max=n_max,
+    warnings = () if _normal_pairing(s, x) is None else (_NOT_NORMAL,)
+    verdict = ConditionVerdict(holds=True, n_max=n_max,
                                samples=samples, seed=seed,
                                per_n_worst_residual=[0.0] * (n_max + 1),
                                warnings=warnings)
@@ -206,24 +201,20 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
         return verdict
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
     xrow = x.row()
-    if s.mode == MODE_EXACT:
-        r = ChainResidues(a, ys, xrow, 2 * n_max + 1, s.null_rows)
-        r.fit("--samples")
-        outside = r.outside(r.chain[:, :, 1::2], r.ad(r.x))
-        res = np.zeros(outside.shape)
-    else:
-        outside, res = s.membership(
-            a.ad_chain(ys, xrow, 2 * n_max + 1)[:, 1::2] @ a.ad_stack(xrow))
+    r = ChainResidues(a, ys, xrow, 2 * n_max + 1, s.null_rows)
+    r.fit("--samples")
+    outside = r.outside(r.chain[:, :, 1::2], r.ad(r.x))
+    res = np.zeros(outside.shape)
     hits = np.flatnonzero(outside)
     verdict.checked = int(hits[0]) + 1 if hits.size else outside.size
     if hits.size:
         i, n = divmod(int(hits[0]), n_max + 1)
         odd = a.ad_chain(ys[i:i + 1], xrow, 2 * n + 1)[0, -1]
-        term = a.vector(odd @ a.ad_stack(xrow), s.mode)     # [X, v] = v @ ad_X
+        term = a.vector(odd @ a.ad_stack(xrow))     # [X, v] = v @ ad_X
         _, res[i, n] = s.contains(term)
         verdict.holds = False
         verdict.witness = {
-            "y": coeff_strings(a.vector(ys[i], s.mode)),
+            "y": coeff_strings(a.vector(ys[i])),
             "n": n,
             "vector": coeff_strings(term),
             "residual": float(res[i, n]),
@@ -239,7 +230,7 @@ def _lemma_terms(chain, x, ad_y, ad, mul, n_max: int, m_max: int):
     [ad_Y^{2n}X, ad_Y^{2m+1}X] and the auxiliary ad_Y [ad_Y^{2n}X,
     ad_Y^{2m}X] (n <= n_max, m <= m_max) of every chain of the stack chain
     (..., S, top + 1, d), given x (..., d), ad_y (..., S, d, d) of its Y, ad
-    (the stack of ad_u) and mul (the product): exact, float or residue."""
+    (the stack of ad_u) and mul (the product): exact or residue."""
     even, odd = chain[..., 0::2, :], chain[..., 1::2, :]
     ad_even = ad(even[..., :n_max + 1, :])       # [ad_Y^{2n}X, v] = v @ ad_even[..., n]
     hypothesis = mul(odd, ad(x))
@@ -255,7 +246,7 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X] in s and the auxiliary chain
     ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.  Returns one LemmaCheck per row.
 
-    Exact membership is decided on ChainResidues.  Only what a report
+    Membership is decided on ChainResidues.  Only what a report
     prints is evaluated exactly: the hypothesis terms of the rows that fail
     it, in one stacked pass, and the terms of the row raised below.
 
@@ -267,31 +258,21 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     a = s.algebra
     xrow = x.row()
     top = 2 * (n_max + m_max) + 1
-
-    def exact_terms(rows):
-        return _lemma_terms(a.ad_chain(rows, xrow, top), xrow,
-                            a.ad_stack(rows.astype(xrow.dtype)), a.ad_stack, np.matmul,
-                            n_max, m_max)
-
-    if s.mode == MODE_EXACT:
-        r = ChainResidues(a, ys, xrow, top, s.null_rows)
-        r.fit("--samples, --n-max and --m-max", vectors=(n_max + 1) * (m_max + 1),
-              ads=n_max + 1)
-        hyp_out, con_out, aux_out = (r.outside(v) for v in _lemma_terms(
-            r.chain, r.x, r.ad_y, r.ad, r.mul, n_max, m_max))
-        hyp_res, con_res, aux_res = (np.zeros(o.shape) for o in (hyp_out, con_out, aux_out))
-        bad = np.flatnonzero(hyp_out.any(axis=-1))
-        if bad.size:
-            odd = a.ad_chain(ys[bad], xrow, top)[:, 1::2]
-            hyp_res[bad] = s.membership(odd @ a.ad_stack(xrow))[1]
-    else:
-        (hyp_out, hyp_res), (con_out, con_res), (aux_out, aux_res) = (
-            s.membership(v) for v in exact_terms(ys))
+    r = ChainResidues(a, ys, xrow, top, s.null_rows)
+    r.fit("--samples, --n-max and --m-max", vectors=(n_max + 1) * (m_max + 1),
+          ads=n_max + 1)
+    hyp_out, con_out, aux_out = (r.outside(v) for v in _lemma_terms(
+        r.chain, r.x, r.ad_y, r.ad, r.mul, n_max, m_max))
+    hyp_res, con_res, aux_res = (np.zeros(o.shape) for o in (hyp_out, con_out, aux_out))
+    bad = np.flatnonzero(hyp_out.any(axis=-1))
+    if bad.size:
+        odd = a.ad_chain(ys[bad], xrow, top)[:, 1::2]
+        hyp_res[bad] = s.membership(odd @ a.ad_stack(xrow))[1]
 
     keys = ["%d,%d" % nm for nm in np.ndindex(n_max + 1, m_max + 1)]
     checks = []
     for i, y in enumerate(ys):
-        check = LemmaCheck(status="passed", mode=s.mode, n_max=n_max, m_max=m_max)
+        check = LemmaCheck(status="passed", n_max=n_max, m_max=m_max)
         checks.append(check)
         check.hypothesis_residuals = [float(r) for r in hyp_res[i]]
         check.hypothesis_failures = [{"m": int(m), "residual": float(hyp_res[i, m])}
@@ -303,13 +284,15 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
         check.aux_residuals = dict(zip(keys, map(float, aux_res[i].flat)))
         if not (con_out[i].any() or aux_out[i].any()):
             continue
-        _, con, aux = exact_terms(ys[i:i + 1])
-        if s.mode == MODE_EXACT:
-            con_res[i], aux_res[i] = s.membership(con[0])[1], s.membership(aux[0])[1]
-        y_str = coeff_strings(a.vector(y, s.mode))
+        row = ys[i:i + 1]
+        _, con, aux = _lemma_terms(a.ad_chain(row, xrow, top), xrow,
+                                   a.ad_stack(row.astype(xrow.dtype)), a.ad_stack,
+                                   np.matmul, n_max, m_max)
+        con_res[i], aux_res[i] = s.membership(con[0])[1], s.membership(aux[0])[1]
+        y_str = coeff_strings(a.vector(y))
         if con_out[i].any():
             n, m = divmod(int(np.argmax(con_out[i])), m_max + 1)
-            term = a.vector(con[0, n, m], s.mode)
+            term = a.vector(con[0, n, m])
             raise LemmaFalsified(
                 "bracket [ad_Y^%dX, ad_Y^%dX] escaped s with the hypothesis "
                 "satisfied (residual %g); this contradicts the bracket lemma"
@@ -342,7 +325,7 @@ def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     factorial tail bound and the membership residual against s."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    _require_pair(s, x, check_lts=False)
+    _require_pair(s, x, certify=False)
     if y.mode != x.mode:
         raise ValueError("Y mode does not match X mode")
     a = s.algebra
@@ -381,21 +364,3 @@ def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
                         membership_residual=membership_residual,
                         converged=converged, truncation=K, mode=x.mode,
                         warnings=tuple(warnings))
-
-
-def normal_field_check(s: Subspace, x: AlgebraVector, y: AlgebraVector,
-                       truncation: int = 12) -> float:
-    """Worst |B(Z^p, v)| over basis v of s, for Z^p the even series.
-
-    Requires X B-orthogonal to s and s a Lie triple system; under those
-    hypotheses each term pairs to zero (B(ad_Y^{2n}X, v) = B(X, ad_Y^{2n}v)
-    and ad_Y^{2n}v stays in s), independently of the extension condition.
-    """
-    _require_pair(s, x)
-    a = s.algebra
-    pairing = _normal_pairing(s, x)
-    if pairing is not None:
-        raise ConfigError("X is not B-orthogonal to s (pairing %s)" % pairing)
-
-    zp = _series_terms(a, x, y, 2 * truncation)[0::2].sum(axis=0)
-    return max((abs(float(p)) for p in zp @ a.killing_exact @ s.basis_rows.T), default=0.0)

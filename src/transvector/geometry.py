@@ -643,17 +643,6 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
     }
 
 
-def normal_pairing_residual(spec: ImmersionSpec, y, h: float | None = None) -> float:
-    """Ambient pairing of the transported X direction against the tangent
-    frame of S at exp(Y) o; zero means X stays normal along S."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    h = spec.h if h is None else float(h)
-    c0, first, _ = _stencil(lambda xi: _chart(spec, xi[..., 0], xi[..., 1:]),
-                            np.concatenate([[0.0], y])[None], h, corners=False)
-    g_amb = metric_matrix(spec.algebra, c0[0])
-    return float(np.max(np.abs(first[0, 0] @ g_amb @ first[0, 1:].T), initial=0.0))
-
-
 def export_point_cloud(report: CurvatureReport, csv_path: str | None = None,
                        ply_path: str | None = None) -> dict:
     """Write the report's grid as CSV (t, Y, chart coords, |H|) and/or PLY

@@ -277,7 +277,7 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
                 key = tuple(v.coeffs for v in target_basis)
                 target = spans.get(key)
                 if target is None:
-                    target = spans[key] = Subspace(rd.algebra, target_basis, rd.mode)
+                    target = spans[key] = Subspace(rd.algebra, target_basis, MODE_EXACT)
                 # [x, y] for x in the left space, y in the right one
                 brackets = right[mu].basis_rows @ ad_left[lam]
                 outside, res = target.membership(brackets)
@@ -358,7 +358,7 @@ def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
     even_target_basis = list(rd.a.basis)
     if two_lam in rd.p_spaces:
         even_target_basis += list(rd.p_spaces[two_lam].basis)
-    even_target = Subspace(a, even_target_basis, rd.mode)
+    even_target = Subspace(a, even_target_basis, MODE_EXACT)
     odd_target = rd.k_spaces[lam]
 
     n_max = len(a.p_basis)

@@ -6,7 +6,8 @@ product with integer rows whose common kernel is the span (a certificate):
 the exactla.nullspace rows of the basis, each scaled to ints, whose count
 also proves the basis independent.  In float mode the B_theta-orthogonal
 residual is held against the scale-aware tolerance
-liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).
+liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).  The B-orthocomplement and
+the reflective and totally-real predicates are exact only.
 Residuals are measured in the positive definite form B_theta, so they are
 meaningful for vectors anywhere in g, not just in p.
 """
@@ -152,25 +153,21 @@ class Subspace:
     def in_p(self) -> bool:
         return all(self.algebra.in_p(b) for b in self.basis)
 
-    def _require_p(self, what: str):
+    def _require_p(self, what: str, exact=False):
+        if exact and self.mode != MODE_EXACT:
+            raise ValueError("%s requires an exact subspace" % what)
         if not self.in_p():
             raise ValueError("%s requires a subspace of p" % what)
 
     def orthocomplement_in_p(self) -> "Subspace":
         """B-orthogonal complement inside p; B restricted to p is definite.
         Its basis is c @ p for the coordinates c over the p-basis that pair
-        to zero with every basis vector: an exact kernel, or the right
-        singular vectors of the float pairing past its numerical rank."""
-        self._require_p("orthocomplement_in_p")
+        to zero with every basis vector, the exact kernel of that pairing."""
+        self._require_p("orthocomplement_in_p", exact=True)
         a = self.algebra
-        p = a.p_basis.astype(self.basis_rows.dtype)
-        pairing = self.basis_rows @ _killing(a, self.mode) @ p.T      # B(b_i, p_j)
-        if self.mode == MODE_EXACT or not self.dim:
-            null = nullspace(pairing)
-        else:
-            _, sv, vt = np.linalg.svd(pairing)
-            null = vt[(sv > 1e-12).sum():]
-        return Subspace(a, null @ p, self.mode)
+        p = a.p_basis
+        pairing = self.basis_rows @ a.killing_exact @ p.T      # B(b_i, p_j)
+        return Subspace(a, nullspace(pairing) @ p)
 
     def is_lie_triple_system(self):
         """(verdict, witness): [[s,s],s] inside s on basis triples, all in one
@@ -228,41 +225,26 @@ class Subspace:
         return verdict, report
 
     def is_totally_real(self, jmat) -> bool:
-        """True when B(J x, y) = 0 for all basis pairs x, y of this subspace,
-        exactly or within float_tol of |J x| |y| in B_theta."""
-        self._require_p("is_totally_real")
+        """True when B(J x, y) = 0 exactly for all basis pairs x, y of this
+        subspace."""
+        self._require_p("is_totally_real", exact=True)
         a, b = self.algebra, self.basis_rows
-        jb = b @ _complex_structure(a, jmat, self.mode).T
-        pairing = np.abs(jb @ _killing(a, self.mode) @ b.T)
-        tol = 0 if self.mode == MODE_EXACT else float_tol(np.outer(self._norms(jb),
-                                                                  self._norms(b)))
-        return bool((pairing <= tol).all())
+        jb = b @ _complex_structure(a, jmat).T
+        return not np.count_nonzero(jb @ a.killing_exact @ b.T)
 
 
-def _killing(a: StructuredLieAlgebra, mode) -> np.ndarray:
-    return a.killing_exact if mode == MODE_EXACT else a.killing_float
-
-
-def _complex_structure(a: StructuredLieAlgebra, jmat, mode) -> np.ndarray:
-    """c J for jmat = J, once J^2 = -id on p and J is orthogonal for B there
-    (exactly, or within 1e-9); raises otherwise.  In exact mode c is the
-    lcm of J's denominators, so c J is an integer matrix (and B(c J x, y)
-    vanishes with B(J x, y)); in float mode c = 1."""
-    exact = mode == MODE_EXACT
-    kind = object if exact else float
-    jm = np.array(jmat, dtype=kind)
-    scale = 1
-    if exact:
-        scale = math.lcm(*(frac(x).denominator for x in jm.flat))
-        jm = np.array(clear_denominators(jm.flat), dtype=object).reshape(jm.shape)
-    p, killing = a.p_basis.astype(kind), _killing(a, mode)
+def _complex_structure(a: StructuredLieAlgebra, jmat) -> np.ndarray:
+    """c J for jmat = J, once J^2 = -id on p and J is orthogonal for B there;
+    raises otherwise.  c is the lcm of J's denominators, so c J is an
+    integer matrix (and B(c J x, y) vanishes with B(J x, y))."""
+    jm = np.array(jmat, dtype=object)
+    scale = math.lcm(*(frac(x).denominator for x in jm.flat))
+    jm = np.array(clear_denominators(jm.flat), dtype=object).reshape(jm.shape)
+    p, killing = a.p_basis, a.killing_exact
     jp = p @ jm.T
-    square = np.abs(jp @ jm.T + scale ** 2 * p)
     norms = np.einsum("ij,jk,ik->i", p, killing, p)        # B(v, v)
-    stretch = np.abs(np.einsum("ij,jk,ik->i", jp, killing, jp) - scale ** 2 * norms)
-    tol, within = (0, "") if exact else (1e-9, " within tolerance")
-    if square.max(initial=0) > tol:
-        raise ValueError("J^2 is not -identity on p" + within)
-    if (stretch > tol * (1 + np.abs(norms))).any():
-        raise ValueError("J is not B-orthogonal" + within)
+    if np.count_nonzero(jp @ jm.T + scale ** 2 * p):
+        raise ValueError("J^2 is not -identity on p")
+    if np.count_nonzero(np.einsum("ij,jk,ik->i", jp, killing, jp) - scale ** 2 * norms):
+        raise ValueError("J is not B-orthogonal")
     return jm

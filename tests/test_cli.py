@@ -27,13 +27,21 @@ def _run(tmp_path, *argv):
     return status, json.loads(out.read_text())
 
 
-def test_check_on_a_catalog_pair_passes(tmp_path):
-    status, rep = _run(tmp_path, "check", "--space", "su21",
-                       "--pair", "real-form", "--samples", "64", "--seed", "7")
-    assert status == 0
-    assert rep["summary"] == {"exit_status": 0, "passed": True}
-    assert rep["results"]["condition"]["holds"] is True
+@pytest.mark.parametrize("x, exit_status, warnings", [
+    ((), 0, []),
+    (("--X", "P1 + Q1"), 1, ["X has a nonzero component along s (B(X, s) != 0); "
+                             "the geometric statement wants X normal"])],
+    ids=["default-x", "non-normal-x"])
+def test_check_on_a_catalog_pair_reports_its_verdict(tmp_path, x, exit_status, warnings):
+    """The default X passes; P1 + Q1 pairs with P1 in s, so the verdict
+    carries the non-normal warning, and the condition fails at n = 0."""
+    status, rep = _run(tmp_path, "check", "--space", "su21", "--pair", "real-form",
+                       *x, "--samples", "64", "--seed", "7")
+    assert status == exit_status
+    assert rep["summary"] == {"exit_status": status, "passed": status == 0}
+    assert rep["results"]["condition"]["holds"] is (status == 0)
     assert rep["results"]["condition"]["mode"] == "exact-sampled"
+    assert rep["results"]["condition"]["warnings"] == warnings
     assert rep["schema"] == 1
     assert rep["config"]["seed"] == 7
 

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transvector import extension
 from transvector.catalog import build_pair, negative_control
 from transvector.errors import ConfigError
-from transvector.extension import (_normal_pairing, condition_holds, nabla_zz,
-                                   normal_field_check, verify_lemma_conclusion)
-from transvector.liealg import MODE_EXACT, MODE_FLOAT
+from transvector.extension import (_NOT_NORMAL, _normal_pairing, condition_holds,
+                                   nabla_zz, verify_lemma_conclusion)
+from transvector.liealg import MODE_FLOAT
 from transvector.subspaces import Subspace
 
 
@@ -143,31 +144,17 @@ def test_unconverged_truncation_is_flagged(sl2_pair_float):
     assert rep.warnings
 
 
-def test_normal_field_pairing_vanishes_exactly(sl2_pair):
-    a, s, x = sl2_pair
-    assert normal_field_check(s, x, s.basis[0].scale(Fraction(5, 3))) == 0.0
-
-
-def test_normal_field_check_rejects_non_orthogonal_x(sl2_pair):
-    a, s, x = sl2_pair
-    with pytest.raises(ValueError):
-        normal_field_check(s, s.basis[0], s.basis[0])
-
-
-@pytest.mark.parametrize("mode", [MODE_EXACT, MODE_FLOAT])
-def test_the_first_offending_pairing_in_basis_order_is_reported(mode):
+def test_the_first_offending_pairing_in_basis_order_is_reported():
     """s = span(P1, P2, P3) in su(3,1) and X = Q1 + 2 P2 + 3 P3: P1 pairs to
     0 with X, P2 to 2 B(P2, P2) = 32 and P3 to 48.  The first nonzero
-    pairing is the second one, and the refusal names it."""
+    pairing is the second one, and the verdict carries the warning."""
     entry = build_pair("su31", "real-form")
-    a = entry.algebra
-    s = Subspace(a, [b.astype(mode) for b in entry.s.basis], mode)
-    x = a.from_labels({"Q1": 1, "P2": 2, "P3": 3}, mode)
+    a, s = entry.algebra, entry.s
+    x = a.from_labels({"Q1": 1, "P2": 2, "P3": 3})
     assert _normal_pairing(s, x) == 32
-    assert _normal_pairing(s, a.from_labels({"Q1": 1}, mode)) is None
-    with pytest.raises(ConfigError, match=r"^X is not B-orthogonal to s \(pairing %s\)$"
-                       % ("32" if mode == MODE_EXACT else r"32\.0")):
-        normal_field_check(s, x, s.basis[0])
+    assert _normal_pairing(s, a.from_labels({"Q1": 1})) is None
+    assert condition_holds(s, x, samples=1).warnings == (_NOT_NORMAL,)
+    assert condition_holds(s, a.from_labels({"Q1": 1}), samples=1).warnings == ()
 
 
 def test_non_orthogonal_x_is_flagged_but_still_checked(sl2_pair):
@@ -179,19 +166,20 @@ def test_non_orthogonal_x_is_flagged_but_still_checked(sl2_pair):
     assert verdict.holds  # ad_H H = 0, all terms vanish
 
 
-def test_float_non_orthogonal_x_is_flagged_and_rejected(sl2_pair_float):
-    # B(H, H) = 8 is far outside the float tolerance; a pairing of 8e-13 is not
-    a, s, x = sl2_pair_float
-    verdict = condition_holds(s, s.basis[0], samples=2, seed=0)
-    assert verdict.warnings and verdict.holds
-    nearly_normal = x + s.basis[0].scale(1e-13)
-    assert not condition_holds(s, nearly_normal, samples=2, seed=0).warnings
-    with pytest.raises(ValueError, match="not B-orthogonal"):
-        normal_field_check(s, s.basis[0], s.basis[0])
-    assert normal_field_check(s, nearly_normal, s.basis[0]) <= 1e-9
-
-
-def test_mode_mismatch_is_an_error(sl2_pair):
+def test_mode_mismatch_is_an_error(sl2_pair, sl2_pair_float, monkeypatch):
     a, s, x = sl2_pair
     with pytest.raises(ValueError):
         condition_holds(s, x.astype(MODE_FLOAT), samples=2)
+    # a float s is refused even with a float X, before the first array
+    # (s in p) or the kernel is built
+    def unreachable(*args, **kw):
+        raise AssertionError("a float s reached the exact path")
+    monkeypatch.setattr(Subspace, "in_p", unreachable)
+    monkeypatch.setattr(extension, "ChainResidues", unreachable)
+    _, fs, fx = sl2_pair_float
+    want = ("^the condition and the lemma are certified in exact arithmetic; "
+            "s has mode float64$")
+    with pytest.raises(ConfigError, match=want):
+        condition_holds(fs, fx, samples=2)
+    with pytest.raises(ConfigError, match=want):
+        verify_lemma_conclusion(fs, fx, fs.basis_rows, n_max=1, m_max=1)

@@ -29,8 +29,7 @@ from transvector.geometry import (CURVATURE_BLOCK, CurvatureReport, GridSpec,
                                   distance_law_check, export_point_cloud,
                                   immersion_point, mean_curvature_estimate,
                                   mean_curvature_report, metric_matrix,
-                                  normal_pairing_residual, realize,
-                                  transvection)
+                                  realize, transvection)
 from transvector.liealg import MODE_FLOAT, StructuredLieAlgebra
 from transvector.subspaces import Subspace
 
@@ -635,11 +634,6 @@ def test_curvature_estimate_refuses_codimension_one(sl2r):
     _, norm, _ = mean_curvature_estimate(spec, 0.1, np.array([0.2]),
                                          baseline=True)
     assert norm <= 1e-6
-
-
-def test_normal_direction_stays_normal_along_s(su21_real_form):
-    spec = _su21_spec(su21_real_form)
-    assert normal_pairing_residual(spec, np.array([0.4, -0.3])) <= 1e-9
 
 
 def test_distance_law_on_the_small_grid(su21_real_form):

@@ -14,8 +14,6 @@ import pytest
 from transvector import rng
 from transvector.catalog import build_pair, negative_control
 from transvector.extension import sample_ys
-from transvector.liealg import MODE_FLOAT
-from transvector.subspaces import Subspace
 
 
 def _reference_vectors(gen, n, samples):
@@ -90,16 +88,6 @@ def test_sample_ys_matches_the_per_sample_loop(s):
             assert g[k] * w[k] > 0 and all(gi * w[k] == wi * g[k] for gi, wi in zip(g, w))
     if s.dim == 1:
         assert redraws > 0
-
-
-def test_float_ys_are_the_per_sample_normals():
-    e = build_pair("su21", "real-form")
-    s = Subspace(e.algebra, [b.astype(MODE_FLOAT) for b in e.s.basis])
-    gen, ref_gen = rng.stream(4, 1), rng.stream(4, 1)
-    got = sample_ys(s, gen, 9)
-    want = np.reshape([ref_gen.standard_normal(s.dim) for _ in range(9)], (9, s.dim))
-    assert np.array_equal(got, want @ s.basis_rows)
-    assert _state(gen) == _state(ref_gen)
 
 
 def test_a_zero_length_vector_is_refused():

@@ -113,12 +113,17 @@ def test_a_j_that_is_not_b_orthogonal_is_refused(su21):
         s.is_totally_real(jm)
 
 
-def test_float_subspaces_get_the_exact_totally_real_verdicts(
-        su21_real_form, su21_complex_hyperplane):
-    jm = complex_structure_matrix(su21_real_form.algebra)
-    for entry, verdict in ((su21_real_form, True), (su21_complex_hyperplane, False)):
-        s = Subspace(entry.algebra, [b.astype(MODE_FLOAT) for b in entry.s.basis])
-        assert s.is_totally_real(jm) is verdict
+def test_exact_only_predicates_refuse_a_float_subspace(su21_real_form):
+    """The complement, reflectivity and totally-real tests are exact; a
+    float subspace keeps membership and the triple-system test only."""
+    a = su21_real_form.algebra
+    s = Subspace(a, [b.astype(MODE_FLOAT) for b in su21_real_form.s.basis])
+    jm = complex_structure_matrix(a)
+    for predicate in (s.orthocomplement_in_p, s.is_reflective,
+                      lambda: s.is_totally_real(jm)):
+        with pytest.raises(ValueError, match="requires an exact subspace$"):
+            predicate()
+    assert s.is_lie_triple_system() == (True, None)
 
 
 # Fraction(a, b) of two small ints: far cheaper to draw than st.fractions
