@@ -8,6 +8,7 @@ Z = cosh(2s)(E+F) - sinh(2s)(E-F), [E-F, E+F] = 2H... twice).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transvector import extension
-from transvector.catalog import build_pair, negative_control
+from transvector import extension, rng
+from transvector.catalog import build_pair, list_pairs, negative_control
 from transvector.errors import ConfigError
-from transvector.extension import (_NOT_NORMAL, _normal_pairing, condition_holds,
-                                   nabla_zz, verify_lemma_conclusion)
-from transvector.liealg import MODE_FLOAT
+from transvector.extension import (_NOT_NORMAL, ConditionVerdict, LemmaCheck,
+                                   _normal_pairing, condition_holds, nabla_zz,
+                                   sample_ys, verify_lemma_conclusion)
+from transvector.liealg import MODE_EXACT, MODE_FLOAT
 from transvector.subspaces import Subspace
 
 
@@ -183,3 +185,48 @@ def test_mode_mismatch_is_an_error(sl2_pair, sl2_pair_float, monkeypatch):
         condition_holds(fs, fx, samples=2)
     with pytest.raises(ConfigError, match=want):
         verify_lemma_conclusion(fs, fx, fs.basis_rows, n_max=1, m_max=1)
+
+
+@pytest.mark.parametrize("entry_point", [
+    lambda s, x: condition_holds(s, x, samples=2),
+    lambda s, x: verify_lemma_conclusion(s, x, s.basis_rows, n_max=1, m_max=1)],
+    ids=["condition", "lemma"])
+def test_a_float_s_is_refused_before_the_mode_of_x_is_read(sl2_pair_float, entry_point):
+    """An exact X does not get a float s past the refusal: the mode of s is
+    read first, so the message names s, not the mismatch."""
+    a, s, x = sl2_pair_float
+    exact_x = a.basis_vector(1) + a.basis_vector(2)
+    with pytest.raises(ConfigError, match="s has mode float64$"):
+        entry_point(s, exact_x)
+
+
+CATALOG = [(sid, pair) for sid, pairs in list_pairs().items() for pair in pairs]
+CATALOG_IDS = ["%s-%s" % c for c in CATALOG]
+
+
+@pytest.mark.parametrize("sid, pair", CATALOG, ids=CATALOG_IDS)
+def test_catalog_x_grid_is_exactly_normal_to_s(sid, pair):
+    """Every X of a catalog grid pairs to exactly 0 with s; a basis vector
+    of s does not, and its first pairing is its own B(b, b)."""
+    entry = build_pair(sid, pair)
+    s = entry.s
+    for x in entry.x_grid:
+        assert _normal_pairing(s, x) is None
+    b = s.basis[0]
+    assert _normal_pairing(s, b) == entry.algebra.killing_form(b, b) != 0
+
+
+@pytest.mark.parametrize("sid, pair", CATALOG, ids=CATALOG_IDS)
+def test_catalog_verdicts_report_the_exact_modes(sid, pair):
+    """The modes are class constants, not fields a caller could set, and
+    the reports print them."""
+    assert "mode" not in {f.name for f in dataclasses.fields(ConditionVerdict)}
+    assert "mode" not in {f.name for f in dataclasses.fields(LemmaCheck)}
+    entry = build_pair(sid, pair)
+    s, x = entry.s, entry.x_default
+    verdict = condition_holds(s, x, samples=2, seed=1)
+    assert verdict.holds and verdict.as_dict()["mode"] == "exact-sampled"
+    ys = sample_ys(s, rng.stream(1, rng.STREAM_CONDITION_Y), 2)
+    checks = verify_lemma_conclusion(s, x, ys, n_max=1, m_max=1)
+    assert [c.as_dict()["mode"] for c in checks] == [MODE_EXACT, MODE_EXACT]
+    assert all(c.passed for c in checks)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transvector.catalog import complex_structure_matrix
+from transvector.catalog import build_pair, complex_structure_matrix, list_pairs
 from transvector.exactla import rank
 from transvector.liealg import MODE_EXACT, MODE_FLOAT
 from transvector.subspaces import Subspace
@@ -113,16 +113,35 @@ def test_a_j_that_is_not_b_orthogonal_is_refused(su21):
         s.is_totally_real(jm)
 
 
-def test_exact_only_predicates_refuse_a_float_subspace(su21_real_form):
+CATALOG = [(sid, pair) for sid, pairs in list_pairs().items() for pair in pairs]
+
+
+@pytest.mark.parametrize("sid, pair", CATALOG, ids=["%s-%s" % c for c in CATALOG])
+def test_orthocomplement_is_the_span_of_the_normal_frame(sid, pair):
+    """The exact complement of each catalog s in p has the codimension of s,
+    pairs to exactly 0 with s, and holds every vector of the normal frame."""
+    entry = build_pair(sid, pair)
+    a = entry.algebra
+    comp = entry.s.orthocomplement_in_p()
+    assert comp.mode == MODE_EXACT
+    assert comp.dim == len(a.p_basis) - entry.s.dim == len(entry.normal_frame)
+    assert not np.count_nonzero(entry.s.basis_rows @ a.killing_exact @ comp.basis_rows.T)
+    for v in entry.normal_frame:
+        assert comp.contains(v) == (True, 0.0)
+
+
+@pytest.mark.parametrize("predicate", [
+    lambda s, jm: s.orthocomplement_in_p(),
+    lambda s, jm: s.is_reflective(),
+    lambda s, jm: s.is_totally_real(jm)],
+    ids=["orthocomplement_in_p", "is_reflective", "is_totally_real"])
+def test_exact_only_predicates_refuse_a_float_subspace(su21_real_form, predicate):
     """The complement, reflectivity and totally-real tests are exact; a
     float subspace keeps membership and the triple-system test only."""
     a = su21_real_form.algebra
     s = Subspace(a, [b.astype(MODE_FLOAT) for b in su21_real_form.s.basis])
-    jm = complex_structure_matrix(a)
-    for predicate in (s.orthocomplement_in_p, s.is_reflective,
-                      lambda: s.is_totally_real(jm)):
-        with pytest.raises(ValueError, match="requires an exact subspace$"):
-            predicate()
+    with pytest.raises(ValueError, match="requires an exact subspace$"):
+        predicate(s, complex_structure_matrix(a))
     assert s.is_lie_triple_system() == (True, None)
 
 
