@@ -270,8 +270,7 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     same construction fails by a margin on the order of 2r: that run is the
     negative control distinguishing the two congruence classes.
     """
-    from .geometry import (GridSpec, ImmersionSpec, SpacePoint, distance, expm,
-                           immersion_point, realize)
+    from .geometry import GridSpec, ImmersionSpec, expm, immersion_distances, realize
 
     a = entry.algebra
     fam, _ = parse_space_id(a.name)
@@ -286,13 +285,11 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     jx = jm.astype(float) @ x_unit.to_array()
     jx_vec = a.vector(tuple(jx), "float64")
     spec = ImmersionSpec(a, entry.s, x_unit, grid=grid)
-    z = SpacePoint.from_matrix(a, expm(np.array([r, -r], dtype=float)[:, None, None]
-                                       * realize(a, jx_vec)))    # z_+, z_-
-    d0 = distance(a, SpacePoint.base(a), z)
     t_nodes = grid.t_axis()
     y_nodes = grid.y_nodes(entry.s.dim)
-    d = distance(a, immersion_point(spec, t_nodes[:, None, None],
-                                    y_nodes[:, None, :]), z)
+    d0, d = immersion_distances(      # to z_+, z_-
+        spec, t_nodes[:, None, None], y_nodes[:, None, :],
+        expm(np.array([r, -r], dtype=float)[:, None, None] * realize(a, jx_vec)))
     delta = np.abs(d[..., 0] - d[..., 1]).ravel()     # t-major
     k = int(np.argmax(delta))                         # its first maximum
     witness = None

@@ -21,6 +21,16 @@ and metric_matrix test the usual, good stack as a whole (one reduction per
 check); per-matrix failure masks are built only when one of those tests fails,
 to find the first failing point.
 
+Points are charted in stages, one cartan_project call a stage: _charts
+gathers several stacks of matrices into one call and splits the coordinates
+back, and _chart_points takes every representative from one expm and charts
+them for the round trip, in one more call, together with the matrices built
+from them (the g1^-1 g2 of distances, transvected points).  The chart of a
+representative is also its point's chart from the base point o, since o's
+representative is I.  SpacePoint.from_matrix and immersion_point take two
+calls, immersion_distances (the bisector check) two and distance_law_check
+three; each raises for its first failing stage.
+
 Mean curvature comes from central finite differences in the chart: _stencil
 evaluates a stack-aware function once on the centre, x0 +- h e_i and the
 corners x0 +- h e_i +- h e_j of every node of a stack.  On the chart that
@@ -41,6 +51,7 @@ the first node failing it; each node gets the bits it gets alone.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -221,33 +232,73 @@ class SpacePoint:
     def from_matrix(cls, a: StructuredLieAlgebra, g: np.ndarray) -> "SpacePoint":
         """The points of the stack g (..., N, N), once their representatives
         chart back to the same coordinates."""
-        pt, round_trip = _chart_points(a, g)
-        _raise_first_failure([round_trip])
+        (pt,), (back,), _ = _chart_points(a, _charts(a, [g]))
+        _raise_first_failure([_round_trip(pt, back)])
         return pt
 
     @property
     def representative(self) -> np.ndarray:
         if self._representative is None:
-            p_im, _ = _p_images(self.algebra)
-            self._representative = expm(np.einsum("...j,jkl->...kl", self.coords, p_im))
+            self._representative = _exp_coords(self.algebra, self.coords)
         return self._representative
 
 
-def _chart_points(a: StructuredLieAlgebra, g: np.ndarray):
-    """(SpacePoint of the stack g, its round-trip check): one cartan_project
-    of g, one expm of the representatives and one cartan_project of them."""
-    pt = SpacePoint(a, cartan_project(a, g))
-    off = np.max(np.abs(cartan_project(a, pt.representative) - pt.coords), axis=-1)
-    return pt, (off > ROUNDTRIP_TOL * (1.0 + np.max(np.abs(pt.coords), axis=-1)),
-                lambda i: NumericalBreakdown("normal-coordinate round trip failed"))
+def _exp_coords(a: StructuredLieAlgebra, coords: np.ndarray) -> np.ndarray:
+    """exp(P) of every p-coordinate row P of the stack coords (..., dim_p):
+    the representatives of those points."""
+    return expm(np.einsum("...j,jkl->...kl", coords, _p_images(a)[0]))
+
+
+def _split(flat: np.ndarray, shapes) -> list:
+    """The rows of flat (n, ...) back in stacks of the given shapes, in order."""
+    parts = np.split(flat, np.cumsum([math.prod(s) for s in shapes])[:-1])
+    return [part.reshape(s + flat.shape[1:]) for part, s in zip(parts, shapes)]
+
+
+def _charts(a: StructuredLieAlgebra, stacks) -> list:
+    """The coordinates of several stacks of matrices (..., N, N) from one
+    cartan_project call, split back into one stack (..., dim_p) each.  It
+    raises for the first failing matrix in the order the stacks are given."""
+    shapes = [np.shape(g)[:-2] for g in stacks]
+    return _split(cartan_project(a, np.concatenate(
+        [np.reshape(g, (-1,) + np.shape(g)[-2:]) for g in stacks])), shapes)
+
+
+def _chart_points(a: StructuredLieAlgebra, coords, ride=lambda *points: ()):
+    """(the SpacePoints of the coordinate stacks coords (..., dim_p), the
+    charts of their representatives, the charts of the matrices
+    ride(*points) builds from them): one expm gives every representative,
+    and one cartan_project call charts them together with ride's matrices.
+
+    The chart of a representative checks its point's round trip
+    (_round_trip), and is the chart of the point seen from the base point o
+    as well: o's representative is I, and solve(I, M) returns M."""
+    flat = np.concatenate([np.reshape(c, (-1, c.shape[-1])) for c in coords])
+    reps = _split(_exp_coords(a, flat), [c.shape[:-1] for c in coords])
+    points = [SpacePoint(a, c, rep) for c, rep in zip(coords, reps)]
+    charts = _charts(a, [q.representative for q in points] + list(ride(*points)))
+    return points, charts[:len(points)], charts[len(points):]
+
+
+def _round_trip(pt: SpacePoint, back: np.ndarray):
+    """The round-trip check of the points pt against the charts back of
+    their representatives."""
+    off = np.max(np.abs(back - pt.coords), axis=-1)
+    return (off > ROUNDTRIP_TOL * (1.0 + np.max(np.abs(pt.coords), axis=-1)),
+            lambda i: NumericalBreakdown("normal-coordinate round trip failed"))
+
+
+def _b_norm(a: StructuredLieAlgebra, co: np.ndarray) -> np.ndarray:
+    """||P||_B of every p-coordinate row of the stack co (..., dim_p)."""
+    sq = (co[..., None, :] @ _p_geometry(a)[2] @ co[..., :, None])[..., 0, 0]
+    return np.sqrt(np.where(sq > 0.0, sq, 0.0))
 
 
 def distance(a: StructuredLieAlgebra, q1: SpacePoint, q2: SpacePoint) -> np.ndarray:
     """Geodesic distances d(q1, q2) = ||cartan_project(g1^{-1} g2)||_B, with
     the two stacks of points broadcast against each other."""
-    co = cartan_project(a, np.linalg.solve(q1.representative, q2.representative))
-    sq = (co[..., None, :] @ _p_geometry(a)[2] @ co[..., :, None])[..., 0, 0]
-    return np.sqrt(np.where(sq > 0.0, sq, 0.0))
+    return _b_norm(a, cartan_project(
+        a, np.linalg.solve(q1.representative, q2.representative)))
 
 
 def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray) -> np.ndarray:
@@ -412,19 +463,48 @@ def _grid_point(spec: ImmersionSpec, t, y):
     return t, y
 
 
+def _left_s(spec: ImmersionSpec, t: np.ndarray, pt: SpacePoint):
+    """The t = 0 recertification of the nodes t of the points pt: those whose
+    coordinates leave s by more than 1e-9."""
+    outside, res = spec._s_float.membership(_apply(_p_geometry(spec.algebra)[0],
+                                                   pt.coords))
+    scale = 1.0 + np.max(np.abs(pt.coords), axis=-1)
+    return ((t == 0.0) & (outside | (res > 1e-9 * scale)),
+            lambda i: NumericalBreakdown("t = 0 point left s (residual %.3e)"
+                                         % res.flat[i]))
+
+
 def immersion_point(spec: ImmersionSpec, t, y) -> SpacePoint:
     """f(t, y) = exp(tX) exp(Y(y)) o for the stacks t (...) and y (..., dim s);
     the coordinates of the t = 0 nodes are recertified to lie in s within
     1e-9.  Every node is range-checked before any is charted."""
     t, y = _grid_point(spec, t, y)
-    pt, round_trip = _chart_points(spec.algebra, spec.group_element(t, y))
-    outside, res = spec._s_float.membership(_apply(_p_geometry(spec.algebra)[0],
-                                                   pt.coords))
-    scale = 1.0 + np.max(np.abs(pt.coords), axis=-1)
-    left = (t == 0.0) & (outside | (res > 1e-9 * scale))
-    _raise_first_failure([round_trip, (left, lambda i: NumericalBreakdown(
-        "t = 0 point left s (residual %.3e)" % res.flat[i]))])
+    a = spec.algebra
+    (pt,), (back,), _ = _chart_points(a, _charts(a, [spec.group_element(t, y)]))
+    _raise_first_failure([_round_trip(pt, back), _left_s(spec, t, pt)])
     return pt
+
+
+def immersion_distances(spec: ImmersionSpec, t, y, g: np.ndarray):
+    """(d(o, z), d(f(t, y), z)) for the points z of the stack of group
+    elements g (..., N, N) and the nodes of the stacks t (...) and
+    y (..., dim s); as in distance, the stack of nodes broadcasts against
+    the stack of z.  The nodes are checked as immersion_point checks them.
+
+    Two cartan_project calls: one charts g and the group elements of the
+    nodes; one charts their representatives and every g_f^-1 g_z.  What
+    fails first is raised: the range of a node, before any matrix is built;
+    then the first failing matrix of the first call, then of the second, in
+    that order; then the round trip of the first failing z; then the round
+    trip or the recertification of the first failing node."""
+    t, y = _grid_point(spec, t, y)
+    a = spec.algebra
+    (z, q), (z_back, q_back), (between,) = _chart_points(
+        a, _charts(a, [g, spec.group_element(t, y)]),
+        lambda z, q: [np.linalg.solve(q.representative, z.representative)])
+    _raise_first_failure([_round_trip(z, z_back)])
+    _raise_first_failure([_round_trip(q, q_back), _left_s(spec, t, q)])
+    return _b_norm(a, z_back), _b_norm(a, between)
 
 
 def _chart(spec: ImmersionSpec, t, y: np.ndarray) -> np.ndarray:
@@ -585,6 +665,25 @@ def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,
                            tolerance=tolerance)
 
 
+def _law_samples(spec: ImmersionSpec, t_samples, y_samples):
+    """The distance law's t samples, sorted, with 0 added, and its Y samples
+    as an (n, dim s) array, once there is a Y sample, each has dim s
+    coordinates and every value is finite."""
+    ts = [float(t) for t in t_samples]
+    ts = np.array(sorted(ts if 0.0 in ts else ts + [0.0]))
+    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_samples]
+    if not ys:
+        raise ConfigError("the distance law needs at least one Y sample")
+    for y in ys:
+        if y.shape != (spec.s.dim,):
+            raise ConfigError("expected %d Y-coordinates, got %d"
+                              % (spec.s.dim, y.size))
+    ys = np.array(ys)
+    if not (np.isfinite(ts).all() and np.isfinite(ys).all()):
+        raise ConfigError("distance-law samples must be finite")
+    return ts, ys
+
+
 def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
     """The three distance statements for the extended immersion.
 
@@ -594,28 +693,42 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
         foot point o;
     (iii) t -> d(o, psi_t(q)) is minimized at t = 0 and monotone on each side.
     Violations are report entries, not exceptions.
+
+    Samples that are missing, of the wrong width or not finite are a
+    ConfigError before any matrix is built.  The charts take three
+    cartan_project calls, one per stage: (1) the orbit exp(tX), the S points
+    and the points q = f(t, y), t != 0; (2) their representatives, every
+    g_q^-1 g_S and the transvected S points exp(tX) g_S; (3) the
+    representatives of the transvected points.  Distances from o are the
+    charts of representatives.  What fails first is raised: the first
+    failing matrix of stage 1, then of stage 2, in the order listed; then
+    the round trip of the first failing orbit, S or q point, in that order;
+    then the first failing matrix of stage 3; then the round trip of the
+    first failing transvected point.
     """
     a = spec.algebra
+    ts, ys = _law_samples(spec, t_samples, y_samples)
     xn = spec.x_norm
-    o = SpacePoint.base(a)
-    ts = [float(t) for t in t_samples]
-    ts = np.array(sorted(ts if 0.0 in ts else ts + [0.0]))
     bound = np.abs(ts) * xn
+    off = ts != 0.0
+    orbit = expm(ts[:, None, None] * spec._x_matrix)
+    points, backs, (between, moved) = _chart_points(a, _charts(a, [
+        orbit, spec.group_element(0.0, ys),
+        spec.group_element(ts[off, None, None], ys[:, None, :])]),
+        lambda _, s, q: [np.linalg.solve(q.representative, s.representative),
+                         orbit[:, None] @ s.representative])
+    for pt, back in zip(points, backs):
+        _raise_first_failure([_round_trip(pt, back)])
+    (moved,), (moved_back,), _ = _chart_points(a, [moved])
+    _raise_first_failure([_round_trip(moved, moved_back)])
 
-    orbit = SpacePoint.from_matrix(a, expm(ts[:, None, None] * spec._x_matrix))
-    geo_worst = float(np.max(np.abs(distance(a, o, orbit) - bound)))
+    geo_worst = float(np.max(np.abs(_b_norm(a, backs[0]) - bound)))
     geodesic = {"worst_residual": geo_worst, "tolerance": 1e-9,
                 "holds": geo_worst <= 1e-9}
 
-    ys = np.array(y_samples, dtype=float)
-    s_points = SpacePoint.from_matrix(a, spec.group_element(0.0, ys))
-    foot = ~np.any(ys, axis=-1)
-
     # distance from f(t, y), t != 0, to the nearest S-sample
-    off = ts != 0.0
-    q = SpacePoint.from_matrix(a, spec.group_element(ts[off, None, None],
-                                                     ys[:, None, :]))
-    dmin = np.min(distance(a, q, s_points), axis=-1)
+    foot = ~np.any(ys, axis=-1)
+    dmin = np.min(_b_norm(a, between), axis=-1)
     sep_violation = float(np.max(bound[off, None] - DISTANCE_SLACK - dmin, initial=0.0))
     eq_gap = float(np.max(np.abs(dmin - bound[off, None])[:, foot], initial=0.0))
     separation = {"worst_violation": sep_violation, "slack": DISTANCE_SLACK,
@@ -624,7 +737,7 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
                   and (not foot.any() or eq_gap <= DISTANCE_SLACK)}
 
     # d(o, psi_t(q)) over (t, S-sample): no step toward t = 0 may climb
-    d = distance(a, o, transvection(spec, ts[:, None], s_points))
+    d = _b_norm(a, moved_back)
     step = np.diff(d, axis=0)
     left = (ts[1:, None] <= 0.0) & (d[1:] > d[:-1] + 1e-12)
     right = (ts[:-1, None] >= 0.0) & (d[:-1] > d[1:] + 1e-12)

@@ -118,10 +118,11 @@ def _primes_below(n: int):
 
 _PRIMES = tuple(itertools.islice(_primes_below(RESIDUE_PRIME_LIMIT), 16))
 
-# The most int64 elements one residue stack of ChainResidues may hold (256
-# MiB).  At every count cap the catalog needs at most 1.8e6: su31
-# complex-hyperplane lemma --samples 4 --n-max 31 --m-max 31, with 29 primes
-# and a (29, 4, 1024, 15) stack of conclusion terms.
+# The most int64 elements the residue stacks of one ChainResidues request
+# may hold together (256 MiB).  At every count cap the catalog needs at most
+# 2.6e6: su31 complex-hyperplane lemma --samples 4 --n-max 31 --m-max 31,
+# with 29 primes, a (29, 4, 1024, 15) stack of conclusion terms and a
+# (29, 4, 32, 225) stack of ad matrices.
 RESIDUE_BUDGET = 2 ** 25
 
 # The most elements a block of validate's realization commutators holds,
@@ -781,20 +782,22 @@ class ChainResidues:
         self.x = self._lift(x)
 
     def fit(self, options: str, vectors: int = 0, ads: int = 0):
-        """Refuse, with a ConfigError naming options, when the chain, ad_y,
-        a stack of `vectors` vectors per Y or one of `ads` ad matrices per Y
-        would hold more than RESIDUE_BUDGET elements.  An ad matrix counts
-        d^2 elements, or the table's nonzero constants when they are more
-        (ad_stack's product).  Decided on the shapes, before any is built."""
+        """Refuse, with a ConfigError naming options, when the residue
+        stacks a request builds would hold more than RESIDUE_BUDGET elements
+        together: the chain or a stack of `vectors` vectors per Y, whichever
+        is longer, plus ad_y or a stack of `ads` ad matrices per Y.  An ad
+        matrix counts d^2 elements, or the table's nonzero constants when
+        they are more (ad_stack's product).  Decided on the shapes, before
+        any is built."""
         d, nonzero = self.algebra.dim, len(self.algebra._structure_columns[0])
-        for count, size in ((max(vectors, self.top + 1), d),
-                            (max(ads, 1), max(d * d, nonzero))):
-            shape = (len(self.x), len(self._ad_y), count, size)
-            if math.prod(shape) > RESIDUE_BUDGET:
-                raise ConfigError(
-                    "%s: a residue stack of shape %s holds %d int64 elements, "
-                    "more than the %d allowed"
-                    % (options, shape, math.prod(shape), RESIDUE_BUDGET))
+        shapes = [(len(self.x), len(self._ad_y), count, size)
+                  for count, size in ((max(vectors, self.top + 1), d),
+                                      (max(ads, 1), max(d * d, nonzero)))]
+        total = sum(math.prod(shape) for shape in shapes)
+        if total > RESIDUE_BUDGET:
+            raise ConfigError(
+                "%s: residue stacks of shapes %s and %s hold %d int64 elements, "
+                "more than the %d allowed" % (options, *shapes, total, RESIDUE_BUDGET))
 
     @cached_property
     def ad_y(self) -> np.ndarray:

@@ -34,6 +34,29 @@ def pytest_collection_modifyitems(config, items):
             own, max_examples=DEEP_FACTOR * own.max_examples)
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name, size) wraps the attribute owner.name for the
+    rest of the test and returns the list it fills: one size(*args) per
+    call, the arguments themselves without size.  A method wrapped on its
+    class gets self as the first argument."""
+    def wrap(owner, name, size=lambda *args: args):
+        plain, calls = getattr(owner, name), []
+
+        def counting(*args, **kwargs):
+            calls.append(size(*args))
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+    return wrap
+
+
+def stack_size(m) -> int:
+    """The number of matrices in the stack m (..., N, N)."""
+    return int(np.prod(np.shape(m)[:-2]))
+
+
 @pytest.fixture(scope="session")
 def sl2r():
     # goes through the file parser on purpose: the bundled definition is the

@@ -588,21 +588,29 @@ def _huge_s(n):
     return [{"P%d" % (k + 1): str(2 ** 255 - k)} for k in range(n)]
 
 
-@pytest.mark.parametrize("argv, space, n, options, shape", [
-    (("verify", "--samples", "1024"), "su41", 4, "--samples", (172, 1024, 18, 24)),
+@pytest.mark.parametrize("argv, space, n, options, shapes", [
+    (("verify", "--samples", "1024"), "su41", 4, "--samples",
+     [(172, 1024, 18, 24), (172, 1024, 1, 576)]),
     (("lemma", "--samples", "3", "--n-max", "32", "--m-max", "32"), "su21", 2,
-     "--samples, --n-max and --m-max", (1285, 3, 1089, 8))])
+     "--samples, --n-max and --m-max", [(1285, 3, 1089, 8), (1285, 3, 33, 64)]),
+    # each stack alone fits the budget, their sum does not: this verify once
+    # exited 0 after 4.2 s at an 854 MB peak
+    (("verify", "--samples", "1024"), "su31", 3, "--samples",
+     [(132, 1024, 14, 15), (132, 1024, 1, 225)])])
 def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, argv,
                                                                      space, n, options,
-                                                                     shape):
+                                                                     shapes):
     """A su21 verify once ended in an _ArrayMemoryError traceback with exit 1
     under a 3 GB address-space limit (a 2.62 GiB chain at 33 values of n),
     and the lemma peaked at 1175 MB.  The condition now checks n <= dim p,
     where su21 fits the budget at every count, so the verify runs on
-    su(4,1).  Refused on the shapes, the run allocates far less than the
-    stack it names."""
+    su(4,1).  The budget bounds the sum of the stacks.  Refused on the
+    shapes, the run allocates far less than the stacks it names."""
     s_file = tmp_path / "s.json"
     s_file.write_text(json.dumps(_huge_s(n)))
+    total = sum(math.prod(shape) for shape in shapes)
+    if space == "su31":
+        assert all(math.prod(shape) <= RESIDUE_BUDGET for shape in shapes)
     tracemalloc.start()
     try:
         status, rep = _run(tmp_path, argv[0], "--space", space, "--s", str(s_file),
@@ -612,10 +620,10 @@ def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, a
         tracemalloc.stop()
     assert status == 2
     assert rep["results"] == {
-        "error": "%s: a residue stack of shape %s holds %d int64 elements, more than "
-                 "the %d allowed" % (options, shape, math.prod(shape), RESIDUE_BUDGET),
+        "error": "%s: residue stacks of shapes %s and %s hold %d int64 elements, more "
+                 "than the %d allowed" % (options, *shapes, total, RESIDUE_BUDGET),
         "kind": "config"}
-    assert peak < 8 * math.prod(shape) / 20
+    assert peak < 8 * math.prod(shapes[0]) / 20
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,15 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from conftest import stack_size
 from transvector import geometry
-from transvector.catalog import build_pair, build_space
+from transvector.catalog import (bisector_equidistance_check, build_pair, build_space,
+                                complex_structure_matrix)
 from transvector.cli import run
 from transvector.errors import ConfigError, NumericalBreakdown
 from transvector.geometry import (CURVATURE_BLOCK, CurvatureReport, GridSpec,
                                   ImmersionSpec,
                                   SpacePoint, cartan_project, distance,
                                   distance_law_check, export_point_cloud,
-                                  immersion_point, mean_curvature_estimate,
+                                  immersion_distances, immersion_point,
+                                  mean_curvature_estimate,
                                   mean_curvature_report, metric_matrix,
                                   realize, transvection)
 from transvector.liealg import MODE_FLOAT, StructuredLieAlgebra
@@ -329,11 +332,11 @@ def test_stacked_points_equal_single_points_bit_for_bit(space):
         [[immersion_point(spec, t, y).coords for y in ys] for t in ts])))
 
 
-def _bump_representatives(monkeypatch, spec, coords):
-    """Move the representative of the point at coords by exp(1e-6 X): still
-    in the group, but off the round trip."""
+def _bump_representatives(monkeypatch, spec, coords, nudge=None):
+    """Move the representative of the point at coords by nudge, by default
+    exp(1e-6 X): still in the group, but off the round trip."""
     plain = SpacePoint.representative.fget
-    nudge = expm(1e-6 * spec._x_matrix)
+    nudge = expm(1e-6 * spec._x_matrix) if nudge is None else nudge
 
     def bumped(self):
         rep = plain(self)
@@ -477,24 +480,179 @@ def test_group_element_computes_distinct_slices_once_with_the_same_bits(
 
 
 def test_one_construct_request_decomposes_a_fixed_count_of_matrices(
-        tmp_path, monkeypatch):
+        tmp_path, count_calls):
     """The eigh work of one 3 x 3 x 3 construct request, as counts that repeat
     exactly on any machine: the block's 9 distinct t and 81 distinct y
     exponentials and its 27 x 19 stencil charts, then the h/2 re-estimate's
     3 t, 9 y and 19 charts for one node.  A lost dedup or an extra chart
     pass changes them."""
-    sizes = []
-    eigh = np.linalg.eigh
-
-    def count(m):
-        sizes.append(int(np.prod(np.shape(m)[:-2])))
-        return eigh(m)
-
-    monkeypatch.setattr(np.linalg, "eigh", count)
+    sizes = count_calls(np.linalg, "eigh", stack_size)
     assert run(["construct", "--space", "su21", "--pair", "real-form",
                 "--t-steps", "3", "--y-steps", "3",
                 "--out", str(tmp_path / "report.json")]) == 0
     assert sizes == [9, 81, 513, 3, 9, 19]
+
+
+@pytest.mark.parametrize("argv, eighs, charts", [
+    (["construct", "--space", "su21", "--pair", "real-form", "--t-steps", "3",
+      "--y-steps", "3", "--distance-law"],
+     [9, 81, 513, 3, 9, 19, 7, 1, 3, 6, 3, 28, 28, 103, 21, 21], [513, 19, 28, 103, 21]),
+    (["bisector", "--space", "su21", "--pair", "complex-hyperplane", "--grid-steps", "5"],
+     [2, 5, 25, 127, 127, 377], [127, 377])], ids=["distance-law", "bisector"])
+def test_the_distance_law_and_the_bisector_chart_one_stack_a_stage(
+        tmp_path, count_calls, argv, eighs, charts):
+    """After the curvature sweep's counts (the test above), the distance
+    law's 7 orbit and 1 + 3 and 6 + 3 group exponentials, then three
+    charts: the 7 + 3 + 18 orbit, S and q points; their 28 representatives
+    with the 54 q-to-S matrices and the 21 transvected S points; the
+    representatives of those 21.  The bisector's 2 z and 5 + 25 grid
+    exponentials, then two charts: the 2 + 125 points; their 127
+    representatives with the 250 grid-to-z matrices.  A stage split in two
+    changes them."""
+    sizes = count_calls(np.linalg, "eigh", stack_size)
+    charted = count_calls(geometry, "cartan_project", lambda a, g: stack_size(g))
+    assert run(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert sizes == eighs
+    assert charted == charts
+
+
+LAW_SAMPLES = ([-1.0, -0.5, -0.25, 0.25, 0.5, 1.0], (-0.5, 0.0, 0.5))
+
+
+def _push_solve(monkeypatch, lhs, rhs):
+    """Scale by 1 + 1e-6, out of the group, every g1^-1 g2 that
+    np.linalg.solve forms from g1 = lhs and g2 = rhs (within 1e-9)."""
+    solve = np.linalg.solve
+
+    def pushed(a, b):
+        out = solve(a, b)
+        hit = (np.all(np.abs(a - lhs) < 1e-9, axis=(-2, -1))
+               & np.all(np.abs(b - rhs) < 1e-9, axis=(-2, -1)))
+        return np.where(hit[..., None, None], out * (1.0 + 1e-6), out)
+
+    monkeypatch.setattr(np.linalg, "solve", pushed)
+
+
+RELATION = "matrix is not in the realized group (relation residual %s)"
+ROUND_TRIP = "normal-coordinate round trip failed"
+
+
+@pytest.mark.parametrize("space, target, nudge, message", [
+    # the messages the stage-by-stage distance law raised, one chart call
+    # per point stack and distance
+    ("su21", "orbit", "group", RELATION % "3.932e-07"),
+    ("su21", "s", "group", RELATION % "3.146e-07"),
+    ("su21", "q", "group", RELATION % "2.380e-07"),
+    ("su21", "moved", "group", RELATION % "2.380e-07"),
+    ("su21", "between", None, RELATION % "8.548e-08"),
+    ("su31", "orbit", "group", RELATION % "3.286e-07"),
+    ("su31", "s", "group", RELATION % "2.265e-07"),
+    ("su31", "q", "group", RELATION % "1.770e-07"),
+    ("su31", "moved", "group", RELATION % "1.770e-07"),
+    ("su31", "between", None, RELATION % "4.752e-08"),
+    *((space, target, "round-trip", ROUND_TRIP) for space in ("su21", "su31")
+      for target in ("orbit", "s", "q", "moved"))])
+def test_one_failing_point_of_a_distance_law_stage_raises_what_it_raised_alone(
+        monkeypatch, space, target, nudge, message):
+    """A point off the round trip, a representative or a q-to-S matrix out
+    of the group: in the stage that charts it, it raises what it raised when
+    its own stack was charted alone.  The moved point (t, y) = (0.5, -0.5)
+    has other bits than the q point at the same place."""
+    spec, ts, ys = _law_on(space)
+    a = spec.algebra
+    if target == "between":
+        _push_between(monkeypatch, spec, ys)
+    else:
+        points = {
+            "orbit": SpacePoint.from_matrix(a, geometry.expm(0.5 * spec._x_matrix)),
+            "s": SpacePoint.from_matrix(a, spec.group_element(0.0, ys[2])),
+            "q": SpacePoint.from_matrix(a, spec.group_element(0.5, ys[0])),
+            "moved": transvection(spec, 0.5, SpacePoint.from_matrix(
+                a, spec.group_element(0.0, ys[0])))}
+        assert not np.array_equal(_bits(points["moved"].coords),
+                                  _bits(points["q"].coords))
+        _bump_representatives(monkeypatch, spec, points[target].coords,
+                              None if nudge == "round-trip"
+                              else (1.0 + 1e-6) * np.eye(len(spec._x_matrix)))
+    assert _raised(NumericalBreakdown, distance_law_check, spec, ts, ys) == message
+
+
+def _law_on(space):
+    """The spec of _spec_on with the samples of construct --distance-law."""
+    spec = _spec_on(space)
+    ts, values = LAW_SAMPLES
+    return spec, ts, [np.full(spec.s.dim, v) for v in values]
+
+
+def _push_between(monkeypatch, spec, ys):
+    """Push the matrix between q = f(0.5, ys[2]) and the S point of ys[0]
+    out of the group."""
+    a = spec.algebra
+    _push_solve(monkeypatch,
+                SpacePoint.from_matrix(a, spec.group_element(0.5, ys[2])).representative,
+                SpacePoint.from_matrix(a, spec.group_element(0.0, ys[0])).representative)
+
+
+def test_a_distance_law_stage_raises_its_charts_before_earlier_round_trips(monkeypatch):
+    """The order distance_law_check documents: an orbit point off its round
+    trip and a q-to-S matrix out of the group raise the matrix, charted in
+    stage 2 with the round trips, before the round trips are checked."""
+    spec, ts, ys = _law_on("su21")
+    orbit = SpacePoint.from_matrix(spec.algebra, geometry.expm(0.5 * spec._x_matrix))
+    _bump_representatives(monkeypatch, spec, orbit.coords)
+    assert _raised(NumericalBreakdown, distance_law_check, spec, ts, ys) == ROUND_TRIP
+    _push_between(monkeypatch, spec, ys)
+    assert (_raised(NumericalBreakdown, distance_law_check, spec, ts, ys)
+            == RELATION % "8.548e-08")
+
+
+@pytest.mark.parametrize("pair, target, nudge, message", [
+    ("complex-hyperplane", "node", "group", RELATION % "2.623e-07"),
+    ("complex-hyperplane", "between", None, RELATION % "2.568e-07"),
+    ("complex-hyperplane", "z", "group", RELATION % "5.539e-07"),
+    ("real-form", "node", "group", RELATION % "2.620e-07"),
+    ("real-form", "between", None, RELATION % "2.357e-07"),
+    ("real-form", "z", "group", RELATION % "5.539e-07"),
+    *((pair, target, "round-trip", ROUND_TRIP)
+      for pair in ("complex-hyperplane", "real-form") for target in ("node", "z"))])
+def test_one_failing_point_of_a_bisector_stage_raises_what_it_raised_alone(
+        monkeypatch, pair, target, nudge, message):
+    """The same for the bisector: the grid node (0.375, (0.375, -0.75)),
+    z_+ or the matrix between them."""
+    entry = build_pair("su21", pair)
+    grid = GridSpec(t_steps=5, y_steps=5)
+    a = entry.algebra
+    x = entry.x_default.astype(MODE_FLOAT)
+    spec = ImmersionSpec(a, entry.s, x.scale(1.0 / a.btheta_norm(x)), grid=grid)
+    node = immersion_point(spec, 0.375, np.array([0.375, -0.75]))
+    jx = complex_structure_matrix(a).astype(float) @ spec._x_float.to_array()
+    z = SpacePoint.from_matrix(a, geometry.expm(0.5 * realize(
+        a, a.vector(tuple(jx), MODE_FLOAT))))
+    if target == "between":
+        _push_solve(monkeypatch, node.representative, z.representative)
+    else:
+        _bump_representatives(monkeypatch, spec, (node if target == "node" else z).coords,
+                              None if nudge == "round-trip" else (1.0 + 1e-6) * np.eye(3))
+    assert _raised(NumericalBreakdown, bisector_equidistance_check, entry,
+                   0.5, grid) == message
+
+
+@pytest.mark.parametrize("space", ["su21", "su31"])
+def test_base_point_distances_from_round_trip_charts_equal_distance_bit_for_bit(space):
+    """d(o, z) from the round-trip charts of z, and d(f(t, y), z) from the
+    stacked q-to-z charts, against distance on the same stacked points."""
+    spec = _spec_on(space)
+    a = spec.algebra
+    g = np.stack([SpacePoint(a, c).representative for c in _stack_of_points(a)])
+    ts = np.array([-0.6, 0.0, 0.35])
+    ys = np.linspace(-0.7, 0.7, 3 * spec.s.dim).reshape(3, spec.s.dim)
+    from_o, from_f = immersion_distances(spec, ts[:, None, None], ys[:, None, :], g)
+    z = SpacePoint.from_matrix(a, g)
+    assert np.array_equal(_bits(from_o), _bits(distance(a, SpacePoint.base(a), z)))
+    assert np.array_equal(_bits(from_f), _bits(distance(
+        a, immersion_point(spec, ts[:, None, None], ys[:, None, :]), z)))
+    assert np.array_equal(_bits(from_o), _bits(np.array(
+        [distance(a, SpacePoint.base(a), SpacePoint.from_matrix(a, m)) for m in g])))
 
 
 @pytest.mark.parametrize("pair", ["real-form", "complex-hyperplane"])
@@ -645,6 +803,28 @@ def test_distance_law_on_the_small_grid(su21_real_form):
     assert law["geodesic"]["worst_residual"] <= 1e-9
     assert law["separation"]["worst_violation"] == 0.0
     assert law["global_min"]["holds"]
+
+
+@pytest.mark.parametrize("t_samples, y_samples, message", [
+    ([0.5], [[0.0, 0.0], [0.1, 0.2, 0.3]], "expected 2 Y-coordinates, got 3"),
+    ([0.5], [0.1], "expected 2 Y-coordinates, got 1"),
+    ([0.5], [[[0.0, 0.0]]], "expected 2 Y-coordinates, got 2"),
+    ([0.5], [], "the distance law needs at least one Y sample"),
+    ([0.5], [[0.0, float("nan")]], "distance-law samples must be finite"),
+    ([float("inf")], [[0.0, 0.0]], "distance-law samples must be finite")])
+def test_distance_law_refuses_bad_samples_before_any_matrix(
+        monkeypatch, su21_real_form, t_samples, y_samples, message):
+    """A Y sample of the wrong width once ended in numpy's "operands could
+    not be broadcast", an empty list in "cannot reshape array of size 0"."""
+    spec = _su21_spec(su21_real_form)
+
+    def unreachable(*args):
+        raise AssertionError("a matrix was built")
+
+    for name in ("expm", "cartan_project"):
+        monkeypatch.setattr(geometry, name, unreachable)
+    assert _raised(ConfigError, distance_law_check, spec, t_samples,
+                   y_samples) == message
 
 
 def test_export_writes_both_formats(tmp_path, su21_real_form):

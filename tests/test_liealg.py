@@ -409,24 +409,21 @@ GOLDEN_ALG = sorted(GOLDEN.glob("*.alg"))
 
 @pytest.mark.parametrize("source", list(SPACE_IDS) + [p.name for p in GOLDEN_ALG]
                          + ["sl2r.alg"])
-def test_parity_builds_solvers_only_without_an_exact_automorphism(monkeypatch, source):
+def test_parity_builds_solvers_only_without_an_exact_automorphism(monkeypatch,
+                                                                  count_calls, source):
     """theta^2 = I and a zero automorphism residual prove bracket parity, so
     validate builds no SpanSolver for it: not on the catalog, nor on a
     passing algebra file.  An involution that is no automorphism pays for
     its two solvers; a theta that is no involution has no k and p to test."""
-    built, reports = [], []
+    reports = []
     validate = StructuredLieAlgebra.validate
-
-    def counting(*args):
-        built.append(args)
-        return SpanSolver(*args)
 
     def recording(self):
         reports.append(validate(self))
         return reports[-1]
 
     a = _fresh(build_space(source)) if source in SPACE_IDS else None
-    monkeypatch.setattr(liealg, "SpanSolver", counting)
+    built = count_calls(liealg, "SpanSolver")
     monkeypatch.setattr(StructuredLieAlgebra, "validate", recording)
     if a is not None:
         a.validate()

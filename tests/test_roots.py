@@ -229,22 +229,14 @@ def test_commutation_rules_build_each_target_once(monkeypatch, space_id, targets
 
 
 @pytest.mark.parametrize("space_id,calls", [("sl3r", 6), ("su21", 4)])
-def test_commutation_rules_take_ad_of_each_root_space_once(monkeypatch, space_id,
+def test_commutation_rules_take_ad_of_each_root_space_once(count_calls, space_id,
                                                            calls):
     """One ad stack per (k or p, lambda): 27 calls on sl3r and 12 on su21
     when each (lambda, mu, rule) took its own."""
     a = build_space(space_id)
     _, rd = _decomp(a)
-    plain = type(a).ad_stack
-    taken = []
-
-    def counting(self, ys):
-        taken.append(len(ys))
-        return plain(self, ys)
-
-    monkeypatch.setattr(type(a), "ad_stack", counting)
+    taken = count_calls(type(a), "ad_stack", lambda self, ys: len(ys))
     report = verify_commutation_rules(rd)
-    monkeypatch.setattr(type(a), "ad_stack", plain)
     assert len(taken) == calls == 2 * len(rd.positive)
     assert report == _rules_without_memo(rd)
 
