@@ -103,6 +103,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         raise ConfigError("cannot read %s: %s" % (path, e))
 
     sections: dict = {}
+    headers: dict = {}          # the line of each section's header
     current = None
     for lineno, line in enumerate(raw, start=1):
         text = line.split("#", 1)[0].strip()
@@ -115,6 +116,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
             if name in sections:
                 _fail(path, lineno, "duplicate section [%s]" % name)
             sections[name] = []
+            headers[name] = lineno
             current = name
             continue
         if current is None:
@@ -131,8 +133,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         if len(labels) > MAX_DIM:
             _fail(path, lineno, "[basis] has more than %d labels" % MAX_DIM)
     if not labels:
-        _fail(path, sections["basis"][0][0] if sections["basis"] else 1,
-              "empty [basis] section")
+        _fail(path, headers["basis"], "empty [basis] section")
     if len(set(labels)) != len(labels):
         _fail(path, sections["basis"][0][0], "duplicate basis labels")
     d = len(labels)
@@ -176,12 +177,13 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         except (ValueError, ZeroDivisionError) as e:
             _fail(path, lineno, "bad rational: %s" % e)
     if len(theta_rows) != d:
-        _fail(path, sections["theta"][0][0] if sections["theta"] else 1,
+        _fail(path, sections["theta"][0][0] if sections["theta"] else headers["theta"],
               "theta needs %d rows, got %d" % (d, len(theta_rows)))
 
     realization = None
     if "realization" in sections:
-        realization = _parse_realization(path, sections["realization"], d)
+        realization = _parse_realization(path, headers["realization"],
+                                         sections["realization"], d)
 
     try:
         algebra = StructuredLieAlgebra(labels=tuple(labels), brackets=brackets,
@@ -200,7 +202,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
     return algebra
 
 
-def _parse_realization(path, lines, d):
+def _parse_realization(path, header, lines, d):
     entry = _memo(parse_entry)
     size = None
     signature = None
@@ -243,11 +245,11 @@ def _parse_realization(path, lines, d):
         except ZeroDivisionError:
             _fail(path, lineno, "zero denominator in a matrix entry")
     if size is None:
-        _fail(path, lines[0][0] if lines else 1, "realization without size")
+        _fail(path, lines[0][0] if lines else header, "realization without size")
     if signature is not None and len(signature) != size:
         _fail(path, lines[0][0], "signature length must equal size")
     if len(rows) != d * size:
-        _fail(path, lines[-1][0] if lines else 1,
+        _fail(path, lines[-1][0],
               "realization needs %d rows (%d matrices of %d), got %d"
               % (d * size, d, size, len(rows)))
     parts = np.array(rows, dtype=object).reshape(d, size, size, 2)

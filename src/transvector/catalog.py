@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .exactla import SpanSolver
-from .liealg import MODE_EXACT, AlgebraVector, MatrixRealization, StructuredLieAlgebra
+from .liealg import AlgebraVector, MatrixRealization, StructuredLieAlgebra
 from .subspaces import Subspace
 
 SPACE_IDS = ("su21", "su31", "so21", "so31", "sl2r", "sl3r")
@@ -238,7 +238,7 @@ def build_pair(space_id: str, pair_name: str) -> CatalogEntry:
         frame = (a.from_labels({"P%d" % n: 1}),)
         totreal = None
         desc = "totally geodesic hyperplane in real hyperbolic space (codim 1)"
-    s = Subspace(a, basis, MODE_EXACT)
+    s = Subspace(a, basis)
     ok, report = s.is_reflective()
     if not ok:
         raise RuntimeError("catalog pair %s/%s failed its reflectivity "
@@ -323,6 +323,6 @@ def negative_control():
     subspace and its span solver are built once per process.
     """
     a = build_space("sl3r")
-    s = Subspace(a, [a.from_labels({"S12": 1})], MODE_EXACT)
+    s = Subspace(a, [a.from_labels({"S12": 1})])
     x = a.from_labels({"H1": 1, "S13": 1})
     return a, s, x

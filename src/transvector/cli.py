@@ -26,7 +26,6 @@ from .exactla import bounded, parse_rational
 from .extension import condition_holds, sample_ys, verify_lemma_conclusion
 from .geometry import (GridSpec, ImmersionSpec, distance_law_check,
                        export_point_cloud, mean_curvature_report)
-from .liealg import MODE_EXACT
 from .report import envelope, write_report
 from .roots import (build_root_space_example, maximal_abelian,
                     restricted_root_decomposition, verify_commutation_rules)
@@ -122,7 +121,7 @@ def load_subspace_file(a, path: str) -> Subspace:
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError("%s: vector %d has a bad rational: %s" % (path, k, e))
     try:
-        return Subspace(a, vectors, MODE_EXACT)
+        return Subspace(a, vectors)
     except ValueError as e:
         raise ConfigError("%s: %s" % (path, e))
 
@@ -163,6 +162,13 @@ MAX_GRID_NODES = 10 ** 5
 MAX_SAMPLES = 1024
 MAX_CHAIN = 32              # lemma --n-max and --m-max
 MAX_LEMMA_TERMS = 4096      # lemma samples * (n_max + 1) * (m_max + 1)
+
+# The most multiply-adds the chains of roots --examples may take: each of the
+# positive roots * X points examples builds, for each sample, a chain of
+# 2 dim p + 3 exact vectors of length d, each a d-by-d product.  su31 at
+# --samples 1024 takes 3.5e7 (1.5 s); su(9,1) at --samples 17 takes 6.5e7,
+# near this cap, in 5 s and 100 MB
+MAX_EXAMPLE_WORK = 2 ** 26
 
 
 def _capped_grid(grid: GridSpec, dim: int, options: str) -> GridSpec:
@@ -249,6 +255,13 @@ def _cmd_roots(args):
     a = _algebra_from_args(args)
     asub = maximal_abelian(a)
     rd = restricted_root_decomposition(a, asub, seed=args.seed)
+    grid = _default_a_grid(rd.a.dim)
+    examples = len(rd.positive) * len(grid)
+    chain = 2 * len(a.p_basis) + 3
+    if args.examples and examples * args.samples * chain * a.dim ** 2 > MAX_EXAMPLE_WORK:
+        raise ConfigError("--samples and --examples: %d examples * %d samples * %d chain "
+                          "vectors * %d^2 multiply-adds are more than the %d allowed"
+                          % (examples, args.samples, chain, a.dim, MAX_EXAMPLE_WORK))
     rules = verify_commutation_rules(rd)
     results = {
         "space": a.name,
@@ -259,7 +272,7 @@ def _cmd_roots(args):
     if args.examples:
         bundles = []
         for lam in rd.positive:
-            for coords in _default_a_grid(rd.a.dim):
+            for coords in grid:
                 x = rd.a.member_from_coordinates(coords)
                 bundle = build_root_space_example(rd, lam, x,
                                                   samples=args.samples,

@@ -36,7 +36,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, LemmaFalsified
 from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, ChainResidues,
-                     abs_col_sum, coeff_strings, int64_exact)
+                     abs_col_sum, canonical, coeff_strings, int64_exact)
 from .subspaces import Subspace
 
 
@@ -124,14 +124,12 @@ class SeriesReport:
 
 def _require_pair(s: Subspace, x: AlgebraVector, certify=True):
     """Refuse a pair the callers cannot take.  certify (the condition and
-    the lemma) also wants s exact, tested before any array is built, and a
-    Lie triple system; the series takes a float pair too."""
+    the lemma) also wants X exact, tested before any array is built, and s
+    a Lie triple system; the series takes a float X too."""
     a = s.algebra
-    if certify and s.mode != MODE_EXACT:
+    if certify and x.mode != MODE_EXACT:
         raise ConfigError("the condition and the lemma are certified in exact "
-                          "arithmetic; s has mode %s" % s.mode)
-    if x.mode != s.mode:
-        raise ConfigError("X mode %s does not match subspace mode %s" % (x.mode, s.mode))
+                          "arithmetic; X has mode %s" % x.mode)
     if not s.in_p():
         raise ConfigError("s must be contained in p")
     if not a.in_p(x):
@@ -163,8 +161,8 @@ def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
     which holds for every catalog subspace, and dtype=object Python ints
     otherwise.
     """
-    den = math.lcm(*(c.denominator for b in s.basis for c in b.coeffs))
-    basis = np.array([[int(c * den) for c in b.coeffs] for b in s.basis], dtype=object)
+    den = math.lcm(*(c.denominator for c in s.basis_rows.flat))
+    basis = canonical(s.basis_rows * den)
     draws = rng.rational_vectors(gen, s.dim, samples)
     scale = den * rng.RATIONAL_SCALE
     if scale < 2 ** 63 and int64_exact(rng.RATIONAL_NUM * rng.RATIONAL_SCALE,

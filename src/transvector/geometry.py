@@ -409,7 +409,6 @@ class ImmersionSpec:
         self.codimension = len(a.p_basis) - self.s.dim
         self._x_float = xf
         self._x_matrix = realize(a, xf)
-        self._s_float = Subspace(a, rows, MODE_FLOAT)
         self._s_images = np.einsum("ij,jkl->ikl", rows, a.realization.images_complex)
 
     @property
@@ -466,8 +465,7 @@ def _grid_point(spec: ImmersionSpec, t, y):
 def _left_s(spec: ImmersionSpec, t: np.ndarray, pt: SpacePoint):
     """The t = 0 recertification of the nodes t of the points pt: those whose
     coordinates leave s by more than 1e-9."""
-    outside, res = spec._s_float.membership(_apply(_p_geometry(spec.algebra)[0],
-                                                   pt.coords))
+    outside, res = spec.s.membership(_apply(_p_geometry(spec.algebra)[0], pt.coords))
     scale = 1.0 + np.max(np.abs(pt.coords), axis=-1)
     return ((t == 0.0) & (outside | (res > 1e-9 * scale)),
             lambda i: NumericalBreakdown("t = 0 point left s (residual %.3e)"

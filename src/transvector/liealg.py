@@ -10,6 +10,8 @@ fractions.Fraction), so algebraic predicates are certificates; on the
 catalog's integer structure constants the exact paths never build a
 Fraction.  "float64" is reserved for the geometry layer and explicit
 conversions.  Mixing modes in one operation is an error, not a coercion.
+A subspace (subspaces.Subspace) is exact only, and float64 rows are
+measured against its exact span.
 
 Validation is exact only.  The structure tensor C, Theta, the Killing
 matrix and the realified realization images are numpy arrays; their dtype
@@ -68,7 +70,7 @@ def _exact(x):
     return int(x) if isinstance(x, np.integer) else frac(x)
 
 
-_canonical = np.frompyfunc(frac, 1, 1)     # elementwise frac, dtype=object
+canonical = np.frompyfunc(frac, 1, 1)     # elementwise frac, dtype=object
 
 
 def _unscaled(x, scale: int):
@@ -705,7 +707,7 @@ class StructuredLieAlgebra:
         scale^2, the involution residual by scale, and the group relations,
         homogeneous linear equations, not at all."""
         real, d = self.realization, self.dim
-        r = real.realified(dtype) if scale == 1 else _canonical(
+        r = real.realified(dtype) if scale == 1 else canonical(
             real.realified(object) * scale).astype(dtype)
         worst, step = 0, max(1, COMMUTATOR_BLOCK // r.size)
         for lo in range(0, d, step):

@@ -59,7 +59,7 @@ def maximal_abelian(a: StructuredLieAlgebra) -> Subspace:
         span = SpanSolver(chosen)
         picked = next((v for v in centralizer if not span.contains(v)), None)
         if picked is None:
-            return Subspace(a, chosen, MODE_EXACT)
+            return Subspace(a, chosen)
         chosen = np.vstack([chosen, picked])
 
 
@@ -203,13 +203,13 @@ def _decompose_with_h(a, asub, h, hcoords, seed) -> RootDatum:
     for lam in positive:
         basis = by_func[lam]
         tv = basis @ a.theta_exact.T
-        k_spaces[lam] = Subspace(a, basis + tv, MODE_EXACT)
-        p_spaces[lam] = Subspace(a, basis - tv, MODE_EXACT)
+        k_spaces[lam] = Subspace(a, basis + tv)
+        p_spaces[lam] = Subspace(a, basis - tv)
         if k_spaces[lam].dim != p_spaces[lam].dim:
             raise ValueError("k/p multiplicity mismatch at %s" % (lam,))
         mult[lam] = len(basis)
 
-    m_sub = Subspace(a, k_zero, MODE_EXACT)
+    m_sub = Subspace(a, k_zero)
     roots = tuple(sorted(by_func.keys(), reverse=True))
     datum = RootDatum(algebra=a, a=asub, m=m_sub, roots=roots,
                       positive=tuple(positive), k_spaces=k_spaces,
@@ -270,14 +270,14 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
         holds = True
         for lam in rd.positive:
             for mu in rd.positive:
-                target_basis = []
-                for nu in (tuple(x + y for x, y in zip(lam, mu)),
-                           tuple(x - y for x, y in zip(lam, mu))):
-                    target_basis.extend(_space_basis_for(rd, targets, zero_target, nu))
-                key = tuple(v.coeffs for v in target_basis)
+                target_rows = np.concatenate([
+                    _space_basis_for(rd, targets, zero_target, nu)
+                    for nu in (tuple(x + y for x, y in zip(lam, mu)),
+                               tuple(x - y for x, y in zip(lam, mu)))])
+                key = tuple(map(tuple, target_rows))
                 target = spans.get(key)
                 if target is None:
-                    target = spans[key] = Subspace(rd.algebra, target_basis, MODE_EXACT)
+                    target = spans[key] = Subspace(rd.algebra, target_rows)
                 # [x, y] for x in the left space, y in the right one
                 brackets = right[mu].basis_rows @ ad_left[lam]
                 outside, res = target.membership(brackets)
@@ -292,12 +292,14 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
     return report
 
 
-def _space_basis_for(rd: RootDatum, targets, zero_target, nu):
+def _space_basis_for(rd: RootDatum, targets, zero_target, nu) -> np.ndarray:
+    """The basis rows of the space of nu: zero_target at nu = 0, else the
+    target space of +-nu, or none when +-nu is not a root."""
     if all(c == 0 for c in nu):
-        return list(zero_target.basis)
+        return zero_target.basis_rows
     key = nu if _lex_positive(nu) else tuple(-c for c in nu)
     sp = targets.get(key)
-    return list(sp.basis) if sp is not None else []
+    return sp.basis_rows if sp is not None else np.zeros((0, rd.algebra.dim), dtype=object)
 
 
 @dataclass
@@ -355,10 +357,10 @@ def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
     lts_holds, _ = s.is_lie_triple_system()
 
     two_lam = tuple(2 * c for c in lam)
-    even_target_basis = list(rd.a.basis)
+    even_rows = rd.a.basis_rows
     if two_lam in rd.p_spaces:
-        even_target_basis += list(rd.p_spaces[two_lam].basis)
-    even_target = Subspace(a, even_target_basis, MODE_EXACT)
+        even_rows = np.concatenate([even_rows, rd.p_spaces[two_lam].basis_rows])
+    even_target = Subspace(a, even_rows)
     odd_target = rd.k_spaces[lam]
 
     n_max = len(a.p_basis)

@@ -1,13 +1,16 @@
 """Subspaces of the algebra and the structural predicates on them:
 Lie triple system, reflective, totally real.
 
-Membership takes stacks of coefficient rows.  In exact mode it is one
-product with integer rows whose common kernel is the span (a certificate):
-the exactla.nullspace rows of the basis, each scaled to ints, whose count
-also proves the basis independent.  In float mode the B_theta-orthogonal
-residual is held against the scale-aware tolerance
-liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).  The B-orthocomplement and
-the reflective and totally-real predicates are exact only.
+A Subspace is one exact span: its basis is a stack of canonical exact rows
+(a float entry is refused), and the exactla.nullspace rows of that stack,
+each scaled to ints, prove it independent by their count.  Membership takes
+stacks of coefficient rows and branches once, on the kind of the rows.
+Exact rows are decided by one product with those integer null rows (a
+certificate).  Float64 rows, the t = 0 check of the geometry layer and the
+transported-field series, are measured against the exact span: their
+B_theta-orthogonal residual, from a float64 projector built once from the
+rounded basis, is held against the scale-aware tolerance
+liealg.float_tol(||v||) = 1e-9 * (1 + ||v||).
 Residuals are measured in the positive definite form B_theta, so they are
 meaningful for vectors anywhere in g, not just in p.
 """
@@ -21,7 +24,8 @@ import numpy as np
 
 from .errors import NumericalBreakdown
 from .exactla import clear_denominators, frac, invert, nullspace
-from .liealg import MODE_EXACT, AlgebraVector, StructuredLieAlgebra, coeff_strings, float_tol
+from .liealg import (MODE_FLOAT, AlgebraVector, StructuredLieAlgebra, canonical,
+                     coeff_strings, float_tol)
 
 
 def _exact_root(v) -> float:
@@ -34,68 +38,50 @@ def _exact_root(v) -> float:
 
 
 class Subspace:
-    """Span of independent columns inside a fixed ambient algebra."""
+    """Exact span of independent rows inside a fixed ambient algebra."""
 
-    def __init__(self, algebra: StructuredLieAlgebra, basis, mode=None):
+    def __init__(self, algebra: StructuredLieAlgebra, basis):
         self.algebra = algebra
-        vectors = []
-        for b in basis:
-            if not isinstance(b, AlgebraVector):
-                b = algebra.vector(b, mode or MODE_EXACT)
-            vectors.append(b)
-        if mode is None:
-            mode = vectors[0].mode if vectors else MODE_EXACT
-        if any(v.mode != mode for v in vectors):
-            raise ValueError("mixed scalar modes in subspace basis")
-        for v in vectors:
-            if len(v.coeffs) != algebra.dim:
-                raise ValueError("basis vector has wrong ambient dimension")
-        self.basis = tuple(vectors)
-        self.mode = mode
+        rows = [b.coeffs if isinstance(b, AlgebraVector) else tuple(b) for b in basis]
+        if any(len(r) != algebra.dim for r in rows):
+            raise ValueError("basis vector has wrong ambient dimension")
+        self.basis_rows = canonical(np.array(rows, dtype=object).reshape(-1, algebra.dim))
         if self.dim > algebra.dim:
             raise ValueError("more basis vectors than ambient dimensions")
-        if mode == MODE_EXACT:
-            if len(self.null_rows) != algebra.dim - self.dim:
-                raise ValueError("subspace basis is linearly dependent")
-        else:
-            if self.dim and np.linalg.matrix_rank(self.basis_rows, tol=1e-12) < self.dim:
-                raise ValueError("subspace basis is numerically dependent")
+        if len(self.null_rows) != algebra.dim - self.dim:
+            raise ValueError("subspace basis is linearly dependent")
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis_rows)
 
     @cached_property
-    def basis_rows(self) -> np.ndarray:
-        """(k, d) stack of the basis: dtype=object exact, float64 float."""
-        kind = object if self.mode == MODE_EXACT else float
-        return np.array([b.coeffs for b in self.basis], dtype=kind).reshape(-1, self.algebra.dim)
+    def basis(self) -> tuple:
+        """The basis rows as AlgebraVectors."""
+        return tuple(self.algebra.vector(r) for r in self.basis_rows)
 
     @cached_property
     def _pairing(self):
         """(P, G^-1): P = basis @ B_theta (k, d) and the inverse of the Gram
-        matrix G = P @ basis^T, dtype=object exact, float64 float."""
-        exact = self.mode == MODE_EXACT
-        a = self.algebra
-        pair = self.basis_rows @ (a.btheta_exact if exact else a.btheta_float)
+        matrix G = P @ basis^T, dtype=object."""
+        pair = self.basis_rows @ self.algebra.btheta_exact
         gram = pair @ self.basis_rows.T
-        if exact:
-            return pair, np.array(invert(gram), dtype=object).reshape(gram.shape)
-        return pair, np.linalg.inv(gram)
+        return pair, np.array(invert(gram), dtype=object).reshape(gram.shape)
 
     @cached_property
     def _projector(self) -> np.ndarray:
-        """Q (d, d, float64) with v @ Q the B_theta-orthogonal component of v
-        off the span."""
-        pair, inv = self._pairing
-        return np.eye(self.algebra.dim) - pair.T @ inv @ self.basis_rows
+        """Q (d, d, float64) with v @ Q the B_theta-orthogonal component of a
+        float row v off the span, built in float64 from the rounded basis."""
+        rows = self.basis_rows.astype(float)
+        pair = rows @ self.algebra.btheta_float
+        return np.eye(self.algebra.dim) - pair.T @ np.linalg.inv(pair @ rows.T) @ rows
 
     @cached_property
     def null_rows(self) -> np.ndarray:
-        """(r, d) dtype=object integer rows whose common kernel is the span
-        (exact mode): the kernel of the basis rows, each row scaled to ints;
-        the identity for the zero subspace.  r = d - k exactly when the
-        basis is independent."""
+        """(r, d) dtype=object integer rows whose common kernel is the span:
+        the kernel of the basis rows, each row scaled to ints; the identity
+        for the zero subspace.  r = d - k exactly when the basis is
+        independent."""
         null = nullspace(self.basis_rows)
         return np.array([clear_denominators(v) for v in null], dtype=object).reshape(null.shape)
 
@@ -125,37 +111,37 @@ class Subspace:
         mask of the rows that leave the span, and their B_theta residual
         norms as floats.  Exact rows are decided by one product with the
         integer null rows; members read exactly 0.0 and only the rows outside
-        are measured.  Float rows are all projected, and a row is outside
-        when its residual exceeds float_tol of its norm."""
-        if self.mode == MODE_EXACT:
-            outside = (vs @ self.null_rows.T != 0).any(axis=-1)
-            res = np.zeros(outside.shape)
-            if outside.any():
-                res[outside] = self._norms(vs[outside], self._pairing if self.dim else None)
-            return outside, res
-        res = self._norms(vs @ self._projector)
-        return res > float_tol(self._norms(vs)), res
+        are measured.  Float64 rows are all projected by _projector, and a
+        row is outside when its residual exceeds float_tol of its norm."""
+        if vs.dtype.kind == "f":
+            res = self._norms(vs @ self._projector)
+            return res > float_tol(self._norms(vs)), res
+        outside = (vs @ self.null_rows.T != 0).any(axis=-1)
+        res = np.zeros(outside.shape)
+        if outside.any():
+            res[outside] = self._norms(vs[outside], self._pairing if self.dim else None)
+        return outside, res
 
     def contains(self, v: AlgebraVector):
-        """(member, residual): exact-mode members have residual exactly 0."""
-        if v.mode != self.mode:
-            raise ValueError("vector mode %s does not match subspace mode %s"
-                             % (v.mode, self.mode))
+        """(member, residual) of an exact or float vector; exact members have
+        residual exactly 0."""
         if len(v.coeffs) != self.algebra.dim:
             raise ValueError("ambient dimension mismatch")
         outside, res = self.membership(v.row()[None])
         return not outside[0], float(res[0])
 
     def member_from_coordinates(self, coords) -> AlgebraVector:
-        kind = object if self.mode == MODE_EXACT else float
-        return self.algebra.vector(np.array(coords, dtype=kind) @ self.basis_rows, self.mode)
+        """coords @ basis: exact for exact coordinates, float64 for floats."""
+        c = np.array(coords)
+        if c.dtype.kind == "f":
+            return self.algebra.vector(c @ self.basis_rows.astype(float), MODE_FLOAT)
+        return self.algebra.vector(c.astype(object) @ self.basis_rows)
 
     def in_p(self) -> bool:
-        return all(self.algebra.in_p(b) for b in self.basis)
+        a = self.algebra
+        return not np.count_nonzero(self.basis_rows @ (a.theta_exact + np.eye(a.dim, dtype=int)).T)
 
-    def _require_p(self, what: str, exact=False):
-        if exact and self.mode != MODE_EXACT:
-            raise ValueError("%s requires an exact subspace" % what)
+    def _require_p(self, what: str):
         if not self.in_p():
             raise ValueError("%s requires a subspace of p" % what)
 
@@ -163,7 +149,7 @@ class Subspace:
         """B-orthogonal complement inside p; B restricted to p is definite.
         Its basis is c @ p for the coordinates c over the p-basis that pair
         to zero with every basis vector, the exact kernel of that pairing."""
-        self._require_p("orthocomplement_in_p", exact=True)
+        self._require_p("orthocomplement_in_p")
         a = self.algebra
         p = a.p_basis
         pairing = self.basis_rows @ a.killing_exact @ p.T      # B(b_i, p_j)
@@ -189,7 +175,7 @@ class Subspace:
         outside, res = self.membership(triples)
         for p, c in zip(*np.nonzero(outside)):
             return False, {"triple": (int(i[p]), int(j[p]), int(c)),
-                           "vector": coeff_strings(a.vector(triples[p, c], self.mode)),
+                           "vector": coeff_strings(a.vector(triples[p, c])),
                            "residual": float(res[p, c])}
         return True, None
 
@@ -211,7 +197,7 @@ class Subspace:
             outside, res = target.membership(v)
             witness = None
             for at in zip(*np.nonzero(outside)):
-                witness = {"vector": coeff_strings(a.vector(v[at], self.mode)),
+                witness = {"vector": coeff_strings(a.vector(v[at])),
                            "residual": float(res[at])}
                 break
             return {"holds": not outside.any(), "worst_residual": float(res.max(initial=0.0)),
@@ -227,7 +213,7 @@ class Subspace:
     def is_totally_real(self, jmat) -> bool:
         """True when B(J x, y) = 0 exactly for all basis pairs x, y of this
         subspace."""
-        self._require_p("is_totally_real", exact=True)
+        self._require_p("is_totally_real")
         a, b = self.algebra, self.basis_rows
         jb = b @ _complex_structure(a, jmat).T
         return not np.count_nonzero(jb @ a.killing_exact @ b.T)

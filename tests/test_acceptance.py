@@ -40,9 +40,7 @@ CONDITION_PAIRS = [("su21", "real-form"), ("su21", "complex-hyperplane"),
 
 
 def _float_spec(entry, **kw):
-    a = entry.algebra
-    s = Subspace(a, [v.astype(MODE_FLOAT) for v in entry.s.basis])
-    return ImmersionSpec(a, s, entry.x_default.astype(MODE_FLOAT), **kw)
+    return ImmersionSpec(entry.algebra, entry.s, entry.x_default.astype(MODE_FLOAT), **kw)
 
 
 def _sl2_h_pair(sl2r):
@@ -109,7 +107,7 @@ def test_criterion_4_series_routes_agree_within_ten_tails(sl2r):
     specs = []
     for entry in entries:
         a = entry.algebra
-        s = Subspace(a, [v.astype(MODE_FLOAT) for v in entry.s.basis])
+        s = entry.s
         xs = [x.astype(MODE_FLOAT) for x in entry.x_grid]
         specs.append((a, s, xs))
     count = 0
@@ -130,8 +128,7 @@ def test_criterion_4_series_routes_agree_within_ten_tails(sl2r):
         count += 1
 
     s, x = _sl2_h_pair(sl2r)
-    s = Subspace(sl2r, [b.astype(MODE_FLOAT) for b in s.basis])
-    rep = nabla_zz(s, x.astype(MODE_FLOAT), s.basis[0], truncation=12)
+    rep = nabla_zz(s, x.astype(MODE_FLOAT), s.basis[0].astype(MODE_FLOAT), truncation=12)
     expected = np.array([-math.sinh(4.0), 0.0, 0.0])
     assert np.max(np.abs(rep.value.to_array() - expected)) <= 1e-12
 
@@ -164,7 +161,7 @@ def test_criterion_5_su21_extensions_are_minimal():
 
     ctrl_a, ctrl_s, ctrl_x = negative_control()
     ctrl = ImmersionSpec(
-        ctrl_a, Subspace(ctrl_a, [v.astype(MODE_FLOAT) for v in ctrl_s.basis]),
+        ctrl_a, ctrl_s,
         ctrl_x.astype(MODE_FLOAT), grid=grid, h=1e-3)
     ctrl_rep = mean_curvature_report(ctrl, tolerance=1e-4)
     assert ctrl_rep.max_norm >= 1e-2, ctrl_rep.max_norm

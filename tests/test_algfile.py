@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from transvector.algfile import (format_entry, parse_algebra_file, parse_entry,
                                  serialize_algebra)
 from transvector.catalog import build_space
+from transvector.cli import run
 from transvector.data import algebra_path
 from transvector.errors import ConfigError
 from transvector.exactla import frac
@@ -69,11 +71,29 @@ def test_missing_file_is_a_config_error():
     (lambda t: t.replace("0 0 -2", "0 0 -2/0"), "rational"),
     (lambda t: t.replace("-1 0 0\n", "-1 0\n", 1), "theta"),
     (lambda t: t.replace("[basis]\nH E F", "[basis]\nH E H"), "duplicate"),
+    # an empty section is reported at its header line
+    (lambda t: t.replace("[basis]\nH E F\n", "[basis]\n"),
+     "probe.alg:4: empty [basis] section"),
+    (lambda t: t.replace("1 2 -> 0 2 0", "1 2 3 -> 0 2 0"),
+     "probe.alg:8: bracket head must be two indices"),
+    (lambda t: t.replace("1 2 -> 0 2 0", "1 4 -> 0 2 0"),
+     "probe.alg:8: bracket index out of range 1..3"),
+    (lambda t: t.replace("1 3 -> 0 0 -2", "1 2 -> 0 0 -2"),
+     "probe.alg:9: duplicate bracket line for (1, 2)"),
+    (lambda t: t.replace("[theta]\n-1 0 0\n0 0 -1\n0 -1 0\n", "[theta]\n"),
+     "probe.alg:12: theta needs 3 rows, got 0"),
+    (lambda t: t.replace("size 2\n", ""),
+     "probe.alg:20: realization needs a 'size N' line first"),
+    (lambda t: t.split("[realization]")[0] + "[realization]\n",
+     "probe.alg:17: realization without size"),
+    (lambda t: t.replace("size 2\n", "size 2\nsignature 1 -1 1\n"),
+     "probe.alg:18: signature length must equal size"),
 ])
 def test_malformed_inputs_fail_with_line_context(tmp_path, mangle, needle):
-    with pytest.raises(ConfigError) as err:
-        parse_algebra_file(_write(tmp_path, mangle(BASE)))
-    msg = str(err.value)
+    out = tmp_path / "report.json"
+    assert run(["roots", "--algebra-file", _write(tmp_path, mangle(BASE)),
+                "--out", str(out)]) == 2
+    msg = json.loads(out.read_text())["results"]["error"]
     assert needle.lower() in msg.lower()
     assert ".alg:" in msg  # message carries path:line
 

@@ -22,7 +22,6 @@ from transvector.cli import load_subspace_file
 from transvector.extension import (condition_holds, sample_ys,
                                    verify_lemma_conclusion)
 from transvector.liealg import MODE_FLOAT, ChainResidues
-from transvector.subspaces import Subspace
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -51,14 +50,14 @@ CHAIN_CASES = [*sorted(CASES), "su21-float"]
 
 def _chain_inputs(name, seed, k):
     """(s, x, ys) for a chain test: k Y from sample_ys for an exact case;
-    for su21-float, k standard normal s-coordinates times the float basis."""
+    for su21-float, a float X and k standard normal s-coordinates times the
+    basis rounded to float."""
     gen = rng.stream(seed, rng.STREAM_CONDITION_Y)
     if name != "su21-float":
         s, x = CASES[name]
         return s, x, sample_ys(s, gen, k)
     s, x = CASES["su21"]
-    s = Subspace(s.algebra, [b.astype(MODE_FLOAT) for b in s.basis])
-    return s, x.astype(MODE_FLOAT), gen.standard_normal((k, s.dim)) @ s.basis_rows
+    return s, x.astype(MODE_FLOAT), gen.standard_normal((k, s.dim)) @ s.basis_rows.astype(float)
 
 
 def _reference_chain(a, y, x, top):
@@ -100,11 +99,11 @@ def test_stacked_chain_is_the_iterated_bracket(name):
     top = 2 * len(a.p_basis) + 1
     chain = a.ad_chain(ys, x.row(), top)
     assert chain.shape == (5, top + 1, a.dim)
-    assert chain.dtype in ((np.int64, object) if s.mode != MODE_FLOAT else (np.float64,))
-    exact = s.mode != MODE_FLOAT
+    assert chain.dtype in ((np.int64, object) if x.mode != MODE_FLOAT else (np.float64,))
+    exact = x.mode != MODE_FLOAT
     for row, y in zip(chain, ys):
-        want = _reference_chain(a, a.vector(y, s.mode), x, top)
-        assert all(_close(a.vector(v, s.mode), w, exact) for v, w in zip(row, want))
+        want = _reference_chain(a, a.vector(y, x.mode), x, top)
+        assert all(_close(a.vector(v, x.mode), w, exact) for v, w in zip(row, want))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -183,7 +182,7 @@ def test_one_y_alone_gives_the_row_it_gives_in_a_stack(name):
     stacked = a.ad_chain(ys, x.row(), top)
     for i in range(len(ys)):
         alone = a.ad_chain(ys[i:i + 1], x.row(), top)[0]
-        if s.mode == MODE_FLOAT:
+        if x.mode == MODE_FLOAT:
             assert np.array_equal(alone.view(np.uint64), stacked[i].view(np.uint64))
         else:
             assert np.array_equal(alone, stacked[i])

@@ -12,12 +12,13 @@ import tracemalloc
 import pytest
 
 from transvector import cli
-from transvector.cli import (MAX_CHAIN, MAX_GRID_NODES, MAX_LEMMA_TERMS, MAX_SAMPLES,
-                             build_parser, load_subspace_file, parse_x_expression,
-                             run)
-from transvector.errors import ConfigError
+from transvector.catalog import SPACE_IDS, build_space
+from transvector.cli import (MAX_CHAIN, MAX_EXAMPLE_WORK, MAX_GRID_NODES, MAX_LEMMA_TERMS,
+                             MAX_SAMPLES, build_parser, load_subspace_file,
+                             parse_x_expression, run)
+from transvector.errors import ConfigError, LemmaFalsified
 from transvector.geometry import GridSpec
-from transvector.liealg import RESIDUE_BUDGET, ChainResidues
+from transvector.liealg import RESIDUE_BUDGET, ChainResidues, coeff_strings
 from transvector.report import render, strip_wall_time
 
 
@@ -569,6 +570,20 @@ def test_lemma_past_its_term_cap_exits_2_before_building_anything(tmp_path,
                  "than the %d allowed" % MAX_LEMMA_TERMS, "kind": "config"}
 
 
+def test_a_falsified_lemma_exits_1_with_its_detail(tmp_path, monkeypatch):
+    detail = {"n": 1, "m": 0, "kind": "auxiliary", "y": ["1", "0"], "residual": 2.0}
+
+    def falsified(*args, **kw):
+        raise LemmaFalsified("auxiliary chain escaped s", detail=detail)
+
+    monkeypatch.setattr(cli, "verify_lemma_conclusion", falsified)
+    status, rep = _run(tmp_path, "lemma", *SU21_REAL_FORM, "--samples", "1")
+    assert status == 1
+    assert rep["results"] == {"error": "auxiliary chain escaped s",
+                              "kind": "lemma-falsified", "detail": detail}
+    assert rep["summary"] == {"exit_status": 1, "passed": False}
+
+
 @pytest.mark.parametrize("counts", [("1024", "0", "3"), ("4", "31", "31"),
                                     ("1", "32", "32")])
 def test_lemma_up_to_its_term_cap_is_admitted(monkeypatch, counts):
@@ -580,6 +595,47 @@ def test_lemma_up_to_its_term_cap_is_admitted(monkeypatch, counts):
     with pytest.raises(_Admitted):
         run(["lemma", *SU21_REAL_FORM, "--samples", samples, "--n-max", n_max,
              "--m-max", m_max])
+
+
+def test_roots_examples_past_the_work_cap_exit_2_before_any_example(tmp_path,
+                                                                   monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("an example was built")
+
+    monkeypatch.setattr(cli, "build_root_space_example", refuse)
+    status, rep = _run(tmp_path, "roots", "--space", "sl4r", "--examples",
+                       "--samples", "1024")
+    assert status == 2
+    assert rep["results"] == {
+        "error": "--samples and --examples: 24 examples * 1024 samples * 21 chain "
+                 "vectors * 15^2 multiply-adds are more than the %d allowed"
+                 % MAX_EXAMPLE_WORK, "kind": "config"}
+
+
+@pytest.mark.parametrize("space, samples", [*((sid, "1024") for sid in SPACE_IDS),
+                                            ("sl4r", "1")])
+def test_roots_examples_up_to_the_work_cap_are_admitted(monkeypatch, space, samples):
+    def admitted(*args, **kw):
+        raise _Admitted
+
+    monkeypatch.setattr(cli, "build_root_space_example", admitted)
+    with pytest.raises(_Admitted):
+        run(["roots", "--space", space, "--examples", "--samples", samples])
+
+
+def test_rank_3_roots_examples_take_the_unit_and_all_ones_x(tmp_path):
+    """Rank 3 is the first rank whose X grid is the unit vectors of a and
+    their sum: sl(4,R), six positive roots, four X each."""
+    status, rep = _run(tmp_path, "roots", "--space", "sl4r", "--examples",
+                       "--samples", "1")
+    assert status == 0
+    a = build_space("sl4r")
+    xs = [a.from_labels(c) for c in ({"H1": 1}, {"H2": 1}, {"H3": 1},
+                                     {"H1": 1, "H2": 1, "H3": 1})]
+    examples = rep["results"]["examples"]
+    assert len(examples) == 24
+    assert [e["x"] for e in examples] == [coeff_strings(x) for x in xs] * 6
+    assert all(e["passed"] for e in examples)
 
 
 def _huge_s(n):

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from transvector import extension, rng
 from transvector.catalog import build_pair, list_pairs, negative_control
-from transvector.errors import ConfigError
+from transvector.errors import ConfigError, LemmaFalsified
 from transvector.extension import (_NOT_NORMAL, ConditionVerdict, LemmaCheck,
                                    _normal_pairing, condition_holds, nabla_zz,
                                    sample_ys, verify_lemma_conclusion)
-from transvector.liealg import MODE_EXACT, MODE_FLOAT
+from transvector.liealg import MODE_EXACT, MODE_FLOAT, coeff_strings
 from transvector.subspaces import Subspace
 
 
@@ -102,6 +102,29 @@ def test_lemma_reports_hypothesis_violation_not_falsification(sl3r):
     assert check.hypothesis_failures
 
 
+def test_an_escaping_auxiliary_chain_raises_lemma_falsified(sl2_pair, monkeypatch):
+    """The auxiliary chain ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] leaves s only if the
+    lemma is false.  With E added to every auxiliary term, residue and
+    exact, the first Y raises at (n, m) = (0, 0), and the residual is that
+    of E off span(H)."""
+    a, s, x = sl2_pair
+    plain, e = extension._lemma_terms, a.basis_vector(1)
+
+    def escaping(*args):
+        hypothesis, conclusion, auxiliary = plain(*args)
+        return hypothesis, conclusion, auxiliary + e.row().astype(auxiliary.dtype)
+
+    monkeypatch.setattr(extension, "_lemma_terms", escaping)
+    ys = sample_ys(s, rng.stream(1, rng.STREAM_LEMMA), 2)
+    with pytest.raises(LemmaFalsified, match=r"^auxiliary chain ad_Y\[ad_Y\^0X, "
+                                             r"ad_Y\^0X\] escaped s") as info:
+        verify_lemma_conclusion(s, x, ys, n_max=1, m_max=1)
+    assert info.value.detail == {"n": 0, "m": 0, "kind": "auxiliary",
+                                 "y": coeff_strings(a.vector(ys[0])),
+                                 "residual": s.contains(e)[1]}
+    assert s.contains(e)[1] > 0
+
+
 def test_nabla_routes_agree_exactly_in_rational_arithmetic(sl2_pair):
     a, s, x = sl2_pair
     rep = nabla_zz(s, x, s.basis[0], truncation=8)
@@ -112,14 +135,14 @@ def test_nabla_routes_agree_exactly_in_rational_arithmetic(sl2_pair):
 
 @pytest.fixture(scope="module")
 def sl2_pair_float(sl2r):
-    s = Subspace(sl2r, [sl2r.basis_vector(0).astype(MODE_FLOAT)])
+    s = Subspace(sl2r, [sl2r.basis_vector(0)])
     x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
     return sl2r, s, x
 
 
 def test_nabla_zz_matches_minus_sinh4_h(sl2_pair_float):
     a, s, x = sl2_pair_float
-    rep = nabla_zz(s, x, s.basis[0], truncation=12)
+    rep = nabla_zz(s, x, s.basis[0].astype(MODE_FLOAT), truncation=12)
     assert rep.converged
     expected = np.array([-math.sinh(4.0), 0.0, 0.0])
     assert np.max(np.abs(rep.value.to_array() - expected)) <= 1e-12
@@ -130,7 +153,7 @@ def test_nabla_zz_matches_minus_sinh4_h(sl2_pair_float):
 def test_nabla_zz_tail_bound_formula(sl2_pair_float):
     a, s, x = sl2_pair_float
     K = 6
-    rep = nabla_zz(s, x, s.basis[0], truncation=K)
+    rep = nabla_zz(s, x, s.basis[0].astype(MODE_FLOAT), truncation=K)
     ad_norm = float(np.linalg.norm(
         np.asarray(a.ad_matrix(s.basis[0]), dtype=float), 2))
     want = ad_norm ** (2 * K + 2) / math.factorial(2 * K + 2) * float(
@@ -140,7 +163,7 @@ def test_nabla_zz_tail_bound_formula(sl2_pair_float):
 
 def test_unconverged_truncation_is_flagged(sl2_pair_float):
     a, s, x = sl2_pair_float
-    y = s.basis[0].scale(4.0)  # ||ad_Y|| = 16; K = 2 cannot resolve it
+    y = s.basis[0].astype(MODE_FLOAT).scale(4.0)  # ||ad_Y|| = 16; K = 2 cannot resolve it
     rep = nabla_zz(s, x, y, truncation=2)
     assert not rep.converged
     assert rep.warnings
@@ -168,36 +191,20 @@ def test_non_orthogonal_x_is_flagged_but_still_checked(sl2_pair):
     assert verdict.holds  # ad_H H = 0, all terms vanish
 
 
-def test_mode_mismatch_is_an_error(sl2_pair, sl2_pair_float, monkeypatch):
+def test_mode_mismatch_is_an_error(sl2_pair, monkeypatch):
+    # a float X is refused before the first array (s in p) or the kernel
+    # is built
     a, s, x = sl2_pair
-    with pytest.raises(ValueError):
-        condition_holds(s, x.astype(MODE_FLOAT), samples=2)
-    # a float s is refused even with a float X, before the first array
-    # (s in p) or the kernel is built
     def unreachable(*args, **kw):
-        raise AssertionError("a float s reached the exact path")
+        raise AssertionError("a float X reached the exact path")
     monkeypatch.setattr(Subspace, "in_p", unreachable)
     monkeypatch.setattr(extension, "ChainResidues", unreachable)
-    _, fs, fx = sl2_pair_float
     want = ("^the condition and the lemma are certified in exact arithmetic; "
-            "s has mode float64$")
+            "X has mode float64$")
     with pytest.raises(ConfigError, match=want):
-        condition_holds(fs, fx, samples=2)
+        condition_holds(s, x.astype(MODE_FLOAT), samples=2)
     with pytest.raises(ConfigError, match=want):
-        verify_lemma_conclusion(fs, fx, fs.basis_rows, n_max=1, m_max=1)
-
-
-@pytest.mark.parametrize("entry_point", [
-    lambda s, x: condition_holds(s, x, samples=2),
-    lambda s, x: verify_lemma_conclusion(s, x, s.basis_rows, n_max=1, m_max=1)],
-    ids=["condition", "lemma"])
-def test_a_float_s_is_refused_before_the_mode_of_x_is_read(sl2_pair_float, entry_point):
-    """An exact X does not get a float s past the refusal: the mode of s is
-    read first, so the message names s, not the mismatch."""
-    a, s, x = sl2_pair_float
-    exact_x = a.basis_vector(1) + a.basis_vector(2)
-    with pytest.raises(ConfigError, match="s has mode float64$"):
-        entry_point(s, exact_x)
+        verify_lemma_conclusion(s, x.astype(MODE_FLOAT), s.basis_rows, n_max=1, m_max=1)
 
 
 CATALOG = [(sid, pair) for sid, pairs in list_pairs().items() for pair in pairs]

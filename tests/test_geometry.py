@@ -12,6 +12,7 @@ import dataclasses
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from transvector.subspaces import Subspace
 
 
 def _sl2_spec(sl2r, **kw):
-    s = Subspace(sl2r, [sl2r.basis_vector(0).astype(MODE_FLOAT)])
+    s = Subspace(sl2r, [sl2r.basis_vector(0)])
     x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
     return ImmersionSpec(sl2r, s, x, **kw)
 
@@ -298,7 +299,7 @@ def _spec_on(space):
     span(H1) with X = S12 in sl(2,R)."""
     if space == "sl2r":
         a = build_space(space)
-        return ImmersionSpec(a, Subspace(a, [a.from_labels({"H1": 1}, MODE_FLOAT)]),
+        return ImmersionSpec(a, Subspace(a, [a.from_labels({"H1": 1})]),
                              a.from_labels({"S12": 1}, MODE_FLOAT))
     return _su21_spec(build_pair(space, "real-form"))
 
@@ -370,9 +371,11 @@ def test_a_stack_of_nodes_raises_what_its_first_failing_node_raises(
     assert message == "normal-coordinate round trip failed"
     assert _raised(NumericalBreakdown, immersion_point, spec, t, y) == message
     immersion_point(spec, t[:3], y[:3])
-    # the t = 0 nodes 2 and 4 leave a wrong s: each stack raises the
+    # the t = 0 nodes 2 and 4 leave a wrong s of the same dimension, X in
+    # place of the first basis vector: each stack raises the
     # recertification or the round trip, whichever node comes first
-    spec._s_float = Subspace(spec.algebra, [spec._x_float])
+    x = spec.algebra.vector([Fraction(c) for c in spec._x_float.coeffs])
+    spec.s = Subspace(spec.algebra, [x, *spec.s.basis[1:]])
     message = _raised(NumericalBreakdown, immersion_point, spec, t[2], y[2])
     assert message.startswith("t = 0 point left s")
     assert message != _raised(NumericalBreakdown, immersion_point, spec, t[4], y[4])
@@ -688,7 +691,7 @@ def test_the_blocked_sweep_equals_each_node_alone_bit_for_bit(
 
 
 def test_immersion_spec_invariants(sl2r, su21_real_form):
-    s = Subspace(sl2r, [sl2r.basis_vector(0).astype(MODE_FLOAT)])
+    s = Subspace(sl2r, [sl2r.basis_vector(0)])
     x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
     assert ImmersionSpec(sl2r, s, x).codimension == 1   # refused by the estimator
     with pytest.raises(ConfigError):   # X not B-orthogonal to s
@@ -701,8 +704,8 @@ def test_immersion_spec_invariants(sl2r, su21_real_form):
     assert _sl2_spec(sl2r, h=3e-154).h == 3e-154
     entry = su21_real_form
     bad_s = Subspace(entry.algebra, [
-        entry.algebra.from_labels({"P1": 1}, MODE_FLOAT),
-        entry.algebra.from_labels({"Q2": 1}, MODE_FLOAT)])
+        entry.algebra.from_labels({"P1": 1}),
+        entry.algebra.from_labels({"Q2": 1})])
     ok, _ = bad_s.is_lie_triple_system()
     if not ok:
         with pytest.raises(ConfigError):
@@ -734,9 +737,7 @@ def test_immersion_spec_names_the_first_offending_pairing():
 
 def test_so31_geodesic_plane_is_the_degenerate_input():
     entry = build_pair("so31", "geodesic-plane")
-    s = Subspace(entry.algebra,
-                 [v.astype(MODE_FLOAT) for v in entry.s.basis])
-    spec = ImmersionSpec(entry.algebra, s, entry.x_default.astype(MODE_FLOAT))
+    spec = ImmersionSpec(entry.algebra, entry.s, entry.x_default.astype(MODE_FLOAT))
     with pytest.raises(ConfigError, match="needs codimension >= 2; this spec has 1"):
         mean_curvature_estimate(spec, 0.1, np.array([0.2, 0.1]))
 
@@ -763,10 +764,8 @@ def test_transvections_are_isometries(sl2r):
 
 
 def _su21_spec(entry, **kw):
-    a = entry.algebra
-    s = Subspace(a, [v.astype(MODE_FLOAT) for v in entry.s.basis])
     kw.setdefault("grid", GridSpec(t_steps=3, y_steps=3))
-    return ImmersionSpec(a, s, entry.x_default.astype(MODE_FLOAT), **kw)
+    return ImmersionSpec(entry.algebra, entry.s, entry.x_default.astype(MODE_FLOAT), **kw)
 
 
 def test_su21_extension_is_minimal_on_a_coarse_grid(su21_real_form):

@@ -62,12 +62,23 @@ def test_rationals_past_the_cap_or_malformed_raise_value_error(text):
      "at column 1: a rational has more than"),
     (("verify", "--space", "sl3r", "--s", CONTROL_S,
       "--X", "+".join("1/%d*H1" % (2 ** e - 1) for e in (127, 89, 61))),
-     "the summed coefficient of H1: a rational has a numerator or denominator")])
+     "the summed coefficient of H1: a rational has a numerator or denominator"),
+    # missing or inconsistent inputs
+    (("verify", "--space", "sl3r", "--s", "{missing}", "--X", "bad"), "cannot read "),
+    (("verify", "--space", "sl3r", "--s", "{dependent}", "--X", "bad"),
+     "d.json: subspace basis is linearly dependent"),
+    (("roots",), "--space (or --algebra-file) is required"),
+    (("check", "--space", "su21"), "need either --pair or both --s and --X"),
+    (("construct", "--space", "su21", "--pair", "real-form", "--t-range", "1"),
+     "ranges are written 'lo,hi', got '1'"),
+    (("verify", "--space", "su21", "--X", "Q1"), "verify requires --s with a subspace file")])
 def test_hostile_rationals_exit_2_with_a_message(tmp_path, capsys, argv, needle):
     files = {
         "alg": _write(tmp_path, "e.alg", BASE.replace("2 3 -> 1 0 0", "2 3 -> 2e99999 0 0")),
         "s": _write(tmp_path, "s.json", '[{"S12": "1e5000"}]'),
         "big_int": _write(tmp_path, "i.json", '[{"S12": 1%s}]' % ("0" * 5000)),
+        "missing": str(tmp_path / "missing.json"),
+        "dependent": _write(tmp_path, "d.json", '[{"S12": 1}, {"S12": "-1/2"}]'),
     }
     out = tmp_path / "report.json"
     status = run([a.format(**files) for a in argv] + ["--out", str(out)])

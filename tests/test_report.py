@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transvector.report import render
+from transvector.report import render, write_report
 
 scalars = (st.none() | st.booleans() | st.integers()
            | st.integers(min_value=2 ** 64 - 2, max_value=2 ** 200)
@@ -70,3 +71,17 @@ def test_non_str_keys_and_unknown_types_raise_type_error(doc):
 def test_float_subclasses_render_through_float_repr():
     doc = {"x": np.float64(0.1), "y": [np.float64(-0.0)]}
     assert render(doc) == _oracle(doc)
+
+
+def test_a_failed_write_leaves_the_target_and_no_temporary_file(tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("earlier\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="^replace refused$"):
+        write_report({"a": 1}, str(target))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    assert target.read_text() == "earlier\n"

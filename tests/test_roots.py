@@ -189,7 +189,7 @@ def _rules_without_memo(rd):
                 for nu in (tuple(x + y for x, y in zip(lam, mu)),
                            tuple(x - y for x, y in zip(lam, mu))):
                     basis.extend(_space_basis_for(rd, targets, zero_target, nu))
-                target = Subspace(rd.algebra, basis, rd.mode)
+                target = Subspace(rd.algebra, basis)
                 brackets = right[mu].basis_rows @ rd.algebra.ad_stack(left[lam].basis_rows)
                 outside, res = target.membership(brackets)
                 worst = max(worst, float(res.max(initial=0.0)))

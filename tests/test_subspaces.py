@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from transvector.catalog import build_pair, complex_structure_matrix, list_pairs
 from transvector.exactla import rank
-from transvector.liealg import MODE_EXACT, MODE_FLOAT
+from transvector.liealg import MODE_FLOAT, float_tol
 from transvector.subspaces import Subspace
 
 
@@ -26,7 +27,7 @@ def test_span_membership_and_coordinates(sl2r):
 
 
 def test_empty_subspace_is_a_valid_triple_system(sl2r):
-    s = Subspace(sl2r, [], MODE_EXACT)
+    s = Subspace(sl2r, [])
     assert s.dim == 0
     ok, _ = s.is_lie_triple_system()
     assert ok
@@ -123,26 +124,62 @@ def test_orthocomplement_is_the_span_of_the_normal_frame(sid, pair):
     entry = build_pair(sid, pair)
     a = entry.algebra
     comp = entry.s.orthocomplement_in_p()
-    assert comp.mode == MODE_EXACT
+    assert comp.basis_rows.dtype == object
     assert comp.dim == len(a.p_basis) - entry.s.dim == len(entry.normal_frame)
     assert not np.count_nonzero(entry.s.basis_rows @ a.killing_exact @ comp.basis_rows.T)
     for v in entry.normal_frame:
         assert comp.contains(v) == (True, 0.0)
 
 
-@pytest.mark.parametrize("predicate", [
-    lambda s, jm: s.orthocomplement_in_p(),
-    lambda s, jm: s.is_reflective(),
-    lambda s, jm: s.is_totally_real(jm)],
-    ids=["orthocomplement_in_p", "is_reflective", "is_totally_real"])
-def test_exact_only_predicates_refuse_a_float_subspace(su21_real_form, predicate):
-    """The complement, reflectivity and totally-real tests are exact; a
-    float subspace keeps membership and the triple-system test only."""
-    a = su21_real_form.algebra
-    s = Subspace(a, [b.astype(MODE_FLOAT) for b in su21_real_form.s.basis])
-    with pytest.raises(ValueError, match="requires an exact subspace$"):
-        predicate(s, complex_structure_matrix(a))
-    assert s.is_lie_triple_system() == (True, None)
+def test_a_float_basis_is_refused(su21_real_form):
+    """A Subspace is exact: float vectors or float rows raise, and there is
+    no mode to ask for."""
+    a, s = su21_real_form.algebra, su21_real_form.s
+    for basis in ([b.astype(MODE_FLOAT) for b in s.basis], s.basis_rows.astype(float)):
+        with pytest.raises(TypeError, match="refusing silent float"):
+            Subspace(a, basis)
+    assert list(inspect.signature(Subspace).parameters) == ["algebra", "basis"]
+    assert not hasattr(s, "mode")
+
+
+def _float_copy_membership(s, vs):
+    """(outside, residuals) of the float64 rows vs measured the way a float
+    copy of s measured them: a projector from the float basis and
+    B_theta, residual norms through the float einsum, held against
+    float_tol of each row's norm."""
+    a = s.algebra
+    rows = np.array([v.astype(MODE_FLOAT).coeffs for v in s.basis], dtype=float)
+    pair = rows @ a.btheta_float
+    q = np.eye(a.dim) - pair.T @ np.linalg.inv(pair @ rows.T) @ rows
+
+    def norms(w):
+        return np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", w, a.btheta_exact.astype(float), w), 0.0))
+
+    res = norms(vs @ q)
+    return res > float_tol(norms(vs)), res
+
+
+@pytest.mark.parametrize("sid, pair", [("sl2r", None), ("su21", "real-form"),
+                                       ("su21", "complex-hyperplane"), ("su31", "real-form")])
+def test_float_rows_read_the_bits_of_a_float_copy(sl2r, sid, pair):
+    """Float rows inside and outside s get the outside mask and residual
+    bits that a float copy of s gave them."""
+    if pair is None:
+        s = Subspace(sl2r, [sl2r.basis_vector(0)])
+    else:
+        s = build_pair(sid, pair).s
+    a = s.algebra
+    gen = np.random.default_rng(5)
+    inside = gen.standard_normal((6, s.dim)) @ s.basis_rows.astype(float)
+    rows = np.concatenate([inside, gen.standard_normal((6, a.dim))]).reshape(3, 4, a.dim)
+    outside, res = s.membership(rows)
+    want_outside, want_res = _float_copy_membership(s, rows)
+    assert np.array_equal(outside, want_outside)
+    assert np.array_equal(res.view(np.uint64), want_res.view(np.uint64))
+    assert not outside.reshape(-1)[:6].any() and outside.reshape(-1)[6:].all()
+    for v, out, r in zip(rows.reshape(-1, a.dim), outside.flat, res.flat):
+        member, residual = s.contains(a.vector(v, MODE_FLOAT))
+        assert member == (not out) and np.float64(residual).view(np.uint64) == r.view(np.uint64)
 
 
 # Fraction(a, b) of two small ints: far cheaper to draw than st.fractions
