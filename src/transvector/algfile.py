@@ -205,7 +205,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
 def _parse_realization(path, header, lines, d):
     entry = _memo(parse_entry)
     size = None
-    signature = None
+    signature = signature_line = None
     unimodular = True
     rows = []
     for lineno, text in lines:
@@ -222,7 +222,7 @@ def _parse_realization(path, header, lines, d):
             continue
         if low.startswith("signature"):
             try:
-                signature = tuple(int(c) for c in text.split()[1:])
+                signature, signature_line = tuple(int(c) for c in text.split()[1:]), lineno
             except ValueError:
                 _fail(path, lineno, "signature entries must be integers")
             continue
@@ -247,7 +247,7 @@ def _parse_realization(path, header, lines, d):
     if size is None:
         _fail(path, lines[0][0] if lines else header, "realization without size")
     if signature is not None and len(signature) != size:
-        _fail(path, lines[0][0], "signature length must equal size")
+        _fail(path, signature_line, "signature length must equal size")
     if len(rows) != d * size:
         _fail(path, lines[-1][0],
               "realization needs %d rows (%d matrices of %d), got %d"

@@ -15,6 +15,7 @@ error, not a numerical failure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,15 +23,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .exactla import SpanSolver
-from .liealg import AlgebraVector, MatrixRealization, StructuredLieAlgebra
+from .exactla import SpanSolver, clear_denominators, div
+from .liealg import (AlgebraVector, MatrixRealization, StructuredLieAlgebra, abs_col_sum,
+                     int64_exact)
 from .subspaces import Subspace
 
 SPACE_IDS = ("su21", "su31", "so21", "so31", "sl2r", "sl3r")
 
-# The largest n of an sl(n,R) id: build_space takes about 8 s on sl7r, near
-# su91 (roots 9 s), the slowest one-digit su/so id, then 22 s on sl8r and
-# 168 s on sl10r
+# The largest n of an sl(n,R) id: build_space takes 0.04 s on sl7r (0.07 s
+# on sl8r, 0.3 s on sl10r) and roots --space sl7r 0.5 s, near su91 (0.6 s),
+# the slowest one-digit su/so id; roots --space sl8r takes 1.1 s
 MAX_SL_N = 7
 
 _FAMILY_NAMES = {
@@ -131,11 +133,19 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
         raise RuntimeError("basis table for %s is dependent" % space_id)
     lo, hi = np.triu_indices(d, 1)
     comm = (r[lo] @ r[hi] - r[hi] @ r[lo])[:, :, :size].reshape(len(lo), -1)
-    coords = np.array(solver.row_ops, dtype=object) @ comm.T      # (2 N^2, pairs)
+    # each row operation scaled to ints by the lcm of its denominators: the
+    # rows past d keep their kernel, and the first d are divided back below
+    ops = np.array([clear_denominators(row) for row in solver.row_ops], dtype=object)
+    if int64_exact(int(np.abs(ops).max(initial=0)), abs_col_sum(comm.T)):
+        coords = ops.astype(np.int64) @ comm.T                     # (2 N^2, pairs)
+    else:
+        coords = ops @ comm.T.astype(object)
     if coords[d:].any():
         raise RuntimeError("basis table for %s does not close under commutators"
                            % space_id)
-    brackets = {(int(lo[p]), int(hi[p])): {k: c for k, c in enumerate(col) if c != 0}
+    scales = [math.lcm(*(c.denominator for c in row)) for row in solver.row_ops[:d]]
+    brackets = {(int(lo[p]), int(hi[p])): {k: div(int(c), scales[k])
+                                           for k, c in enumerate(col) if c != 0}
                 for p, col in enumerate(coords[:d].T) if col.any()}
     theta = tuple(tuple((1 if j < k_dim else -1) if i == j else 0
                         for j in range(d)) for i in range(d))
@@ -279,17 +289,16 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     if grid is None:
         grid = GridSpec(t_steps=7, y_steps=7)
     jm = complex_structure_matrix(a)
-    x = entry.x_default.astype("float64")
+    x = entry.x_default.to_array()
     xn = a.btheta_norm(x)     # sqrt B(X, X) for X in p; ImmersionSpec refuses others
-    x_unit = x.scale(1.0 / xn)
-    jx = jm.astype(float) @ x_unit.to_array()
-    jx_vec = a.vector(tuple(jx), "float64")
+    x_unit = x * (1.0 / xn)
+    jx = jm.astype(float) @ x_unit
     spec = ImmersionSpec(a, entry.s, x_unit, grid=grid)
     t_nodes = grid.t_axis()
     y_nodes = grid.y_nodes(entry.s.dim)
     d0, d = immersion_distances(      # to z_+, z_-
         spec, t_nodes[:, None, None], y_nodes[:, None, :],
-        expm(np.array([r, -r], dtype=float)[:, None, None] * realize(a, jx_vec)))
+        expm(np.array([r, -r], dtype=float)[:, None, None] * realize(a, jx)))
     delta = np.abs(d[..., 0] - d[..., 1]).ravel()     # t-major
     k = int(np.argmax(delta))                         # its first maximum
     witness = None

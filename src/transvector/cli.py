@@ -286,7 +286,7 @@ def _cmd_roots(args):
 def _cmd_construct(args):
     entry = build_pair(args.space, args.pair)
     x = entry.x_default if args.x is None else parse_x_expression(entry.algebra, args.x)
-    spec = ImmersionSpec(entry.algebra, entry.s, x,
+    spec = ImmersionSpec(entry.algebra, entry.s, x.to_array(),
                          grid=_grid_from_args(args, entry.s.dim), h=args.h)
     rep = mean_curvature_report(spec, tolerance=args.tolerance,
                                 baseline=args.baseline)

@@ -23,6 +23,10 @@ residual fits, and modulo enough primes that "every residue is 0" proves
 "the residual is 0" otherwise (multimodular arithmetic, von zur Gathen &
 Gerhard, Modern Computer Algebra, ch. 5).  Only what a report prints, the
 witness and the residuals of terms outside s, is evaluated on Python ints.
+
+The transported-field series (nabla_zz) is a measurement, not a
+certificate: it takes an exact X in p and a float64 row Y and runs in
+float64.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, LemmaFalsified
-from .liealg import (MODE_EXACT, MODE_FLOAT, AlgebraVector, ChainResidues,
-                     abs_col_sum, canonical, coeff_strings, int64_exact)
+from .liealg import (MODE_EXACT, AlgebraVector, ChainResidues, abs_col_sum, canonical,
+                     coeff_strings, int64_exact)
 from .subspaces import Subspace
 
 
@@ -108,28 +112,23 @@ class LemmaCheck:
 
 @dataclass
 class SeriesReport:
-    """[Z^k, Z^p] for Z = e^{-ad_Y} X, its distance from the double-series
-    evaluation, and diagnostics."""
+    """[Z^k, Z^p] for Z = e^{-ad_Y} X as a float64 row, its distance from
+    the double-series evaluation, and diagnostics."""
 
-    value: AlgebraVector
+    value: np.ndarray
     route_difference: float
     tail_bound: float
     member: bool
     membership_residual: float
     converged: bool
     truncation: int
-    mode: str
     warnings: tuple = ()
 
 
 def _require_pair(s: Subspace, x: AlgebraVector, certify=True):
-    """Refuse a pair the callers cannot take.  certify (the condition and
-    the lemma) also wants X exact, tested before any array is built, and s
-    a Lie triple system; the series takes a float X too."""
+    """Refuse a pair the callers cannot take: s in p and X in p, and for
+    certify (the condition and the lemma) s a Lie triple system."""
     a = s.algebra
-    if certify and x.mode != MODE_EXACT:
-        raise ConfigError("the condition and the lemma are certified in exact "
-                          "arithmetic; X has mode %s" % x.mode)
     if not s.in_p():
         raise ConfigError("s must be contained in p")
     if not a.in_p(x):
@@ -308,35 +307,36 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     return checks
 
 
-def _series_terms(a, x: AlgebraVector, y: AlgebraVector, top: int) -> np.ndarray:
-    """u_j = (-ad_Y)^j X / j! for j = 0..top, as a (top + 1, d) array."""
-    chain = a.ad_chain(y.row()[None], x.row(), top)[0]
+def _series_terms(a, x: AlgebraVector, y: np.ndarray, top: int) -> np.ndarray:
+    """u_j = (-ad_Y)^j X / j! for j = 0..top, as a (top + 1, d) float64 array."""
+    chain = a.ad_chain(y[None], x.to_array(), top)[0]
     coeffs = np.array([Fraction((-1) ** j, math.factorial(j)) for j in range(top + 1)],
-                      dtype=float if x.mode == MODE_FLOAT else object)
+                      dtype=float)
     return chain * coeffs[:, None]
 
 
-def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
+def nabla_zz(s: Subspace, x: AlgebraVector, y: np.ndarray,
              truncation: int = 12) -> SeriesReport:
     """[Z^k, Z^p] for Z = e^{-ad_Y} X, both as the split of the truncated
     exponential series and as the double series over odd/even parts, plus the
-    factorial tail bound and the membership residual against s."""
+    factorial tail bound and the membership residual against s.  X is exact
+    and lies in p; Y is a float64 coefficient row, and the series runs in
+    float64."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     _require_pair(s, x, certify=False)
-    if y.mode != x.mode:
-        raise ValueError("Y mode does not match X mode")
     a = s.algebra
     K = truncation
     terms = _series_terms(a, x, y, 2 * K + 1)
 
-    z = a.vector(terms.sum(axis=0), x.mode)
-    zk, zp = a.cartan_split(z)
-    value = a.bracket(zk, zp)
+    z = terms.sum(axis=0)
+    tz = a.theta_float @ z
+    zk, zp = (z + tz) * 0.5, (z - tz) * 0.5              # the Cartan split
+    value = zp @ a.ad_stack(zk[None])[0]                  # [Z^k, Z^p]
 
     warnings = []
     z_norm = a.btheta_norm(z)
-    last_norm = a.btheta_norm(a.vector(terms[-1], x.mode))
+    last_norm = a.btheta_norm(terms[-1])
     converged = last_norm <= 1e-14 * max(z_norm, 1e-300)
     if not converged:
         warnings.append(
@@ -348,17 +348,16 @@ def nabla_zz(s: Subspace, x: AlgebraVector, y: AlgebraVector,
     # [Z^k, Z^p] = sum_{n,m} [ad^{2n}X, ad^{2m+1}X] / ((2n)! (2m+1)!).
     # terms[j] carries (-1)^j, hence [terms[2n], -terms[2m+1]] sums to it.
     pairs = terms[None, 0::2] @ a.ad_stack(terms[1::2])   # [terms[2m+1], terms[2n]] at (m, n)
-    double = a.vector(pairs.transpose(1, 0, 2).reshape(-1, a.dim).sum(axis=0), x.mode)
+    double = pairs.transpose(1, 0, 2).reshape(-1, a.dim).sum(axis=0)
     route_difference = a.btheta_norm(value - double)
 
-    ad_f = a.ad_matrix(y.astype(MODE_FLOAT))
-    ad_norm = float(np.linalg.norm(ad_f, 2))
+    ad_norm = float(np.linalg.norm(a.ad_stack(y[None])[0].T, 2))
     x_norm = float(np.linalg.norm(x.to_array()))
     tail_bound = ad_norm ** (2 * K + 2) / math.factorial(2 * K + 2) * x_norm
 
-    member, membership_residual = s.contains(value)
+    outside, res = s.membership(value[None])
     return SeriesReport(value=value, route_difference=route_difference,
-                        tail_bound=tail_bound, member=member,
-                        membership_residual=membership_residual,
-                        converged=converged, truncation=K, mode=x.mode,
+                        tail_bound=tail_bound, member=not outside[0],
+                        membership_residual=float(res[0]),
+                        converged=converged, truncation=K,
                         warnings=tuple(warnings))

@@ -58,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalBreakdown
-from .liealg import MODE_FLOAT, AlgebraVector, StructuredLieAlgebra
+from .liealg import MODE_FLOAT, StructuredLieAlgebra
 from .parallel import pmap  # noqa: F401  (only perfbench/tracing.py reads it)
 from .subspaces import Subspace
 
@@ -117,10 +117,10 @@ def _raise_first_failure(checks):
         raise checks[k][1](firsts[k])
 
 
-def realize(a: StructuredLieAlgebra, v: AlgebraVector) -> np.ndarray:
-    """Matrix image of an algebra vector."""
+def realize(a: StructuredLieAlgebra, v: np.ndarray) -> np.ndarray:
+    """Matrix image of a float64 coefficient row."""
     _require_realized(a)
-    return np.einsum("i,ikl->kl", v.to_array(), a.realization.images_complex)
+    return np.einsum("i,ikl->kl", v, a.realization.images_complex)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -373,16 +373,18 @@ class GridSpec:
 class ImmersionSpec:
     """The data of the extended immersion f(t, Y) = exp(tX) exp(Y(y)) o.
 
-    Invariants enforced at construction: h/2 squares to a normal float, X
-    lies in p and is B-orthogonal to s within 1e-10, s is a Lie triple
-    system, and the grid is nonempty.  The minimality statement needs
+    X is a float64 coefficient row of shape (d,).  Invariants enforced at
+    construction: h/2 squares to a normal float, X lies in p bit for bit
+    (Theta X = -X, which expm's exact Hermitian test needs) and is
+    B-orthogonal to s within 1e-10, s is a Lie triple system, and the grid
+    is nonempty.  The minimality statement needs
     codimension >= 2; mean_curvature_estimate refuses a smaller one unless
     it measures the baseline.
     """
 
     algebra: StructuredLieAlgebra
     s: Subspace
-    x: AlgebraVector
+    x: np.ndarray
     grid: GridSpec = field(default_factory=GridSpec)
     h: float = 1e-3
 
@@ -394,12 +396,12 @@ class ImmersionSpec:
         if (self.h / 2.0) * (self.h / 2.0) < np.finfo(float).tiny:
             raise ConfigError("finite-difference step %r is too small: the "
                               "square of h/2 is not a normal float" % self.h)
-        if not a.in_p(self.x):
+        x = self.x
+        if (a.theta_float @ x != -x).any():
             raise ConfigError("X must lie in p")
-        xf = self.x.astype(MODE_FLOAT)
         rows = self.s.basis_rows.astype(float)
-        pairing = xf.row() @ a.killing_float @ rows.T
-        off = np.flatnonzero(np.abs(pairing) > 1e-10 * (np.max(np.abs(xf.row())) + 1.0))
+        pairing = x @ a.killing_float @ rows.T
+        off = np.flatnonzero(np.abs(pairing) > 1e-10 * (np.max(np.abs(x)) + 1.0))
         if off.size:
             raise ConfigError("X is not B-orthogonal to s "
                               "(pairing %.3e)" % pairing[off[0]])
@@ -407,13 +409,12 @@ class ImmersionSpec:
         if not ok:
             raise ConfigError("s is not a Lie triple system: %s" % (witness,))
         self.codimension = len(a.p_basis) - self.s.dim
-        self._x_float = xf
-        self._x_matrix = realize(a, xf)
+        self._x_matrix = realize(a, x)
         self._s_images = np.einsum("ij,jkl->ikl", rows, a.realization.images_complex)
 
     @property
     def x_norm(self) -> float:
-        v = float(self.algebra.killing_form(self._x_float, self._x_float))
+        v = float(self.x @ self.algebra.killing_float @ self.x)
         return float(np.sqrt(max(0.0, v)))
 
     def y_matrix(self, y: np.ndarray) -> np.ndarray:
@@ -614,13 +615,13 @@ def mean_curvature_estimate(spec: ImmersionSpec, t, y,
 class CurvatureReport:
     """Grid sweep of mean-curvature estimates."""
 
+    mode = MODE_FLOAT              # a float64 measurement
     entries: list
     max_norm: float
     h: float
     baseline: bool
     discretization_error_estimate: float
     tolerance: float
-    mode: str = MODE_FLOAT
 
     @property
     def passed(self) -> bool:

@@ -4,14 +4,15 @@ The algebra is the data (basis labels, sparse bracket table, involution
 matrix Theta); everything else (Killing form, eigenspace bases k and p,
 adjoint matrices, curvature) is derived from it, never entered by hand.
 
-Scalar discipline: two modes.  "exact" keeps every coefficient a canonical
-exact scalar (exactla.frac: a Python int when integral, else a
-fractions.Fraction), so algebraic predicates are certificates; on the
-catalog's integer structure constants the exact paths never build a
-Fraction.  "float64" is reserved for the geometry layer and explicit
-conversions.  Mixing modes in one operation is an error, not a coercion.
-A subspace (subspaces.Subspace) is exact only, and float64 rows are
-measured against its exact span.
+Scalar discipline: one scalar kind per object.  An AlgebraVector is exact:
+every coefficient is a canonical exact scalar (exactla.frac: a Python int
+when integral, else a fractions.Fraction; a float is a TypeError), so
+algebraic predicates are certificates; on the catalog's integer structure
+constants the exact paths never build a Fraction.  Float data is a plain
+float64 coefficient row of shape (d,), what the geometry layer and the
+transported-field series compute with; AlgebraVector.to_array gives it.  A
+subspace (subspaces.Subspace) is exact only, and float64 rows are measured
+against its exact span.
 
 Validation is exact only.  The structure tensor C, Theta, the Killing
 matrix and the realified realization images are numpy arrays; their dtype
@@ -54,10 +55,11 @@ from .exactla import (
     rank,
 )
 
+# The "mode" labels of the reports: exact certificates, float64 measurements.
 MODE_EXACT = "exact"
 MODE_FLOAT = "float64"
 
-# Scale-aware float membership tolerance, used uniformly by the float paths.
+# Scale-aware tolerance of the float64 membership test (Subspace.membership).
 FLOAT_EPS = 1e-9
 
 
@@ -151,74 +153,53 @@ def residue_primes(bound: int) -> tuple:
 
 @dataclass(frozen=True)
 class AlgebraVector:
-    """Coefficient vector over the algebra basis, tagged with its scalar mode."""
+    """Exact coefficient vector over the algebra basis: every entry goes
+    through exactla.frac, so a float entry is a TypeError."""
 
     coeffs: tuple
-    mode: str = MODE_EXACT
 
     def __post_init__(self):
-        if self.mode not in (MODE_EXACT, MODE_FLOAT):
-            raise ValueError("unknown scalar mode %r" % (self.mode,))
-        if self.mode == MODE_EXACT:
-            object.__setattr__(
-                self, "coeffs", tuple(map(frac, self.coeffs)))
-        else:
-            object.__setattr__(
-                self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(frac, self.coeffs)))
 
     def __len__(self):
         return len(self.coeffs)
 
     def __add__(self, other):
         self._check(other)
-        return AlgebraVector(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.mode)
+        return AlgebraVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return AlgebraVector(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.mode)
+        return AlgebraVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return AlgebraVector(tuple(-a for a in self.coeffs), self.mode)
+        return AlgebraVector(tuple(-a for a in self.coeffs))
 
     def scale(self, c):
-        if self.mode == MODE_EXACT:
-            c = frac(c)
-        else:
-            c = float(c)
-        return AlgebraVector(tuple(c * a for a in self.coeffs), self.mode)
+        c = frac(c)
+        return AlgebraVector(tuple(c * a for a in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def astype(self, mode: str) -> "AlgebraVector":
-        if mode == self.mode:
-            return self
-        if mode == MODE_FLOAT:
-            return AlgebraVector(tuple(float(c) for c in self.coeffs), MODE_FLOAT)
-        raise ValueError("cannot promote float64 coefficients back to exact")
-
     def to_array(self) -> np.ndarray:
+        """The float64 coefficient row, each entry rounded once."""
         return np.array([float(c) for c in self.coeffs], dtype=float)
 
     def row(self) -> np.ndarray:
-        """Coefficients as a stack row: dtype=object exact, float64 float."""
-        return np.array(self.coeffs, dtype=object if self.mode == MODE_EXACT else float)
+        """Coefficients as a dtype=object stack row."""
+        return np.array(self.coeffs, dtype=object)
 
     def _check(self, other):
         if not isinstance(other, AlgebraVector):
             raise TypeError("expected AlgebraVector")
-        if self.mode != other.mode:
-            raise ValueError("mixed scalar modes: %s vs %s" % (self.mode, other.mode))
         if len(self.coeffs) != len(other.coeffs):
             raise ValueError("dimension mismatch")
 
 
 def coeff_strings(v: AlgebraVector) -> list:
-    """The coefficients of v as report strings: exact scalars through str,
-    floats through repr."""
-    return [str(c) if v.mode == MODE_EXACT else repr(c) for c in v.coeffs]
+    """The coefficients of v as report strings."""
+    return [str(c) for c in v.coeffs]
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,25 +298,25 @@ class StructuredLieAlgebra:
 
     # -- construction helpers ------------------------------------------------
 
-    def vector(self, coeffs, mode=MODE_EXACT) -> AlgebraVector:
+    def vector(self, coeffs) -> AlgebraVector:
         coeffs = tuple(coeffs)
         if len(coeffs) != self.dim:
             raise ValueError("expected %d coefficients, got %d" % (self.dim, len(coeffs)))
-        return AlgebraVector(coeffs, mode)
+        return AlgebraVector(coeffs)
 
-    def zero(self, mode=MODE_EXACT) -> AlgebraVector:
-        return self.vector((0,) * self.dim, mode)
+    def zero(self) -> AlgebraVector:
+        return self.vector((0,) * self.dim)
 
-    def basis_vector(self, i: int, mode=MODE_EXACT) -> AlgebraVector:
-        return self.vector(tuple(1 if j == i else 0 for j in range(self.dim)), mode)
+    def basis_vector(self, i: int) -> AlgebraVector:
+        return self.vector(tuple(1 if j == i else 0 for j in range(self.dim)))
 
-    def from_labels(self, combo: dict, mode=MODE_EXACT) -> AlgebraVector:
+    def from_labels(self, combo: dict) -> AlgebraVector:
         """Vector from {label: coefficient}."""
         index = {lab: i for i, lab in enumerate(self.labels)}
         coeffs = [0] * self.dim
         for lab, c in combo.items():
             coeffs[index[lab]] = c
-        return self.vector(coeffs, mode)
+        return self.vector(coeffs)
 
     def format_vector(self, v: AlgebraVector) -> str:
         parts = []
@@ -471,15 +452,12 @@ class StructuredLieAlgebra:
     # -- core operations -----------------------------------------------------
 
     def bracket(self, x: AlgebraVector, y: AlgebraVector) -> AlgebraVector:
-        """Commutator [x, y] = y @ ad_x, in the vectors' mode."""
+        """Commutator [x, y] = y @ ad_x."""
         self._own(x), self._own(y)
-        if x.mode != y.mode:
-            raise ValueError("mixed scalar modes in bracket")
-        return AlgebraVector(tuple(y.row() @ self.ad_stack(x.row()[None])[0]), x.mode)
+        return AlgebraVector(tuple(y.row() @ self.ad_stack(x.row()[None])[0]))
 
     def ad_matrix(self, y: AlgebraVector) -> np.ndarray:
-        """Matrix of ad_y on coefficient columns, m[k, j] = [y, e_j]_k, in
-        the dtype of y.row()."""
+        """Exact matrix of ad_y on coefficient columns, m[k, j] = [y, e_j]_k."""
         self._own(y)
         return self.ad_stack(y.row()[None])[0].T
 
@@ -535,31 +513,18 @@ class StructuredLieAlgebra:
             chain[:, t + 1] = (chain[:, t, None] @ ad)[:, 0]
         return chain
 
-    def _form(self, exact: np.ndarray, floats: np.ndarray, x: AlgebraVector,
-              y: AlgebraVector):
-        """x^T m y for the exact or float64 matrix m of the vectors' mode: a
-        canonical exact scalar, or a float."""
-        self._own(x), self._own(y)
-        if x.mode != y.mode:
-            raise ValueError("mixed scalar modes in a bilinear form")
-        if x.mode == MODE_FLOAT:
-            return float(x.row() @ floats @ y.row())
-        return _exact(x.row() @ exact @ y.row())
-
     def killing_form(self, x: AlgebraVector, y: AlgebraVector):
-        return self._form(self.killing_exact, self.killing_float, x, y)
+        """B(x, y) as a canonical exact scalar."""
+        self._own(x), self._own(y)
+        return _exact(x.row() @ self.killing_exact @ y.row())
 
-    def btheta_form(self, x: AlgebraVector, y: AlgebraVector):
-        """Positive definite form -B(x, theta y)."""
-        return self._form(self.btheta_exact, self.btheta_float, x, y)
-
-    def btheta_norm(self, x: AlgebraVector) -> float:
-        return math.sqrt(max(0.0, float(self.btheta_form(x, x))))
+    def btheta_norm(self, v: np.ndarray) -> float:
+        """sqrt B_theta(v, v) of a float64 coefficient row."""
+        return math.sqrt(max(0.0, float(v @ self.btheta_float @ v)))
 
     def apply_theta(self, v: AlgebraVector) -> AlgebraVector:
         self._own(v)
-        theta = self.theta_float if v.mode == MODE_FLOAT else self.theta_exact
-        return AlgebraVector(tuple(theta @ v.row()), v.mode)
+        return AlgebraVector(tuple(self.theta_exact @ v.row()))
 
     def cartan_split(self, v: AlgebraVector):
         """(k_part, p_part) with respect to theta."""
@@ -567,11 +532,7 @@ class StructuredLieAlgebra:
         return (v + tv).scale(Fraction(1, 2)), (v - tv).scale(Fraction(1, 2))
 
     def in_p(self, v: AlgebraVector) -> bool:
-        tv = self.apply_theta(v)
-        if v.mode == MODE_EXACT:
-            return all(a == -b for a, b in zip(tv.coeffs, v.coeffs))
-        arr, tarr = v.to_array(), tv.to_array()
-        return bool(np.max(np.abs(tarr + arr)) <= float_tol(float(np.max(np.abs(arr), initial=0.0))))
+        return self.apply_theta(v) == -v
 
     def curvature_tensor(self, u: AlgebraVector, v: AlgebraVector,
                          w: AlgebraVector) -> AlgebraVector:

@@ -4,7 +4,8 @@ Lie triple system, reflective, totally real.
 A Subspace is one exact span: its basis is a stack of canonical exact rows
 (a float entry is refused), and the exactla.nullspace rows of that stack,
 each scaled to ints, prove it independent by their count.  Membership takes
-stacks of coefficient rows and branches once, on the kind of the rows.
+stacks of coefficient rows and branches once, on the kind of the rows;
+contains tests one exact AlgebraVector.
 Exact rows are decided by one product with those integer null rows (a
 certificate).  Float64 rows, the t = 0 check of the geometry layer and the
 transported-field series, are measured against the exact span: their
@@ -24,8 +25,7 @@ import numpy as np
 
 from .errors import NumericalBreakdown
 from .exactla import clear_denominators, frac, invert, nullspace
-from .liealg import (MODE_FLOAT, AlgebraVector, StructuredLieAlgebra, canonical,
-                     coeff_strings, float_tol)
+from .liealg import AlgebraVector, StructuredLieAlgebra, canonical, coeff_strings, float_tol
 
 
 def _exact_root(v) -> float:
@@ -123,19 +123,16 @@ class Subspace:
         return outside, res
 
     def contains(self, v: AlgebraVector):
-        """(member, residual) of an exact or float vector; exact members have
-        residual exactly 0."""
+        """(member, residual) of an exact vector; members have residual
+        exactly 0."""
         if len(v.coeffs) != self.algebra.dim:
             raise ValueError("ambient dimension mismatch")
         outside, res = self.membership(v.row()[None])
         return not outside[0], float(res[0])
 
     def member_from_coordinates(self, coords) -> AlgebraVector:
-        """coords @ basis: exact for exact coordinates, float64 for floats."""
-        c = np.array(coords)
-        if c.dtype.kind == "f":
-            return self.algebra.vector(c @ self.basis_rows.astype(float), MODE_FLOAT)
-        return self.algebra.vector(c.astype(object) @ self.basis_rows)
+        """coords @ basis for exact coordinates."""
+        return self.algebra.vector(np.array(coords).astype(object) @ self.basis_rows)
 
     def in_p(self) -> bool:
         a = self.algebra

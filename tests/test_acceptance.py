@@ -23,7 +23,6 @@ from transvector.extension import (condition_holds, nabla_zz,
 from transvector.geometry import (GridSpec, ImmersionSpec, SpacePoint,
                                   distance, distance_law_check,
                                   mean_curvature_report, transvection)
-from transvector.liealg import MODE_FLOAT
 from transvector.report import strip_wall_time
 from transvector.roots import (build_root_space_example, maximal_abelian,
                                restricted_root_decomposition,
@@ -40,7 +39,7 @@ CONDITION_PAIRS = [("su21", "real-form"), ("su21", "complex-hyperplane"),
 
 
 def _float_spec(entry, **kw):
-    return ImmersionSpec(entry.algebra, entry.s, entry.x_default.astype(MODE_FLOAT), **kw)
+    return ImmersionSpec(entry.algebra, entry.s, entry.x_default.to_array(), **kw)
 
 
 def _sl2_h_pair(sl2r):
@@ -108,17 +107,17 @@ def test_criterion_4_series_routes_agree_within_ten_tails(sl2r):
     for entry in entries:
         a = entry.algebra
         s = entry.s
-        xs = [x.astype(MODE_FLOAT) for x in entry.x_grid]
+        xs = list(entry.x_grid)
         specs.append((a, s, xs))
     count = 0
     while count < 100:
         a, s, xs = specs[count % 2]
-        y = s.member_from_coordinates(tuple(gen.standard_normal(s.dim)))
-        ad = np.asarray(a.ad_matrix(y), dtype=float)
+        y = gen.standard_normal(s.dim) @ s.basis_rows.astype(float)
+        ad = a.ad_stack(y[None])[0].T
         norm = float(np.linalg.norm(ad, 2))
         if norm < 1e-8:
             continue
-        y = y.scale(5.0 / norm)
+        y = y * (5.0 / norm)
         x = xs[count % len(xs)]
         rep = nabla_zz(s, x, y, truncation=12)
         # the advisory convergence flag may be off at this norm; the factorial
@@ -128,9 +127,9 @@ def test_criterion_4_series_routes_agree_within_ten_tails(sl2r):
         count += 1
 
     s, x = _sl2_h_pair(sl2r)
-    rep = nabla_zz(s, x.astype(MODE_FLOAT), s.basis[0].astype(MODE_FLOAT), truncation=12)
+    rep = nabla_zz(s, x, s.basis[0].to_array(), truncation=12)
     expected = np.array([-math.sinh(4.0), 0.0, 0.0])
-    assert np.max(np.abs(rep.value.to_array() - expected)) <= 1e-12
+    assert np.max(np.abs(rep.value - expected)) <= 1e-12
 
 
 def test_criterion_5_su21_extensions_are_minimal():
@@ -162,7 +161,7 @@ def test_criterion_5_su21_extensions_are_minimal():
     ctrl_a, ctrl_s, ctrl_x = negative_control()
     ctrl = ImmersionSpec(
         ctrl_a, ctrl_s,
-        ctrl_x.astype(MODE_FLOAT), grid=grid, h=1e-3)
+        ctrl_x.to_array(), grid=grid, h=1e-3)
     ctrl_rep = mean_curvature_report(ctrl, tolerance=1e-4)
     assert ctrl_rep.max_norm >= 1e-2, ctrl_rep.max_norm
     assert not ctrl_rep.passed

@@ -87,7 +87,7 @@ def test_missing_file_is_a_config_error():
     (lambda t: t.split("[realization]")[0] + "[realization]\n",
      "probe.alg:17: realization without size"),
     (lambda t: t.replace("size 2\n", "size 2\nsignature 1 -1 1\n"),
-     "probe.alg:18: signature length must equal size"),
+     "probe.alg:19: signature length must equal size"),
 ])
 def test_malformed_inputs_fail_with_line_context(tmp_path, mangle, needle):
     out = tmp_path / "report.json"

@@ -5,13 +5,15 @@ from __future__ import annotations
 import dataclasses
 import warnings
 
+import numpy as np
 import pytest
 
-from transvector.catalog import (bisector_equidistance_check, build_pair,
+from transvector.catalog import (SPACE_IDS, bisector_equidistance_check, build_pair,
                                  build_space, complex_structure_matrix,
                                  list_pairs, negative_control, parse_space_id)
 from transvector.cli import parse_x_expression
 from transvector.errors import ConfigError
+from transvector.exactla import SpanSolver, frac
 from transvector.extension import condition_holds
 from transvector.geometry import GridSpec
 
@@ -34,6 +36,35 @@ def test_catalog_spaces_validate_exactly(space_id):
     rep = build_space(space_id).validate()
     assert rep.passed
     assert all(r == 0 for r in rep.residuals.values())
+
+
+def _fraction_product_table(a):
+    """The bracket table of a catalog space read off its realization the
+    plain way: the span solver's rational row operations times every
+    commutator, one Fraction product, each constant made canonical."""
+    real, d = a.realization, a.dim
+    r = real.realified(np.int64)
+    solver = SpanSolver(r[:, :, :real.size].reshape(d, -1).tolist())
+    lo, hi = np.triu_indices(d, 1)
+    comm = (r[lo] @ r[hi] - r[hi] @ r[lo])[:, :, :real.size].reshape(len(lo), -1)
+    coords = np.array(solver.row_ops, dtype=object) @ comm.T
+    assert not coords[d:].any()
+    return {(int(lo[p]), int(hi[p])): {k: frac(c) for k, c in enumerate(col) if c != 0}
+            for p, col in enumerate(coords[:d].T) if col.any()}
+
+
+@pytest.mark.parametrize("space_id", [*SPACE_IDS, "su41", "so41", "sl4r"])
+def test_the_bracket_table_equals_a_fraction_product_reference(space_id):
+    """build_space scales the row operations to ints and divides back; the
+    table is the reference's, value and type (int or Fraction)."""
+    a = build_space(space_id)
+    want = _fraction_product_table(a)
+
+    def typed(table):
+        return {key: {k: (type(c), c) for k, c in entry.items()}
+                for key, entry in table.items()}
+
+    assert typed(a.table) == typed(want)
 
 
 @pytest.mark.parametrize("bad", ["sp21", "f4-20", "sp31"])

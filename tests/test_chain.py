@@ -11,6 +11,7 @@ a sample, stopping at the first term outside s.
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from transvector.catalog import build_pair, negative_control
 from transvector.cli import load_subspace_file
 from transvector.extension import (condition_holds, sample_ys,
                                    verify_lemma_conclusion)
-from transvector.liealg import MODE_FLOAT, ChainResidues
+from transvector.liealg import ChainResidues
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -49,15 +50,15 @@ CHAIN_CASES = [*sorted(CASES), "su21-float"]
 
 
 def _chain_inputs(name, seed, k):
-    """(s, x, ys) for a chain test: k Y from sample_ys for an exact case;
-    for su21-float, a float X and k standard normal s-coordinates times the
-    basis rounded to float."""
+    """(s, x, ys) for a chain test, x a coefficient row: the exact X and k Y
+    from sample_ys for an exact case; for su21-float, the float64 X and k
+    standard normal s-coordinates times the basis rounded to float."""
     gen = rng.stream(seed, rng.STREAM_CONDITION_Y)
     if name != "su21-float":
         s, x = CASES[name]
-        return s, x, sample_ys(s, gen, k)
+        return s, x.row(), sample_ys(s, gen, k)
     s, x = CASES["su21"]
-    return s, x.astype(MODE_FLOAT), gen.standard_normal((k, s.dim)) @ s.basis_rows.astype(float)
+    return s, x.to_array(), gen.standard_normal((k, s.dim)) @ s.basis_rows.astype(float)
 
 
 def _reference_chain(a, y, x, top):
@@ -85,25 +86,27 @@ def _reference_condition(s, x, ys, n_max):
     return checked, None, worst
 
 
-def _close(u, v, exact):
-    if exact:
-        return u == v
-    return np.max(np.abs(u.to_array() - v.to_array()), initial=0.0) <= 1e-9 * (
-        1.0 + np.max(np.abs(v.to_array()), initial=0.0))
-
-
 @pytest.mark.parametrize("name", CHAIN_CASES)
 def test_stacked_chain_is_the_iterated_bracket(name):
+    """Every chain against iterated exact brackets of the same inputs
+    (Fraction(float) is exact): equal for an exact case, and within 1e-9
+    of each term's largest entry, cast to float, for the float64 one."""
     s, x, ys = _chain_inputs(name, 2, 5)
     a = s.algebra
     top = 2 * len(a.p_basis) + 1
-    chain = a.ad_chain(ys, x.row(), top)
+    chain = a.ad_chain(ys, x, top)
     assert chain.shape == (5, top + 1, a.dim)
-    assert chain.dtype in ((np.int64, object) if x.mode != MODE_FLOAT else (np.float64,))
-    exact = x.mode != MODE_FLOAT
+    exact = x.dtype == object
+    assert chain.dtype in ((np.int64, object) if exact else (np.float64,))
     for row, y in zip(chain, ys):
-        want = _reference_chain(a, a.vector(y, x.mode), x, top)
-        assert all(_close(a.vector(v, x.mode), w, exact) for v, w in zip(row, want))
+        want = _reference_chain(a, a.vector(map(Fraction, y)), a.vector(map(Fraction, x)),
+                                top)
+        if exact:
+            assert [a.vector(v) for v in row] == want
+        else:
+            want = np.array([w.to_array() for w in want])
+            assert (np.abs(row - want).max(axis=1)
+                    <= 1e-9 * np.abs(want).max(axis=1)).all()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -179,10 +182,10 @@ def test_one_y_alone_gives_the_row_it_gives_in_a_stack(name):
     s, x, ys = _chain_inputs(name, 7, 6)
     a = s.algebra
     top = 2 * len(a.p_basis) + 1
-    stacked = a.ad_chain(ys, x.row(), top)
+    stacked = a.ad_chain(ys, x, top)
     for i in range(len(ys)):
-        alone = a.ad_chain(ys[i:i + 1], x.row(), top)[0]
-        if x.mode == MODE_FLOAT:
+        alone = a.ad_chain(ys[i:i + 1], x, top)[0]
+        if x.dtype.kind == "f":
             assert np.array_equal(alone.view(np.uint64), stacked[i].view(np.uint64))
         else:
             assert np.array_equal(alone, stacked[i])

@@ -274,6 +274,17 @@ def test_zero_x_exits_2_in_every_command(tmp_path, command, x):
     assert rep["results"]["kind"] == "config"
 
 
+def test_a_k_component_past_any_float_tolerance_exits_2_in_construct(tmp_path, capsys):
+    """X = Q1 + 2^-200 F12 rounds to a float row with a nonzero k entry, far
+    below any float tolerance.  Theta X = -X fails bit for bit, as expm's
+    exact Hermitian test would, so construct refuses it before any matrix."""
+    status, rep = _run(tmp_path, "construct", "--space", "su21", "--pair", "real-form",
+                       "--X", "Q1 + 1/%d*F12" % 2 ** 200)
+    assert status == 2
+    assert rep["results"] == {"error": "X must lie in p", "kind": "config"}
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command, source, x, error", [
     *[(command, "pair", x, "X must lie in p")
       for command in ("check", "verify", "lemma", "construct") for x in ("F12", "Q1+F12")],

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from transvector import extension, rng
 from transvector.catalog import build_pair, list_pairs, negative_control
-from transvector.errors import ConfigError, LemmaFalsified
+from transvector.errors import LemmaFalsified
 from transvector.extension import (_NOT_NORMAL, ConditionVerdict, LemmaCheck,
                                    _normal_pairing, condition_holds, nabla_zz,
                                    sample_ys, verify_lemma_conclusion)
-from transvector.liealg import MODE_EXACT, MODE_FLOAT, coeff_strings
+from transvector.liealg import MODE_EXACT, coeff_strings
 from transvector.subspaces import Subspace
 
 
@@ -59,7 +59,7 @@ def test_negative_control_fails_at_the_first_bracket(sl3r):
 def _condition_terms(a, x, y, n_max):
     """[X, ad_Y^{2n+1} X] for n = 0..n_max, read off the stacked chain."""
     odd = a.ad_chain(y.row()[None], x.row(), 2 * n_max + 1)[0, 1::2]
-    return [a.vector(t @ a.ad_stack(x.row()[None])[0], x.mode) for t in odd]
+    return [a.vector(t @ a.ad_stack(x.row()[None])[0]) for t in odd]
 
 
 def test_condition_terms_scale_quadratically_in_x(sl2_pair):
@@ -125,35 +125,20 @@ def test_an_escaping_auxiliary_chain_raises_lemma_falsified(sl2_pair, monkeypatc
     assert s.contains(e)[1] > 0
 
 
-def test_nabla_routes_agree_exactly_in_rational_arithmetic(sl2_pair):
+def test_nabla_zz_matches_minus_sinh4_h(sl2_pair):
     a, s, x = sl2_pair
-    rep = nabla_zz(s, x, s.basis[0], truncation=8)
-    # same rational terms summed in two different orders: identical results
-    assert rep.route_difference == 0.0
-    assert rep.member
-
-
-@pytest.fixture(scope="module")
-def sl2_pair_float(sl2r):
-    s = Subspace(sl2r, [sl2r.basis_vector(0)])
-    x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
-    return sl2r, s, x
-
-
-def test_nabla_zz_matches_minus_sinh4_h(sl2_pair_float):
-    a, s, x = sl2_pair_float
-    rep = nabla_zz(s, x, s.basis[0].astype(MODE_FLOAT), truncation=12)
+    rep = nabla_zz(s, x, s.basis[0].to_array(), truncation=12)
     assert rep.converged
     expected = np.array([-math.sinh(4.0), 0.0, 0.0])
-    assert np.max(np.abs(rep.value.to_array() - expected)) <= 1e-12
+    assert np.max(np.abs(rep.value - expected)) <= 1e-12
     assert rep.route_difference <= 10.0 * max(rep.tail_bound, 1e-13)
     assert rep.member and rep.membership_residual <= 1e-10
 
 
-def test_nabla_zz_tail_bound_formula(sl2_pair_float):
-    a, s, x = sl2_pair_float
+def test_nabla_zz_tail_bound_formula(sl2_pair):
+    a, s, x = sl2_pair
     K = 6
-    rep = nabla_zz(s, x, s.basis[0].astype(MODE_FLOAT), truncation=K)
+    rep = nabla_zz(s, x, s.basis[0].to_array(), truncation=K)
     ad_norm = float(np.linalg.norm(
         np.asarray(a.ad_matrix(s.basis[0]), dtype=float), 2))
     want = ad_norm ** (2 * K + 2) / math.factorial(2 * K + 2) * float(
@@ -161,9 +146,9 @@ def test_nabla_zz_tail_bound_formula(sl2_pair_float):
     assert rep.tail_bound == pytest.approx(want, rel=1e-12)
 
 
-def test_unconverged_truncation_is_flagged(sl2_pair_float):
-    a, s, x = sl2_pair_float
-    y = s.basis[0].astype(MODE_FLOAT).scale(4.0)  # ||ad_Y|| = 16; K = 2 cannot resolve it
+def test_unconverged_truncation_is_flagged(sl2_pair):
+    a, s, x = sl2_pair
+    y = s.basis[0].to_array() * 4.0   # ||ad_Y|| = 16; K = 2 cannot resolve it
     rep = nabla_zz(s, x, y, truncation=2)
     assert not rep.converged
     assert rep.warnings
@@ -189,22 +174,6 @@ def test_non_orthogonal_x_is_flagged_but_still_checked(sl2_pair):
     verdict = condition_holds(s, s.basis[0], samples=2, seed=0)
     assert verdict.warnings
     assert verdict.holds  # ad_H H = 0, all terms vanish
-
-
-def test_mode_mismatch_is_an_error(sl2_pair, monkeypatch):
-    # a float X is refused before the first array (s in p) or the kernel
-    # is built
-    a, s, x = sl2_pair
-    def unreachable(*args, **kw):
-        raise AssertionError("a float X reached the exact path")
-    monkeypatch.setattr(Subspace, "in_p", unreachable)
-    monkeypatch.setattr(extension, "ChainResidues", unreachable)
-    want = ("^the condition and the lemma are certified in exact arithmetic; "
-            "X has mode float64$")
-    with pytest.raises(ConfigError, match=want):
-        condition_holds(s, x.astype(MODE_FLOAT), samples=2)
-    with pytest.raises(ConfigError, match=want):
-        verify_lemma_conclusion(s, x.astype(MODE_FLOAT), s.basis_rows, n_max=1, m_max=1)
 
 
 CATALOG = [(sid, pair) for sid, pairs in list_pairs().items() for pair in pairs]

@@ -34,13 +34,13 @@ from transvector.geometry import (CURVATURE_BLOCK, CurvatureReport, GridSpec,
                                   mean_curvature_estimate,
                                   mean_curvature_report, metric_matrix,
                                   realize, transvection)
-from transvector.liealg import MODE_FLOAT, StructuredLieAlgebra
+from transvector.liealg import StructuredLieAlgebra
 from transvector.subspaces import Subspace
 
 
 def _sl2_spec(sl2r, **kw):
     s = Subspace(sl2r, [sl2r.basis_vector(0)])
-    x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
+    x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).to_array()
     return ImmersionSpec(sl2r, s, x, **kw)
 
 
@@ -56,8 +56,7 @@ def test_log_exp_round_trip(sl2r, c):
 
 
 def test_rotation_part_projects_to_base_point(sl2r):
-    k = realize(sl2r, (sl2r.basis_vector(1) - sl2r.basis_vector(2)).astype(
-        MODE_FLOAT))
+    k = realize(sl2r, (sl2r.basis_vector(1) - sl2r.basis_vector(2)).to_array())
     q = SpacePoint.from_matrix(sl2r, expm(0.7 * k))
     assert np.max(np.abs(q.coords)) <= 1e-12
 
@@ -113,9 +112,8 @@ def test_expm_of_p_images_agrees_with_scipy(space):
 
 
 def test_expm_refuses_a_matrix_that_is_not_hermitian(sl2r):
-    p = realize(sl2r, sl2r.basis_vector(0).astype(MODE_FLOAT))
-    k = realize(sl2r, (sl2r.basis_vector(1) - sl2r.basis_vector(2)).astype(
-        MODE_FLOAT))
+    p = realize(sl2r, sl2r.basis_vector(0).to_array())
+    k = realize(sl2r, (sl2r.basis_vector(1) - sl2r.basis_vector(2)).to_array())
     geometry.expm(np.stack([p, 0.5 * p]))
     with pytest.raises(ValueError, match="Hermitian"):
         geometry.expm(np.stack([p, 0.7 * k]))
@@ -300,7 +298,7 @@ def _spec_on(space):
     if space == "sl2r":
         a = build_space(space)
         return ImmersionSpec(a, Subspace(a, [a.from_labels({"H1": 1})]),
-                             a.from_labels({"S12": 1}, MODE_FLOAT))
+                             a.from_labels({"S12": 1}).to_array())
     return _su21_spec(build_pair(space, "real-form"))
 
 
@@ -374,7 +372,7 @@ def test_a_stack_of_nodes_raises_what_its_first_failing_node_raises(
     # the t = 0 nodes 2 and 4 leave a wrong s of the same dimension, X in
     # place of the first basis vector: each stack raises the
     # recertification or the round trip, whichever node comes first
-    x = spec.algebra.vector([Fraction(c) for c in spec._x_float.coeffs])
+    x = spec.algebra.vector([Fraction(c) for c in spec.x])
     spec.s = Subspace(spec.algebra, [x, *spec.s.basis[1:]])
     message = _raised(NumericalBreakdown, immersion_point, spec, t[2], y[2])
     assert message.startswith("t = 0 point left s")
@@ -625,12 +623,11 @@ def test_one_failing_point_of_a_bisector_stage_raises_what_it_raised_alone(
     entry = build_pair("su21", pair)
     grid = GridSpec(t_steps=5, y_steps=5)
     a = entry.algebra
-    x = entry.x_default.astype(MODE_FLOAT)
-    spec = ImmersionSpec(a, entry.s, x.scale(1.0 / a.btheta_norm(x)), grid=grid)
+    x = entry.x_default.to_array()
+    spec = ImmersionSpec(a, entry.s, x * (1.0 / a.btheta_norm(x)), grid=grid)
     node = immersion_point(spec, 0.375, np.array([0.375, -0.75]))
-    jx = complex_structure_matrix(a).astype(float) @ spec._x_float.to_array()
-    z = SpacePoint.from_matrix(a, geometry.expm(0.5 * realize(
-        a, a.vector(tuple(jx), MODE_FLOAT))))
+    jx = complex_structure_matrix(a).astype(float) @ spec.x
+    z = SpacePoint.from_matrix(a, geometry.expm(0.5 * realize(a, jx)))
     if target == "between":
         _push_solve(monkeypatch, node.representative, z.representative)
     else:
@@ -692,10 +689,10 @@ def test_the_blocked_sweep_equals_each_node_alone_bit_for_bit(
 
 def test_immersion_spec_invariants(sl2r, su21_real_form):
     s = Subspace(sl2r, [sl2r.basis_vector(0)])
-    x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).astype(MODE_FLOAT)
+    x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).to_array()
     assert ImmersionSpec(sl2r, s, x).codimension == 1   # refused by the estimator
     with pytest.raises(ConfigError):   # X not B-orthogonal to s
-        ImmersionSpec(sl2r, s, s.basis[0])
+        ImmersionSpec(sl2r, s, s.basis[0].to_array())
     with pytest.raises(ConfigError):   # h must be positive
         _sl2_spec(sl2r, h=0.0)
     for h in (1e-200, 2e-154):         # (h/2)^2 is not a normal float
@@ -710,7 +707,7 @@ def test_immersion_spec_invariants(sl2r, su21_real_form):
     if not ok:
         with pytest.raises(ConfigError):
             ImmersionSpec(entry.algebra, bad_s,
-                          entry.algebra.from_labels({"Q1": 1}, MODE_FLOAT))
+                          entry.algebra.from_labels({"Q1": 1}).to_array())
 
 
 @pytest.mark.parametrize("x", [{"F12": 1}, {"Q1": 1, "F12": 1}])
@@ -723,7 +720,20 @@ def test_immersion_spec_refuses_x_outside_p_before_any_matrix(monkeypatch,
     monkeypatch.setattr(geometry, "realize", unreachable)
     a = su21_real_form.algebra
     with pytest.raises(ConfigError, match="^X must lie in p$"):
-        ImmersionSpec(a, su21_real_form.s, a.from_labels(x))
+        ImmersionSpec(a, su21_real_form.s, a.from_labels(x).to_array())
+
+
+def test_immersion_spec_refuses_a_tiny_k_component_bit_for_bit(monkeypatch, su21_real_form):
+    """X = Q1 + 1e-300 F12 is in p to any tolerance, but Theta X != -X bit
+    for bit, and expm's Hermitian test would refuse its matrix."""
+    def unreachable(*args):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(geometry, "realize", unreachable)
+    a = su21_real_form.algebra
+    x = a.from_labels({"Q1": 1}).to_array()
+    x[a.labels.index("F12")] = 1e-300
+    with pytest.raises(ConfigError, match="^X must lie in p$"):
+        ImmersionSpec(a, su21_real_form.s, x)
 
 
 def test_immersion_spec_names_the_first_offending_pairing():
@@ -732,12 +742,12 @@ def test_immersion_spec_names_the_first_offending_pairing():
     x = a.from_labels({"Q1": 1, "P2": 2, "P3": 3})
     with pytest.raises(ConfigError, match=r"^X is not B-orthogonal to s "
                                           r"\(pairing 3\.200e\+01\)$"):
-        ImmersionSpec(a, entry.s, x)
+        ImmersionSpec(a, entry.s, x.to_array())
 
 
 def test_so31_geodesic_plane_is_the_degenerate_input():
     entry = build_pair("so31", "geodesic-plane")
-    spec = ImmersionSpec(entry.algebra, entry.s, entry.x_default.astype(MODE_FLOAT))
+    spec = ImmersionSpec(entry.algebra, entry.s, entry.x_default.to_array())
     with pytest.raises(ConfigError, match="needs codimension >= 2; this spec has 1"):
         mean_curvature_estimate(spec, 0.1, np.array([0.2, 0.1]))
 
@@ -765,7 +775,7 @@ def test_transvections_are_isometries(sl2r):
 
 def _su21_spec(entry, **kw):
     kw.setdefault("grid", GridSpec(t_steps=3, y_steps=3))
-    return ImmersionSpec(entry.algebra, entry.s, entry.x_default.astype(MODE_FLOAT), **kw)
+    return ImmersionSpec(entry.algebra, entry.s, entry.x_default.to_array(), **kw)
 
 
 def test_su21_extension_is_minimal_on_a_coarse_grid(su21_real_form):
@@ -854,6 +864,14 @@ def test_oversized_export_is_refused_before_touching_files(tmp_path):
     with pytest.raises(ConfigError):
         export_point_cloud(rep, csv_path=os.fspath(target))
     assert not target.exists()
+
+
+def test_the_curvature_mode_is_a_class_constant():
+    """The mode is not a field a caller could set, and the report prints it."""
+    assert "mode" not in {f.name for f in dataclasses.fields(CurvatureReport)}
+    rep = CurvatureReport(entries=[], max_norm=0.0, h=1e-3, baseline=False,
+                          discretization_error_estimate=0.0, tolerance=1e-4)
+    assert rep.as_dict()["mode"] == "float64"
 
 
 def test_grid_spec_rejects_malformed_ranges():

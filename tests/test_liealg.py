@@ -7,10 +7,10 @@ B(E,F) = 4; theta(X) = -X^T swaps E and -F.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+import dataclasses
 import itertools
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from transvector.catalog import SPACE_IDS, build_space
 from transvector.data import algebra_path
 from transvector.errors import ConfigError
 from transvector.exactla import SpanSolver
-from transvector.liealg import MODE_FLOAT, MatrixRealization, StructuredLieAlgebra
+from transvector.liealg import AlgebraVector, MatrixRealization, StructuredLieAlgebra
 
 small_rats = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -349,15 +349,15 @@ def test_validation_memory_stays_below_any_unsliced_tensor():
     assert peak < 4_000_000
 
 
-def test_float_mode_round_trips_through_exact_table(sl2r):
-    x = sl2r.vector((0.5, -1.25, 2.0), MODE_FLOAT)
-    y = sl2r.vector((1.0, 0.0, 3.0), MODE_FLOAT)
-    exact = sl2r.bracket(
-        sl2r.vector((Fraction(1, 2), Fraction(-5, 4), 2)),
-        sl2r.vector((1, 0, 3)))
-    got = sl2r.bracket(x, y)
-    assert got.mode == MODE_FLOAT
-    assert got.to_array() == pytest.approx([float(c) for c in exact.coeffs])
+def test_a_float_entry_is_refused(sl2r):
+    """An AlgebraVector is exact: its one field is coeffs, and a float entry
+    raises instead of being coerced."""
+    with pytest.raises(TypeError, match="refusing silent float"):
+        AlgebraVector((0.5, 0, 0))
+    with pytest.raises(TypeError, match="refusing silent float"):
+        sl2r.vector(np.array([1.0, 0.0, 0.0]))
+    assert [f.name for f in dataclasses.fields(AlgebraVector)] == ["coeffs"]
+    assert not hasattr(AlgebraVector, "astype")
 
 
 def test_format_vector_round_trip_label_text(sl2r):
