@@ -3,8 +3,10 @@ for byte after report.strip_wall_time, with the same exit status.
 
 The commands run inside tests/golden, so the input paths echoed in each
 report's config are the bare file names stored next to the reports.  To
-regenerate after an intended report change:
+see how far a change moves each report's floats, without writing anything,
+then regenerate after an intended report change:
 
+    PYTHONPATH=src python tests/test_golden.py --drift
     PYTHONPATH=src python tests/test_golden.py --regenerate
 """
 
@@ -118,6 +120,39 @@ def test_report_matches_golden(name, tmp_path):
     assert text == golden
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def _drift(old: str, new: str):
+    """(float lines changed, worst absolute change, other lines changed) of
+    the report text new against old.  A float line differs only in its
+    numbers; any other difference, or a line only one side has, is other."""
+    old, new = old.splitlines(), new.splitlines()
+    floats, worst, other = 0, 0.0, abs(len(old) - len(new))
+    for was, now in zip(old, new):
+        if was == now:
+            continue
+        if _NUMBER.sub("#", was) != _NUMBER.sub("#", now):
+            other += 1
+            continue
+        floats += 1
+        worst = max([worst] + [abs(float(a) - float(b)) for a, b in
+                               zip(_NUMBER.findall(was), _NUMBER.findall(now))])
+    return floats, worst, other
+
+
+def _print_drift():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(COMMANDS):
+            status, text = _report(name, os.path.join(tmp, "report.json"))
+            with open(os.path.join(GOLDEN, name + ".json")) as fh:
+                golden = fh.read()
+            was = int(re.search(r'"exit_status": (\d+)', golden).group(1))
+            floats, worst, other = _drift(golden, text)
+            print("%-40s exit %d->%d  %3d float lines changed, worst %.3g, "
+                  "%d other lines changed" % (name, was, status, floats, worst, other))
+
+
 def _regenerate():
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(COMMANDS):
@@ -128,6 +163,8 @@ def _regenerate():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --regenerate")
-    _regenerate()
+    modes = {"--regenerate": _regenerate, "--drift": _print_drift}
+    if len(sys.argv) != 2 or sys.argv[1] not in modes:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py "
+                 "--drift | --regenerate")
+    modes[sys.argv[1]]()
