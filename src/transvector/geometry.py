@@ -6,10 +6,13 @@ Everything metric is derived from three primitives: the exponential expm of
 p-images (group elements exp(X), X in p), the polar projection cartan_project
 (group element -> the p-coordinates that re-express its polar part) and the
 pullback metric metric_matrix, g_P(u,v) = B(S(P)u, S(P)v),
-S(P) = sum_k ad_P^{2k}/(2k+1)! on p.  The realization maps p to Hermitian
-matrices (validate checks d theta(X) = -X^dagger exactly), so expm and
-cartan_project each go through one stacked eigh: exp and log of a Hermitian
-matrix act on its eigenvalues.
+S(P) = sinh(sqrt m)/sqrt m for m = ad_P^2 on p.  Each goes through one
+stacked eigh.  The realization maps p to Hermitian matrices (validate checks
+d theta(X) = -X^dagger exactly), so exp and log of a p-image act on its
+eigenvalues.  m is self-adjoint for B, which is positive definite on p, so
+in the frame of B = L L^T it is symmetric, and S^T B S is a function of its
+eigenvalues too; m is quadratic in P, and its quadratic form is cached per
+algebra (_p_metric).
 
 All three take stacks, (..., N, N) matrices and (..., dim_p) coordinates, and
 so do the points built on them: SpacePoint, distance, transvection and
@@ -62,12 +65,7 @@ from .liealg import MODE_FLOAT, StructuredLieAlgebra
 from .parallel import pmap  # noqa: F401  (only perfbench/tracing.py reads it)
 from .subspaces import Subspace
 
-SERIES_EPS = 1e-13         # absolute tail cutoff; leading term is the identity
-# Most terms a pullback metric series may take, a safety bound for library
-# callers.  On the su21 and su31 pairs the default construct grids stop
-# within 13 terms, and grids out to t in [-3, 3], y in [-1.5, 1.5] within
-# 23; at t in [-4, 4], y in [-2, 2] the chart refuses before the metric runs.
-SERIES_MAX_TERMS = 60
+TAYLOR_BELOW = 1e-5        # pullback stretch f(lam) is a polynomial below this
 GROUP_TOL = 1e-10          # scale-aware group membership tolerance
 REEXPRESS_TOL = 1e-8       # p-basis re-expression residual allowance
 ROUNDTRIP_TOL = 1e-10      # SpacePoint representative consistency
@@ -301,39 +299,63 @@ def distance(a: StructuredLieAlgebra, q1: SpacePoint, q2: SpacePoint) -> np.ndar
         a, np.linalg.solve(q1.representative, q2.representative)))
 
 
+def _stretch(lam: np.ndarray) -> np.ndarray:
+    """f(lam) = sinh^2(sqrt lam) / lam for eigenvalues lam >= 0 of ad_P^2,
+    by its Taylor polynomial 1 + lam/3 + 2 lam^2/45 below TAYLOR_BELOW
+    (there its next term is under 1e-17 relative).  Past sqrt lam = 355 it
+    is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):   # inf, and 0/0 at 0
+        direct = np.sinh(np.sqrt(lam)) ** 2 / lam
+    return np.where(lam < TAYLOR_BELOW,
+                    1.0 + lam * (1.0 / 3.0 + lam * (2.0 / 45.0)), direct)
+
+
+@lru_cache(maxsize=None)
+def _p_metric(a: StructuredLieAlgebra):
+    """(L, Q): B on the p-basis is L L^T, and ad_P^2 on p, taken to the
+    frame of L as m' = L^T m L^-T, is sum_jl c_j c_l q_jl in P's
+    p-coordinates c.  Q holds q_jl as a (dim_p^2, dim_p^2) matrix, row
+    r*dim_p + s of column j*dim_p + l, symmetric in (r, s) bit for bit.
+    An algebra whose ad_{p_j} ad_{p_l} leave p numerically is refused."""
+    pbm, pinv, gram = _p_geometry(a)
+    ad = a.ad_stack(pbm.T).swapaxes(-1, -2)     # ad[j][:, i] = [p_j, e_i]
+    pair = ad[:, None] @ ad[None, :] @ pbm      # ad_{p_j} ad_{p_l} on p
+    q = pinv @ pair
+    res = np.linalg.norm(pair - pbm @ q, axis=(-2, -1))
+    scale = np.linalg.norm(ad, axis=(-2, -1))
+    if (res > 1e-9 * (1.0 + np.outer(scale, scale))).any():
+        raise NumericalBreakdown("ad_P^2 does not preserve p numerically")
+    low = np.linalg.cholesky(gram)
+    q = low.T @ q @ np.linalg.inv(low).T
+    q = 0.5 * (q + q.swapaxes(2, 3))
+    return low, np.ascontiguousarray(q.reshape(len(q) ** 2, -1).T)
+
+
 def metric_matrix(a: StructuredLieAlgebra, p_coords: np.ndarray) -> np.ndarray:
     """Gram matrices of the pullback metric over the p-basis, one per point
     of the stack p_coords (..., dim_p): G_ij = B(S(P) u_i, S(P) u_j),
-    S(P) = sum ad_P^{2k}/(2k+1)! on p.  Each point's series stops at its own
-    first term of norm <= SERIES_EPS, within SERIES_MAX_TERMS terms."""
-    pbm, pinv, gram = _p_geometry(a)
-    pvec = _apply(pbm, np.asarray(p_coords, dtype=float))
-    ad = a.ad_stack(pvec.reshape(-1, a.dim)).reshape(pvec.shape + (a.dim,))
-    ad = ad.swapaxes(-1, -2)                # ad[..., :, j] = [P, e_j]
-    m = pinv @ (ad @ ad) @ pbm              # ad_P^2 restricted to p
-    restr_res = np.linalg.norm(ad @ (ad @ pbm) - pbm @ m, axis=(-2, -1))
-    restricts = restr_res <= 1e-9 * (1.0 + np.linalg.norm(ad, axis=(-2, -1)) ** 2)
-    s = term = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
-    tail = np.zeros(m.shape[:-2])
-    live = np.ones(m.shape[:-2], dtype=bool)  # points whose series still runs
-    k = 0
-    while live.any():
-        k += 1
-        term = term @ m / ((2 * k) * (2 * k + 1))
-        tail = np.where(live, np.linalg.norm(term, axis=(-2, -1)), tail)
-        live &= ~(tail <= SERIES_EPS)
-        s = np.where(live[..., None, None], s + term, s)
-        if k >= SERIES_MAX_TERMS:
-            break
-    if not restricts.all() or live.any():
-        _raise_first_failure([
-            (~restricts, lambda i: NumericalBreakdown(
-                "ad_P^2 does not preserve p numerically")),
-            (live, lambda i: NumericalBreakdown(
-                "pullback metric series kept a %.3e tail after %d terms"
-                % (tail.flat[i], k))),
-        ])
-    return np.swapaxes(s, -1, -2) @ gram @ s
+    S(P) = sinh(sqrt m)/sqrt m for m = ad_P^2 on p.  In the frame of
+    B = L L^T, m' = V diag(lam) V^T from one stacked eigh gives
+    G = (L V) diag(f(lam)) (L V)^T, f as in _stretch; eigenvalues below 0
+    are rounding and taken as 0.  A point whose G is not finite raises."""
+    low, q = _p_metric(a)
+    c = np.asarray(p_coords, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
+        cc = (c[..., :, None] * c[..., None, :]).reshape(c.shape[:-1] + q.shape[1:])
+        mp = _apply(q, cc).reshape(c.shape + c.shape[-1:])
+        finite = np.isfinite(mp).all()
+        if not finite:       # eigh would refuse the whole stack
+            finite = np.all(np.isfinite(mp), axis=(-2, -1))
+            mp = np.where(finite[..., None, None], mp, 0.0)
+        lam, v = np.linalg.eigh(mp)
+        lv = low @ v
+        g = (lv * _stretch(np.maximum(lam, 0.0))[..., None, :]) @ np.swapaxes(lv, -1, -2)
+        if not (np.all(finite) and np.isfinite(g).all()):
+            finite &= np.all(np.isfinite(g), axis=(-2, -1))
+            _raise_first_failure([(~finite, lambda i: NumericalBreakdown(
+                "pullback metric overflows float64 (||P||_B = %.3e)"
+                % _b_norm(a, c).flat[i]))])
+    return g
 
 
 @dataclass

@@ -13,6 +13,7 @@ import math
 import os
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -91,6 +92,54 @@ def test_pullback_matches_sinh_closed_form(sl2r):
         assert gr[0, 0] == pytest.approx(8.0, rel=1e-12)
 
 
+def _series_metric(a, c, terms=40):
+    """The pullback metric at one point c as a fixed-term Taylor series:
+    S(P) = sum_k m^k / (2k + 1)! over k < terms, m = ad_P^2 on p, and
+    G = S^T B S."""
+    pbm, pinv, gram = geometry._p_geometry(a)
+    ad = a.ad_stack((pbm @ c)[None])[0].T
+    m = pinv @ ad @ ad @ pbm
+    s = term = np.eye(len(c))
+    for k in range(1, terms):
+        term = term @ m / ((2 * k) * (2 * k + 1))
+        s = s + term
+    return s.T @ gram @ s
+
+
+@pytest.mark.parametrize("space", ["sl2r", "su21", "su31", "sl3r", "so31"])
+def test_the_closed_form_metric_matches_the_taylor_series(space):
+    a = build_space(space)
+    coords = _stack_of_points(a)
+    for g, c in zip(metric_matrix(a, coords), coords):
+        want = _series_metric(a, c)
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_the_stretch_is_continuous_across_its_taylor_switch():
+    """f(lam) = sinh^2(sqrt lam) / lam: its Taylor polynomial just below the
+    switch and the direct formula at and just above it agree to 1e-15."""
+    at = geometry.TAYLOR_BELOW
+    below, above = np.nextafter(at, 0.0), np.nextafter(at, 1.0)
+    f = geometry._stretch(np.array([below, at, above]))
+    assert np.all(np.abs(f - f[0]) <= 1e-15 * f[0])
+    assert geometry._stretch(np.zeros(1))[0] == 1.0
+
+
+def test_a_p_basis_that_ad_squared_leaves_is_refused(monkeypatch, su21):
+    """The check that ad_P^2 preserves p runs once per algebra, on the
+    cached quadratic form: a p-basis with a k vector mixed in fails it,
+    even at P = 0.  It takes su(2,1): in sl(2,R) every 2-plane on which B
+    is nondegenerate is a Lie triple system."""
+    mixed = geometry._p_geometry(su21)[0].copy()
+    mixed[:, 0] += 1e-6 * su21.k_basis[0].astype(float)
+    monkeypatch.setattr(geometry, "_p_geometry",
+                        lambda a: (mixed, np.linalg.pinv(mixed),
+                                   mixed.T @ a.killing_float @ mixed))
+    monkeypatch.setattr(geometry, "_p_metric", lru_cache(geometry._p_metric.__wrapped__))
+    assert _raised(NumericalBreakdown, metric_matrix, su21, np.zeros(4)) == (
+        "ad_P^2 does not preserve p numerically")
+
+
 def test_group_elements_off_the_model_are_rejected(sl2r):
     g = np.array([[1.0, 0.3], [0.0, 2.0]])  # det = 2: not in the group
     with pytest.raises(NumericalBreakdown):
@@ -136,20 +185,6 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-def _series_terms(a, c):
-    """Terms the pullback series of metric_matrix takes at c: the smallest
-    term bound it accepts."""
-    with pytest.MonkeyPatch.context() as mp:
-        for k in range(1, geometry.SERIES_MAX_TERMS + 1):
-            mp.setattr(geometry, "SERIES_MAX_TERMS", k)
-            try:
-                metric_matrix(a, c)
-                return k
-            except NumericalBreakdown:
-                pass
-    raise AssertionError("no term bound up to SERIES_MAX_TERMS accepted")
-
-
 def _stack_of_points(a):
     rng = np.random.default_rng(11)
     radii = np.array([0.0, 0.01, 0.2, 0.7, 1.3, 0.05, 1.0])
@@ -158,12 +193,10 @@ def _stack_of_points(a):
     return coords
 
 
-@pytest.mark.parametrize("space", ["sl2r", "su21", "su31"])
+@pytest.mark.parametrize("space", ["sl2r", "su21", "su31", "sl3r", "so31"])
 def test_stacked_chart_and_metric_equal_single_points_bit_for_bit(space):
     a = build_space(space)
     coords = _stack_of_points(a)
-    # the series stop after different numbers of terms across the stack
-    assert len({_series_terms(a, c) for c in coords}) >= 3
     g = np.stack([SpacePoint(a, c).representative for c in coords])
     stacked = cartan_project(a, g)
     single = np.stack([cartan_project(a, m) for m in g])
@@ -179,7 +212,7 @@ def test_stacked_chart_and_metric_equal_single_points_bit_for_bit(space):
 
 
 @pytest.mark.parametrize("space", ["sl2r", "su21", "su31"])
-def test_a_stack_raises_what_its_first_failing_point_raises(monkeypatch, space):
+def test_a_stack_raises_what_its_first_failing_point_raises(space):
     a = build_space(space)
     coords = _stack_of_points(a)
     g = np.stack([SpacePoint(a, c).representative for c in coords])
@@ -193,16 +226,15 @@ def test_a_stack_raises_what_its_first_failing_point_raises(monkeypatch, space):
     with pytest.raises(NumericalBreakdown):
         cartan_project(a, g[5:])
     cartan_project(a, g[:3])      # the points before it still chart
-    # the metric series: the first point needing more terms than allowed
-    terms = [_series_terms(a, c) for c in coords]
-    cut = sorted(set(terms))[-2]
-    first_long = next(i for i, k in enumerate(terms) if k > cut)
-    monkeypatch.setattr(geometry, "SERIES_MAX_TERMS", cut)
-    with pytest.raises(NumericalBreakdown) as alone:
-        metric_matrix(a, coords[first_long])
-    with pytest.raises(NumericalBreakdown) as stacked:
-        metric_matrix(a, coords)
-    assert str(stacked.value) == str(alone.value)
+    # the metric: the first point whose sinh^2 overflows float64
+    coords[3] *= 400.0 / np.linalg.norm(coords[3])
+    coords[5] *= 1e200
+    message = _raised(NumericalBreakdown, metric_matrix, a, coords[3])
+    assert message.startswith("pullback metric overflows float64 (||P||_B = ")
+    assert _raised(NumericalBreakdown, metric_matrix, a, coords) == message
+    assert _raised(NumericalBreakdown, metric_matrix, a, coords[5]) != message
+    assert np.array_equal(_bits(metric_matrix(a, coords[:3])),
+                          _bits(metric_matrix(a, np.delete(coords, [3, 5], axis=0))[:3]))
 
 
 def test_stack_order_beats_check_order(sl2r):
@@ -484,29 +516,31 @@ def test_one_construct_request_decomposes_a_fixed_count_of_matrices(
         tmp_path, count_calls):
     """The eigh work of one 3 x 3 x 3 construct request, as counts that repeat
     exactly on any machine: the block's 9 distinct t and 81 distinct y
-    exponentials and its 27 x 19 stencil charts, then the h/2 re-estimate's
-    3 t, 9 y and 19 charts for one node.  A lost dedup or an extra chart
-    pass changes them."""
+    exponentials, its 27 x 19 stencil charts and 27 x 9 stencil metrics
+    (dim p = 4), then the h/2 re-estimate's 3 t, 9 y, 19 charts and 9
+    metrics for one node.  A lost dedup or an extra chart or metric pass
+    changes them."""
     sizes = count_calls(np.linalg, "eigh", stack_size)
     assert run(["construct", "--space", "su21", "--pair", "real-form",
                 "--t-steps", "3", "--y-steps", "3",
                 "--out", str(tmp_path / "report.json")]) == 0
-    assert sizes == [9, 81, 513, 3, 9, 19]
+    assert sizes == [9, 81, 513, 243, 3, 9, 19, 9]
 
 
 @pytest.mark.parametrize("argv, eighs, charts", [
     (["construct", "--space", "su21", "--pair", "real-form", "--t-steps", "3",
       "--y-steps", "3", "--distance-law"],
-     [9, 81, 513, 3, 9, 19, 7, 1, 3, 6, 3, 28, 28, 103, 21, 21], [513, 19, 28, 103, 21]),
+     [9, 81, 513, 243, 3, 9, 19, 9, 7, 1, 3, 6, 3, 28, 28, 103, 21, 21],
+     [513, 19, 28, 103, 21]),
     (["bisector", "--space", "su21", "--pair", "complex-hyperplane", "--grid-steps", "5"],
      [2, 5, 25, 127, 127, 377], [127, 377])], ids=["distance-law", "bisector"])
 def test_the_distance_law_and_the_bisector_chart_one_stack_a_stage(
         tmp_path, count_calls, argv, eighs, charts):
-    """After the curvature sweep's counts (the test above), the distance
-    law's 7 orbit and 1 + 3 and 6 + 3 group exponentials, then three
-    charts: the 7 + 3 + 18 orbit, S and q points; their 28 representatives
-    with the 54 q-to-S matrices and the 21 transvected S points; the
-    representatives of those 21.  The bisector's 2 z and 5 + 25 grid
+    """After the curvature sweep's counts with its metrics (the test
+    above), the distance law's 7 orbit and 1 + 3 and 6 + 3 group
+    exponentials, then three charts: the 7 + 3 + 18 orbit, S and q points;
+    their 28 representatives with the 54 q-to-S matrices and the 21
+    transvected S points; the representatives of those 21.  The bisector's 2 z and 5 + 25 grid
     exponentials, then two charts: the 2 + 125 points; their 127
     representatives with the 250 grid-to-z matrices.  A stage split in two
     changes them."""
