@@ -526,26 +526,8 @@ class StructuredLieAlgebra:
         self._own(v)
         return AlgebraVector(tuple(self.theta_exact @ v.row()))
 
-    def cartan_split(self, v: AlgebraVector):
-        """(k_part, p_part) with respect to theta."""
-        tv = self.apply_theta(v)
-        return (v + tv).scale(Fraction(1, 2)), (v - tv).scale(Fraction(1, 2))
-
     def in_p(self, v: AlgebraVector) -> bool:
         return self.apply_theta(v) == -v
-
-    def curvature_tensor(self, u: AlgebraVector, v: AlgebraVector,
-                         w: AlgebraVector) -> AlgebraVector:
-        """R(u,v)w = [[u,v],w] on p.
-
-        Sign fixed so that the Jacobi operator R(c,v)c equals -ad_c^2 v,
-        which is B-negative-semidefinite on p (nonpositive curvature);
-        asserted by tests on the catalog algebras.
-        """
-        for z in (u, v, w):
-            if not self.in_p(z):
-                raise ValueError("curvature_tensor operands must lie in p")
-        return self.bracket(self.bracket(u, v), w)
 
     def _own(self, v):
         if len(v.coeffs) != self.dim:
