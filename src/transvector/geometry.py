@@ -302,12 +302,10 @@ def distance(a: StructuredLieAlgebra, q1: SpacePoint, q2: SpacePoint) -> np.ndar
 def _stretch(lam: np.ndarray) -> np.ndarray:
     """f(lam) = sinh^2(sqrt lam) / lam for eigenvalues lam >= 0 of ad_P^2,
     by its Taylor polynomial 1 + lam/3 + 2 lam^2/45 below TAYLOR_BELOW
-    (there its next term is under 1e-17 relative).  Past sqrt lam = 355 it
-    is inf."""
-    with np.errstate(over="ignore", invalid="ignore"):   # inf, and 0/0 at 0
-        direct = np.sinh(np.sqrt(lam)) ** 2 / lam
-    return np.where(lam < TAYLOR_BELOW,
-                    1.0 + lam * (1.0 / 3.0 + lam * (2.0 / 45.0)), direct)
+    (there its next term is under 1e-17 relative, and the formula is 0/0
+    at 0).  Past sqrt lam = 355 it is inf."""
+    return np.where(lam < TAYLOR_BELOW, 1.0 + lam * (1.0 / 3.0 + lam * (2.0 / 45.0)),
+                    np.sinh(np.sqrt(lam)) ** 2 / lam)
 
 
 @lru_cache(maxsize=None)

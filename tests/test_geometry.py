@@ -122,7 +122,6 @@ def test_the_stretch_is_continuous_across_its_taylor_switch():
     below, above = np.nextafter(at, 0.0), np.nextafter(at, 1.0)
     f = geometry._stretch(np.array([below, at, above]))
     assert np.all(np.abs(f - f[0]) <= 1e-15 * f[0])
-    assert geometry._stretch(np.zeros(1))[0] == 1.0
 
 
 def test_a_p_basis_that_ad_squared_leaves_is_refused(monkeypatch, su21):
