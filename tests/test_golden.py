@@ -141,25 +141,28 @@ def _drift(old: str, new: str):
     return floats, worst, other
 
 
-def _print_drift():
+def _fresh_reports():
+    """(name, exit status, stripped report text) of every command, run now."""
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(COMMANDS):
-            status, text = _report(name, os.path.join(tmp, "report.json"))
-            with open(os.path.join(GOLDEN, name + ".json")) as fh:
-                golden = fh.read()
-            was = int(re.search(r'"exit_status": (\d+)', golden).group(1))
-            floats, worst, other = _drift(golden, text)
-            print("%-40s exit %d->%d  %3d float lines changed, worst %.3g, "
-                  "%d other lines changed" % (name, was, status, floats, worst, other))
+            yield (name,) + _report(name, os.path.join(tmp, "report.json"))
+
+
+def _print_drift():
+    for name, status, text in _fresh_reports():
+        with open(os.path.join(GOLDEN, name + ".json")) as fh:
+            golden = fh.read()
+        was = int(re.search(r'"exit_status": (\d+)', golden).group(1))
+        floats, worst, other = _drift(golden, text)
+        print("%-40s exit %d->%d  %3d float lines changed, worst %.3g, "
+              "%d other lines changed" % (name, was, status, floats, worst, other))
 
 
 def _regenerate():
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(COMMANDS):
-            status, text = _report(name, os.path.join(tmp, "report.json"))
-            with open(os.path.join(GOLDEN, name + ".json"), "w") as fh:
-                fh.write(text)
-            print("%-32s exit %d" % (name, status))
+    for name, status, text in _fresh_reports():
+        with open(os.path.join(GOLDEN, name + ".json"), "w") as fh:
+            fh.write(text)
+        print("%-32s exit %d" % (name, status))
 
 
 if __name__ == "__main__":
