@@ -216,9 +216,8 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
             "vector": coeff_strings(term),
             "residual": float(res[i, n]),
         }
-    seen = np.arange(outside.size).reshape(outside.shape) < verdict.checked
-    worst = np.where(seen, res, 0.0).max(axis=0, initial=0.0)
-    verdict.per_n_worst_residual = [float(r) for r in worst]
+    # res is nonzero at the witness alone, the last term checked
+    verdict.per_n_worst_residual = [float(r) for r in res.max(axis=0, initial=0.0)]
     return verdict
 
 
@@ -248,8 +247,8 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     it, in one stacked pass, and the terms of the row raised below.
 
     A conclusion or auxiliary failure while the hypothesis held raises
-    LemmaFalsified, for the first such row; nothing in this package
-    catches it.
+    LemmaFalsified, for the first such row; cli.run reports it as exit
+    status 1 with kind "lemma-falsified".
     """
     _require_pair(s, x)
     a = s.algebra

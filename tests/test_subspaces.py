@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transvector.catalog import build_pair, complex_structure_matrix, list_pairs
+from transvector.catalog import (build_pair, build_space, complex_structure_matrix,
+                                 list_pairs, negative_control)
 from transvector.exactla import rank
 from transvector.liealg import float_tol
+from transvector.roots import maximal_abelian, restricted_root_decomposition
 from transvector.subspaces import Subspace
 
 
@@ -51,6 +54,57 @@ def test_k_vector_is_rejected_from_p_subspace_predicates(sl2r):
     s = Subspace(sl2r, [E - F])  # lies in k, not p
     with pytest.raises(ValueError):
         s.orthocomplement_in_p()
+    with pytest.raises(ValueError, match="is_reflective requires a subspace of p"):
+        s.is_reflective()
+
+
+def test_the_sl3r_control_is_not_reflective():
+    """span(S12) is a triple system, but its complement in p is not:
+    [[H1, S13], S23] has an S12 component."""
+    ok, report = negative_control()[1].is_reflective()
+    assert not ok
+    assert (report["dim"], report["codim"]) == (1, 4)
+    assert report["triple_system"] == {"holds": True, "witness": None}
+    assert report["complement_triple_system"]["holds"] is False
+    assert report["complement_triple_system"]["witness"]["triple"] == (0, 2, 3)
+
+
+def _reflective_by_brackets(s) -> bool:
+    """Reflectivity as the bracket rules it once was tested by, on basis
+    vectors: with c the complement of s in p, [[u, v], w] lies in c when
+    an odd number of u, v, w is drawn from c, and in s otherwise.  That
+    holds the two triple systems and the crosswise inclusions [[s,c],s] in
+    c and [[s,c],c] in s."""
+    a, c = s.algebra, s.orthocomplement_in_p()
+    vectors = [(v, 0) for v in s.basis] + [(v, 1) for v in c.basis]
+    return all((c if (i + j + k) % 2 else s).contains(a.bracket(a.bracket(u, v), w))[0]
+               for u, i in vectors for v, j in vectors for w, k in vectors)
+
+
+def _root_spaces(sid):
+    a = build_space(sid)
+    return [s for _, s in sorted(restricted_root_decomposition(a, maximal_abelian(a))
+                                 .p_spaces.items())]
+
+
+def _p_basis_spans(sid):
+    a = build_space(sid)
+    return [Subspace(a, a.p_basis[list(at)]) for r in range(1, len(a.p_basis))
+            for at in itertools.combinations(range(len(a.p_basis)), r)]
+
+
+def test_reflectivity_agrees_with_the_crosswise_bracket_rules():
+    """is_reflective tests the two triple systems alone; the crosswise
+    inclusions follow by proof.  The full bracket rules agree with its
+    verdict on every catalog pair, every p_lambda of su21, su31, so31 and
+    sl3r, and every span of p-basis vectors of sl3r, some reflective and
+    some not."""
+    subspaces = ([build_pair(sid, pair).s for sid, pair in CATALOG]
+                 + [s for sid in ("su21", "su31", "so31", "sl3r") for s in _root_spaces(sid)]
+                 + _p_basis_spans("sl3r"))
+    verdicts = [s.is_reflective()[0] for s in subspaces]
+    assert verdicts == [_reflective_by_brackets(s) for s in subspaces]
+    assert True in verdicts and False in verdicts
 
 
 def test_orthocomplement_in_p_is_b_orthogonal(su21_real_form):
