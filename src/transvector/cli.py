@@ -127,7 +127,9 @@ def load_subspace_file(a, path: str) -> Subspace:
 
 
 def _algebra_from_args(args):
-    if args.algebra_file:
+    if args.algebra_file is not None:
+        if args.space is not None:
+            raise ConfigError("--space and --algebra-file each name the algebra; give one")
         return parse_algebra_file(args.algebra_file)
     if not args.space:
         raise ConfigError("--space (or --algebra-file) is required")
@@ -135,13 +137,27 @@ def _algebra_from_args(args):
     return build_space(args.space)
 
 
+def _catalog_pair(args):
+    """(entry, X) for --pair on --space, X from --X or the entry's default.
+    Every --pair command resolves here: the pair brings s and the algebra,
+    so a missing --space, and --s or --algebra-file next to --pair, are
+    configuration errors."""
+    if not args.space:
+        raise ConfigError("--pair needs --space, a space with catalog pairs (%s)"
+                          % ", ".join(sorted(list_pairs())))
+    for flag, dest in (("--s", "s_file"), ("--algebra-file", "algebra_file")):
+        if getattr(args, dest, None) is not None:
+            raise ConfigError("--pair takes s from the catalog; %s is not read with it" % flag)
+    entry = build_pair(args.space, args.pair)
+    text = getattr(args, "x", None)
+    return entry, entry.x_default if text is None else parse_x_expression(entry.algebra, text)
+
+
 def _pair_from_args(args):
     """(algebra, s, x, meta) from --pair or --s/--X."""
-    if args.pair:
-        entry = build_pair(args.space, args.pair)
-        a = entry.algebra
-        x = entry.x_default if args.x is None else parse_x_expression(a, args.x)
-        return a, entry.s, x, {"pair": entry.pair_name, "space": entry.space_id}
+    if getattr(args, "pair", None):
+        entry, x = _catalog_pair(args)
+        return entry.algebra, entry.s, x, {"pair": entry.pair_name, "space": entry.space_id}
     a = _algebra_from_args(args)
     if not args.s_file or args.x is None:
         raise ConfigError("need either --pair or both --s and --X")
@@ -221,7 +237,6 @@ def _cmd_check(args):
 def _cmd_verify(args):
     if not args.s_file:
         raise ConfigError("verify requires --s with a subspace file")
-    args.pair = None
     return _cmd_check(args)
 
 
@@ -284,8 +299,7 @@ def _cmd_roots(args):
 
 
 def _cmd_construct(args):
-    entry = build_pair(args.space, args.pair)
-    x = entry.x_default if args.x is None else parse_x_expression(entry.algebra, args.x)
+    entry, x = _catalog_pair(args)
     spec = ImmersionSpec(entry.algebra, entry.s, x.to_array(),
                          grid=_grid_from_args(args, entry.s.dim), h=args.h)
     rep = mean_curvature_report(spec, tolerance=args.tolerance,
@@ -309,7 +323,7 @@ def _cmd_construct(args):
 
 
 def _cmd_bisector(args):
-    entry = build_pair(args.space, args.pair)
+    entry, _ = _catalog_pair(args)
     grid = _capped_grid(GridSpec(t_steps=args.grid_steps, y_steps=args.grid_steps),
                         entry.s.dim, "--grid-steps")
     rep = bisector_equidistance_check(entry, r=args.r, grid=grid,
@@ -425,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("verify", help="extension condition on a custom (s, X)")
-    common(p)
+    common(p, takes=("--algebra-file", "--s", "--X"))
     p.set_defaults(func=_cmd_verify, samples=16)
 
     p = sub.add_parser("lemma", help="bracket-chain lemma certificates")

@@ -313,11 +313,12 @@ def test_pairs_outside_p_exit_2_in_every_command(tmp_path, capsys, command, sour
     ("construct", ("--s", "s.json")), ("construct", ("--algebra-file", "a.alg")),
     ("bisector", ("--X", "Q1")), ("bisector", ("--s", "s.json")),
     ("bisector", ("--algebra-file", "a.alg")),
-    ("roots", ("--X", "Q1")), ("roots", ("--s", "s.json"))])
+    ("roots", ("--X", "Q1")), ("roots", ("--s", "s.json")),
+    ("verify", ("--pair", "real-form"))])
 def test_inputs_a_command_does_not_read_are_refused(tmp_path, command, extra):
     """An input a command would ignore is an argument error (exit 2, no
     report), not a silently different request."""
-    pair = () if command == "roots" else ("--pair", "real-form")
+    pair = () if command in ("roots", "verify") else ("--pair", "real-form")
     build_parser().parse_args([command, "--space", "su21", *pair])
     out = tmp_path / "report.json"
     status = run([command, "--space", "su21", *pair, *extra, "--out", str(out)])

@@ -71,7 +71,21 @@ def test_rationals_past_the_cap_or_malformed_raise_value_error(text):
     (("check", "--space", "su21"), "need either --pair or both --s and --X"),
     (("construct", "--space", "su21", "--pair", "real-form", "--t-range", "1"),
      "ranges are written 'lo,hi', got '1'"),
-    (("verify", "--space", "su21", "--X", "Q1"), "verify requires --s with a subspace file")])
+    (("verify", "--space", "su21", "--X", "Q1"), "verify requires --s with a subspace file"),
+    # --pair without --space once ended in an AttributeError traceback, exit 1
+    (("check", "--pair", "real-form"), "--pair needs --space"),
+    (("lemma", "--pair", "real-form"), "--pair needs --space"),
+    (("construct", "--pair", "real-form"), "--pair needs --space"),
+    (("bisector", "--pair", "real-form"), "--pair needs --space"),
+    # an input the chosen mode would not read, once echoed and ignored
+    (("check", "--space", "su21", "--pair", "real-form", "--s", "{missing}"),
+     "--s is not read with it"),
+    (("lemma", "--space", "su21", "--pair", "real-form", "--algebra-file", "{missing}"),
+     "--algebra-file is not read with it"),
+    (("verify", "--space", "sl3r", "--algebra-file", "{missing}", "--s", CONTROL_S,
+      "--X", "bad"), "--space and --algebra-file each name the algebra"),
+    (("roots", "--space", "su21", "--algebra-file", "{missing}"),
+     "--space and --algebra-file each name the algebra")])
 def test_hostile_rationals_exit_2_with_a_message(tmp_path, capsys, argv, needle):
     files = {
         "alg": _write(tmp_path, "e.alg", BASE.replace("2 3 -> 1 0 0", "2 3 -> 2e99999 0 0")),
