@@ -173,8 +173,7 @@ class CatalogEntry:
     algebra: StructuredLieAlgebra
     s: Subspace
     normal_frame: tuple          # AlgebraVectors spanning the normal space in p
-    x_default: AlgebraVector
-    x_grid: tuple                # 5 exact X choices in the normal space
+    x_default: AlgebraVector     # the first normal_frame vector
     totally_real: bool | None    # None when the space is not Hermitian
     description: str = ""
 
@@ -204,18 +203,13 @@ def list_pairs() -> dict:
     return {k: tuple(v) for k, v in _PAIR_TABLE.items()}
 
 
-def _x_grid(frame):
-    if len(frame) == 1:
-        v = frame[0]
-        return (v, v.scale(2), v.scale(3), v.scale(-1), v.scale(-2))
-    v1, v2 = frame[0], frame[1]
-    return (v1, v2, v1 + v2, v1 + v2.scale(-1), v1.scale(2) + v2.scale(3))
-
-
 @lru_cache(maxsize=None)
 def build_pair(space_id: str, pair_name: str) -> CatalogEntry:
     """Construct a named reflective pair; the reflectivity certificate runs
-    at build time so a bad table cannot escape into downstream checks.
+    at build time so a bad table cannot escape into downstream checks.  It
+    is two exact triple-system tests, on s and on its complement in p; the
+    crosswise inclusions follow from them on a table that validates (see
+    Subspace.is_reflective).
 
     Cached per (space, pair) like build_space, so the certificates run once
     per process; a build that raises is not cached."""
@@ -258,10 +252,9 @@ def build_pair(space_id: str, pair_name: str) -> CatalogEntry:
         if s.is_totally_real(jm) != totreal:
             raise RuntimeError("catalog pair %s/%s has the wrong totally-real "
                                "flag" % (sid, pair_name))
-    grid = _x_grid(list(frame))
     return CatalogEntry(space_id=sid, pair_name=pair_name, algebra=a, s=s,
-                        normal_frame=tuple(frame), x_default=grid[0],
-                        x_grid=grid, totally_real=totreal, description=desc)
+                        normal_frame=frame, x_default=frame[0],
+                        totally_real=totreal, description=desc)
 
 
 def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,

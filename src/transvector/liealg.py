@@ -522,12 +522,10 @@ class StructuredLieAlgebra:
         """sqrt B_theta(v, v) of a float64 coefficient row."""
         return math.sqrt(max(0.0, float(v @ self.btheta_float @ v)))
 
-    def apply_theta(self, v: AlgebraVector) -> AlgebraVector:
-        self._own(v)
-        return AlgebraVector(tuple(self.theta_exact @ v.row()))
-
     def in_p(self, v: AlgebraVector) -> bool:
-        return self.apply_theta(v) == -v
+        """theta v = -v, exactly."""
+        self._own(v)
+        return not np.count_nonzero(self.theta_exact @ v.row() + v.row())
 
     def _own(self, v):
         if len(v.coeffs) != self.dim:

@@ -100,12 +100,12 @@ def test_pairs_carry_their_certificates(space_id, pair_name, s_dim, totreal):
     assert entry.totally_real is totreal
     ok, _ = entry.s.is_reflective()
     assert ok
-    # X grid is B-orthogonal to s throughout
+    # the normal frame is B-orthogonal to s and as long as its codimension
     a = entry.algebra
-    for x in entry.x_grid:
+    for x in entry.normal_frame:
         for b in entry.s.basis:
             assert a.killing_form(x, b) == 0
-    assert len(entry.x_grid) == 5
+    assert len(entry.normal_frame) == len(a.p_basis) - s_dim
 
 
 def test_pair_entry_serializes_with_labels(su21_real_form):

@@ -182,11 +182,12 @@ CATALOG_IDS = ["%s-%s" % c for c in CATALOG]
 
 @pytest.mark.parametrize("sid, pair", CATALOG, ids=CATALOG_IDS)
 def test_catalog_x_grid_is_exactly_normal_to_s(sid, pair):
-    """Every X of a catalog grid pairs to exactly 0 with s; a basis vector
-    of s does not, and its first pairing is its own B(b, b)."""
+    """Every normal_frame vector pairs to exactly 0 with s, and so does
+    every X in their span; a basis vector of s does not, and its first
+    pairing is its own B(b, b)."""
     entry = build_pair(sid, pair)
     s = entry.s
-    for x in entry.x_grid:
+    for x in entry.normal_frame:
         assert _normal_pairing(s, x) is None
     b = s.basis[0]
     assert _normal_pairing(s, b) == entry.algebra.killing_form(b, b) != 0
