@@ -12,8 +12,10 @@ class NumericalBreakdown(RuntimeError):
 class LemmaFalsified(AssertionError):
     """A conclusion bracket escaped s while the hypothesis held.
 
-    This cannot happen if the certified bracket lemma is true; raising (and
-    never catching) it aborts any suite that triggers it.
+    This cannot happen if the certified bracket lemma is true.  cli.run
+    reports it as a failed run (exit status 1, kind "lemma-falsified", with
+    the detail); to a library caller it is an AssertionError, so a test
+    suite that triggers it fails.
     """
 
     def __init__(self, message, detail=None):

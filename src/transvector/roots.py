@@ -10,8 +10,8 @@ that p-part must lie in a), the scalar action is verified on every
 eigenspace basis vector, the roots must come in pairs +-lambda, and the
 dimensions of m, a and the root spaces must add up to those of k and p.
 What these imply (each eigenvalue is its functional at H, the k and p
-parts of a root space have one dimension) is proved in _decompose_with_h,
-not tested.
+parts of a root space have equal dimensions) is proved in
+_decompose_with_h, not tested.
 
 Eigenvalue candidates come from one float64 eigensolve of ad_H: each
 eigenvalue e gives p/q = e rationalized with q <= 64, and k/D, with D the
