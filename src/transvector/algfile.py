@@ -1,4 +1,4 @@
-"""Plain-text algebra definition files.
+"""Plain-text (UTF-8) algebra definition files.
 
 Sections, in any order, one per line header in brackets:
 
@@ -21,6 +21,7 @@ files.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,21 +45,6 @@ _BOTH_RE = re.compile(
 
 def _fail(path, lineno, msg):
     raise ConfigError("%s:%d: %s" % (path, lineno, msg))
-
-
-def _memo(parse):
-    """parse, run once per distinct token; only successful parses are kept,
-    so a bad token fails on every line that holds it."""
-    seen = {}
-
-    def value(tok):
-        try:
-            return seen[tok]
-        except KeyError:
-            q = seen[tok] = parse(tok)
-            return q
-
-    return value
 
 
 def _im_value(tok: str):
@@ -97,9 +83,9 @@ def format_entry(re, im) -> str:
 def parse_algebra_file(path: str) -> StructuredLieAlgebra:
     """Exact parse followed by a mandatory full validation."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError("cannot read %s: %s" % (path, e))
 
     sections: dict = {}
@@ -138,7 +124,9 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
         _fail(path, sections["basis"][0][0], "duplicate basis labels")
     d = len(labels)
 
-    num = _memo(parse_rational)
+    # each distinct token parsed once per file; lru_cache keeps no call
+    # that raises, so a bad token fails on every line that holds it
+    num = lru_cache(maxsize=None)(parse_rational)
     brackets = {}
     for lineno, text in sections["bracket"]:
         if "->" not in text:
@@ -203,7 +191,7 @@ def parse_algebra_file(path: str) -> StructuredLieAlgebra:
 
 
 def _parse_realization(path, header, lines, d):
-    entry = _memo(parse_entry)
+    entry = lru_cache(maxsize=None)(parse_entry)
     size = None
     signature = signature_line = None
     unimodular = True
@@ -275,5 +263,5 @@ def serialize_algebra(a: StructuredLieAlgebra, path: str):
         for re_rows, im_rows in zip(real.re.tolist(), real.im.tolist()):
             for re_row, im_row in zip(re_rows, im_rows):
                 out.append(" ".join(map(format_entry, re_row, im_row)))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

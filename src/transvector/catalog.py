@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .exactla import SpanSolver, clear_denominators, div
-from .liealg import (AlgebraVector, MatrixRealization, StructuredLieAlgebra, abs_col_sum,
-                     int64_exact)
+from .liealg import (MODE_FLOAT, AlgebraVector, MatrixRealization, StructuredLieAlgebra,
+                     abs_col_sum, int64_exact)
 from .subspaces import Subspace
 
 SPACE_IDS = ("su21", "su31", "so21", "so31", "sl2r", "sl3r")
@@ -34,12 +34,6 @@ SPACE_IDS = ("su21", "su31", "so21", "so31", "sl2r", "sl3r")
 # on sl8r, 0.3 s on sl10r) and roots --space sl7r 0.5 s, near su91 (0.6 s),
 # the slowest one-digit su/so id; roots --space sl8r takes 1.1 s
 MAX_SL_N = 7
-
-_FAMILY_NAMES = {
-    "su": "complex hyperbolic isometries su(n,1)",
-    "so": "real hyperbolic isometries so(n,1)",
-    "sl": "special linear sl(n,R)",
-}
 
 
 def parse_space_id(space_id: str):
@@ -197,6 +191,17 @@ _PAIR_TABLE = {
     "so31": ("geodesic-plane",),
 }
 
+# pair name -> (the labels spanning s, given the n of su(n,1) or so(n,1);
+# description)
+_PAIR_SPANS = {
+    "real-form": (lambda n: ["P%d" % j for j in range(1, n + 1)],
+                  "real hyperbolic n-space inside complex hyperbolic n-space"),
+    "complex-hyperplane": (lambda n: [f % j for j in range(1, n) for f in ("P%d", "Q%d")],
+                           "complex hyperbolic hyperplane (one complex dimension down)"),
+    "geodesic-plane": (lambda n: ["P%d" % j for j in range(1, n)],
+                       "totally geodesic hyperplane in real hyperbolic space (codim 1)"),
+}
+
 
 def list_pairs() -> dict:
     """space id -> pair names, for the catalog listing."""
@@ -209,12 +214,13 @@ def build_pair(space_id: str, pair_name: str) -> CatalogEntry:
     at build time so a bad table cannot escape into downstream checks.  It
     is two exact triple-system tests, on s and on its complement in p; the
     crosswise inclusions follow from them on a table that validates (see
-    Subspace.is_reflective).
+    Subspace.is_reflective).  The normal frame is the basis of that
+    complement, and the totally-real flag is computed on su spaces.
 
     Cached per (space, pair) like build_space, so the certificates run once
     per process; a build that raises is not cached."""
     sid = space_id.strip().lower()
-    parse_space_id(sid)  # surfaces the unsupported-family message first
+    fam, n = parse_space_id(sid)  # surfaces the unsupported-family message first
     pairs = _PAIR_TABLE.get(sid)
     if pairs is None:
         raise ConfigError("space %r has no catalog pairs (known: %s)"
@@ -223,35 +229,14 @@ def build_pair(space_id: str, pair_name: str) -> CatalogEntry:
         raise ConfigError("space %s has pairs %s, not %r"
                           % (sid, ", ".join(pairs), pair_name))
     a = build_space(sid)
-    fam, n = parse_space_id(sid)
-    if pair_name == "real-form":
-        basis = [a.from_labels({"P%d" % (j + 1): 1}) for j in range(n)]
-        frame = tuple(a.from_labels({"Q%d" % (j + 1): 1}) for j in range(n))
-        totreal = True
-        desc = "real hyperbolic n-space inside complex hyperbolic n-space"
-    elif pair_name == "complex-hyperplane":
-        basis = []
-        for j in range(n - 1):
-            basis.append(a.from_labels({"P%d" % (j + 1): 1}))
-            basis.append(a.from_labels({"Q%d" % (j + 1): 1}))
-        frame = (a.from_labels({"P%d" % n: 1}), a.from_labels({"Q%d" % n: 1}))
-        totreal = False
-        desc = "complex hyperbolic hyperplane (one complex dimension down)"
-    else:  # geodesic-plane, so(n,1)
-        basis = [a.from_labels({"P%d" % (j + 1): 1}) for j in range(n - 1)]
-        frame = (a.from_labels({"P%d" % n: 1}),)
-        totreal = None
-        desc = "totally geodesic hyperplane in real hyperbolic space (codim 1)"
-    s = Subspace(a, basis)
+    labels, desc = _PAIR_SPANS[pair_name]
+    s = Subspace(a, [a.from_labels({label: 1}) for label in labels(n)])
     ok, report = s.is_reflective()
     if not ok:
         raise RuntimeError("catalog pair %s/%s failed its reflectivity "
                            "certificate: %s" % (sid, pair_name, report))
-    if totreal is not None:
-        jm = complex_structure_matrix(a)
-        if s.is_totally_real(jm) != totreal:
-            raise RuntimeError("catalog pair %s/%s has the wrong totally-real "
-                               "flag" % (sid, pair_name))
+    frame = s.orthocomplement_in_p().basis
+    totreal = s.is_totally_real(complex_structure_matrix(a)) if fam == "su" else None
     return CatalogEntry(space_id=sid, pair_name=pair_name, algebra=a, s=s,
                         normal_frame=frame, x_default=frame[0],
                         totally_real=totreal, description=desc)
@@ -300,7 +285,7 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
         witness = {"t": float(t_nodes[ti]), "y": [float(c) for c in y_nodes[yi]]}
     max_delta = float(delta[k]) if witness else 0.0
     return {
-        "mode": "float64",
+        "mode": MODE_FLOAT,
         "space": entry.space_id,
         "pair": entry.pair_name,
         "r": float(r),

@@ -148,6 +148,10 @@ def _catalog_pair(args):
     for flag, dest in (("--s", "s_file"), ("--algebra-file", "algebra_file")):
         if getattr(args, dest, None) is not None:
             raise ConfigError("--pair takes s from the catalog; %s is not read with it" % flag)
+    pairs = list_pairs().get(args.space.strip().lower())
+    if args.pair is None and pairs:
+        raise ConfigError("--pair is required: space %s has pairs %s"
+                          % (args.space, ", ".join(pairs)))
     entry = build_pair(args.space, args.pair)
     text = getattr(args, "x", None)
     return entry, entry.x_default if text is None else parse_x_expression(entry.algebra, text)
@@ -214,13 +218,7 @@ def _grid_from_args(args, dim: int) -> GridSpec:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func", "out"}
-    out = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip or v is None:
-            continue
-        out[k] = v if not isinstance(v, float) else float(v)
-    return out
+    return {k: v for k, v in vars(args).items() if k not in ("func", "out") and v is not None}
 
 
 # -- subcommand bodies: return (results, passed) -----------------------------
@@ -314,7 +312,14 @@ def _cmd_construct(args):
             spec, [-1.0, -0.5, -0.25, 0.25, 0.5, 1.0],
             [np.full(spec.s.dim, v) for v in (-0.5, 0.0, 0.5)])
         results["distance_law"] = law
-    exports = export_point_cloud(rep, csv_path=args.csv, ply_path=args.ply)
+    try:
+        exports = export_point_cloud(rep, csv_path=args.csv, ply_path=args.ply)
+    except OSError as e:
+        # only open() raises with a filename; --csv is written first
+        if e.filename is None:
+            raise
+        option = "--csv" if e.filename == args.csv else "--ply"
+        raise ConfigError("cannot write %s %s: %s" % (option, e.filename, e.strerror))
     if exports:
         results["exports"] = exports
     passed = rep.passed and (not args.distance_law
@@ -503,9 +508,19 @@ def run(argv=None) -> int:
         passed, status = False, 1
     except NumericalBreakdown as e:
         results, passed, status = {"error": str(e), "kind": "numerical"}, False, 3
-    rep = envelope(args.command, _config_echo(args), results, passed, status,
-                   started)
-    write_report(rep, out_path)
+    config = _config_echo(args)
+    try:
+        write_report(envelope(args.command, config, results, passed, status, started),
+                     out_path)
+    except OSError as e:
+        if out_path is None:
+            raise
+        # the report cannot reach --out (write_report removed its temp
+        # file), so the error goes to stdout
+        status = 2
+        write_report(envelope(args.command, config,
+                              {"error": "cannot write --out %s: %s" % (out_path, e.strerror),
+                               "kind": "config"}, False, status, started), None)
     return status
 
 

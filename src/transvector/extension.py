@@ -59,17 +59,7 @@ class ConditionVerdict:
     warnings: tuple = ()
 
     def as_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "mode": self.mode,
-            "n_max": self.n_max,
-            "samples": self.samples,
-            "seed": self.seed,
-            "checked": self.checked,
-            "per_n_worst_residual": list(self.per_n_worst_residual),
-            "witness": self.witness,
-            "warnings": list(self.warnings),
-        }
+        return {**vars(self), "mode": self.mode}
 
 
 @dataclass
@@ -97,17 +87,7 @@ class LemmaCheck:
         return max((r for pool in pools for r in pool), default=0.0)
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "mode": self.mode,
-            "n_max": self.n_max,
-            "m_max": self.m_max,
-            "hypothesis_residuals": list(self.hypothesis_residuals),
-            "hypothesis_failures": list(self.hypothesis_failures),
-            "conclusion_residuals": dict(self.conclusion_residuals),
-            "aux_residuals": dict(self.aux_residuals),
-            "worst_residual": self.worst_residual,
-        }
+        return {**vars(self), "mode": self.mode, "worst_residual": self.worst_residual}
 
 
 @dataclass

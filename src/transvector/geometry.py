@@ -83,7 +83,7 @@ def _p_images(a: StructuredLieAlgebra):
     """Stacked complex images of the p-basis plus the re-expression pinv."""
     _require_realized(a)
     imgs = a.realization.images_complex          # (d, N, N)
-    pb = a.p_basis.T.astype(float)               # (d, dim_p)
+    pb = _p_geometry(a)[0]                       # (d, dim_p)
     p_im = np.einsum("ij,ikl->jkl", pb, imgs)    # (dim_p, N, N)
     flat = np.concatenate([p_im.real.reshape(p_im.shape[0], -1),
                            p_im.imag.reshape(p_im.shape[0], -1)], axis=1)
@@ -648,16 +648,7 @@ class CurvatureReport:
         return self.max_norm <= self.tolerance
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tolerance": self.tolerance,
-            "h": self.h,
-            "baseline": self.baseline,
-            "max_norm": self.max_norm,
-            "discretization_error_estimate": self.discretization_error_estimate,
-            "passed": self.passed,
-            "entries": [dict(e) for e in self.entries],
-        }
+        return {**vars(self), "mode": self.mode, "passed": self.passed}
 
 
 def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,

@@ -259,14 +259,7 @@ class ValidationReport:
         return all(self.checks.values()) and not any(self.residuals.values())
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dims": dict(self.dims),
-            "residuals": dict(self.residuals),
-            "checks": dict(self.checks),
-            "witnesses": dict(self.witnesses),
-            "passed": self.passed,
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 class StructuredLieAlgebra:

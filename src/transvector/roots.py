@@ -314,9 +314,7 @@ class RootExampleBundle:
     even_chain_in_a_plus_p2: bool
     odd_chain_worst: float
     even_chain_worst: float
-    verdict: ConditionVerdict = None
-    samples: int = 0
-    seed: int = 0
+    verdict: ConditionVerdict
 
     @property
     def passed(self) -> bool:
@@ -333,8 +331,8 @@ class RootExampleBundle:
             "odd_chain_worst": self.odd_chain_worst,
             "even_chain_worst": self.even_chain_worst,
             "condition": self.verdict.as_dict(),
-            "samples": self.samples,
-            "seed": self.seed,
+            "samples": self.verdict.samples,
+            "seed": self.verdict.seed,
             "passed": self.passed,
         }
 
@@ -380,4 +378,4 @@ def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
                              even_chain_in_a_plus_p2=even_ok,
                              odd_chain_worst=odd_worst,
                              even_chain_worst=even_worst,
-                             verdict=verdict, samples=samples, seed=seed)
+                             verdict=verdict)

@@ -108,12 +108,24 @@ def test_pairs_carry_their_certificates(space_id, pair_name, s_dim, totreal):
     assert len(entry.normal_frame) == len(a.p_basis) - s_dim
 
 
-def test_pair_entry_serializes_with_labels(su21_real_form):
-    d = su21_real_form.as_dict()
-    assert d["space"] == "su21"
-    assert d["pair"] == "real-form"
-    assert d["s_basis"] == ["P1", "P2"]
-    assert d["x_default"] == "Q1"
+@pytest.mark.parametrize("space_id,pair_name,s_basis,normal_frame,totreal", [
+    ("su21", "real-form", ["P1", "P2"], ["Q1", "Q2"], True),
+    ("su21", "complex-hyperplane", ["P1", "Q1"], ["P2", "Q2"], False),
+    ("su31", "real-form", ["P1", "P2", "P3"], ["Q1", "Q2", "Q3"], True),
+    ("su31", "complex-hyperplane", ["P1", "Q1", "P2", "Q2"], ["P3", "Q3"], False),
+    ("so31", "geodesic-plane", ["P1", "P2"], ["P3"], None),
+])
+def test_pair_entry_serializes_with_labels(space_id, pair_name, s_basis, normal_frame,
+                                           totreal):
+    """Every catalog pair prints s, its normal frame in order, the default X
+    (the first frame vector) and the totally-real flag as labels."""
+    d = build_pair(space_id, pair_name).as_dict()
+    assert d["space"] == space_id
+    assert d["pair"] == pair_name
+    assert d["s_basis"] == s_basis
+    assert d["normal_frame"] == normal_frame
+    assert d["x_default"] == normal_frame[0]
+    assert d["totally_real"] is totreal
 
 
 def test_the_bad_alias_reuses_one_cached_control(sl3r):

@@ -159,6 +159,39 @@ def test_construct_writes_exports(tmp_path):
     assert csv.read_text().startswith("t,y1,y2,p1,p2,p3,p4,mean_h")
 
 
+@pytest.mark.parametrize("option", ["--csv", "--ply"])
+@pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
+                                           ("directory", "Is a directory")])
+def test_an_unwritable_export_exits_2_naming_the_option(tmp_path, option, where, reason):
+    path = str(tmp_path / "missing" / "cloud") if where == "missing" else str(tmp_path)
+    status, rep = _run(tmp_path, "construct", "--space", "su21", "--pair", "real-form",
+                       "--t-steps", "2", "--y-steps", "2", option, path)
+    assert status == 2
+    assert rep["results"] == {"error": "cannot write %s %s: %s" % (option, path, reason),
+                              "kind": "config"}
+
+
+@pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
+                                           ("directory", "Is a directory")])
+def test_an_unwritable_out_exits_2_with_the_envelope_on_stdout(tmp_path, capsys, where,
+                                                                reason):
+    """A report that cannot reach --out is a configuration error, exit 2 (exit
+    1 means an expectation failed), and its temp file does not stay behind."""
+    target = tmp_path / "missing" / "r.json" if where == "missing" else tmp_path / "d"
+    if where == "directory":
+        target.mkdir()
+    status = run(["check", "--space", "su21", "--pair", "real-form", "--samples", "2",
+                  "--out", str(target)])
+    captured = capsys.readouterr()
+    rep = json.loads(captured.out)
+    assert status == 2 and captured.err == ""
+    assert rep["results"] == {"error": "cannot write --out %s: %s" % (target, reason),
+                              "kind": "config"}
+    assert rep["summary"] == {"exit_status": 2, "passed": False}
+    assert sorted(p.name for p in tmp_path.rglob("*")) == (
+        [] if where == "missing" else ["d"])
+
+
 def test_reports_are_byte_identical_modulo_wall_time(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -26,9 +26,9 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CONTROL_S = os.path.join(GOLDEN, "control.json")
 
 
-def _write(tmp_path, name, text):
+def _write(tmp_path, name, text, encoding=None):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding=encoding)
     return str(path)
 
 
@@ -68,6 +68,9 @@ def test_rationals_past_the_cap_or_malformed_raise_value_error(text):
     (("verify", "--space", "sl3r", "--s", "{dependent}", "--X", "bad"),
      "d.json: subspace basis is linearly dependent"),
     (("roots",), "--space (or --algebra-file) is required"),
+    # undecodable bytes once ended in a UnicodeDecodeError traceback, exit 1
+    (("roots", "--algebra-file", "{latin1}"),
+     "l.alg: 'utf-8' codec can't decode byte 0xff in position 0"),
     (("check", "--space", "su21"), "need either --pair or both --s and --X"),
     (("construct", "--space", "su21", "--pair", "real-form", "--t-range", "1"),
      "ranges are written 'lo,hi', got '1'"),
@@ -77,6 +80,13 @@ def test_rationals_past_the_cap_or_malformed_raise_value_error(text):
     (("lemma", "--pair", "real-form"), "--pair needs --space"),
     (("construct", "--pair", "real-form"), "--pair needs --space"),
     (("bisector", "--pair", "real-form"), "--pair needs --space"),
+    # construct and bisector without --pair once printed Python's None
+    (("construct", "--space", "su21"),
+     "--pair is required: space su21 has pairs real-form, complex-hyperplane"),
+    (("bisector", "--space", "su21"),
+     "--pair is required: space su21 has pairs real-form, complex-hyperplane"),
+    (("construct", "--space", "so31"), "--pair is required: space so31 has pairs geodesic-plane"),
+    (("bisector", "--space", "sl3r"), "space 'sl3r' has no catalog pairs (known: so31,"),
     # an input the chosen mode would not read, once echoed and ignored
     (("check", "--space", "su21", "--pair", "real-form", "--s", "{missing}"),
      "--s is not read with it"),
@@ -92,6 +102,7 @@ def test_hostile_rationals_exit_2_with_a_message(tmp_path, capsys, argv, needle)
         "s": _write(tmp_path, "s.json", '[{"S12": "1e5000"}]'),
         "big_int": _write(tmp_path, "i.json", '[{"S12": 1%s}]' % ("0" * 5000)),
         "missing": str(tmp_path / "missing.json"),
+        "latin1": _write(tmp_path, "l.alg", "\xff\xfe" + BASE, encoding="latin-1"),
         "dependent": _write(tmp_path, "d.json", '[{"S12": 1}, {"S12": "-1/2"}]'),
     }
     out = tmp_path / "report.json"
