@@ -32,7 +32,10 @@ from .liealg import MatrixRealization, StructuredLieAlgebra
 _SECTIONS = ("basis", "bracket", "theta", "realization")
 
 # The most basis labels a file may declare: d of su(9,1), the largest catalog
-# algebra, whose file parses in about 13 s (validate's Jacobi loop is O(d^5))
+# algebra.  An integer su91 file parses and validates in about 6.8 s, 6.3 s
+# of it validate's O(d^5) Jacobi loop.  Realization entries that force
+# dtype=object grow the time about as d^5 (2.1 s for su51, 9.2 s for su61),
+# so to minutes near 99 labels.
 MAX_DIM = 99
 
 # one pattern per unambiguous token shape; a combined optional-group regex

@@ -48,10 +48,11 @@ def parse_x_expression(a, expr: str):
     """
     text = expr.strip()
     if text == "bad":
-        if a.name != "sl3r":
-            raise ConfigError("the 'bad' alias is the sl3r counterexample; "
-                              "space is %s" % a.name)
-        _, _, x = negative_control()
+        # by name: verify --algebra-file sl3r.alg --X bad takes it too
+        control, _, x = negative_control()
+        if a.name != control.name:
+            raise ConfigError("the 'bad' alias is the %s counterexample; "
+                              "space is %s" % (control.name, a.name))
         return x
     if not text:
         raise ConfigError("empty X expression")
@@ -315,11 +316,12 @@ def _cmd_construct(args):
     try:
         exports = export_point_cloud(rep, csv_path=args.csv, ply_path=args.ply)
     except OSError as e:
-        # only open() raises with a filename; --csv is written first
-        if e.filename is None:
+        # write_files names the export it could not write
+        options = {path: opt for opt, path in (("--ply", args.ply), ("--csv", args.csv)) if path}
+        if e.filename not in options:
             raise
-        option = "--csv" if e.filename == args.csv else "--ply"
-        raise ConfigError("cannot write %s %s: %s" % (option, e.filename, e.strerror))
+        raise ConfigError("cannot write %s %s: %s" % (options[e.filename], e.filename,
+                                                      e.strerror))
     if exports:
         results["exports"] = exports
     passed = rep.passed and (not args.distance_law
@@ -353,14 +355,15 @@ def _cmd_catalog(args):
             "pairs": [build_pair(sid, p).as_dict() for p in pair_names],
         }
         spaces.append(entry)
+    control, s, x = negative_control()
     results = {
         "spaces": spaces,
         "negative_control": {
-            "space": "sl3r",
-            "s": ["S12"],
-            "x": "H1 + S13",
+            "space": control.name,
+            "s": [control.format_vector(v) for v in s.basis],
+            "x": control.format_vector(x),
             "note": "violates the extension condition at the first bracket;"
-                    " reachable as verify --space sl3r --X bad",
+                    " reachable as verify --space %s --X bad" % control.name,
         },
         "unsupported": [
             {"id": "sp21", "reason": "quaternionic hyperbolic space"},

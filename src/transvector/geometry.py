@@ -54,6 +54,7 @@ the first node failing it; each node gets the bits it gets alone.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -63,6 +64,7 @@ import numpy as np
 from .errors import ConfigError, NumericalBreakdown
 from .liealg import MODE_FLOAT, StructuredLieAlgebra
 from .parallel import pmap  # noqa: F401  (only perfbench/tracing.py reads it)
+from .report import write_files
 from .subspaces import Subspace
 
 TAYLOR_BELOW = 1e-5        # pullback stretch f(lam) is a polynomial below this
@@ -769,29 +771,28 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
 def export_point_cloud(report: CurvatureReport, csv_path: str | None = None,
                        ply_path: str | None = None) -> dict:
     """Write the report's grid as CSV (t, Y, chart coords, |H|) and/or PLY
-    (first three chart coordinates).  Node counts above 10^7 are refused
-    before any file is touched."""
+    (first three chart coordinates), both or neither (report.write_files).
+    Node counts above 10^7 are refused before any file is touched."""
     n = len(report.entries)
     if n > 10 ** 7:
         raise ConfigError("point cloud with %d nodes exceeds the export limit" % n)
-    written = {}
+    texts, written = {}, {}
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            ydim = len(report.entries[0]["y"]) if n else 0
-            pdim = len(report.entries[0]["point"]) if n else 0
-            w.writerow(["t"] + ["y%d" % (i + 1) for i in range(ydim)]
-                       + ["p%d" % (i + 1) for i in range(pdim)] + ["mean_h"])
-            for e in report.entries:
-                w.writerow([e["t"]] + list(e["y"]) + list(e["point"]) + [e["norm"]])
-        written["csv"] = csv_path
+        fh = io.StringIO()
+        w = csv.writer(fh)
+        ydim = len(report.entries[0]["y"]) if n else 0
+        pdim = len(report.entries[0]["point"]) if n else 0
+        w.writerow(["t"] + ["y%d" % (i + 1) for i in range(ydim)]
+                   + ["p%d" % (i + 1) for i in range(pdim)] + ["mean_h"])
+        for e in report.entries:
+            w.writerow([e["t"]] + list(e["y"]) + list(e["point"]) + [e["norm"]])
+        texts[csv_path], written["csv"] = fh.getvalue(), csv_path
     if ply_path:
-        with open(ply_path, "w") as fh:
-            fh.write("ply\nformat ascii 1.0\nelement vertex %d\n" % n)
-            fh.write("property float x\nproperty float y\nproperty float z\n")
-            fh.write("end_header\n")
-            for e in report.entries:
-                p = list(e["point"]) + [0.0, 0.0, 0.0]
-                fh.write("%g %g %g\n" % (p[0], p[1], p[2]))
-        written["ply"] = ply_path
+        lines = ["ply", "format ascii 1.0", "element vertex %d" % n, "property float x",
+                 "property float y", "property float z", "end_header"]
+        for e in report.entries:
+            p = list(e["point"]) + [0.0, 0.0, 0.0]
+            lines.append("%g %g %g" % (p[0], p[1], p[2]))
+        texts[ply_path], written["ply"] = "\n".join(lines) + "\n", ply_path
+    write_files(texts)
     return written

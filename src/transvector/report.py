@@ -8,6 +8,7 @@ atomic (temp file + rename in the target directory).
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import tempfile
@@ -91,14 +92,36 @@ def write_report(report: dict, path: str | None):
     text = render(report)
     if path is None:
         print(text, end="")
-        return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    else:
+        write_files({path: text})
+
+
+def write_files(texts: dict):
+    """Write each text of texts (path -> text) to its path, all or none.
+
+    Every text goes to a temp file in its target's directory, and only when
+    all of them are written is each renamed onto its target (os.replace).
+    So an OSError while writing them, which names its target as filename,
+    leaves every target as it was; a directory at a target, which the
+    rename would refuse, is refused then too.  Only a rename refused after
+    that (a race, or a file system that will not rename) can leave an
+    earlier target replaced.  No temp file stays behind.
+    """
+    temps = {}
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        for path, text in texts.items():
+            try:
+                if os.path.isdir(path):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                fd, temps[path] = tempfile.mkstemp(
+                    dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+                with os.fdopen(fd, "w", newline="") as fh:
+                    fh.write(text)
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, path) from e
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)

@@ -3,15 +3,17 @@
 Strategy: pick a generic H in a (random odd integer coefficients, seeded,
 from a range that widens after GENERIC_RETRIES draws), decompose g into
 exact eigenspaces of ad_H, read each root off as the scalar action of the
-a-basis, and certify the datum after the fact in exact arithmetic: the
-exact kernels must account for all of g, the zero eigenspace must split as
-m + a (its p-part exceeding a proves the input was not maximal abelian, and
-that p-part must lie in a), the scalar action is verified on every
-eigenspace basis vector, the roots must come in pairs +-lambda, and the
-dimensions of m, a and the root spaces must add up to those of k and p.
-What these imply (each eigenvalue is its functional at H, the k and p
-parts of a root space have equal dimensions) is proved in
-_decompose_with_h, not tested.
+a-basis, and certify the datum after the fact in exact arithmetic.  Three
+checks remain: the exact kernels must account for all of g, the p-part of
+the zero eigenspace must have dimension dim a and lie in a (a larger one
+proves the input was not maximal abelian), and the scalar action is
+verified on every eigenspace basis vector.  What they imply, given that
+Theta is an involutive automorphism (validate's theta_involution and
+theta_automorphism), is proved in _decompose_with_h, not tested: each
+eigenvalue is its functional at H, distinct eigenvalues carry distinct
+functionals, the roots come in pairs +-lambda of equal multiplicity, k_lambda
+and p_lambda both have dimension dim g_lambda, and the dimensions of m, a
+and the root spaces add up to those of k and p.
 
 Eigenvalue candidates come from one float64 eigensolve of ad_H: each
 eigenvalue e gives p/q = e rationalized with q <= 64, and k/D, with D the
@@ -79,7 +81,6 @@ class RootDatum:
     positive: tuple              # the lexicographically positive half
     k_spaces: dict               # functional -> Subspace (k_lambda)
     p_spaces: dict               # functional -> Subspace (p_lambda)
-    multiplicities: dict         # functional -> dim g_lambda
     generic_h: AlgebraVector
     seed: int
     mode = MODE_EXACT            # every datum is certified exactly
@@ -91,7 +92,8 @@ class RootDatum:
             "m_dim": self.m.dim,
             "roots": [root_label(r) for r in self.roots],
             "positive": [root_label(r) for r in self.positive],
-            "multiplicities": {root_label(r): self.multiplicities[r]
+            # dim g_lambda = dim p_lambda (_decompose_with_h)
+            "multiplicities": {root_label(r): self.p_spaces[r].dim
                                for r in self.positive},
             "p_dims": {root_label(r): self.p_spaces[r].dim for r in self.positive},
             "k_dims": {root_label(r): self.k_spaces[r].dim for r in self.positive},
@@ -159,13 +161,33 @@ class _NotGeneric(Exception):
 def _decompose_with_h(a, asub, h, seed) -> RootDatum:
     """The exact decomposition by the eigenspaces of ad_H, for H in asub.
 
-    Three facts of the datum follow from the checks made here and are not
-    tested again.  _scalar_action certifies that each a-basis vector b acts
-    on ker(ad_H - mu) as a scalar lambda_b; since ad_H = sum c_b ad_b, the
-    eigenvalue is sum c_b lambda_b = lambda(H) = mu.  So distinct
-    eigenvalues carry distinct functionals.  Subspace refuses a dependent
-    basis, so k_lambda and p_lambda, spanned by the rows v + theta v and
-    v - theta v of a basis of g_lambda, both have dimension dim g_lambda."""
+    The facts of the datum below follow from the checks made here and from
+    validate's theta_involution and theta_automorphism (Theta^2 = 1 and
+    Theta[x, y] = [Theta x, Theta y], exactly), which tests/test_acceptance.py
+    criterion 1 checks on every catalog table and parse_algebra_file on
+    every file; they are not tested again.  Write V_mu = ker(ad_H - mu).
+
+    _scalar_action certifies that each a-basis vector b acts on V_mu as a
+    scalar lambda_b; since ad_H = sum c_b ad_b, the eigenvalue is sum c_b
+    lambda_b = lambda(H) = mu.  So distinct eigenvalues carry distinct
+    functionals.
+
+    H lies in p, so Theta H = -H and Theta ad_H Theta^-1 = ad_(Theta H) =
+    -ad_H: Theta maps V_mu onto V_-mu, and [b, Theta v] = -Theta[b, v] =
+    -lambda_b Theta v.  So -lambda is a root whenever lambda is, with the
+    same multiplicity (Helgason, ch. VII, section 2).
+
+    V_0 is Theta-stable, and Theta, whose minimal polynomial divides
+    x^2 - 1, is diagonalizable on it: V_0 = m + p_zero, and p_zero = a is
+    checked here.  For lambda positive, V_lambda + V_-lambda is
+    Theta-stable too and splits into its +1 and -1 eigenspaces, the images
+    of 1 + Theta and 1 - Theta, which are k_lambda and p_lambda, spanned by
+    the rows v + Theta v and v - Theta v over a basis of V_lambda (Theta v
+    lies in V_-lambda, which meets V_lambda in 0).  Each has dimension at
+    most dim V_lambda and together they have 2 dim V_lambda, so both have
+    dimension dim V_lambda.  The kernels account for all of g, so g is the
+    direct sum of V_0 and these Theta-stable pairs, and k = m + sum
+    k_lambda, p = a + sum p_lambda, dimensions included."""
     d = a.dim
     ad = a.ad_matrix(h)
     spaces = {}
@@ -196,28 +218,19 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
         if lam is None:
             raise _NotGeneric("eigenvalue %s mixes distinct roots" % mu)
         by_func[lam] = ker
-    for lam in by_func:
-        neg = tuple(-c for c in lam)
-        if neg not in by_func:
-            raise ValueError("root set is not symmetric: missing -%s" % (lam,))
 
     positive = sorted((lam for lam in by_func if _lex_positive(lam)), reverse=True)
-    k_spaces, p_spaces, mult = {}, {}, {}
+    k_spaces, p_spaces = {}, {}
     for lam in positive:
         basis = by_func[lam]
         tv = basis @ a.theta_exact.T
         k_spaces[lam] = Subspace(a, basis + tv)
         p_spaces[lam] = Subspace(a, basis - tv)
-        mult[lam] = len(basis)
 
-    m_sub = Subspace(a, k_zero)
-    roots = tuple(sorted(by_func.keys(), reverse=True))
-    datum = RootDatum(algebra=a, a=asub, m=m_sub, roots=roots,
-                      positive=tuple(positive), k_spaces=k_spaces,
-                      p_spaces=p_spaces, multiplicities=mult,
-                      generic_h=h, seed=seed)
-    _check_dimensions(datum)
-    return datum
+    return RootDatum(algebra=a, a=asub, m=Subspace(a, k_zero),
+                     roots=tuple(sorted(by_func, reverse=True)),
+                     positive=tuple(positive), k_spaces=k_spaces,
+                     p_spaces=p_spaces, generic_h=h, seed=seed)
 
 
 def _split_zero_space(a, zero_space: np.ndarray):
@@ -234,17 +247,6 @@ def _lex_positive(lam) -> bool:
         if c != 0:
             return c > 0
     return False
-
-
-def _check_dimensions(rd: RootDatum):
-    a = rd.algebra
-    dim_k = len(a.k_basis)
-    dim_p = len(a.p_basis)
-    k_sum = rd.m.dim + sum(rd.k_spaces[lam].dim for lam in rd.positive)
-    p_sum = rd.a.dim + sum(rd.p_spaces[lam].dim for lam in rd.positive)
-    if k_sum != dim_k or p_sum != dim_p:
-        raise ValueError("dimension bookkeeping failed: k %d vs %d, p %d vs %d"
-                         % (k_sum, dim_k, p_sum, dim_p))
 
 
 def verify_commutation_rules(rd: RootDatum) -> dict:

@@ -171,6 +171,38 @@ def test_an_unwritable_export_exits_2_naming_the_option(tmp_path, option, where,
                               "kind": "config"}
 
 
+def _export_with_a_directory_at(tmp_path, bad, other_target):
+    """construct with --csv and --ply, the option bad aimed at a directory
+    and the other at other_target, both in tmp_path/exports."""
+    out = tmp_path / "exports"
+    (out / "d").mkdir(parents=True)
+    targets = {"--csv": str(other_target), "--ply": str(other_target), bad: str(out / "d")}
+    status, rep = _run(tmp_path, "construct", "--space", "su21", "--pair", "real-form",
+                       "--t-steps", "2", "--y-steps", "2",
+                       "--csv", targets["--csv"], "--ply", targets["--ply"])
+    assert status == 2
+    assert rep["results"] == {"error": "cannot write %s %s: Is a directory"
+                                       % (bad, out / "d"), "kind": "config"}
+    assert not any((out / "d").iterdir())
+    return sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("bad", ["--csv", "--ply"])
+def test_an_unwritable_export_writes_neither(tmp_path, bad):
+    """Both exports are written or neither, whichever of them fails; no temp
+    file stays behind."""
+    assert _export_with_a_directory_at(tmp_path, bad, tmp_path / "exports" / "ok") == ["d"]
+
+
+@pytest.mark.parametrize("bad", ["--csv", "--ply"])
+def test_an_unwritable_export_leaves_an_existing_one_as_it_was(tmp_path, bad):
+    existing = tmp_path / "exports" / "earlier"
+    existing.parent.mkdir()
+    existing.write_text("earlier\n")
+    assert _export_with_a_directory_at(tmp_path, bad, existing) == ["d", "earlier"]
+    assert existing.read_text() == "earlier\n"
+
+
 @pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
                                            ("directory", "Is a directory")])
 def test_an_unwritable_out_exits_2_with_the_envelope_on_stdout(tmp_path, capsys, where,

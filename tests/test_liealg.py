@@ -484,19 +484,19 @@ def test_realization_commutators_match_the_pair_loop(name):
 
 
 @pytest.mark.parametrize("build, step", [
-    (lambda: _sl2_sum(10), 4),
-    # the one corrupted bracket, [Q1, Q2] (indices 6, 7), lies in the last
-    # block alone
+    (lambda: _sl2_sum(10), 7),
+    # the one corrupted bracket, [Q1, Q2] (indices 6, 7), is the last pair
+    # i < j and lies in the last block alone
     (lambda: _corrupted_su21(1, at=(-1, -1)), 3),
     (lambda: _corrupted_su21(Fraction(1, 3), at=(-1, -1)), 3),
     (lambda: _corrupted_su21(1), 3),
 ], ids=["sl2-sum-10", "su21-last-block", "su21-last-block-rational", "su21"])
 def test_realization_commutators_in_small_blocks_match_the_pair_loop(monkeypatch,
                                                                      build, step):
-    """COMMUTATOR_BLOCK cut down to step basis indices a block, at least
-    three blocks, the last one short."""
+    """COMMUTATOR_BLOCK cut down to step pairs i < j a block, at least three
+    blocks, the last one short: it holds the last pair alone."""
     a = build()
-    monkeypatch.setattr(liealg, "COMMUTATOR_BLOCK",
-                        step * a.dim * (2 * a.realization.size) ** 2)
-    assert -(-a.dim // step) >= 3 and a.dim % step > 1
+    monkeypatch.setattr(liealg, "COMMUTATOR_BLOCK", step * (2 * a.realization.size) ** 2)
+    pairs = a.dim * (a.dim - 1) // 2
+    assert -(-pairs // step) >= 3 and pairs % step == 1
     assert a.validate().residuals["realization_commutators"] == _commutator_reference(a)

@@ -16,6 +16,7 @@ import io
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transvector import rng, roots
-from transvector.algfile import serialize_algebra
+from transvector.algfile import parse_algebra_file, serialize_algebra
 from transvector.catalog import build_space
 from transvector.cli import run
+from transvector.data import algebra_path
+from transvector.errors import ConfigError
+from transvector.exactla import nullspace, rank
 from transvector.extension import sample_ys
 from transvector.liealg import MODE_EXACT
 from transvector.roots import (_space_basis_for,
@@ -83,6 +87,49 @@ def test_catalog_root_systems(space_id, rank, mults, m_dim):
     total = rd.m.dim + rd.a.dim + 2 * sum(
         rd.p_spaces[lam].dim for lam in rd.positive)
     assert total == a.dim
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _roots_sources():
+    """The catalog spaces, the bundled sl2r.alg and every golden .alg file
+    that roots accepts."""
+    sources = ["su21", "su31", "so31", "sl2r", "sl3r", algebra_path("sl2r")]
+    for path in sorted(GOLDEN.glob("*.alg")):
+        try:
+            _decomp(parse_algebra_file(str(path)))
+        except ConfigError:
+            continue
+        sources.append(str(path))
+    return sources
+
+
+@pytest.mark.parametrize("source", _roots_sources(), ids=os.path.basename)
+def test_roots_pair_up_and_the_root_spaces_fill_k_and_p(source):
+    """What _decompose_with_h proves from Theta instead of testing it: with
+    lambda, -lambda is a root, and g_lambda and g_-lambda have k- and
+    p-parts of the same dimensions (each g_mu found here as the joint
+    kernel of the ad_b - mu(b) over the a-basis); and dim m + sum dim
+    k_lambda = dim k, dim a + sum dim p_lambda = dim p."""
+    a = parse_algebra_file(source) if source.endswith(".alg") else build_space(source)
+    _, rd = _decomp(a)
+    ad = a.ad_stack(rd.a.basis_rows).transpose(0, 2, 1)       # ad_b on columns
+    eye = np.eye(a.dim, dtype=object)
+
+    def k_p_dims(mu):
+        space = nullspace(np.concatenate([m - c * eye for m, c in zip(ad, mu)]))
+        theta = space @ a.theta_exact.T
+        return rank((space + theta).tolist()), rank((space - theta).tolist())
+
+    dims = {mu: k_p_dims(mu) for mu in rd.roots}
+    for mu in rd.roots:
+        neg = tuple(-c for c in mu)
+        assert neg in dims and dims[neg] == dims[mu]
+    for lam in rd.positive:
+        assert (rd.k_spaces[lam].dim, rd.p_spaces[lam].dim) == dims[lam]
+    assert rd.m.dim + sum(rd.k_spaces[lam].dim for lam in rd.positive) == len(a.k_basis)
+    assert rd.a.dim + sum(rd.p_spaces[lam].dim for lam in rd.positive) == len(a.p_basis)
 
 
 def test_su21_double_root_is_twice_the_simple_root():
