@@ -32,10 +32,13 @@ from .liealg import MatrixRealization, StructuredLieAlgebra
 _SECTIONS = ("basis", "bracket", "theta", "realization")
 
 # The most basis labels a file may declare: d of su(9,1), the largest catalog
-# algebra.  An integer su91 file parses and validates in about 6.8 s, 6.3 s
-# of it validate's O(d^5) Jacobi loop.  Realization entries that force
-# dtype=object grow the time about as d^5 (2.1 s for su51, 9.2 s for su61),
-# so to minutes near 99 labels.
+# algebra.  A serialized integer su91 file parses and validates in about
+# 0.45 s, sl7r and su61 in 0.04 s: their realizations are faithful, so
+# validate proves Jacobi instead of running its O(d^5) loop (9.5-12 s for
+# su91 when it ran).  One realization entry of 2^70 forces dtype=object and
+# breaks the realization, so such a file still runs every check, and its
+# time grows about as d^5 (1.3-2.1 s for su51, 5.6-9.2 s for su61), to
+# minutes near 99 labels.
 MAX_DIM = 99
 
 # one pattern per unambiguous token shape; a combined optional-group regex

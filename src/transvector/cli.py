@@ -26,7 +26,7 @@ from .exactla import bounded, parse_rational
 from .extension import condition_holds, sample_ys, verify_lemma_conclusion
 from .geometry import (GridSpec, ImmersionSpec, distance_law_check,
                        export_point_cloud, mean_curvature_report)
-from .report import envelope, write_report
+from .report import check_target, envelope, write_report
 from .roots import (build_root_space_example, maximal_abelian,
                     restricted_root_decomposition, verify_commutation_rules)
 from .subspaces import Subspace
@@ -500,6 +500,14 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     out_path = getattr(args, "out", None)
+    config = _config_echo(args)
+    if out_path is not None:
+        # refused before the request runs; write_report below still catches
+        # a target that goes bad while it runs
+        try:
+            check_target(out_path)
+        except OSError as e:
+            return _out_refused(args.command, config, out_path, e, started)
     try:
         results, passed = args.func(args)
         status = 0 if passed else 1
@@ -511,20 +519,25 @@ def run(argv=None) -> int:
         passed, status = False, 1
     except NumericalBreakdown as e:
         results, passed, status = {"error": str(e), "kind": "numerical"}, False, 3
-    config = _config_echo(args)
     try:
         write_report(envelope(args.command, config, results, passed, status, started),
                      out_path)
     except OSError as e:
         if out_path is None:
             raise
-        # the report cannot reach --out (write_report removed its temp
-        # file), so the error goes to stdout
-        status = 2
-        write_report(envelope(args.command, config,
-                              {"error": "cannot write --out %s: %s" % (out_path, e.strerror),
-                               "kind": "config"}, False, status, started), None)
+        # write_report removed its temp file
+        return _out_refused(args.command, config, out_path, e, started)
     return status
+
+
+def _out_refused(command: str, config: dict, out_path: str, e: OSError,
+                 started: float) -> int:
+    """The report cannot reach --out: a configuration error, exit 2, whose
+    envelope goes to stdout."""
+    write_report(envelope(command, config,
+                          {"error": "cannot write --out %s: %s" % (out_path, e.strerror),
+                           "kind": "config"}, False, 2, started), None)
+    return 2
 
 
 def main():  # console entry point

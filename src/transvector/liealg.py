@@ -81,8 +81,11 @@ def _unscaled(x, scale: int):
 
 
 def _as_float(x, scale: int = 1) -> float:
-    """x / scale for an exact scalar x, rounded once to a float."""
-    return float(x) if scale == 1 else float(_unscaled(x, scale))
+    """x / scale for an exact scalar x, rounded once to a float; a nonzero
+    value too small for a float reads as the smallest subnormal of its sign,
+    never 0.0, so a nonzero residual always fails ValidationReport.passed."""
+    f = float(x) if scale == 1 else float(_unscaled(x, scale))
+    return f if f or not x else math.copysign(math.ulp(0.0), f)
 
 
 def _max_abs(m: np.ndarray, scale: int = 1) -> float:
@@ -529,7 +532,8 @@ class StructuredLieAlgebra:
     # -- validation ------------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Every axiom the extension theorem presumes, checked exactly.
+        """Every axiom the extension theorem presumes, checked exactly or
+        proven from what was checked.
 
         Each algebraic check is one tensor expression over the exact arrays
         (dtype exact_dtype), and each residual is the exact max |entry| of
@@ -544,6 +548,35 @@ class StructuredLieAlgebra:
         theta_involution (an exact involution splits g = k + p).  Bracket
         parity follows from an exact involutive automorphism and is
         computed only without one.
+
+        The realization is checked first.  Call it faithful when its exact
+        commutator and involution residuals are 0 and its images R_i are
+        linearly independent (the rows [Re R_i | Im R_i] have rank d).
+        Then phi: e_i -> R_i is an injective linear map with phi[x, y] =
+        [phi x, phi y] and phi(Theta x) = sigma(phi x), where sigma(X) =
+        -X^dagger is an involutive automorphism of the real Lie algebra
+        gl(N, C): sigma[X, Y] = -[X, Y]^dagger = [X^dagger, Y^dagger] =
+        [sigma X, sigma Y].  So, each time because phi is injective:
+          - jacobi is 0: phi maps the cyclic sum of x, y, z to that of
+            phi x, phi y, phi z, which is 0 for matrices;
+          - theta_involution holds: phi(Theta^2 x) = sigma^2(phi x) = phi x;
+          - theta_automorphism is 0: phi(Theta[x, y]) = sigma[phi x, phi y]
+            = [sigma phi x, sigma phi y] = phi[Theta x, Theta y]; with
+            theta_involution this proves bracket_parity too (above);
+          - killing_invariance is 0: by Jacobi ad is a homomorphism, so
+            B([x, y], z) + B(y, [x, z]) = tr([ad_x, ad_y] ad_z + ad_y
+            [ad_x, ad_z]) = tr(ad_x ad_y ad_z) - tr(ad_y ad_z ad_x) = 0;
+          - killing_theta_invariance is 0: ad_(Theta x) = Theta ad_x
+            Theta^-1 for an automorphism Theta, so B(Theta x, Theta y) =
+            B(x, y);
+          - killing_nondegenerate holds when killing_negdef_on_k and
+            killing_posdef_on_p both do: Theta-invariance gives B(x, y) =
+            B(Theta x, Theta y) = -B(x, y) for x in k, y in p, so B is
+            block-definite on g = k + p.  Otherwise rank(B) = d is computed.
+        Those entries are recorded with those values and not computed; any
+        other algebra (no realization, dependent images or a nonzero exact
+        residual) has every one computed.  Every key keeps its place in the
+        report either way.
 
         A rational table is checked as the integer table L C, L =
         structure_scale, with the realization images times L: a residual
@@ -563,39 +596,54 @@ class StructuredLieAlgebra:
             th = np.array(self.theta, dtype=dtype)
             b = np.einsum("iab,jba->ij", c, c)          # L^2 B
         rep = ValidationReport(name=self.name, dims={"d": d})
+        realized = ValidationReport(name=self.name, dims={})
+        faithful = (self.realization is not None
+                    and self._check_realization(realized, c, th, scale, dtype))
 
-        # Antisymmetry is structural (the table stores i < j only); recorded
-        # as an explicit zero so reports always carry the entry.
+        # Antisymmetry and killing_symmetry are structural (the table stores
+        # i < j only; tr(ad_i ad_j) = tr(ad_j ad_i)), recorded as explicit
+        # zeros so reports always carry the entries.
         rep.residuals["antisymmetry"] = 0.0
-        self._check_jacobi(rep, c, scale ** 2)
-
-        involution = bool(np.array_equal(th @ th, np.eye(d, dtype=int)))
+        if faithful:                    # proven: see the docstring
+            involution = automorphism = True
+            rep.residuals.update(dict.fromkeys(
+                ("jacobi", "theta_automorphism", "killing_symmetry",
+                 "killing_theta_invariance", "killing_invariance"), 0.0))
+        else:
+            self._check_jacobi(rep, c, scale ** 2)
+            involution = bool(np.array_equal(th @ th, np.eye(d, dtype=int)))
+            # theta[e_i, e_j] - [theta e_i, theta e_j], the second term
+            # contracted over r, then s, each on the last axis:
+            # [s, k, r] -> [k, i, s] -> [i, j, k]
+            rot = (1, 2, 0)
+            auto = c @ th.T - ((c.transpose(rot) @ th).transpose(rot) @ th).transpose(rot)
+            automorphism = not auto.any()
+            rep.residuals["theta_automorphism"] = _max_abs(auto, scale)
+            rep.residuals["killing_symmetry"] = 0.0
+            rep.residuals["killing_theta_invariance"] = _max_abs(th.T @ b @ th - b,
+                                                                 scale ** 2)
+            rep.residuals["killing_invariance"] = _max_abs(
+                np.einsum("ija,ak->ijk", c, b) + np.einsum("ika,ja->ijk", c, b),
+                scale ** 3)
         rep.checks["theta_involution"] = involution
-        # theta[e_i, e_j] - [theta e_i, theta e_j], the second term contracted
-        # over r, then s, each on the last axis: [s, k, r] -> [k, i, s] -> [i, j, k]
-        rot = (1, 2, 0)
-        auto = c @ th.T - ((c.transpose(rot) @ th).transpose(rot) @ th).transpose(rot)
-        rep.residuals["theta_automorphism"] = _max_abs(auto, scale)
-        # B_ij = tr(ad_i ad_j) = tr(ad_j ad_i): symmetric by construction
-        rep.residuals["killing_symmetry"] = 0.0
-        rep.residuals["killing_theta_invariance"] = _max_abs(th.T @ b @ th - b,
-                                                             scale ** 2)
-        rep.residuals["killing_invariance"] = _max_abs(
-            np.einsum("ija,ak->ijk", c, b) + np.einsum("ika,ja->ijk", c, b),
-            scale ** 3)
-        rep.checks["killing_nondegenerate"] = rank(b.tolist()) == d
+
+        definite = {}
+        if involution:
+            kb, pb = self.k_basis, self.p_basis
+            definite["killing_negdef_on_k"] = (
+                is_negative_definite(kb @ b @ kb.T) if len(kb) else True)
+            definite["killing_posdef_on_p"] = (
+                is_positive_definite(pb @ b @ pb.T) if len(pb) else False)
+        rep.checks["killing_nondegenerate"] = (
+            faithful and all(definite.values()) or rank(b.tolist()) == d)
         # x^2 - 1 has the distinct rational roots 1 and -1, so an exact
         # involution is diagonalizable over Q: g = k + p
         rep.checks["eigenspace_split"] = involution
 
         if involution:
-            kb, pb = self.k_basis, self.p_basis
             rep.dims["k"] = len(kb)
             rep.dims["p"] = len(pb)
-            rep.checks["killing_negdef_on_k"] = (
-                is_negative_definite(kb @ b @ kb.T) if len(kb) else True)
-            rep.checks["killing_posdef_on_p"] = (
-                is_positive_definite(pb @ b @ pb.T) if len(pb) else False)
+            rep.checks.update(definite)
 
             # [k, k] and [p, p] lie in k, [k, p] in p: the span solver's row
             # operations past the rank (unscaled) annihilate the target on
@@ -603,7 +651,7 @@ class StructuredLieAlgebra:
             # = [theta x, theta y] is [x, y] for x, y both in k or both in p
             # and -[x, y] for x in k, y in p, so the parity residual is 0.
             worst = 0
-            if auto.any():
+            if not automorphism:
                 k_tail, p_tail = (np.array(sv.row_ops[sv.rank:], dtype=object).reshape(-1, d)
                                   for sv in (SpanSolver(kb), SpanSolver(pb)))
                 vals = None if scale == 1 else self._integer_structure[0]
@@ -612,8 +660,8 @@ class StructuredLieAlgebra:
                                                 scale))
             rep.residuals["bracket_parity"] = float(worst)
 
-        if self.realization is not None:
-            self._check_realization(rep, c, th, scale, dtype)
+        rep.residuals.update(realized.residuals)
+        rep.checks.update(realized.checks)
         return rep
 
     def _check_jacobi(self, rep: ValidationReport, c: np.ndarray, scale: int):
@@ -643,11 +691,14 @@ class StructuredLieAlgebra:
             rep.witnesses["jacobi"] = witness
 
     def _check_realization(self, rep: ValidationReport, c: np.ndarray,
-                           th: np.ndarray, scale: int, dtype):
+                           th: np.ndarray, scale: int, dtype) -> bool:
         """The realization against the table c = scale C and Theta th, both
         of dtype, on the images times scale: the commutators scale by
         scale^2, the involution residual by scale, and the group relations,
-        homogeneous linear equations, not at all."""
+        homogeneous linear equations, not at all.  Returns whether it is
+        faithful (validate): both exact residual arrays are 0 and the
+        images are independent, decided on the exact arrays, never on the
+        floats reported."""
         real, d = self.realization, self.dim
         r = real.realified(dtype) if scale == 1 else canonical(
             real.realified(object) * scale).astype(dtype)
@@ -664,8 +715,8 @@ class StructuredLieAlgebra:
 
         # d(theta)(X) = -X^dagger must match the declared Theta columnwise;
         # on realified blocks the conjugate transpose is the transpose.
-        rep.residuals["realization_involution"] = _max_abs(
-            r.transpose(0, 2, 1) + np.einsum("ri,rab->iab", th, r), scale)
+        involution = r.transpose(0, 2, 1) + np.einsum("ri,rab->iab", th, r)
+        rep.residuals["realization_involution"] = _max_abs(involution, scale)
 
         n = real.size
         re_im = r[:, :, :n].reshape(d, 2, n, n)      # the A and B of A + iB
@@ -674,6 +725,8 @@ class StructuredLieAlgebra:
             jm = np.diag(np.array(real.signature * 2, dtype=r.dtype))
             ok = ok and not (r.transpose(0, 2, 1) @ jm + jm @ r).any()
         rep.checks["realization_algebra_relations"] = bool(ok)
+        return bool(worst == 0 and not involution.any()
+                    and rank(re_im.reshape(d, -1).tolist()) == d)
 
 
 class ChainResidues:

@@ -96,16 +96,29 @@ def write_report(report: dict, path: str | None):
         write_files({path: text})
 
 
+def check_target(path: str):
+    """Raise the OSError, naming path, that write_files would meet at path
+    for want of a directory: path is one, or its parent is missing or no
+    directory (the stat of "parent/" raises ENOENT or ENOTDIR)."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from e
+
+
 def write_files(texts: dict):
     """Write each text of texts (path -> text) to its path, all or none.
 
     Every text goes to a temp file in its target's directory, and only when
     all of them are written is each renamed onto its target (os.replace).
-    So an OSError while writing them, which names its target as filename,
-    leaves every target as it was; a directory at a target, which the
-    rename would refuse, is refused then too.  Only a rename refused after
-    that (a race, or a file system that will not rename) can leave an
-    earlier target replaced.  No temp file stays behind.
+    So an OSError while writing them leaves every target as it was; a
+    directory at a target, which the rename would refuse, is refused then
+    too.  Only a rename refused after that (a race, or a file system that
+    will not rename) can leave an earlier target replaced.  Every OSError
+    names its target as filename, never a temp file, and no temp file stays
+    behind.
     """
     temps = {}
     try:
@@ -120,7 +133,10 @@ def write_files(texts: dict):
             except OSError as e:
                 raise OSError(e.errno, e.strerror, path) from e
         for path, tmp in temps.items():
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as e:
+                raise OSError(e.errno, e.strerror, path) from e
     finally:
         for tmp in temps.values():
             if os.path.exists(tmp):

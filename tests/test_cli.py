@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -203,6 +204,30 @@ def test_an_unwritable_export_leaves_an_existing_one_as_it_was(tmp_path, bad):
     assert existing.read_text() == "earlier\n"
 
 
+def test_a_refused_rename_exits_2_naming_the_option(tmp_path, monkeypatch):
+    """A rename refused after both exports are staged (here a directory
+    appearing at --ply in between) names its target, so the run exits 2 with
+    the option's message instead of a traceback naming a temp file."""
+    out = tmp_path / "exports"
+    out.mkdir()
+    csv, ply = out / "cloud.csv", out / "cloud.ply"
+    replace = os.replace
+
+    def refuse_ply(src, dst):
+        if dst == str(ply):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), src, dst)
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_ply)
+    status, rep = _run(tmp_path, "construct", "--space", "su21", "--pair", "real-form",
+                       "--t-steps", "2", "--y-steps", "2", "--csv", str(csv), "--ply", str(ply))
+    assert status == 2
+    assert rep["results"] == {"error": "cannot write --ply %s: Is a directory" % ply,
+                              "kind": "config"}
+    # the earlier rename stands (write_files' documented limit); no temp file stays
+    assert sorted(p.name for p in out.iterdir()) == ["cloud.csv"]
+
+
 @pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
                                            ("directory", "Is a directory")])
 def test_an_unwritable_out_exits_2_with_the_envelope_on_stdout(tmp_path, capsys, where,
@@ -222,6 +247,45 @@ def test_an_unwritable_out_exits_2_with_the_envelope_on_stdout(tmp_path, capsys,
     assert rep["summary"] == {"exit_status": 2, "passed": False}
     assert sorted(p.name for p in tmp_path.rglob("*")) == (
         [] if where == "missing" else ["d"])
+
+
+@pytest.mark.parametrize("where, reason", [("missing", "No such file or directory"),
+                                           ("directory", "Is a directory"),
+                                           ("under-a-file", "Not a directory")])
+def test_an_unwritable_out_is_refused_before_the_command_runs(tmp_path, capsys,
+                                                             count_calls, where, reason):
+    """The same envelope as a late refusal, with the command never run."""
+    target = {"missing": tmp_path / "missing" / "r.json", "directory": tmp_path,
+              "under-a-file": tmp_path / "file" / "r.json"}[where]
+    (tmp_path / "file").write_text("")
+    ran = count_calls(cli, "_algebra_from_args")
+    status = run(["roots", "--space", "sl7r", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert (status, captured.err, ran) == (2, "", [])
+    rep = json.loads(captured.out)
+    assert rep["results"] == {"error": "cannot write --out %s: %s" % (target, reason),
+                              "kind": "config"}
+    assert rep["summary"] == {"exit_status": 2, "passed": False}
+
+
+def test_an_out_that_goes_bad_while_the_command_runs_exits_2(tmp_path, capsys, monkeypatch):
+    """A directory made at --out after the early check is still refused when
+    the report is written, with the same envelope."""
+    target = tmp_path / "r.json"
+    check = cli.condition_holds
+
+    def check_then_block(*args, **kwargs):
+        target.mkdir()
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "condition_holds", check_then_block)
+    status = run(["check", "--space", "su21", "--pair", "real-form", "--samples", "2",
+                  "--out", str(target)])
+    rep = json.loads(capsys.readouterr().out)
+    assert status == 2
+    assert rep["results"] == {"error": "cannot write --out %s: Is a directory" % target,
+                              "kind": "config"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
 
 
 def test_reports_are_byte_identical_modulo_wall_time(tmp_path):

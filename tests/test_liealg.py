@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -500,3 +501,189 @@ def test_realization_commutators_in_small_blocks_match_the_pair_loop(monkeypatch
     pairs = a.dim * (a.dim - 1) // 2
     assert -(-pairs // step) >= 3 and pairs % step == 1
     assert a.validate().residuals["realization_commutators"] == _commutator_reference(a)
+
+
+def _without_realization(a):
+    """a with no realization: validate computes every axiom on it."""
+    return StructuredLieAlgebra(a.labels, a.table, a.theta, None, a.name)
+
+
+def _parsed(path, monkeypatch):
+    """The algebra parse_algebra_file builds from path, whether or not it
+    passes validation."""
+    built = []
+    validate = StructuredLieAlgebra.validate
+
+    def recording(self):
+        built.append(self)
+        return validate(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(StructuredLieAlgebra, "validate", recording)
+        try:
+            parse_algebra_file(path)
+        except ConfigError:
+            pass
+    return built[0]
+
+
+_ZERO_IMAGES = MatrixRealization(size=2, re=np.zeros((3, 2, 2), dtype=int),
+                                 im=np.zeros((3, 2, 2), dtype=int))
+
+
+def _duplicated_images():
+    """sl(2,R) twice, H E F and H' E' F', each copy realized by the sl2
+    images, so every image appears twice.  Each bracket [u, v] is the matrix
+    bracket of the images, taken in the first copy, except [E, F] = H + E -
+    E'.  E - E' maps to 0, so the realization's residuals are exactly 0, yet
+    Jacobi fails: the cyclic sum on H, E, F' is 2 (E - E')."""
+    sl2 = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+    brackets = {}
+    for i, j in itertools.combinations(range(6), 2):
+        pair = tuple(sorted((i % 3, j % 3)))
+        sign = 1 if (i % 3, j % 3) == pair else -1
+        brackets[(i, j)] = {k: sign * c for k, c in sl2.get(pair, {}).items()}
+    brackets[(1, 2)] = {0: 1, 1: 1, 4: -1}
+    theta = np.zeros((6, 6), dtype=int)
+    theta[:3, :3] = theta[3:, 3:] = SL2_THETA
+    images = np.concatenate([SL2_IMAGES, SL2_IMAGES])
+    real = MatrixRealization(size=2, re=images, im=np.zeros_like(images))
+    return StructuredLieAlgebra(["H", "E", "F", "H'", "E'", "F'"], brackets,
+                                theta.tolist(), real, "twice")
+
+
+def _gl2r():
+    """gl(2,R) = sl(2,R) + R I, faithfully realized: a Lie algebra whose
+    Killing form is degenerate (I is central), so it fails
+    killing_nondegenerate and killing_posdef_on_p (B(I, I) = 0)."""
+    brackets = {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}
+    theta = np.zeros((4, 4), dtype=int)
+    theta[:3, :3], theta[3, 3] = SL2_THETA, -1
+    images = np.concatenate([SL2_IMAGES, np.eye(2, dtype=int)[None]])
+    real = MatrixRealization(size=2, re=images, im=np.zeros_like(images),
+                             unimodular=False)
+    return StructuredLieAlgebra(["H", "E", "F", "I"], brackets, theta.tolist(), real, "gl2r")
+
+
+def _nudged_sl2r(eps=Fraction(1, 2 ** 600)):
+    """sl(2,R) with every image R replaced by R + eps [A, R], A = [[0, 1],
+    [-1, 0]]: theta and the trace still match exactly, and the commutator
+    residual is eps^2 [[A, R_i], [A, R_j]], nonzero but below the smallest
+    float for eps = 2^-600."""
+    a = np.array([[0, 1], [-1, 0]], dtype=object)
+    r = SL2_IMAGES.astype(object)
+    images = r + eps * (a @ r - r @ a)
+    return _sl2_like({0: 1}, realization=MatrixRealization(
+        size=2, re=images, im=np.zeros_like(images)))
+
+
+# realized algebras past the catalog and the golden files: a table that
+# breaks Jacobi with zero or duplicated images, which satisfy the
+# realization's residuals exactly; a faithful realization of a Lie algebra
+# that is not semisimple; a residual too small for a float
+REALIZED = {
+    "bad-jacobi-zero-images": lambda: _sl2_like({0: 1, 1: 1}, realization=_ZERO_IMAGES),
+    "duplicated-images": _duplicated_images,
+    "gl2r": _gl2r,
+    "nudged-sl2r": _nudged_sl2r,
+}
+
+
+def _realized(source, monkeypatch):
+    kind, name = source.split(":", 1)
+    if kind == "space":
+        return build_space(name)
+    if kind == "file":
+        return _parsed(algebra_path("sl2r") if name == "sl2r.alg" else str(GOLDEN / name),
+                       monkeypatch)
+    return {"diff": DIFFERENTIAL, "rat": RATIONAL, "new": REALIZED}[kind][name]()
+
+
+REALIZED_SOURCES = (["space:" + s for s in SPACE_IDS]
+                    + ["file:" + p.name for p in GOLDEN_ALG] + ["file:sl2r.alg"]
+                    + ["diff:" + n for n in sorted(DIFFERENTIAL)]
+                    + ["rat:" + n for n in sorted(RATIONAL)]
+                    + ["new:" + n for n in REALIZED])
+
+
+@pytest.mark.parametrize("source", REALIZED_SOURCES)
+def test_what_a_realization_proves_matches_the_computed_axioms(monkeypatch, source):
+    """Every entry validate records from a faithful realization equals the
+    one computed on the same table and theta with no realization, where
+    every axiom runs; so does every entry on the full path."""
+    a = _fresh(_realized(source, monkeypatch))
+    assert a.realization is not None
+    got = a.validate()
+    want = _without_realization(a).validate()
+    assert got.dims == want.dims and got.witnesses == want.witnesses
+    assert {k: v for k, v in got.residuals.items() if k in want.residuals} == want.residuals
+    assert {k: v for k, v in got.checks.items() if k in want.checks} == want.checks
+
+
+@pytest.mark.parametrize("build, triple, residual", [
+    (REALIZED["bad-jacobi-zero-images"], ["H", "E", "F"], ["0", "2", "0"]),
+    (REALIZED["duplicated-images"], ["H", "E", "F'"], ["0", "2", "0", "0", "-2", "0"]),
+], ids=["zero-images", "duplicated-images"])
+def test_dependent_images_do_not_prove_jacobi(build, triple, residual):
+    """Images that satisfy the realization's residuals exactly but are
+    linearly dependent prove nothing: the table's Jacobi failure is still
+    found, with its witness."""
+    rep = build().validate()
+    assert rep.residuals["realization_commutators"] == 0
+    assert rep.residuals["realization_involution"] == 0
+    assert rep.residuals["jacobi"] == 2.0 and not rep.passed
+    assert rep.witnesses["jacobi"] == {"triple": triple, "residual": residual}
+
+
+def test_a_file_with_zero_images_is_refused_with_its_jacobi_witness(tmp_path):
+    """bad-jacobi.alg with every image 0: only the Jacobi failure and the
+    checks it breaks are named, with the witness of the original file."""
+    text = (GOLDEN / "bad-jacobi.alg").read_text()
+    head, _ = text.split("# H\n")
+    path = tmp_path / "bad-jacobi-zero.alg"
+    path.write_text(head + "0 0\n0 0\n" * 3)
+    with pytest.raises(ConfigError) as refused:
+        parse_algebra_file(str(path))
+    message = str(refused.value)
+    assert "'jacobi': 2.0" in message and "realization_commutators" not in message
+    assert message.endswith("witnesses: {'jacobi': {'triple': ['H', 'E', 'F'], "
+                            "'residual': ['0', '2', '0']}}")
+
+
+def test_a_faithful_realization_proves_nondegeneracy_only_with_definite_blocks():
+    """gl(2,R) is faithfully realized, but B(I, I) = 0: killing_posdef_on_p
+    fails, so killing_nondegenerate is computed, and fails."""
+    rep = _gl2r().validate()
+    assert rep.residuals["realization_commutators"] == 0
+    assert rep.residuals["realization_involution"] == 0
+    assert rep.residuals["jacobi"] == 0 and rep.checks["theta_involution"]
+    assert rep.checks["killing_posdef_on_p"] is False
+    assert rep.checks["killing_nondegenerate"] is False
+
+
+def test_a_residual_below_the_smallest_float_still_fails(count_calls):
+    """The nudged sl(2,R) has a nonzero exact commutator residual of about
+    2^-1200: it reads as the smallest subnormal, not 0.0, the report fails,
+    and the realization proves nothing, so Jacobi is computed."""
+    ran = count_calls(StructuredLieAlgebra, "_check_jacobi")
+    rep = _nudged_sl2r().validate()
+    assert rep.residuals["realization_commutators"] == math.ulp(0.0)
+    assert rep.residuals["realization_involution"] == 0
+    assert not rep.passed and len(ran) == 1
+
+
+@pytest.mark.parametrize("source", ["space:" + s for s in SPACE_IDS]
+                         + ["file:" + p.name for p in GOLDEN_ALG] + ["file:sl2r.alg"])
+def test_jacobi_runs_only_where_no_faithful_realization_proves_it(monkeypatch, count_calls,
+                                                                  source):
+    """The catalog and every passing file are faithfully realized, so
+    _check_jacobi runs on none of them; every Jacobi-failing golden runs it
+    and keeps its witness."""
+    a = _fresh(_realized(source, monkeypatch))
+    ran = count_calls(StructuredLieAlgebra, "_check_jacobi")
+    rep = a.validate()
+    assert rep.passed != source.startswith(("file:bad-", "file:huge-", "file:rational-"))
+    if rep.passed:
+        assert ran == []
+    if "jacobi" in source:
+        assert len(ran) == 1 and rep.witnesses["jacobi"]["triple"] == ["H", "E", "F"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -78,10 +79,13 @@ def test_a_failed_write_leaves_the_target_and_no_temporary_file(tmp_path, monkey
     target.write_text("earlier\n")
 
     def refuse(src, dst):
-        raise OSError("replace refused")
+        raise PermissionError(errno.EACCES, "replace refused", src, dst)
 
     monkeypatch.setattr(os, "replace", refuse)
-    with pytest.raises(OSError, match="^replace refused$"):
+    with pytest.raises(PermissionError) as refused:
         write_report({"a": 1}, str(target))
+    # named by its target, not by the temp file the rename started from
+    e = refused.value
+    assert (e.errno, e.strerror, e.filename) == (errno.EACCES, "replace refused", str(target))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
     assert target.read_text() == "earlier\n"
