@@ -297,10 +297,27 @@ def _cmd_roots(args):
     return results, passed
 
 
+def _export_refused(args, e: OSError) -> Exception:
+    """The ConfigError naming the --csv or --ply target e names; e itself
+    when it names neither."""
+    options = {path: opt for opt, path in (("--ply", args.ply), ("--csv", args.csv)) if path}
+    if e.filename not in options:
+        return e
+    return ConfigError("cannot write %s %s: %s" % (options[e.filename], e.filename,
+                                                   e.strerror))
+
+
 def _cmd_construct(args):
+    # refused before the pair is built; export_point_cloud below still
+    # catches a target that goes bad while the request runs
+    try:
+        for path in filter(None, (args.csv, args.ply)):
+            check_target(path)
+    except OSError as e:
+        raise _export_refused(args, e)
     entry, x = _catalog_pair(args)
     spec = ImmersionSpec(entry.algebra, entry.s, x.to_array(),
-                         grid=_grid_from_args(args, entry.s.dim), h=args.h)
+                         grid=_grid_from_args(args, entry.s.dim))
     rep = mean_curvature_report(spec, tolerance=args.tolerance,
                                 baseline=args.baseline)
     results = {
@@ -317,11 +334,7 @@ def _cmd_construct(args):
         exports = export_point_cloud(rep, csv_path=args.csv, ply_path=args.ply)
     except OSError as e:
         # write_files names the export it could not write
-        options = {path: opt for opt, path in (("--ply", args.ply), ("--csv", args.csv)) if path}
-        if e.filename not in options:
-            raise
-        raise ConfigError("cannot write %s %s: %s" % (options[e.filename], e.filename,
-                                                      e.strerror))
+        raise _export_refused(args, e)
     if exports:
         results["exports"] = exports
     passed = rep.passed and (not args.distance_law
@@ -414,6 +427,14 @@ def _int_at_least(floor: int, below: int | None = None):
     return count
 
 
+def _retired(why: str):
+    """argparse type of a retired option that would otherwise read as an
+    abbreviation of another one: any value is an argument error saying why."""
+    def refuse(text: str):
+        raise argparse.ArgumentTypeError(why)
+    return refuse
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; each parse_args returns a fresh
@@ -468,7 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-steps", type=_int_at_least(1), default=5)
     p.add_argument("--t-range", default="-0.75,0.75")
     p.add_argument("--y-range", default="-0.75,0.75")
-    p.add_argument("--h", type=_finite_float, default=1e-3)
+    # the finite-difference step, retired: --h would now abbreviate --help
+    p.add_argument("--h", help=argparse.SUPPRESS, type=_retired(
+        "retired: the mean curvature is evaluated in closed form, with no step"))
     p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-4)
     p.add_argument("--baseline", action="store_true",
                    help="measure the frozen-t slice instead of the extension")

@@ -34,20 +34,16 @@ representative is I.  SpacePoint.from_matrix and immersion_point take two
 calls, immersion_distances (the bisector check) two and distance_law_check
 three; each raises for its first failing stage.
 
-Mean curvature comes from central finite differences in the chart: _stencil
-evaluates a stack-aware function once on the centre, x0 +- h e_i and the
-corners x0 +- h e_i +- h e_j of every node of a stack.  On the chart that
-gives the derivatives of the immersion map, on the metric the ambient
-Christoffel symbols; the Hessian is traced against the induced metric and
-projected onto the normal space.  The estimator is O(h^2); with the default
-h = 1e-3 its error budget sits near 1e-6, two decades under the acceptance
-tolerance for the minimal cases.
+Mean curvature is evaluated in closed form from brackets, not estimated:
+mean_curvature_estimate proves the formula it evaluates,
+H = (1/m) (1 - Pi_s)[Z_k, Z_p] / B(Z_p, Z_p) for Z = e^(-ad_Y) X, and
+takes Z from one stacked eigh of the Hermitian Y-images, once per distinct
+Y row.  metric_matrix is not on that path; it stays the pullback metric of
+the model (a finite-difference oracle in the tests is built on it).
 
 mean_curvature_report sweeps the grid in blocks of CURVATURE_BLOCK nodes, so
-memory stays bounded on any grid: one chart and one metric stack per block,
-then one stacked tail (Christoffel contraction, induced metric and its
-condition check, Hessian trace, normal projection) over the block's nodes.  A
-block raises at its first failing stage (chart, metric, induced metric), for
+memory stays bounded on any grid: one chart and one closed-form stack per
+block.  A block raises at its first failing stage (chart, closed form), for
 the first node failing it; each node gets the bits it gets alone.
 """
 
@@ -167,6 +163,19 @@ def group_membership_residual(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndar
     return worst
 
 
+def _in_p(a: StructuredLieAlgebra, mats: np.ndarray):
+    """(p-basis coordinates, residual norm, residual above REEXPRESS_TOL
+    relative to 1 + ||M||) of every matrix M of the stack mats (..., N, N),
+    re-expressed through _p_images' pinv."""
+    p_im, pinv = _p_images(a)
+    stack = mats.shape[:-2] + (mats.shape[-2] * mats.shape[-1],)
+    co = _apply(pinv, np.concatenate([mats.real.reshape(stack),
+                                      mats.imag.reshape(stack)], axis=-1))
+    err = np.linalg.norm(np.einsum("...j,jkl->...kl", co, p_im) - mats,
+                         axis=(-2, -1))
+    return co, err, err > REEXPRESS_TOL * (1.0 + np.linalg.norm(mats, axis=(-2, -1)))
+
+
 def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
     """p-basis coordinates of the polar part P = 1/2 log(g g^dagger), one row
     per matrix of the stack g (..., N, N).
@@ -189,13 +198,7 @@ def cartan_project(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
     w, u = np.linalg.eigh(m)
     with np.errstate(divide="ignore", invalid="ignore"):  # w <= 0 fails below
         pmat = (u * (0.5 * np.log(w))[..., None, :]) @ _dagger(u)
-    p_im, pinv = _p_images(a)
-    stack = pmat.shape[:-2] + (pmat.shape[-2] * pmat.shape[-1],)
-    co = _apply(pinv, np.concatenate([pmat.real.reshape(stack),
-                                      pmat.imag.reshape(stack)], axis=-1))
-    err = np.linalg.norm(np.einsum("...j,jkl->...kl", co, p_im) - pmat,
-                         axis=(-2, -1))
-    outside = err > REEXPRESS_TOL * (1.0 + np.linalg.norm(pmat, axis=(-2, -1)))
+    co, err, outside = _in_p(a, pmat)
     w_min = w[..., 0]        # eigh sorts ascending
     if (not np.all(finite) or (res > GROUP_TOL).any() or (w_min <= 0.0).any()
             or outside.any()):
@@ -396,8 +399,9 @@ class ImmersionSpec:
     """The data of the extended immersion f(t, Y) = exp(tX) exp(Y(y)) o.
 
     X is a float64 coefficient row of shape (d,).  Invariants enforced at
-    construction: h/2 squares to a normal float, X lies in p bit for bit
-    (Theta X = -X, which expm's exact Hermitian test needs) and is
+    construction: X lies in p bit for bit (Theta X = -X, which expm's exact
+    Hermitian test needs), B(X, X) is a positive normal float (the closed
+    form of the mean curvature divides by B(Z_p, Z_p) >= B(X, X)), X is
     B-orthogonal to s within 1e-10, s is a Lie triple system, and the grid
     is nonempty.  The minimality statement needs
     codimension >= 2; mean_curvature_estimate refuses a smaller one unless
@@ -408,19 +412,17 @@ class ImmersionSpec:
     s: Subspace
     x: np.ndarray
     grid: GridSpec = field(default_factory=GridSpec)
-    h: float = 1e-3
 
     def __post_init__(self):
         a = self.algebra
         _require_realized(a)
-        if self.h <= 0:
-            raise ConfigError("finite-difference step must be positive")
-        if (self.h / 2.0) * (self.h / 2.0) < np.finfo(float).tiny:
-            raise ConfigError("finite-difference step %r is too small: the "
-                              "square of h/2 is not a normal float" % self.h)
         x = self.x
         if (a.theta_float @ x != -x).any():
             raise ConfigError("X must lie in p")
+        bxx = float(x @ a.killing_float @ x)
+        if not np.finfo(float).tiny <= bxx < np.inf:      # nan fails too
+            raise ConfigError("B(X, X) = %r is not a positive normal float; X must "
+                              "be a nonzero normal direction" % bxx)
         rows = self.s.basis_rows.astype(float)
         pairing = x @ a.killing_float @ rows.T
         off = np.flatnonzero(np.abs(pairing) > 1e-10 * (np.max(np.abs(x)) + 1.0))
@@ -433,11 +435,14 @@ class ImmersionSpec:
         self.codimension = len(a.p_basis) - self.s.dim
         self._x_matrix = realize(a, x)
         self._s_images = np.einsum("ij,jkl->ikl", rows, a.realization.images_complex)
+        # the B-orthogonal projection onto s, on p-basis coordinates
+        _, pinv, gram = _p_geometry(a)
+        sp = pinv @ rows.T
+        self._s_projector = sp @ np.linalg.inv(sp.T @ gram @ sp) @ sp.T @ gram
 
     @property
     def x_norm(self) -> float:
-        v = float(self.x @ self.algebra.killing_float @ self.x)
-        return float(np.sqrt(max(0.0, v)))
+        return math.sqrt(float(self.x @ self.algebra.killing_float @ self.x))
 
     def y_matrix(self, y: np.ndarray) -> np.ndarray:
         """Matrices of Y(y), one per row of the stack y (..., dim s)."""
@@ -447,14 +452,18 @@ class ImmersionSpec:
         """exp(tX) exp(Y(y)); t (...) and y (..., dim s) broadcast as stacks.
         expm runs once per distinct t and once per distinct y row."""
         t = np.asarray(t, dtype=float)
-        return (_expm_distinct(t[..., None], lambda c: c[..., None] * self._x_matrix)
-                @ _expm_distinct(np.asarray(y, dtype=float), self.y_matrix))
+        x_orbit, = _per_distinct_row(
+            t[..., None], lambda c: [expm(c[..., None] * self._x_matrix)])
+        y_exp, = _per_distinct_row(np.asarray(y, dtype=float),
+                                   lambda c: [expm(self.y_matrix(c))])
+        return x_orbit @ y_exp
 
 
-def _expm_distinct(keys: np.ndarray, build) -> np.ndarray:
-    """expm(build(k)) for every row k of the stack keys (..., w): one expm
-    slice per distinct row, gathered back.  Rows are told apart by their bit
-    patterns, so 0.0 and -0.0 get their own slices."""
+def _per_distinct_row(keys: np.ndarray, fn) -> list:
+    """fn(rows), a list of stacks with one slice per row, applied once to the
+    distinct rows of the stack keys (..., w) and gathered back: one slice per
+    row of keys, each stack (...) + its slice shape.  Rows are told apart by
+    their bit patterns, so 0.0 and -0.0 get their own slices."""
     flat = np.ascontiguousarray(keys).reshape(-1, keys.shape[-1])
     bits = flat.view(np.uint64)
     order = np.lexsort(bits.T)              # stable: equal rows keep their order
@@ -462,8 +471,8 @@ def _expm_distinct(keys: np.ndarray, build) -> np.ndarray:
     new[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    out = expm(build(flat[order[new]]))
-    return out[inverse].reshape(keys.shape[:-1] + out.shape[-2:])
+    return [out[inverse].reshape(keys.shape[:-1] + out.shape[1:])
+            for out in fn(flat[order[new]])]
 
 
 def transvection(spec: ImmersionSpec, t, q: SpacePoint) -> SpacePoint:
@@ -528,62 +537,87 @@ def immersion_distances(spec: ImmersionSpec, t, y, g: np.ndarray):
     return _b_norm(a, z_back), _b_norm(a, between)
 
 
-def _chart(spec: ImmersionSpec, t, y: np.ndarray) -> np.ndarray:
-    """Normal coordinates of f(t, y) for stacks of parameters, without
-    grid-range enforcement (the FD stencil may poke h past the declared
-    range)."""
-    return cartan_project(spec.algebra, spec.group_element(t, y))
+def _conjugated_x(spec: ImmersionSpec, y: np.ndarray) -> np.ndarray:
+    """Z = e^(-Y) X e^Y = e^(-ad_Y) X for every row of the stack y (n, dim s),
+    from one stacked eigh of the Hermitian Y-images: Y = U diag(w) U^dagger
+    gives Z = U (U^dagger X U)_ij e^(w_j - w_i) U^dagger.  An overflowed
+    exponent gives a non-finite Z, which _closed_form marks."""
+    w, u = np.linalg.eigh(spec.y_matrix(y))
+    ud = _dagger(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        conjugated = (ud @ spec._x_matrix @ u) * np.exp(w[..., None, :] - w[..., :, None])
+        return u @ conjugated @ ud
 
 
-@lru_cache(maxsize=64)
-def _stencil_offsets(m: int, h: float, corners: bool):
-    """_stencil's offsets (K, m) and the (i, j) pairs of its corners,
-    read-only: every call with the same (m, h, corners) shares them."""
-    e = h * np.eye(m)
-    iu = np.triu_indices(m, 1 if corners else m)
-    offsets = np.array([np.zeros(m)] + [d for i in range(m) for d in (e[i], -e[i])]
-                       + [d for i, j in zip(*iu)
-                          for d in (e[i] + e[j], e[i] - e[j], -e[i] + e[j], -e[i] - e[j])])
-    for arr in (offsets, *iu):
-        arr.flags.writeable = False
-    return offsets, iu
+def _brackets(spec: ImmersionSpec, y: np.ndarray):
+    """_in_p of Z_p and [Z_k, Z_p], stacked in that order on a leading axis
+    of 2, for every row of the stack y (n, dim s): Z_p and Z_k are the
+    Hermitian and anti-Hermitian parts of Z = e^(-Y) X e^Y, its p and k
+    parts."""
+    z = _conjugated_x(spec, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        zp, zk = 0.5 * (z + _dagger(z)), 0.5 * (z - _dagger(z))
+        return _in_p(spec.algebra, np.stack([zp, zk @ zp - zp @ zk]))
 
 
-def _stencil(fn, x0: np.ndarray, h: float, corners: bool = True):
-    """Central differences of a stack-aware fn at each row of x0 (n, m), from
-    one call of fn on the (n, K, m) stack of stencil points.
-
-    Each node's K points are x0, then x0 + h e_i and x0 - h e_i for each i,
-    then, with corners, x0 + h(+-e_i +- e_j) for i < j in the sign order ++,
-    +-, -+, --.  Returns (f(x0), first, second), each with the node axis in
-    front: first[:, i] = (f+ - f-) / 2h, second[:, i, i] = (f+ - 2 f(x0) +
-    f-) / h^2 and second[:, i, j] = (f++ - f+- - f-+ + f--) / 4h^2; second is
-    None without corners."""
-    n, m = x0.shape
-    offsets, iu = _stencil_offsets(m, h, corners)
-    vals = fn(x0[:, None, :] + offsets)
-    f0, plus, minus = vals[:, 0], vals[:, 1:2 * m + 1:2], vals[:, 2:2 * m + 1:2]
-    first = (plus - minus) / (2.0 * h)
-    if not corners:
-        return f0, first, None
-    second = np.empty((n, m, m) + f0.shape[1:])
-    second[:, np.arange(m), np.arange(m)] = (plus - 2.0 * f0[:, None] + minus) / (h * h)
-    quad = vals[:, 2 * m + 1:].reshape((n, len(iu[0]), 4) + f0.shape[1:])
-    mixed = (quad[:, :, 0] - quad[:, :, 1] - quad[:, :, 2] + quad[:, :, 3]) / (4.0 * h * h)
-    second[:, iu[0], iu[1]] = second[:, iu[1], iu[0]] = mixed
-    return f0, first, second
+def _closed_form(spec: ImmersionSpec, y: np.ndarray):
+    """(H, ||H||_B, not finite, re-expression residual, residual above
+    REEXPRESS_TOL) for every row of the stack y (n, dim s), as
+    mean_curvature_estimate states them: H on p-basis coordinates at o, and
+    the worse residual of re-expressing Z_p and [Z_k, Z_p] in p.  H is not
+    finite when Z, [Z_k, Z_p] or B(Z_p, Z_p) overflows float64."""
+    a = spec.algebra
+    (zp, bracket), err, outside = _brackets(spec, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal = bracket - _apply(spec._s_projector, bracket)
+        bzz = (zp[:, None, :] @ _p_geometry(a)[2] @ zp[:, :, None])[:, 0, 0]
+        h = normal / ((spec.s.dim + 1) * bzz)[:, None]
+        norm = _b_norm(a, h)
+    finite = np.isfinite(h).all(axis=-1) & np.isfinite(bzz) & np.isfinite(norm)
+    return h, norm, ~finite, err.max(axis=0), outside.any(axis=0)
 
 
-def mean_curvature_estimate(spec: ImmersionSpec, t, y,
-                            baseline: bool = False,
-                            h: float | None = None):
-    """Finite-difference mean curvature vectors of the immersion at the nodes
-    of the stacks t (...) and y (..., dim s), broadcast.
+def mean_curvature_estimate(spec: ImmersionSpec, t, y, baseline: bool = False):
+    """Mean curvature vectors of the immersion f(t, Y) = exp(tX) exp(Y) o at
+    the nodes of the stacks t (...) and y (..., dim s), broadcast, in closed
+    form.  Returns (H on p-basis coordinates, translated to o by
+    exp(-Y) exp(-tX); ||H||_B; chart coordinates of the points), one per
+    node.
 
-    baseline=True freezes t and measures the slice Y -> exp(tX) exp(Y) o on
-    its own (a totally geodesic submanifold, so the result doubles as a noise
-    floor).  Returns (vectors in ambient p-coordinates, g-norms, chart
-    coordinates of the points), one per node.
+    H = (1/m) (1 - Pi_s)[Z_k, Z_p] / B(Z_p, Z_p), with Z = e^(-ad_Y) X =
+    Z_p + Z_k split along p + k, m = dim s + 1 and Pi_s the B-orthogonal
+    projection onto s.  Proof:
+    - The isometries exp(tau X) carry f(t, Y) to f(t + tau, Y), so H at
+      (t, Y) is H at (0, Y) carried along: its translate to o depends on Y
+      only.
+    - exp(-Y) exp(-tX) carries the immersed patch through f(t, Y) to the
+      patch (tau, V) -> exp(tau Z) exp(V) o, V in s, through o: exp(Y) maps
+      the totally geodesic S = exp(s) o to itself.  In normal coordinates
+      at o the Christoffel symbols vanish, so H = (1/m) (g^ab d_a d_b P)^perp
+      for the chart P(tau, V) of the patch.  To second order (BCH and the
+      polar split exp(A) = exp(P) k),
+      P = tau Z_p + V + tau [Z_k, V] + tau^2 [Z_k, Z_p] / 2.
+    - The tangent vectors are Z_p = cosh(ad_Y) X and s.  B(Z_p, V) =
+      B(X, cosh(ad_Y) V) = 0 for V in s, because s is a Lie triple system
+      (ad_Y^2 s lies in s) and X is B-orthogonal to s.  So the induced
+      metric is block-diagonal, and the mixed second derivatives [Z_k, V]
+      never enter the trace.  ImmersionSpec admits a pairing B(X, s) up to
+      1e-10, so the terms dropped are of that relative order.
+    - d_V d_V P = 0: the patch is linear in V at tau = 0, and S is totally
+      geodesic, so those directions have no normal part.
+    - d_tau d_tau P = [Z_k, Z_p], and B([Z_k, Z_p], Z_p) = 0 by the
+      invariance of B; so its normal part is (1 - Pi_s)[Z_k, Z_p], traced
+      against g^tautau = 1 / B(Z_p, Z_p).  That quotient is well posed:
+      ad_Y^2 is positive semidefinite on p, so B(Z_p, Z_p) >= B(X, X), a
+      positive normal float.
+    baseline=True measures the frozen-t slice Y -> exp(tX) exp(Y) o instead:
+    it is exp(tX) S, totally geodesic, so its H is 0 by the same proof.
+
+    Every node is charted once, by one cartan_project call, for its point;
+    Z comes from one stacked eigh over the distinct Y rows.  What fails
+    first is raised: the range of a node; then the chart of the first
+    failing node; then the first node whose H is not finite or whose Z_p or
+    [Z_k, Z_p] leaves p by more than REEXPRESS_TOL, in that check order.
     """
     a = spec.algebra
     if spec.codimension < 2 and not baseline:
@@ -593,56 +627,30 @@ def mean_curvature_estimate(spec: ImmersionSpec, t, y,
     t, y = np.broadcast_arrays(t[..., None], y)
     shape = t.shape[:-1]
     t, y = t[..., 0].reshape(-1), y.reshape(-1, y.shape[-1])
-    h = spec.h if h is None else float(h)
-
+    points = cartan_project(a, spec.group_element(t, y))
     if baseline:
-        c0, first, second = _stencil(lambda xi: _chart(spec, t[:, None], xi), y, h)
+        normals, norms = np.zeros_like(points), np.zeros(len(points))
     else:
-        c0, first, second = _stencil(
-            lambda xi: _chart(spec, xi[..., 0], xi[..., 1:]),
-            np.concatenate([t[:, None], y], axis=1), h)
-    m = first.shape[1]
-    if not first.any(axis=(1, 2)).all():
-        raise ConfigError("finite-difference step %r is below the chart's resolution: "
-                          "every first difference at a node is 0" % h)
-    g_amb, dg, _ = _stencil(lambda p: metric_matrix(a, p), c0, h,
-                            corners=False)
-    # Gamma_{lij} = (dG_{lj}/dx_i + dG_{li}/dx_j - dG_{ij}/dx_l) / 2, raised by G^-1
-    low = 0.5 * (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 2, 3, 1) - dg)
-    gamma = np.einsum("nkl,nlij->nkij", np.linalg.inv(g_amb), low)
-    first_t = first.swapaxes(-1, -2)
-    induced = first @ g_amb @ first_t
-    finite = np.all(np.isfinite(induced), axis=(-2, -1))
-    if not finite.all():     # cond and inv would refuse the whole stack
-        induced = np.where(finite[:, None, None], induced, np.eye(m))
-    cond = np.where(finite, np.linalg.cond(induced), np.nan)
-    _raise_first_failure([(~(cond <= 1e12), lambda i: NumericalBreakdown(
-        "induced metric is ill-conditioned (cond %.3e): "
-        "degenerate parametrization" % cond[i]))])
-    ginv = np.linalg.inv(induced)
-
-    # covariant second derivative, traced against the induced metric
-    hess = second + np.einsum("nkab,nia,njb->nijk", gamma, first, first)
-    trace = np.einsum("nij,nijk->nk", ginv, hess)
-    # metric projection off the tangent span
-    beta = _apply(ginv, _apply(first @ g_amb, trace))
-    normals = (trace - _apply(first_t, beta)) / m
-    sq = (normals[:, None, :] @ g_amb @ normals[:, :, None])[:, 0, 0]
-    norms = np.sqrt(np.where(sq > 0.0, sq, 0.0))
-    return (normals.reshape(shape + c0.shape[1:]), norms.reshape(shape),
-            c0.reshape(shape + c0.shape[1:]))
+        normals, norms, bad, err, outside = _per_distinct_row(
+            y, lambda rows: _closed_form(spec, rows))
+        _raise_first_failure([
+            (bad, lambda i: NumericalBreakdown(
+                "mean curvature overflows float64: Z = e^-Y X e^Y or "
+                "[Z_k, Z_p] is not finite")),
+            (outside, lambda i: NumericalBreakdown(
+                "Z_p or [Z_k, Z_p] is not in p (residual %.3e)" % err[i]))])
+    return (normals.reshape(shape + points.shape[1:]), norms.reshape(shape),
+            points.reshape(shape + points.shape[1:]))
 
 
 @dataclass
 class CurvatureReport:
-    """Grid sweep of mean-curvature estimates."""
+    """Grid sweep of mean-curvature norms."""
 
     mode = MODE_FLOAT              # a float64 measurement
     entries: list
     max_norm: float
-    h: float
     baseline: bool
-    discretization_error_estimate: float
     tolerance: float
 
     @property
@@ -655,9 +663,7 @@ class CurvatureReport:
 
 def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,
                           baseline: bool = False) -> CurvatureReport:
-    """Sweep the declared grid, t-major, in blocks of CURVATURE_BLOCK nodes;
-    the error estimate is the change of the worst entry under h -> h/2 (plain
-    Richardson difference)."""
+    """Sweep the declared grid, t-major, in blocks of CURVATURE_BLOCK nodes."""
     y_nodes = spec.grid.y_nodes(spec.s.dim)
     ts = np.repeat(spec.grid.t_axis(), len(y_nodes))
     ys = np.tile(y_nodes, (spec.grid.t_steps, 1))
@@ -668,13 +674,8 @@ def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,
     entries = [{"t": t, "y": y, "norm": norm, "point": point}
                for t, y, norm, point in zip(ts.tolist(), ys.tolist(),
                                             norms.tolist(), points.tolist())]
-    k = int(np.argmax(norms))                        # the first worst node
-    worst, (_, half, _) = float(norms[k]), mean_curvature_estimate(
-        spec, ts[k], ys[k], baseline=baseline, h=spec.h / 2.0)
-    return CurvatureReport(entries=entries, max_norm=worst, h=spec.h,
-                           baseline=baseline,
-                           discretization_error_estimate=abs(worst - float(half)),
-                           tolerance=tolerance)
+    return CurvatureReport(entries=entries, max_norm=float(np.max(norms)),
+                           baseline=baseline, tolerance=tolerance)
 
 
 def _law_samples(spec: ImmersionSpec, t_samples, y_samples):

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from transvector import geometry
 from transvector.catalog import (bisector_equidistance_check, build_pair,
                                  build_space, negative_control)
 from transvector.cli import run
@@ -102,36 +104,37 @@ def test_criterion_3_lemma_certified_on_all_pairs_and_sl2r(sl2r):
     assert check.passed and check.worst_residual == 0.0
 
 
+def _criterion_4_draws():
+    """Criterion 4's 100 float draws, alternating the two su(2,1) pairs and
+    running through each pair's five X: (s, X, Y's s-coordinates, Y), with Y
+    rescaled to ||ad_Y||_2 = 5.0."""
+    gen = stream(4, TEST_STREAM)
+    pairs = [(entry.s, list(_x_grid(entry)))
+             for entry in (build_pair(sid, p) for sid, p in CONDITION_PAIRS[:2])]
+    count = 0
+    while count < 100:
+        s, xs = pairs[count % 2]
+        coords = gen.standard_normal(s.dim)
+        y = coords @ s.basis_rows.astype(float)
+        norm = float(np.linalg.norm(s.algebra.ad_stack(y[None])[0].T, 2))
+        if norm < 1e-8:
+            continue
+        yield s, xs[count % len(xs)], coords * (5.0 / norm), y * (5.0 / norm)
+        count += 1
+
+
 def test_criterion_4_series_routes_agree_within_ten_tails(sl2r):
     """100 float draws: the exponential-split and double-series routes agree
     within 10x the K = 12 factorial tail bound.  Draws are rescaled to
     ||ad_Y||_2 = 5.0 so the bound sits far above float64 roundoff and the
     comparison is sharp.  Anchor: [Z^k, Z^p] = -sinh(4) H at Y = H in
     sl(2,R), within 1e-12."""
-    gen = stream(4, TEST_STREAM)
-    entries = [build_pair(sid, p) for sid, p in CONDITION_PAIRS[:2]]
-    specs = []
-    for entry in entries:
-        a = entry.algebra
-        s = entry.s
-        xs = list(_x_grid(entry))
-        specs.append((a, s, xs))
-    count = 0
-    while count < 100:
-        a, s, xs = specs[count % 2]
-        y = gen.standard_normal(s.dim) @ s.basis_rows.astype(float)
-        ad = a.ad_stack(y[None])[0].T
-        norm = float(np.linalg.norm(ad, 2))
-        if norm < 1e-8:
-            continue
-        y = y * (5.0 / norm)
-        x = xs[count % len(xs)]
+    for count, (s, x, _, y) in enumerate(_criterion_4_draws()):
         rep = nabla_zz(s, x, y, truncation=12)
         # the advisory convergence flag may be off at this norm; the factorial
         # tail bound is the quantity the agreement is measured against
         assert rep.route_difference <= 10.0 * rep.tail_bound, (
             count, rep.route_difference, rep.tail_bound)
-        count += 1
 
     s, x = _sl2_h_pair(sl2r)
     rep = nabla_zz(s, x, s.basis[0].to_array(), truncation=12)
@@ -139,36 +142,54 @@ def test_criterion_4_series_routes_agree_within_ten_tails(sl2r):
     assert np.max(np.abs(rep.value - expected)) <= 1e-12
 
 
+def test_the_closed_form_bracket_is_the_limit_of_the_series(sl2r):
+    """On criterion 4's draws, the [Z_k, Z_p] that the mean curvature's closed
+    form takes from one eigh of Y agrees with nabla_zz's K = 12 series within
+    10x its tail bound, carried through the bracket: the bound is on the
+    tail d of Z's series, and [Z_k + d_k, Z_p + d_p] - [Z_k, Z_p] is at most
+    (||ad Z_k|| + ||ad Z_p||) ||d|| to first order (all 2-norms on
+    coefficients).  The worst draw reads 0.03 of that; against the bare tail
+    bound it reads 51, the bracket being about 1e3.  Anchor: -sinh(4) H at
+    Y = H in sl(2,R), within 1e-12."""
+    for count, (s, x, coords, y) in enumerate(_criterion_4_draws()):
+        a = s.algebra
+        spec = ImmersionSpec(a, s, x.to_array())
+        (_, bracket), _, _ = geometry._brackets(spec, coords[None])
+        got = geometry._p_geometry(a)[0] @ bracket[0]
+        z = expm(-a.ad_stack(y[None])[0].T) @ x.to_array()     # e^(-ad_Y) X
+        zk, zp = 0.5 * (z + a.theta_float @ z), 0.5 * (z - a.theta_float @ z)
+        lipschitz = sum(np.linalg.norm(a.ad_stack(v[None])[0], 2) for v in (zk, zp))
+        rep = nabla_zz(s, x, y, truncation=12)
+        gap = np.linalg.norm(got - rep.value)
+        assert gap <= 10.0 * rep.tail_bound * lipschitz, (count, gap, rep.tail_bound,
+                                                          lipschitz)
+
+    s, x = _sl2_h_pair(sl2r)
+    (_, bracket), _, _ = geometry._brackets(ImmersionSpec(sl2r, s, x.to_array()),
+                                            np.array([[1.0]]))
+    assert np.max(np.abs(bracket[0] - [-math.sinh(4.0), 0.0])) <= 1e-12
+
+
 def test_criterion_5_su21_extensions_are_minimal():
-    """Both su(2,1) extensions: worst |H| <= 1e-4 on the 5x5x5 grid at
-    h = 1e-3; halving h divides the worst entry by >= 2 unless both sit at
-    the <= 1e-8 roundoff floor; frozen-t baselines <= 1e-5; the sl(3,R)
-    negative control measures >= 1e-2.  Budget: two minutes."""
+    """Both su(2,1) extensions: worst |H| <= 1e-12 on the 5x5x5 grid,
+    evaluated in closed form (test_geometry checks its vectors against the
+    finite-difference oracle at every node); frozen-t baselines read exactly
+    0; the sl(3,R) negative control measures >= 1e-2.  Budget: two
+    minutes."""
     t0 = time.perf_counter()
     grid = GridSpec(t_steps=5, y_steps=5)
     for pair_name in ("real-form", "complex-hyperplane"):
         entry = build_pair("su21", pair_name)
-        spec = _float_spec(entry, grid=grid, h=1e-3)
+        spec = _float_spec(entry, grid=grid)
         rep = mean_curvature_report(spec, tolerance=1e-4)
-        assert rep.passed, (pair_name, rep.max_norm)
+        assert rep.passed and rep.max_norm <= 1e-12, (pair_name, rep.max_norm)
         assert len(rep.entries) == 125
 
-        half = mean_curvature_report(
-            _float_spec(entry, grid=grid, h=5e-4), tolerance=1e-4)
-        ratio = rep.max_norm / max(half.max_norm, 1e-300)
-        at_floor = rep.max_norm <= 1e-8 and half.max_norm <= 1e-8
-        assert ratio >= 2.0 or at_floor, (pair_name, rep.max_norm,
-                                          half.max_norm, ratio)
-
-        base = mean_curvature_report(
-            _float_spec(entry, grid=grid, h=1e-3), tolerance=1e-5,
-            baseline=True)
-        assert base.passed, (pair_name, base.max_norm)
+        base = mean_curvature_report(spec, tolerance=1e-5, baseline=True)
+        assert base.max_norm == 0.0, (pair_name, base.max_norm)
 
     ctrl_a, ctrl_s, ctrl_x = negative_control()
-    ctrl = ImmersionSpec(
-        ctrl_a, ctrl_s,
-        ctrl_x.to_array(), grid=grid, h=1e-3)
+    ctrl = ImmersionSpec(ctrl_a, ctrl_s, ctrl_x.to_array(), grid=grid)
     ctrl_rep = mean_curvature_report(ctrl, tolerance=1e-4)
     assert ctrl_rep.max_norm >= 1e-2, ctrl_rep.max_norm
     assert not ctrl_rep.passed

@@ -3,7 +3,8 @@
 sl(2,R) oracles: ||H||_B = sqrt(8), d(o, exp(tH).o) = |t| sqrt(8), and the
 pullback of the metric along P = rH in the direction E+F is
 (sinh(2r)/(2r))^2 * B(E+F, E+F) (rank-one Jacobi field growth; ad_H^2 acts
-as 4 on span(E+F)).
+as 4 on span(E+F)).  The closed-form mean curvature is checked against the
+finite-difference oracle of curvature_oracle.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import stack_size
+from curvature_oracle import oracle_mean_curvature, series_stretch
 from transvector import geometry
 from transvector.catalog import (bisector_equidistance_check, build_pair, build_space,
-                                complex_structure_matrix)
+                                complex_structure_matrix, negative_control)
 from transvector.cli import run
 from transvector.errors import ConfigError, NumericalBreakdown
 from transvector.geometry import (CURVATURE_BLOCK, CurvatureReport, GridSpec,
@@ -92,18 +94,11 @@ def test_pullback_matches_sinh_closed_form(sl2r):
         assert gr[0, 0] == pytest.approx(8.0, rel=1e-12)
 
 
-def _series_metric(a, c, terms=40):
+def _series_metric(a, c):
     """The pullback metric at one point c as a fixed-term Taylor series:
-    S(P) = sum_k m^k / (2k + 1)! over k < terms, m = ad_P^2 on p, and
-    G = S^T B S."""
-    pbm, pinv, gram = geometry._p_geometry(a)
-    ad = a.ad_stack((pbm @ c)[None])[0].T
-    m = pinv @ ad @ ad @ pbm
-    s = term = np.eye(len(c))
-    for k in range(1, terms):
-        term = term @ m / ((2 * k) * (2 * k + 1))
-        s = s + term
-    return s.T @ gram @ s
+    G = S^T B S for S(P) = sinh(ad_P)/ad_P summed term by term."""
+    s = series_stretch(a, c)
+    return s.T @ geometry._p_geometry(a)[2] @ s
 
 
 @pytest.mark.parametrize("space", ["sl2r", "su21", "su31", "sl3r", "so31"])
@@ -415,63 +410,63 @@ def test_a_stack_of_nodes_raises_what_its_first_failing_node_raises(
             == _raised(NumericalBreakdown, immersion_point, spec, t[4], y[4]))
 
 
-def _squeeze_charts(monkeypatch, spec, squeeze, spoil=None):
-    """Chart every stencil point of the node at (t, y) = key of squeeze with
-    its first Y-coordinate pulled toward the node's by the factor
-    squeeze[key]: the induced metric of that node loses a direction.  The
-    stencil points at t + h of the node at spoil chart to nan."""
-    plain = geometry._chart
-    h = spec.h
+def _spoil_z(monkeypatch, nan_row, off_p_row):
+    """Z = e^-Y X e^Y turns nan at the Y row nan_row, and gains 1e-3 I,
+    which no p-image spans (they are traceless), at the Y row off_p_row."""
+    plain = geometry._conjugated_x
 
-    def near(t, y, key):
-        return (np.abs(t - key[0]) <= 1.5 * h) & np.all(
-            np.abs(y - np.array(key[1:])) <= 1.5 * h, axis=-1)
+    def spoiled(spec, y):
+        z = plain(spec, y)
+        z[np.all(y == nan_row, axis=-1)] = np.nan
+        z[np.all(y == off_p_row, axis=-1)] += 1e-3 * np.eye(z.shape[-1])
+        return z
 
-    def chart(spec, t, y):
-        t, y = np.broadcast_to(t, y.shape[:-1]), np.array(y)
-        for key, f in squeeze.items():
-            hit = near(t, y, key)
-            y[..., 0] = np.where(hit, key[1] + f * (y[..., 0] - key[1]), y[..., 0])
-        out = plain(spec, t, y)
-        if spoil is not None:
-            out[near(t - h, y, spoil) & (np.abs(t - spoil[0] - h) < 0.5 * h)] = np.nan
-        return out
+    monkeypatch.setattr(geometry, "_conjugated_x", spoiled)
 
-    monkeypatch.setattr(geometry, "_chart", chart)
+
+NOT_FINITE = "mean curvature overflows float64: Z = e^-Y X e^Y or [Z_k, Z_p] is not finite"
 
 
 @pytest.mark.parametrize("space", ["su21", "su31"])
-def test_a_degenerate_node_raises_for_the_first_failing_node_of_its_stack(
+def test_a_closed_form_failure_raises_for_the_first_failing_node_after_the_charts(
         space, monkeypatch):
+    """Node 3's Z is not finite and node 5's Z_p leaves p: each raises its
+    own message alone, a stack raises its first failing node's, stack order
+    beats check order, and a chart failing at a later node is raised first,
+    since every node is charted before any closed form is checked."""
     spec = _spec_on(space)
     t = np.array([0.5, -0.25, 0.0, 0.7, 0.0, -0.5])
     y = np.outer([0.1, -0.2, 0.6, 0.3, -0.5, 0.0], np.ones(spec.s.dim))
-    mean_curvature_estimate(spec, t, y)
-    # nodes 3 and 5 lose a direction, each to its own condition number
-    _squeeze_charts(monkeypatch, spec, {(t[3], *y[3]): 1e-7, (t[5], *y[5]): 1e-9})
-    message = _raised(NumericalBreakdown, mean_curvature_estimate, spec, t[3], y[3])
-    assert message.startswith("induced metric is ill-conditioned (cond ")
-    assert message != _raised(NumericalBreakdown, mean_curvature_estimate,
-                              spec, t[5], y[5])
-    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t, y) == message
-    for k in range(3):    # the nodes before it compute, alone and stacked
-        mean_curvature_estimate(spec, t[k], y[k])
-    mean_curvature_estimate(spec, t[:3], y[:3])
+    _spoil_z(monkeypatch, y[3], y[5])
+    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t[3], y[3]) == NOT_FINITE
+    off_p = _raised(NumericalBreakdown, mean_curvature_estimate, spec, t[5], y[5])
+    assert off_p == "Z_p or [Z_k, Z_p] is not in p (residual %.3e)" % (
+        1e-3 * math.sqrt(len(spec._x_matrix)))      # ||1e-3 I||, orthogonal to p
+    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t, y) == NOT_FINITE
+    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec,
+                   t[[5, 3]], y[[5, 3]]) == off_p
+    mean_curvature_estimate(spec, t[:3], y[:3])     # the nodes before them compute
+    mean_curvature_estimate(spec, t[3], y[3], baseline=True)   # H = 0 takes no Z
+    # node 4 is pushed out of the group: its chart fails first
+    plain, node = spec.group_element, y[4]
+
+    def pushed(t, y):
+        g = plain(t, y)
+        return np.where(np.all(y == node, axis=-1)[..., None, None], g * (1.0 + 1e-6), g)
+
+    monkeypatch.setattr(spec, "group_element", pushed)
+    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t, y).startswith(
+        "matrix is not in the realized group")
 
 
-@pytest.mark.parametrize("space", ["su21", "su31"])
-def test_a_non_finite_induced_metric_raises_instead_of_aborting_cond(
-        space, monkeypatch):
-    """cond and inv would refuse the whole stack with a LinAlgError."""
-    spec = _spec_on(space)
-    t = np.array([0.5, -0.25, 0.0, 0.7, 0.0, -0.5])
-    y = np.outer([0.1, -0.2, 0.6, 0.3, -0.5, 0.0], np.ones(spec.s.dim))
-    _squeeze_charts(monkeypatch, spec, {}, spoil=(t[3], *y[3]))
-    message = ("induced metric is ill-conditioned (cond nan): "
-               "degenerate parametrization")
-    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t[3], y[3]) == message
-    assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t, y) == message
-    mean_curvature_estimate(spec, np.delete(t, 3), np.delete(y, 3, axis=0))
+def test_an_overflowed_z_is_marked_without_a_warning(su21_real_form):
+    """At Y = 400 P1 the exponents e^(w_j - w_i) overflow float64; the closed
+    form marks the node instead of dividing inf by inf aloud."""
+    spec = _su21_spec(su21_real_form)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, bad, _, _ = geometry._closed_form(spec, np.array([[0.3, 0.1], [400.0, 0.0]]))
+    assert bad.tolist() == [False, True]
 
 
 def _signed_expm(m):
@@ -514,29 +509,28 @@ def test_group_element_computes_distinct_slices_once_with_the_same_bits(
 def test_one_construct_request_decomposes_a_fixed_count_of_matrices(
         tmp_path, count_calls):
     """The eigh work of one 3 x 3 x 3 construct request, as counts that repeat
-    exactly on any machine: the block's 9 distinct t and 81 distinct y
-    exponentials, its 27 x 19 stencil charts and 27 x 9 stencil metrics
-    (dim p = 4), then the h/2 re-estimate's 3 t, 9 y, 19 charts and 9
-    metrics for one node.  A lost dedup or an extra chart or metric pass
-    changes them."""
+    exactly on any machine: the block's 3 distinct t and 9 distinct y
+    exponentials, one chart of its 27 nodes, then the 9 distinct Y-images
+    whose eigenvectors conjugate X.  A lost dedup, an extra chart or any
+    metric changes them."""
     sizes = count_calls(np.linalg, "eigh", stack_size)
     assert run(["construct", "--space", "su21", "--pair", "real-form",
                 "--t-steps", "3", "--y-steps", "3",
                 "--out", str(tmp_path / "report.json")]) == 0
-    assert sizes == [9, 81, 513, 243, 3, 9, 19, 9]
+    assert sizes == [3, 9, 27, 9]
 
 
 @pytest.mark.parametrize("argv, eighs, charts", [
     (["construct", "--space", "su21", "--pair", "real-form", "--t-steps", "3",
       "--y-steps", "3", "--distance-law"],
-     [9, 81, 513, 243, 3, 9, 19, 9, 7, 1, 3, 6, 3, 28, 28, 103, 21, 21],
-     [513, 19, 28, 103, 21]),
+     [3, 9, 27, 9, 7, 1, 3, 6, 3, 28, 28, 103, 21, 21],
+     [27, 28, 103, 21]),
     (["bisector", "--space", "su21", "--pair", "complex-hyperplane", "--grid-steps", "5"],
      [2, 5, 25, 127, 127, 377], [127, 377])], ids=["distance-law", "bisector"])
 def test_the_distance_law_and_the_bisector_chart_one_stack_a_stage(
         tmp_path, count_calls, argv, eighs, charts):
-    """After the curvature sweep's counts with its metrics (the test
-    above), the distance law's 7 orbit and 1 + 3 and 6 + 3 group
+    """After the curvature sweep's counts (the test above), the distance
+    law's 7 orbit and 1 + 3 and 6 + 3 group
     exponentials, then three charts: the 7 + 3 + 18 orbit, S and q points;
     their 28 representatives with the 54 q-to-S matrices and the 21
     transvected S points; the representatives of those 21.  The bisector's 2 z and 5 + 25 grid
@@ -699,10 +693,9 @@ def test_the_blocked_sweep_equals_each_node_alone_bit_for_bit(
     alone = geometry.mean_curvature_estimate
     blocks = []
 
-    def record(spec, t, y, baseline=False, h=None):
-        out = alone(spec, t, y, baseline=baseline, h=h)
-        if h is None:
-            blocks.append((np.copy(t), np.copy(y), out))
+    def record(spec, t, y, baseline=False):
+        out = alone(spec, t, y, baseline=baseline)
+        blocks.append((np.copy(t), np.copy(y), out))
         return out
 
     monkeypatch.setattr(geometry, "mean_curvature_estimate", record)
@@ -726,12 +719,6 @@ def test_immersion_spec_invariants(sl2r, su21_real_form):
     assert ImmersionSpec(sl2r, s, x).codimension == 1   # refused by the estimator
     with pytest.raises(ConfigError):   # X not B-orthogonal to s
         ImmersionSpec(sl2r, s, s.basis[0].to_array())
-    with pytest.raises(ConfigError):   # h must be positive
-        _sl2_spec(sl2r, h=0.0)
-    for h in (1e-200, 2e-154):         # (h/2)^2 is not a normal float
-        with pytest.raises(ConfigError, match="too small"):
-            _sl2_spec(sl2r, h=h)
-    assert _sl2_spec(sl2r, h=3e-154).h == 3e-154
     entry = su21_real_form
     bad_s = Subspace(entry.algebra, [
         entry.algebra.from_labels({"P1": 1}),
@@ -741,6 +728,20 @@ def test_immersion_spec_invariants(sl2r, su21_real_form):
         with pytest.raises(ConfigError):
             ImmersionSpec(entry.algebra, bad_s,
                           entry.algebra.from_labels({"Q1": 1}).to_array())
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-200])
+def test_immersion_spec_refuses_an_x_whose_square_is_not_a_normal_float(
+        monkeypatch, su21_real_form, scale):
+    """X = 0 and 1e-200 Q1 are in p and B-orthogonal to s, but B(X, X) is 0:
+    the closed form would divide by B(Z_p, Z_p) >= B(X, X)."""
+    def unreachable(*args):
+        raise AssertionError("a matrix was built")
+    monkeypatch.setattr(geometry, "realize", unreachable)
+    a = su21_real_form.algebra
+    with pytest.raises(ConfigError, match=r"^B\(X, X\) = 0\.0 is not a positive normal "
+                                          r"float; X must be a nonzero normal direction$"):
+        ImmersionSpec(a, su21_real_form.s, scale * a.from_labels({"Q1": 1}).to_array())
 
 
 @pytest.mark.parametrize("x", [{"F12": 1}, {"Q1": 1, "F12": 1}])
@@ -815,15 +816,47 @@ def test_su21_extension_is_minimal_on_a_coarse_grid(su21_real_form):
     spec = _su21_spec(su21_real_form)
     rep = mean_curvature_report(spec, tolerance=1e-4)
     assert rep.passed
-    assert rep.max_norm <= 1e-6   # measured headroom is ~1e-7
+    assert rep.max_norm <= 1e-12   # [Z_k, Z_p] lies in s up to roundoff
     assert len(rep.entries) == 27
 
 
 def test_baseline_slice_is_minimal_too(su21_real_form):
     spec = _su21_spec(su21_real_form)
-    _, norm, _ = mean_curvature_estimate(spec, 0.0, np.array([0.3, -0.2]),
-                                         baseline=True)
-    assert norm <= 1e-5
+    normal, norm, _ = mean_curvature_estimate(spec, 0.0, np.array([0.3, -0.2]),
+                                              baseline=True)
+    assert norm == 0.0 and not normal.any()     # totally geodesic: H = 0 by proof
+
+
+ORACLE_H = 1e-2
+# the roundoff floor of the oracle's second differences at ORACLE_H / 2, about
+# 100 eps / h^2; the O(h^2) gaps measured 2e-3 h^2 to 0.089 h^2
+ORACLE_FLOOR = 100.0 * np.finfo(float).eps / (ORACLE_H / 2.0) ** 2
+
+
+@pytest.mark.parametrize("case", ["real-form", "complex-hyperplane", "sl3r-control"])
+def test_the_closed_form_vectors_are_the_limit_of_the_finite_difference_oracle(case):
+    """At every node of criterion 5's grid (5 x 5^dim s), the closed-form
+    vector agrees with the finite-difference oracle's, mapped to o, within
+    the O(h^2) budget 0.25 h^2 plus the roundoff floor, and each gap
+    shrinks by at least 3 when h halves unless both sit at the floor.
+    Vectors, not norms: flipping Z_k flips H and keeps |H|.  The step is
+    1e-2 so that the O(h^2) term stands four decades above the floor."""
+    if case == "sl3r-control":
+        a, s, x = negative_control()
+    else:
+        entry = build_pair("su21", case)
+        a, s, x = entry.algebra, entry.s, entry.x_default
+    grid = GridSpec(t_steps=5, y_steps=5)
+    spec = ImmersionSpec(a, s, x.to_array(), grid=grid)
+    y_nodes = grid.y_nodes(s.dim)
+    ts, ys = np.repeat(grid.t_axis(), len(y_nodes)), np.tile(y_nodes, (5, 1))
+    got = mean_curvature_estimate(spec, ts, ys)[0]
+    gap, half = (geometry._b_norm(a, oracle_mean_curvature(spec, ts, ys, h) - got)
+                 for h in (ORACLE_H, ORACLE_H / 2.0))
+    assert np.all(gap <= 0.25 * ORACLE_H ** 2 + ORACLE_FLOOR), np.max(gap)
+    at_floor = (gap <= ORACLE_FLOOR) & (half <= ORACLE_FLOOR)
+    assert not at_floor.all()
+    assert np.all((gap >= 3.0 * half) | at_floor), np.min((gap / half)[~at_floor])
 
 
 def test_curvature_estimate_refuses_codimension_one(sl2r):
@@ -833,7 +866,7 @@ def test_curvature_estimate_refuses_codimension_one(sl2r):
     # but the frozen-t baseline is well-posed: s itself is totally geodesic
     _, norm, _ = mean_curvature_estimate(spec, 0.1, np.array([0.2]),
                                          baseline=True)
-    assert norm <= 1e-6
+    assert norm == 0.0
 
 
 def test_distance_law_on_the_small_grid(su21_real_form):
@@ -890,8 +923,7 @@ class _NodeCount(list):
 
 
 def test_oversized_export_is_refused_before_touching_files(tmp_path):
-    rep = CurvatureReport(entries=_NodeCount(), max_norm=0.0, h=1e-3,
-                          baseline=False, discretization_error_estimate=0.0,
+    rep = CurvatureReport(entries=_NodeCount(), max_norm=0.0, baseline=False,
                           tolerance=1e-4)
     target = tmp_path / "refused.csv"
     with pytest.raises(ConfigError):
@@ -902,8 +934,7 @@ def test_oversized_export_is_refused_before_touching_files(tmp_path):
 def test_the_curvature_mode_is_a_class_constant():
     """The mode is not a field a caller could set, and the report prints it."""
     assert "mode" not in {f.name for f in dataclasses.fields(CurvatureReport)}
-    rep = CurvatureReport(entries=[], max_norm=0.0, h=1e-3, baseline=False,
-                          discretization_error_estimate=0.0, tolerance=1e-4)
+    rep = CurvatureReport(entries=[], max_norm=0.0, baseline=False, tolerance=1e-4)
     assert rep.as_dict()["mode"] == "float64"
 
 
