@@ -257,8 +257,12 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     For the real-form pair J X_hat lies inside s, so z_pm land on S and the
     same construction fails by a margin on the order of 2r: that run is the
     negative control distinguishing the two congruence classes.
+
+    d(f(t, y), z_pm) is the distance from exp(Y) o to exp(-tX) z_pm
+    (geometry.grid_distances proves it): two charts of 2 + n + 2T and
+    2 + n + 2T + 2nT matrices for n Y-nodes and T t-nodes.
     """
-    from .geometry import GridSpec, ImmersionSpec, expm, immersion_distances, realize
+    from .geometry import GridSpec, ImmersionSpec, expm, grid_distances, realize
 
     a = entry.algebra
     fam, _ = parse_space_id(a.name)
@@ -272,11 +276,9 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
     x_unit = x * (1.0 / xn)
     jx = jm.astype(float) @ x_unit
     spec = ImmersionSpec(a, entry.s, x_unit, grid=grid)
-    t_nodes = grid.t_axis()
-    y_nodes = grid.y_nodes(entry.s.dim)
-    d0, d = immersion_distances(      # to z_+, z_-
-        spec, t_nodes[:, None, None], y_nodes[:, None, :],
-        expm(np.array([r, -r], dtype=float)[:, None, None] * realize(a, jx)))
+    t_nodes, y_nodes = grid.t_axis(), grid.y_nodes(entry.s.dim)
+    d0, d = grid_distances(spec, t_nodes, y_nodes, expm(      # to z_+, z_-
+        np.array([r, -r], dtype=float)[:, None, None] * realize(a, jx)))
     delta = np.abs(d[..., 0] - d[..., 1]).ravel()     # t-major
     k = int(np.argmax(delta))                         # its first maximum
     witness = None

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -440,10 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; each parse_args returns a fresh
     namespace, and subcommand defaults are applied per parse."""
     ap = argparse.ArgumentParser(
-        prog="transvector",
+        prog="transvector", allow_abbrev=False,
         description="certificates and measurements for minimal extensions "
                     "of reflective submanifolds")
-    sub = ap.add_subparsers(dest="command", required=True)
+    # every option is spelt in full: a prefix could name a retired option's
+    # successor, or another option once one is retired
+    add = partial(ap.add_subparsers(dest="command", required=True).add_parser,
+                  allow_abbrev=False)
 
     # a subcommand declares only the inputs it reads
     inputs = {
@@ -463,33 +466,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_int_at_least(0, 2 ** 64), default=0)
         p.add_argument("--out", help="write the JSON report here (atomic)")
 
-    p = sub.add_parser("check", help="extension condition on a catalog pair")
+    p = add("check", help="extension condition on a catalog pair")
     common(p)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("verify", help="extension condition on a custom (s, X)")
+    p = add("verify", help="extension condition on a custom (s, X)")
     common(p, takes=("--algebra-file", "--s", "--X"))
     p.set_defaults(func=_cmd_verify, samples=16)
 
-    p = sub.add_parser("lemma", help="bracket-chain lemma certificates")
+    p = add("lemma", help="bracket-chain lemma certificates")
     common(p)
     p.add_argument("--n-max", type=_int_at_least(0, MAX_CHAIN + 1), default=4)
     p.add_argument("--m-max", type=_int_at_least(0, MAX_CHAIN + 1), default=4)
     p.set_defaults(func=_cmd_lemma, samples=4)
 
-    p = sub.add_parser("roots", help="restricted root decomposition")
+    p = add("roots", help="restricted root decomposition")
     common(p, takes=("--algebra-file",))
     p.add_argument("--examples", action="store_true",
                    help="also certify the root-space examples")
     p.set_defaults(func=_cmd_roots, samples=8)
 
-    p = sub.add_parser("construct", help="build the immersion and measure it")
+    p = add("construct", help="build the immersion and measure it")
     common(p, takes=("--pair", "--X"), sampled=False)
     p.add_argument("--t-steps", type=_int_at_least(1), default=5)
     p.add_argument("--y-steps", type=_int_at_least(1), default=5)
     p.add_argument("--t-range", default="-0.75,0.75")
     p.add_argument("--y-range", default="-0.75,0.75")
-    # the finite-difference step, retired: --h would now abbreviate --help
+    # the finite-difference step, retired: refused with the reason
     p.add_argument("--h", help=argparse.SUPPRESS, type=_retired(
         "retired: the mean curvature is evaluated in closed form, with no step"))
     p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-4)
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ply", help="export the grid as PLY")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("bisector", help="equidistance of the extension")
+    p = add("bisector", help="equidistance of the extension")
     common(p, takes=("--pair",), sampled=False)
     # r = 0 puts both endpoints at the origin, where equidistance is vacuous
     p.add_argument("--r", type=_finite_float_at_least(0, strict=True), default=0.5)
@@ -508,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-8)
     p.set_defaults(func=_cmd_bisector)
 
-    p = sub.add_parser("catalog", help="list built-in spaces and pairs")
+    p = add("catalog", help="list built-in spaces and pairs")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_catalog)
 

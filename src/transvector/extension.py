@@ -93,7 +93,10 @@ class LemmaCheck:
 @dataclass
 class SeriesReport:
     """[Z^k, Z^p] for Z = e^{-ad_Y} X as a float64 row, its distance from
-    the double-series evaluation, and diagnostics."""
+    the double-series evaluation, and diagnostics.  tail_bound bounds only
+    the first term that the truncated series of Z omits, not the error of
+    value: the bracket multiplies Z's error by the other argument's ad, so
+    value is off by about (||ad Z^k|| + ||ad Z^p||) times it."""
 
     value: np.ndarray
     route_difference: float
@@ -300,7 +303,14 @@ def nabla_zz(s: Subspace, x: AlgebraVector, y: np.ndarray,
     exponential series and as the double series over odd/even parts, plus the
     factorial tail bound and the membership residual against s.  X is exact
     and lies in p; Y is a float64 coefficient row, and the series runs in
-    float64."""
+    float64.
+
+    The series of Z keeps the terms j <= 2K + 1, K = truncation, and
+    tail_bound = ||ad_Y||_2^(2K+2) ||X||_2 / (2K + 2)! bounds the first term
+    it omits, not the whole tail and not the error of the reported
+    [Z^k, Z^p]: an error e in Z moves the bracket by about
+    [e, Z^p] + [Z^k, e], so that error is about (||ad Z^k|| + ||ad Z^p||)
+    times tail_bound."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     _require_pair(s, x, certify=False)

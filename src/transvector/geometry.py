@@ -30,9 +30,14 @@ back, and _chart_points takes every representative from one expm and charts
 them for the round trip, in one more call, together with the matrices built
 from them (the g1^-1 g2 of distances, transvected points).  The chart of a
 representative is also its point's chart from the base point o, since o's
-representative is I.  SpacePoint.from_matrix and immersion_point take two
-calls, immersion_distances (the bisector check) two and distance_law_check
-three; each raises for its first failing stage.
+representative is I.  SpacePoint.from_matrix, immersion_point,
+grid_distances (the bisector check) and distance_law_check take two calls
+each, and each raises for its first failing stage.  The last two read
+distances through the transvections, which are isometries like every left
+translation: d(f(t, y), z) is the distance from exp(Y) o to exp(-tX) z, so
+the bisector charts its S points and endpoints and never forms a grid node,
+and the distance law's transvected S points are its nodes f(t, y).  Their
+docstrings carry the proofs.
 
 Mean curvature is evaluated in closed form from brackets, not estimated:
 mean_curvature_estimate proves the formula it evaluates,
@@ -515,25 +520,41 @@ def immersion_point(spec: ImmersionSpec, t, y) -> SpacePoint:
     return pt
 
 
-def immersion_distances(spec: ImmersionSpec, t, y, g: np.ndarray):
-    """(d(o, z), d(f(t, y), z)) for the points z of the stack of group
-    elements g (..., N, N) and the nodes of the stacks t (...) and
-    y (..., dim s); as in distance, the stack of nodes broadcasts against
-    the stack of z.  The nodes are checked as immersion_point checks them.
+def grid_distances(spec: ImmersionSpec, t, y, g: np.ndarray):
+    """(d(o, z), d(f(t_i, y_j), z)) for the points z of the stack of group
+    elements g (k, N, N), every t_i of the axis t (T,) and every row y_j
+    of y (n, dim s): stacks (k,) and (T, n, k).
 
-    Two cartan_project calls: one charts g and the group elements of the
-    nodes; one charts their representatives and every g_f^-1 g_z.  What
-    fails first is raised: the range of a node, before any matrix is built;
-    then the first failing matrix of the first call, then of the second, in
-    that order; then the round trip of the first failing z; then the round
-    trip or the recertification of the first failing node."""
-    t, y = _grid_point(spec, t, y)
+    d(f(t, y), z) = ||cartan_project(g_S^-1 g_w)||_B for the representatives
+    g_S of the S point exp(Y) o and g_w of the endpoint w = exp(-tX) z.
+    Proof:
+    - Left translations are isometries.  exp(-tX) carries f(t, y) to
+      exp(Y) o = g_S o and z to w, and g_S^-1 carries g_S o to o, so
+      d(f(t, y), z) = d(o, g_S^-1 g_w o).
+    - The chart is geodesic normal coordinates at o, and
+      d(o, exp(P) o) = ||P||_B; g = exp(P) k with k in K has
+      g g^dagger = exp(2P), as the realization maps K to unitary matrices,
+      so cartan_project(g) = P for every g with g o = exp(P) o.
+    So the nodes f(t, y) are never formed: the n S points, the T endpoints
+    of each z and the T n matrices between them carry every distance.
+
+    Two cartan_project calls: one charts g, the S points and the endpoints;
+    one charts their representatives and every g_S^-1 g_w.  What fails
+    first is raised: the range of a node, before any matrix is built; then
+    the first failing matrix of the first call, then of the second, in that
+    order; then the round trip of the first failing z; then the round trip
+    or the t = 0 recertification of the first failing S point; then the
+    round trip of the first failing endpoint."""
+    t, y = _grid_point(spec, np.reshape(t, (-1, 1)), y)
     a = spec.algebra
-    (z, q), (z_back, q_back), (between,) = _chart_points(
-        a, _charts(a, [g, spec.group_element(t, y)]),
-        lambda z, q: [np.linalg.solve(q.representative, z.representative)])
+    ends = expm(-t[..., None] * spec._x_matrix)[:, None] @ g     # (T, k, N, N)
+    (z, s, w), (z_back, s_back, w_back), (between,) = _chart_points(
+        a, _charts(a, [g, expm(spec.y_matrix(y)), ends]),
+        lambda z, s, w: [np.linalg.solve(s.representative[None, :, None],
+                                         w.representative[:, None])])
     _raise_first_failure([_round_trip(z, z_back)])
-    _raise_first_failure([_round_trip(q, q_back), _left_s(spec, t, q)])
+    _raise_first_failure([_round_trip(s, s_back), _left_s(spec, 0.0, s)])
+    _raise_first_failure([_round_trip(w, w_back)])
     return _b_norm(a, z_back), _b_norm(a, between)
 
 
@@ -697,6 +718,21 @@ def _law_samples(spec: ImmersionSpec, t_samples, y_samples):
     return ts, ys
 
 
+def _law_distances(spec: ImmersionSpec, ts: np.ndarray, ys: np.ndarray):
+    """(d(o, exp(tX) o) per t; d(f(t, y_i), f(0, y_j)) per t != 0, i, j;
+    d(o, f(t, y_j)) per t, j) for the samples of _law_samples, in the two
+    stages distance_law_check states."""
+    a = spec.algebra
+    orbit = expm(ts[:, None, None] * spec._x_matrix)
+    points, backs, (between,) = _chart_points(a, _charts(a, [
+        orbit, orbit[:, None] @ expm(spec.y_matrix(ys))]),
+        lambda _, f: [np.linalg.solve(f.representative[ts == 0.0][-1, None, None],
+                                      f.representative[ts != 0.0][:, :, None])])
+    for pt, back in zip(points, backs):
+        _raise_first_failure([_round_trip(pt, back)])
+    return _b_norm(a, backs[0]), _b_norm(a, between), _b_norm(a, backs[1])
+
+
 def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
     """The three distance statements for the extended immersion.
 
@@ -708,40 +744,32 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
     Violations are report entries, not exceptions.
 
     Samples that are missing, of the wrong width or not finite are a
-    ConfigError before any matrix is built.  The charts take three
-    cartan_project calls, one per stage: (1) the orbit exp(tX), the S points
-    and the points q = f(t, y), t != 0; (2) their representatives, every
-    g_q^-1 g_S and the transvected S points exp(tX) g_S; (3) the
-    representatives of the transvected points.  Distances from o are the
-    charts of representatives.  What fails first is raised: the first
-    failing matrix of stage 1, then of stage 2, in the order listed; then
-    the round trip of the first failing orbit, S or q point, in that order;
-    then the first failing matrix of stage 3; then the round trip of the
-    first failing transvected point.
+    ConfigError before any matrix is built.  Every distance is read off the
+    charts of the orbit exp(tX) and of the points f(t, y), t = 0 included:
+    - f(0, y) = exp(Y) o is the S sample, and psi_t(exp(Y) o) =
+      exp(tX) exp(Y) o = f(t, y), so (iii) reads the distance from o of
+      f(t, y), and (ii) the distance between f(t, y_i) and f(0, y_j).
+    - The chart of a representative is its point's chart from o
+      (_chart_points), and d(q, exp(Y_j) o) = ||cartan_project(g_j^-1 g_q)||_B
+      for the representatives g_j of the S sample and g_q of q: g_j^-1 is an
+      isometry carrying exp(Y_j) o to o (grid_distances has the argument).
+    Two cartan_project calls, one a stage: (1) the orbit and every f(t, y);
+    (2) their representatives and every g_j^-1 g_q, q = f(t, y_i), t != 0.
+    What fails first is raised: the first failing matrix of stage 1, then
+    of stage 2, in the order listed; then the round trip of the first
+    failing orbit point, then of the first failing f point, t-major.
     """
-    a = spec.algebra
     ts, ys = _law_samples(spec, t_samples, y_samples)
-    xn = spec.x_norm
-    bound = np.abs(ts) * xn
-    off = ts != 0.0
-    orbit = expm(ts[:, None, None] * spec._x_matrix)
-    points, backs, (between, moved) = _chart_points(a, _charts(a, [
-        orbit, spec.group_element(0.0, ys),
-        spec.group_element(ts[off, None, None], ys[:, None, :])]),
-        lambda _, s, q: [np.linalg.solve(q.representative, s.representative),
-                         orbit[:, None] @ s.representative])
-    for pt, back in zip(points, backs):
-        _raise_first_failure([_round_trip(pt, back)])
-    (moved,), (moved_back,), _ = _chart_points(a, [moved])
-    _raise_first_failure([_round_trip(moved, moved_back)])
+    bound, off = np.abs(ts) * spec.x_norm, ts != 0.0
+    orbit, between, d = _law_distances(spec, ts, ys)
 
-    geo_worst = float(np.max(np.abs(_b_norm(a, backs[0]) - bound)))
+    geo_worst = float(np.max(np.abs(orbit - bound)))
     geodesic = {"worst_residual": geo_worst, "tolerance": 1e-9,
                 "holds": geo_worst <= 1e-9}
 
     # distance from f(t, y), t != 0, to the nearest S-sample
     foot = ~np.any(ys, axis=-1)
-    dmin = np.min(_b_norm(a, between), axis=-1)
+    dmin = np.min(between, axis=-1)
     sep_violation = float(np.max(bound[off, None] - DISTANCE_SLACK - dmin, initial=0.0))
     eq_gap = float(np.max(np.abs(dmin - bound[off, None])[:, foot], initial=0.0))
     separation = {"worst_violation": sep_violation, "slack": DISTANCE_SLACK,
@@ -749,8 +777,8 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
                   "holds": sep_violation <= 0.0
                   and (not foot.any() or eq_gap <= DISTANCE_SLACK)}
 
-    # d(o, psi_t(q)) over (t, S-sample): no step toward t = 0 may climb
-    d = _b_norm(a, moved_back)
+    # d(o, psi_t(q)) = d(o, f(t, y)) over (t, S-sample): no step toward
+    # t = 0 may climb
     step = np.diff(d, axis=0)
     left = (ts[1:, None] <= 0.0) & (d[1:] > d[:-1] + 1e-12)
     right = (ts[:-1, None] >= 0.0) & (d[:-1] > d[1:] + 1e-12)
@@ -761,7 +789,7 @@ def distance_law_check(spec: ImmersionSpec, t_samples, y_samples) -> dict:
 
     return {
         "mode": MODE_FLOAT,
-        "x_norm": xn,
+        "x_norm": spec.x_norm,
         "geodesic": geodesic,
         "separation": separation,
         "global_min": global_min,

@@ -129,6 +129,16 @@ def test_retired_options_are_argument_errors(tmp_path, capsys, argv, retired):
     assert "unrecognized arguments: %s" % " ".join(retired) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("abbreviated", [("--tol", "1e-3"), ("--bas",)])
+def test_abbreviated_options_are_argument_errors(tmp_path, capsys, abbreviated):
+    """--tol and --bas are prefixes of --tolerance and --baseline; every
+    option is spelt in full, so neither runs as the option it abbreviates."""
+    out = tmp_path / "report.json"
+    assert run(["construct", "--space", "su21", "--pair", "real-form", *abbreviated,
+                "--out", str(out)]) == 2 and not out.exists()
+    assert "unrecognized arguments: %s" % " ".join(abbreviated) in capsys.readouterr().err
+
+
 def test_lemma_command_certifies_catalog_pair(tmp_path):
     status, rep = _run(tmp_path, "lemma", "--space", "su21",
                        "--pair", "real-form", "--samples", "2",

@@ -24,6 +24,7 @@ from scipy.linalg import expm
 
 from conftest import stack_size
 from curvature_oracle import oracle_mean_curvature, series_stretch
+import distance_oracle
 from transvector import geometry
 from transvector.catalog import (bisector_equidistance_check, build_pair, build_space,
                                 complex_structure_matrix, negative_control)
@@ -33,7 +34,7 @@ from transvector.geometry import (CURVATURE_BLOCK, CurvatureReport, GridSpec,
                                   ImmersionSpec,
                                   SpacePoint, cartan_project, distance,
                                   distance_law_check, export_point_cloud,
-                                  immersion_distances, immersion_point,
+                                  grid_distances, immersion_point,
                                   mean_curvature_estimate,
                                   mean_curvature_report, metric_matrix,
                                   realize, transvection)
@@ -523,20 +524,19 @@ def test_one_construct_request_decomposes_a_fixed_count_of_matrices(
 @pytest.mark.parametrize("argv, eighs, charts", [
     (["construct", "--space", "su21", "--pair", "real-form", "--t-steps", "3",
       "--y-steps", "3", "--distance-law"],
-     [3, 9, 27, 9, 7, 1, 3, 6, 3, 28, 28, 103, 21, 21],
-     [27, 28, 103, 21]),
+     [3, 9, 27, 9, 7, 3, 28, 28, 82],
+     [27, 28, 82]),
     (["bisector", "--space", "su21", "--pair", "complex-hyperplane", "--grid-steps", "5"],
-     [2, 5, 25, 127, 127, 377], [127, 377])], ids=["distance-law", "bisector"])
+     [2, 5, 25, 37, 37, 287], [37, 287])], ids=["distance-law", "bisector"])
 def test_the_distance_law_and_the_bisector_chart_one_stack_a_stage(
         tmp_path, count_calls, argv, eighs, charts):
     """After the curvature sweep's counts (the test above), the distance
-    law's 7 orbit and 1 + 3 and 6 + 3 group
-    exponentials, then three charts: the 7 + 3 + 18 orbit, S and q points;
-    their 28 representatives with the 54 q-to-S matrices and the 21
-    transvected S points; the representatives of those 21.  The bisector's 2 z and 5 + 25 grid
-    exponentials, then two charts: the 2 + 125 points; their 127
-    representatives with the 250 grid-to-z matrices.  A stage split in two
-    changes them."""
+    law's 7 orbit and 3 S-sample exponentials, then two charts: the 7 + 21
+    orbit and f(t, y) points; their 28 representatives with the 54 q-to-S
+    matrices.  The bisector's 2 z, 5 orbit and 25 S-point exponentials,
+    then two charts: the 2 + 25 + 10 z, S points and endpoints exp(-tX) z;
+    their 37 representatives with the 250 S-to-endpoint matrices.  A stage
+    split in two, or a grid node formed, changes them."""
     sizes = count_calls(np.linalg, "eigh", stack_size)
     charted = count_calls(geometry, "cartan_project", lambda a, g: stack_size(g))
     assert run(argv + ["--out", str(tmp_path / "report.json")]) == 0
@@ -565,40 +565,43 @@ RELATION = "matrix is not in the realized group (relation residual %s)"
 ROUND_TRIP = "normal-coordinate round trip failed"
 
 
+def _alone(a, g):
+    """What cartan_project raises on the matrix g (N, N) charted alone."""
+    return _raised(NumericalBreakdown, cartan_project, a, g)
+
+
 @pytest.mark.parametrize("space, target, nudge, message", [
-    # the messages the stage-by-stage distance law raised, one chart call
-    # per point stack and distance
+    # the messages each point's representative or the q-to-S matrix raises
+    # when charted alone (checked below)
     ("su21", "orbit", "group", RELATION % "3.932e-07"),
     ("su21", "s", "group", RELATION % "3.146e-07"),
     ("su21", "q", "group", RELATION % "2.380e-07"),
-    ("su21", "moved", "group", RELATION % "2.380e-07"),
     ("su21", "between", None, RELATION % "8.548e-08"),
     ("su31", "orbit", "group", RELATION % "3.286e-07"),
     ("su31", "s", "group", RELATION % "2.265e-07"),
     ("su31", "q", "group", RELATION % "1.770e-07"),
-    ("su31", "moved", "group", RELATION % "1.770e-07"),
     ("su31", "between", None, RELATION % "4.752e-08"),
     *((space, target, "round-trip", ROUND_TRIP) for space in ("su21", "su31")
-      for target in ("orbit", "s", "q", "moved"))])
+      for target in ("orbit", "s", "q"))])
 def test_one_failing_point_of_a_distance_law_stage_raises_what_it_raised_alone(
         monkeypatch, space, target, nudge, message):
     """A point off the round trip, a representative or a q-to-S matrix out
-    of the group: in the stage that charts it, it raises what it raised when
-    its own stack was charted alone.  The moved point (t, y) = (0.5, -0.5)
-    has other bits than the q point at the same place."""
+    of the group: in the stage that charts it, it raises what it raises
+    when charted alone.  The S point is f(0, y) = exp(Y) o, the q point
+    f(0.5, y)."""
     spec, ts, ys = _law_on(space)
     a = spec.algebra
     if target == "between":
-        _push_between(monkeypatch, spec, ys)
+        s, q = _law_between(spec, ys)
+        assert _alone(a, (1.0 + 1e-6) * np.linalg.solve(s, q)) == message
+        _push_solve(monkeypatch, s, q)
     else:
         points = {
             "orbit": SpacePoint.from_matrix(a, geometry.expm(0.5 * spec._x_matrix)),
             "s": SpacePoint.from_matrix(a, spec.group_element(0.0, ys[2])),
-            "q": SpacePoint.from_matrix(a, spec.group_element(0.5, ys[0])),
-            "moved": transvection(spec, 0.5, SpacePoint.from_matrix(
-                a, spec.group_element(0.0, ys[0])))}
-        assert not np.array_equal(_bits(points["moved"].coords),
-                                  _bits(points["q"].coords))
+            "q": SpacePoint.from_matrix(a, spec.group_element(0.5, ys[0]))}
+        if nudge == "group":
+            assert _alone(a, (1.0 + 1e-6) * points[target].representative) == message
         _bump_representatives(monkeypatch, spec, points[target].coords,
                               None if nudge == "round-trip"
                               else (1.0 + 1e-6) * np.eye(len(spec._x_matrix)))
@@ -612,13 +615,12 @@ def _law_on(space):
     return spec, ts, [np.full(spec.s.dim, v) for v in values]
 
 
-def _push_between(monkeypatch, spec, ys):
-    """Push the matrix between q = f(0.5, ys[2]) and the S point of ys[0]
-    out of the group."""
+def _law_between(spec, ys):
+    """The representatives of the S point of ys[0] and of q = f(0.5, ys[2]),
+    whose g_S^-1 g_q the distance law charts in its second stage."""
     a = spec.algebra
-    _push_solve(monkeypatch,
-                SpacePoint.from_matrix(a, spec.group_element(0.5, ys[2])).representative,
-                SpacePoint.from_matrix(a, spec.group_element(0.0, ys[0])).representative)
+    return (SpacePoint.from_matrix(a, spec.group_element(0.0, ys[0])).representative,
+            SpacePoint.from_matrix(a, spec.group_element(0.5, ys[2])).representative)
 
 
 def test_a_distance_law_stage_raises_its_charts_before_earlier_round_trips(monkeypatch):
@@ -626,60 +628,181 @@ def test_a_distance_law_stage_raises_its_charts_before_earlier_round_trips(monke
     trip and a q-to-S matrix out of the group raise the matrix, charted in
     stage 2 with the round trips, before the round trips are checked."""
     spec, ts, ys = _law_on("su21")
+    between = _law_between(spec, ys)
     orbit = SpacePoint.from_matrix(spec.algebra, geometry.expm(0.5 * spec._x_matrix))
     _bump_representatives(monkeypatch, spec, orbit.coords)
     assert _raised(NumericalBreakdown, distance_law_check, spec, ts, ys) == ROUND_TRIP
-    _push_between(monkeypatch, spec, ys)
+    _push_solve(monkeypatch, *between)
     assert (_raised(NumericalBreakdown, distance_law_check, spec, ts, ys)
             == RELATION % "8.548e-08")
 
 
-@pytest.mark.parametrize("pair, target, nudge, message", [
-    ("complex-hyperplane", "node", "group", RELATION % "2.623e-07"),
-    ("complex-hyperplane", "between", None, RELATION % "2.568e-07"),
-    ("complex-hyperplane", "z", "group", RELATION % "5.539e-07"),
-    ("real-form", "node", "group", RELATION % "2.620e-07"),
-    ("real-form", "between", None, RELATION % "2.357e-07"),
-    ("real-form", "z", "group", RELATION % "5.539e-07"),
-    *((pair, target, "round-trip", ROUND_TRIP)
-      for pair in ("complex-hyperplane", "real-form") for target in ("node", "z"))])
-def test_one_failing_point_of_a_bisector_stage_raises_what_it_raised_alone(
-        monkeypatch, pair, target, nudge, message):
-    """The same for the bisector: the grid node (0.375, (0.375, -0.75)),
-    z_+ or the matrix between them."""
-    entry = build_pair("su21", pair)
-    grid = GridSpec(t_steps=5, y_steps=5)
+def _bisector_on(pair, grid=None):
+    """(the catalog entry, the spec and the z_pm matrices that
+    bisector_equidistance_check builds for the su21 pair on grid, by default
+    5 x 5, and the points it charts: z_+, the S point exp(Y) o of
+    y = (0.375, -0.75) and the endpoint exp(-0.375 X) z_+, each alone)."""
+    entry = build_pair("su21", pair) if isinstance(pair, str) else build_pair(*pair)
     a = entry.algebra
     x = entry.x_default.to_array()
-    spec = ImmersionSpec(a, entry.s, x * (1.0 / a.btheta_norm(x)), grid=grid)
-    node = immersion_point(spec, 0.375, np.array([0.375, -0.75]))
+    spec = ImmersionSpec(a, entry.s, x * (1.0 / a.btheta_norm(x)),
+                         grid=grid or GridSpec(t_steps=5, y_steps=5))
     jx = complex_structure_matrix(a).astype(float) @ spec.x
-    z = SpacePoint.from_matrix(a, geometry.expm(0.5 * realize(a, jx)))
+    g = geometry.expm(np.array([0.5, -0.5])[:, None, None] * realize(a, jx))
+    y = np.array([0.375, -0.75, 0.0][:spec.s.dim])
+    return entry, spec, g, {
+        "z": SpacePoint.from_matrix(a, g[0]),
+        "s": SpacePoint.from_matrix(a, geometry.expm(spec.y_matrix(y))),
+        "end": SpacePoint.from_matrix(a, geometry.expm(-0.375 * spec._x_matrix) @ g[0])}
+
+
+@pytest.mark.parametrize("pair, target, nudge, message", [
+    ("complex-hyperplane", "z", "group", RELATION % "5.539e-07"),
+    ("complex-hyperplane", "s", "group", RELATION % "2.654e-07"),
+    ("complex-hyperplane", "end", "group", RELATION % "5.410e-07"),
+    ("complex-hyperplane", "between", None, RELATION % "2.568e-07"),
+    ("real-form", "z", "group", RELATION % "5.539e-07"),
+    ("real-form", "s", "group", RELATION % "2.654e-07"),
+    ("real-form", "end", "group", RELATION % "5.410e-07"),
+    ("real-form", "between", None, RELATION % "2.357e-07"),
+    *((pair, target, "round-trip", ROUND_TRIP)
+      for pair in ("complex-hyperplane", "real-form") for target in ("z", "s", "end"))])
+def test_one_failing_point_of_a_bisector_stage_raises_what_it_raised_alone(
+        monkeypatch, pair, target, nudge, message):
+    """The same for the bisector: z_+, the S point of y = (0.375, -0.75),
+    the endpoint exp(-0.375 X) z_+ or the matrix between the S point and
+    the endpoint."""
+    entry, spec, _, points = _bisector_on(pair)
+    a = entry.algebra
     if target == "between":
-        _push_solve(monkeypatch, node.representative, z.representative)
+        s, end = points["s"].representative, points["end"].representative
+        assert _alone(a, (1.0 + 1e-6) * np.linalg.solve(s, end)) == message
+        _push_solve(monkeypatch, s, end)
     else:
-        _bump_representatives(monkeypatch, spec, (node if target == "node" else z).coords,
+        if nudge == "group":
+            assert _alone(a, (1.0 + 1e-6) * points[target].representative) == message
+        _bump_representatives(monkeypatch, spec, points[target].coords,
                               None if nudge == "round-trip" else (1.0 + 1e-6) * np.eye(3))
     assert _raised(NumericalBreakdown, bisector_equidistance_check, entry,
-                   0.5, grid) == message
+                   0.5, spec.grid) == message
+
+
+def test_the_bisector_stages_raise_in_their_documented_order(monkeypatch):
+    """grid_distances' order, one failure added at a time: an endpoint off
+    its round trip; an S point leaving a wrong s of the same dimension (X in
+    place of its first basis vector) before it; z_+ off its round trip
+    before that; a matrix of the second chart before every round trip."""
+    _, spec, g, points = _bisector_on("complex-hyperplane")
+    a, t, y = spec.algebra, spec.grid.t_axis(), spec.grid.y_nodes(spec.s.dim)
+
+    def raised():
+        return _raised(NumericalBreakdown, grid_distances, spec, t, y, g)
+
+    _bump_representatives(monkeypatch, spec, points["end"].coords)
+    assert raised() == ROUND_TRIP
+    between = points["s"].representative, points["end"].representative  # bumped
+    x = a.vector([Fraction(c) for c in spec.x])
+    spec.s = Subspace(a, [x, *spec.s.basis[1:]])
+    assert raised().startswith("t = 0 point left s")
+    _bump_representatives(monkeypatch, spec, points["z"].coords)
+    assert raised() == ROUND_TRIP
+    message = _alone(a, (1.0 + 1e-6) * np.linalg.solve(*between))
+    _push_solve(monkeypatch, *between)
+    assert raised() == message
 
 
 @pytest.mark.parametrize("space", ["su21", "su31"])
-def test_base_point_distances_from_round_trip_charts_equal_distance_bit_for_bit(space):
+def test_grid_distances_equal_distance_on_the_points_they_chart_bit_for_bit(space):
     """d(o, z) from the round-trip charts of z, and d(f(t, y), z) from the
-    stacked q-to-z charts, against distance on the same stacked points."""
+    stacked S-to-endpoint charts, against distance on the S points exp(Y) o
+    and the endpoints exp(-tX) z, charted one S point and one t at a time."""
     spec = _spec_on(space)
     a = spec.algebra
     g = np.stack([SpacePoint(a, c).representative for c in _stack_of_points(a)])
     ts = np.array([-0.6, 0.0, 0.35])
     ys = np.linspace(-0.7, 0.7, 3 * spec.s.dim).reshape(3, spec.s.dim)
-    from_o, from_f = immersion_distances(spec, ts[:, None, None], ys[:, None, :], g)
+    from_o, from_f = grid_distances(spec, ts, ys, g)
+    assert from_f.shape == (len(ts), len(ys), len(g))
     z = SpacePoint.from_matrix(a, g)
     assert np.array_equal(_bits(from_o), _bits(distance(a, SpacePoint.base(a), z)))
-    assert np.array_equal(_bits(from_f), _bits(distance(
-        a, immersion_point(spec, ts[:, None, None], ys[:, None, :]), z)))
     assert np.array_equal(_bits(from_o), _bits(np.array(
         [distance(a, SpacePoint.base(a), SpacePoint.from_matrix(a, m)) for m in g])))
+    for i, t in enumerate(ts):
+        ends = SpacePoint.from_matrix(a, geometry.expm(-t * spec._x_matrix) @ g)
+        for j, y in enumerate(ys):
+            s = SpacePoint.from_matrix(a, geometry.expm(spec.y_matrix(y)))
+            assert np.array_equal(_bits(from_f[i, j]), _bits(distance(a, s, ends)))
+
+
+ORACLE_PAIRS = [("su21", "complex-hyperplane"), ("su21", "real-form"),
+                ("su31", "real-form")]
+
+
+def _assert_reports_agree(got, want, tol=1e-12):
+    """Every float leaf of the two reports within tol absolute, every other
+    leaf (the verdicts among them) equal."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, dict):
+            _assert_reports_agree(got[key], value, tol)
+        elif isinstance(value, float):
+            assert abs(got[key] - value) <= tol, key
+        else:
+            assert got[key] == value, key
+
+
+@pytest.mark.parametrize("space, pair", ORACLE_PAIRS)
+def test_the_bisector_distances_agree_with_the_grid_node_oracle(monkeypatch, space, pair):
+    """grid_distances against distance_oracle, which forms and charts every
+    grid node f(t, y), on a t axis that is not symmetric about 0, for z_pm
+    and for points z off every symmetry of the pair (an isometry fixing S
+    and z_pm can carry exp(tX) to exp(-tX)).  Every distance agrees within
+    1e-12 absolute for z_pm, and within 1e-12 relative for the other z,
+    which lie up to 10 away; the report is the same but for noise in
+    max_delta (its argmax witness can move when it is noise)."""
+    grid = GridSpec(t_range=(-0.5, 0.75), t_steps=4, y_steps=3)
+    entry, spec, g, _ = _bisector_on((space, pair), grid)
+    a, t, y = entry.algebra, grid.t_axis(), grid.y_nodes(spec.s.dim)
+    far = np.stack([SpacePoint(a, c).representative for c in _stack_of_points(a)])
+    for z, relative in ((g, False), (far, True)):
+        got = grid_distances(spec, t, y, z)
+        want = distance_oracle.grid_distances(spec, t, y, z)
+        for new, old in zip(got, want):
+            assert new.shape == old.shape
+            scale = np.maximum(old, 1.0) if relative else 1.0
+            assert np.max(np.abs(new - old) / scale) <= 1e-12
+    report = bisector_equidistance_check(entry, 0.5, grid)
+    monkeypatch.setattr(geometry, "grid_distances", distance_oracle.grid_distances)
+    oracle = bisector_equidistance_check(entry, 0.5, grid)
+    if oracle["equidistant"]:
+        del report["witness"], oracle["witness"]
+    assert report["equidistant"] == (pair == "complex-hyperplane")
+    _assert_reports_agree(report, oracle)
+
+
+@pytest.mark.parametrize("samples", [LAW_SAMPLES, ([0.6, -0.8, 0.3], (0.7, -0.4, 0.0))],
+                         ids=["construct", "asymmetric"])
+@pytest.mark.parametrize("space, pair", ORACLE_PAIRS)
+def test_the_distance_law_distances_agree_with_the_three_stage_oracle(
+        monkeypatch, space, pair, samples):
+    """_law_distances against distance_oracle, which charts the S points and
+    the points f(t, y), t != 0, apart and every transvected S point
+    exp(tX) exp(Y) o from its representative: the geodesic, q-to-S and
+    from-o distances within 1e-12 absolute, and the same verdicts."""
+    spec = _su21_spec(build_pair(space, pair))
+    t_samples, values = samples
+    y_samples = [np.linspace(v, -0.5 * v, spec.s.dim) for v in values]
+    ts, ys = geometry._law_samples(spec, t_samples, y_samples)
+    got = geometry._law_distances(spec, ts, ys)
+    want = distance_oracle.law_distances(spec, ts, ys)
+    for new, old in zip(got, want):
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-12
+    report = distance_law_check(spec, t_samples, y_samples)
+    monkeypatch.setattr(geometry, "_law_distances", distance_oracle.law_distances)
+    oracle = distance_law_check(spec, t_samples, y_samples)
+    assert report["passed"]
+    _assert_reports_agree(report, oracle)
 
 
 @pytest.mark.parametrize("pair", ["real-form", "complex-hyperplane"])

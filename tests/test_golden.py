@@ -3,8 +3,8 @@ for byte after report.strip_wall_time, with the same exit status.
 
 The commands run inside tests/golden, so the input paths echoed in each
 report's config are the bare file names stored next to the reports.  To
-see how far a change moves each report's floats, without writing anything,
-then regenerate after an intended report change:
+see how far a change moves each report, key path by key path, without
+writing anything, then regenerate after an intended report change:
 
     PYTHONPATH=src python tests/test_golden.py --drift
     PYTHONPATH=src python tests/test_golden.py --regenerate
@@ -12,6 +12,7 @@ then regenerate after an intended report change:
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import sys
@@ -20,7 +21,7 @@ import tempfile
 import pytest
 
 from transvector.cli import run
-from transvector.report import strip_wall_time
+from transvector.report import render, strip_wall_time
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -120,25 +121,46 @@ def test_report_matches_golden(name, tmp_path):
     assert text == golden
 
 
-_NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+def _leaves(text: str) -> dict:
+    """Key path -> leaf of a stripped report (results.bisector.witness.t,
+    results.curvature.entries[3].point[0]).  strip_wall_time leaves a comma
+    before the closing brace of the summary; a raw newline never stands
+    inside a JSON string, so a comma before a newline and a closing bracket
+    is that one."""
+    out = {}
+
+    def walk(node, path):              # an empty dict or list is a leaf
+        if isinstance(node, dict) and node:
+            for key, value in node.items():
+                walk(value, "%s.%s" % (path, key) if path else key)
+        elif isinstance(node, list) and node:
+            for i, value in enumerate(node):
+                walk(value, "%s[%d]" % (path, i))
+        else:
+            out[path] = node
+
+    walk(json.loads(re.sub(r",\n(\s*[}\]])", r"\n\1", text)), "")
+    return out
 
 
 def _drift(old: str, new: str):
-    """(float lines changed, worst absolute change, other lines changed) of
-    the report text new against old.  A float line differs only in its
-    numbers; any other difference, or a line only one side has, is other."""
-    old, new = old.splitlines(), new.splitlines()
-    floats, worst, other = 0, 0.0, abs(len(old) - len(new))
-    for was, now in zip(old, new):
-        if was == now:
-            continue
-        if _NUMBER.sub("#", was) != _NUMBER.sub("#", now):
-            other += 1
-            continue
-        floats += 1
-        worst = max([worst] + [abs(float(a) - float(b)) for a, b in
-                               zip(_NUMBER.findall(was), _NUMBER.findall(now))])
-    return floats, worst, other
+    """(float leaves changed, worst absolute change, its key path, the other
+    changes) of the report text new against old, compared key path by key
+    path: a float leaf is one that is a float on both sides; every other
+    change is a path added (+), removed (-) or changed (~)."""
+    old, new = _leaves(old), _leaves(new)
+    floats, worst, where, other = 0, 0.0, None, []
+    for path in sorted(old.keys() | new.keys()):
+        if path not in new or path not in old:
+            other.append(("-" if path in old else "+") + path)
+        elif isinstance(old[path], float) and isinstance(new[path], float):
+            if old[path] != new[path]:
+                floats += 1
+                if abs(new[path] - old[path]) > worst:
+                    worst, where = abs(new[path] - old[path]), path
+        elif old[path] != new[path] or type(old[path]) is not type(new[path]):
+            other.append("~" + path)
+    return floats, worst, where, other
 
 
 def _fresh_reports():
@@ -153,9 +175,11 @@ def _print_drift():
         with open(os.path.join(GOLDEN, name + ".json")) as fh:
             golden = fh.read()
         was = int(re.search(r'"exit_status": (\d+)', golden).group(1))
-        floats, worst, other = _drift(golden, text)
-        print("%-40s exit %d->%d  %3d float lines changed, worst %.3g, "
-              "%d other lines changed" % (name, was, status, floats, worst, other))
+        floats, worst, where, other = _drift(golden, text)
+        print("%-40s exit %d->%d  %3d float leaves changed, worst %.3g%s, "
+              "%d other changes%s" % (name, was, status, floats, worst,
+                                      " at " + where if where else "", len(other),
+                                      ": " + " ".join(other) if other else ""))
 
 
 def _regenerate():
@@ -171,3 +195,21 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py "
                  "--drift | --regenerate")
     modes[sys.argv[1]]()
+
+
+def test_drift_compares_reports_key_path_by_key_path():
+    """A report that loses one key counts one other change, not one for
+    every line after it; a float that moves is a float leaf, named with its
+    worst change."""
+    report = {"results": {"a": 1.0, "b": {"c": [0.5, 2.0], "d": "x"}, "e": 3.0},
+              "summary": {"exit_status": 0}, "wall_time_s": 0.1}
+    text = strip_wall_time(render(report))
+    del report["results"]["a"]
+    report["results"]["b"]["c"][1] = 2.25
+    report["results"]["e"] = 3.5
+    floats, worst, where, other = _drift(text, strip_wall_time(render(report)))
+    assert (floats, worst, where, other) == (2, 0.5, "results.e", ["-results.a"])
+    assert _drift(text, text) == (0, 0.0, None, [])
+    report["results"]["b"]["d"], report["results"]["f"] = None, 1
+    assert _drift(text, strip_wall_time(render(report)))[3] == [
+        "-results.a", "~results.b.d", "+results.f"]
