@@ -535,8 +535,8 @@ def grid_distances(spec: ImmersionSpec, t, y, g: np.ndarray):
       d(o, exp(P) o) = ||P||_B; g = exp(P) k with k in K has
       g g^dagger = exp(2P), as the realization maps K to unitary matrices,
       so cartan_project(g) = P for every g with g o = exp(P) o.
-    So the nodes f(t, y) are never formed: the n S points, the T endpoints
-    of each z and the T n matrices between them carry every distance.
+    So the nodes f(t, y) are never formed: the n S points, the T k
+    endpoints and the n T k matrices between them carry every distance.
 
     Two cartan_project calls: one charts g, the S points and the endpoints;
     one charts their representatives and every g_S^-1 g_w.  What fails

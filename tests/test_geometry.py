@@ -637,12 +637,12 @@ def test_a_distance_law_stage_raises_its_charts_before_earlier_round_trips(monke
             == RELATION % "8.548e-08")
 
 
-def _bisector_on(pair, grid=None):
+def _bisector_on(pair, space="su21", grid=None):
     """(the catalog entry, the spec and the z_pm matrices that
-    bisector_equidistance_check builds for the su21 pair on grid, by default
+    bisector_equidistance_check builds for the pair on grid, by default
     5 x 5, and the points it charts: z_+, the S point exp(Y) o of
     y = (0.375, -0.75) and the endpoint exp(-0.375 X) z_+, each alone)."""
-    entry = build_pair("su21", pair) if isinstance(pair, str) else build_pair(*pair)
+    entry = build_pair(space, pair)
     a = entry.algebra
     x = entry.x_default.to_array()
     spec = ImmersionSpec(a, entry.s, x * (1.0 / a.btheta_norm(x)),
@@ -761,7 +761,7 @@ def test_the_bisector_distances_agree_with_the_grid_node_oracle(monkeypatch, spa
     which lie up to 10 away; the report is the same but for noise in
     max_delta (its argmax witness can move when it is noise)."""
     grid = GridSpec(t_range=(-0.5, 0.75), t_steps=4, y_steps=3)
-    entry, spec, g, _ = _bisector_on((space, pair), grid)
+    entry, spec, g, _ = _bisector_on(pair, space, grid)
     a, t, y = entry.algebra, grid.t_axis(), grid.y_nodes(spec.s.dim)
     far = np.stack([SpacePoint(a, c).representative for c in _stack_of_points(a)])
     for z, relative in ((g, False), (far, True)):
