@@ -9,7 +9,6 @@ atomic (temp file + rename in the target directory).
 from __future__ import annotations
 
 import errno
-import math
 import os
 import tempfile
 import time
@@ -37,47 +36,67 @@ def render(report: dict) -> str:
     """The bytes of json.dumps(report, sort_keys=True, indent=2,
     allow_nan=False) plus a newline, from C string escaping and the int and
     float reprs; json.dumps runs its pure-Python encoder whenever indent is
-    set."""
-    return _encode(report, "\n") + "\n"
+    set.
+
+    Each dict value and list item of an exact JSON scalar type is encoded
+    inline by one lookup of its type in _SCALARS; only containers, and
+    subclasses (np.float64, an IntEnum, a str subclass), take a call of
+    _encode."""
+    text = _encode(report, "\n")
+    if text[-1] in "fn":
+        _refuse(report)
+    return text + "\n"
+
+
+# The JSON text of a scalar by its exact type (bool is not int here).  A
+# float's text may be inf, -inf or nan, which the caller refuses: no other
+# JSON text ends in f or n.
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
+def _refuse(o):
+    raise ValueError("Out of range float values are not JSON compliant: %r" % o)
 
 
 def _encode(o, newline: str) -> str:
     """JSON text of o, its nested lines starting with newline plus two
-    spaces; NaN and infinities raise ValueError, non-str keys and other
-    types TypeError."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if not math.isfinite(o):
-            raise ValueError("Out of range float values are not JSON compliant: %r" % o)
-        return float.__repr__(o)
-    inner = newline + "  "
+    spaces, and inf, -inf or nan for a non-finite float o.  A non-finite
+    float inside o raises ValueError, a non-str key or another type
+    TypeError, each at the first offender in json.dumps' order."""
     if isinstance(o, dict):
         if not o:
             return "{}"
         for key in o:
             if not isinstance(key, str):
                 raise TypeError("keys must be str, not %s" % type(key).__name__)
-        return "{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(k) + ": " + _encode(v, inner)
-             for k, v in sorted(o.items())]) + newline + "}"
+        inner, scalar, items = newline + "  ", _SCALARS.get, []
+        for key in sorted(o):
+            v = o[key]
+            enc = scalar(type(v))
+            text = enc(v) if enc else _encode(v, inner)
+            if text[-1] in "fn":
+                _refuse(v)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        if (type(o[0]) is float and all(type(v) is float for v in o)
-                and all(map(math.isfinite, o))):
-            items = map(float.__repr__, o)    # chart points and grid rows
-        else:
-            items = [_encode(v, inner) for v in o]
+        inner, scalar, items = newline + "  ", _SCALARS.get, []
+        for v in o:
+            enc = scalar(type(v))
+            text = enc(v) if enc else _encode(v, inner)
+            if text[-1] in "fn":
+                _refuse(v)
+            items.append(text)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    enc = _SCALARS.get(type(o))
+    if enc:
+        return enc(o)
+    for base in (str, int, float):    # json.dumps' isinstance order
+        if isinstance(o, base):
+            return _SCALARS[base](o)
     raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
@@ -111,33 +130,42 @@ def check_target(path: str):
 def write_files(texts: dict):
     """Write each text of texts (path -> text) to its path, all or none.
 
-    Every text goes to a temp file in its target's directory, and only when
-    all of them are written is each renamed onto its target (os.replace).
-    So an OSError while writing them leaves every target as it was; a
-    directory at a target, which the rename would refuse, is refused then
-    too.  Only a rename refused after that (a race, or a file system that
-    will not rename) can leave an earlier target replaced.  Every OSError
-    names its target as filename, never a temp file, and no temp file stays
-    behind.
+    Every text is encoded once (UTF-8; a report is ASCII) and its bytes go
+    through the descriptor of a temp file in its target's directory, by
+    os.write until every byte is down.  Only when all of them are written
+    is each renamed onto its target (os.replace).  So an OSError while
+    writing them leaves every target as it was; a directory at a target,
+    which the rename would refuse, is refused then too.  Only a rename
+    refused after that (a race, or a file system that will not rename) can
+    leave an earlier target replaced.  Every OSError names its target as
+    filename, never a temp file.  A temp file is forgotten once it is
+    renamed, and any left are removed, so none stays behind.
     """
     temps = {}
     try:
         for path, text in texts.items():
+            data = memoryview(text.encode())
             try:
                 if os.path.isdir(path):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
                 fd, temps[path] = tempfile.mkstemp(
                     dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-                with os.fdopen(fd, "w", newline="") as fh:
-                    fh.write(text)
+                try:
+                    while data:
+                        data = data[os.write(fd, data):]
+                finally:
+                    os.close(fd)
             except OSError as e:
                 raise OSError(e.errno, e.strerror, path) from e
-        for path, tmp in temps.items():
+        for path, tmp in list(temps.items()):
             try:
                 os.replace(tmp, path)
             except OSError as e:
                 raise OSError(e.errno, e.strerror, path) from e
+            del temps[path]
     finally:
         for tmp in temps.values():
-            if os.path.exists(tmp):
+            try:
                 os.unlink(tmp)
+            except FileNotFoundError:
+                pass
