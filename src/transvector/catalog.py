@@ -260,7 +260,9 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
 
     d(f(t, y), z_pm) is the distance from exp(Y) o to exp(-tX) z_pm
     (geometry.grid_distances proves it): two charts of 2 + n + 2T and
-    2 + n + 2T + 2nT matrices for n Y-nodes and T t-nodes.
+    2 + n + 2T + 2nT matrices for n Y-nodes and T t-nodes.  The witness
+    (t, y) is the first node of largest delta, and null when every delta is
+    within tol.
     """
     from .geometry import GridSpec, ImmersionSpec, expm, grid_distances, realize
 
@@ -281,11 +283,12 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
         np.array([r, -r], dtype=float)[:, None, None] * realize(a, jx)))
     delta = np.abs(d[..., 0] - d[..., 1]).ravel()     # t-major
     k = int(np.argmax(delta))                         # its first maximum
-    witness = None
-    if delta[k] > 0.0:
+    max_delta = float(delta[k])
+    equidistant = max_delta <= tol
+    witness = None                  # within tol the argmax is rounding
+    if not equidistant:
         ti, yi = divmod(k, len(y_nodes))
         witness = {"t": float(t_nodes[ti]), "y": [float(c) for c in y_nodes[yi]]}
-    max_delta = float(delta[k]) if witness else 0.0
     return {
         "mode": MODE_FLOAT,
         "space": entry.space_id,
@@ -296,7 +299,7 @@ def bisector_equidistance_check(entry: CatalogEntry, r: float = 0.5,
         "base_point_gap": float(abs(d0[0] - d0[1])),
         "max_delta": max_delta,
         "witness": witness,
-        "equidistant": max_delta <= tol,
+        "equidistant": equidistant,
         "samples": len(delta),
     }
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import stack_size
+from conftest import basis_vector, stack_size
 from curvature_oracle import oracle_mean_curvature, series_stretch
 import distance_oracle
 from transvector import geometry
@@ -43,8 +43,8 @@ from transvector.subspaces import Subspace
 
 
 def _sl2_spec(sl2r, **kw):
-    s = Subspace(sl2r, [sl2r.basis_vector(0)])
-    x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).to_array()
+    s = Subspace(sl2r, [basis_vector(sl2r, 0)])
+    x = (basis_vector(sl2r, 1) + basis_vector(sl2r, 2)).to_array()
     return ImmersionSpec(sl2r, s, x, **kw)
 
 
@@ -60,7 +60,7 @@ def test_log_exp_round_trip(sl2r, c):
 
 
 def test_rotation_part_projects_to_base_point(sl2r):
-    k = realize(sl2r, (sl2r.basis_vector(1) - sl2r.basis_vector(2)).to_array())
+    k = realize(sl2r, (basis_vector(sl2r, 1) - basis_vector(sl2r, 2)).to_array())
     q = SpacePoint.from_matrix(sl2r, expm(0.7 * k))
     assert np.max(np.abs(q.coords)) <= 1e-12
 
@@ -156,8 +156,8 @@ def test_expm_of_p_images_agrees_with_scipy(space):
 
 
 def test_expm_refuses_a_matrix_that_is_not_hermitian(sl2r):
-    p = realize(sl2r, sl2r.basis_vector(0).to_array())
-    k = realize(sl2r, (sl2r.basis_vector(1) - sl2r.basis_vector(2)).to_array())
+    p = realize(sl2r, basis_vector(sl2r, 0).to_array())
+    k = realize(sl2r, (basis_vector(sl2r, 1) - basis_vector(sl2r, 2)).to_array())
     geometry.expm(np.stack([p, 0.5 * p]))
     with pytest.raises(ValueError, match="Hermitian"):
         geometry.expm(np.stack([p, 0.7 * k]))
@@ -759,7 +759,7 @@ def test_the_bisector_distances_agree_with_the_grid_node_oracle(monkeypatch, spa
     and z_pm can carry exp(tX) to exp(-tX)).  Every distance agrees within
     1e-12 absolute for z_pm, and within 1e-12 relative for the other z,
     which lie up to 10 away; the report is the same but for noise in
-    max_delta (its argmax witness can move when it is noise)."""
+    max_delta."""
     grid = GridSpec(t_range=(-0.5, 0.75), t_steps=4, y_steps=3)
     entry, spec, g, _ = _bisector_on(pair, space, grid)
     a, t, y = entry.algebra, grid.t_axis(), grid.y_nodes(spec.s.dim)
@@ -774,8 +774,6 @@ def test_the_bisector_distances_agree_with_the_grid_node_oracle(monkeypatch, spa
     report = bisector_equidistance_check(entry, 0.5, grid)
     monkeypatch.setattr(geometry, "grid_distances", distance_oracle.grid_distances)
     oracle = bisector_equidistance_check(entry, 0.5, grid)
-    if oracle["equidistant"]:
-        del report["witness"], oracle["witness"]
     assert report["equidistant"] == (pair == "complex-hyperplane")
     _assert_reports_agree(report, oracle)
 
@@ -837,8 +835,8 @@ def test_the_blocked_sweep_equals_each_node_alone_bit_for_bit(
 
 
 def test_immersion_spec_invariants(sl2r, su21_real_form):
-    s = Subspace(sl2r, [sl2r.basis_vector(0)])
-    x = (sl2r.basis_vector(1) + sl2r.basis_vector(2)).to_array()
+    s = Subspace(sl2r, [basis_vector(sl2r, 0)])
+    x = (basis_vector(sl2r, 1) + basis_vector(sl2r, 2)).to_array()
     assert ImmersionSpec(sl2r, s, x).codimension == 1   # refused by the estimator
     with pytest.raises(ConfigError):   # X not B-orthogonal to s
         ImmersionSpec(sl2r, s, s.basis[0].to_array())
