@@ -301,12 +301,6 @@ class StructuredLieAlgebra:
             raise ValueError("expected %d coefficients, got %d" % (self.dim, len(coeffs)))
         return AlgebraVector(coeffs)
 
-    def zero(self) -> AlgebraVector:
-        return self.vector((0,) * self.dim)
-
-    def basis_vector(self, i: int) -> AlgebraVector:
-        return self.vector(tuple(1 if j == i else 0 for j in range(self.dim)))
-
     def from_labels(self, combo: dict) -> AlgebraVector:
         """Vector from {label: coefficient}."""
         index = {lab: i for i, lab in enumerate(self.labels)}

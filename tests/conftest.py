@@ -10,7 +10,7 @@ from transvector.algfile import parse_algebra_file
 from transvector.catalog import build_pair, build_space
 from transvector.data import algebra_path
 from transvector.exactla import invert
-from transvector.liealg import MatrixRealization, StructuredLieAlgebra
+from transvector.liealg import AlgebraVector, MatrixRealization, StructuredLieAlgebra
 
 # Every search draws the same examples on every run, and no run replays the
 # failures of an earlier one from a local database.  `pytest
@@ -50,6 +50,16 @@ def count_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
         return calls
     return wrap
+
+
+def basis_vector(a: StructuredLieAlgebra, i: int) -> AlgebraVector:
+    """The i-th basis vector e_i of a."""
+    return a.vector(1 if j == i else 0 for j in range(a.dim))
+
+
+def zero(a: StructuredLieAlgebra) -> AlgebraVector:
+    """The zero vector of a."""
+    return a.vector((0,) * a.dim)
 
 
 def stack_size(m) -> int:

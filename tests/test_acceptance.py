@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import basis_vector
 from transvector import geometry
 from transvector.catalog import (bisector_equidistance_check, build_pair,
                                  build_space, negative_control)
@@ -52,8 +53,8 @@ def _float_spec(entry, **kw):
 
 
 def _sl2_h_pair(sl2r):
-    s = Subspace(sl2r, [sl2r.basis_vector(0)])
-    x = sl2r.basis_vector(1) + sl2r.basis_vector(2)
+    s = Subspace(sl2r, [basis_vector(sl2r, 0)])
+    x = basis_vector(sl2r, 1) + basis_vector(sl2r, 2)
     return s, x
 
 

@@ -7,7 +7,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from conftest import REBASED_FIXTURES, rebased
+from conftest import REBASED_FIXTURES, basis_vector, rebased
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +31,7 @@ def _write(tmp_path, text, name="probe.alg"):
 
 def test_bundled_fixture_parses_and_validates(sl2r):
     assert sl2r.labels == ("H", "E", "F")
-    assert sl2r.killing_form(sl2r.basis_vector(0), sl2r.basis_vector(0)) == 8
+    assert sl2r.killing_form(basis_vector(sl2r, 0), basis_vector(sl2r, 0)) == 8
     assert sl2r.realization is not None
     assert sl2r.realization.size == 2
 
@@ -118,7 +118,7 @@ def test_file_without_realization_still_loads(tmp_path):
     text = BASE.split("[realization]")[0]
     a = parse_algebra_file(_write(tmp_path, text))
     assert a.realization is None
-    assert a.killing_form(a.basis_vector(1), a.basis_vector(2)) == 4
+    assert a.killing_form(basis_vector(a, 1), basis_vector(a, 2)) == 4
 
 
 def test_qi_token_fixed_points():

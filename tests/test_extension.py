@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import basis_vector
 from transvector import extension, rng
 from transvector.catalog import build_pair, list_pairs, negative_control
 from transvector.errors import LemmaFalsified
@@ -29,8 +30,8 @@ from transvector.subspaces import Subspace
 
 @pytest.fixture(scope="module")
 def sl2_pair(sl2r):
-    s = Subspace(sl2r, [sl2r.basis_vector(0)])           # span(H)
-    x = sl2r.basis_vector(1) + sl2r.basis_vector(2)      # E + F
+    s = Subspace(sl2r, [basis_vector(sl2r, 0)])           # span(H)
+    x = basis_vector(sl2r, 1) + basis_vector(sl2r, 2)      # E + F
     return sl2r, s, x
 
 
@@ -108,7 +109,7 @@ def test_an_escaping_auxiliary_chain_raises_lemma_falsified(sl2_pair, monkeypatc
     exact, the first Y raises at (n, m) = (0, 0), and the residual is that
     of E off span(H)."""
     a, s, x = sl2_pair
-    plain, e = extension._lemma_terms, a.basis_vector(1)
+    plain, e = extension._lemma_terms, basis_vector(a, 1)
 
     def escaping(*args):
         hypothesis, conclusion, auxiliary = plain(*args)

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import zero
 from transvector import extension, liealg, rng
 from transvector.catalog import build_pair, negative_control
 from transvector.errors import LemmaFalsified
@@ -102,7 +103,7 @@ def _random_x(a, gen, magnitude):
     while True:
         coeffs = [Fraction(int(gen.integers(-magnitude, magnitude + 1)),
                            int(gen.integers(1, 4))) for _ in a.p_basis]
-        x = sum((a.vector(p).scale(c) for p, c in zip(a.p_basis, coeffs)), a.zero())
+        x = sum((a.vector(p).scale(c) for p, c in zip(a.p_basis, coeffs)), zero(a))
         if not x.is_zero():
             return x
 

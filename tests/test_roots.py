@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import rebased, scaled_at, upper_ones
+from conftest import basis_vector, rebased, scaled_at, upper_ones
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,10 +60,10 @@ def test_sl2r_root_datum(sl2r):
     assert rd.m.dim == 0
     # k_lambda = span(E - F), p_lambda = span(E + F)
     member, res = rd.p_spaces[lam].contains(
-        sl2r.basis_vector(1) + sl2r.basis_vector(2))
+        basis_vector(sl2r, 1) + basis_vector(sl2r, 2))
     assert member and res == 0
     member, res = rd.k_spaces[lam].contains(
-        sl2r.basis_vector(1) - sl2r.basis_vector(2))
+        basis_vector(sl2r, 1) - basis_vector(sl2r, 2))
     assert member and res == 0
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import basis_vector, zero
 from transvector.catalog import (build_pair, build_space, complex_structure_matrix,
                                  list_pairs, negative_control)
 from transvector.exactla import rank
@@ -20,7 +21,7 @@ from transvector.subspaces import Subspace
 
 
 def test_span_membership_and_coordinates(sl2r):
-    H, E, F = (sl2r.basis_vector(i) for i in range(3))
+    H, E, F = (basis_vector(sl2r, i) for i in range(3))
     s = Subspace(sl2r, [E + F])
     member, res = s.contains((E + F).scale(3))
     assert member and res == 0
@@ -34,14 +35,14 @@ def test_empty_subspace_is_a_valid_triple_system(sl2r):
     assert s.dim == 0
     ok, _ = s.is_lie_triple_system()
     assert ok
-    member, res = s.contains(sl2r.zero())
+    member, res = s.contains(zero(sl2r))
     assert member and res == 0
-    member, _ = s.contains(sl2r.basis_vector(0))
+    member, _ = s.contains(basis_vector(sl2r, 0))
     assert not member
 
 
 def test_span_of_h_is_reflective_in_sl2r(sl2r):
-    H = sl2r.basis_vector(0)
+    H = basis_vector(sl2r, 0)
     s = Subspace(sl2r, [H])
     ok, report = s.is_lie_triple_system()
     assert ok
@@ -50,7 +51,7 @@ def test_span_of_h_is_reflective_in_sl2r(sl2r):
 
 
 def test_k_vector_is_rejected_from_p_subspace_predicates(sl2r):
-    E, F = sl2r.basis_vector(1), sl2r.basis_vector(2)
+    E, F = basis_vector(sl2r, 1), basis_vector(sl2r, 2)
     s = Subspace(sl2r, [E - F])  # lies in k, not p
     with pytest.raises(ValueError):
         s.orthocomplement_in_p()
@@ -219,7 +220,7 @@ def test_float_rows_read_the_bits_of_a_float_copy(sl2r, sid, pair):
     """Float rows inside and outside s get the outside mask and residual
     bits that a float copy of s gave them."""
     if pair is None:
-        s = Subspace(sl2r, [sl2r.basis_vector(0)])
+        s = Subspace(sl2r, [basis_vector(sl2r, 0)])
     else:
         s = build_pair(sid, pair).s
     a = s.algebra
