@@ -2,8 +2,11 @@
 
 Envelopes are byte-stable for a fixed config: keys are sorted, floats go
 through repr (shortest round-trip form), and the only nondeterministic field
-is wall_time_s, which consumers strip before comparing.  File writes are
-atomic (temp file + rename in the target directory).
+is wall_time_s, which consumers strip before comparing.  render gives the
+bytes of json.dumps(sort_keys=True, indent=2, allow_nan=False), each scalar
+encoded by the exact type of its value.  File writes are atomic: the
+encoded bytes go to a temp file in the target directory through its raw
+descriptor, which is then renamed onto the target.
 """
 
 from __future__ import annotations
