@@ -66,8 +66,9 @@ def _refuse(o):
 def _encode(o, newline: str) -> str:
     """JSON text of o, its nested lines starting with newline plus two
     spaces, and inf, -inf or nan for a non-finite float o.  A non-finite
-    float inside o raises ValueError, a non-str key or another type
-    TypeError, each at the first offender in json.dumps' order."""
+    float inside o raises ValueError, at the first one in json.dumps'
+    order; a non-str key (checked before the dict's values) or another type
+    raises TypeError."""
     if isinstance(o, dict):
         if not o:
             return "{}"
