@@ -39,8 +39,8 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, LemmaFalsified
-from .liealg import (MODE_EXACT, AlgebraVector, ChainResidues, abs_col_sum, canonical,
-                     coeff_strings, int64_exact)
+from .liealg import (MODE_EXACT, AlgebraVector, ChainResidues, PairResidues,
+                     SubspaceResidues, abs_col_sum, canonical, coeff_strings, int64_exact)
 from .subspaces import Subspace
 
 
@@ -134,28 +134,58 @@ def _normal_pairing(s: Subspace, x: AlgebraVector):
     return pairing[hits[0]] if hits.size else None
 
 
+class CertifyPlan:
+    """What condition_holds, verify_lemma_conclusion and sample_ys derive
+    from (s, X) alone.  Each subspace keeps its own (Subspace.certify_plan)
+    and drops it with itself.
+
+    Per s: the basis scaled to integers by the lcm den of its denominators,
+    int64 when every Y = draws @ basis and the scale den RATIONAL_SCALE
+    provably fit int64 (int64_exact), dtype=object otherwise; and the null
+    rows as ChainResidues takes them (SubspaceResidues).  Per X, in one slot
+    keyed by X's exact coefficients: the warnings of its verdict and X
+    against those rows (PairResidues).  The slot is filled only once
+    _require_pair has admitted (s, X); s does not change, so a filled slot
+    stands for an admitted pair, and a refused one is refused anew on every
+    call.  Nothing here depends on Y or on the seed, so a request on a plan
+    that served others gives the bytes it gives on a new one.
+    """
+
+    def __init__(self, s: Subspace):
+        den = math.lcm(*(c.denominator for c in s.basis_rows.flat))
+        basis = canonical(s.basis_rows * den)
+        self.scale = den * rng.RATIONAL_SCALE
+        if self.scale < 2 ** 63 and int64_exact(rng.RATIONAL_NUM * rng.RATIONAL_SCALE,
+                                                abs_col_sum(basis)):
+            basis = basis.astype(np.int64)
+        self.basis = basis
+        self.residues = SubspaceResidues(s.algebra, s.null_rows)
+        self._slot = None
+
+    def pair(self, s: Subspace, x: AlgebraVector):
+        """(warnings, PairResidues) of X on s, this plan's subspace."""
+        if self._slot is None or self._slot[0] != x.coeffs:
+            _require_pair(s, x)
+            warnings = () if _normal_pairing(s, x) is None else (_NOT_NORMAL,)
+            self._slot = (x.coeffs, warnings, PairResidues(self.residues, x.row()))
+        return self._slot[1:]
+
+
 def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
     """(samples, d) stack of random Y in s, each drawn in turn from gen.
 
     Exact Y are integer rows: the rational block draw with its denominators
-    cleared, assembled as one product with the integer-scaled basis of s.
-    They are int64 when int64_exact bounds that product and the scale fits,
-    which holds for every catalog subspace, and dtype=object Python ints
-    otherwise.
+    cleared, assembled as one product with the integer-scaled basis of s
+    (CertifyPlan).  They are int64 when int64_exact bounds that product and
+    the scale fits, which holds for every catalog subspace, and dtype=object
+    Python ints otherwise.
     """
-    den = math.lcm(*(c.denominator for c in s.basis_rows.flat))
-    basis = canonical(s.basis_rows * den)
+    plan = s.certify_plan
     draws = rng.rational_vectors(gen, s.dim, samples)
-    scale = den * rng.RATIONAL_SCALE
-    if scale < 2 ** 63 and int64_exact(rng.RATIONAL_NUM * rng.RATIONAL_SCALE,
-                                       abs_col_sum(basis)):
-        basis = basis.astype(np.int64)
-    else:
-        draws = draws.astype(object)
-    w = draws @ basis
+    w = draws.astype(plan.basis.dtype, copy=False) @ plan.basis
     # Y = w / scale; dividing w by its gcd with that scale leaves Y times
     # the lcm of its denominators
-    g = np.gcd(np.gcd.reduce(w, axis=1), scale)
+    g = np.gcd(np.gcd.reduce(w, axis=1), plan.scale)
     return w // g[:, None]
 
 
@@ -169,10 +199,9 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     stops at the first term outside s, which is the witness, so `checked`
     counts the terms up to it.  The witness alone is evaluated exactly.
     """
-    _require_pair(s, x)
+    warnings, pair = s.certify_plan.pair(s, x)
     a = s.algebra
     n_max = len(a.p_basis)
-    warnings = () if _normal_pairing(s, x) is None else (_NOT_NORMAL,)
     verdict = ConditionVerdict(holds=True, n_max=n_max,
                                samples=samples, seed=seed,
                                per_n_worst_residual=[0.0] * (n_max + 1),
@@ -180,15 +209,15 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     if s.dim == 0:
         return verdict
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
-    xrow = x.row()
-    r = ChainResidues(a, ys, xrow, 2 * n_max + 1, s.null_rows)
+    r = ChainResidues(pair, ys, 2 * n_max + 1)
     r.fit("--samples")
-    outside = r.outside(r.chain[:, :, 1::2], r.ad(r.x))
+    outside = r.outside(r.chain[:, :, 1::2], r.form)
     res = np.zeros(outside.shape)
     hits = np.flatnonzero(outside)
     verdict.checked = int(hits[0]) + 1 if hits.size else outside.size
     if hits.size:
         i, n = divmod(int(hits[0]), n_max + 1)
+        xrow = x.row()
         odd = a.ad_chain(ys[i:i + 1], xrow, 2 * n + 1)[0, -1]
         term = a.vector(odd @ a.ad_stack(xrow))     # [X, v] = v @ ad_X
         _, res[i, n] = s.contains(term)
@@ -233,11 +262,11 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     LemmaFalsified, for the first such row; cli.run reports it as exit
     status 1 with kind "lemma-falsified".
     """
-    _require_pair(s, x)
+    _, pair = s.certify_plan.pair(s, x)
     a = s.algebra
     xrow = x.row()
     top = 2 * (n_max + m_max) + 1
-    r = ChainResidues(a, ys, xrow, top, s.null_rows)
+    r = ChainResidues(pair, ys, top)
     r.fit("--samples, --n-max and --m-max", vectors=(n_max + 1) * (m_max + 1),
           ads=n_max + 1)
     hyp_out, con_out, aux_out = (r.outside(v) for v in _lemma_terms(

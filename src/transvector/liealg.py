@@ -723,10 +723,87 @@ class StructuredLieAlgebra:
                     and rank(re_im.reshape(d, -1).tolist()) == d)
 
 
+def _moduli(primes: tuple):
+    """The primes as an int64 array, None for no primes."""
+    return np.array(primes, dtype=np.int64) if primes else None
+
+
+def _lift(a: np.ndarray, mods) -> np.ndarray:
+    """An exact integer array as a (k, ...) int64 residue stack, one residue
+    per modulus of mods (_moduli); for None, the array itself in plain int64
+    (k = 1)."""
+    if mods is None:
+        return a.astype(np.int64)[None]
+    return (a[None] % mods.reshape((-1,) + (1,) * a.ndim)).astype(np.int64)
+
+
+def _reduce(a: np.ndarray, mods) -> np.ndarray:
+    """A (k, ...) stack modulo mods (_moduli); as it is for None."""
+    if mods is None:
+        return a
+    return a % mods.reshape((-1,) + (1,) * (a.ndim - 1))
+
+
+class _PrefixLifts:
+    """Residue stacks, built by _build(primes), for a prefix primes of
+    residue_primes' fixed prime sequence: built once for the longest prefix
+    asked so far and sliced for a shorter one (residue i is that modulo
+    primes[i] whatever the prefix), and once in plain int64 for the empty
+    prefix."""
+
+    _plain = None
+    _primes = ()
+
+    def lifted(self, primes: tuple) -> tuple:
+        if not primes:
+            if self._plain is None:
+                self._plain = self._build(())
+            return self._plain
+        if len(primes) > len(self._primes):
+            self._primes, self._stacks = primes, self._build(primes)
+        return tuple(s[:len(primes)] for s in self._stacks)
+
+
+class SubspaceResidues(_PrefixLifts):
+    """What ChainResidues takes from a subspace alone: its integer null rows
+    null (r, d), whose common kernel is the subspace, their largest absolute
+    row sum, and the residue stacks (lifted) of the table's constants
+    (_integer_structure) and of null.T."""
+
+    def __init__(self, algebra: StructuredLieAlgebra, null: np.ndarray):
+        self.algebra, self._null = algebra, null
+        self.row_sum = abs_col_sum(null.T)
+
+    def _build(self, primes):
+        mods = _moduli(primes)
+        return _lift(self.algebra._integer_structure[0], mods), _lift(self._null.T, mods)
+
+
+class PairResidues(_PrefixLifts):
+    """What ChainResidues takes from a subspace and an exact X (d,) alone:
+    X scaled to integers by the lcm of its denominators (the same
+    membership), its largest |entry|, and the residue stacks (lifted) of it
+    and of the condition's membership form ad_X null.T, with those of the
+    subspace's."""
+
+    def __init__(self, subspace: SubspaceResidues, x: np.ndarray):
+        self.subspace = subspace
+        self.x = np.array(clear_denominators(x), dtype=object)
+        self.x_max = max(1, max(map(abs, self.x)))
+
+    def _build(self, primes):
+        vals, null = self.subspace.lifted(primes)
+        mods = _moduli(primes)
+        x = _lift(self.x, mods)
+        ad_x = _reduce(self.subspace.algebra.ad_stack(x, vals), mods)
+        return vals, null, x, _reduce(ad_x @ null, mods)
+
+
 class ChainResidues:
     """The chains x, ad_y x, ..., ad_y^top x (top >= 1) of an exact stack ys
-    (S, d) as int64 residues, and the test of vectors built from them
-    against the integer rows null (r, d) whose common kernel is a subspace.
+    (S, d) as int64 residues, for the X and the subspace of pair
+    (PairResidues), and the test of vectors built from them against the
+    subspace's integer null rows null (r, d).
 
     Rational data is made integral first: each row of ys and x is scaled by
     the lcm of its denominators, and the table by that of its constants
@@ -744,36 +821,37 @@ class ChainResidues:
     primes = residue_primes(bound).  Every array has a leading axis with
     one residue per prime, each entry in [0, p), and a vector is zero
     exactly when all its residues are: x (k, d), chain (k, S, top + 1, d),
-    ad_y (k, S, d, d), the table and null.T.  Products of two residue
-    arrays sum d terms below (p - 1)^2.  When there are no primes that axis
-    has length 1 and holds the exact values in plain int64, which the
-    bound keeps from overflowing, and nothing is reduced.
+    ad_y (k, S, d, d), the table, null.T and the condition's membership
+    form ad_x null.T (k, d, r).  Products of two residue arrays sum d terms
+    below (p - 1)^2.  When there are no primes that axis has length 1 and
+    holds the exact values in plain int64, which the bound keeps from
+    overflowing, and nothing is reduced.
 
-    The constructor computes the primes and lifts only x, the table and
-    null; chain and ad_y are built on first use, so a caller can refuse
-    (fit) the stacks its options ask for before any of them exists.
+    Only what depends on ys is computed here: ad_y, c, the bound and its
+    primes.  The lifts of x, the table, null.T and the form depend on the
+    pair alone and are taken from it, lifted once for the longest prefix of
+    the prime sequence asked so far; residue i is that modulo primes[i]
+    whatever the prefix, so a shorter prefix reads the first rows.  chain
+    and ad_y are built on first use, so a caller can refuse (fit) the
+    stacks its options ask for before any of them exists.
     """
 
-    def __init__(self, algebra: StructuredLieAlgebra, ys: np.ndarray,
-                 x: np.ndarray, top: int, null: np.ndarray):
+    def __init__(self, pair: PairResidues, ys: np.ndarray, top: int):
         if top < 1:
             raise ValueError("ChainResidues takes top >= 1")
         if ys.dtype == object:
             ys = np.array([clear_denominators(y) for y in ys],
                           dtype=object).reshape(ys.shape)
-        x = np.array(clear_denominators(x), dtype=object)
+        algebra = pair.subspace.algebra
         vals, col_sum = algebra._integer_structure
         kind = np.int64 if int64_exact(int(np.abs(ys).max(initial=0)), col_sum) else object
         ad_y = algebra.ad_stack(ys.astype(kind, copy=False), vals.astype(kind, copy=False))
-        x_max, c, null_sum = max(1, max(map(abs, x))), abs_col_sum(ad_y), abs_col_sum(null.T)
-        self.bound = (x_max * max(1, c) ** top
-                      * x_max * max(1, col_sum) * max(1, null_sum))
+        self.bound = (pair.x_max * max(1, abs_col_sum(ad_y)) ** top * pair.x_max
+                      * max(1, col_sum) * max(1, pair.subspace.row_sum))
         self.primes = residue_primes(self.bound)
-        self._mods = np.array(self.primes, dtype=np.int64)
+        self._mods = _moduli(self.primes)
         self.algebra, self.top, self._ad_y = algebra, top, ad_y
-        self.vals = self._lift(vals)
-        self.null = self._lift(null.T)
-        self.x = self._lift(x)
+        self.vals, self.null, self.x, self.form = pair.lifted(self.primes)
 
     def fit(self, options: str, vectors: int = 0, ads: int = 0):
         """Refuse, with a ConfigError naming options, when the residue
@@ -795,7 +873,7 @@ class ChainResidues:
 
     @cached_property
     def ad_y(self) -> np.ndarray:
-        return self._lift(self._ad_y)
+        return _lift(self._ad_y, self._mods)
 
     @cached_property
     def chain(self) -> np.ndarray:
@@ -806,35 +884,25 @@ class ChainResidues:
             chain[:, :, t + 1] = self.mul(chain[:, :, t, None], self.ad_y)[:, :, 0]
         return chain
 
-    def _lift(self, a: np.ndarray) -> np.ndarray:
-        """An exact integer array as a (k, ...) int64 residue stack."""
-        if not self.primes:
-            return a.astype(np.int64)[None]
-        return (a[None] % self._mods.reshape((-1,) + (1,) * a.ndim)).astype(np.int64)
-
-    def _reduce(self, a: np.ndarray) -> np.ndarray:
-        if not self.primes:
-            return a
-        return a % self._mods.reshape((-1,) + (1,) * (a.ndim - 1))
-
     def mul(self, u: np.ndarray, m: np.ndarray) -> np.ndarray:
         """u @ m of a residue stack and a right operand, reduced.  A matrix
         shared by every row (m of shape (k, d, e)) takes one product
         per prime."""
         if m.ndim == 3:
             flat = u.reshape(len(u), -1, u.shape[-1]) @ m
-            return self._reduce(flat).reshape(u.shape[:-1] + m.shape[-1:])
-        return self._reduce(u @ m)
+            return _reduce(flat, self._mods).reshape(u.shape[:-1] + m.shape[-1:])
+        return _reduce(u @ m, self._mods)
 
     def ad(self, v: np.ndarray) -> np.ndarray:
         """ad_u of every vector u of the residue stack v (k, ..., d), as
         (k, ..., d, d) with [u, w] = w @ ad_u, reduced."""
         vals = self.vals.reshape((len(self.vals),) + (1,) * (v.ndim - 2) + (-1,))
-        return self._reduce(self.algebra.ad_stack(v, vals))
+        return _reduce(self.algebra.ad_stack(v, vals), self._mods)
 
-    def outside(self, v: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
-        """The mask (...) of the vectors of the residue stack v (k, ..., d),
-        or of v @ m for a matrix m (k, d, d) shared by every row, outside
-        the subspace: those with a nonzero residue of v @ null.T."""
-        null = self.null if m is None else self.mul(m, self.null)
-        return (self.mul(v, null) != 0).any(axis=-1).any(axis=0)
+    def outside(self, v: np.ndarray, form: np.ndarray | None = None) -> np.ndarray:
+        """The mask (...) of the vectors of the residue stack v (k, ..., d)
+        outside the subspace, those with a nonzero residue of v @ null.T;
+        or, given a form (k, d, r) shared by every row, of those with a
+        nonzero residue of v @ form (with self.form, of the brackets
+        [x, v])."""
+        return (self.mul(v, self.null if form is None else form) != 0).any(axis=-1).any(axis=0)

@@ -130,11 +130,22 @@ class Subspace:
         outside, res = self.membership(v.row()[None])
         return not outside[0], float(res[0])
 
+    @cached_property
+    def certify_plan(self):
+        """The extension.CertifyPlan of this subspace, built on first use;
+        it lives and dies with the subspace."""
+        from .extension import CertifyPlan      # extension imports this module
+        return CertifyPlan(self)
+
     def member_from_coordinates(self, coords) -> AlgebraVector:
         """coords @ basis for exact coordinates."""
         return self.algebra.vector(np.array(coords).astype(object) @ self.basis_rows)
 
     def in_p(self) -> bool:
+        return self._in_p
+
+    @cached_property
+    def _in_p(self) -> bool:
         a = self.algebra
         return not np.count_nonzero(self.basis_rows @ (a.theta_exact + np.eye(a.dim, dtype=int)).T)
 

@@ -10,7 +10,8 @@ from transvector.algfile import parse_algebra_file
 from transvector.catalog import build_pair, build_space
 from transvector.data import algebra_path
 from transvector.exactla import invert
-from transvector.liealg import AlgebraVector, MatrixRealization, StructuredLieAlgebra
+from transvector.liealg import (AlgebraVector, ChainResidues, MatrixRealization, PairResidues,
+                               StructuredLieAlgebra, SubspaceResidues)
 
 # Every search draws the same examples on every run, and no run replays the
 # failures of an earlier one from a local database.  `pytest
@@ -50,6 +51,13 @@ def count_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
         return calls
     return wrap
+
+
+def chain_residues(a: StructuredLieAlgebra, ys: np.ndarray, x: np.ndarray, top: int,
+                   null: np.ndarray) -> ChainResidues:
+    """ChainResidues of the stack ys and the exact row x against the integer
+    rows null, its lifts built for this call alone."""
+    return ChainResidues(PairResidues(SubspaceResidues(a, null), x), ys, top)
 
 
 def basis_vector(a: StructuredLieAlgebra, i: int) -> AlgebraVector:

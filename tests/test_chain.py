@@ -16,13 +16,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import chain_residues
 from transvector import rng
 from transvector.algfile import parse_algebra_file
 from transvector.catalog import build_pair, negative_control
 from transvector.cli import load_subspace_file
 from transvector.extension import (condition_holds, sample_ys,
                                    verify_lemma_conclusion)
-from transvector.liealg import ChainResidues
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -201,7 +201,7 @@ def test_int64_chain_matches_the_object_oracle_across_2_63():
     want = [_reference_chain(a, a.vector(y), x, 17) for y in ys]
     assert max(abs(c) for row in want for v in row for c in v.coeffs).bit_length() > 63
     for top, modular in ((9, False), (17, True)):
-        r = ChainResidues(a, ys, x.row(), top, s.null_rows)
+        r = chain_residues(a, ys, x.row(), top, s.null_rows)
         assert bool(r.primes) == modular and r.chain.dtype == np.int64
         assert r.bound >= max(abs(c) for row in want for v in row[:top + 1] for c in v.coeffs)
         for k, p in enumerate(r.primes or (None,)):
@@ -221,7 +221,7 @@ def test_rational_algebra_chain_stays_on_object():
     assert a.structure_exact.dtype == object and chain.dtype == object
     for row, y in zip(chain, ys):
         assert [a.vector(v) for v in row] == _reference_chain(a, a.vector(y), x, 5)
-    r = ChainResidues(a, ys, x.row(), 5, s.null_rows)
+    r = chain_residues(a, ys, x.row(), 5, s.null_rows)
     scaled = chain * np.array([2 ** t for t in range(6)], dtype=object)[:, None]
     assert all(c.denominator == 1 for c in scaled.flat)
     assert np.array_equal(r.chain[0], scaled if not r.primes else scaled % r.primes[0])
@@ -234,8 +234,8 @@ def test_condition_membership_leaves_int64_when_the_product_outgrows_it():
     s, x = CASES["control"]
     big = x.scale(2 ** 32)
     ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 4)
-    r = ChainResidues(s.algebra, ys, big.row(), 1, s.null_rows)
-    assert r.primes and r.outside(r.chain[:, :, 1::2], r.ad(r.x)).all()
+    r = chain_residues(s.algebra, ys, big.row(), 1, s.null_rows)
+    assert r.primes and r.outside(r.chain[:, :, 1::2], r.form).all()
     verdict = condition_holds(s, big, samples=4, seed=0)
     checked, (_, n, term, res), _ = _reference_condition(s, big, ys,
                                                          len(s.algebra.p_basis))

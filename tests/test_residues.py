@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import zero
+from conftest import chain_residues, zero
 from transvector import extension, liealg, rng
 from transvector.catalog import build_pair, negative_control
 from transvector.errors import LemmaFalsified
 from transvector.extension import (condition_holds, sample_ys,
                                    verify_lemma_conclusion)
-from transvector.liealg import ChainResidues, StructuredLieAlgebra, residue_primes
+from transvector.liealg import StructuredLieAlgebra, residue_primes
 from transvector.subspaces import Subspace
 
 
@@ -140,8 +140,8 @@ def _check_against_the_oracle(name, scale, x_seed, x_magnitude, y_magnitude):
         got = check.as_dict()
         want = _reference_lemma(s, x, y, 1, 1)
         assert {k: got[k] for k in want} == want
-    return max(ChainResidues(a, ys, x.row(), 5, s.null_rows).bound,
-               ChainResidues(a, ys, x.row(), 2 * n_max + 1, s.null_rows).bound)
+    return max(chain_residues(a, ys, x.row(), 5, s.null_rows).bound,
+               chain_residues(a, ys, x.row(), 2 * n_max + 1, s.null_rows).bound)
 
 
 @pytest.mark.parametrize("scale, past", [
@@ -212,7 +212,7 @@ def test_the_bound_majorises_every_residual(name, scale, x_scale, y_scale,
     ys = np.array([[sum(int(gen.integers(-3, 4)) * y_scale * b[k] for b in basis)
                     for k in range(a.dim)] for _ in range(2)], dtype=object)
     null = s.null_rows * null_scale
-    r = ChainResidues(a, ys, x.row(), top, null)
+    r = chain_residues(a, ys, x.row(), top, null)
     assert r.bound >= _exact_residuals(a, ys, x.row(), top, null)
     product = math.prod(r.primes)
     assert (not r.primes and r.bound < 2 ** 63) or product > 2 * r.bound
@@ -241,7 +241,7 @@ def test_dropping_a_prime_misses_a_residual_divisible_by_the_rest(k):
     s, x = PAIRS["control"]
     a = s.algebra
     f = math.prod(liealg._PRIMES[:k - 1])
-    r = ChainResidues(a, s.basis_rows, x.row(), 1, s.null_rows * f)
+    r = chain_residues(a, s.basis_rows, x.row(), 1, s.null_rows * f)
     assert r.primes == liealg._PRIMES[:k]
     term = r.mul(r.chain[:, :, 1:], r.ad(r.x))
     assert r.outside(term).all()
@@ -264,7 +264,7 @@ def test_a_term_outside_s_with_the_hypothesis_held_raises_it_exactly(monkeypatch
 
     monkeypatch.setattr(extension, "_lemma_terms", blind)
     ys = sample_ys(s, rng.stream(3, rng.STREAM_CONDITION_Y), 3)
-    assert bool(ChainResidues(a, ys, x.row(), 5, s.null_rows).primes) == (scale > 1)
+    assert bool(chain_residues(a, ys, x.row(), 5, s.null_rows).primes) == (scale > 1)
     with pytest.raises(LemmaFalsified) as raised:
         verify_lemma_conclusion(s, x, ys, n_max=1, m_max=1)
 
