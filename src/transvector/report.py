@@ -131,15 +131,31 @@ def check_target(path: str):
         raise OSError(e.errno, e.strerror, path) from e
 
 
+def _temp_beside(path: str):
+    """(descriptor, name) of a new file, open for writing, beside path: a
+    random name in its directory, drawn again on a clash (O_EXCL), created
+    with mode 0o666 less the umask, as open(path, "w") would create path."""
+    head = os.path.join(os.path.dirname(os.path.abspath(path)), ".tmp")
+    for _ in range(tempfile.TMP_MAX):
+        name = "%s%s.tmp" % (head, os.urandom(8).hex())
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        except FileExistsError:
+            continue
+    raise FileExistsError(errno.EEXIST, "no unused temp file name")
+
+
 def write_files(texts: dict):
     """Write each text of texts (path -> text) to its path, all or none.
 
     Every text is encoded once (UTF-8; a report is ASCII) and its bytes go
     through the descriptor of a temp file in its target's directory, by
     os.write until every byte is down.  Only when all of them are written
-    is each renamed onto its target (os.replace).  So an OSError while
-    writing them leaves every target as it was; a directory at a target,
-    which the rename would refuse, is refused then too.  Only a rename
+    is each renamed onto its target (os.replace).  A target takes its temp
+    file's mode, 0o666 less the umask: what open(path, "w") gives a new
+    file.  So an OSError while writing them leaves every target as it was;
+    a directory at a target, which the rename would refuse, is refused then
+    too.  Only a rename
     refused after that (a race, or a file system that will not rename) can
     leave an earlier target replaced.  Every OSError names its target as
     filename, never a temp file.  A temp file is forgotten once it is
@@ -152,8 +168,7 @@ def write_files(texts: dict):
             try:
                 if os.path.isdir(path):
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-                fd, temps[path] = tempfile.mkstemp(
-                    dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+                fd, temps[path] = _temp_beside(path)
                 try:
                     while data:
                         data = data[os.write(fd, data):]

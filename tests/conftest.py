@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +53,15 @@ def count_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counting)
         return calls
     return wrap
+
+
+def load_by_path(name: str, path: str):
+    """The module of the Python file at path, imported as name."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module          # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def chain_residues(a: StructuredLieAlgebra, ys: np.ndarray, x: np.ndarray, top: int,

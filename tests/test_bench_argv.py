@@ -8,12 +8,11 @@ unreachable.  Both files are loaded by path and read, never edited here.
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import sys
 
 import pytest
 
+from conftest import load_by_path
 from transvector.cli import build_parser
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -22,16 +21,8 @@ MIXES = os.path.join(HERE, os.pardir, "perfbench", "mixes.py")
 BENCH_SEED = ("--seed", "2147483647")
 
 
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module          # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 def _bench_argvs():
-    mixes = _load("_perfbench_mixes", MIXES)
+    mixes = load_by_path("_perfbench_mixes", MIXES)
     for workload, build in sorted(mixes.WORKLOADS.items()):
         light, heavy = build()
         for shape in light + [s for group in heavy for s in group]:
@@ -41,7 +32,7 @@ def _bench_argvs():
 
 
 def _golden_argvs():
-    golden = _load("_golden_commands", os.path.join(HERE, "test_golden.py"))
+    golden = load_by_path("_golden_commands", os.path.join(HERE, "test_golden.py"))
     for name, argv in sorted(golden.COMMANDS.items()):
         yield "golden " + name, argv
 

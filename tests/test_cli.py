@@ -239,6 +239,34 @@ def test_an_unwritable_export_writes_neither(tmp_path, bad):
     assert _export_with_a_directory_at(tmp_path, bad, tmp_path / "exports" / "ok") == ["d"]
 
 
+@pytest.fixture
+def umask():
+    """umask(mask) sets the process umask for the rest of the test."""
+    old = os.umask(0o022)
+    yield os.umask
+    os.umask(old)
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077])
+@pytest.mark.parametrize("earlier", [False, True], ids=["new", "over-0600"])
+def test_reports_and_exports_take_the_mode_open_would_give(tmp_path, umask, mask, earlier):
+    """--out, --csv and --ply are written 0o666 less the umask, new or over
+    an existing 0600 file; every report and export was once left at 0600
+    whatever the umask, and the rename carried that over a 0644 target."""
+    umask(mask)
+    targets = [tmp_path / name for name in ("report.json", "cloud.csv", "cloud.ply")]
+    if earlier:
+        for target in targets:
+            target.write_text("earlier\n")
+            target.chmod(0o600)
+    status = run(["construct", "--space", "su21", "--pair", "real-form", "--t-steps", "1",
+                  "--y-steps", "1", "--out", str(targets[0]), "--csv", str(targets[1]),
+                  "--ply", str(targets[2])])
+    assert status == 0
+    assert [t.stat().st_mode & 0o777 for t in targets] == [0o666 & ~mask] * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(t.name for t in targets)
+
+
 @pytest.mark.parametrize("bad", ["--csv", "--ply"])
 def test_an_unwritable_export_leaves_an_existing_one_as_it_was(tmp_path, bad):
     existing = tmp_path / "exports" / "earlier"

@@ -9,7 +9,9 @@ Z = cosh(2s)(E+F) - sinh(2s)(E-F), [E-F, E+F] = 2H... twice).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import basis_vector
 from transvector import extension, rng
 from transvector.catalog import build_pair, list_pairs, negative_control
-from transvector.errors import LemmaFalsified
+from transvector.errors import ConfigError, LemmaFalsified
 from transvector.extension import (_NOT_NORMAL, ConditionVerdict, LemmaCheck,
                                    _normal_pairing, condition_holds, nabla_zz,
                                    sample_ys, verify_lemma_conclusion)
@@ -208,3 +210,42 @@ def test_catalog_verdicts_report_the_exact_modes(sid, pair):
     checks = verify_lemma_conclusion(s, x, ys, n_max=1, m_max=1)
     assert [c.as_dict()["mode"] for c in checks] == [MODE_EXACT, MODE_EXACT]
     assert all(c.passed for c in checks)
+
+
+def test_a_plan_lives_and_dies_with_its_subspace():
+    """The condition and the lemma keep their plan on s and nowhere else:
+    once the caller drops s, reference counting frees it (the cyclic
+    collector is off), plan included."""
+    entry = build_pair("su21", "real-form")
+    s, x = Subspace(entry.algebra, entry.s.basis), entry.x_default
+    gc.disable()
+    try:
+        assert condition_holds(s, x, samples=2, seed=0).holds
+        ys = sample_ys(s, rng.stream(0, rng.STREAM_LEMMA), 2)
+        assert all(c.passed for c in verify_lemma_conclusion(s, x, ys, n_max=1, m_max=1))
+        assert "certify_plan" in vars(s)
+        dropped = weakref.ref(s)
+        del s
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+def test_a_warning_and_a_refusal_stay_with_their_x():
+    """On one s (su21 real-form), X = Q1 is normal and Q1 + P1 is not: the
+    warning of the one never reaches the verdict of the other, run before
+    or after it, and each verdict equals that on a plan of its own.  An X
+    outside p is refused every time, before and after an admitted one."""
+    entry = build_pair("su21", "real-form")
+    a = entry.algebra
+    s = Subspace(a, entry.s.basis)
+    normal, tilted = a.from_labels({"Q1": 1}), a.from_labels({"Q1": 1, "P1": 1})
+    outside_p = a.vector(a.k_basis[0])
+    verdicts = []
+    for x in (normal, tilted, normal, tilted):
+        with pytest.raises(ConfigError, match="^X must lie in p$"):
+            condition_holds(s, outside_p, samples=2, seed=1)
+        verdicts.append(condition_holds(s, x, samples=2, seed=1).as_dict())
+        assert verdicts[-1] == condition_holds(Subspace(a, entry.s.basis), x, samples=2,
+                                               seed=1).as_dict()
+    assert [v["warnings"] for v in verdicts] == [(), (_NOT_NORMAL,)] * 2

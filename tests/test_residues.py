@@ -25,7 +25,7 @@ from transvector.catalog import build_pair, negative_control
 from transvector.errors import LemmaFalsified
 from transvector.extension import (condition_holds, sample_ys,
                                    verify_lemma_conclusion)
-from transvector.liealg import StructuredLieAlgebra, residue_primes
+from transvector.liealg import ChainResidues, StructuredLieAlgebra, residue_primes
 from transvector.subspaces import Subspace
 
 
@@ -289,3 +289,51 @@ def test_a_term_outside_s_with_the_hypothesis_held_raises_it_exactly(monkeypatch
             break
     assert want is not None
     assert raised.value.detail == want
+
+
+def _against_a_fresh_plan(s, x, ys, n_max, m_max):
+    """The lemma on s, whose plan may have served other calls, equals the
+    lemma on a copy of s with a plan of its own, and so do the operands its
+    ChainResidues takes; returns their primes."""
+    fresh = Subspace(s.algebra, s.basis)
+    top = 2 * (n_max + m_max) + 1
+    warm, cold = (ChainResidues(t.certify_plan.pair(t, x)[1], ys, top) for t in (s, fresh))
+    assert warm.primes == cold.primes
+    for name in ("vals", "null", "x", "form"):
+        assert np.array_equal(getattr(warm, name), getattr(cold, name))
+    assert ([c.as_dict() for c in verify_lemma_conclusion(s, x, ys, n_max, m_max)]
+            == [c.as_dict() for c in verify_lemma_conclusion(fresh, x, ys, n_max, m_max)])
+    return warm.primes
+
+
+def test_a_plan_grows_its_prime_prefix_and_slices_it():
+    """One X on one s, the lemma's reach n_max + m_max going 4, 9, 16, 9, 4
+    (top 9, 19, 33): 0 primes, then 3, then 5, then back to 3 and 0.  A
+    single prime never suffices, its product being below 2^64.  The plan
+    keeps the lifts of the longest prefix and reads the shorter ones off
+    them; every call equals one on a plan built for it, and so does the
+    condition on X scaled past int64 and back."""
+    s, x = _scaled(*PAIRS["su21-real-form"], 1)
+    s = Subspace(s.algebra, s.basis)
+    ys = sample_ys(s, rng.stream(0, rng.STREAM_LEMMA), 2)
+    counts = [len(_against_a_fresh_plan(s, x, ys, reach - reach // 2, reach // 2))
+              for reach in (4, 9, 16, 9, 4)]
+    assert counts == [0, 3, 5, 3, 0]
+    assert len(s.certify_plan.residues._primes) == 5
+    for scale in (1, 2 ** 16, 2 ** 40, 2 ** 16, 1):
+        big = x.scale(scale)
+        want = condition_holds(Subspace(s.algebra, s.basis), big, samples=2, seed=0)
+        assert condition_holds(s, big, samples=2, seed=0).as_dict() == want.as_dict()
+
+
+def test_the_widest_lemma_reads_past_the_precomputed_primes():
+    """su31 complex-hyperplane at --samples 4 --n-max 31 --m-max 31 needs 29
+    primes, past the 16 of liealg._PRIMES; on a plan warmed at a shorter
+    prefix it equals the lemma on a plan of its own, and so does the shorter
+    prefix afterwards."""
+    entry = build_pair("su31", "complex-hyperplane")
+    s, x = Subspace(entry.algebra, entry.s.basis), entry.x_default
+    ys = sample_ys(s, rng.stream(0, rng.STREAM_LEMMA), 4)
+    short = _against_a_fresh_plan(s, x, ys, 4, 4)
+    assert len(_against_a_fresh_plan(s, x, ys, 31, 31)) == 29 > len(liealg._PRIMES)
+    assert _against_a_fresh_plan(s, x, ys, 4, 4) == short
