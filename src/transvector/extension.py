@@ -24,6 +24,18 @@ residual fits, and modulo enough primes that "every residue is 0" proves
 Gerhard, Modern Computer Algebra, ch. 5).  Only what a report prints, the
 witness and the residuals of terms outside s, is evaluated on Python ints.
 
+What the condition and the lemma derive from (s, X) alone is derived once
+and kept in s's CertifyPlan: per subspace the integer-scaled basis Y is
+drawn on and the residue lifts of the null rows and the table, per X (one
+slot, the last X admitted) the normal-pairing warning, X cleared to integers
+and the lifts of the condition's form ad_X null.T.  That is sound because
+none of it depends on Y or on the seed, and s does not change: a request
+draws its Y and computes ad_Y, the bound, its primes, the chain, the
+membership products and any witness as before, and reads the same lifts a
+new plan would build.  Catalog pairs, cached by build_pair, reuse their
+plan across requests; any other subspace builds its own and drops it with
+itself.
+
 The transported-field series (nabla_zz) is a measurement, not a
 certificate: it takes an exact X in p and a float64 row Y and runs in
 float64.

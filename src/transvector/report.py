@@ -155,11 +155,11 @@ def write_files(texts: dict):
     file's mode, 0o666 less the umask: what open(path, "w") gives a new
     file.  So an OSError while writing them leaves every target as it was;
     a directory at a target, which the rename would refuse, is refused then
-    too.  Only a rename
-    refused after that (a race, or a file system that will not rename) can
-    leave an earlier target replaced.  Every OSError names its target as
-    filename, never a temp file.  A temp file is forgotten once it is
-    renamed, and any left are removed, so none stays behind.
+    too.  Only a rename refused after that (a race, or a file system that
+    will not rename) can leave an earlier target replaced.  Every OSError
+    names its target as filename, never a temp file.  A temp file is
+    forgotten once it is renamed, and any left are removed, so none stays
+    behind.
     """
     temps = {}
     try:

@@ -313,8 +313,7 @@ def test_a_plan_grows_its_prime_prefix_and_slices_it():
     keeps the lifts of the longest prefix and reads the shorter ones off
     them; every call equals one on a plan built for it, and so does the
     condition on X scaled past int64 and back."""
-    s, x = _scaled(*PAIRS["su21-real-form"], 1)
-    s = Subspace(s.algebra, s.basis)
+    s, x = _scaled(*PAIRS["su21-real-form"], 1)       # a subspace of its own
     ys = sample_ys(s, rng.stream(0, rng.STREAM_LEMMA), 2)
     counts = [len(_against_a_fresh_plan(s, x, ys, reach - reach // 2, reach // 2))
               for reach in (4, 9, 16, 9, 4)]
