@@ -28,7 +28,7 @@ What the condition and the lemma derive from (s, X) alone is derived once
 and kept in s's CertifyPlan: per subspace the integer-scaled basis Y is
 drawn on and the residue lifts of the null rows and the table, per X (one
 slot, the last X admitted) the normal-pairing warning, X cleared to integers
-and the lifts of the condition's form ad_X null.T.  That is sound because
+and the lifts of ad_X and of the condition's form ad_X null.T.  That is sound because
 none of it depends on Y or on the seed, and s does not change: a request
 draws its Y and computes ad_Y, the bound, its primes, the chain, the
 membership products and any witness as before, and reads the same lifts a
@@ -245,15 +245,16 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     return verdict
 
 
-def _lemma_terms(chain, x, ad_y, ad, mul, n_max: int, m_max: int):
+def _lemma_terms(chain, ad_x, ad_y, ad, mul, n_max: int, m_max: int):
     """The hypothesis [X, ad_Y^{2m+1}X] (m <= n_max + m_max), the conclusion
     [ad_Y^{2n}X, ad_Y^{2m+1}X] and the auxiliary ad_Y [ad_Y^{2n}X,
     ad_Y^{2m}X] (n <= n_max, m <= m_max) of every chain of the stack chain
-    (..., S, top + 1, d), given x (..., d), ad_y (..., S, d, d) of its Y, ad
-    (the stack of ad_u) and mul (the product): exact or residue."""
+    (..., S, top + 1, d), given ad_x (..., d, d) of its X, ad_y (..., S, d,
+    d) of its Y, ad (the stack of ad_u) and mul (the product): exact or
+    residue."""
     even, odd = chain[..., 0::2, :], chain[..., 1::2, :]
     ad_even = ad(even[..., :n_max + 1, :])       # [ad_Y^{2n}X, v] = v @ ad_even[..., n]
-    hypothesis = mul(odd, ad(x))
+    hypothesis = mul(odd, ad_x)
     conclusion = mul(odd[..., None, :m_max + 1, :], ad_even)
     auxiliary = mul(mul(even[..., None, :m_max + 1, :], ad_even), ad_y[..., None, :, :])
     return hypothesis, conclusion, auxiliary
@@ -282,7 +283,7 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     r.fit("--samples, --n-max and --m-max", vectors=(n_max + 1) * (m_max + 1),
           ads=n_max + 1)
     hyp_out, con_out, aux_out = (r.outside(v) for v in _lemma_terms(
-        r.chain, r.x, r.ad_y, r.ad, r.mul, n_max, m_max))
+        r.chain, r.ad_x, r.ad_y, r.ad, r.mul, n_max, m_max))
     hyp_res, con_res, aux_res = (np.zeros(o.shape) for o in (hyp_out, con_out, aux_out))
     bad = np.flatnonzero(hyp_out.any(axis=-1))
     if bad.size:
@@ -305,7 +306,7 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
         if not (con_out[i].any() or aux_out[i].any()):
             continue
         row = ys[i:i + 1]
-        _, con, aux = _lemma_terms(a.ad_chain(row, xrow, top), xrow,
+        _, con, aux = _lemma_terms(a.ad_chain(row, xrow, top), a.ad_stack(xrow),
                                    a.ad_stack(row.astype(xrow.dtype)), a.ad_stack,
                                    np.matmul, n_max, m_max)
         con_res[i], aux_res[i] = s.membership(con[0])[1], s.membership(aux[0])[1]

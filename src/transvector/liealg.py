@@ -782,9 +782,9 @@ class SubspaceResidues(_PrefixLifts):
 class PairResidues(_PrefixLifts):
     """What ChainResidues takes from a subspace and an exact X (d,) alone:
     X scaled to integers by the lcm of its denominators (the same
-    membership), its largest |entry|, and the residue stacks (lifted) of it
-    and of the condition's membership form ad_X null.T, with those of the
-    subspace's."""
+    membership), its largest |entry|, and the residue stacks (lifted) of
+    it, of ad_X and of the condition's membership form ad_X null.T, with
+    those of the subspace's."""
 
     def __init__(self, subspace: SubspaceResidues, x: np.ndarray):
         self.subspace = subspace
@@ -796,7 +796,7 @@ class PairResidues(_PrefixLifts):
         mods = _moduli(primes)
         x = _lift(self.x, mods)
         ad_x = _reduce(self.subspace.algebra.ad_stack(x, vals), mods)
-        return vals, null, x, _reduce(ad_x @ null, mods)
+        return vals, null, x, ad_x, _reduce(ad_x @ null, mods)
 
 
 class ChainResidues:
@@ -821,15 +821,15 @@ class ChainResidues:
     primes = residue_primes(bound).  Every array has a leading axis with
     one residue per prime, each entry in [0, p), and a vector is zero
     exactly when all its residues are: x (k, d), chain (k, S, top + 1, d),
-    ad_y (k, S, d, d), the table, null.T and the condition's membership
-    form ad_x null.T (k, d, r).  Products of two residue arrays sum d terms
+    ad_y (k, S, d, d), the table, null.T, ad_x (k, d, d) and the
+    condition's membership form ad_x null.T (k, d, r).  Products of two residue arrays sum d terms
     below (p - 1)^2.  When there are no primes that axis has length 1 and
     holds the exact values in plain int64, which the bound keeps from
     overflowing, and nothing is reduced.
 
     Only what depends on ys is computed here: ad_y, c, the bound and its
-    primes.  The lifts of x, the table, null.T and the form depend on the
-    pair alone and are taken from it, lifted once for the longest prefix of
+    primes.  The lifts of x, the table, null.T, ad_x and the form depend on
+    the pair alone and are taken from it, lifted once for the longest prefix of
     the prime sequence asked so far; residue i is that modulo primes[i]
     whatever the prefix, so a shorter prefix reads the first rows.  chain
     and ad_y are built on first use, so a caller can refuse (fit) the
@@ -851,7 +851,7 @@ class ChainResidues:
         self.primes = residue_primes(self.bound)
         self._mods = _moduli(self.primes)
         self.algebra, self.top, self._ad_y = algebra, top, ad_y
-        self.vals, self.null, self.x, self.form = pair.lifted(self.primes)
+        self.vals, self.null, self.x, self.ad_x, self.form = pair.lifted(self.primes)
 
     def fit(self, options: str, vectors: int = 0, ads: int = 0):
         """Refuse, with a ConfigError naming options, when the residue
