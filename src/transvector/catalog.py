@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .exactla import SpanSolver, clear_denominators, div
+from .exactla import SpanSolver, div
 from .liealg import (MODE_FLOAT, AlgebraVector, MatrixRealization, StructuredLieAlgebra,
                      abs_col_sum, int64_exact)
 from .subspaces import Subspace
@@ -127,9 +127,8 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
         raise RuntimeError("basis table for %s is dependent" % space_id)
     lo, hi = np.triu_indices(d, 1)
     comm = (r[lo] @ r[hi] - r[hi] @ r[lo])[:, :, :size].reshape(len(lo), -1)
-    # each row operation scaled to ints by the lcm of its denominators: the
-    # rows past d keep their kernel, and the first d are divided back below
-    ops = np.array([clear_denominators(row) for row in solver.row_ops], dtype=object)
+    # the first d integer row operations are divided back below
+    ops = solver.int_row_ops
     if int64_exact(int(np.abs(ops).max(initial=0)), abs_col_sum(comm.T)):
         coords = ops.astype(np.int64) @ comm.T                     # (2 N^2, pairs)
     else:

@@ -22,6 +22,7 @@ import math
 import operator
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -217,6 +218,15 @@ class SpanSolver:
         self.independent = self.rank == k
         self.row_ops = [row[k:] for row in red]
         self._null_rows = [clear_denominators(row) for row in self.row_ops[self.rank:]]
+
+    @cached_property
+    def int_row_ops(self) -> np.ndarray:
+        """row_ops as a (d, d) dtype=object array, each row scaled to ints
+        by the lcm of its denominators: with independent columns, row j <
+        rank gives the j-th coordinate over them times a positive scale,
+        and the rows past the rank keep their kernel."""
+        return np.array([clear_denominators(row) for row in self.row_ops],
+                        dtype=object).reshape(len(self.row_ops), self.dim)
 
     def contains(self, v) -> bool:
         if len(v) != self.dim:

@@ -21,10 +21,18 @@ lcm of the denominators of ad_H and k the integer nearest D e.  D ad_H is an
 integer matrix, so its characteristic polynomial is monic with integer
 coefficients and its rational eigenvalues are integers: every rational
 eigenvalue of ad_H whose float image lies within 1/(2D) of it is a
-candidate.  Each candidate's kernel is then computed exactly.  When those
-kernels do not account for all of g, the decomposition is refused with a
-ConfigError (CLI exit 2): the restricted roots are not rational on a (or
-one lies 1/(2D) or more from its float image).  There is no float64 datum.
+candidate.  At D = 1 the rounded eigenvalues are all of them: a
+rationalization of e that is an integer is the integer nearest e.  Each
+candidate's kernel is then computed exactly.  When those kernels do not
+account for all of g, the decomposition is refused with a ConfigError (CLI
+exit 2): the restricted roots are not rational on a (or one lies 1/(2D) or
+more from its float image).  There is no float64 datum.
+
+The commutation rules are decided in the basis the datum adapts to g: the
+rows of m, a and every k_lambda, p_lambda form a basis W of g, and each
+rule's target is a union of these blocks, so a bracket lies in it exactly
+when it lies in span(W) and its coordinates over W vanish outside the
+target's blocks.  One SpanSolver over W gives both tests.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError
-from .exactla import SpanSolver, div, frac, nullspace
+from .exactla import SpanSolver, clear_denominators, div, frac, nullspace
 from .extension import ConditionVerdict, condition_holds, sample_ys
 from .liealg import MODE_EXACT, AlgebraVector, StructuredLieAlgebra, coeff_strings
 from .subspaces import Subspace
@@ -107,20 +115,27 @@ def root_label(functional) -> str:
 
 
 def _eigen_candidates(ad: np.ndarray):
-    """Rational candidates for the (real) spectrum of an exact matrix: each
-    float eigenvalue e rationalized with denominator at most 64, and k/D for
-    D the lcm of the matrix's denominators and k the integer nearest D e."""
+    """Rational candidates for the (real) spectrum of an exact matrix, from
+    its float eigenvalues e.  With D the lcm of the matrix's denominators,
+    the candidates are k/D for k the integer nearest D e and, when D > 1,
+    e rationalized with denominator at most 64.  At D = 1 the rational
+    eigenvalues are integers, and a denominator-64 rationalization that is
+    an integer is the integer nearest e, so rounding alone finds them."""
     den = math.lcm(*(c.denominator for c in ad.flat))
-    eigs = [Fraction(float(e.real)) for e in np.linalg.eigvals(ad.astype(float))]
+    eigs = np.linalg.eigvals(ad.astype(float)).real.tolist()
+    if den == 1:
+        return sorted(set(map(round, eigs)))
+    eigs = [Fraction(e) for e in eigs]
     return sorted({frac(e.limit_denominator(64)) for e in eigs}
                   | {div(round(den * e), den) for e in eigs})
 
 
-def _scalar_action(a: StructuredLieAlgebra, asub: Subspace, space: np.ndarray):
-    """Exact scalar eigenvalue of ad_b on the rows of `space` for each basis
-    vector b of asub, or None.  Each [b, v] is compared with v at the first
-    nonzero entry of v, by cross-multiplication."""
-    w = space @ a.ad_stack(asub.basis_rows)               # [b, v] at (b, v)
+def _scalar_action(ad_a: np.ndarray, space: np.ndarray):
+    """Exact scalar eigenvalue of ad_b on the rows of `space` for each ad_b
+    of the stack ad_a (ad of the a-basis), or None.  Each [b, v] is
+    compared with v at the first nonzero entry of v, by
+    cross-multiplication."""
+    w = space @ ad_a                                        # [b, v] at (b, v)
     rows, pivots = np.arange(len(space)), (space != 0).argmax(axis=1)
     den, num = space[rows, pivots], w[:, rows, pivots]
     if not ((w * den[:, None] == num[..., None] * space).all()
@@ -211,10 +226,11 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
         raise _NotGeneric("centralizer p-part escapes a")
 
     by_func = {}
+    ad_a = a.ad_stack(asub.basis_rows)
     for mu, ker in spaces.items():
         if mu == 0:
             continue
-        lam = _scalar_action(a, asub, ker)
+        lam = _scalar_action(ad_a, ker)
         if lam is None:
             raise _NotGeneric("eigenvalue %s mixes distinct roots" % mu)
         by_func[lam] = ker
@@ -236,10 +252,14 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
 def _split_zero_space(a, zero_space: np.ndarray):
     """Exact bases of V_0 ∩ k and V_0 ∩ p (V_0 is theta-stable), as rows.
 
-    A vector v = c @ z of V_0 (rows z) has theta v = sign * v exactly when
-    its coordinates c solve (z theta^T - sign z)^T c = 0."""
-    tz = zero_space @ a.theta_exact.T
-    return tuple(nullspace((tz - sign * zero_space).T) @ zero_space for sign in (1, -1))
+    Each row z of V_0 is first cleared of its denominators, which keeps the
+    span and spares both products the Fractions of the rows.  A vector v = c @ z of V_0 has
+    theta v = sign * v exactly when its coordinates c solve
+    (z theta^T - sign z)^T c = 0."""
+    z = np.array([clear_denominators(r) for r in zero_space],
+                 dtype=object).reshape(zero_space.shape)
+    tz = z @ a.theta_exact.T
+    return tuple(nullspace((tz - sign * z).T) @ z for sign in (1, -1))
 
 
 def _lex_positive(lam) -> bool:
@@ -252,57 +272,92 @@ def _lex_positive(lam) -> bool:
 def verify_commutation_rules(rd: RootDatum) -> dict:
     """All three bracket rules over Sigma+ x Sigma+, with p_0 = a, k_0 = m.
 
+    The rows of m, a and every k_lambda, p_lambda form a basis W of g
+    (_decompose_with_h), and the target of (lambda, mu), the spaces of
+    lambda +- mu with m or a at nu = 0, is a union of its blocks.  So a
+    bracket lies in its target exactly when the null rows of one
+    SpanSolver over W annihilate it (it lies in span(W)) and its
+    coordinates over W vanish outside the target's blocks.  Each rule is
+    one product of all its brackets with the solver's row operations, each
+    row scaled to ints (which keeps every zero), read through one column
+    mask per (lambda, mu); ad of each left space is taken once per lambda.
+    Blocks that are not independent are no decomposition: ValueError.
+
     Any failure here indicates a decomposition bug, so the report carries a
-    witness; residuals are exactly zero in exact mode.  k.k->k and p.p->k
-    share their targets, and (lambda, mu) and (mu, lambda) give the same
-    one, so each distinct target basis is built into a Subspace once, and
-    ad of each left space once per lambda.
+    witness: a failing (lambda, mu) alone builds its target Subspace, from
+    the rows of W in its blocks, to measure the residuals (the B_theta
+    norms off the target, exact before the cast, whatever its basis); they
+    are exactly zero everywhere else.
     """
+    a = rd.algebra
+    blocks = {"m": rd.m, "a": rd.a}
+    for lam in rd.positive:
+        blocks["k", lam], blocks["p", lam] = rd.k_spaces[lam], rd.p_spaces[lam]
+    w_rows = np.concatenate([sp.basis_rows for sp in blocks.values()])
+    solver = SpanSolver(w_rows)
+    if not solver.independent:
+        raise ValueError("the blocks m, a, k_lambda and p_lambda of the datum are "
+                         "not independent, so they are no decomposition of g")
+    # column j < dim W of v @ ops is the j-th coordinate of v over W, times a
+    # positive scale; the columns past dim W are its null-row products
+    ops = solver.int_row_ops.T
+    columns, start = {}, 0
+    for key, space in blocks.items():
+        columns[key] = slice(start, start + space.dim)
+        start += space.dim
+    masks = {key: _target_columns(rd, columns, *key) for key in (("p", "a"), ("k", "m"))}
+
     report = {"mode": rd.mode, "rules": {}, "passed": True}
-    spans = {}
-    ad_k, ad_p = ({lam: rd.algebra.ad_stack(spaces[lam].basis_rows)
-                   for lam in rd.positive} for spaces in (rd.k_spaces, rd.p_spaces))
+    ad_k, ad_p = ({lam: a.ad_stack(spaces[lam].basis_rows) for lam in rd.positive}
+                  for spaces in (rd.k_spaces, rd.p_spaces))
     rules = (
-        ("k.p->p", ad_k, rd.p_spaces, rd.p_spaces, rd.a),
-        ("k.k->k", ad_k, rd.k_spaces, rd.k_spaces, rd.m),
-        ("p.p->k", ad_p, rd.p_spaces, rd.k_spaces, rd.m),
+        ("k.p->p", ad_k, rd.p_spaces, "p", "a"),
+        ("k.k->k", ad_k, rd.k_spaces, "k", "m"),
+        ("p.p->k", ad_p, rd.p_spaces, "k", "m"),
     )
-    for name, ad_left, right, targets, zero_target in rules:
+    at = np.arange(len(rd.positive))
+    for name, ad_left, right, kind, zero in rules:
+        # [x, y] at (x, y) for x over every left space and y over every
+        # right one, in the order of Sigma+, and the root index of each
+        brackets = (np.concatenate([right[mu].basis_rows for mu in rd.positive])
+                    @ np.concatenate([ad_left[lam] for lam in rd.positive]))
+        left_at = np.repeat(at, [len(ad_left[lam]) for lam in rd.positive])
+        right_at = np.repeat(at, [right[mu].dim for mu in rd.positive])
+        outside = ((brackets @ ops != 0)
+                   & ~masks[kind, zero][left_at[:, None], right_at]).any(axis=-1)
+        rows, cols = np.nonzero(outside)
         worst = 0.0
         witness = None
-        holds = True
-        for lam in rd.positive:
-            for mu in rd.positive:
-                target_rows = np.concatenate([
-                    _space_basis_for(rd, targets, zero_target, nu)
-                    for nu in (tuple(x + y for x, y in zip(lam, mu)),
-                               tuple(x - y for x, y in zip(lam, mu)))])
-                key = tuple(map(tuple, target_rows))
-                target = spans.get(key)
-                if target is None:
-                    target = spans[key] = Subspace(rd.algebra, target_rows)
-                # [x, y] for x in the left space, y in the right one
-                brackets = right[mu].basis_rows @ ad_left[lam]
-                outside, res = target.membership(brackets)
-                worst = max(worst, float(res.max(initial=0.0)))
-                if outside.any() and witness is None:
-                    holds = False
-                    witness = {"rule": name, "lambda": root_label(lam),
-                               "mu": root_label(mu), "residual": float(res[outside][0])}
-        report["rules"][name] = {"holds": holds, "worst_residual": worst,
+        for i, j in sorted(set(zip(left_at[rows].tolist(), right_at[cols].tolist()))):
+            lam, mu = rd.positive[i], rd.positive[j]
+            target = Subspace(a, w_rows[masks[kind, zero][i, j, :len(w_rows)]])
+            out, res = target.membership(brackets[left_at == i][:, right_at == j])
+            worst = max(worst, float(res.max(initial=0.0)))
+            if out.any() and witness is None:
+                witness = {"rule": name, "lambda": root_label(lam),
+                           "mu": root_label(mu), "residual": float(res[out][0])}
+        report["rules"][name] = {"holds": witness is None, "worst_residual": worst,
                                  "witness": witness}
-        report["passed"] = report["passed"] and holds
+        report["passed"] = report["passed"] and witness is None
     return report
 
 
-def _space_basis_for(rd: RootDatum, targets, zero_target, nu) -> np.ndarray:
-    """The basis rows of the space of nu: zero_target at nu = 0, else the
-    target space of +-nu, or none when +-nu is not a root."""
-    if all(c == 0 for c in nu):
-        return zero_target.basis_rows
-    key = nu if _lex_positive(nu) else tuple(-c for c in nu)
-    sp = targets.get(key)
-    return sp.basis_rows if sp is not None else np.zeros((0, rd.algebra.dim), dtype=object)
+def _target_columns(rd: RootDatum, columns: dict, kind: str, zero: str) -> np.ndarray:
+    """(L, L, d) bool over Sigma+ x Sigma+, true at the columns of the
+    blocks of the target of (lambda, mu): the block (kind, +-nu) for nu =
+    lambda +- mu, and the block zero at nu = 0."""
+    mask = np.zeros((len(rd.positive),) * 2 + (rd.algebra.dim,), dtype=bool)
+    for i, lam in enumerate(rd.positive):
+        for j, mu in enumerate(rd.positive):
+            for nu in (tuple(x + y for x, y in zip(lam, mu)),
+                       tuple(x - y for x, y in zip(lam, mu))):
+                if any(nu):
+                    key = kind, nu if _lex_positive(nu) else tuple(-c for c in nu)
+                else:
+                    key = zero
+                if key in columns:
+                    mask[i, j, columns[key]] = True
+    return mask
 
 
 @dataclass

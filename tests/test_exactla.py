@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,14 @@ def test_span_solver_contains_its_members(m, coeffs):
     v = tuple(sum(c * col[i] for c, col in zip(coeffs, cols))
               for i in range(5))
     assert solver.contains(v)
+    # the integer row operations: past the rank they annihilate v, and with
+    # independent columns row j gives coefficient j times the lcm of the
+    # denominators of row_ops[j]
+    coords = solver.int_row_ops @ np.array(v, dtype=object)
+    assert not coords[solver.rank:].any()
+    if solver.independent:
+        scales = [math.lcm(*(x.denominator for x in row)) for row in solver.row_ops]
+        assert list(coords[:3]) == [s * c for s, c in zip(scales, coeffs)]
 
 
 def _reference_rref(rows):

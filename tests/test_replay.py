@@ -3,8 +3,9 @@ in a fresh process.
 
 The condition and the lemma keep what they derive from (s, X) in the
 subspace's certify plan (extension.CertifyPlan), and catalog subspaces live
-as long as the process.  Nothing in a plan depends on Y or on the seed.  So
-every certify shape of the benchmark and every cold-algebra verify shape
+as long as the process.  Nothing in a plan depends on Y or on the seed, and
+roots keeps nothing between requests.  So every certify and every
+cold-algebra shape of the benchmark, the roots and the verify ones
 (perfbench/mixes.py, loaded by path and read, never edited here), run twice
 in this process with one --seed, must report what the same argv reports
 when it runs first in a fresh interpreter, after report.strip_wall_time.
@@ -34,8 +35,7 @@ def _shapes():
     for workload in ("certify", "cold-algebra"):
         light, heavy = MIXES.WORKLOADS[workload]()
         for shape in light + [s for group in heavy for s in group]:
-            if workload == "certify" or shape.argv[0] == "verify":
-                yield "%s: %s" % (workload, shape.key), shape.argv
+            yield "%s: %s" % (workload, shape.key), shape.argv
 
 
 SHAPES = dict(_shapes())

@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -26,14 +27,14 @@ from hypothesis import strategies as st
 
 from transvector import rng, roots
 from transvector.algfile import parse_algebra_file, serialize_algebra
-from transvector.catalog import build_space
+from transvector.catalog import SPACE_IDS, build_space
 from transvector.cli import run
 from transvector.data import algebra_path
 from transvector.errors import ConfigError
-from transvector.exactla import nullspace, rank
+from transvector.exactla import div, frac, nullspace, rank
 from transvector.extension import sample_ys
 from transvector.liealg import MODE_EXACT
-from transvector.roots import (_space_basis_for,
+from transvector.roots import (_eigen_candidates, _lex_positive,
                                build_root_space_example, maximal_abelian,
                                restricted_root_decomposition, root_label,
                                verify_commutation_rules)
@@ -221,9 +222,19 @@ def test_maximal_abelian_is_really_abelian_and_in_p():
                 assert a.bracket(u, v).is_zero()
 
 
+def _space_basis_for(rd, targets, zero_target, nu):
+    """The basis rows of the space of nu: zero_target at nu = 0, else the
+    target space of +-nu, or none when +-nu is not a root."""
+    if all(c == 0 for c in nu):
+        return zero_target.basis_rows
+    key = nu if _lex_positive(nu) else tuple(-c for c in nu)
+    sp = targets.get(key)
+    return sp.basis_rows if sp is not None else np.zeros((0, rd.algebra.dim), dtype=object)
+
+
 def _rules_without_memo(rd):
     """verify_commutation_rules with a fresh target Subspace for every rule
-    and pair: the oracle for its one-target-per-basis memo."""
+    and pair: the oracle for its coordinate decision over the blocks."""
     report = {"mode": rd.mode, "rules": {}, "passed": True}
     rules = (("k.p->p", rd.k_spaces, rd.p_spaces, rd.p_spaces, rd.a),
              ("k.k->k", rd.k_spaces, rd.k_spaces, rd.k_spaces, rd.m),
@@ -250,29 +261,57 @@ def _rules_without_memo(rd):
     return report
 
 
-@pytest.mark.parametrize("space_id,targets", [("sl3r", 8), ("su21", 6)])
-def test_commutation_rules_build_each_target_once(monkeypatch, space_id, targets):
+def _broken(rd):
+    """k and p swapped and m dropped: W no longer spans g (when m != 0)
+    and the rules fail, so witnesses appear."""
+    return dataclasses.replace(rd, k_spaces=rd.p_spaces, p_spaces=rd.k_spaces,
+                               m=Subspace(rd.algebra, []))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("space_id", ["sl2r", "so31", "su21", "sl3r", "su31"])
+def test_commutation_rules_match_the_per_pair_oracle(space_id, seed):
+    """The coordinate decision over the blocks of the datum reports what a
+    fresh target Subspace per rule and pair reports, on the datum and on
+    the broken one, whose witnesses and residuals come from the targets
+    built for its failing pairs."""
     a = build_space(space_id)
+    rd = restricted_root_decomposition(a, maximal_abelian(a), seed=seed)
+    report = verify_commutation_rules(rd)
+    assert report["passed"] and report == _rules_without_memo(rd)
+    broken = _broken(rd)
+    report = verify_commutation_rules(broken)
+    assert report == _rules_without_memo(broken)
+    # on sl2r m = 0 and the swap maps each rule into itself
+    assert report["passed"] == (space_id == "sl2r")
+    assert all((r["witness"] is None) == r["holds"] for r in report["rules"].values())
+
+
+def test_commutation_rules_catch_mislabelled_blocks():
+    """sl3r with the p-spaces of two roots swapped: W still spans g and is
+    a basis, but brackets land in the blocks of the wrong roots."""
+    a = build_space("sl3r")
     _, rd = _decomp(a)
-    # k and p swapped and m dropped: the rules fail, so witnesses appear
-    broken = dataclasses.replace(rd, k_spaces=rd.p_spaces, p_spaces=rd.k_spaces,
-                                 m=Subspace(a, []))
-    built = []
-
-    class Counting(Subspace):
-        def __init__(self, *args, **kwargs):
-            built.append(args[1])
-            super().__init__(*args, **kwargs)
-
-    for datum in (rd, broken):
-        monkeypatch.setattr(roots, "Subspace", Counting)
-        built.clear()
-        report = verify_commutation_rules(datum)
-        monkeypatch.setattr(roots, "Subspace", Subspace)
-        assert len(built) == targets
-        assert report == _rules_without_memo(datum)
+    lam, mu = rd.positive[:2]
+    swapped = dataclasses.replace(rd, p_spaces={**rd.p_spaces, lam: rd.p_spaces[mu],
+                                                mu: rd.p_spaces[lam]})
+    report = verify_commutation_rules(swapped)
+    assert report == _rules_without_memo(swapped)
     assert not report["passed"]
-    assert all(r["witness"] for r in report["rules"].values())
+
+
+@pytest.mark.parametrize("blocks", [
+    {"m": "a"},                       # a listed twice
+    {"k_spaces": "p_spaces"},         # every k_lambda equal to p_lambda
+])
+def test_commutation_rules_refuse_dependent_blocks(blocks):
+    """Blocks that are not independent are no decomposition of g, and
+    _decompose_with_h never yields them: ValueError, not a report."""
+    a = build_space("su21")
+    _, rd = _decomp(a)
+    bad = dataclasses.replace(rd, **{k: getattr(rd, v) for k, v in blocks.items()})
+    with pytest.raises(ValueError, match="not independent"):
+        verify_commutation_rules(bad)
 
 
 @pytest.mark.parametrize("space_id,calls", [("sl3r", 6), ("su21", 4)])
@@ -306,16 +345,17 @@ def _roots_on(a, directory):
 
 
 @st.composite
-def _rebased_catalog(draw):
+def _rebased_catalog(draw, scale=True):
     """A catalog space in a unimodular upper triangular integer basis,
-    sometimes with one basis vector scaled by 1/q."""
+    sometimes (never when scale is false) with one basis vector scaled by
+    1/q."""
     a = build_space(draw(st.sampled_from(["sl2r", "so21", "sl3r", "su21", "so31", "su31"])))
     d = a.dim
     upper = draw(st.lists(st.integers(-1, 1), min_size=d * (d - 1) // 2,
                           max_size=d * (d - 1) // 2))
     m = np.eye(d, dtype=int).astype(object)
     m[np.triu_indices(d, 1)] = upper
-    if draw(st.booleans()):
+    if scale and draw(st.booleans()):
         m[draw(st.integers(0, d - 1))] *= Fraction(1, draw(st.integers(2, 200)))
     return rebased(a, m)
 
@@ -356,6 +396,82 @@ def test_roots_with_denominator_97_decompose_exactly(tmp_path):
     assert report["results"]["datum"]["mode"] == "exact"
     assert report["results"]["datum"]["positive"] == ["(2/97)", "(1/97)"]
     assert report["results"]["rules"]["passed"]
+
+
+# -- the eigenvalue candidates ------------------------------------------------
+
+def _union_candidates(ad):
+    """Every candidate of both rationalizations, at any D: each float
+    eigenvalue e rationalized with denominator at most 64, and k/D for k
+    the integer nearest D e."""
+    den = math.lcm(*(c.denominator for c in ad.flat))
+    eigs = [Fraction(float(e.real)) for e in np.linalg.eigvals(ad.astype(float))]
+    return sorted({frac(e.limit_denominator(64)) for e in eigs}
+                  | {div(round(den * e), den) for e in eigs})
+
+
+def _kernel_total(a, ad, candidates):
+    return sum(len(nullspace(ad - mu * np.eye(a.dim, dtype=object))) for mu in candidates)
+
+
+def _first_h(a, seed=0):
+    """The first H that restricted_root_decomposition draws."""
+    asub = maximal_abelian(a)
+    gen = rng.stream(seed, rng.STREAM_ROOTS_GENERIC)
+    return asub.member_from_coordinates(rng.odd_int_vector(gen, asub.dim))
+
+
+def _assert_candidates(a, ad):
+    """The candidates of ad and its D: at D = 1 the integer members of the
+    union, else the union, with kernels that account for as much of g as
+    the union's."""
+    den = math.lcm(*(c.denominator for c in ad.flat))
+    union = _union_candidates(ad)
+    candidates = _eigen_candidates(ad)
+    assert candidates == ([mu for mu in union if type(mu) is int] if den == 1 else union)
+    assert _kernel_total(a, ad, candidates) == _kernel_total(a, ad, union)
+    return candidates, den
+
+
+@pytest.mark.parametrize("space_id", SPACE_IDS)
+def test_integer_ad_h_candidates_are_rounded_eigenvalues(space_id):
+    """An integer ad_H has a monic integer characteristic polynomial: the
+    rounded float eigenvalues are all the candidates needed, and their
+    kernels fill g for the H that was drawn."""
+    a = build_space(space_id)
+    _, rd = _decomp(a)
+    ad = a.ad_matrix(rd.generic_h)
+    candidates, den = _assert_candidates(a, ad)
+    assert den == 1
+    assert _kernel_total(a, ad, candidates) == a.dim
+
+
+@settings(max_examples=20, deadline=None)
+@given(a=_rebased_catalog(scale=False))
+def test_rebased_integer_files_lose_no_candidate(a):
+    """The integer files of the rebased survey, at the first H drawn (whose
+    ad_H has D > 1 when the a-basis found has denominators): the kernels
+    of the union, whether the roots are rational on a or not."""
+    _assert_candidates(a, a.ad_matrix(_first_h(a)))
+
+
+@pytest.mark.parametrize("name", ["scaled-su21.alg", "su21half.alg"])
+def test_rational_ad_h_keeps_both_rationalizations(name):
+    """D > 1: the candidates stay the union of both rationalizations, so
+    these files take the Fraction path and decompose as before."""
+    a = parse_algebra_file(str(GOLDEN / name))
+    _, rd = _decomp(a)
+    ad = a.ad_matrix(rd.generic_h)
+    candidates, den = _assert_candidates(a, ad)
+    assert den > 1
+    assert _kernel_total(a, ad, candidates) == a.dim
+
+
+def test_rational_jacobi_is_refused_before_any_eigenvalue():
+    """rational-jacobi.alg fails validation, so roots never draws H on it
+    and its golden cannot depend on the candidates."""
+    with pytest.raises(ConfigError, match="fails validation"):
+        parse_algebra_file(str(GOLDEN / "rational-jacobi.alg"))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 5])
