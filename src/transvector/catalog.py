@@ -101,6 +101,18 @@ def _sl_basis(n: int):
     return basis, n, k_dim, None
 
 
+def positive_root_count(fam: str, n: int) -> int:
+    """N = |Sigma+| of a catalog family (Helgason, ch. X, Table VI):
+    su(n,1) has the roots lambda and 2 lambda, and 2 lambda alone at n = 1;
+    so(n,1) has lambda, and none at n = 1, where g = a; sl(n,R) has the
+    roots e_i - e_j, i < j, of A_(n-1)."""
+    if fam == "su":
+        return 1 if n == 1 else 2
+    if fam == "so":
+        return 0 if n == 1 else 1
+    return n * (n - 1) // 2
+
+
 @lru_cache(maxsize=None)
 def build_space(space_id: str) -> StructuredLieAlgebra:
     """Construct the named algebra with exact structure constants.
@@ -109,7 +121,8 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
     close under commutators; any failure is a programming error in the basis
     tables, so it raises immediately.  Every commutator is one stacked
     product of the realified blocks [[A, -B], [B, A]] of A + iB, whose left
-    column flattens to the real coordinates of A + iB.
+    column flattens to the real coordinates of A + iB.  The algebra carries
+    its family's positive_root_count as root_count.
     """
     fam, n = parse_space_id(space_id)
     basis, size, k_dim, signature = {"su": _su_basis, "so": _so_basis,
@@ -126,7 +139,7 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
     if not solver.independent:
         raise RuntimeError("basis table for %s is dependent" % space_id)
     lo, hi = np.triu_indices(d, 1)
-    comm = (r[lo] @ r[hi] - r[hi] @ r[lo])[:, :, :size].reshape(len(lo), -1)
+    comm = (r[lo] @ r[hi] - r[hi] @ r[lo])[:, :, :size].reshape(len(lo), 2 * size * size)
     # the first d integer row operations are divided back below
     ops = solver.int_row_ops
     if int64_exact(int(np.abs(ops).max(initial=0)), abs_col_sum(comm.T)):
@@ -144,7 +157,8 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
                         for j in range(d)) for i in range(d))
     return StructuredLieAlgebra(labels=tuple(label for label, _ in basis),
                                 brackets=brackets, theta=theta, realization=real,
-                                name=space_id.strip().lower())
+                                name=space_id.strip().lower(),
+                                root_count=positive_root_count(fam, n))
 
 
 def complex_structure_matrix(a: StructuredLieAlgebra):

@@ -177,18 +177,22 @@ MAX_GRID_NODES = 10 ** 5
 
 
 # Ceilings of the count options, each run at the cap on su31, the widest
-# catalog algebra: check --samples 1024 (n_max = dim p = 6) peaks near 60 MB
-# in 0.3 s; lemma at 4096 terms (--samples 4 --n-max 31 --m-max 31) near
-# 100 MB in 0.5 s
+# catalog algebra, 3 runs each on a 2-core Xeon, peak RSS of the process
+# (31 MB after the imports) and time in cli.run: check --samples 1024
+# (n_max = dim p = 6, the chain evaluated to b = 2) peaks near 42 MB in
+# 0.03 s; lemma at 4096 terms (--samples 4 --n-max 31 --m-max 31, evaluated
+# to n, m <= b) near 38 MB in 0.04 s
 MAX_SAMPLES = 1024
 MAX_CHAIN = 32              # lemma --n-max and --m-max
 MAX_LEMMA_TERMS = 4096      # lemma samples * (n_max + 1) * (m_max + 1)
 
 # The most multiply-adds the chains of roots --examples may take: each of the
 # positive roots * X points examples builds, for each sample, a chain of
-# 2 dim p + 3 exact vectors of length d, each a d-by-d product.  su31 at
-# --samples 1024 takes 3.5e7 (1.5 s); su(9,1) at --samples 17 takes 6.5e7,
-# near this cap, in 5 s and 100 MB
+# 2 dim p + 3 exact vectors of length d, each a d-by-d product.  That is the
+# full range; the chains are evaluated to 2 |Sigma+| + 3 vectors unless a
+# term leaves its target.  su31 at --samples 1024 counts 3.5e7 and runs in
+# 0.8 s; su(9,1) at --samples 17 counts 6.5e7, near this cap, and runs in
+# 1.9 s at 91 MB (measured as above)
 MAX_EXAMPLE_WORK = 2 ** 26
 
 

@@ -9,9 +9,32 @@ rational point is, with overwhelming probability, the zero polynomial
 certificate.  Failures are always certificates: a witness (Y, n) with a
 nonzero residual vector stays a counterexample under re-evaluation.
 
-The n quantifier is finite for each Y: ad_Y^2 preserves p and satisfies its
-characteristic polynomial there, so every odd power ad_Y^{2n+1} with
-n >= dim p is a rational combination of the tested ones; N_max = dim p.
+The n quantifier is finite for each Y, and the terms above the bound
+b = chain_bound(g) are decided by proof, not evaluated.  Every Y in p is
+Ad(k)H for some k in K and H in a maximal abelian a (Helgason, Differential
+Geometry, Lie Groups, and Symmetric Spaces, ch. V, Thm 6.7), so ad_Y^2 on p
+is conjugate to ad_H^2 on p, which is diagonal on p = a + sum p_lambda, 0
+on a and lambda(H)^2 on p_lambda.  So the minimal polynomial of ad_Y^2 on p
+is x q(x) with deg q <= N = |Sigma+| (root_count, which the catalog builds
+in closed form).  Without N, Cayley-Hamilton gives the same shape with
+deg q <= dim p - 1: ad_Y^2 preserves p (Theta is an involutive
+automorphism, which validate certifies) and kills Y, so its characteristic
+polynomial on p has no constant term.  Take b = min(N, dim p - 1).  For
+n >= 1 the remainder of x^n modulo x q(x) has no constant term either, so
+(ad_Y^2)^n is a combination of (ad_Y^2)^j, 1 <= j <= b, with coefficients
+depending on Y.  Applied to X, and then ad_Y, it makes ad_Y^{2n} X and
+ad_Y^{2n+1} X combinations of the terms of index 2j and 2j + 1, 1 <= j <= b.
+Membership in s is linear, and each term of the condition and the lemma is
+linear in each chain vector it brackets, so a term with an index above b
+lies in s when the terms with indices up to b do, pointwise in Y.
+
+The condition and the lemma evaluate their terms only up to b, and report
+the paper's range all the same: n_max, checked and the residual lists
+describe n <= dim p for the condition and the requested n_max, m_max for
+the lemma, the terms above b decided by the proof.  A term outside s within
+b is found where the full range would find it first (condition_holds), or
+sends the request down the full range (verify_lemma_conclusion), so every
+report is the one the full range gives term by term.
 
 Scaling note: [X, ad_{cY}^{2n+1} X] = c^{2n+1} [X, ad_Y^{2n+1} X], so
 membership is invariant under rescaling Y.  Exact sampling exploits this by
@@ -201,15 +224,28 @@ def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
     return w // g[:, None]
 
 
+def chain_bound(a) -> int:
+    """b = min(N, dim p - 1), N = a.root_count, or dim p - 1 when N is not
+    known: the largest n whose terms the condition and the lemma evaluate
+    (module docstring)."""
+    b = len(a.p_basis) - 1
+    return max(0, b if a.root_count is None else min(a.root_count, b))
+
+
 def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
                     seed: int = 0) -> ConditionVerdict:
     """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s, for
-    n <= n_max = dim p (complete by the module docstring).
+    n <= n_max = dim p.  Only the terms n <= b = chain_bound are evaluated;
+    the proof of the module docstring decides the rest.
 
-    Every (sample, n) term is evaluated in one stacked pass on
-    ChainResidues; the verdict reads them in sample-major order and
-    stops at the first term outside s, which is the witness, so `checked`
-    counts the terms up to it.  The witness alone is evaluated exactly.
+    Every (sample, n <= b) term is evaluated in one stacked pass on
+    ChainResidues, admitted (fit) as the stacks of the full range would be;
+    the verdict reads them in sample-major order and stops at the first term
+    outside s, which is the witness.  By the proof a sample with a term
+    outside s has one with n <= b, so that is the first term outside s of
+    the full range too, and `checked` counts the terms of the full range up
+    to it, (dim p + 1) per sample before it.  The witness alone is
+    evaluated exactly.
     """
     warnings, pair = s.certify_plan.pair(s, x)
     a = s.algebra
@@ -221,14 +257,15 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     if s.dim == 0:
         return verdict
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
-    r = ChainResidues(pair, ys, 2 * n_max + 1)
-    r.fit("--samples")
-    outside = r.outside(r.chain[:, :, 1::2], r.form)
-    res = np.zeros(outside.shape)
-    hits = np.flatnonzero(outside)
-    verdict.checked = int(hits[0]) + 1 if hits.size else outside.size
+    b = chain_bound(a)
+    r = ChainResidues(pair, ys, 2 * b + 1)
+    r.fit("--samples", 2 * n_max + 1)
+    hits = np.flatnonzero(r.outside(r.chain[:, :, 1::2], r.form))
+    res = np.zeros((len(ys), n_max + 1))
+    verdict.checked = res.size
     if hits.size:
-        i, n = divmod(int(hits[0]), n_max + 1)
+        i, n = divmod(int(hits[0]), b + 1)
+        verdict.checked = i * (n_max + 1) + n + 1
         xrow = x.row()
         odd = a.ad_chain(ys[i:i + 1], xrow, 2 * n + 1)[0, -1]
         term = a.vector(odd @ a.ad_stack(xrow))     # [X, v] = v @ ad_X
@@ -260,28 +297,60 @@ def _lemma_terms(chain, ad_x, ad_y, ad, mul, n_max: int, m_max: int):
     return hypothesis, conclusion, auxiliary
 
 
+def _lemma_keys(n_max: int, m_max: int) -> list:
+    """The "n,m" keys of a LemmaCheck's conclusion and auxiliary residuals."""
+    return ["%d,%d" % nm for nm in np.ndindex(n_max + 1, m_max + 1)]
+
+
 def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
                             n_max: int = 4, m_max: int = 4) -> list:
-    """Brute-force the lemma for every row Y of the stack ys (S, d): the
-    hypothesis [X, ad_Y^{2m+1}X] in s for m <= n_max + m_max, then the
-    conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X] in s and the auxiliary chain
-    ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.  Returns one LemmaCheck per row.
+    """Brute-force the lemma for every row Y of the stack ys (S, d), each a
+    Y in s as sample_ys draws them: the hypothesis [X, ad_Y^{2m+1}X] in s
+    for m <= n_max + m_max, then the conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X]
+    in s and the auxiliary chain ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.
+    Returns one LemmaCheck per row.
 
-    Membership is decided on ChainResidues.  Only what a report
-    prints is evaluated exactly: the hypothesis terms of the rows that fail
-    it, in one stacked pass, and the terms of the row raised below.
+    Membership is decided on ChainResidues, admitted (fit) as the stacks of
+    the full range.  First only the terms with indices up to b =
+    chain_bound are decided: the hypothesis for m <= min(n_max + m_max, b),
+    the conclusion and the auxiliary for n <= min(n_max, b) and
+    m <= min(m_max, b).  When all of them lie in s, every term of the range
+    does (module docstring), and each row gets the passed LemmaCheck with
+    every residual of the range 0.  Otherwise the whole range is decided
+    term by term, and only what a report prints is evaluated exactly: the
+    hypothesis terms of the rows that fail it, in one stacked pass, and the
+    terms of the row raised below.
 
     A conclusion or auxiliary failure while the hypothesis held raises
     LemmaFalsified, for the first such row; cli.run reports it as exit
     status 1 with kind "lemma-falsified".
     """
     _, pair = s.certify_plan.pair(s, x)
+    b = chain_bound(s.algebra)
+    top = 2 * (n_max + m_max) + 1
+    r = ChainResidues(pair, ys, 2 * min(n_max + m_max, b) + 1)
+    r.fit("--samples, --n-max and --m-max", top, vectors=(n_max + 1) * (m_max + 1),
+          ads=n_max + 1)
+    keys = _lemma_keys(n_max, m_max)
+    if not any(r.outside(v).any() for v in _lemma_terms(
+            r.chain, r.ad_x, r.ad_y, r.ad, r.mul, min(n_max, b), min(m_max, b))):
+        return [LemmaCheck(status="passed", n_max=n_max, m_max=m_max,
+                           hypothesis_residuals=[0.0] * (n_max + m_max + 1),
+                           conclusion_residuals=dict.fromkeys(keys, 0.0),
+                           aux_residuals=dict.fromkeys(keys, 0.0)) for _ in ys]
+    if r.top < top:
+        r = ChainResidues(pair, ys, top)
+    return _lemma_checks(s, x, ys, r, n_max, m_max)
+
+
+def _lemma_checks(s: Subspace, x: AlgebraVector, ys: np.ndarray, r: ChainResidues,
+                  n_max: int, m_max: int) -> list:
+    """verify_lemma_conclusion on the full range, every term decided on r,
+    the ChainResidues of ys up to top = 2 (n_max + m_max) + 1."""
+    keys = _lemma_keys(n_max, m_max)
     a = s.algebra
     xrow = x.row()
-    top = 2 * (n_max + m_max) + 1
-    r = ChainResidues(pair, ys, top)
-    r.fit("--samples, --n-max and --m-max", vectors=(n_max + 1) * (m_max + 1),
-          ads=n_max + 1)
+    top = r.top
     hyp_out, con_out, aux_out = (r.outside(v) for v in _lemma_terms(
         r.chain, r.ad_x, r.ad_y, r.ad, r.mul, n_max, m_max))
     hyp_res, con_res, aux_res = (np.zeros(o.shape) for o in (hyp_out, con_out, aux_out))
@@ -290,7 +359,6 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
         odd = a.ad_chain(ys[bad], xrow, top)[:, 1::2]
         hyp_res[bad] = s.membership(odd @ a.ad_stack(xrow))[1]
 
-    keys = ["%d,%d" % nm for nm in np.ndindex(n_max + 1, m_max + 1)]
     checks = []
     for i, y in enumerate(ys):
         check = LemmaCheck(status="passed", n_max=n_max, m_max=m_max)

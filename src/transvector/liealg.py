@@ -272,9 +272,13 @@ class StructuredLieAlgebra:
     brackets maps (i, j) with i < j to the coefficient vector of [e_i, e_j],
     as a mapping {k: coeff}; antisymmetry is built into the layout.  theta is
     the d x d Cartan involution matrix acting on coefficient columns.
+    root_count is N = |Sigma+|, the number of positive restricted roots,
+    when the builder knows it (catalog.build_space), else None; the
+    extension module bounds its chains by it.
     """
 
-    def __init__(self, labels, brackets, theta, realization=None, name=""):
+    def __init__(self, labels, brackets, theta, realization=None, name="",
+                 root_count=None):
         self.labels = tuple(str(x) for x in labels)
         self.dim = len(self.labels)
         self.name = name or "g"
@@ -292,6 +296,7 @@ class StructuredLieAlgebra:
         if len(self.theta) != self.dim or any(len(r) != self.dim for r in self.theta):
             raise ValueError("theta must be d x d")
         self.realization = realization
+        self.root_count = root_count
 
     # -- construction helpers ------------------------------------------------
 
@@ -846,24 +851,33 @@ class ChainResidues:
         vals, col_sum = algebra._integer_structure
         kind = np.int64 if int64_exact(int(np.abs(ys).max(initial=0)), col_sum) else object
         ad_y = algebra.ad_stack(ys.astype(kind, copy=False), vals.astype(kind, copy=False))
-        self.bound = (pair.x_max * max(1, abs_col_sum(ad_y)) ** top * pair.x_max
-                      * max(1, col_sum) * max(1, pair.subspace.row_sum))
+        self._growth = max(1, abs_col_sum(ad_y))
+        self._scale = pair.x_max ** 2 * max(1, col_sum) * max(1, pair.subspace.row_sum)
+        self.bound = self._bound(top)
         self.primes = residue_primes(self.bound)
         self._mods = _moduli(self.primes)
         self.algebra, self.top, self._ad_y = algebra, top, ad_y
         self.vals, self.null, self.x, self.ad_x, self.form = pair.lifted(self.primes)
 
-    def fit(self, options: str, vectors: int = 0, ads: int = 0):
+    def _bound(self, top: int) -> int:
+        """bound for the chains of these ys up to ad_y^top x."""
+        return self._scale * self._growth ** top
+
+    def fit(self, options: str, top: int, vectors: int = 0, ads: int = 0):
         """Refuse, with a ConfigError naming options, when the residue
-        stacks a request builds would hold more than RESIDUE_BUDGET elements
-        together: the chain or a stack of `vectors` vectors per Y, whichever
-        is longer, plus ad_y or a stack of `ads` ad matrices per Y.  An ad
-        matrix counts d^2 elements, or the table's nonzero constants when
-        they are more (ad_stack's product).  Decided on the shapes, before
-        any is built."""
+        stacks of a request on the chains of these ys up to ad_y^top x would
+        hold more than RESIDUE_BUDGET elements together: the chain or a
+        stack of `vectors` vectors per Y, whichever is longer, plus ad_y or
+        a stack of `ads` ad matrices per Y, with the primes of that chain's
+        bound.  An ad matrix counts d^2 elements, or the table's nonzero
+        constants when they are more (ad_stack's product).  Decided on the
+        shapes, before any is built.  top may exceed self.top: a caller that
+        builds a shorter chain than its range keeps the admission of the
+        range."""
+        k = max(1, len(residue_primes(self._bound(top))))
         d, nonzero = self.algebra.dim, len(self.algebra._structure_columns[0])
-        shapes = [(len(self.x), len(self._ad_y), count, size)
-                  for count, size in ((max(vectors, self.top + 1), d),
+        shapes = [(k, len(self._ad_y), count, size)
+                  for count, size in ((max(vectors, top + 1), d),
                                       (max(ads, 1), max(d * d, nonzero)))]
         total = sum(math.prod(shape) for shape in shapes)
         if total > RESIDUE_BUDGET:

@@ -397,8 +397,16 @@ class RootExampleBundle:
 def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
                              samples: int = 8, seed: int = 0) -> RootExampleBundle:
     """Certify the canonical example s = p_lambda with X in a: the triple
-    system property, the odd chains ad_Y^{2n+1}X in k_lambda, the even chains
-    ad_Y^{2n}X in a + p_{2 lambda}, and the extension condition itself."""
+    system property, the odd chains ad_Y^{2n+1}X in k_lambda (n <= dim p),
+    the even chains ad_Y^{2n}X in a + p_{2 lambda} (1 <= n <= dim p + 1), and
+    the extension condition itself.
+
+    The chains are evaluated up to n = N = |Sigma+| of the datum first: by
+    the proof of the extension module, every term past it is a combination
+    of the terms of the same parity with 1 <= n <= N, and both targets are
+    subspaces, so the chains lie in them when those terms do, and every
+    residual is 0.  Only when a term up to N lies outside are the chains
+    evaluated to n = dim p, and their residuals read there."""
     lam = tuple(lam)
     if lam not in rd.p_spaces:
         raise ValueError("functional %s is not a positive root" % (lam,))
@@ -419,12 +427,17 @@ def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
     even_target = Subspace(a, even_rows)
     odd_target = rd.k_spaces[lam]
 
-    n_max = len(a.p_basis)
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_LEMMA), samples)
-    chain = a.ad_chain(ys, x.row(), 2 * n_max + 2)
-    odd, even = chain[:, 1::2], chain[:, 2::2]
-    odd_out, odd_res = odd_target.membership(odd)
-    even_out, even_res = even_target.membership(even)
+
+    def memberships(n_max):
+        # ad_Y^{2n+1}X, n <= n_max, against k_lambda; ad_Y^{2n}X, 1 <= n <= n_max + 1,
+        # against a + p_{2 lambda}
+        chain = a.ad_chain(ys, x.row(), 2 * n_max + 2)
+        return odd_target.membership(chain[:, 1::2]), even_target.membership(chain[:, 2::2])
+
+    (odd_out, odd_res), (even_out, even_res) = memberships(len(rd.positive))
+    if odd_out.any() or even_out.any():
+        (odd_out, odd_res), (even_out, even_res) = memberships(len(a.p_basis))
     odd_ok, even_ok = not odd_out.any(), not even_out.any()
     odd_worst = float(odd_res.max(initial=0.0))
     even_worst = float(even_res.max(initial=0.0))

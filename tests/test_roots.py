@@ -163,7 +163,8 @@ def test_root_space_example_bundles_pass():
 
 def test_root_space_example_checks_every_chain_power(monkeypatch):
     """Per Y draw, ad_Y^k X goes to k_lambda for odd k = 1..2n+1 and to
-    a + p_{2 lambda} for even k = 2..2n+2, with n = dim p."""
+    a + p_{2 lambda} for even k = 2..2n+2, with n = dim p, once a term
+    with n <= |Sigma+| is outside (here the first odd one, by a patch)."""
     a = build_space("su21")
     _, rd = _decomp(a)
     lam = rd.positive[0]
@@ -175,7 +176,11 @@ def test_root_space_example_checks_every_chain_power(monkeypatch):
     def record(self, vs):
         if vs.shape[:2] == (2, n_max + 1):       # the chain stacks of 2 draws
             seen.append((self, vs))
-        return membership(self, vs)
+        outside, res = membership(self, vs)
+        if vs.shape[:2] == (2, len(rd.positive) + 1) and self is rd.k_spaces[lam]:
+            outside = outside.copy()
+            outside[0, 0] = True
+        return outside, res
 
     monkeypatch.setattr(Subspace, "membership", record)
     build_root_space_example(rd, lam, x, samples=2, seed=5)
@@ -194,6 +199,31 @@ def test_root_space_example_checks_every_chain_power(monkeypatch):
     assert len(want_even) == 2 * (n_max + 1)
     assert [a.vector(v) for v in odd.reshape(-1, a.dim)] == want_odd
     assert [a.vector(v) for v in even.reshape(-1, a.dim)] == want_even
+
+
+def test_root_space_example_decides_the_chains_up_to_the_root_count(monkeypatch):
+    """With every term up to n = |Sigma+| = N inside its target, the chains
+    are evaluated to ad_Y^(2N+2) X alone, and the bundle is the one of the
+    full chains: both in their targets, worst residuals 0."""
+    a = build_space("su21")
+    _, rd = _decomp(a)
+    lam = rd.positive[0]
+    x = rd.a.member_from_coordinates((Fraction(3, 2),))
+    n, n_max = len(rd.positive), len(a.p_basis)
+    assert n < n_max
+    shapes = []
+    membership = Subspace.membership
+
+    def record(self, vs):
+        if len(vs) == 2:                         # a stack of chains per draw
+            shapes.append(vs.shape[:2])
+        return membership(self, vs)
+
+    monkeypatch.setattr(Subspace, "membership", record)
+    bundle = build_root_space_example(rd, lam, x, samples=2, seed=5)
+    assert shapes == [(2, n + 1)] * 2
+    assert bundle.odd_chain_in_k_lambda and bundle.even_chain_in_a_plus_p2
+    assert bundle.odd_chain_worst == bundle.even_chain_worst == 0.0
 
 
 def test_example_rejects_x_outside_a():
