@@ -7,9 +7,10 @@ constant extractor), and the abstract bracket table is what the rest of
 the package consumes.  The matrices are retained as a MatrixRealization so
 validation can cross-check the table against honest matrix commutators.
 
-Supported families: su(n,1), so(n,1), sl(n,R).  The quaternionic and Cayley
-hyperbolic spaces are intentionally absent; asking for them is a config
-error, not a numerical failure.
+Supported families: su(n,1), so(n,1), n >= 2, sl(n,R).  The quaternionic
+and Cayley hyperbolic spaces are intentionally absent; asking for them is a
+config error, not a numerical failure.  So is so(1,1), which is abelian:
+its Killing form vanishes, so it is not a semisimple symmetric pair.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ def parse_space_id(space_id: str):
             n = int(tail[0])
             if n < 1:
                 break
+            if fam == "so" and n == 1:
+                raise ConfigError("space %r: so(1,1) is abelian, its Killing form is 0; "
+                                  "so(n,1) ids start at n = 2" % space_id)
             return fam, n
     raise ConfigError("unrecognized space id %r (try one of %s)"
                       % (space_id, ", ".join(SPACE_IDS)))
@@ -104,12 +108,12 @@ def _sl_basis(n: int):
 def positive_root_count(fam: str, n: int) -> int:
     """N = |Sigma+| of a catalog family (Helgason, ch. X, Table VI):
     su(n,1) has the roots lambda and 2 lambda, and 2 lambda alone at n = 1;
-    so(n,1) has lambda, and none at n = 1, where g = a; sl(n,R) has the
-    roots e_i - e_j, i < j, of A_(n-1)."""
+    so(n,1), n >= 2, has lambda; sl(n,R) has the roots e_i - e_j, i < j, of
+    A_(n-1)."""
     if fam == "su":
         return 1 if n == 1 else 2
     if fam == "so":
-        return 0 if n == 1 else 1
+        return 1
     return n * (n - 1) // 2
 
 

@@ -431,14 +431,6 @@ def _int_at_least(floor: int, below: int | None = None):
     return count
 
 
-def _retired(why: str):
-    """argparse type of a retired option that would otherwise read as an
-    abbreviation of another one: any value is an argument error saying why."""
-    def refuse(text: str):
-        raise argparse.ArgumentTypeError(why)
-    return refuse
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; each parse_args returns a fresh
@@ -496,9 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-steps", type=_int_at_least(1), default=5)
     p.add_argument("--t-range", default="-0.75,0.75")
     p.add_argument("--y-range", default="-0.75,0.75")
-    # the finite-difference step, retired: refused with the reason
-    p.add_argument("--h", help=argparse.SUPPRESS, type=_retired(
-        "retired: the mean curvature is evaluated in closed form, with no step"))
     p.add_argument("--tolerance", type=_finite_float_at_least(0), default=1e-4)
     p.add_argument("--baseline", action="store_true",
                    help="measure the frozen-t slice instead of the extension")

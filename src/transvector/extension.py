@@ -49,13 +49,14 @@ witness and the residuals of terms outside s, is evaluated on Python ints.
 
 What the condition and the lemma derive from (s, X) alone is derived once
 and kept in s's CertifyPlan: per subspace the integer-scaled basis Y is
-drawn on and the residue lifts of the null rows and the table, per X (one
-slot, the last X admitted) the normal-pairing warning, X cleared to integers
-and the lifts of ad_X and of the condition's form ad_X null.T.  That is sound because
-none of it depends on Y or on the seed, and s does not change: a request
-draws its Y and computes ad_Y, the bound, its primes, the chain, the
-membership products and any witness as before, and reads the same lifts a
-new plan would build.  Catalog pairs, cached by build_pair, reuse their
+drawn on, per X (one slot, the last X admitted) the normal-pairing warning
+and the pair's liealg.PairResidues, which holds X cleared to integers and
+the residue lifts of the table, the null rows, X, ad_X and the condition's
+form ad_X null.T for the last primes asked.  That is sound because none of
+it depends on Y or on the seed, and s does not change: a request draws its
+Y and computes ad_Y, the bound, its primes, the chain, the membership
+products and any witness as before, and reads the same lifts a new plan
+would build.  Catalog pairs, cached by build_pair, reuse their
 plan across requests; any other subspace builds its own and drops it with
 itself.
 
@@ -74,8 +75,8 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, LemmaFalsified
-from .liealg import (MODE_EXACT, AlgebraVector, ChainResidues, PairResidues,
-                     SubspaceResidues, abs_col_sum, canonical, coeff_strings, int64_exact)
+from .liealg import (MODE_EXACT, AlgebraVector, ChainResidues, PairResidues, abs_col_sum,
+                     canonical, coeff_strings, int64_exact)
 from .subspaces import Subspace
 
 
@@ -176,14 +177,15 @@ class CertifyPlan:
 
     Per s: the basis scaled to integers by the lcm den of its denominators,
     int64 when every Y = draws @ basis and the scale den RATIONAL_SCALE
-    provably fit int64 (int64_exact), dtype=object otherwise; and the null
-    rows as ChainResidues takes them (SubspaceResidues).  Per X, in one slot
-    keyed by X's exact coefficients: the warnings of its verdict and X
-    against those rows (PairResidues).  The slot is filled only once
-    _require_pair has admitted (s, X); s does not change, so a filled slot
-    stands for an admitted pair, and a refused one is refused anew on every
-    call.  Nothing here depends on Y or on the seed, so a request on a plan
-    that served others gives the bytes it gives on a new one.
+    provably fit int64 (int64_exact), dtype=object otherwise.  Per X, in
+    one slot keyed by X's exact coefficients: the warnings of its verdict
+    and X against the null rows of s as ChainResidues takes them
+    (PairResidues), whose lifts a run of requests on that X shares.  The
+    slot is filled only once _require_pair has admitted (s, X); s does not
+    change, so a filled slot stands for an admitted pair, and a refused one
+    is refused anew on every call.  Nothing here depends on Y or on the
+    seed, so a request on a plan that served others gives the bytes it
+    gives on a new one.
     """
 
     def __init__(self, s: Subspace):
@@ -194,7 +196,6 @@ class CertifyPlan:
                                                 abs_col_sum(basis)):
             basis = basis.astype(np.int64)
         self.basis = basis
-        self.residues = SubspaceResidues(s.algebra, s.null_rows)
         self._slot = None
 
     def pair(self, s: Subspace, x: AlgebraVector):
@@ -202,7 +203,7 @@ class CertifyPlan:
         if self._slot is None or self._slot[0] != x.coeffs:
             _require_pair(s, x)
             warnings = () if _normal_pairing(s, x) is None else (_NOT_NORMAL,)
-            self._slot = (x.coeffs, warnings, PairResidues(self.residues, x.row()))
+            self._slot = (x.coeffs, warnings, PairResidues(s.algebra, s.null_rows, x.row()))
         return self._slot[1:]
 
 

@@ -749,59 +749,33 @@ def _reduce(a: np.ndarray, mods) -> np.ndarray:
     return a % mods.reshape((-1,) + (1,) * (a.ndim - 1))
 
 
-class _PrefixLifts:
-    """Residue stacks, built by _build(primes), for a prefix primes of
-    residue_primes' fixed prime sequence: built once for the longest prefix
-    asked so far and sliced for a shorter one (residue i is that modulo
-    primes[i] whatever the prefix), and once in plain int64 for the empty
-    prefix."""
+class PairResidues:
+    """What ChainResidues takes from a subspace and an exact X (d,) alone:
+    the subspace's integer null rows null (r, d), whose common kernel is
+    the subspace, and their largest absolute row sum; X scaled to integers
+    by the lcm of its denominators (the same membership) and its largest
+    |entry|; and the residue stacks (lifted) of the table's constants
+    (_integer_structure), of null.T, of X, of ad_X and of the condition's
+    membership form ad_X null.T.  One set of stacks is kept, for the last
+    primes asked, and built anew when they change."""
 
-    _plain = None
-    _primes = ()
+    _primes = None
 
-    def lifted(self, primes: tuple) -> tuple:
-        if not primes:
-            if self._plain is None:
-                self._plain = self._build(())
-            return self._plain
-        if len(primes) > len(self._primes):
-            self._primes, self._stacks = primes, self._build(primes)
-        return tuple(s[:len(primes)] for s in self._stacks)
-
-
-class SubspaceResidues(_PrefixLifts):
-    """What ChainResidues takes from a subspace alone: its integer null rows
-    null (r, d), whose common kernel is the subspace, their largest absolute
-    row sum, and the residue stacks (lifted) of the table's constants
-    (_integer_structure) and of null.T."""
-
-    def __init__(self, algebra: StructuredLieAlgebra, null: np.ndarray):
+    def __init__(self, algebra: StructuredLieAlgebra, null: np.ndarray, x: np.ndarray):
         self.algebra, self._null = algebra, null
         self.row_sum = abs_col_sum(null.T)
-
-    def _build(self, primes):
-        mods = _moduli(primes)
-        return _lift(self.algebra._integer_structure[0], mods), _lift(self._null.T, mods)
-
-
-class PairResidues(_PrefixLifts):
-    """What ChainResidues takes from a subspace and an exact X (d,) alone:
-    X scaled to integers by the lcm of its denominators (the same
-    membership), its largest |entry|, and the residue stacks (lifted) of
-    it, of ad_X and of the condition's membership form ad_X null.T, with
-    those of the subspace's."""
-
-    def __init__(self, subspace: SubspaceResidues, x: np.ndarray):
-        self.subspace = subspace
         self.x = np.array(clear_denominators(x), dtype=object)
         self.x_max = max(1, max(map(abs, self.x)))
 
-    def _build(self, primes):
-        vals, null = self.subspace.lifted(primes)
-        mods = _moduli(primes)
-        x = _lift(self.x, mods)
-        ad_x = _reduce(self.subspace.algebra.ad_stack(x, vals), mods)
-        return vals, null, x, ad_x, _reduce(ad_x @ null, mods)
+    def lifted(self, primes: tuple) -> tuple:
+        if primes != self._primes:
+            mods = _moduli(primes)
+            vals = _lift(self.algebra._integer_structure[0], mods)
+            null, x = _lift(self._null.T, mods), _lift(self.x, mods)
+            ad_x = _reduce(self.algebra.ad_stack(x, vals), mods)
+            self._primes = primes
+            self._stacks = vals, null, x, ad_x, _reduce(ad_x @ null, mods)
+        return self._stacks
 
 
 class ChainResidues:
@@ -834,11 +808,11 @@ class ChainResidues:
 
     Only what depends on ys is computed here: ad_y, c, the bound and its
     primes.  The lifts of x, the table, null.T, ad_x and the form depend on
-    the pair alone and are taken from it, lifted once for the longest prefix of
-    the prime sequence asked so far; residue i is that modulo primes[i]
-    whatever the prefix, so a shorter prefix reads the first rows.  chain
-    and ad_y are built on first use, so a caller can refuse (fit) the
-    stacks its options ask for before any of them exists.
+    the pair and the primes alone and are taken from the pair, which keeps
+    those of the last primes asked: a run of requests in plain int64, as
+    every catalog request is, lifts them once.  chain and ad_y are built on
+    first use, so a caller can refuse (fit) the stacks its options ask for
+    before any of them exists.
     """
 
     def __init__(self, pair: PairResidues, ys: np.ndarray, top: int):
@@ -847,12 +821,12 @@ class ChainResidues:
         if ys.dtype == object:
             ys = np.array([clear_denominators(y) for y in ys],
                           dtype=object).reshape(ys.shape)
-        algebra = pair.subspace.algebra
+        algebra = pair.algebra
         vals, col_sum = algebra._integer_structure
         kind = np.int64 if int64_exact(int(np.abs(ys).max(initial=0)), col_sum) else object
         ad_y = algebra.ad_stack(ys.astype(kind, copy=False), vals.astype(kind, copy=False))
         self._growth = max(1, abs_col_sum(ad_y))
-        self._scale = pair.x_max ** 2 * max(1, col_sum) * max(1, pair.subspace.row_sum)
+        self._scale = pair.x_max ** 2 * max(1, col_sum) * max(1, pair.row_sum)
         self.bound = self._bound(top)
         self.primes = residue_primes(self.bound)
         self._mods = _moduli(self.primes)

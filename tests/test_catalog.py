@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from transvector.catalog import (SPACE_IDS, bisector_equidistance_check, build_pair,
+from transvector.catalog import (MAX_SL_N, SPACE_IDS, bisector_equidistance_check, build_pair,
                                  build_space, complex_structure_matrix,
                                  list_pairs, negative_control, parse_space_id)
 from transvector.cli import parse_x_expression
@@ -36,6 +36,20 @@ def test_catalog_spaces_validate_exactly(space_id):
     rep = build_space(space_id).validate()
     assert rep.passed
     assert all(r == 0 for r in rep.residuals.values())
+
+
+def test_every_id_the_grammar_accepts_builds_a_table_that_validates():
+    """Every one-digit su/so id and every sl id up to past the cap that
+    parse_space_id accepts builds a table whose validate() passes; so11,
+    an abelian table, is refused by the parser instead."""
+    candidates = (["%s%d1" % (fam, n) for fam in ("su", "so") for n in range(10)]
+                  + ["sl%dr" % n for n in range(MAX_SL_N + 2)])
+    for space_id in candidates:
+        try:
+            parse_space_id(space_id)
+        except ConfigError:
+            continue
+        assert build_space(space_id).validate().passed, space_id
 
 
 def _fraction_product_table(a):

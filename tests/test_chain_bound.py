@@ -26,17 +26,17 @@ from transvector.liealg import ChainResidues, StructuredLieAlgebra
 from transvector.roots import maximal_abelian, restricted_root_decomposition
 from transvector.subspaces import Subspace
 
-# every id parse_space_id accepts: su(n,1) and so(n,1) for one digit n >= 1,
-# sl(n,R) for 2 <= n <= MAX_SL_N
-ACCEPTED_IDS = ([fam + "%d1" % n for fam in ("su", "so") for n in range(1, 10)]
+# every id parse_space_id accepts: su(n,1) for one digit n >= 1, so(n,1) for
+# one digit n >= 2, sl(n,R) for 2 <= n <= MAX_SL_N
+ACCEPTED_IDS = (["su%d1" % n for n in range(1, 10)] + ["so%d1" % n for n in range(2, 10)]
                 + ["sl%dr" % n for n in range(2, MAX_SL_N + 1)])
 
 
-def test_the_accepted_ids_are_the_24_of_the_grammar():
-    assert len(ACCEPTED_IDS) == 24
+def test_the_accepted_ids_are_the_23_of_the_grammar():
+    assert len(ACCEPTED_IDS) == 23
     for sid in ACCEPTED_IDS:
         parse_space_id(sid)
-    for sid in ("su01", "so01", "su101", "sl1r", "sl%dr" % (MAX_SL_N + 1)):
+    for sid in ("su01", "so01", "so11", "su101", "sl1r", "sl%dr" % (MAX_SL_N + 1)):
         with pytest.raises(ConfigError):
             parse_space_id(sid)
 

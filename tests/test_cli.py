@@ -104,26 +104,18 @@ def test_a_codimension_one_pair_measures_its_baseline(tmp_path):
     assert rep["results"]["distance_law"]["passed"]
 
 
-def test_the_retired_step_is_an_argument_error_not_help(tmp_path, capsys):
-    """construct --h once set the finite-difference step; the mean curvature
-    is a closed form now, and argparse would read --h as --help, exit 0 and
-    write no report."""
-    out = tmp_path / "report.json"
-    assert run(["construct", "--space", "su21", "--pair", "real-form", "--h", "1e-3",
-                "--out", str(out)]) == 2 and not out.exists()
-    assert ("argument --h: retired: the mean curvature is evaluated in closed form, "
-            "with no step") in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv, retired", [
     (("check", "--space", "su21", "--pair", "real-form"), ("--n-max", "3")),
     (("verify", "--space", "su21", "--s", "s.json", "--X", "Q1"), ("--n-max", "3")),
     (("construct", "--space", "su21", "--pair", "real-form"), ("--truncation", "60")),
+    (("construct", "--space", "su21", "--pair", "real-form"), ("--h", "1e-3")),
     (("catalog",), ("--list",)),
     (("catalog",), ("--seed", "0"))])
 def test_retired_options_are_argument_errors(tmp_path, capsys, argv, retired):
     """The condition always checks n <= dim p, the metric series stops by
-    itself, and catalog reads no option but --out."""
+    itself, the mean curvature is a closed form with no step, and catalog
+    reads no option but --out.  No option is read as an abbreviation, so
+    --h is not --help."""
     out = tmp_path / "report.json"
     assert run([*argv, *retired, "--out", str(out)]) == 2 and not out.exists()
     assert "unrecognized arguments: %s" % " ".join(retired) in capsys.readouterr().err

@@ -208,6 +208,21 @@ def test_sl_past_its_cap_exits_2_before_any_build(tmp_path, monkeypatch, argv):
         "kind": "config"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("roots",), ("check", "--pair", "real-form"), ("lemma", "--pair", "real-form"),
+    ("verify", "--s", CONTROL_S, "--X", "P1")])
+def test_so11_exits_2_saying_it_is_abelian(tmp_path, capsys, argv):
+    """so(1,1) is abelian, so its table fails validate; roots on it once
+    ended in a ValueError traceback (np.concatenate of no root spaces)."""
+    out = tmp_path / "report.json"
+    assert run([argv[0], "--space", "so11", *argv[1:], "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["results"] == {
+        "error": "space 'so11': so(1,1) is abelian, its Killing form is 0; "
+                 "so(n,1) ids start at n = 2",
+        "kind": "config"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("space_id, parsed", [
     ("sl%dr" % MAX_SL_N, ("sl", MAX_SL_N)), ("sl02r", ("sl", 2)), ("sl²r", None),
     ("su²1", None), ("sl0r", None)])

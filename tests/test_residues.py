@@ -306,19 +306,18 @@ def _against_a_fresh_plan(s, x, ys, n_max, m_max):
     return warm.primes
 
 
-def test_a_plan_grows_its_prime_prefix_and_slices_it():
+def test_a_plan_equals_a_fresh_one_as_its_primes_grow_and_shrink():
     """One X on one s, the lemma's reach n_max + m_max going 4, 9, 16, 9, 4
     (top 9, 19, 33): 0 primes, then 3, then 5, then back to 3 and 0.  A
-    single prime never suffices, its product being below 2^64.  The plan
-    keeps the lifts of the longest prefix and reads the shorter ones off
-    them; every call equals one on a plan built for it, and so does the
-    condition on X scaled past int64 and back."""
+    single prime never suffices, its product being below 2^64.  Every call
+    on the plan, whose lifts were built for the primes of the call before,
+    equals one on a plan built for it, and so does the condition on X
+    scaled past int64 and back."""
     s, x = _scaled(*PAIRS["su21-real-form"], 1)       # a subspace of its own
     ys = sample_ys(s, rng.stream(0, rng.STREAM_LEMMA), 2)
     counts = [len(_against_a_fresh_plan(s, x, ys, reach - reach // 2, reach // 2))
               for reach in (4, 9, 16, 9, 4)]
     assert counts == [0, 3, 5, 3, 0]
-    assert len(s.certify_plan.residues._primes) == 5
     for scale in (1, 2 ** 16, 2 ** 40, 2 ** 16, 1):
         big = x.scale(scale)
         want = condition_holds(Subspace(s.algebra, s.basis), big, samples=2, seed=0)
