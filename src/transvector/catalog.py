@@ -329,7 +329,8 @@ def negative_control():
 
     Kept out of build_pair on purpose: the pair is not reflective and exists
     to prove the detectors can say no.  Cached like build_pair, so the
-    subspace and its span solver are built once per process.
+    subspace, with its null rows and certify plan, is built once per
+    process.
     """
     a = build_space("sl3r")
     s = Subspace(a, [a.from_labels({"S12": 1})])

@@ -27,7 +27,7 @@ from .extension import condition_holds, sample_ys, verify_lemma_conclusion
 from .geometry import (GridSpec, ImmersionSpec, distance_law_check,
                        export_point_cloud, mean_curvature_report)
 from .report import check_target, envelope, write_report
-from .roots import (build_root_space_example, maximal_abelian,
+from .roots import (build_root_space_examples, maximal_abelian,
                     restricted_root_decomposition, verify_commutation_rules)
 from .subspaces import Subspace
 
@@ -288,16 +288,13 @@ def _cmd_roots(args):
     }
     passed = rules["passed"]
     if args.examples:
-        bundles = []
-        for lam in rd.positive:
-            for coords in grid:
-                x = rd.a.member_from_coordinates(coords)
-                bundle = build_root_space_example(rd, lam, x,
-                                                  samples=args.samples,
-                                                  seed=args.seed)
-                bundles.append(bundle.as_dict())
-                passed = passed and bundle.passed
-        results["examples"] = bundles
+        xs = [rd.a.member_from_coordinates(coords) for coords in grid]
+        bundles = [bundle for lam in rd.positive
+                   for bundle in build_root_space_examples(rd, lam, xs,
+                                                           samples=args.samples,
+                                                           seed=args.seed)]
+        results["examples"] = [bundle.as_dict() for bundle in bundles]
+        passed = passed and all(bundle.passed for bundle in bundles)
     return results, passed
 
 

@@ -47,7 +47,7 @@ from . import rng
 from .errors import ConfigError
 from .exactla import SpanSolver, clear_denominators, div, frac, nullspace
 from .extension import ConditionVerdict, condition_holds, sample_ys
-from .liealg import MODE_EXACT, AlgebraVector, StructuredLieAlgebra, coeff_strings
+from .liealg import MODE_EXACT, AlgebraVector, StructuredLieAlgebra, canonical, coeff_strings
 from .subspaces import Subspace
 
 GENERIC_RETRIES = 8
@@ -80,15 +80,20 @@ def maximal_abelian(a: StructuredLieAlgebra) -> Subspace:
 
 @dataclass
 class RootDatum:
-    """Restricted roots of (g, a) with certified root spaces."""
+    """Restricted roots of (g, a) with certified root spaces.
+
+    a is a Subspace, since it is read for membership; m and every k_lambda,
+    p_lambda are (r, d) dtype=object arrays of canonical exact rows.  That
+    the blocks are independent is proved once, by verify_commutation_rules'
+    SpanSolver over all of them."""
 
     algebra: StructuredLieAlgebra
     a: Subspace
-    m: Subspace
+    m: np.ndarray                # rows of m
     roots: tuple                 # all functionals, as tuples over the a-basis
     positive: tuple              # the lexicographically positive half
-    k_spaces: dict               # functional -> Subspace (k_lambda)
-    p_spaces: dict               # functional -> Subspace (p_lambda)
+    k_spaces: dict               # functional -> rows of k_lambda
+    p_spaces: dict               # functional -> rows of p_lambda
     generic_h: AlgebraVector
     seed: int
     mode = MODE_EXACT            # every datum is certified exactly
@@ -97,14 +102,14 @@ class RootDatum:
         return {
             "mode": self.mode,
             "a_dim": self.a.dim,
-            "m_dim": self.m.dim,
+            "m_dim": len(self.m),
             "roots": [root_label(r) for r in self.roots],
             "positive": [root_label(r) for r in self.positive],
             # dim g_lambda = dim p_lambda (_decompose_with_h)
-            "multiplicities": {root_label(r): self.p_spaces[r].dim
+            "multiplicities": {root_label(r): len(self.p_spaces[r])
                                for r in self.positive},
-            "p_dims": {root_label(r): self.p_spaces[r].dim for r in self.positive},
-            "k_dims": {root_label(r): self.k_spaces[r].dim for r in self.positive},
+            "p_dims": {root_label(r): len(self.p_spaces[r]) for r in self.positive},
+            "k_dims": {root_label(r): len(self.k_spaces[r]) for r in self.positive},
             "seed": self.seed,
             "generic_h": coeff_strings(self.generic_h),
         }
@@ -202,7 +207,11 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
     most dim V_lambda and together they have 2 dim V_lambda, so both have
     dimension dim V_lambda.  The kernels account for all of g, so g is the
     direct sum of V_0 and these Theta-stable pairs, and k = m + sum
-    k_lambda, p = a + sum p_lambda, dimensions included."""
+    k_lambda, p = a + sum p_lambda, dimensions included.
+
+    m and every k_lambda, p_lambda are returned as canonical exact rows, not
+    Subspaces: the spanning sets above are bases by this proof, and
+    verify_commutation_rules checks it once for all the blocks together."""
     d = a.dim
     ad = a.ad_matrix(h)
     spaces = {}
@@ -240,10 +249,10 @@ def _decompose_with_h(a, asub, h, seed) -> RootDatum:
     for lam in positive:
         basis = by_func[lam]
         tv = basis @ a.theta_exact.T
-        k_spaces[lam] = Subspace(a, basis + tv)
-        p_spaces[lam] = Subspace(a, basis - tv)
+        k_spaces[lam] = canonical(basis + tv)
+        p_spaces[lam] = canonical(basis - tv)
 
-    return RootDatum(algebra=a, a=asub, m=Subspace(a, k_zero),
+    return RootDatum(algebra=a, a=asub, m=canonical(k_zero),
                      roots=tuple(sorted(by_func, reverse=True)),
                      positive=tuple(positive), k_spaces=k_spaces,
                      p_spaces=p_spaces, generic_h=h, seed=seed)
@@ -281,7 +290,10 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
     one product of all its brackets with the solver's row operations, each
     row scaled to ints (which keeps every zero), read through one column
     mask per (lambda, mu); ad of each left space is taken once per lambda.
-    Blocks that are not independent are no decomposition: ValueError.
+    Blocks that are not independent are no decomposition: ValueError.  The
+    datum holds m, k_lambda and p_lambda as plain rows, and each block is a
+    subset of W, so that check is the one proof that every block is
+    independent.
 
     Any failure here indicates a decomposition bug, so the report carries a
     witness: a failing (lambda, mu) alone builds its target Subspace, from
@@ -290,10 +302,10 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
     are exactly zero everywhere else.
     """
     a = rd.algebra
-    blocks = {"m": rd.m, "a": rd.a}
+    blocks = {"m": rd.m, "a": rd.a.basis_rows}
     for lam in rd.positive:
         blocks["k", lam], blocks["p", lam] = rd.k_spaces[lam], rd.p_spaces[lam]
-    w_rows = np.concatenate([sp.basis_rows for sp in blocks.values()])
+    w_rows = np.concatenate(list(blocks.values()))
     solver = SpanSolver(w_rows)
     if not solver.independent:
         raise ValueError("the blocks m, a, k_lambda and p_lambda of the datum are "
@@ -302,13 +314,13 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
     # positive scale; the columns past dim W are its null-row products
     ops = solver.int_row_ops.T
     columns, start = {}, 0
-    for key, space in blocks.items():
-        columns[key] = slice(start, start + space.dim)
-        start += space.dim
+    for key, rows in blocks.items():
+        columns[key] = slice(start, start + len(rows))
+        start += len(rows)
     masks = {key: _target_columns(rd, columns, *key) for key in (("p", "a"), ("k", "m"))}
 
     report = {"mode": rd.mode, "rules": {}, "passed": True}
-    ad_k, ad_p = ({lam: a.ad_stack(spaces[lam].basis_rows) for lam in rd.positive}
+    ad_k, ad_p = ({lam: a.ad_stack(spaces[lam]) for lam in rd.positive}
                   for spaces in (rd.k_spaces, rd.p_spaces))
     rules = (
         ("k.p->p", ad_k, rd.p_spaces, "p", "a"),
@@ -319,10 +331,10 @@ def verify_commutation_rules(rd: RootDatum) -> dict:
     for name, ad_left, right, kind, zero in rules:
         # [x, y] at (x, y) for x over every left space and y over every
         # right one, in the order of Sigma+, and the root index of each
-        brackets = (np.concatenate([right[mu].basis_rows for mu in rd.positive])
+        brackets = (np.concatenate([right[mu] for mu in rd.positive])
                     @ np.concatenate([ad_left[lam] for lam in rd.positive]))
         left_at = np.repeat(at, [len(ad_left[lam]) for lam in rd.positive])
-        right_at = np.repeat(at, [right[mu].dim for mu in rd.positive])
+        right_at = np.repeat(at, [len(right[mu]) for mu in rd.positive])
         outside = ((brackets @ ops != 0)
                    & ~masks[kind, zero][left_at[:, None], right_at]).any(axis=-1)
         rows, cols = np.nonzero(outside)
@@ -394,12 +406,17 @@ class RootExampleBundle:
         }
 
 
-def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
-                             samples: int = 8, seed: int = 0) -> RootExampleBundle:
-    """Certify the canonical example s = p_lambda with X in a: the triple
-    system property, the odd chains ad_Y^{2n+1}X in k_lambda (n <= dim p),
-    the even chains ad_Y^{2n}X in a + p_{2 lambda} (1 <= n <= dim p + 1), and
-    the extension condition itself.
+def build_root_space_examples(rd: RootDatum, lam, xs, samples: int = 8,
+                              seed: int = 0) -> list:
+    """Certify the canonical example s = p_lambda with each X of xs in a:
+    the triple system property, the odd chains ad_Y^{2n+1}X in k_lambda
+    (n <= dim p), the even chains ad_Y^{2n}X in a + p_{2 lambda} (1 <= n <=
+    dim p + 1), and the extension condition itself; one bundle per X, in
+    the order of xs.
+
+    What does not depend on X is built once for the root: the Subspaces of
+    s (with its triple-system verdict and certify plan), k_lambda and
+    a + p_{2 lambda}, built from the rows of the datum, and the Y draw.
 
     The chains are evaluated up to n = N = |Sigma+| of the datum first: by
     the proof of the extension module, every term past it is a combination
@@ -410,42 +427,39 @@ def build_root_space_example(rd: RootDatum, lam, x: AlgebraVector,
     lam = tuple(lam)
     if lam not in rd.p_spaces:
         raise ValueError("functional %s is not a positive root" % (lam,))
-    if x.is_zero():
-        raise ValueError("X must be nonzero")
-    member, _ = rd.a.contains(x)
-    if not member:
-        raise ValueError("X must lie in a")
+    for x in xs:
+        if x.is_zero():
+            raise ValueError("X must be nonzero")
+        if not rd.a.contains(x)[0]:
+            raise ValueError("X must lie in a")
 
     a = rd.algebra
-    s = rd.p_spaces[lam]
+    s = Subspace(a, rd.p_spaces[lam])
     lts_holds, _ = s.is_lie_triple_system()
-
+    odd_target = Subspace(a, rd.k_spaces[lam])
     two_lam = tuple(2 * c for c in lam)
     even_rows = rd.a.basis_rows
     if two_lam in rd.p_spaces:
-        even_rows = np.concatenate([even_rows, rd.p_spaces[two_lam].basis_rows])
+        even_rows = np.concatenate([even_rows, rd.p_spaces[two_lam]])
     even_target = Subspace(a, even_rows)
-    odd_target = rd.k_spaces[lam]
-
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_LEMMA), samples)
 
-    def memberships(n_max):
+    def memberships(x, n_max):
         # ad_Y^{2n+1}X, n <= n_max, against k_lambda; ad_Y^{2n}X, 1 <= n <= n_max + 1,
         # against a + p_{2 lambda}
         chain = a.ad_chain(ys, x.row(), 2 * n_max + 2)
         return odd_target.membership(chain[:, 1::2]), even_target.membership(chain[:, 2::2])
 
-    (odd_out, odd_res), (even_out, even_res) = memberships(len(rd.positive))
-    if odd_out.any() or even_out.any():
-        (odd_out, odd_res), (even_out, even_res) = memberships(len(a.p_basis))
-    odd_ok, even_ok = not odd_out.any(), not even_out.any()
-    odd_worst = float(odd_res.max(initial=0.0))
-    even_worst = float(even_res.max(initial=0.0))
-
-    verdict = condition_holds(s, x, samples=samples, seed=seed)
-    return RootExampleBundle(lam=lam, x=x, lts_holds=lts_holds,
-                             odd_chain_in_k_lambda=odd_ok,
-                             even_chain_in_a_plus_p2=even_ok,
-                             odd_chain_worst=odd_worst,
-                             even_chain_worst=even_worst,
-                             verdict=verdict)
+    bundles = []
+    for x in xs:
+        (odd_out, odd_res), (even_out, even_res) = memberships(x, len(rd.positive))
+        if odd_out.any() or even_out.any():
+            (odd_out, odd_res), (even_out, even_res) = memberships(x, len(a.p_basis))
+        bundles.append(RootExampleBundle(
+            lam=lam, x=x, lts_holds=lts_holds,
+            odd_chain_in_k_lambda=not odd_out.any(),
+            even_chain_in_a_plus_p2=not even_out.any(),
+            odd_chain_worst=float(odd_res.max(initial=0.0)),
+            even_chain_worst=float(even_res.max(initial=0.0)),
+            verdict=condition_holds(s, x, samples=samples, seed=seed)))
+    return bundles

@@ -27,7 +27,7 @@ from transvector.geometry import (GridSpec, ImmersionSpec, SpacePoint,
                                   distance, distance_law_check,
                                   mean_curvature_report, transvection)
 from transvector.report import strip_wall_time
-from transvector.roots import (build_root_space_example, maximal_abelian,
+from transvector.roots import (build_root_space_examples, maximal_abelian,
                                restricted_root_decomposition,
                                verify_commutation_rules)
 from transvector.rng import stream
@@ -252,13 +252,13 @@ def test_criterion_8_root_data_and_example_bundles():
     lams = sorted(rd.positive, key=lambda f: [abs(c) for c in f])
     assert len(lams) == 2
     assert tuple(2 * c for c in lams[0]) == lams[1]
-    assert rd.p_spaces[lams[0]].dim == 2
-    assert rd.p_spaces[lams[1]].dim == 1
+    assert len(rd.p_spaces[lams[0]]) == 2
+    assert len(rd.p_spaces[lams[1]]) == 1
 
     b = build_space("sl3r")
     rdb = restricted_root_decomposition(b, maximal_abelian(b), seed=0)
     assert len(rdb.positive) == 3
-    assert all(rdb.p_spaces[lam].dim == 1 for lam in rdb.positive)
+    assert all(len(rdb.p_spaces[lam]) == 1 for lam in rdb.positive)
 
     x_coords = {1: [(1,), (2,), (-1,), (3,), (-2,)],
                 2: [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1)]}
@@ -267,11 +267,10 @@ def test_criterion_8_root_data_and_example_bundles():
         assert rules["passed"]
         for rule in rules["rules"].values():
             assert rule["worst_residual"] == 0.0
+        xs = [datum.a.member_from_coordinates(coords) for coords in x_coords[datum.a.dim]]
         for lam in datum.positive:
-            for coords in x_coords[datum.a.dim]:
-                bundle = build_root_space_example(datum, lam,
-                                                  datum.a.member_from_coordinates(coords),
-                                                  samples=4, seed=5)
+            bundles = build_root_space_examples(datum, lam, xs, samples=4, seed=5)
+            for coords, bundle in zip(x_coords[datum.a.dim], bundles, strict=True):
                 assert bundle.passed, (datum.algebra.name, lam, coords)
     assert time.perf_counter() - t0 < 10.0
 

@@ -792,7 +792,7 @@ def test_roots_examples_past_the_work_cap_exit_2_before_any_example(tmp_path,
     def refuse(*args, **kw):
         raise AssertionError("an example was built")
 
-    monkeypatch.setattr(cli, "build_root_space_example", refuse)
+    monkeypatch.setattr(cli, "build_root_space_examples", refuse)
     status, rep = _run(tmp_path, "roots", "--space", "sl4r", "--examples",
                        "--samples", "1024")
     assert status == 2
@@ -808,7 +808,7 @@ def test_roots_examples_up_to_the_work_cap_are_admitted(monkeypatch, space, samp
     def admitted(*args, **kw):
         raise _Admitted
 
-    monkeypatch.setattr(cli, "build_root_space_example", admitted)
+    monkeypatch.setattr(cli, "build_root_space_examples", admitted)
     with pytest.raises(_Admitted):
         run(["roots", "--space", space, "--examples", "--samples", samples])
 

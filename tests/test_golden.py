@@ -68,8 +68,8 @@ COMMANDS = {
                          "--s", "su31-real-form.json", "--X", "Q1"],
     "construct-su21": ["construct", "--space", "su21", "--pair", "real-form",
                        "--t-steps", "3", "--y-steps", "3"],
-    # the frozen-t stencil (m = dim s), the Christoffel path on the second
-    # pair, SpacePoint/distance and the t = 0 recertification
+    # the frozen-t slice (--baseline) on the second pair: totally geodesic,
+    # so every norm is 0 by proof, and the chart point of each node
     "construct-su21-baseline": ["construct", "--space", "su21", "--pair",
                                 "complex-hyperplane", "--baseline",
                                 "--tolerance", "1e-5",

@@ -35,7 +35,7 @@ from transvector.exactla import div, frac, nullspace, rank
 from transvector.extension import sample_ys
 from transvector.liealg import MODE_EXACT
 from transvector.roots import (_eigen_candidates, _lex_positive,
-                               build_root_space_example, maximal_abelian,
+                               build_root_space_examples, maximal_abelian,
                                restricted_root_decomposition, root_label,
                                verify_commutation_rules)
 from transvector.subspaces import Subspace
@@ -46,8 +46,13 @@ def _decomp(a):
     return asub, restricted_root_decomposition(a, asub, seed=0)
 
 
+def _spans_rows(space, rows) -> bool:
+    """Whether the Subspace space was built on exactly the rows of rows."""
+    return space.basis_rows.tolist() == rows.tolist()
+
+
 def _p_mults(rd):
-    return sorted(rd.p_spaces[lam].dim for lam in rd.positive)
+    return sorted(len(rd.p_spaces[lam]) for lam in rd.positive)
 
 
 def test_sl2r_root_datum(sl2r):
@@ -56,14 +61,14 @@ def test_sl2r_root_datum(sl2r):
     assert rd.mode == MODE_EXACT
     assert len(rd.positive) == 1
     lam = rd.positive[0]
-    assert rd.p_spaces[lam].dim == 1
-    assert rd.k_spaces[lam].dim == 1
-    assert rd.m.dim == 0
+    assert len(rd.p_spaces[lam]) == 1
+    assert len(rd.k_spaces[lam]) == 1
+    assert len(rd.m) == 0
     # k_lambda = span(E - F), p_lambda = span(E + F)
-    member, res = rd.p_spaces[lam].contains(
+    member, res = Subspace(sl2r, rd.p_spaces[lam]).contains(
         basis_vector(sl2r, 1) + basis_vector(sl2r, 2))
     assert member and res == 0
-    member, res = rd.k_spaces[lam].contains(
+    member, res = Subspace(sl2r, rd.k_spaces[lam]).contains(
         basis_vector(sl2r, 1) - basis_vector(sl2r, 2))
     assert member and res == 0
 
@@ -80,13 +85,13 @@ def test_catalog_root_systems(space_id, rank, mults, m_dim):
     assert asub.dim == rank
     assert rd.mode == MODE_EXACT
     assert _p_mults(rd) == mults
-    assert rd.m.dim == m_dim
+    assert len(rd.m) == m_dim
     # k- and p-multiplicities agree root by root
     for lam in rd.positive:
-        assert rd.k_spaces[lam].dim == rd.p_spaces[lam].dim
+        assert len(rd.k_spaces[lam]) == len(rd.p_spaces[lam])
     # dimension bookkeeping: g = m + a + sum over +-lambda of (k + p)
-    total = rd.m.dim + rd.a.dim + 2 * sum(
-        rd.p_spaces[lam].dim for lam in rd.positive)
+    total = len(rd.m) + rd.a.dim + 2 * sum(
+        len(rd.p_spaces[lam]) for lam in rd.positive)
     assert total == a.dim
 
 
@@ -128,9 +133,9 @@ def test_roots_pair_up_and_the_root_spaces_fill_k_and_p(source):
         neg = tuple(-c for c in mu)
         assert neg in dims and dims[neg] == dims[mu]
     for lam in rd.positive:
-        assert (rd.k_spaces[lam].dim, rd.p_spaces[lam].dim) == dims[lam]
-    assert rd.m.dim + sum(rd.k_spaces[lam].dim for lam in rd.positive) == len(a.k_basis)
-    assert rd.a.dim + sum(rd.p_spaces[lam].dim for lam in rd.positive) == len(a.p_basis)
+        assert (len(rd.k_spaces[lam]), len(rd.p_spaces[lam])) == dims[lam]
+    assert len(rd.m) + sum(len(rd.k_spaces[lam]) for lam in rd.positive) == len(a.k_basis)
+    assert rd.a.dim + sum(len(rd.p_spaces[lam]) for lam in rd.positive) == len(a.p_basis)
 
 
 def test_su21_double_root_is_twice_the_simple_root():
@@ -154,11 +159,13 @@ def test_commutation_rules_have_exact_zero_residuals():
 def test_root_space_example_bundles_pass():
     a = build_space("su21")
     _, rd = _decomp(a)
+    xs = [rd.a.member_from_coordinates(c) for c in ((Fraction(3, 2),), (-2,))]
     for lam in rd.positive:
-        x = rd.a.member_from_coordinates((Fraction(3, 2),))
-        bundle = build_root_space_example(rd, lam, x, samples=4, seed=2)
-        assert bundle.passed
-        assert bundle.verdict.holds
+        bundles = build_root_space_examples(rd, lam, xs, samples=4, seed=2)
+        assert [bundle.x for bundle in bundles] == xs
+        for bundle in bundles:
+            assert bundle.passed
+            assert bundle.verdict.holds
 
 
 def test_root_space_example_checks_every_chain_power(monkeypatch):
@@ -177,15 +184,15 @@ def test_root_space_example_checks_every_chain_power(monkeypatch):
         if vs.shape[:2] == (2, n_max + 1):       # the chain stacks of 2 draws
             seen.append((self, vs))
         outside, res = membership(self, vs)
-        if vs.shape[:2] == (2, len(rd.positive) + 1) and self is rd.k_spaces[lam]:
+        if vs.shape[:2] == (2, len(rd.positive) + 1) and _spans_rows(self, rd.k_spaces[lam]):
             outside = outside.copy()
             outside[0, 0] = True
         return outside, res
 
     monkeypatch.setattr(Subspace, "membership", record)
-    build_root_space_example(rd, lam, x, samples=2, seed=5)
+    build_root_space_examples(rd, lam, [x], samples=2, seed=5)
 
-    ys = sample_ys(rd.p_spaces[lam], rng.stream(5, rng.STREAM_LEMMA), 2)
+    ys = sample_ys(Subspace(a, rd.p_spaces[lam]), rng.stream(5, rng.STREAM_LEMMA), 2)
     want_odd, want_even = [], []
     for row in ys:
         y, w = a.vector(row), x
@@ -193,9 +200,8 @@ def test_root_space_example_checks_every_chain_power(monkeypatch):
             w = a.bracket(y, w)
             (want_odd if k % 2 else want_even).append(w)
     (odd_target, odd), (even_target, even) = seen
-    assert odd_target is rd.k_spaces[lam]
-    assert even_target.dim == rd.a.dim + rd.p_spaces.get(
-        tuple(2 * c for c in lam), Subspace(a, [])).dim
+    assert _spans_rows(odd_target, rd.k_spaces[lam])
+    assert even_target.dim == rd.a.dim + len(rd.p_spaces.get(tuple(2 * c for c in lam), []))
     assert len(want_even) == 2 * (n_max + 1)
     assert [a.vector(v) for v in odd.reshape(-1, a.dim)] == want_odd
     assert [a.vector(v) for v in even.reshape(-1, a.dim)] == want_even
@@ -220,7 +226,7 @@ def test_root_space_example_decides_the_chains_up_to_the_root_count(monkeypatch)
         return membership(self, vs)
 
     monkeypatch.setattr(Subspace, "membership", record)
-    bundle = build_root_space_example(rd, lam, x, samples=2, seed=5)
+    [bundle] = build_root_space_examples(rd, lam, [x], samples=2, seed=5)
     assert shapes == [(2, n + 1)] * 2
     assert bundle.odd_chain_in_k_lambda and bundle.even_chain_in_a_plus_p2
     assert bundle.odd_chain_worst == bundle.even_chain_worst == 0.0
@@ -231,8 +237,8 @@ def test_example_rejects_x_outside_a():
     _, rd = _decomp(a)
     outside = next(v for v in (a.vector(c) for c in a.p_basis)
                    if not rd.a.contains(v)[0])
-    with pytest.raises(ValueError):
-        build_root_space_example(rd, rd.positive[0], outside, samples=2)
+    with pytest.raises(ValueError, match="X must lie in a"):
+        build_root_space_examples(rd, rd.positive[0], [rd.a.basis[0], outside], samples=2)
 
 
 def test_non_maximal_abelian_subspace_is_rejected(sl3r):
@@ -254,19 +260,18 @@ def test_maximal_abelian_is_really_abelian_and_in_p():
 
 def _space_basis_for(rd, targets, zero_target, nu):
     """The basis rows of the space of nu: zero_target at nu = 0, else the
-    target space of +-nu, or none when +-nu is not a root."""
+    target rows of +-nu, or none when +-nu is not a root."""
     if all(c == 0 for c in nu):
-        return zero_target.basis_rows
+        return zero_target
     key = nu if _lex_positive(nu) else tuple(-c for c in nu)
-    sp = targets.get(key)
-    return sp.basis_rows if sp is not None else np.zeros((0, rd.algebra.dim), dtype=object)
+    return targets.get(key, np.zeros((0, rd.algebra.dim), dtype=object))
 
 
 def _rules_without_memo(rd):
     """verify_commutation_rules with a fresh target Subspace for every rule
     and pair: the oracle for its coordinate decision over the blocks."""
     report = {"mode": rd.mode, "rules": {}, "passed": True}
-    rules = (("k.p->p", rd.k_spaces, rd.p_spaces, rd.p_spaces, rd.a),
+    rules = (("k.p->p", rd.k_spaces, rd.p_spaces, rd.p_spaces, rd.a.basis_rows),
              ("k.k->k", rd.k_spaces, rd.k_spaces, rd.k_spaces, rd.m),
              ("p.p->k", rd.p_spaces, rd.p_spaces, rd.k_spaces, rd.m))
     for name, left, right, targets, zero_target in rules:
@@ -278,7 +283,7 @@ def _rules_without_memo(rd):
                            tuple(x - y for x, y in zip(lam, mu))):
                     basis.extend(_space_basis_for(rd, targets, zero_target, nu))
                 target = Subspace(rd.algebra, basis)
-                brackets = right[mu].basis_rows @ rd.algebra.ad_stack(left[lam].basis_rows)
+                brackets = right[mu] @ rd.algebra.ad_stack(left[lam])
                 outside, res = target.membership(brackets)
                 worst = max(worst, float(res.max(initial=0.0)))
                 if outside.any() and witness is None:
@@ -295,7 +300,7 @@ def _broken(rd):
     """k and p swapped and m dropped: W no longer spans g (when m != 0)
     and the rules fail, so witnesses appear."""
     return dataclasses.replace(rd, k_spaces=rd.p_spaces, p_spaces=rd.k_spaces,
-                               m=Subspace(rd.algebra, []))
+                               m=rd.m[:0])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -330,16 +335,32 @@ def test_commutation_rules_catch_mislabelled_blocks():
     assert not report["passed"]
 
 
+def _with_k_rows(rd, rows_of):
+    """The k_spaces of rd with the rows of its first root of multiplicity
+    above 1 replaced by rows_of(those rows)."""
+    lam = next(lam for lam in rd.positive if len(rd.k_spaces[lam]) > 1)
+    return {**rd.k_spaces, lam: rows_of(rd.k_spaces[lam])}
+
+
 @pytest.mark.parametrize("blocks", [
-    {"m": "a"},                       # a listed twice
-    {"k_spaces": "p_spaces"},         # every k_lambda equal to p_lambda
-])
+    # a listed twice
+    lambda rd: {"m": rd.a.basis_rows},
+    # every k_lambda equal to p_lambda
+    lambda rd: {"k_spaces": rd.p_spaces},
+    # a k_lambda whose first row is listed twice: one row too many for g
+    lambda rd: {"k_spaces": _with_k_rows(rd, lambda k: np.concatenate([k, k[:1]]))},
+    # a k_lambda whose last row repeats its first: as many rows as g has
+    # dimensions, but dependent
+    lambda rd: {"k_spaces": _with_k_rows(rd, lambda k: np.concatenate([k[:-1], k[:1]]))},
+], ids=["m-is-a", "k-is-p", "k-row-twice", "k-row-repeated"])
 def test_commutation_rules_refuse_dependent_blocks(blocks):
     """Blocks that are not independent are no decomposition of g, and
-    _decompose_with_h never yields them: ValueError, not a report."""
+    _decompose_with_h never yields them: ValueError, not a report.  The
+    datum holds its blocks as plain rows, so no Subspace constructor
+    refuses a dependent k_lambda first: the check over W is the one proof."""
     a = build_space("su21")
     _, rd = _decomp(a)
-    bad = dataclasses.replace(rd, **{k: getattr(rd, v) for k, v in blocks.items()})
+    bad = dataclasses.replace(rd, **blocks(rd))
     with pytest.raises(ValueError, match="not independent"):
         verify_commutation_rules(bad)
 
@@ -355,6 +376,42 @@ def test_commutation_rules_take_ad_of_each_root_space_once(count_calls, space_id
     report = verify_commutation_rules(rd)
     assert len(taken) == calls == 2 * len(rd.positive)
     assert report == _rules_without_memo(rd)
+
+
+@pytest.mark.parametrize("space_id", ["sl2r", "so31", "su21", "sl3r", "su31"])
+def test_plain_roots_builds_the_maximal_abelian_subspace_alone(tmp_path, count_calls,
+                                                              space_id):
+    """A plain roots request reads membership only on a: m, k_lambda and
+    p_lambda stay rows, so the one Subspace it builds is a (4 to 8 when
+    each block was a Subspace)."""
+    build_space(space_id)
+    built = count_calls(Subspace, "__init__", lambda self, algebra, basis: basis)
+    assert run(["roots", "--space", space_id, "--out", str(tmp_path / "r.json")]) == 0
+    a = build_space(space_id)
+    assert len(built) == 1
+    assert _spans_rows(Subspace(a, built[0]), maximal_abelian(a).basis_rows)
+
+
+@pytest.mark.parametrize("space_id", ["so31", "su21", "sl3r"])
+def test_roots_examples_build_per_root_what_does_not_depend_on_x(tmp_path, count_calls,
+                                                                  space_id):
+    """roots --examples draws Y once per positive root and builds p_lambda,
+    k_lambda and a + p_{2 lambda} once per root, not once for each of the
+    five X of its grid; with a, that is every Subspace the request builds."""
+    a = build_space(space_id)
+    _, rd = _decomp(a)
+    built = count_calls(Subspace, "__init__",
+                        lambda self, algebra, basis: np.asarray(basis).tolist())
+    draws = count_calls(roots, "sample_ys", lambda s, gen, samples: s.basis_rows.tolist())
+    assert run(["roots", "--space", space_id, "--examples", "--samples", "1",
+                "--out", str(tmp_path / "r.json")]) == 0
+    want = [rd.a.basis_rows.tolist()]
+    for lam in rd.positive:
+        two_lam = tuple(2 * c for c in lam)
+        even = rd.a.basis_rows.tolist() + rd.p_spaces.get(two_lam, rd.m[:0]).tolist()
+        want += [rd.p_spaces[lam].tolist(), rd.k_spaces[lam].tolist(), even]
+    assert built == want
+    assert draws == [rd.p_spaces[lam].tolist() for lam in rd.positive]
 
 
 # -- the roots contract on rebased catalog algebras --------------------------

@@ -84,8 +84,8 @@ def _reflective_by_brackets(s) -> bool:
 
 def _root_spaces(sid):
     a = build_space(sid)
-    return [s for _, s in sorted(restricted_root_decomposition(a, maximal_abelian(a))
-                                 .p_spaces.items())]
+    return [Subspace(a, rows) for _, rows in
+            sorted(restricted_root_decomposition(a, maximal_abelian(a)).p_spaces.items())]
 
 
 def _p_basis_spans(sid):
