@@ -352,7 +352,7 @@ def _with_k_rows(rd, rows_of):
     # a k_lambda whose last row repeats its first: as many rows as g has
     # dimensions, but dependent
     lambda rd: {"k_spaces": _with_k_rows(rd, lambda k: np.concatenate([k[:-1], k[:1]]))},
-], ids=["m-is-a", "k-is-p", "k-row-twice", "k-row-repeated"])
+], ids=["blocks%d" % i for i in range(4)])
 def test_commutation_rules_refuse_dependent_blocks(blocks):
     """Blocks that are not independent are no decomposition of g, and
     _decompose_with_h never yields them: ValueError, not a report.  The
