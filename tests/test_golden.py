@@ -61,6 +61,11 @@ COMMANDS = {
     "roots-su21": ["roots", "--space", "su21", "--examples", "--samples", "1"],
     "roots-so31": ["roots", "--space", "so31", "--examples", "--samples", "1"],
     "roots-sl3r": ["roots", "--space", "sl3r", "--examples", "--samples", "1"],
+    # rank 3 (six positive roots, four X each), and the rank-one su(3,1),
+    # whose 2 lambda root space is one-dimensional under a four-dimensional
+    # p_lambda
+    "roots-sl4r": ["roots", "--space", "sl4r", "--examples", "--samples", "2"],
+    "roots-su31": ["roots", "--space", "su31", "--examples", "--samples", "2"],
     # the largest exact eliminations of a freshly parsed file: su31.alg is
     # the catalog su(3,1) written by algfile.serialize_algebra
     "roots-su31-file": ["roots", "--algebra-file", "su31.alg"],
