@@ -48,11 +48,12 @@ def parse_x_expression(a, expr: str):
     """
     text = expr.strip()
     if text == "bad":
-        # by name: verify --algebra-file sl3r.alg --X bad takes it too
+        # by content, not name: verify --algebra-file takes a serialized
+        # catalog sl3r, and refuses another table in a file named sl3r.alg
         control, _, x = negative_control()
-        if a.name != control.name:
-            raise ConfigError("the 'bad' alias is the %s counterexample; "
-                              "space is %s" % (control.name, a.name))
+        if (a.labels, a.table, a.theta) != (control.labels, control.table, control.theta):
+            raise ConfigError("the 'bad' alias is the %s counterexample; space %s is "
+                              "not that algebra" % (control.name, a.name))
         return x
     if not text:
         raise ConfigError("empty X expression")
@@ -186,13 +187,16 @@ MAX_SAMPLES = 1024
 MAX_CHAIN = 32              # lemma --n-max and --m-max
 MAX_LEMMA_TERMS = 4096      # lemma samples * (n_max + 1) * (m_max + 1)
 
-# The most multiply-adds the chains of roots --examples may take: each of the
-# positive roots * X points examples builds, for each sample, a chain of
-# 2 dim p + 3 exact vectors of length d, each a d-by-d product.  That is the
-# full range; the chains are evaluated to 2 |Sigma+| + 3 vectors unless a
-# term leaves its target.  su31 at --samples 1024 counts 3.5e7 and runs in
-# 0.8 s; su(9,1) at --samples 17 counts 6.5e7, near this cap, and runs in
-# 1.9 s at 91 MB (measured as above)
+# The most multiply-adds the condition runs of roots --examples may take:
+# each of the positive roots * X points examples runs the condition on
+# --samples Y, counted for each Y as a chain of 2 dim p + 3 exact vectors of
+# length d, each a d-by-d product (an upper count: the condition admits
+# 2 dim p + 2 and evaluates 2 b + 2, b = chain_bound).  The chains of the
+# examples cost nothing per Y: they are decided once per root on basis
+# pairs.  su31 at --samples 1024 counts 3.5e7 and runs in 0.12-0.14 s at
+# 43 MB; su(9,1) at --samples 17 counts 6.5e7, near this cap, and runs in
+# 2.1 s at 91 MB, about 0.8 s of it the triple-system checks of its two
+# p_lambda (measured as above)
 MAX_EXAMPLE_WORK = 2 ** 26
 
 

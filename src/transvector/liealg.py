@@ -488,9 +488,9 @@ class StructuredLieAlgebra:
         Fractions; its ys are dtype=object or the int64 rows of
         extension.sample_ys.  Float64 ys and x give a float64 chain.  The
         zero tests of the condition and the lemma run on ChainResidues
-        instead; this chain serves witnesses, residuals, the series and the
-        root examples.  One Y is a stack of one, and its row has the same
-        values alone or in a stack.
+        instead; this chain serves witnesses, residuals and the series.  One
+        Y is a stack of one, and its row has the same values alone or in a
+        stack.
         """
         if top < 0:
             raise ValueError("power must be nonnegative")

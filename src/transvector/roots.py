@@ -46,7 +46,7 @@ import numpy as np
 from . import rng
 from .errors import ConfigError
 from .exactla import SpanSolver, clear_denominators, div, frac, nullspace
-from .extension import ConditionVerdict, condition_holds, sample_ys
+from .extension import ConditionVerdict, condition_holds
 from .liealg import MODE_EXACT, AlgebraVector, StructuredLieAlgebra, canonical, coeff_strings
 from .subspaces import Subspace
 
@@ -409,21 +409,23 @@ class RootExampleBundle:
 def build_root_space_examples(rd: RootDatum, lam, xs, samples: int = 8,
                               seed: int = 0) -> list:
     """Certify the canonical example s = p_lambda with each X of xs in a:
-    the triple system property, the odd chains ad_Y^{2n+1}X in k_lambda
-    (n <= dim p), the even chains ad_Y^{2n}X in a + p_{2 lambda} (1 <= n <=
-    dim p + 1), and the extension condition itself; one bundle per X, in
-    the order of xs.
+    the triple system property, the odd chains ad_Y^{2n+1}X in k_lambda,
+    the even chains ad_Y^{2n}X in E = a + p_{2 lambda} (a alone when
+    2 lambda is no root), and the extension condition itself; one bundle
+    per X, in the order of xs.
+
+    The chains are decided for every Y in s and every n by two bilinear
+    inclusions, [p_lambda, E] in k_lambda (odd) and [p_lambda, k_lambda]
+    in E (even), each decided on basis pairs: for Y in p_lambda, ad_Y maps
+    E into k_lambda and k_lambda into E, and X lies in a, so in E: every
+    odd term lies in k_lambda and every even term in E.  On a certified datum
+    both hold: [a, p_lambda] in k_lambda, and the rules k.p->p at
+    (lambda, lambda) and p.p->k at (lambda, 2 lambda), 3 lambda being no
+    root.  The worst residuals are those of the basis brackets.
 
     What does not depend on X is built once for the root: the Subspaces of
-    s (with its triple-system verdict and certify plan), k_lambda and
-    a + p_{2 lambda}, built from the rows of the datum, and the Y draw.
-
-    The chains are evaluated up to n = N = |Sigma+| of the datum first: by
-    the proof of the extension module, every term past it is a combination
-    of the terms of the same parity with 1 <= n <= N, and both targets are
-    subspaces, so the chains lie in them when those terms do, and every
-    residual is 0.  Only when a term up to N lies outside are the chains
-    evaluated to n = dim p, and their residuals read there."""
+    s (with its triple-system verdict and certify plan), k_lambda and E,
+    from the rows of the datum, and both inclusions."""
     lam = tuple(lam)
     if lam not in rd.p_spaces:
         raise ValueError("functional %s is not a positive root" % (lam,))
@@ -442,24 +444,16 @@ def build_root_space_examples(rd: RootDatum, lam, xs, samples: int = 8,
     if two_lam in rd.p_spaces:
         even_rows = np.concatenate([even_rows, rd.p_spaces[two_lam]])
     even_target = Subspace(a, even_rows)
-    ys = sample_ys(s, rng.stream(seed, rng.STREAM_LEMMA), samples)
 
-    def memberships(x, n_max):
-        # ad_Y^{2n+1}X, n <= n_max, against k_lambda; ad_Y^{2n}X, 1 <= n <= n_max + 1,
-        # against a + p_{2 lambda}
-        chain = a.ad_chain(ys, x.row(), 2 * n_max + 2)
-        return odd_target.membership(chain[:, 1::2]), even_target.membership(chain[:, 2::2])
+    def inclusion(source, target):
+        # [u, y] at (u, y) for u over the basis of source and y over that of s
+        outside, res = target.membership(s.basis_rows @ a.ad_stack(source.basis_rows))
+        return not outside.any(), float(res.max(initial=0.0))
 
-    bundles = []
-    for x in xs:
-        (odd_out, odd_res), (even_out, even_res) = memberships(x, len(rd.positive))
-        if odd_out.any() or even_out.any():
-            (odd_out, odd_res), (even_out, even_res) = memberships(x, len(a.p_basis))
-        bundles.append(RootExampleBundle(
-            lam=lam, x=x, lts_holds=lts_holds,
-            odd_chain_in_k_lambda=not odd_out.any(),
-            even_chain_in_a_plus_p2=not even_out.any(),
-            odd_chain_worst=float(odd_res.max(initial=0.0)),
-            even_chain_worst=float(even_res.max(initial=0.0)),
-            verdict=condition_holds(s, x, samples=samples, seed=seed)))
-    return bundles
+    odd_in, odd_worst = inclusion(even_target, odd_target)
+    even_in, even_worst = inclusion(odd_target, even_target)
+    return [RootExampleBundle(lam=lam, x=x, lts_holds=lts_holds,
+                              odd_chain_in_k_lambda=odd_in, even_chain_in_a_plus_p2=even_in,
+                              odd_chain_worst=odd_worst, even_chain_worst=even_worst,
+                              verdict=condition_holds(s, x, samples=samples, seed=seed))
+            for x in xs]

@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 
 from transvector import cli
+from transvector.algfile import serialize_algebra
 from transvector.catalog import SPACE_IDS, build_space
 from transvector.cli import (MAX_CHAIN, MAX_EXAMPLE_WORK, MAX_GRID_NODES, MAX_LEMMA_TERMS,
                              MAX_SAMPLES, build_parser, load_subspace_file,
@@ -75,6 +76,48 @@ def test_verify_accepts_a_passing_custom_pair(tmp_path):
     status, rep = _run(tmp_path, "verify", "--space", "sl3r",
                        "--s", str(custom), "--X", "S13")
     assert status == 0
+
+
+@pytest.mark.parametrize("space_id", ["so31", "su21"])
+def test_the_bad_alias_refuses_a_foreign_table_named_sl3r(tmp_path, space_id):
+    """--X bad names the catalog sl(3,R) counterexample: another table in a
+    file named sl3r.alg is refused by its content.  The so31 table once
+    ended in a ValueError traceback (the sl3r X has dimension 8, so31 6);
+    the su21 table, of dimension 8, in a misleading "X must lie in p"."""
+    alg = tmp_path / space_id / "sl3r.alg"
+    alg.parent.mkdir()
+    serialize_algebra(build_space(space_id), str(alg))
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps([{"P1": "1"}]))
+    status, rep = _run(tmp_path, "verify", "--algebra-file", str(alg),
+                       "--s", str(custom), "--X", "bad")
+    assert status == 2 and rep["results"]["kind"] == "config"
+    assert rep["results"]["error"] == ("the 'bad' alias is the sl3r counterexample; "
+                                       "space sl3r is not that algebra")
+
+
+def test_the_bad_alias_takes_a_serialized_catalog_sl3r(tmp_path):
+    """The catalog sl(3,R) written to a file, as the cold-algebra workload
+    writes it, keeps the alias: the control fails at n = 0."""
+    alg = tmp_path / "sl3r.alg"
+    serialize_algebra(build_space("sl3r"), str(alg))
+    status, rep = _run(tmp_path, "verify", "--algebra-file", str(alg),
+                       "--s", os.path.join(GOLDEN, "control.json"), "--X", "bad")
+    assert status == 1 and rep["results"]["condition"]["witness"]["n"] == 0
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "lemma"])
+def test_a_subspace_that_is_no_triple_system_exits_2_with_its_witness(tmp_path, command):
+    """span(P1, P2, Q1) in su(2,1) lies in p but is no Lie triple system:
+    [[P1, P2], Q1] leaves it.  The condition and the lemma refuse it before
+    drawing Y, naming the basis triple."""
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps([{"P1": 1}, {"P2": 1}, {"Q1": 1}]))
+    status, rep = _run(tmp_path, command, "--space", "su21", "--s", str(custom),
+                       "--X", "Q2")
+    assert status == 2 and rep["results"]["kind"] == "config"
+    assert rep["results"]["error"].startswith(
+        "s is not a Lie triple system; witness: {'triple': (0, 1, 2), ")
 
 
 def test_config_errors_exit_2(tmp_path):

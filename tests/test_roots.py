@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from transvector.cli import run
 from transvector.data import algebra_path
 from transvector.errors import ConfigError
 from transvector.exactla import div, frac, nullspace, rank
-from transvector.extension import sample_ys
 from transvector.liealg import MODE_EXACT
 from transvector.roots import (_eigen_candidates, _lex_positive,
                                build_root_space_examples, maximal_abelian,
@@ -168,68 +168,74 @@ def test_root_space_example_bundles_pass():
             assert bundle.verdict.holds
 
 
-def test_root_space_example_checks_every_chain_power(monkeypatch):
-    """Per Y draw, ad_Y^k X goes to k_lambda for odd k = 1..2n+1 and to
-    a + p_{2 lambda} for even k = 2..2n+2, with n = dim p, once a term
-    with n <= |Sigma+| is outside (here the first odd one, by a patch)."""
-    a = build_space("su21")
+def _even_rows(rd, lam):
+    """The rows of E = a + p_{2 lambda} (a alone when 2 lambda is no root)."""
+    two_lam = tuple(2 * c for c in lam)
+    return np.concatenate([rd.a.basis_rows, rd.p_spaces.get(two_lam, rd.m[:0])])
+
+
+def _exact_draw(draw, rows):
+    """A random exact combination of rows, rational coefficients in
+    [-9, 9] with denominators up to 5, not all zero."""
+    while True:
+        coeffs = [Fraction(draw.randint(-9, 9), draw.randint(1, 5)) for _ in rows]
+        if any(coeffs):
+            return sum((c * r for c, r in zip(coeffs, rows)), np.zeros(rows.shape[1], object))
+
+
+@pytest.mark.parametrize("space_id", ["su21", "su31", "so31", "sl3r", "sl4r"])
+def test_root_space_example_chains_stay_in_their_targets(space_id):
+    """Walked one bracket at a time, ad_Y^k X for random exact Y in p_lambda
+    and X in a lies in k_lambda at odd k and in a + p_{2 lambda} at even k,
+    for every k <= 2 dim p + 2 on every positive root; the bundles, which
+    decide the chains by two inclusions on basis pairs, agree."""
+    a = build_space(space_id)
     _, rd = _decomp(a)
-    lam = rd.positive[0]
-    x = rd.a.member_from_coordinates((Fraction(3, 2),))
-    n_max = len(a.p_basis)
-    seen = []
-    membership = Subspace.membership
-
-    def record(self, vs):
-        if vs.shape[:2] == (2, n_max + 1):       # the chain stacks of 2 draws
-            seen.append((self, vs))
-        outside, res = membership(self, vs)
-        if vs.shape[:2] == (2, len(rd.positive) + 1) and _spans_rows(self, rd.k_spaces[lam]):
-            outside = outside.copy()
-            outside[0, 0] = True
-        return outside, res
-
-    monkeypatch.setattr(Subspace, "membership", record)
-    build_root_space_examples(rd, lam, [x], samples=2, seed=5)
-
-    ys = sample_ys(Subspace(a, rd.p_spaces[lam]), rng.stream(5, rng.STREAM_LEMMA), 2)
-    want_odd, want_even = [], []
-    for row in ys:
-        y, w = a.vector(row), x
-        for k in range(1, 2 * n_max + 3):
-            w = a.bracket(y, w)
-            (want_odd if k % 2 else want_even).append(w)
-    (odd_target, odd), (even_target, even) = seen
-    assert _spans_rows(odd_target, rd.k_spaces[lam])
-    assert even_target.dim == rd.a.dim + len(rd.p_spaces.get(tuple(2 * c for c in lam), []))
-    assert len(want_even) == 2 * (n_max + 1)
-    assert [a.vector(v) for v in odd.reshape(-1, a.dim)] == want_odd
-    assert [a.vector(v) for v in even.reshape(-1, a.dim)] == want_even
+    draw = random.Random(space_id)
+    top = 2 * len(a.p_basis) + 2
+    for lam in rd.positive:
+        odd, even = Subspace(a, rd.k_spaces[lam]), Subspace(a, _even_rows(rd, lam))
+        xs = [a.vector(_exact_draw(draw, rd.a.basis_rows)) for _ in range(2)]
+        for x in xs:
+            for _ in range(2):
+                y, w = a.vector(_exact_draw(draw, rd.p_spaces[lam])), x
+                for k in range(1, top + 1):
+                    w = a.bracket(y, w)
+                    assert (odd if k % 2 else even).contains(w) == (True, 0.0), (lam, k)
+        for bundle in build_root_space_examples(rd, lam, xs, samples=1):
+            assert bundle.odd_chain_in_k_lambda and bundle.even_chain_in_a_plus_p2
+            assert bundle.odd_chain_worst == bundle.even_chain_worst == 0.0
 
 
-def test_root_space_example_decides_the_chains_up_to_the_root_count(monkeypatch):
-    """With every term up to n = |Sigma+| = N inside its target, the chains
-    are evaluated to ad_Y^(2N+2) X alone, and the bundle is the one of the
-    full chains: both in their targets, worst residuals 0."""
-    a = build_space("su21")
+@pytest.mark.parametrize("space_id", ["su21", "so31", "su31"])
+def test_root_space_example_catches_k_lambda_replaced_by_m(space_id):
+    """With k_lambda replaced by the rows of m, [p_lambda, a] leaves it:
+    the odd inclusion fails on every positive root, with a nonzero worst
+    residual."""
+    a = build_space(space_id)
     _, rd = _decomp(a)
-    lam = rd.positive[0]
-    x = rd.a.member_from_coordinates((Fraction(3, 2),))
-    n, n_max = len(rd.positive), len(a.p_basis)
-    assert n < n_max
-    shapes = []
-    membership = Subspace.membership
+    for lam in rd.positive:
+        broken = dataclasses.replace(rd, k_spaces={**rd.k_spaces, lam: rd.m})
+        [bundle] = build_root_space_examples(broken, lam, [rd.a.basis[0]], samples=1)
+        assert not bundle.odd_chain_in_k_lambda and bundle.odd_chain_worst > 0
+        assert not bundle.passed
 
-    def record(self, vs):
-        if len(vs) == 2:                         # a stack of chains per draw
-            shapes.append(vs.shape[:2])
-        return membership(self, vs)
 
-    monkeypatch.setattr(Subspace, "membership", record)
-    [bundle] = build_root_space_examples(rd, lam, [x], samples=2, seed=5)
-    assert shapes == [(2, n + 1)] * 2
-    assert bundle.odd_chain_in_k_lambda and bundle.even_chain_in_a_plus_p2
-    assert bundle.odd_chain_worst == bundle.even_chain_worst == 0.0
+@pytest.mark.parametrize("space_id", ["su21", "su31"])
+def test_root_space_example_catches_p_2lambda_replaced_by_m(space_id):
+    """With p_{2 lambda} replaced by a row of m, [p_lambda, k_lambda] leaves
+    a + p_{2 lambda}, and the odd inclusion, which reads all of a +
+    p_{2 lambda}, fails on [p_lambda, m] in p_lambda: both fail, with a
+    nonzero worst residual."""
+    a = build_space(space_id)
+    _, rd = _decomp(a)
+    lam = next(lam for lam in rd.positive if tuple(2 * c for c in lam) in rd.p_spaces)
+    two_lam = tuple(2 * c for c in lam)
+    broken = dataclasses.replace(rd, p_spaces={**rd.p_spaces, two_lam: rd.m[:1]})
+    [bundle] = build_root_space_examples(broken, lam, [rd.a.basis[0]], samples=1)
+    assert not bundle.odd_chain_in_k_lambda and bundle.odd_chain_worst > 0
+    assert not bundle.even_chain_in_a_plus_p2 and bundle.even_chain_worst > 0
+    assert not bundle.passed
 
 
 def test_example_rejects_x_outside_a():
@@ -395,23 +401,23 @@ def test_plain_roots_builds_the_maximal_abelian_subspace_alone(tmp_path, count_c
 @pytest.mark.parametrize("space_id", ["so31", "su21", "sl3r"])
 def test_roots_examples_build_per_root_what_does_not_depend_on_x(tmp_path, count_calls,
                                                                   space_id):
-    """roots --examples draws Y once per positive root and builds p_lambda,
-    k_lambda and a + p_{2 lambda} once per root, not once for each of the
-    five X of its grid; with a, that is every Subspace the request builds."""
+    """roots --examples builds p_lambda, k_lambda and a + p_{2 lambda} once
+    per positive root, not once for each of the five X of its grid; with a,
+    that is every Subspace the request builds.  The chains are decided on
+    basis pairs, so no Y is drawn for them: no STREAM_LEMMA stream opens."""
     a = build_space(space_id)
     _, rd = _decomp(a)
     built = count_calls(Subspace, "__init__",
                         lambda self, algebra, basis: np.asarray(basis).tolist())
-    draws = count_calls(roots, "sample_ys", lambda s, gen, samples: s.basis_rows.tolist())
+    streams = count_calls(rng, "stream", lambda seed, stream: stream)
     assert run(["roots", "--space", space_id, "--examples", "--samples", "1",
                 "--out", str(tmp_path / "r.json")]) == 0
     want = [rd.a.basis_rows.tolist()]
     for lam in rd.positive:
-        two_lam = tuple(2 * c for c in lam)
-        even = rd.a.basis_rows.tolist() + rd.p_spaces.get(two_lam, rd.m[:0]).tolist()
-        want += [rd.p_spaces[lam].tolist(), rd.k_spaces[lam].tolist(), even]
+        want += [rd.p_spaces[lam].tolist(), rd.k_spaces[lam].tolist(),
+                 _even_rows(rd, lam).tolist()]
     assert built == want
-    assert draws == [rd.p_spaces[lam].tolist() for lam in rd.positive]
+    assert rng.STREAM_ROOTS_GENERIC in streams and rng.STREAM_LEMMA not in streams
 
 
 # -- the roots contract on rebased catalog algebras --------------------------
