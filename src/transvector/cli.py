@@ -193,9 +193,9 @@ MAX_LEMMA_TERMS = 4096      # lemma samples * (n_max + 1) * (m_max + 1)
 # length d, each a d-by-d product (an upper count: the condition admits
 # 2 dim p + 2 and evaluates 2 b + 2, b = chain_bound).  The chains of the
 # examples cost nothing per Y: they are decided once per root on basis
-# pairs.  su31 at --samples 1024 counts 3.5e7 and runs in 0.12-0.14 s at
+# pairs.  su31 at --samples 1024 counts 3.5e7 and runs in 0.08-0.14 s at
 # 43 MB; su(9,1) at --samples 17 counts 6.5e7, near this cap, and runs in
-# 2.1 s at 91 MB, about 0.8 s of it the triple-system checks of its two
+# 1.2-2.1 s at 91 MB, about 0.75 s of it the triple-system checks of its two
 # p_lambda (measured as above)
 MAX_EXAMPLE_WORK = 2 ** 26
 
