@@ -26,6 +26,8 @@ STREAM_ROOTS_GENERIC = 5
 RATIONAL_NUM = 4
 RATIONAL_DENOMINATORS = np.array((1, 2, 3))
 RATIONAL_SCALE = math.lcm(*RATIONAL_DENOMINATORS.tolist())
+# RATIONAL_SCALE / q by the index of q in RATIONAL_DENOMINATORS
+_SCALES = RATIONAL_SCALE // RATIONAL_DENOMINATORS
 
 
 def stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -52,14 +54,18 @@ def rational_vectors(gen: np.random.Generator, n: int, samples: int) -> np.ndarr
         raise ValueError("cannot draw a nonzero vector of length 0")
     lo = np.repeat((-RATIONAL_NUM, 0), n)
     hi = np.repeat((RATIONAL_NUM + 1, len(RATIONAL_DENOMINATORS)), n)
-    blocks, need = [np.zeros((0, n), dtype=np.int64)], samples
-    while need:
+    blocks, need = [], samples
+    while True:
         draw = gen.integers(lo, hi, size=(need, 2 * n))
-        nums, dens = draw[:, :n], RATIONAL_DENOMINATORS[draw[:, n:]]
+        nums = draw[:, :n]
         keep = nums.any(axis=1)
-        blocks.append((nums * (RATIONAL_SCALE // dens))[keep])
-        need -= int(keep.sum())
-    return np.concatenate(blocks)
+        rows = nums * _SCALES[draw[:, n:]]
+        if not blocks and keep.all():
+            return rows         # the first round, with no zero row to redraw
+        blocks.append(rows[keep])
+        need -= len(blocks[-1])
+        if not need:
+            return np.concatenate(blocks)
 
 
 def odd_int_vector(gen: np.random.Generator, n: int, half: int = 5) -> tuple:

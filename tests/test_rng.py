@@ -94,3 +94,22 @@ def test_a_zero_length_vector_is_refused():
     with pytest.raises(ValueError):
         rng.rational_vectors(rng.stream(0, 1), 0, 1)
     assert rng.rational_vectors(rng.stream(0, 1), 3, 0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("n, samples", [(1, 4), (2, 4), (3, 4), (4, 4), (1, 0), (3, 0)])
+def test_lemma_sized_and_empty_draws_are_the_per_sample_loop(n, samples):
+    """lemma draws 4 samples; at n = 1 a round of 4 holds a zero row about
+    two times in five, so both the first round returned as drawn and the
+    redraws run.  No sample is a (0, n) int64 stack that draws nothing."""
+    redraws = 0
+    for seed in range(24):
+        block_gen, ref_gen = rng.stream(seed, rng.STREAM_LEMMA), rng.stream(
+            seed, rng.STREAM_LEMMA)
+        got = rng.rational_vectors(block_gen, n, samples)
+        want, r = _reference_vectors(ref_gen, n, samples)
+        redraws += r
+        assert got.shape == (samples, n) and got.dtype == np.int64
+        assert np.array_equal(got, want), seed
+        assert _state(block_gen) == _state(ref_gen), seed
+    if n == 1 and samples:
+        assert 0 < redraws
