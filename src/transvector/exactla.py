@@ -168,29 +168,38 @@ def invert(m):
     return [red[i][n:] for i in range(n)]
 
 
-def is_positive_definite(sym) -> bool:
-    """Sylvester test via symmetric elimination without pivoting.
+def sylvester_pivot(sym):
+    """None when the symmetric matrix sym is positive definite, else (p, w):
+    the first nonpositive pivot p of the symmetric elimination without
+    pivoting, and an exact row w with w sym w^T = p.
 
     Valid precisely because a positive definite matrix never produces a
     nonpositive leading pivot; any zero or negative pivot disproves
-    definiteness on the spot.
+    definiteness on the spot.  The elimination is E sym = U with E unit
+    lower triangular, and w is row k of E, kept by the same row operations:
+    row k of U is 0 before column k and E^T is unit upper triangular, so
+    (E sym E^T)_kk = U_kk, the pivot.
     """
     n = len(sym)
     m = [list(row) for row in sym]
+    ops = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(n):
         p = m[k][k]
         if p <= 0:
-            return False
+            return p, tuple(ops[k])
         for i in range(k + 1, n):
             if m[i][k] != 0:
                 f = div(m[i][k], p)
                 for j in range(k, n):
                     m[i][j] -= f * m[k][j]
-    return True
+                for j in range(k + 1):          # row k of E is 0 past k
+                    ops[i][j] -= f * ops[k][j]
+    return None
 
 
-def is_negative_definite(sym) -> bool:
-    return is_positive_definite([tuple(-x for x in row) for row in sym])
+def is_positive_definite(sym) -> bool:
+    """Sylvester test (sylvester_pivot)."""
+    return sylvester_pivot(sym) is None
 
 
 class SpanSolver:

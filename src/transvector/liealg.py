@@ -49,8 +49,7 @@ from .exactla import (
     SpanSolver,
     clear_denominators,
     frac,
-    is_negative_definite,
-    is_positive_definite,
+    sylvester_pivot,
     nullspace,
     rank,
 )
@@ -629,10 +628,9 @@ class StructuredLieAlgebra:
         definite = {}
         if involution:
             kb, pb = self.k_basis, self.p_basis
-            definite["killing_negdef_on_k"] = (
-                is_negative_definite(kb @ b @ kb.T) if len(kb) else True)
-            definite["killing_posdef_on_p"] = (
-                is_positive_definite(pb @ b @ pb.T) if len(pb) else False)
+            for key, rows, sign in (("killing_negdef_on_k", kb, -1),
+                                    ("killing_posdef_on_p", pb, 1)):
+                definite[key] = self._definite(rep, key, rows, sign, b, scale ** 2)
         rep.checks["killing_nondegenerate"] = (
             faithful and all(definite.values()) or rank(b.tolist()) == d)
         # x^2 - 1 has the distinct rational roots 1 and -1, so an exact
@@ -662,6 +660,29 @@ class StructuredLieAlgebra:
         rep.residuals.update(realized.residuals)
         rep.checks.update(realized.checks)
         return rep
+
+    def _definite(self, rep: ValidationReport, key: str, rows: np.ndarray, sign: int,
+                  b: np.ndarray, scale: int) -> bool:
+        """Whether sign B is positive definite on the span of rows, the k or
+        the p basis, for the Killing form B = b / scale.  A failure records
+        under key a witness: v, a combination of the rows, as labels, and
+        B(v, v), which is sign times the first nonpositive pivot of the
+        elimination (exactla.sylvester_pivot).  The zero space counts as
+        definite for k (compact g has p = 0) and not for p (noncompact
+        type), and p = 0 is its own witness."""
+        if not len(rows):
+            if sign < 0:
+                return True
+            rep.witnesses[key] = "p is 0"
+            return False
+        found = sylvester_pivot(sign * (rows @ b @ rows.T))
+        if found is not None:
+            pivot, w = found
+            v = np.array(w, dtype=object) @ rows
+            rep.witnesses[key] = {
+                "vector": {lab: str(c) for lab, c in zip(self.labels, v) if c},
+                "killing": str(_unscaled(sign * pivot, scale))}
+        return found is None
 
     def _check_jacobi(self, rep: ValidationReport, c: np.ndarray, scale: int):
         """Cyclic sum [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] of

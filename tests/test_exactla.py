@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from transvector.exactla import (SpanSolver, frac, invert,
                                  is_positive_definite, mat_vec,
-                                 nullspace, rank, rref)
+                                 nullspace, rank, rref, sylvester_pivot)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -162,3 +162,33 @@ def test_definiteness_uses_exact_pivots():
     # semidefinite is not definite
     assert not is_positive_definite(((frac(1), frac(1)), (frac(1), frac(1))))
 
+
+
+def test_sylvester_pivot_is_the_first_nonpositive_pivot_with_its_row():
+    """On seeded symmetric integer matrices, definite or not: None exactly
+    when every eigenvalue is positive; otherwise (p, w) with p <= 0, w sym
+    w^T = p exactly, w_k = 1 and w zero past k, where the leading minors
+    of orders up to k are positive and the minor of order k + 1 is p times
+    the one before it."""
+    gen = np.random.default_rng(7)
+    failures = 0
+    for _ in range(300):
+        n = int(gen.integers(1, 6))
+        a = gen.integers(-3, 4, size=(n, n))
+        sym = a + a.T + int(gen.integers(-2, 9)) * np.eye(n, dtype=int)
+        found = sylvester_pivot(sym.astype(object).tolist())
+        if found is None:
+            assert np.linalg.eigvalsh(sym).min() > 0
+            assert is_positive_definite(sym.astype(object).tolist())
+            continue
+        failures += 1
+        p, w = found
+        assert not is_positive_definite(sym.astype(object).tolist())
+        w = np.array(w, dtype=object)
+        assert p <= 0 and w @ sym.astype(object) @ w == p
+        k = max(i for i in range(n) if w[i] != 0)
+        assert w[k] == 1
+        minors = [round(np.linalg.det(sym[:m, :m])) if m else 1 for m in range(k + 2)]
+        assert all(m > 0 for m in minors[:k + 1])
+        assert minors[k + 1] == p * minors[k]
+    assert 50 < failures < 250

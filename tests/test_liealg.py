@@ -661,6 +661,66 @@ def test_a_faithful_realization_proves_nondegeneracy_only_with_definite_blocks()
     assert rep.checks["killing_nondegenerate"] is False
 
 
+IDENTITY3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _killing_of(a, labels):
+    """B(v, v) of the vector {label: coefficient string}, exact."""
+    v = a.from_labels({lab: Fraction(c) for lab, c in labels.items()}).row()
+    return v @ a.killing_exact @ v
+
+
+@pytest.mark.parametrize("case", ["sl2r-theta-identity", "su2-theta-identity", "gl2r"])
+def test_a_failed_definiteness_check_names_a_vector_and_its_killing_value(case):
+    """Theta = I makes k all of g and p zero: on sl(2,R) B is indefinite on
+    k, and the first pivot is B(H, H) = 8; the compact su(2) passes on k and
+    fails on p = 0 alone.  gl(2,R) fails on p at B(I, I) = 0.  Each witness
+    v lies in the space it names, and B(v, v) is the value printed."""
+    if case == "gl2r":
+        a = _gl2r()
+    elif case == "sl2r-theta-identity":
+        a = _sl2_like({0: 1}, theta=IDENTITY3)
+    else:
+        a = StructuredLieAlgebra(["X", "Y", "Z"], {(0, 1): {2: 1}, (0, 2): {1: -1},
+                                                   (1, 2): {0: 1}}, IDENTITY3, name="su2")
+    rep = a.validate()
+    failed = [k for k in ("killing_negdef_on_k", "killing_posdef_on_p")
+              if rep.checks[k] is False]
+    assert sorted(rep.witnesses) == failed
+    assert failed == {"sl2r-theta-identity": ["killing_negdef_on_k", "killing_posdef_on_p"],
+                      "su2-theta-identity": ["killing_posdef_on_p"],
+                      "gl2r": ["killing_posdef_on_p"]}[case]
+    for key in failed:
+        witness = rep.witnesses[key]
+        if not len(a.p_basis) and key == "killing_posdef_on_p":
+            assert witness == "p is 0"
+            continue
+        value = _killing_of(a, witness["vector"])
+        assert str(value) == witness["killing"]
+        v = a.from_labels({lab: Fraction(c) for lab, c in witness["vector"].items()})
+        if key == "killing_negdef_on_k":
+            assert value >= 0 and apply_theta(a, v).coeffs == v.coeffs
+        else:
+            assert value <= 0 and a.in_p(v)
+    if case == "sl2r-theta-identity":
+        assert rep.witnesses["killing_negdef_on_k"] == {"vector": {"H": "1"}, "killing": "8"}
+
+
+def test_a_file_failing_a_definiteness_check_is_refused_with_its_witness(tmp_path):
+    """sl2r.alg with Theta = I and no realization: the message names the
+    vector of k where B is not negative and says that p is 0."""
+    text = algebra_path("sl2r")
+    head = Path(text).read_text().split("[theta]")[0]
+    path = tmp_path / "sl2r-theta-identity.alg"
+    path.write_text(head + "[theta]\n1 0 0\n0 1 0\n0 0 1\n")
+    with pytest.raises(ConfigError) as refused:
+        parse_algebra_file(str(path))
+    assert str(refused.value).endswith(
+        "{'killing_negdef_on_k': False, 'killing_posdef_on_p': False}; witnesses: "
+        "{'killing_negdef_on_k': {'vector': {'H': '1'}, 'killing': '8'}, "
+        "'killing_posdef_on_p': 'p is 0'}")
+
+
 def test_a_residual_below_the_smallest_float_still_fails(count_calls):
     """The nudged sl(2,R) has a nonzero exact commutator residual of about
     2^-1200: it reads as the smallest subnormal, not 0.0, the report fails,
