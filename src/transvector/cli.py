@@ -97,6 +97,11 @@ def _bad_x(text, pos, what):
 def load_subspace_file(a, path: str) -> Subspace:
     """JSON list of {label: rational} vectors spanning s; a coefficient is an
     integer or a rational string."""
+    return _subspace(a, _subspace_vectors(a, path), path)
+
+
+def _subspace_vectors(a, path: str) -> list:
+    """The AlgebraVectors a --s file gives, in its order."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -122,10 +127,36 @@ def load_subspace_file(a, path: str) -> Subspace:
             raise ConfigError("%s: vector %d uses unknown label %s" % (path, k, e))
         except (ValueError, ZeroDivisionError) as e:
             raise ConfigError("%s: vector %d has a bad rational: %s" % (path, k, e))
+    return vectors
+
+
+def _subspace(a, vectors, path: str) -> Subspace:
     try:
         return Subspace(a, vectors)
     except ValueError as e:
         raise ConfigError("%s: %s" % (path, e))
+
+
+# The last --s subspace built on a catalog algebra, (algebra, rows, s), the
+# rows exactly as its file gives them: Y is drawn on the basis, not on the
+# span, so another basis of the same span is another subspace.  A request
+# that gives the same rows on the same catalog algebra reuses s, and with it
+# its null rows, its triple-system verdict and its certify plan; s is stored
+# only once Subspace has accepted its basis, and the plan still admits each
+# X anew (extension.CertifyPlan).  One slot, on no algebra (that would make
+# a cycle algebra -> s -> algebra), and a file algebra never enters it, so
+# no parsed algebra outlives its request.
+_catalog_s = None
+
+
+def _catalog_subspace(a, path: str) -> Subspace:
+    """load_subspace_file on a catalog algebra, through the one slot."""
+    global _catalog_s
+    vectors = _subspace_vectors(a, path)
+    rows = tuple(v.coeffs for v in vectors)
+    if _catalog_s is None or _catalog_s[0] is not a or _catalog_s[1] != rows:
+        _catalog_s = (a, rows, _subspace(a, vectors, path))
+    return _catalog_s[2]
 
 
 def _algebra_from_args(args):
@@ -167,7 +198,8 @@ def _pair_from_args(args):
     a = _algebra_from_args(args)
     if not args.s_file or args.x is None:
         raise ConfigError("need either --pair or both --s and --X")
-    s = load_subspace_file(a, args.s_file)
+    load = _catalog_subspace if args.algebra_file is None else load_subspace_file
+    s = load(a, args.s_file)
     x = parse_x_expression(a, args.x)
     return a, s, x, {"pair": None, "space": a.name, "s_file": args.s_file}
 

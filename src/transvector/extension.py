@@ -57,8 +57,10 @@ it depends on Y or on the seed, and s does not change: a request draws its
 Y and computes ad_Y, the bound, its primes, the chain, the membership
 products and any witness as before, and reads the same lifts a new plan
 would build.  Catalog pairs, cached by build_pair, reuse their
-plan across requests; any other subspace builds its own and drops it with
-itself.
+plan across requests, and so does a --s subspace on a catalog space, which
+the CLI keeps in one slot keyed by the algebra and the exact basis rows of
+the file; a subspace on a file algebra, or built by any other caller,
+keeps its own plan and drops it with itself.
 
 The transported-field series (nabla_zz) is a measurement, not a
 certificate: it takes an exact X in p and a float64 row Y and runs in
@@ -173,7 +175,9 @@ def _normal_pairing(s: Subspace, x: AlgebraVector):
 class CertifyPlan:
     """What condition_holds, verify_lemma_conclusion and sample_ys derive
     from (s, X) alone.  Each subspace keeps its own (Subspace.certify_plan)
-    and drops it with itself.
+    and drops it with itself: a catalog pair's lives as long as the
+    process, a catalog-space --s subspace's as long as it holds the CLI's
+    one slot, and one on a file algebra goes with its request.
 
     Per s: the basis scaled to integers by the lcm den of its denominators,
     int64 when every Y = draws @ basis and the scale den RATIONAL_SCALE
