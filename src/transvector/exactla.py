@@ -197,11 +197,6 @@ def sylvester_pivot(sym):
     return None
 
 
-def is_positive_definite(sym) -> bool:
-    """Sylvester test (sylvester_pivot)."""
-    return sylvester_pivot(sym) is None
-
-
 class SpanSolver:
     """Membership with respect to fixed spanning columns.
 
