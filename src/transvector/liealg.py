@@ -49,9 +49,9 @@ from .exactla import (
     SpanSolver,
     clear_denominators,
     frac,
-    sylvester_pivot,
     nullspace,
     rank,
+    sylvester_pivot,
 )
 
 # The "mode" labels of the reports: exact certificates, float64 measurements.
@@ -667,9 +667,9 @@ class StructuredLieAlgebra:
         the p basis, for the Killing form B = b / scale.  A failure records
         under key a witness: v, a combination of the rows, as labels, and
         B(v, v), which is sign times the first nonpositive pivot of the
-        elimination (exactla.sylvester_pivot).  The zero space counts as
-        definite for k (compact g has p = 0) and not for p (noncompact
-        type), and p = 0 is its own witness."""
+        elimination (exactla.sylvester_pivot).  k = 0 passes vacuously;
+        p = 0 fails, since noncompact type wants p nonzero, and "p is 0"
+        is its witness."""
         if not len(rows):
             if sign < 0:
                 return True
