@@ -127,8 +127,15 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
     product of the realified blocks [[A, -B], [B, A]] of A + iB, whose left
     column flattens to the real coordinates of A + iB.  The algebra carries
     its family's positive_root_count as root_count.
+
+    The cache holds one algebra per space: any other spelling that
+    parse_space_id accepts (case, surrounding blanks) returns the entry of
+    the canonical id, space_id.strip().lower().
     """
     fam, n = parse_space_id(space_id)
+    sid = space_id.strip().lower()
+    if sid != space_id:
+        return build_space(sid)
     basis, size, k_dim, signature = {"su": _su_basis, "so": _so_basis,
                                      "sl": _sl_basis}[fam](n)
     d = len(basis)
@@ -141,7 +148,7 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
     r = real.realified(np.int64)
     solver = SpanSolver(r[:, :, :size].reshape(d, -1).tolist())
     if not solver.independent:
-        raise RuntimeError("basis table for %s is dependent" % space_id)
+        raise RuntimeError("basis table for %s is dependent" % sid)
     lo, hi = np.triu_indices(d, 1)
     comm = (r[lo] @ r[hi] - r[hi] @ r[lo])[:, :, :size].reshape(len(lo), 2 * size * size)
     # the first d integer row operations are divided back below
@@ -152,7 +159,7 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
         coords = ops @ comm.T.astype(object)
     if coords[d:].any():
         raise RuntimeError("basis table for %s does not close under commutators"
-                           % space_id)
+                           % sid)
     scales = [math.lcm(*(c.denominator for c in row)) for row in solver.row_ops[:d]]
     brackets = {(int(lo[p]), int(hi[p])): {k: div(int(c), scales[k])
                                            for k, c in enumerate(col) if c != 0}
@@ -161,7 +168,7 @@ def build_space(space_id: str) -> StructuredLieAlgebra:
                         for j in range(d)) for i in range(d))
     return StructuredLieAlgebra(labels=tuple(label for label, _ in basis),
                                 brackets=brackets, theta=theta, realization=real,
-                                name=space_id.strip().lower(),
+                                name=sid,
                                 root_count=positive_root_count(fam, n))
 
 
@@ -235,7 +242,9 @@ def build_pair(space_id: str, pair_name: str) -> CatalogEntry:
     complement, and the totally-real flag is computed on su spaces.
 
     Cached per (space, pair) like build_space, so the certificates run once
-    per process; a build that raises is not cached."""
+    per process; a build that raises is not cached.  Any spelling of the
+    space that parse_space_id accepts returns the entry of the canonical
+    id, once it has passed the checks."""
     sid = space_id.strip().lower()
     fam, n = parse_space_id(sid)  # surfaces the unsupported-family message first
     pairs = _PAIR_TABLE.get(sid)
@@ -245,6 +254,8 @@ def build_pair(space_id: str, pair_name: str) -> CatalogEntry:
     if pair_name not in pairs:
         raise ConfigError("space %s has pairs %s, not %r"
                           % (sid, ", ".join(pairs), pair_name))
+    if sid != space_id:
+        return build_pair(sid, pair_name)
     a = build_space(sid)
     labels, desc = _PAIR_SPANS[pair_name]
     s = Subspace(a, [a.from_labels({label: 1}) for label in labels(n)])

@@ -167,7 +167,7 @@ def _algebra_from_args(args):
     if not args.space:
         raise ConfigError("--space (or --algebra-file) is required")
     parse_space_id(args.space)      # refuses a bad or oversized id before any build
-    return build_space(args.space)
+    return build_space(args.space.strip().lower())      # one cache entry per space
 
 
 def _catalog_pair(args):
@@ -181,11 +181,12 @@ def _catalog_pair(args):
     for flag, dest in (("--s", "s_file"), ("--algebra-file", "algebra_file")):
         if getattr(args, dest, None) is not None:
             raise ConfigError("--pair takes s from the catalog; %s is not read with it" % flag)
-    pairs = list_pairs().get(args.space.strip().lower())
+    sid = args.space.strip().lower()        # one cache entry per space
+    pairs = list_pairs().get(sid)
     if args.pair is None and pairs:
         raise ConfigError("--pair is required: space %s has pairs %s"
                           % (args.space, ", ".join(pairs)))
-    entry = build_pair(args.space, args.pair)
+    entry = build_pair(sid, args.pair)
     text = getattr(args, "x", None)
     return entry, entry.x_default if text is None else parse_x_expression(entry.algebra, text)
 
@@ -204,8 +205,11 @@ def _pair_from_args(args):
     return a, s, x, {"pair": None, "space": a.name, "s_file": args.s_file}
 
 
-# a 10^5-node su31 bisector peaks near 430 MB, a 10^5-node su21 construct
-# runs about 12 s
+# a 10^5-node su31 bisector peaks near 430 MB.  Time in cli.run and peak RSS
+# of the process, 3 runs each on a 2-core VM: a 10^5-node su21 construct
+# (10 t x 100^2 Y) takes 3.2-4.4 s and peaks near 219 MB, and a 96040-node
+# su31 complex-hyperplane one (40 t x 7^4 Y, 2401 Y nodes swept in chunks of
+# geometry.CURVATURE_BLOCK) 4.2-5.2 s and 219 MB
 MAX_GRID_NODES = 10 ** 5
 
 

@@ -41,21 +41,27 @@ docstrings carry the proofs.
 
 Mean curvature is evaluated in closed form from brackets, not estimated:
 mean_curvature_estimate proves the formula it evaluates,
-H = (1/m) (1 - Pi_s)[Z_k, Z_p] / B(Z_p, Z_p) for Z = e^(-ad_Y) X, and
-takes Z from one stacked eigh of the Hermitian Y-images, once per distinct
-Y row.  metric_matrix is not on that path; it stays the pullback metric of
-the model (a finite-difference oracle in the tests is built on it).
+H = (1/m) (1 - Pi_s)[Z_k, Z_p] / B(Z_p, Z_p) for Z = e^(-ad_Y) X, and,
+since H at (t, Y) depends on Y alone, works on its t and Y rows before they
+are broadcast: one stacked eigh of the Hermitian Y-images gives both
+exp(Y) and Z, and the group elements are one broadcasting product of the t
+and Y exponentials.  metric_matrix is not on that path; it stays the
+pullback metric of the model (a finite-difference oracle in the tests is
+built on it).
 
-mean_curvature_report sweeps the grid in blocks of CURVATURE_BLOCK nodes, so
-memory stays bounded on any grid: one chart and one closed-form stack per
-block.  A block raises at its first failing stage (chart, closed form), for
-the first node failing it; each node gets the bits it gets alone.
+mean_curvature_report sweeps the grid in blocks of at most CURVATURE_BLOCK
+nodes, each a product of whole t rows and Y rows, so memory stays bounded on
+any grid: per block one stack of t exponentials, one eigh of its Y rows,
+one chart and one closed-form stack.  A block raises at its first failing
+stage (chart, closed form), for the first node failing it; each node gets
+the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -113,9 +119,9 @@ def _raise_first_failure(checks):
     run, so among one point's failures the first listed wins."""
     firsts = [np.argmax(np.ravel(failed)) if np.any(failed) else np.inf
               for failed, _ in checks]
-    k = int(np.argmin(firsts))             # the first of equal indices
+    k = min(range(len(firsts)), key=firsts.__getitem__)  # the first of equal indices
     if firsts[k] != np.inf:
-        raise checks[k][1](firsts[k])
+        raise checks[k][1](int(firsts[k]))
 
 
 def realize(a: StructuredLieAlgebra, v: np.ndarray) -> np.ndarray:
@@ -128,27 +134,45 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def expm(h: np.ndarray) -> np.ndarray:
-    """exp(h) = u diag(e^w) u^dagger for every Hermitian matrix of the stack
-    h (..., N, N), from one stacked eigh.
+def _hermitian_eigh(h: np.ndarray):
+    """(w, u, finite) of one stacked eigh of the Hermitian matrices of the
+    stack h (..., N, N): h = u diag(w) u^dagger slice by slice.
 
     Every caller passes real combinations of p-images, Hermitian bit for bit;
     a finite matrix that is not is a ValueError.  A non-finite matrix (its
-    exponent overflowed float64) gives a non-finite result, which
-    cartan_project refuses."""
+    exponent overflowed float64) is zeroed before eigh, which would refuse
+    the whole stack, and finite masks it out (None when every matrix is
+    finite); _from_eigh turns it into nan."""
     h = np.asarray(h)
     finite = None     # the usual stack: checked whole, without per-matrix masks
     if not (np.isfinite(h).all() and (h == _dagger(h)).all()):
         finite = np.all(np.isfinite(h), axis=(-2, -1))
         if np.any(finite & ~np.all(h == _dagger(h), axis=(-2, -1))):
             raise ValueError("expm takes Hermitian matrices only")
-        h = np.where(finite[..., None, None], h, 0.0)  # eigh refuses a whole stack
+        h = np.where(finite[..., None, None], h, 0.0)
     w, u = np.linalg.eigh(h)
-    with np.errstate(over="ignore", invalid="ignore"):  # e^w = inf is kept
-        out = (u * np.exp(w)[..., None, :]) @ _dagger(u)
+    return w, u, finite
+
+
+def _from_eigh(out: np.ndarray, finite) -> np.ndarray:
+    """out, with nan in every slice that finite (from _hermitian_eigh) masks."""
     if finite is not None:
         out[~finite] = np.nan
     return out
+
+
+def _exp_eigh(w: np.ndarray, u: np.ndarray, finite) -> np.ndarray:
+    """u diag(e^w) u^dagger from _hermitian_eigh's (w, u, finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # e^w = inf is kept
+        return _from_eigh((u * np.exp(w)[..., None, :]) @ _dagger(u), finite)
+
+
+def expm(h: np.ndarray) -> np.ndarray:
+    """exp(h) = u diag(e^w) u^dagger for every Hermitian matrix of the stack
+    h (..., N, N), from one stacked eigh (_hermitian_eigh): a finite matrix
+    that is not Hermitian is a ValueError, and a non-finite matrix gives a
+    nan result, which cartan_project refuses."""
+    return _exp_eigh(*_hermitian_eigh(h))
 
 
 def group_membership_residual(a: StructuredLieAlgebra, g: np.ndarray) -> np.ndarray:
@@ -390,8 +414,8 @@ class GridSpec:
 
     def y_nodes(self, dim: int) -> np.ndarray:
         """Every Y-node, (y_steps**dim, dim), the last coordinate fastest."""
-        axes = np.meshgrid(*[self.y_axis()] * dim, indexing="ij")
-        return np.stack(axes, axis=-1).reshape(-1, dim)
+        index = np.indices((self.y_steps,) * dim).reshape(dim, -1)
+        return self.y_axis()[np.ascontiguousarray(index.T)]
 
     def contains(self, t, y: np.ndarray) -> np.ndarray:
         """Mask of the nodes, stacks t (...) and y (..., dim s), in range."""
@@ -444,6 +468,7 @@ class ImmersionSpec:
         _, pinv, gram = _p_geometry(a)
         sp = pinv @ rows.T
         self._s_projector = sp @ np.linalg.inv(sp.T @ gram @ sp) @ sp.T @ gram
+        self._y_kept = None     # (key, eigh) while mean_curvature_estimate runs
 
     @property
     def x_norm(self) -> float:
@@ -454,14 +479,36 @@ class ImmersionSpec:
         return np.einsum("...j,jkl->...kl", np.asarray(y, dtype=float), self._s_images)
 
     def group_element(self, t, y: np.ndarray) -> np.ndarray:
-        """exp(tX) exp(Y(y)); t (...) and y (..., dim s) broadcast as stacks.
-        expm runs once per distinct t and once per distinct y row."""
-        t = np.asarray(t, dtype=float)
+        """exp(tX) exp(Y(y)); t (...) and y (..., dim s) broadcast as stacks,
+        one matrix product of the t and Y exponentials.  expm runs once per
+        distinct t and once per distinct y row, or, when y is the kept Y
+        stack (_keep_y), exp(Y) comes from its kept eigh, the same bits."""
+        t, y = np.asarray(t, dtype=float), np.asarray(y, dtype=float)
         x_orbit, = _per_distinct_row(
             t[..., None], lambda c: [expm(c[..., None] * self._x_matrix)])
-        y_exp, = _per_distinct_row(np.asarray(y, dtype=float),
-                                   lambda c: [expm(self.y_matrix(c))])
+        kept = self._kept_y(y)
+        if kept is None:
+            y_exp, = _per_distinct_row(y, lambda c: [expm(self.y_matrix(c))])
+        else:
+            y_exp = _exp_eigh(*kept).reshape(y.shape[:-1] + self._x_matrix.shape)
         return x_orbit @ y_exp
+
+    def _keep_y(self, rows: np.ndarray):
+        """Keep the checked eigh (_hermitian_eigh) of the Y-images of the
+        rows (n, dim s) as the spec's Y stack until it is cleared:
+        mean_curvature_estimate keeps its Y rows for the call, so that
+        exp(Y) (group_element) and Z (_conjugated_x) of a block come from
+        one decomposition."""
+        self._y_kept = ((rows.shape[-1], rows.tobytes()),
+                        _hermitian_eigh(self.y_matrix(rows)))
+
+    def _kept_y(self, y: np.ndarray):
+        """The kept eigh if the rows of the float stack y (..., dim s) are,
+        in order, bit for bit the kept rows, else None."""
+        kept = self._y_kept
+        if kept is not None and kept[0] == (y.shape[-1], y.tobytes()):
+            return kept[1]
+        return None
 
 
 def _per_distinct_row(keys: np.ndarray, fn) -> list:
@@ -472,10 +519,11 @@ def _per_distinct_row(keys: np.ndarray, fn) -> list:
     flat = np.ascontiguousarray(keys).reshape(-1, keys.shape[-1])
     bits = flat.view(np.uint64)
     order = np.lexsort(bits.T)              # stable: equal rows keep their order
+    ordered = bits[order]
     new = np.ones(len(order), dtype=bool)   # each sorted row unlike the one before
-    new[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    inverse[order] = new.cumsum() - 1
     return [out[inverse].reshape(keys.shape[:-1] + out.shape[1:])
             for out in fn(flat[order[new]])]
 
@@ -560,14 +608,16 @@ def grid_distances(spec: ImmersionSpec, t, y, g: np.ndarray):
 
 def _conjugated_x(spec: ImmersionSpec, y: np.ndarray) -> np.ndarray:
     """Z = e^(-Y) X e^Y = e^(-ad_Y) X for every row of the stack y (n, dim s),
-    from one stacked eigh of the Hermitian Y-images: Y = U diag(w) U^dagger
-    gives Z = U (U^dagger X U)_ij e^(w_j - w_i) U^dagger.  An overflowed
-    exponent gives a non-finite Z, which _closed_form marks."""
-    w, u = np.linalg.eigh(spec.y_matrix(y))
+    from the checked eigh of the Hermitian Y-images, the kept one when y is
+    the kept stack (ImmersionSpec._keep_y): Y = U diag(w) U^dagger gives
+    Z = U (U^dagger X U)_ij e^(w_j - w_i) U^dagger.  An overflowed exponent
+    or a non-finite Y-image gives a non-finite Z, which _closed_form marks."""
+    kept = spec._kept_y(np.asarray(y, dtype=float))
+    w, u, finite = _hermitian_eigh(spec.y_matrix(y)) if kept is None else kept
     ud = _dagger(u)
     with np.errstate(over="ignore", invalid="ignore"):
         conjugated = (ud @ spec._x_matrix @ u) * np.exp(w[..., None, :] - w[..., :, None])
-        return u @ conjugated @ ud
+        return _from_eigh(u @ conjugated @ ud, finite)
 
 
 def _brackets(spec: ImmersionSpec, y: np.ndarray):
@@ -634,34 +684,51 @@ def mean_curvature_estimate(spec: ImmersionSpec, t, y, baseline: bool = False):
     baseline=True measures the frozen-t slice Y -> exp(tX) exp(Y) o instead:
     it is exp(tX) S, totally geodesic, so its H is 0 by the same proof.
 
-    Every node is charted once, by one cartan_project call, for its point;
-    Z comes from one stacked eigh over the distinct Y rows.  What fails
-    first is raised: the range of a node; then the chart of the first
-    failing node; then the first node whose H is not finite or whose Z_p or
-    [Z_k, Z_p] leaves p by more than REEXPRESS_TOL, in that check order.
+    t and y are worked on as given, before they are broadcast, so a product
+    grid, t (k, 1) against the n rows y (n, dim s), takes one exponential
+    per distinct t, one checked eigh of the n Y-images, kept on the spec
+    for the call (ImmersionSpec._keep_y) so that it gives both exp(Y) and
+    Z, one closed form per Y row, the k n group elements from one
+    broadcasting product (group_element), and one cartan_project call that
+    charts every node for its point.  What fails first is raised: the range
+    of a node; then the chart of the first failing node; then the first
+    node whose H is not finite or whose Z_p or [Z_k, Z_p] leaves p by more
+    than REEXPRESS_TOL, in that check order: the closed form's masks are
+    broadcast to the nodes before either is raised.
     """
     a = spec.algebra
     if spec.codimension < 2 and not baseline:
         raise ConfigError("mean curvature of the extension needs codimension "
                           ">= 2; this spec has %d" % spec.codimension)
     t, y = _grid_point(spec, t, y)
-    t, y = np.broadcast_arrays(t[..., None], y)
-    shape = t.shape[:-1]
-    t, y = t[..., 0].reshape(-1), y.reshape(-1, y.shape[-1])
-    points = cartan_project(a, spec.group_element(t, y))
+    rows = y.reshape(-1, y.shape[-1])
+    try:
+        spec._keep_y(rows)
+        curvature = () if baseline else _closed_form(spec, rows)
+        g = spec.group_element(t, y)
+    finally:
+        spec._y_kept = None
+    shape = g.shape[:-2]
+    points = cartan_project(a, g.reshape((-1,) + g.shape[-2:])).reshape(shape + (-1,))
     if baseline:
-        normals, norms = np.zeros_like(points), np.zeros(len(points))
-    else:
-        normals, norms, bad, err, outside = _per_distinct_row(
-            y, lambda rows: _closed_form(spec, rows))
-        _raise_first_failure([
-            (bad, lambda i: NumericalBreakdown(
-                "mean curvature overflows float64: Z = e^-Y X e^Y or "
-                "[Z_k, Z_p] is not finite")),
-            (outside, lambda i: NumericalBreakdown(
-                "Z_p or [Z_k, Z_p] is not in p (residual %.3e)" % err[i]))])
-    return (normals.reshape(shape + points.shape[1:]), norms.reshape(shape),
-            points.reshape(shape + points.shape[1:]))
+        return np.zeros_like(points), np.zeros(shape), points
+    normals, norms, bad, err, outside = (_to_nodes(v, y.shape[:-1], shape)
+                                         for v in curvature)
+    _raise_first_failure([
+        (bad, lambda i: NumericalBreakdown(
+            "mean curvature overflows float64: Z = e^-Y X e^Y or "
+            "[Z_k, Z_p] is not finite")),
+        (outside, lambda i: NumericalBreakdown(
+            "Z_p or [Z_k, Z_p] is not in p (residual %.3e)" % err.flat[i]))])
+    return normals, norms, points
+
+
+def _to_nodes(v: np.ndarray, lead: tuple, shape: tuple) -> np.ndarray:
+    """The stack v (n, ...), one slice per row of a y stack lead + (dim s,),
+    broadcast to the nodes shape, as a new array shape + v.shape[1:]."""
+    out = np.empty(shape + v.shape[1:], dtype=v.dtype)
+    out[...] = v.reshape(lead + v.shape[1:])
+    return out
 
 
 @dataclass
@@ -684,17 +751,23 @@ class CurvatureReport:
 
 def mean_curvature_report(spec: ImmersionSpec, tolerance: float = 1e-4,
                           baseline: bool = False) -> CurvatureReport:
-    """Sweep the declared grid, t-major, in blocks of CURVATURE_BLOCK nodes."""
-    y_nodes = spec.grid.y_nodes(spec.s.dim)
-    ts = np.repeat(spec.grid.t_axis(), len(y_nodes))
-    ys = np.tile(y_nodes, (spec.grid.t_steps, 1))
-    norms, points = (np.concatenate(v) for v in zip(*(
-        mean_curvature_estimate(spec, ts[i:i + CURVATURE_BLOCK],
-                                ys[i:i + CURVATURE_BLOCK], baseline=baseline)[1:]
-        for i in range(0, len(ts), CURVATURE_BLOCK))))
-    entries = [{"t": t, "y": y, "norm": norm, "point": point}
-               for t, y, norm, point in zip(ts.tolist(), ys.tolist(),
-                                            norms.tolist(), points.tolist())]
+    """Sweep the declared grid, t-major, in blocks of at most CURVATURE_BLOCK
+    nodes, one mean_curvature_estimate call a block, each a product of whole
+    t rows and Y rows: k = max(1, CURVATURE_BLOCK // n) t values against all
+    n Y nodes, or, when n > CURVATURE_BLOCK, one t value against a chunk of
+    CURVATURE_BLOCK Y nodes."""
+    t_axis, y_nodes = spec.grid.t_axis(), spec.grid.y_nodes(spec.s.dim)
+    n = len(y_nodes)
+    k, chunk = max(1, CURVATURE_BLOCK // n), min(n, CURVATURE_BLOCK)
+    blocks = [mean_curvature_estimate(spec, t_axis[i:i + k, None], y_nodes[j:j + chunk],
+                                      baseline=baseline)[1:]
+              for i in range(0, len(t_axis), k) for j in range(0, n, chunk)]
+    norms, points = (np.concatenate([v.reshape((-1,) + v.shape[2:]) for v in parts])
+                     for parts in zip(*blocks))
+    entries = [{"t": t, "y": list(y), "norm": norm, "point": point}
+               for (t, y), norm, point in zip(
+                   itertools.product(t_axis.tolist(), y_nodes.tolist()),
+                   norms.tolist(), points.tolist())]
     return CurvatureReport(entries=entries, max_norm=float(np.max(norms)),
                            baseline=baseline, tolerance=tolerance)
 

@@ -42,6 +42,16 @@ from transvector.liealg import StructuredLieAlgebra
 from transvector.subspaces import Subspace
 
 
+# The eigh stacks and cartan_project stacks of one su21 3 x 3 x 3 construct
+# request, alone and with --distance-law, and of a 5 x 5 x 5 bisector request
+# (the tests below pin them; README states them, tests/test_readme.py).
+CONSTRUCT_EIGHS = [9, 3, 27]
+DISTANCE_LAW_EIGHS = CONSTRUCT_EIGHS + [7, 3, 28, 28, 82]
+DISTANCE_LAW_CHARTS = [27, 28, 82]
+BISECTOR_EIGHS = [2, 5, 25, 37, 37, 287]
+BISECTOR_CHARTS = [37, 287]
+
+
 def _sl2_spec(sl2r, **kw):
     s = Subspace(sl2r, [basis_vector(sl2r, 0)])
     x = (basis_vector(sl2r, 1) + basis_vector(sl2r, 2)).to_array()
@@ -510,24 +520,22 @@ def test_group_element_computes_distinct_slices_once_with_the_same_bits(
 def test_one_construct_request_decomposes_a_fixed_count_of_matrices(
         tmp_path, count_calls):
     """The eigh work of one 3 x 3 x 3 construct request, as counts that repeat
-    exactly on any machine: the block's 3 distinct t and 9 distinct y
-    exponentials, one chart of its 27 nodes, then the 9 distinct Y-images
-    whose eigenvectors conjugate X.  A lost dedup, an extra chart or any
-    metric changes them."""
+    exactly on any machine: the block's 9 Y-images, whose one eigh gives
+    both exp(Y) and the Z that the closed form conjugates X to, its 3
+    distinct t exponentials, then one chart of its 27 nodes.  A lost dedup,
+    a second Y decomposition, an extra chart or any metric changes them."""
     sizes = count_calls(np.linalg, "eigh", stack_size)
     assert run(["construct", "--space", "su21", "--pair", "real-form",
                 "--t-steps", "3", "--y-steps", "3",
                 "--out", str(tmp_path / "report.json")]) == 0
-    assert sizes == [3, 9, 27, 9]
+    assert sizes == CONSTRUCT_EIGHS
 
 
 @pytest.mark.parametrize("argv, eighs, charts", [
     (["construct", "--space", "su21", "--pair", "real-form", "--t-steps", "3",
-      "--y-steps", "3", "--distance-law"],
-     [3, 9, 27, 9, 7, 3, 28, 28, 82],
-     [27, 28, 82]),
+      "--y-steps", "3", "--distance-law"], DISTANCE_LAW_EIGHS, DISTANCE_LAW_CHARTS),
     (["bisector", "--space", "su21", "--pair", "complex-hyperplane", "--grid-steps", "5"],
-     [2, 5, 25, 37, 37, 287], [37, 287])], ids=["distance-law", "bisector"])
+     BISECTOR_EIGHS, BISECTOR_CHARTS)], ids=["distance-law", "bisector"])
 def test_the_distance_law_and_the_bisector_chart_one_stack_a_stage(
         tmp_path, count_calls, argv, eighs, charts):
     """After the curvature sweep's counts (the test above), the distance
@@ -803,35 +811,77 @@ def test_the_distance_law_distances_agree_with_the_three_stage_oracle(
     _assert_reports_agree(report, oracle)
 
 
-@pytest.mark.parametrize("pair", ["real-form", "complex-hyperplane"])
+@pytest.mark.parametrize("space, pair, steps, blocks", [
+    # one block of CURVATURE_BLOCK t rows, then one node: the seam
+    ("su21", "real-form", (CURVATURE_BLOCK + 1, 1), [(CURVATURE_BLOCK, 1), (1, 1)]),
+    ("su21", "complex-hyperplane", (CURVATURE_BLOCK + 1, 1),
+     [(CURVATURE_BLOCK, 1), (1, 1)]),
+    # n = 25 <= CURVATURE_BLOCK < T n: whole t rows, k = 128 // 25 = 5
+    ("su21", "real-form", (7, 5), [(5, 25), (2, 25)]),
+    # n = 4^4 = 256 > CURVATURE_BLOCK: one t row, chunks of CURVATURE_BLOCK Y rows
+    ("su31", "complex-hyperplane", (2, 4), [(1, CURVATURE_BLOCK)] * 4),
+    ("su21", "real-form", (3, 3), [(3, 9)]),                   # one block
+    # the sl(3,R) negative control, H != 0: n = 5, k = 25
+    ("sl3r", "control", (30, 5), [(25, 5), (5, 5)])],
+    ids=["seam-real-form", "seam-complex-hyperplane", "whole-t-rows", "y-chunks",
+         "one-block", "control"])
 @pytest.mark.parametrize("baseline", [False, True])
 def test_the_blocked_sweep_equals_each_node_alone_bit_for_bit(
-        pair, baseline, monkeypatch):
-    """One block plus one node: each node of the report's sweep gets the
-    (normal, norm, point) it gets alone, on both sides of the seam."""
-    spec = _su21_spec(build_pair("su21", pair),
-                      grid=GridSpec(t_steps=CURVATURE_BLOCK + 1, y_steps=1))
+        space, pair, steps, blocks, baseline, monkeypatch):
+    """The sweep hands mean_curvature_estimate products of whole t rows and
+    Y rows, at most CURVATURE_BLOCK nodes a block, t-major; each node of the
+    report gets the (normal, norm, point) it gets alone, on both sides of
+    every seam."""
+    grid = GridSpec(t_steps=steps[0], y_steps=steps[1])
+    if pair == "control":
+        a, s, x = negative_control()
+        spec = ImmersionSpec(a, s, x.to_array(), grid=grid)
+    else:
+        spec = _su21_spec(build_pair(space, pair), grid=grid)
     alone = geometry.mean_curvature_estimate
-    blocks = []
+    recorded = []
 
     def record(spec, t, y, baseline=False):
         out = alone(spec, t, y, baseline=baseline)
-        blocks.append((np.copy(t), np.copy(y), out))
+        recorded.append((np.copy(t), np.copy(y), out))
         return out
 
     monkeypatch.setattr(geometry, "mean_curvature_estimate", record)
     rep = mean_curvature_report(spec, tolerance=1.0, baseline=baseline)
-    assert [len(t) for t, _, _ in blocks] == [CURVATURE_BLOCK, 1]
-    ts, ys = (np.concatenate(v) for v in list(zip(*blocks))[:2])
-    normal, norm, point = (np.concatenate(v) for v in zip(*(o for _, _, o in blocks)))
-    assert len(rep.entries) == len(ts) == CURVATURE_BLOCK + 1
+    assert [(t.shape, y.shape) for t, y, _ in recorded] == [
+        ((k, 1), (n, spec.s.dim)) for k, n in blocks]
+    nodes = [(t, list(y)) for ts, ys, _ in recorded
+             for t in ts[:, 0] for y in ys]
+    outs = [[v.reshape((-1,) + v.shape[2:]) for v in out] for _, _, out in recorded]
+    normal, norm, point = (np.concatenate(v) for v in zip(*outs))
+    assert len(rep.entries) == len(nodes) == steps[0] * steps[1] ** spec.s.dim
     for k, entry in enumerate(rep.entries):
-        assert (entry["t"], entry["y"]) == (ts[k], list(ys[k]))
-        one = alone(spec, ts[k], ys[k], baseline=baseline)
+        assert (entry["t"], entry["y"]) == nodes[k]
+        one = alone(spec, *nodes[k], baseline=baseline)
         assert one[0].shape == normal[k].shape and one[1].shape == ()
         for got, want in zip((normal[k], norm[k], point[k]), one):
             assert np.array_equal(_bits(got), _bits(want))
         assert entry["norm"] == norm[k] and entry["point"] == list(point[k])
+
+
+def test_a_non_finite_y_image_is_refused_at_its_chart():
+    """A Y row that is not finite (a grid range with no bound admits it)
+    gives a non-finite Y-image: eigh would refuse the whole stack, so the
+    one decomposition of the Y rows zeroes it, its exp(Y) and Z come out
+    nan, and the node raises the chart's message, alone, in a stack and in
+    a product, while the nodes before it compute."""
+    entry = build_pair("su21", "real-form")
+    spec = _su21_spec(entry, grid=GridSpec(y_range=(-np.inf, np.inf)))
+    y = np.array([[0.1, 0.2], [0.3, 0.0], [np.inf, 0.0], [-0.2, 0.1]])
+    message = "polar factor is not finite: the matrix overflows float64"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, ys in ((0.0, y[2]), (np.zeros(4), y), (np.array([[0.5], [0.0]]), y)):
+            assert _raised(NumericalBreakdown, mean_curvature_estimate, spec, t, ys) == message
+            assert spec._y_kept is None           # kept only while the call runs
+        mean_curvature_estimate(spec, np.zeros(2), y[:2])
+        _, _, bad, _, _ = geometry._closed_form(spec, y)
+    assert bad.tolist() == [False, False, True, False]
 
 
 def test_immersion_spec_invariants(sl2r, su21_real_form):

@@ -31,7 +31,7 @@ import pytest
 from conftest import load_by_path
 from transvector import cli, data, exactla, liealg, roots, subspaces
 from transvector.algfile import parse_algebra_file, serialize_algebra
-from transvector.catalog import build_space
+from transvector.catalog import build_pair, build_space
 from transvector.cli import run
 from transvector.report import strip_wall_time
 from transvector.subspaces import Subspace
@@ -193,3 +193,67 @@ def test_a_file_algebra_is_freed_when_its_request_returns(tmp_path, monkeypatch)
             assert parsed[-1]() is None
     finally:
         gc.enable()
+
+
+# -- one cache entry per space, whatever the spelling ---------------------------
+
+SPELLINGS = [
+    ["check", "--space", "SU21", "--pair", "real-form"],
+    ["check", "--space", "su21", "--pair", "real-form"],
+    ["verify", "--space", "SL3R", "--s", os.path.join(HERE, "golden", "control.json"),
+     "--X", "bad"],
+    ["verify", "--space", " sl3r", "--s", os.path.join(HERE, "golden", "control.json"),
+     "--X", "bad"],
+]
+
+_COUNTING = """
+import json, sys
+from transvector import catalog, cli, liealg, subspaces
+from transvector.report import strip_wall_time
+built = {"PairResidues": 0, "Subspace": 0}
+for cls in (liealg.PairResidues, subspaces.Subspace):
+    def counting(self, *args, _plain=cls.__init__, _name=cls.__name__):
+        built[_name] += 1
+        _plain(self, *args)
+    cls.__init__ = counting
+runs = []
+for argv in json.loads(sys.argv[2]):
+    before = dict(built)
+    status = cli.run(argv + ["--out", sys.argv[1]])
+    with open(sys.argv[1]) as fh:
+        text = fh.read()
+    runs.append([status, strip_wall_time(text), json.loads(text)["config"]["space"],
+                 {k: built[k] - before[k] for k in built}])
+print(json.dumps({"runs": runs, "spaces": catalog.build_space.cache_info().currsize,
+                  "pairs": catalog.build_pair.cache_info().currsize}))
+"""
+
+
+def test_every_spelling_of_a_space_shares_one_algebra_and_one_pair():
+    assert build_space("SU31") is build_space("su31") is build_space(" su31 ")
+    assert build_pair("SU21", "real-form") is build_pair("su21", "real-form")
+
+
+def test_a_second_spelling_of_a_space_builds_nothing_and_reports_fresh_bytes(tmp_path):
+    """One process runs each request after the other spelling of its space:
+    the second builds no PairResidues and no Subspace, each cache holds one
+    entry per space, the config echoes the spelling given, and each report
+    is the one a fresh interpreter prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    argvs = [argv + list(SEED) for argv in SPELLINGS]
+    proc = subprocess.run([sys.executable, "-c", _COUNTING, str(tmp_path / "warm.json"),
+                           json.dumps(argvs)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    warm = json.loads(proc.stdout)
+    assert (warm["spaces"], warm["pairs"]) == (2, 1)
+    for argv, (status, text, space, built) in zip(argvs, warm["runs"]):
+        out = tmp_path / "fresh.json"
+        fresh = _fresh(argv + ["--out", str(out)])
+        assert fresh.stderr == ""
+        assert [status, text] == [fresh.returncode, strip_wall_time(out.read_text())]
+        assert space == argv[2]
+    first, second = warm["runs"][::2], warm["runs"][1::2]
+    assert all(min(run[3].values()) > 0 for run in first)
+    assert all(max(run[3].values()) == 0 for run in second)
