@@ -41,6 +41,10 @@ COMMANDS = {
                              "--samples", "1"],
     "lemma-su21-complex-hyperplane": ["lemma", "--space", "su21", "--pair",
                                       "complex-hyperplane", "--samples", "1"],
+    # the default --samples 4: a passed lemma prints one record per sample,
+    # every one the same
+    "lemma-su21-complex-hyperplane-samples4": ["lemma", "--space", "su21", "--pair",
+                                               "complex-hyperplane", "--seed", "7"],
     "lemma-so31": ["lemma", "--space", "so31", "--pair", "geodesic-plane",
                    "--samples", "1"],
     # the only lemma report with nonzero hypothesis residuals (exit 1)
