@@ -213,12 +213,16 @@ def _pair_from_args(args):
 MAX_GRID_NODES = 10 ** 5
 
 
-# Ceilings of the count options, each run at the cap on su31, the widest
-# catalog algebra, 3 runs each on a 2-core Xeon, peak RSS of the process
-# (31 MB after the imports) and time in cli.run: check --samples 1024
-# (n_max = dim p = 6, the chain evaluated to b = 2) peaks near 42 MB in
-# 0.03 s; lemma at 4096 terms (--samples 4 --n-max 31 --m-max 31, evaluated
-# to n, m <= b) near 38 MB in 0.04 s
+# Ceilings of the count options, each run at the cap on both su31 pairs (the
+# widest catalog algebra), 3 runs each in a fresh process on a 2-core Xeon,
+# peak RSS of the process (31 MB after the imports) and time in cli.run,
+# first request included: check --samples 1024 (n_max = dim p = 6, the
+# chain evaluated to b = 2) peaks near 42 MB in 0.02-0.04 s.  lemma has two
+# shapes at 4096 terms, both evaluated to n, m <= b and passed, so one
+# record stands for every sample: --samples 4 --n-max 31 --m-max 31 (a
+# 197 KB report) peaks near 38 MB in 0.02-0.03 s, and --samples 1024
+# --n-max 1 --m-max 1, the most records (1024 in a 534 KB report), near
+# 48 MB in 0.03-0.05 s
 MAX_SAMPLES = 1024
 MAX_CHAIN = 32              # lemma --n-max and --m-max
 MAX_LEMMA_TERMS = 4096      # lemma samples * (n_max + 1) * (m_max + 1)
@@ -293,7 +297,9 @@ def _cmd_lemma(args):
     ys = sample_ys(s, rng.stream(args.seed, rng.STREAM_LEMMA), args.samples)
     checks = verify_lemma_conclusion(s, x, ys, n_max=args.n_max, m_max=args.m_max)
     results = dict(meta)
-    results["lemma_checks"] = [c.as_dict() for c in checks]
+    # one as_dict per distinct record: a passed stack repeats one
+    as_dicts = {i: c.as_dict() for i, c in {id(c): c for c in checks}.items()}
+    results["lemma_checks"] = [as_dicts[id(c)] for c in checks]
     results["n_max"] = args.n_max
     results["m_max"] = args.m_max
     return results, all(c.passed for c in checks)

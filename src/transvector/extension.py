@@ -100,9 +100,11 @@ class ConditionVerdict:
         return {**vars(self), "mode": self.mode}
 
 
-@dataclass
+@dataclass(frozen=True)
 class LemmaCheck:
-    """Brute-force certification of the bracket lemma for one (s, X, Y)."""
+    """Brute-force certification of the bracket lemma for one (s, X, Y).
+    Frozen: verify_lemma_conclusion shares one record across the rows of a
+    passed stack."""
 
     mode = MODE_EXACT
     status: str                    # passed | hypothesis_violated
@@ -304,7 +306,7 @@ def _lemma_terms(chain, ad_x, ad_y, ad, mul, n_max: int, m_max: int):
 
 def _lemma_keys(n_max: int, m_max: int) -> list:
     """The "n,m" keys of a LemmaCheck's conclusion and auxiliary residuals."""
-    return ["%d,%d" % nm for nm in np.ndindex(n_max + 1, m_max + 1)]
+    return ["%d,%d" % (n, m) for n in range(n_max + 1) for m in range(m_max + 1)]
 
 
 def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
@@ -313,15 +315,17 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     Y in s as sample_ys draws them: the hypothesis [X, ad_Y^{2m+1}X] in s
     for m <= n_max + m_max, then the conclusion [ad_Y^{2n}X, ad_Y^{2m+1}X]
     in s and the auxiliary chain ad_Y [ad_Y^{2n}X, ad_Y^{2m}X] in s.
-    Returns one LemmaCheck per row.
+    Returns one LemmaCheck per row; on the passed path below every row is
+    the same frozen record, since every row has the same keys and every
+    residual 0.
 
     Membership is decided on ChainResidues, admitted (fit) as the stacks of
     the full range.  First only the terms with indices up to b =
     chain_bound are decided: the hypothesis for m <= min(n_max + m_max, b),
     the conclusion and the auxiliary for n <= min(n_max, b) and
     m <= min(m_max, b).  When all of them lie in s, every term of the range
-    does (module docstring), and each row gets the passed LemmaCheck with
-    every residual of the range 0.  Otherwise the whole range is decided
+    does (module docstring), and each row gets the one passed LemmaCheck
+    with every residual of the range 0.  Otherwise the whole range is decided
     term by term, and only what a report prints is evaluated exactly: the
     hypothesis terms of the rows that fail it, in one stacked pass, and the
     terms of the row raised below.
@@ -336,13 +340,13 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     r = ChainResidues(pair, ys, 2 * min(n_max + m_max, b) + 1)
     r.fit("--samples, --n-max and --m-max", top, vectors=(n_max + 1) * (m_max + 1),
           ads=n_max + 1)
-    keys = _lemma_keys(n_max, m_max)
     if not any(r.outside(v).any() for v in _lemma_terms(
             r.chain, r.ad_x, r.ad_y, r.ad, r.mul, min(n_max, b), min(m_max, b))):
+        keys = _lemma_keys(n_max, m_max)
         return [LemmaCheck(status="passed", n_max=n_max, m_max=m_max,
                            hypothesis_residuals=[0.0] * (n_max + m_max + 1),
                            conclusion_residuals=dict.fromkeys(keys, 0.0),
-                           aux_residuals=dict.fromkeys(keys, 0.0)) for _ in ys]
+                           aux_residuals=dict.fromkeys(keys, 0.0))] * len(ys)
     if r.top < top:
         r = ChainResidues(pair, ys, top)
     return _lemma_checks(s, x, ys, r, n_max, m_max)
@@ -366,17 +370,20 @@ def _lemma_checks(s: Subspace, x: AlgebraVector, ys: np.ndarray, r: ChainResidue
 
     checks = []
     for i, y in enumerate(ys):
-        check = LemmaCheck(status="passed", n_max=n_max, m_max=m_max)
-        checks.append(check)
-        check.hypothesis_residuals = [float(r) for r in hyp_res[i]]
-        check.hypothesis_failures = [{"m": int(m), "residual": float(hyp_res[i, m])}
-                                     for m in np.flatnonzero(hyp_out[i])]
-        if check.hypothesis_failures:
-            check.status = "hypothesis_violated"
+        hypothesis_residuals = [float(r) for r in hyp_res[i]]
+        failures = [{"m": int(m), "residual": float(hyp_res[i, m])}
+                    for m in np.flatnonzero(hyp_out[i])]
+        if failures:
+            checks.append(LemmaCheck(status="hypothesis_violated", n_max=n_max,
+                                     m_max=m_max, hypothesis_residuals=hypothesis_residuals,
+                                     hypothesis_failures=failures))
             continue
-        check.conclusion_residuals = dict(zip(keys, map(float, con_res[i].flat)))
-        check.aux_residuals = dict(zip(keys, map(float, aux_res[i].flat)))
         if not (con_out[i].any() or aux_out[i].any()):
+            checks.append(LemmaCheck(
+                status="passed", n_max=n_max, m_max=m_max,
+                hypothesis_residuals=hypothesis_residuals,
+                conclusion_residuals=dict(zip(keys, map(float, con_res[i].flat))),
+                aux_residuals=dict(zip(keys, map(float, aux_res[i].flat)))))
             continue
         row = ys[i:i + 1]
         _, con, aux = _lemma_terms(a.ad_chain(row, xrow, top), a.ad_stack(xrow),

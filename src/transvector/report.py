@@ -4,9 +4,12 @@ Envelopes are byte-stable for a fixed config: keys are sorted, floats go
 through repr (shortest round-trip form), and the only nondeterministic field
 is wall_time_s, which consumers strip before comparing.  render gives the
 bytes of json.dumps(sort_keys=True, indent=2, allow_nan=False), each scalar
-encoded by the exact type of its value.  File writes are atomic: the
-encoded bytes go to a temp file in the target directory through its raw
-descriptor, which is then renamed onto the target.
+encoded by the exact type of its value, and a list item or dict value (in
+key order) that is the very object (is) before it reuses that one's text:
+the same object at the same indentation always encodes to the same bytes,
+so a report that repeats one record encodes it once.  File writes are
+atomic: the encoded bytes go to a temp file in the target directory through
+its raw descriptor, which is then renamed onto the target.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ def render(report: dict) -> str:
     Each dict value and list item of an exact JSON scalar type is encoded
     inline by one lookup of its type in _SCALARS; only containers, and
     subclasses (np.float64, an IntEnum, a str subclass), take a call of
-    _encode."""
+    _encode.  An item that is the item before it (is, not ==: 0.0 and -0.0
+    are equal) takes that item's text, already checked, with no lookup."""
     text = _encode(report, "\n")
     if text[-1] in "fn":
         _refuse(report)
@@ -57,6 +61,9 @@ def render(report: dict) -> str:
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__,
             bool: {True: "true", False: "false"}.__getitem__,
             type(None): {None: "null"}.__getitem__}
+
+
+_NOTHING = object()     # the item before the first: no value of a report
 
 
 def _refuse(o):
@@ -75,24 +82,28 @@ def _encode(o, newline: str) -> str:
         for key in o:
             if not isinstance(key, str):
                 raise TypeError("keys must be str, not %s" % type(key).__name__)
-        inner, scalar, items = newline + "  ", _SCALARS.get, []
+        inner, scalar, items, prev = newline + "  ", _SCALARS.get, [], _NOTHING
         for key in sorted(o):
             v = o[key]
-            enc = scalar(type(v))
-            text = enc(v) if enc else _encode(v, inner)
-            if text[-1] in "fn":
-                _refuse(v)
+            if v is not prev:
+                enc = scalar(type(v))
+                text = enc(v) if enc else _encode(v, inner)
+                if text[-1] in "fn":
+                    _refuse(v)
+                prev = v
             items.append(encode_basestring_ascii(key) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        inner, scalar, items = newline + "  ", _SCALARS.get, []
+        inner, scalar, items, prev = newline + "  ", _SCALARS.get, [], _NOTHING
         for v in o:
-            enc = scalar(type(v))
-            text = enc(v) if enc else _encode(v, inner)
-            if text[-1] in "fn":
-                _refuse(v)
+            if v is not prev:
+                enc = scalar(type(v))
+                text = enc(v) if enc else _encode(v, inner)
+                if text[-1] in "fn":
+                    _refuse(v)
+                prev = v
             items.append(text)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     enc = _SCALARS.get(type(o))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import errno
 import json
 import math
@@ -19,6 +20,7 @@ from transvector.cli import (MAX_CHAIN, MAX_EXAMPLE_WORK, MAX_GRID_NODES, MAX_LE
                              MAX_SAMPLES, build_parser, load_subspace_file,
                              parse_x_expression, run)
 from transvector.errors import ConfigError, LemmaFalsified
+from transvector.extension import LemmaCheck
 from transvector.geometry import GridSpec
 from transvector.liealg import RESIDUE_BUDGET, ChainResidues, coeff_strings
 from transvector.report import render, strip_wall_time
@@ -787,6 +789,50 @@ def test_the_out_of_memory_counts_exit_2_naming_the_option(tmp_path, capsys, arg
     out = tmp_path / "report.json"
     assert run([*argv, "--out", str(out)]) == 2 and not out.exists()
     assert "argument %s: expected an integer in [" % option in capsys.readouterr().err
+
+
+def _counted_as_dicts(monkeypatch):
+    """A list that grows by one LemmaCheck per call of LemmaCheck.as_dict."""
+    calls, as_dict = [], LemmaCheck.as_dict
+
+    def counted(check):
+        calls.append(check)
+        return as_dict(check)
+
+    monkeypatch.setattr(LemmaCheck, "as_dict", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv, records", [
+    ((*SU21_REAL_FORM, "--samples", "64"), 1),
+    ((*CONTROL, "--samples", "2"), 2)], ids=["passed-su21", "sl3r-control"])
+def test_a_lemma_report_converts_each_distinct_record_once(tmp_path, monkeypatch,
+                                                          argv, records):
+    """A passed stack of 64 rows is one record, converted once; the two
+    rows of the control are two."""
+    calls = _counted_as_dicts(monkeypatch)
+    status, rep = _run(tmp_path, "lemma", *argv)
+    assert len(calls) == len({id(c) for c in calls}) == records
+    assert len(rep["results"]["lemma_checks"]) == int(argv[-1])
+
+
+def test_a_shared_record_reports_the_bytes_of_separate_records(tmp_path, monkeypatch):
+    """The report of 64 references to one record, after strip_wall_time, is
+    the one rendered from 64 records built apart, nothing shared."""
+    argv = ["lemma", *SU21_REAL_FORM, "--samples", "64", "--seed", "5"]
+    shared, apart = tmp_path / "shared.json", tmp_path / "apart.json"
+    assert run(argv + ["--out", str(shared)]) == 0
+    verify, built = cli.verify_lemma_conclusion, []
+
+    def separate(*args, **kw):
+        built.extend(copy.deepcopy(c) for c in verify(*args, **kw))
+        return built
+
+    monkeypatch.setattr(cli, "verify_lemma_conclusion", separate)
+    calls = _counted_as_dicts(monkeypatch)
+    assert run(argv + ["--out", str(apart)]) == 0
+    assert len(calls) == len({id(c) for c in built}) == 64
+    assert strip_wall_time(shared.read_text()) == strip_wall_time(apart.read_text())
 
 
 def test_lemma_past_its_term_cap_exits_2_before_building_anything(tmp_path,

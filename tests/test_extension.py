@@ -212,6 +212,33 @@ def test_catalog_verdicts_report_the_exact_modes(sid, pair):
     assert all(c.passed for c in checks)
 
 
+@pytest.mark.parametrize("sid, pair", CATALOG, ids=CATALOG_IDS)
+def test_a_passed_stack_is_one_frozen_record_per_row(sid, pair):
+    """Every row of a passed stack has the same keys and every residual 0,
+    so the rows are len(ys) references to one record, which no caller can
+    change field by field."""
+    entry = build_pair(sid, pair)
+    ys = sample_ys(entry.s, rng.stream(3, rng.STREAM_LEMMA), 5)
+    checks = verify_lemma_conclusion(entry.s, entry.x_default, ys, n_max=2, m_max=3)
+    assert len(checks) == 5 and all(c is checks[0] for c in checks)
+    assert checks[0].passed and checks[0].worst_residual == 0.0
+    assert list(checks[0].conclusion_residuals) == ["%d,%d" % (n, m) for n in range(3)
+                                                    for m in range(4)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        checks[0].status = "hypothesis_violated"
+
+
+def test_the_full_range_builds_one_record_per_row():
+    """The rows of the sl3r control (the lemma report at --samples 2) fail
+    their hypothesis with different residuals: each gets its own record."""
+    _, s, x = negative_control()
+    ys = sample_ys(s, rng.stream(0, rng.STREAM_LEMMA), 2)
+    first, second = verify_lemma_conclusion(s, x, ys, n_max=4, m_max=4)
+    assert first is not second
+    assert first.status == second.status == "hypothesis_violated"
+    assert first.hypothesis_residuals != second.hypothesis_residuals
+
+
 def test_a_plan_lives_and_dies_with_its_subspace():
     """The condition and the lemma keep their plan on s and nowhere else:
     once the caller drops s, reference counting frees it (the cyclic

@@ -67,6 +67,41 @@ def test_non_finite_floats_are_refused_by_both_encoders(doc):
     assert str(info.value) == str(refused.value)    # the same first offender
 
 
+_D = {"b": [0.0, 1], "a": {"n": None, "s": "x"}}
+_L = [1.5, {"k": [True]}, []]
+_T = ({"t": 2.5},)
+_NEG = -0.0
+_BAD = {"a": 1.0, "b": [0.5, math.nan], "c": math.inf}
+
+
+@pytest.mark.parametrize("doc", [
+    [_D, _D, _D],
+    {"x": [_L, _L], "y": _L},
+    [_L, [_L, [_L]], {"k": _L, "l": _L}],
+    (_T, _T),
+    {"a": _T, "b": _T, "c": [_T, _T]},
+    [0.0, _NEG, _NEG],
+    {"a": 0.0, "b": _NEG, "c": _NEG, "d": 0.0},
+    [_D, 1, _D, _D, {}, {}],
+], ids=["one-dict-thrice", "one-list-in-two-places", "one-list-at-three-depths",
+        "one-tuple-twice", "one-tuple-as-values-and-items", "signed-zeros-in-a-list",
+        "signed-zeros-as-values", "repeats-between-others"])
+def test_a_repeated_object_renders_as_json_dumps(doc):
+    """An item that is the item before it reuses that item's text: the
+    bytes are json.dumps' at every depth, and an item that is only equal
+    (0.0 and -0.0) is encoded on its own."""
+    assert render(doc) == _oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [[_BAD, _BAD], {"a": _BAD, "b": _BAD}, [1, _BAD, _BAD]])
+def test_a_repeated_object_with_a_nan_is_refused_at_its_first_offender(doc):
+    with pytest.raises(ValueError) as refused:
+        _oracle(doc)
+    with pytest.raises(ValueError, match="Out of range float") as info:
+        render(doc)
+    assert str(info.value) == str(refused.value)
+
+
 @pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, {"a": {1.5: 1}},
                                  object(), [np.int64(3)], {"a": {1, 2}}, b"x",
                                  {"a": 1, "b": {"c": 0.5, 3: "x", "d": True}, "e": None},
