@@ -297,12 +297,12 @@ def _cmd_lemma(args):
     ys = sample_ys(s, rng.stream(args.seed, rng.STREAM_LEMMA), args.samples)
     checks = verify_lemma_conclusion(s, x, ys, n_max=args.n_max, m_max=args.m_max)
     results = dict(meta)
-    # one as_dict per distinct record: a passed stack repeats one
-    as_dicts = {i: c.as_dict() for i, c in {id(c): c for c in checks}.items()}
+    distinct = {id(c): c for c in checks}     # a passed stack repeats one record
+    as_dicts = {i: c.as_dict() for i, c in distinct.items()}
     results["lemma_checks"] = [as_dicts[id(c)] for c in checks]
     results["n_max"] = args.n_max
     results["m_max"] = args.m_max
-    return results, all(c.passed for c in checks)
+    return results, all(c.passed for c in distinct.values())
 
 
 def _default_a_grid(dim: int):
