@@ -2,12 +2,27 @@
 the transported-field series.
 
 The condition is a polynomial identity of odd degree in Y, not a multilinear
-one, so checking it on a basis of s proves nothing.  Instead Y ranges over
-seeded random rational samples: a polynomial that vanishes at a random
-rational point is, with overwhelming probability, the zero polynomial
-(Schwartz-Zippel), and in exact arithmetic each individual evaluation is a
-certificate.  Failures are always certificates: a witness (Y, n) with a
-nonzero residual vector stays a counterexample under re-evaluation.
+one, so checking it on a basis of s proves nothing.  It is decided on the
+principal lattice of s instead, a proof for every Y in s.  Fix X and write
+Y = sum c_i b_i over the basis b_1..b_k of s.  For each n, the residual of
+[X, ad_Y^{2n+1} X] against s (its product with the null rows of s) is a
+vector of homogeneous polynomials of degree 2n + 1 in c.  By the bound
+below only n <= b is evaluated, so every degree is at most D = 2b + 1.  The
+principal lattice {c in N^k : sum c = D} has C(D + k - 1, k - 1) points and
+is unisolvent for the polynomials of degree <= D on the hyperplane sum c = D
+(Chung & Yao, On lattices admitting unique Lagrange interpolations, SIAM J.
+Numer. Anal. 14, 1977).  So a residual that vanishes on every lattice point
+vanishes on that hyperplane, and by homogeneity on every c with sum c != 0, a
+dense set: it is the zero polynomial.  One chain per point serves every n.
+
+condition_holds takes the lattice when its point count P is at most
+--samples, so no request evaluates more Y than it asked for; its verdict is
+exact-complete, with samples = P and no seed.  Past P it draws --samples
+seeded random rational Y and its verdict is exact-sampled: each evaluation
+is a certificate, and a polynomial that vanishes at a random rational point
+is, with overwhelming probability, the zero polynomial (Schwartz-Zippel).
+Failures are always certificates: a witness (Y, n) with a nonzero residual
+vector stays a counterexample under re-evaluation.
 
 The n quantifier is finite for each Y, and the terms above the bound
 b = chain_bound(g) are decided by proof, not evaluated.  Every Y in p is
@@ -37,8 +52,9 @@ sends the request down the full range (verify_lemma_conclusion), so every
 report is the one the full range gives term by term.
 
 Scaling note: [X, ad_{cY}^{2n+1} X] = c^{2n+1} [X, ad_Y^{2n+1} X], so
-membership is invariant under rescaling Y.  Exact sampling exploits this by
-clearing denominators: Y is an integer row (int64 from sample_ys).  The
+membership is invariant under rescaling Y.  Both the lattice and the sample
+exploit this: a lattice Y is divided by the gcd of its integer entries, and a
+sampled one has its denominators cleared, so every Y is an integer row.  The
 exact zero tests of the condition and the lemma run on machine integers
 through liealg.ChainResidues, which scales X and a rational table to
 integers the same way: in plain int64 when its proven bound on every
@@ -49,18 +65,20 @@ witness and the residuals of terms outside s, is evaluated on Python ints.
 
 What the condition and the lemma derive from (s, X) alone is derived once
 and kept in s's CertifyPlan: per subspace the integer-scaled basis Y is
-drawn on, per X (one slot, the last X admitted) the normal-pairing warning
-and the pair's liealg.PairResidues, which holds X cleared to integers and
-the residue lifts of the table, the null rows, X, ad_X and the condition's
-form ad_X null.T for the last primes asked.  That is sound because none of
-it depends on Y or on the seed, and s does not change: a request draws its
-Y and computes ad_Y, the bound, its primes, the chain, the membership
-products and any witness as before, and reads the same lifts a new plan
-would build.  Catalog pairs, cached by build_pair, reuse their
-plan across requests, and so does a --s subspace on a catalog space, which
-the CLI keeps in one slot keyed by the algebra and the exact basis rows of
-the file; a subspace on a file algebra, or built by any other caller,
-keeps its own plan and drops it with itself.
+drawn on and the lattice Y stack, per X (one slot, the last X admitted) the
+normal-pairing warning, the pair's liealg.PairResidues, which holds X
+cleared to integers and the residue lifts of the table, the null rows, X,
+ad_X and the condition's form ad_X null.T for the last primes asked, and the
+exact-complete verdict once a request has decided it.  That is sound because
+none of it depends on a sampled Y or on the seed, and s does not change: a
+sampled request draws its Y and computes ad_Y, the bound, its primes, the
+chain, the membership products and any witness as before, and reads the
+same lifts a new plan would build; a complete one reads the verdict a new
+plan would decide.  Catalog pairs, cached by build_pair, reuse their plan
+across requests, and so does a --s subspace on a catalog space, which the
+CLI keeps in one slot keyed by the algebra and the exact basis rows of the
+file; a subspace on a file algebra, or built by any other caller, keeps its
+own plan and drops it with itself.
 
 The transported-field series (nabla_zz) is a measurement, not a
 certificate: it takes an exact X in p and a float64 row Y and runs in
@@ -69,9 +87,13 @@ float64.
 
 from __future__ import annotations
 
+import copyreg
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -79,12 +101,18 @@ from . import rng
 from .errors import ConfigError, LemmaFalsified
 from .liealg import (MODE_EXACT, AlgebraVector, ChainResidues, PairResidues, abs_col_sum,
                      canonical, coeff_strings, int64_exact)
+
+_NO_RESIDUALS = MappingProxyType({})
+# the records below hold read-only mappings; each copies and pickles as a new
+# proxy over a copy of what it shows, so the records copy like plain ones
+copyreg.pickle(MappingProxyType, lambda m: (MappingProxyType, (dict(m),)))
 from .subspaces import Subspace
 
 
 @dataclass
 class ConditionVerdict:
-    """Outcome of the sampled extension-condition check."""
+    """Outcome of the sampled extension-condition check: samples random Y
+    drawn from seed."""
 
     mode = "exact-sampled"         # random Y, each term decided exactly
     holds: bool
@@ -101,19 +129,49 @@ class ConditionVerdict:
 
 
 @dataclass(frozen=True)
+class CompleteVerdict:
+    """Outcome of the extension condition decided on the principal lattice
+    of s, for every Y in s (module docstring): samples is the lattice point
+    count, and there is no seed.  checked, per_n_worst_residual and witness
+    read as in ConditionVerdict.  Frozen all the way down (tuples and a
+    read-only witness), since the plan keeps one per (s, X) and every
+    request on them returns it; as_dict hands out plain lists and dicts."""
+
+    mode = "exact-complete"        # every Y, by the lattice
+    seed = None
+    holds: bool
+    n_max: int
+    samples: int
+    checked: int
+    per_n_worst_residual: tuple
+    witness: MappingProxyType | None
+    warnings: tuple
+
+    def as_dict(self) -> dict:
+        w = self.witness
+        return {"holds": self.holds, "n_max": self.n_max, "samples": self.samples,
+                "seed": self.seed, "checked": self.checked,
+                "per_n_worst_residual": list(self.per_n_worst_residual),
+                "witness": None if w is None else {**w, "y": list(w["y"]),
+                                                   "vector": list(w["vector"])},
+                "warnings": self.warnings, "mode": self.mode}
+
+
+@dataclass(frozen=True)
 class LemmaCheck:
     """Brute-force certification of the bracket lemma for one (s, X, Y).
-    Frozen: verify_lemma_conclusion shares one record across the rows of a
-    passed stack."""
+    Frozen all the way down (tuples and read-only mappings):
+    verify_lemma_conclusion shares one record across the rows of a passed
+    stack.  as_dict hands out plain lists and dicts."""
 
     mode = MODE_EXACT
     status: str                    # passed | hypothesis_violated
     n_max: int
     m_max: int
-    hypothesis_residuals: list = field(default_factory=list)
-    hypothesis_failures: list = field(default_factory=list)
-    conclusion_residuals: dict = field(default_factory=dict)
-    aux_residuals: dict = field(default_factory=dict)
+    hypothesis_residuals: tuple = ()
+    hypothesis_failures: tuple = ()         # read-only {"m", "residual"} mappings
+    conclusion_residuals: MappingProxyType = field(default_factory=lambda: _NO_RESIDUALS)
+    aux_residuals: MappingProxyType = field(default_factory=lambda: _NO_RESIDUALS)
 
     @property
     def passed(self) -> bool:
@@ -127,7 +185,12 @@ class LemmaCheck:
         return max((r for pool in pools for r in pool), default=0.0)
 
     def as_dict(self) -> dict:
-        return {**vars(self), "mode": self.mode, "worst_residual": self.worst_residual}
+        return {"status": self.status, "n_max": self.n_max, "m_max": self.m_max,
+                "hypothesis_residuals": list(self.hypothesis_residuals),
+                "hypothesis_failures": [dict(f) for f in self.hypothesis_failures],
+                "conclusion_residuals": dict(self.conclusion_residuals),
+                "aux_residuals": dict(self.aux_residuals),
+                "mode": self.mode, "worst_residual": self.worst_residual}
 
 
 @dataclass
@@ -183,15 +246,17 @@ class CertifyPlan:
 
     Per s: the basis scaled to integers by the lcm den of its denominators,
     int64 when every Y = draws @ basis and the scale den RATIONAL_SCALE
-    provably fit int64 (int64_exact), dtype=object otherwise.  Per X, in
-    one slot keyed by X's exact coefficients: the warnings of its verdict
-    and X against the null rows of s as ChainResidues takes them
-    (PairResidues), whose lifts a run of requests on that X shares.  The
-    slot is filled only once _require_pair has admitted (s, X); s does not
-    change, so a filled slot stands for an admitted pair, and a refused one
-    is refused anew on every call.  Nothing here depends on Y or on the
-    seed, so a request on a plan that served others gives the bytes it
-    gives on a new one.
+    provably fit int64 (int64_exact), dtype=object otherwise; the degree
+    D = 2 chain_bound + 1 and the point count lattice_size of its principal
+    lattice, and the lattice Y stack (lattice), built on first use.  Per X,
+    in one slot keyed by X's exact coefficients: the warnings of its
+    verdict, X against the null rows of s as ChainResidues takes them
+    (PairResidues), whose lifts a run of requests on that X shares, and its
+    CompleteVerdict once decided.  The slot is filled only once
+    _require_pair has admitted (s, X); s does not change, so a filled slot
+    stands for an admitted pair, and a refused one is refused anew on every
+    call.  Nothing here depends on a sampled Y or on the seed, so a request
+    on a plan that served others gives the bytes it gives on a new one.
     """
 
     def __init__(self, s: Subspace):
@@ -202,15 +267,55 @@ class CertifyPlan:
                                                 abs_col_sum(basis)):
             basis = basis.astype(np.int64)
         self.basis = basis
+        self.degree = 2 * chain_bound(s.algebra) + 1
+        self.lattice_size = math.comb(self.degree + s.dim - 1, s.dim - 1) if s.dim else 0
         self._slot = None
+
+    @cached_property
+    def lattice(self) -> np.ndarray:
+        """(lattice_size, d) stack of the Y c @ basis over the points c of
+        the principal lattice (principal_lattice, in its order), each divided
+        by the gcd of its entries.  int64 when int64_exact bounds the product
+        (every |c| <= degree), dtype=object otherwise."""
+        basis = self.basis
+        if basis.dtype == object or not int64_exact(self.degree, abs_col_sum(basis)):
+            basis = basis.astype(object)
+        w = principal_lattice(len(basis), self.degree).astype(basis.dtype) @ basis
+        return w // np.gcd.reduce(w, axis=1)[:, None]
 
     def pair(self, s: Subspace, x: AlgebraVector):
         """(warnings, PairResidues) of X on s, this plan's subspace."""
+        return self._admit(s, x)[1:3]
+
+    def complete(self, s: Subspace, x: AlgebraVector) -> CompleteVerdict:
+        """The CompleteVerdict of X on s, decided on the lattice by the first
+        request on X and kept in its slot."""
+        slot = self._admit(s, x)
+        if slot[3] is None:
+            slot[3] = _complete_verdict(s, x, *slot[1:3], self.lattice)
+        return slot[3]
+
+    def _admit(self, s: Subspace, x: AlgebraVector) -> list:
+        """X's slot [coefficients, warnings, PairResidues, CompleteVerdict or
+        None], filled anew when X is not the last X admitted."""
         if self._slot is None or self._slot[0] != x.coeffs:
             _require_pair(s, x)
             warnings = () if _normal_pairing(s, x) is None else (_NOT_NORMAL,)
-            self._slot = (x.coeffs, warnings, PairResidues(s.algebra, s.null_rows, x.row()))
-        return self._slot[1:]
+            self._slot = [x.coeffs, warnings, PairResidues(s.algebra, s.null_rows, x.row()),
+                          None]
+        return self._slot
+
+
+def principal_lattice(k: int, degree: int) -> np.ndarray:
+    """(C(degree + k - 1, k - 1), k) int64 stack of the points c in N^k with
+    sum c = degree, in descending lexicographic order (degree e_1 first).
+    Each point is a placement of k - 1 bars among degree + k - 1 slots; its
+    entries are the runs of slots between the bars."""
+    slots = degree + k - 1
+    bars = np.array(list(itertools.combinations(range(slots), k - 1)),
+                    dtype=np.int64).reshape(math.comb(slots, k - 1), k - 1)
+    ends = np.full((len(bars), 1), -1), np.full((len(bars), 1), slots)
+    return np.diff(np.concatenate([ends[0], bars, ends[1]], axis=1), axis=1)[::-1] - 1
 
 
 def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
@@ -240,23 +345,22 @@ def chain_bound(a) -> int:
 
 
 def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
-                    seed: int = 0) -> ConditionVerdict:
-    """Sampled check of [X, ad_Y^{2n+1} X] in s over random Y in s, for
-    n <= n_max = dim p.  Only the terms n <= b = chain_bound are evaluated;
-    the proof of the module docstring decides the rest.
+                    seed: int = 0) -> ConditionVerdict | CompleteVerdict:
+    """[X, ad_Y^{2n+1} X] in s for n <= n_max = dim p: for every Y in s on
+    the principal lattice when its point count is at most samples, over
+    samples random Y in s drawn from seed otherwise (module docstring).  Only
+    the terms n <= b = chain_bound are evaluated; the proof of the module
+    docstring decides the rest.
 
-    Every (sample, n <= b) term is evaluated in one stacked pass on
-    ChainResidues, admitted (fit) as the stacks of the full range would be;
-    the verdict reads them in sample-major order and stops at the first term
-    outside s, which is the witness.  By the proof a sample with a term
-    outside s has one with n <= b, so that is the first term outside s of
-    the full range too, and `checked` counts the terms of the full range up
-    to it, (dim p + 1) per sample before it.  The witness alone is
-    evaluated exactly.
-    """
-    warnings, pair = s.certify_plan.pair(s, x)
-    a = s.algebra
-    n_max = len(a.p_basis)
+    The lattice verdict depends on (s, X) alone: the first request on X
+    decides it and the plan keeps it, so a later request returns the same
+    frozen CompleteVerdict whatever samples (at least the point count) and
+    seed it gives.  The sampled verdict is decided anew each time."""
+    plan = s.certify_plan
+    if s.dim and plan.lattice_size <= samples:
+        return plan.complete(s, x)
+    warnings, pair = plan.pair(s, x)
+    n_max = len(s.algebra.p_basis)
     verdict = ConditionVerdict(holds=True, n_max=n_max,
                                samples=samples, seed=seed,
                                per_n_worst_residual=[0.0] * (n_max + 1),
@@ -264,29 +368,54 @@ def condition_holds(s: Subspace, x: AlgebraVector, samples: int = 64,
     if s.dim == 0:
         return verdict
     ys = sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
+    verdict.checked, verdict.per_n_worst_residual, verdict.witness = _decide(s, x, pair, ys)
+    verdict.holds = verdict.witness is None
+    return verdict
+
+
+def _complete_verdict(s: Subspace, x: AlgebraVector, warnings: tuple, pair: PairResidues,
+                      ys: np.ndarray) -> CompleteVerdict:
+    """The CompleteVerdict of X on s, the lattice Y stack ys."""
+    checked, worst, witness = _decide(s, x, pair, ys)
+    if witness is not None:
+        witness = MappingProxyType({**witness, "y": tuple(witness["y"]),
+                                    "vector": tuple(witness["vector"])})
+    return CompleteVerdict(holds=witness is None, n_max=len(s.algebra.p_basis),
+                           samples=len(ys), checked=checked,
+                           per_n_worst_residual=tuple(worst), witness=witness,
+                           warnings=warnings)
+
+
+def _decide(s: Subspace, x: AlgebraVector, pair: PairResidues, ys: np.ndarray):
+    """(checked, per_n_worst_residual, witness or None) of the condition
+    over the Y stack ys (S, d).
+
+    Every (Y, n <= b) term is evaluated in one stacked pass on
+    ChainResidues, admitted (fit) as the stacks of the full range would be;
+    the verdict reads them in Y-major order and stops at the first term
+    outside s, which is the witness.  By the proof a Y with a term outside s
+    has one with n <= b, so that is the first term outside s of the full
+    range too, and `checked` counts the terms of the full range up to it,
+    (dim p + 1) per Y before it.  The witness alone is evaluated exactly."""
+    a = s.algebra
+    n_max = len(a.p_basis)
     b = chain_bound(a)
     r = ChainResidues(pair, ys, 2 * b + 1)
     r.fit("--samples", 2 * n_max + 1)
     hits = np.flatnonzero(r.outside(r.chain[:, :, 1::2], r.form))
-    res = np.zeros((len(ys), n_max + 1))
-    verdict.checked = res.size
-    if hits.size:
-        i, n = divmod(int(hits[0]), b + 1)
-        verdict.checked = i * (n_max + 1) + n + 1
-        xrow = x.row()
-        odd = a.ad_chain(ys[i:i + 1], xrow, 2 * n + 1)[0, -1]
-        term = a.vector(odd @ a.ad_stack(xrow))     # [X, v] = v @ ad_X
-        _, res[i, n] = s.contains(term)
-        verdict.holds = False
-        verdict.witness = {
-            "y": coeff_strings(a.vector(ys[i])),
-            "n": n,
-            "vector": coeff_strings(term),
-            "residual": float(res[i, n]),
-        }
-    # res is nonzero at the witness alone, the last term checked
-    verdict.per_n_worst_residual = [float(r) for r in res.max(axis=0, initial=0.0)]
-    return verdict
+    if not hits.size:
+        return len(ys) * (n_max + 1), [0.0] * (n_max + 1), None
+    i, n = divmod(int(hits[0]), b + 1)
+    xrow = x.row()
+    odd = a.ad_chain(ys[i:i + 1], xrow, 2 * n + 1)[0, -1]
+    term = a.vector(odd @ a.ad_stack(xrow))     # [X, v] = v @ ad_X
+    _, residual = s.contains(term)
+    # the residual is nonzero at the witness alone, the last term checked
+    worst = [0.0] * (n_max + 1)
+    worst[n] = residual
+    witness = {"y": coeff_strings(a.vector(ys[i])), "n": n,
+               "vector": coeff_strings(term), "residual": residual}
+    return i * (n_max + 1) + n + 1, worst, witness
 
 
 def _lemma_terms(chain, ad_x, ad_y, ad, mul, n_max: int, m_max: int):
@@ -343,10 +472,10 @@ def verify_lemma_conclusion(s: Subspace, x: AlgebraVector, ys: np.ndarray,
     if not any(r.outside(v).any() for v in _lemma_terms(
             r.chain, r.ad_x, r.ad_y, r.ad, r.mul, min(n_max, b), min(m_max, b))):
         keys = _lemma_keys(n_max, m_max)
+        zeros = MappingProxyType(dict.fromkeys(keys, 0.0))
         return [LemmaCheck(status="passed", n_max=n_max, m_max=m_max,
-                           hypothesis_residuals=[0.0] * (n_max + m_max + 1),
-                           conclusion_residuals=dict.fromkeys(keys, 0.0),
-                           aux_residuals=dict.fromkeys(keys, 0.0))] * len(ys)
+                           hypothesis_residuals=(0.0,) * (n_max + m_max + 1),
+                           conclusion_residuals=zeros, aux_residuals=zeros)] * len(ys)
     if r.top < top:
         r = ChainResidues(pair, ys, top)
     return _lemma_checks(s, x, ys, r, n_max, m_max)
@@ -370,9 +499,9 @@ def _lemma_checks(s: Subspace, x: AlgebraVector, ys: np.ndarray, r: ChainResidue
 
     checks = []
     for i, y in enumerate(ys):
-        hypothesis_residuals = [float(r) for r in hyp_res[i]]
-        failures = [{"m": int(m), "residual": float(hyp_res[i, m])}
-                    for m in np.flatnonzero(hyp_out[i])]
+        hypothesis_residuals = tuple(map(float, hyp_res[i]))
+        failures = tuple(MappingProxyType({"m": int(m), "residual": float(hyp_res[i, m])})
+                         for m in np.flatnonzero(hyp_out[i]))
         if failures:
             checks.append(LemmaCheck(status="hypothesis_violated", n_max=n_max,
                                      m_max=m_max, hypothesis_residuals=hypothesis_residuals,
@@ -382,8 +511,9 @@ def _lemma_checks(s: Subspace, x: AlgebraVector, ys: np.ndarray, r: ChainResidue
             checks.append(LemmaCheck(
                 status="passed", n_max=n_max, m_max=m_max,
                 hypothesis_residuals=hypothesis_residuals,
-                conclusion_residuals=dict(zip(keys, map(float, con_res[i].flat))),
-                aux_residuals=dict(zip(keys, map(float, aux_res[i].flat)))))
+                conclusion_residuals=MappingProxyType(dict(zip(keys, map(float,
+                                                                     con_res[i].flat)))),
+                aux_residuals=MappingProxyType(dict(zip(keys, map(float, aux_res[i].flat))))))
             continue
         row = ys[i:i + 1]
         _, con, aux = _lemma_terms(a.ad_chain(row, xrow, top), a.ad_stack(xrow),

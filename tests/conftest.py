@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from transvector import rng
 from transvector.algfile import parse_algebra_file
 from transvector.catalog import build_pair, build_space
 from transvector.data import algebra_path
 from transvector.exactla import invert
+from transvector.extension import sample_ys
 from transvector.liealg import (AlgebraVector, ChainResidues, MatrixRealization, PairResidues,
                                StructuredLieAlgebra)
 
@@ -69,6 +71,16 @@ def chain_residues(a: StructuredLieAlgebra, ys: np.ndarray, x: np.ndarray, top: 
     """ChainResidues of the stack ys and the exact row x against the integer
     rows null, its lifts built for this call alone."""
     return ChainResidues(PairResidues(a, null, x), ys, top)
+
+
+def condition_ys(s, samples: int, seed: int) -> np.ndarray:
+    """The Y stack condition_holds(s, x, samples, seed) decides on: the
+    principal lattice of s when it has at most samples points, the seeded
+    sample otherwise."""
+    plan = s.certify_plan
+    if plan.lattice_size <= samples:
+        return plan.lattice
+    return sample_ys(s, rng.stream(seed, rng.STREAM_CONDITION_Y), samples)
 
 
 def basis_vector(a: StructuredLieAlgebra, i: int) -> AlgebraVector:

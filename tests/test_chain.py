@@ -16,13 +16,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import chain_residues
+from conftest import chain_residues, condition_ys
 from transvector import rng
 from transvector.algfile import parse_algebra_file
 from transvector.catalog import build_pair, negative_control
 from transvector.cli import load_subspace_file
 from transvector.extension import (condition_holds, sample_ys,
                                    verify_lemma_conclusion)
+from transvector.liealg import coeff_strings
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -137,29 +138,39 @@ def test_condition_verdict_matches_the_term_by_term_reference(name, samples):
     a = s.algebra
     n_max = len(a.p_basis)
     verdict = condition_holds(s, x, samples=samples, seed=5)
-    ys = sample_ys(s, rng.stream(5, rng.STREAM_CONDITION_Y), samples)
+    ys = condition_ys(s, samples, 5)
     checked, witness, worst = _reference_condition(s, x, ys, n_max)
+    got = verdict.as_dict()         # a kept lattice verdict holds tuples
     assert verdict.checked == checked
     assert verdict.holds == (witness is None)
-    assert verdict.per_n_worst_residual == worst
+    assert got["per_n_worst_residual"] == worst
     if witness is not None:
         i, n, term, res = witness
-        w = verdict.witness
+        w = got["witness"]
         assert w["n"] == n
         assert w["residual"] == res
         assert w["y"] == [str(c) for c in a.vector(ys[i]).coeffs]
         assert w["vector"] == [str(c) for c in term.coeffs]
 
 
-def test_control_witness_is_the_first_failing_sample():
-    """Every sample of the sl(3,R) control fails at n = 0, so the witness
-    must come from sample 0 and `checked` must be 1."""
-    s, x = CASES["control"]
-    verdict = condition_holds(s, x, samples=16, seed=0)
-    ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 16)
-    assert verdict.checked == 1
-    assert verdict.witness["y"] == [str(c) for c in ys[0]]
+def test_a_failing_x_is_witnessed_by_the_first_failing_y():
+    """On su(2,1) real-form, X = Q1 + P1 fails at n = 0 on every Y.  Below
+    the lattice's 6 points the witness comes from sample 0 and `checked` is
+    1; from 6 samples on it comes from the first lattice point, 5 e_1
+    divided by its gcd: the first basis vector of s, P1."""
+    entry = build_pair("su21", "real-form")
+    a, s = entry.algebra, entry.s
+    x = a.from_labels({"Q1": 1, "P1": 1})
+    sampled = condition_holds(s, x, samples=5, seed=0)
+    ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 5)
+    assert (sampled.mode, sampled.checked) == ("exact-sampled", 1)
+    assert sampled.witness["y"] == [str(c) for c in ys[0]]
     assert len({tuple(y) for y in ys}) > 1     # a later sample would differ
+    for samples, seed in ((6, 0), (16, 3)):
+        complete = condition_holds(s, x, samples=samples, seed=seed)
+        assert (complete.mode, complete.samples, complete.seed) == ("exact-complete", 6, None)
+        assert complete.checked == 1 and complete.witness["n"] == 0
+        assert list(complete.witness["y"]) == coeff_strings(a.from_labels({"P1": 1}))
 
 
 def test_lemma_hypothesis_failures_match_the_reference():
@@ -171,9 +182,10 @@ def test_lemma_hypothesis_failures_match_the_reference():
     for check, row in zip(checks, ys):
         chain = _reference_chain(a, a.vector(row), x, 7)
         want = [s.contains(a.bracket(x, chain[2 * m + 1])) for m in range(4)]
-        assert check.hypothesis_residuals == [r for _, r in want]
-        assert check.hypothesis_failures == [{"m": m, "residual": r}
-                                             for m, (ok, r) in enumerate(want) if not ok]
+        got = check.as_dict()
+        assert got["hypothesis_residuals"] == [r for _, r in want]
+        assert got["hypothesis_failures"] == [{"m": m, "residual": r}
+                                              for m, (ok, r) in enumerate(want) if not ok]
         assert check.status == "hypothesis_violated"
 
 
@@ -233,12 +245,12 @@ def test_condition_membership_leaves_int64_when_the_product_outgrows_it():
     let the control pass."""
     s, x = CASES["control"]
     big = x.scale(2 ** 32)
-    ys = sample_ys(s, rng.stream(0, rng.STREAM_CONDITION_Y), 4)
+    ys = condition_ys(s, 4, 0)
     r = chain_residues(s.algebra, ys, big.row(), 1, s.null_rows)
     assert r.primes and r.outside(r.chain[:, :, 1::2], r.form).all()
     verdict = condition_holds(s, big, samples=4, seed=0)
     checked, (_, n, term, res), _ = _reference_condition(s, big, ys,
                                                          len(s.algebra.p_basis))
     assert not verdict.holds and verdict.checked == checked == 1
-    assert verdict.witness["vector"] == [str(c) for c in term.coeffs]
+    assert list(verdict.witness["vector"]) == [str(c) for c in term.coeffs]
     assert verdict.witness["residual"] == res > 0

@@ -86,10 +86,13 @@ def _full_range_verdict(s, x, ys):
 
 
 def test_checked_counts_the_full_range_of_the_samples_before_the_witness(monkeypatch):
-    """On the sl3r control, a zero Y puts every term in s and S12 fails at
+    """On su(2,1) real-form with X = Q1 + P1, sampled (2 samples, below
+    the lattice's 6 points), a zero Y puts every term in s and P1 fails at
     n = 0: the witness comes from the second sample, after the dim p + 1
     terms of the first, not the b + 1 it evaluated."""
-    a, s, x = negative_control()
+    entry = build_pair("su21", "real-form")
+    a, s = entry.algebra, entry.s
+    x = a.from_labels({"Q1": 1, "P1": 1})
     ys = np.array([[0] * a.dim, s.basis_rows[0]], dtype=np.int64)
     monkeypatch.setattr(extension, "sample_ys", lambda *args: ys)
     verdict = condition_holds(s, x, samples=2, seed=0)

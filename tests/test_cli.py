@@ -15,7 +15,7 @@ import pytest
 
 from transvector import cli
 from transvector.algfile import serialize_algebra
-from transvector.catalog import SPACE_IDS, build_space
+from transvector.catalog import SPACE_IDS, build_pair, build_space
 from transvector.cli import (MAX_CHAIN, MAX_EXAMPLE_WORK, MAX_GRID_NODES, MAX_LEMMA_TERMS,
                              MAX_SAMPLES, build_parser, load_subspace_file,
                              parse_x_expression, run)
@@ -45,7 +45,7 @@ def test_check_on_a_catalog_pair_reports_its_verdict(tmp_path, x, exit_status, w
     assert status == exit_status
     assert rep["summary"] == {"exit_status": status, "passed": status == 0}
     assert rep["results"]["condition"]["holds"] is (status == 0)
-    assert rep["results"]["condition"]["mode"] == "exact-sampled"
+    assert rep["results"]["condition"]["mode"] == "exact-complete"
     assert rep["results"]["condition"]["warnings"] == warnings
     assert rep["schema"] == 1
     assert rep["config"]["seed"] == 7
@@ -917,39 +917,46 @@ def test_rank_3_roots_examples_take_the_unit_and_all_ones_x(tmp_path):
     assert all(e["passed"] for e in examples)
 
 
-def _huge_s(n):
-    """2^255 P1, (2^255 - 1) P2, ..., (2^255 - n + 1) Pn in decimal, the real
-    form of su(n,1) at the 256-bit input cap."""
-    return [{"P%d" % (k + 1): str(2 ** 255 - k)} for k in range(n)]
+def _huge_s(labels):
+    """2^255 l_1, (2^255 - 1) l_2, ... over the labels l_k in decimal: the
+    span of the labels at the 256-bit input cap."""
+    return [{label: str(2 ** 255 - k)} for k, label in enumerate(labels)]
 
 
-@pytest.mark.parametrize("argv, space, n, options, shapes", [
-    (("verify", "--samples", "1024"), "su41", 4, "--samples",
-     [(172, 1024, 18, 24), (172, 1024, 1, 576)]),
-    (("lemma", "--samples", "3", "--n-max", "32", "--m-max", "32"), "su21", 2,
-     "--samples, --n-max and --m-max", [(1285, 3, 1089, 8), (1285, 3, 33, 64)]),
-    # each stack alone fits the budget, their sum does not: this verify once
-    # exited 0 after 4.2 s at an 854 MB peak
-    (("verify", "--samples", "1024"), "su31", 3, "--samples",
-     [(132, 1024, 14, 15), (132, 1024, 1, 225)])])
+# the complex hyperplane of su(4,1), whose principal lattice has 252 points
+SU41_HYPERPLANE = ("P1", "Q1", "P2", "Q2", "P3", "Q3")
+
+
+@pytest.mark.parametrize("argv, space, labels, x, options, shapes", [
+    # --samples 1024 takes the 252 lattice points
+    (("verify", "--samples", "1024"), "su41", SU41_HYPERPLANE, "P4", "--samples",
+     [(170, 252, 18, 24), (170, 252, 1, 576)]),
+    (("lemma", "--samples", "3", "--n-max", "32", "--m-max", "32"), "su21", ("P1", "P2"),
+     "Q1", "--samples, --n-max and --m-max", [(1285, 3, 1089, 8), (1285, 3, 33, 64)]),
+    # 251 samples, one below the lattice; each stack alone fits the budget,
+    # their sum does not: a su31 verify of this kind once exited 0 after
+    # 4.2 s at an 854 MB peak
+    (("verify", "--samples", "251"), "su41", SU41_HYPERPLANE, "P4", "--samples",
+     [(172, 251, 18, 24), (172, 251, 1, 576)])])
 def test_residue_stacks_past_the_budget_exit_2_before_they_are_built(tmp_path, argv,
-                                                                     space, n, options,
-                                                                     shapes):
+                                                                     space, labels, x,
+                                                                     options, shapes):
     """A su21 verify once ended in an _ArrayMemoryError traceback with exit 1
     under a 3 GB address-space limit (a 2.62 GiB chain at 33 values of n),
     and the lemma peaked at 1175 MB.  The condition now checks n <= dim p,
     where su21 fits the budget at every count, so the verify runs on
-    su(4,1).  The budget bounds the sum of the stacks.  Refused on the
-    shapes, the run allocates far less than the stacks it names."""
+    su(4,1).  The budget bounds the sum of the stacks, on the lattice and on
+    the sample alike.  Refused on the shapes, the run allocates far less
+    than the stacks it names."""
     s_file = tmp_path / "s.json"
-    s_file.write_text(json.dumps(_huge_s(n)))
+    s_file.write_text(json.dumps(_huge_s(labels)))
     total = sum(math.prod(shape) for shape in shapes)
-    if space == "su31":
+    if argv[-1] == "251":
         assert all(math.prod(shape) <= RESIDUE_BUDGET for shape in shapes)
     tracemalloc.start()
     try:
         status, rep = _run(tmp_path, argv[0], "--space", space, "--s", str(s_file),
-                           "--X", "Q1", *argv[1:])
+                           "--X", x, *argv[1:])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -982,6 +989,11 @@ def test_every_catalog_pair_at_the_caps_fits_the_residue_budget(monkeypatch, arg
         raise _Admitted
 
     monkeypatch.setattr(ChainResidues, "fit", admitted)
+    if argv[0] == "check":
+        # a check at 1024 samples takes the lattice, whose verdict a plan
+        # keeps once decided: start from a plan of its own
+        monkeypatch.delitem(vars(build_pair(argv[2], argv[4]).s), "certify_plan",
+                            raising=False)
     with pytest.raises(_Admitted):
         run(list(argv))
 

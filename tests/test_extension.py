@@ -42,7 +42,7 @@ def test_condition_holds_exactly_on_su21_pairs():
         entry = build_pair("su21", pair_name)
         verdict = condition_holds(entry.s, entry.x_default, samples=8, seed=3)
         assert verdict.holds
-        assert verdict.mode == "exact-sampled"
+        assert verdict.mode == "exact-complete"
         assert all(r == 0.0 for r in verdict.per_n_worst_residual)
         assert verdict.witness is None
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_residues, zero
+from conftest import chain_residues, condition_ys, zero
 from transvector import extension, liealg, rng
 from transvector.catalog import build_pair, negative_control
 from transvector.errors import LemmaFalsified
@@ -118,18 +118,19 @@ def _check_against_the_oracle(name, scale, x_seed, x_magnitude, y_magnitude):
         x = _random_x(a, gen, x_magnitude)
     n_max = len(a.p_basis)
     verdict = condition_holds(s, x, samples=2, seed=x_seed or 0)
-    ys = sample_ys(s, rng.stream(x_seed or 0, rng.STREAM_CONDITION_Y), 2)
+    ys = condition_ys(s, 2, x_seed or 0)
     holds, checked, witness = _reference_condition(s, x, ys, n_max)
+    got = verdict.as_dict()         # a kept lattice verdict holds tuples
     assert (verdict.holds, verdict.checked) == (holds, checked)
     if witness:
         i, n, term, res = witness
-        assert verdict.witness == {"y": [str(c) for c in a.vector(ys[i]).coeffs], "n": n,
-                                   "vector": [str(c) for c in term.coeffs],
-                                   "residual": res}
-        assert verdict.per_n_worst_residual == [res if k == n else 0.0
-                                                for k in range(n_max + 1)]
+        assert got["witness"] == {"y": [str(c) for c in a.vector(ys[i]).coeffs], "n": n,
+                                  "vector": [str(c) for c in term.coeffs],
+                                  "residual": res}
+        assert got["per_n_worst_residual"] == [res if k == n else 0.0
+                                               for k in range(n_max + 1)]
     else:
-        assert verdict.witness is None and not any(verdict.per_n_worst_residual)
+        assert got["witness"] is None and not any(got["per_n_worst_residual"])
 
     # lemma on Y with rational coordinates of up to y_magnitude
     coords = [[Fraction(int(gen.integers(-y_magnitude, y_magnitude + 1)),
