@@ -31,6 +31,10 @@ COMMANDS = {
     "check-su21-complex-hyperplane": ["check", "--space", "su21", "--pair",
                                       "complex-hyperplane", "--samples", "16",
                                       "--seed", "3"],
+    # the boundary of the lattice rule: su21's principal lattice has exactly
+    # 6 points, so --samples 6 takes it (exact-complete) and 5 would not
+    "check-su21-real-form-samples6": ["check", "--space", "su21", "--pair", "real-form",
+                                      "--samples", "6"],
     "check-so31": ["check", "--space", "so31", "--pair", "geodesic-plane",
                    "--samples", "16"],
     "check-su31-real-form": ["check", "--space", "su31", "--pair", "real-form",
