@@ -8,9 +8,12 @@ Z = cosh(2s)(E+F) - sinh(2s)(E-F), [E-F, E+F] = 2H... twice).
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
+import itertools
 import math
+import operator
 import weakref
 from fractions import Fraction
 
@@ -276,3 +279,177 @@ def test_a_warning_and_a_refusal_stay_with_their_x():
         assert verdicts[-1] == condition_holds(Subspace(a, entry.s.basis), x, samples=2,
                                                seed=1).as_dict()
     assert [v["warnings"] for v in verdicts] == [(), (_NOT_NORMAL,)] * 2
+
+
+# -- the principal lattice (exact-complete verdicts) ---------------------------
+
+def _rank_mod(rows, p=2 ** 31 - 1) -> int:
+    """Rank of an integer matrix modulo the prime p, by elimination on
+    int64 residues (each product of two residues is below 2^62).  It is at
+    most the rank over Q, so a full rank here is the exact rank."""
+    m = np.array([[v % p for v in row] for row in rows], dtype=np.int64).reshape(
+        len(rows), -1)
+    rank = 0
+    for c in range(m.shape[1]):
+        pivots = np.flatnonzero(m[rank:, c])
+        if not pivots.size:
+            continue
+        m[[rank, rank + pivots[0]]] = m[[rank + pivots[0], rank]]
+        m[rank] = m[rank] * pow(int(m[rank, c]), -1, p) % p
+        m[rank + 1:] = (m[rank + 1:] - m[rank + 1:, c, None] * m[rank]) % p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_principal_lattice_is_unisolvent_for_degree_d(k):
+    """For every D <= 11 the lattice has C(D + k - 1, k - 1) distinct points
+    of N^k on sum c = D, and the matrix of the degree-D monomials (their
+    exponents listed apart from the generator) at those points has that
+    rank: only the zero degree-D form vanishes on all of them.  A lattice
+    short of one point, or the degree-(D - 1) lattice, has fewer rows than
+    the monomials and cannot reach it."""
+    for degree in range(12):
+        points = extension.principal_lattice(k, degree)
+        count = math.comb(degree + k - 1, k - 1)
+        assert points.shape == (count, k) and points.dtype == np.int64
+        assert (points >= 0).all() and (points.sum(axis=1) == degree).all()
+        assert len({tuple(c) for c in points.tolist()}) == count
+        assert points[0].tolist() == [degree] + [0] * (k - 1)
+        monomials = [e for e in itertools.product(range(degree + 1), repeat=k)
+                     if sum(e) == degree]
+        assert len(monomials) == count
+        values = [[math.prod(c ** e for c, e in zip(point, mono)) for mono in monomials]
+                  for point in points.tolist()]
+        assert _rank_mod(values) == count
+
+
+CHECKED = [*CATALOG, ("sl3r", "control")]
+
+
+def _s_and_x(sid, pair):
+    if pair == "control":
+        _, s, x = negative_control()
+        return s, x
+    entry = build_pair(sid, pair)
+    return entry.s, entry.x_default
+
+
+@pytest.mark.parametrize("sid, pair", CHECKED, ids=["%s-%s" % c for c in CHECKED])
+def test_the_plan_lattice_is_the_principal_lattice_of_degree_2b_plus_1(sid, pair):
+    """The plan's Y stack is c @ basis(s) over the lattice points c of
+    degree D = 2 chain_bound + 1, in their order, each Y a positive multiple
+    with coprime integer entries, and the verdict counts those points."""
+    s, x = _s_and_x(sid, pair)
+    plan = s.certify_plan
+    degree = 2 * extension.chain_bound(s.algebra) + 1
+    points = extension.principal_lattice(s.dim, degree)
+    assert plan.lattice_size == len(points) == len(plan.lattice)
+    for y, c in zip(plan.lattice, points):
+        want = c.astype(object) @ s.basis_rows
+        k = np.flatnonzero(want)[0]
+        ratio = Fraction(int(y[k])) / want[k]
+        assert ratio > 0 and list(y) == [ratio * w for w in want]
+        assert math.gcd(*map(int, y)) == 1
+    verdict = condition_holds(s, x, samples=plan.lattice_size)
+    assert (verdict.mode, verdict.samples, verdict.seed) == ("exact-complete",
+                                                              plan.lattice_size, None)
+
+
+@pytest.mark.parametrize("sid, pair", [("su21", "real-form"), ("so31", "geodesic-plane"),
+                                       ("su31", "real-form")])
+def test_the_lattice_is_taken_from_its_point_count_on(sid, pair):
+    """One sample below the point count P the verdict is sampled, with the
+    samples and the seed asked; from P on it is the complete one, whatever
+    the count and the seed."""
+    entry = build_pair(sid, pair)
+    s, x = entry.s, entry.x_default
+    count = s.certify_plan.lattice_size
+    below = condition_holds(s, x, samples=count - 1, seed=4)
+    assert (below.mode, below.samples, below.seed) == ("exact-sampled", count - 1, 4)
+    verdicts = [condition_holds(s, x, samples=n, seed=seed)
+                for n, seed in ((count, 0), (count + 1, 9), (1024, 2 ** 64 - 1))]
+    assert all(v is verdicts[0] for v in verdicts)
+    assert verdicts[0].as_dict() == {
+        "holds": True, "n_max": len(entry.algebra.p_basis), "samples": count, "seed": None,
+        "checked": count * (len(entry.algebra.p_basis) + 1),
+        "per_n_worst_residual": [0.0] * (len(entry.algebra.p_basis) + 1),
+        "witness": None, "warnings": (), "mode": "exact-complete"}
+
+
+def test_a_kept_verdict_stays_with_its_x():
+    """On one s (su21 real-form), X = Q1 holds and Q1 + P1 fails: run in
+    turn, each complete verdict equals that on a plan of its own, and a
+    repeated X returns the verdict its slot keeps, the same record."""
+    entry = build_pair("su21", "real-form")
+    a = entry.algebra
+    s = Subspace(a, entry.s.basis)
+    normal, tilted = a.from_labels({"Q1": 1}), a.from_labels({"Q1": 1, "P1": 1})
+    seen = []
+    for x in (normal, tilted, tilted, normal):
+        verdict = condition_holds(s, x, samples=6, seed=1)
+        fresh = condition_holds(Subspace(a, entry.s.basis), x, samples=64, seed=2)
+        assert verdict.as_dict() == fresh.as_dict()
+        assert verdict.holds is (x is normal)
+        seen.append(verdict)
+    assert seen[1] is seen[2] and seen[0] is not seen[3]
+    assert seen[2].witness["n"] == 0 and seen[0].witness is None
+
+
+def test_a_kept_verdict_lives_and_dies_with_its_subspace():
+    """The complete verdict and the lattice stay on the plan, which holds
+    no reference back to s: once the caller drops s, reference counting
+    frees it (the cyclic collector is off)."""
+    entry = build_pair("su21", "real-form")
+    s = Subspace(entry.algebra, entry.s.basis)
+    gc.disable()
+    try:
+        assert condition_holds(s, entry.x_default, samples=6).mode == "exact-complete"
+        assert "lattice" in vars(s.certify_plan)
+        dropped = weakref.ref(s)
+        del s
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
+def test_a_kept_verdict_and_a_shared_record_are_frozen_all_the_way_down():
+    """A kept verdict and a passed lemma record are handed to every caller,
+    so neither a field nor a container of theirs can be written, and what
+    as_dict hands out is a copy: writing it changes neither the record nor
+    the next as_dict."""
+    _, s, x = negative_control()
+    verdict = condition_holds(s, x, samples=16)
+    want = verdict.as_dict()
+    for write in (lambda: setattr(verdict, "holds", True),
+                  lambda: operator.setitem(verdict.per_n_worst_residual, 0, 1.0),
+                  lambda: operator.setitem(verdict.witness, "n", 3)):
+        with pytest.raises((TypeError, dataclasses.FrozenInstanceError)):
+            write()
+    out = verdict.as_dict()
+    out["per_n_worst_residual"][0] = 0.0
+    out["witness"]["y"][0] = "7"
+    out["witness"]["n"] = 3
+    assert verdict.as_dict() == want and condition_holds(s, x, samples=16) is verdict
+
+    entry = build_pair("su21", "real-form")
+    ys = sample_ys(entry.s, rng.stream(0, rng.STREAM_LEMMA), 3)
+    checks = verify_lemma_conclusion(entry.s, entry.x_default, ys, n_max=1, m_max=1)
+    for write in (lambda: operator.setitem(checks[0].aux_residuals, "0,0", 1.0),
+                  lambda: operator.delitem(checks[0].conclusion_residuals, "0,0"),
+                  lambda: operator.setitem(checks[0].hypothesis_residuals, 0, 1.0)):
+        with pytest.raises(TypeError):
+            write()
+    out = checks[0].as_dict()
+    out["aux_residuals"]["0,0"] = 1.0
+    out["hypothesis_residuals"][0] = 1.0
+    out["hypothesis_failures"].append({"m": 0, "residual": 1.0})
+    assert all(c.as_dict() == checks[2].as_dict() for c in checks)
+    assert checks[1].worst_residual == 0.0
+    failed = verify_lemma_conclusion(s, x, sample_ys(s, rng.stream(0, rng.STREAM_LEMMA), 1),
+                                     n_max=1, m_max=1)[0]
+    with pytest.raises(TypeError):
+        failed.hypothesis_failures[0]["m"] = 5
+    assert copy.deepcopy(failed) == failed and copy.deepcopy(failed) is not failed

@@ -29,7 +29,7 @@ import weakref
 import pytest
 
 from conftest import load_by_path
-from transvector import cli, data, exactla, liealg, roots, subspaces
+from transvector import cli, data, exactla, extension, liealg, rng, roots, subspaces
 from transvector.algfile import parse_algebra_file, serialize_algebra
 from transvector.catalog import build_pair, build_space
 from transvector.cli import run
@@ -193,6 +193,81 @@ def test_a_file_algebra_is_freed_when_its_request_returns(tmp_path, monkeypatch)
             assert parsed[-1]() is None
     finally:
         gc.enable()
+
+
+# -- the kept lattice verdict (extension.CertifyPlan.complete) -------------------
+
+CONTROL_JSON = os.path.join(HERE, "golden", "control.json")
+# (request, its lattice point count, the requests run before it on its plan:
+# a sampled count below the lattice, other X, the lemma; each ends on
+# another X, so the slot no longer holds the request's verdict)
+KEPT = {
+    "su21-check": (["check", "--space", "su21", "--pair", "real-form"], 6, [
+        ["check", "--space", "su21", "--pair", "real-form", "--samples", "5"],
+        ["check", "--space", "su21", "--pair", "real-form", "--X", "P1 + Q1"],
+        ["lemma", "--space", "su21", "--pair", "real-form"],
+        ["check", "--space", "su21", "--pair", "real-form", "--X", "1/2*Q1 + 1/3*Q2"]]),
+    "sl3r-control": (["verify", "--space", "sl3r", "--s", CONTROL_JSON, "--X", "bad"], 1, [
+        ["verify", "--space", "sl3r", "--s", CONTROL_JSON, "--X", "bad"],
+        ["lemma", "--space", "sl3r", "--s", CONTROL_JSON, "--X", "bad"],
+        ["verify", "--space", "sl3r", "--s", CONTROL_JSON, "--X", "1/2*H1 + 1/3*S13"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_a_kept_lattice_verdict_reports_the_bytes_of_a_fresh_interpreter(
+        tmp_path, count_calls, name):
+    """A catalog pair, and the sl3r control through the --s slot, decide
+    their condition once on a plan that served other requests: at the
+    lattice's point count and past it, at any seed, the report is the one a
+    fresh interpreter prints, only the first of them decides the lattice,
+    and their results agree whatever --samples and --seed say."""
+    argv, count, before = KEPT[name]
+    counts = [(str(count), "0"), ("64", "9"), ("1024", str(2 ** 64 - 1))]
+    fresh = {}
+    for samples, seed in counts:
+        out = tmp_path / "fresh.json"
+        proc = _fresh(argv + ["--samples", samples, "--seed", seed, "--out", str(out)])
+        assert proc.stderr == ""
+        fresh[samples] = (proc.returncode, strip_wall_time(out.read_text()))
+    for other in before:
+        run(other + list(SEED) + ["--out", str(tmp_path / "other.json")])
+    decided = count_calls(extension, "_decide")
+    results = []
+    for samples, seed in counts:
+        warm = _report(argv + ["--samples", samples, "--seed", seed], tmp_path / "warm.json")
+        assert warm == fresh[samples]
+        results.append(json.loads(warm[1].replace(",\n}", "\n}"))["results"])
+    assert len(decided) == 1
+    assert results[0]["condition"]["mode"] == "exact-complete"
+    assert results[0]["condition"]["samples"] == count
+    assert all(r == results[0] for r in results)
+
+
+def test_writing_what_a_request_returned_changes_no_later_report(tmp_path):
+    """A kept verdict and the lemma's shared record go to every caller; a
+    caller that writes into what it was handed, the as_dict of either, or
+    tries their own containers, leaves the bytes of the next report."""
+    check = ["check", "--space", "su21", "--pair", "real-form", "--X", "P1 + Q1"]
+    lemma = ["lemma", "--space", "su21", "--pair", "real-form", "--samples", "3"]
+    first = [_report(argv + list(SEED), tmp_path / "first.json") for argv in (check, lemma)]
+    entry = build_pair("su21", "real-form")
+    x = entry.algebra.from_labels({"P1": 1, "Q1": 1})
+    verdict = extension.condition_holds(entry.s, x, samples=64)
+    out = verdict.as_dict()
+    out["per_n_worst_residual"][0] = 0.0
+    out["witness"]["y"][:] = ["7"]
+    with pytest.raises(TypeError):
+        verdict.witness["vector"] = ()
+    ys = extension.sample_ys(entry.s, rng.stream(1, rng.STREAM_LEMMA), 3)
+    checks = extension.verify_lemma_conclusion(entry.s, entry.x_default, ys)
+    out = checks[0].as_dict()
+    out["conclusion_residuals"]["0,0"] = 1.0
+    out["hypothesis_residuals"].append(1.0)
+    with pytest.raises(TypeError):
+        checks[1].aux_residuals["0,0"] = 1.0
+    assert [_report(argv + list(SEED), tmp_path / "next.json")
+            for argv in (check, lemma)] == first
 
 
 # -- one cache entry per space, whatever the spelling ---------------------------

@@ -26,7 +26,7 @@ from conftest import basis_vector, rebased, scaled_at, upper_ones
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transvector import rng, roots
+from transvector import extension, rng, roots
 from transvector.algfile import parse_algebra_file, serialize_algebra
 from transvector.catalog import SPACE_IDS, build_space
 from transvector.cli import run
@@ -418,6 +418,34 @@ def test_roots_examples_build_per_root_what_does_not_depend_on_x(tmp_path, count
                  _even_rows(rd, lam).tolist()]
     assert built == want
     assert rng.STREAM_ROOTS_GENERIC in streams and rng.STREAM_LEMMA not in streams
+
+
+@pytest.mark.parametrize("space_id, samples", [("sl3r", 1), ("su21", 1), ("su21", 6),
+                                               ("su31", 2), ("sl4r", 1)])
+def test_roots_examples_build_each_lattice_once_per_root(tmp_path, count_calls, space_id,
+                                                        samples):
+    """The lattice Y stack lives on the plan of s = p_lambda, which
+    roots --examples builds once per positive root: the lattice is built
+    once for each root whose lattice has at most --samples points, not once
+    for each X of its grid, and every example of such a root reads
+    exact-complete.  A root past that count still draws its samples per X."""
+    a = build_space(space_id)
+    _, rd = _decomp(a)
+    degree = 2 * extension.chain_bound(a) + 1
+    built = count_calls(extension, "principal_lattice")
+    out = tmp_path / "r.json"
+    assert run(["roots", "--space", space_id, "--examples", "--samples", str(samples),
+                "--out", str(out)]) == 0
+    dims = [len(rd.p_spaces[lam]) for lam in rd.positive]
+    lattice = [math.comb(degree + k - 1, k - 1) <= samples for k in dims]
+    assert built == [(k, degree) for k, taken in zip(dims, lattice) if taken]
+    assert any(lattice)
+    examples = json.loads(out.read_text())["results"]["examples"]
+    per_root = len(examples) // len(rd.positive)
+    assert per_root > 1
+    modes = [e["condition"]["mode"] for e in examples]
+    assert modes == [("exact-complete" if taken else "exact-sampled")
+                     for taken in lattice for _ in range(per_root)]
 
 
 # -- the roots contract on rebased catalog algebras --------------------------
