@@ -101,12 +101,12 @@ from . import rng
 from .errors import ConfigError, LemmaFalsified
 from .liealg import (MODE_EXACT, AlgebraVector, ChainResidues, PairResidues, abs_col_sum,
                      canonical, coeff_strings, int64_exact)
+from .subspaces import Subspace
 
 _NO_RESIDUALS = MappingProxyType({})
 # the records below hold read-only mappings; each copies and pickles as a new
 # proxy over a copy of what it shows, so the records copy like plain ones
 copyreg.pickle(MappingProxyType, lambda m: (MappingProxyType, (dict(m),)))
-from .subspaces import Subspace
 
 
 @dataclass
@@ -314,8 +314,8 @@ def principal_lattice(k: int, degree: int) -> np.ndarray:
     slots = degree + k - 1
     bars = np.array(list(itertools.combinations(range(slots), k - 1)),
                     dtype=np.int64).reshape(math.comb(slots, k - 1), k - 1)
-    ends = np.full((len(bars), 1), -1), np.full((len(bars), 1), slots)
-    return np.diff(np.concatenate([ends[0], bars, ends[1]], axis=1), axis=1)[::-1] - 1
+    edges = np.column_stack([np.full(len(bars), -1), bars, np.full(len(bars), slots)])
+    return np.diff(edges, axis=1)[::-1] - 1
 
 
 def sample_ys(s: Subspace, gen, samples: int) -> np.ndarray:
