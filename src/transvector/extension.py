@@ -87,7 +87,6 @@ float64.
 
 from __future__ import annotations
 
-import copyreg
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -104,9 +103,6 @@ from .liealg import (MODE_EXACT, AlgebraVector, ChainResidues, PairResidues, abs
 from .subspaces import Subspace
 
 _NO_RESIDUALS = MappingProxyType({})
-# the records below hold read-only mappings; each copies and pickles as a new
-# proxy over a copy of what it shows, so the records copy like plain ones
-copyreg.pickle(MappingProxyType, lambda m: (MappingProxyType, (dict(m),)))
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import errno
 import json
 import math
@@ -818,14 +818,16 @@ def test_a_lemma_report_converts_each_distinct_record_once(tmp_path, monkeypatch
 
 def test_a_shared_record_reports_the_bytes_of_separate_records(tmp_path, monkeypatch):
     """The report of 64 references to one record, after strip_wall_time, is
-    the one rendered from 64 records built apart, nothing shared."""
+    the one rendered from 64 records built apart, nothing shared (a record
+    is frozen all the way down, so a copy of its fields is a record apart,
+    and as_dict builds new containers for each)."""
     argv = ["lemma", *SU21_REAL_FORM, "--samples", "64", "--seed", "5"]
     shared, apart = tmp_path / "shared.json", tmp_path / "apart.json"
     assert run(argv + ["--out", str(shared)]) == 0
     verify, built = cli.verify_lemma_conclusion, []
 
     def separate(*args, **kw):
-        built.extend(copy.deepcopy(c) for c in verify(*args, **kw))
+        built.extend(dataclasses.replace(c) for c in verify(*args, **kw))
         return built
 
     monkeypatch.setattr(cli, "verify_lemma_conclusion", separate)
