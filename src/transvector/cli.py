@@ -213,13 +213,18 @@ def _pair_from_args(args):
 MAX_GRID_NODES = 10 ** 5
 
 
-# Ceilings of the count options, each run at the cap on both su31 pairs (the
-# widest catalog algebra), 3 runs each in a fresh process on a 2-core Xeon,
-# peak RSS of the process (31 MB after the imports) and time in cli.run,
-# first request included: check --samples 1024 (n_max = dim p = 6, the
-# chain evaluated to b = 2) peaks near 42 MB in 0.02-0.04 s.  lemma has two
-# shapes at 4096 terms, both evaluated to n, m <= b and passed, so one
-# record stands for every sample: --samples 4 --n-max 31 --m-max 31 (a
+# Ceilings of the count options, 3 runs each in a fresh process on a 2-core
+# Xeon, peak RSS of the process (31 MB after the imports) and time in
+# cli.run, first request included.  check and verify evaluate at most
+# --samples Y: the principal lattice of s when it has at most --samples
+# points, --samples sampled Y past that (extension), so the cap bounds both.
+# check --samples 1024 on the su31 pairs (the widest catalog algebra) takes
+# their 21- and 56-point lattices and peaks near 32 MB in 0.01-0.02 s; the
+# widest sampled request found at the cap, verify of the su(4,1) complex
+# hyperplane on a serialized su41 file (an algebra file takes the degree
+# 2 dim p - 1, so 15504 lattice points), peaks near 105 MB in 0.2 s.  lemma
+# has two shapes at 4096 terms, both evaluated to n, m <= b and passed, so
+# one record stands for every sample: --samples 4 --n-max 31 --m-max 31 (a
 # 197 KB report) peaks near 38 MB in 0.02-0.03 s, and --samples 1024
 # --n-max 1 --m-max 1, the most records (1024 in a 534 KB report), near
 # 48 MB in 0.03-0.05 s
@@ -228,15 +233,19 @@ MAX_CHAIN = 32              # lemma --n-max and --m-max
 MAX_LEMMA_TERMS = 4096      # lemma samples * (n_max + 1) * (m_max + 1)
 
 # The most multiply-adds the condition runs of roots --examples may take:
-# each of the positive roots * X points examples runs the condition on
-# --samples Y, counted for each Y as a chain of 2 dim p + 3 exact vectors of
-# length d, each a d-by-d product (an upper count: the condition admits
-# 2 dim p + 2 and evaluates 2 b + 2, b = chain_bound).  The chains of the
+# each of the positive roots * X points examples runs the condition on at
+# most --samples Y (the lattice of p_lambda, built once per root, when it has
+# at most --samples points), counted for each Y as a chain of 2 dim p + 3
+# exact vectors of length d, each a d-by-d product (an upper count: the
+# condition admits 2 dim p + 2 and evaluates 2 b + 2, b = chain_bound, and
+# a lattice may have fewer points than --samples).  The chains of the
 # examples cost nothing per Y: they are decided once per root on basis
-# pairs.  su31 at --samples 1024 counts 3.5e7 and runs in 0.08-0.14 s at
-# 43 MB; su(9,1) at --samples 17 counts 6.5e7, near this cap, and runs in
-# 1.2-2.1 s at 91 MB, about 0.75 s of it the triple-system checks of its two
-# p_lambda (measured as above)
+# pairs.  su31 at --samples 1024 counts 3.5e7 and, both roots on their
+# lattices (56 and 1 points), runs in 0.03 s at 39 MB; su(9,1) at
+# --samples 17 counts 6.5e7, near this cap, and runs in 2.0-2.1 s at 92 MB,
+# p_lambda sampled (its lattice has 15504 points) and p_{2 lambda} on its
+# one point, about 0.75 s of it the triple-system checks of its two p_lambda
+# (measured as above)
 MAX_EXAMPLE_WORK = 2 ** 26
 
 
